@@ -40,8 +40,8 @@ func startGateway(t *testing.T) *httptest.Server {
 		}
 		return req.N, nil
 	})
-	register("s3upload", func(_ context.Context, inv *platform.Invocation) (any, error) {
-		_, _, err := inv.Resources.Get("s3.client", "k", func() (any, int64, error) {
+	register("s3upload", func(ctx context.Context, inv *platform.Invocation) (any, error) {
+		_, _, err := inv.Resources.GetContext(ctx, "s3.client", "k", func() (any, int64, error) {
 			return "client", 1, nil
 		})
 		return "ok", err

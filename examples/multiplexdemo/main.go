@@ -144,8 +144,8 @@ func measure(multiplex bool) (int64, time.Duration, time.Duration, error) {
 	defer func() { _ = p.Close() }()
 
 	var builds atomic.Int64
-	err = p.Register("s3func", func(_ context.Context, inv *platform.Invocation) (any, error) {
-		_, _, err := inv.Resources.Get("s3.client", "ACCESS_KEY", func() (any, int64, error) {
+	err = p.Register("s3func", func(ctx context.Context, inv *platform.Invocation) (any, error) {
+		_, _, err := inv.Resources.GetContext(ctx, "s3.client", "ACCESS_KEY", func() (any, int64, error) {
 			builds.Add(1)
 			time.Sleep(clientBuildCost)
 			return "S3_client", clientMem, nil

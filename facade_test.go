@@ -29,14 +29,13 @@ func TestPublicAPILivePlatform(t *testing.T) {
 		}
 	}()
 
-	err = p.Register("greet", func(_ context.Context, inv *faasbatch.Invocation) (any, error) {
-		client, cached, err := inv.Resources.Get("greeter", "en", func() (any, int64, error) {
+	err = p.Register("greet", func(ctx context.Context, inv *faasbatch.Invocation) (any, error) {
+		client, _, err := inv.Resources.GetContext(ctx, "greeter", "en", func() (any, int64, error) {
 			return "Hello", 1 << 10, nil
 		})
 		if err != nil {
 			return nil, err
 		}
-		_ = cached
 		var name string
 		if err := json.Unmarshal(inv.Payload, &name); err != nil {
 			return nil, err

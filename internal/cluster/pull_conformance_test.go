@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 	"reflect"
+	"sort"
 	"testing"
 	"time"
 
@@ -181,57 +182,116 @@ func TestPullSimLiveConformance(t *testing.T) {
 	}
 }
 
-// TestPullSpreadsSkewedLoad pins the load-balancing claim: under the
-// 90/10 skew the hash picker funnels the hot function into one node
-// while pull late-binds it across the fleet, so pull's per-node routed
-// spread must be materially tighter.
+// TestPullSpreadsSkewedLoad pins the late-binding claims: under a 90/10
+// skew the hash picker funnels the hot function into one node while pull
+// late-binds it across the fleet, so pull's per-node routed spread must
+// be materially tighter — and once the hot function's CPU demand exceeds
+// its hash owner (the second case: fib(30) at 200/s, ~55 cores of demand
+// against one 32-core worker in a fleet of eight, with a worker failing
+// mid-run), pull must also cut the tail latency and neither policy may
+// lose an invocation.
 func TestPullSpreadsSkewedLoad(t *testing.T) {
-	run := func(bal Balancing) []int {
-		eng := sim.New(7)
-		cfg := testClusterConfig(4, bal)
-		if bal == Pull {
-			pcfg := pullConformanceConfig()
-			cfg.Pull = &pcfg
-		}
-		cl, err := New(eng, cfg)
-		if err != nil {
-			t.Fatalf("cluster.New(%v): %v", bal, err)
-		}
-		sched := pullConformanceSchedule()
-		spec := workload.IOSpec("skew")
-		done := 0
-		for i, a := range sched {
-			i, a := i, a
-			eng.Schedule(a.off, func() {
-				s := spec
-				s.Name = a.fn
-				cl.Submit(fnruntime.NewInvocation(int64(i), s, eng.Now()), func(*fnruntime.Invocation) { done++ })
-			})
-		}
-		eng.RunUntil(sim.Time(5 * time.Second))
-		if done != len(sched) {
-			t.Fatalf("%v run completed %d/%d", bal, done, len(sched))
-		}
-		routed := cl.RoutedPerNode()
-		_ = cl.Close()
-		return routed
+	type arrival struct {
+		off  time.Duration
+		spec workload.Spec
 	}
-	spread := func(routed []int) (min, max int) {
-		min, max = routed[0], routed[0]
-		for _, n := range routed[1:] {
-			if n < min {
-				min = n
-			}
-			if n > max {
-				max = n
-			}
-		}
-		return min, max
+	io := workload.IOSpec("skew")
+	var light []arrival
+	for _, a := range pullConformanceSchedule() {
+		s := io
+		s.Name = a.fn
+		light = append(light, arrival{off: a.off, spec: s})
 	}
-	hashMin, hashMax := spread(run(ConsistentHash))
-	pullMin, pullMax := spread(run(Pull))
-	if hashMax-hashMin <= pullMax-pullMin {
-		t.Fatalf("pull should spread skewed load tighter than hash: hash [%d,%d], pull [%d,%d]",
-			hashMin, hashMax, pullMin, pullMax)
+	hot, err := workload.FibSpec(30)
+	if err != nil {
+		t.Fatalf("FibSpec: %v", err)
+	}
+	hot.Name = "hot"
+	cold, err := workload.FibSpec(24)
+	if err != nil {
+		t.Fatalf("FibSpec: %v", err)
+	}
+	var saturating []arrival
+	for i, off := 0, 3*time.Millisecond; off < 12*time.Second; i, off = i+1, off+5*time.Millisecond {
+		s := hot
+		if i%10 == 9 {
+			s = cold
+			s.Name = fmt.Sprintf("cold-%d", (i/10)%8)
+		}
+		saturating = append(saturating, arrival{off: off, spec: s})
+	}
+	lightPull := pullConformanceConfig()
+	cases := []struct {
+		name     string
+		cfg      Config
+		pull     pullsched.Config
+		sched    []arrival
+		outage   [2]time.Duration // victim node 1 down over [from, to); zero: none
+		horizon  time.Duration
+		beatsP99 bool
+	}{
+		{name: "light-io", cfg: testClusterConfig(4, ConsistentHash), pull: lightPull,
+			sched: light, horizon: 5 * time.Second},
+		{name: "cpu-saturating", cfg: Config{Nodes: 8, Balancing: ConsistentHash},
+			pull:  pullsched.Config{QueueDepth: 1 << 16, Capacity: 32},
+			sched: saturating, outage: [2]time.Duration{4 * time.Second, 8 * time.Second},
+			horizon: 20 * time.Second, beatsP99: true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			run := func(bal Balancing) (routed []int, p99 time.Duration) {
+				eng := sim.New(7)
+				cfg := tc.cfg
+				cfg.Balancing = bal
+				if bal == Pull {
+					pcfg := tc.pull
+					cfg.Pull = &pcfg
+				}
+				cl, err := New(eng, cfg)
+				if err != nil {
+					t.Fatalf("cluster.New(%v): %v", bal, err)
+				}
+				var lat []time.Duration
+				for i, a := range tc.sched {
+					eng.Schedule(a.off, func() {
+						cl.Submit(fnruntime.NewInvocation(int64(i), a.spec, eng.Now()), func(*fnruntime.Invocation) {
+							lat = append(lat, eng.Now().Duration()-a.off)
+						})
+					})
+				}
+				if tc.outage[1] > 0 {
+					eng.Schedule(tc.outage[0], func() { _ = cl.SetDown(1, true) })
+					eng.Schedule(tc.outage[1], func() { _ = cl.SetDown(1, false) })
+				}
+				eng.RunUntil(sim.Time(tc.horizon))
+				if len(lat) != len(tc.sched) {
+					t.Fatalf("%v run completed %d/%d: invocations lost", bal, len(lat), len(tc.sched))
+				}
+				sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
+				routed = cl.RoutedPerNode()
+				_ = cl.Close()
+				return routed, lat[len(lat)*99/100]
+			}
+			spread := func(routed []int) int {
+				min, max := routed[0], routed[0]
+				for _, n := range routed[1:] {
+					if n < min {
+						min = n
+					}
+					if n > max {
+						max = n
+					}
+				}
+				return max - min
+			}
+			hashRouted, hashP99 := run(ConsistentHash)
+			pullRouted, pullP99 := run(Pull)
+			if spread(hashRouted) <= spread(pullRouted) {
+				t.Fatalf("pull should spread skewed load tighter than hash: hash %v, pull %v", hashRouted, pullRouted)
+			}
+			if tc.beatsP99 && pullP99 >= hashP99 {
+				t.Fatalf("pull should cut the skewed tail: pull p99 %v, hash p99 %v", pullP99, hashP99)
+			}
+		})
 	}
 }

@@ -4,10 +4,11 @@
 //
 // The scheduler combines three modules:
 //
-//   - Invoke Mapper — listens to the request queue for a fixed dispatch
-//     interval (default 0.2 s) and classifies the invocations that arrived
-//     within the window into per-function groups: all requests for one
-//     function in one window form a single batch.
+//   - Invoke Mapper — listens to the request queue for a dispatch window
+//     (the paper's fixed 0.2 s interval by default) and classifies the
+//     invocations that arrived within it into per-function groups: all
+//     requests for one function in one window form a single batch. When a
+//     window closes is internal/dispatch's decision, under either policy.
 //   - Inline-Parallel Producer — maps each group to exactly one container
 //     (warm when a keep-alive container exists), applies the customer's
 //     CPU limit to the container's cpuset, delivers the whole batch with
@@ -72,8 +73,8 @@ type Config struct {
 	// invocation that exhausts the budget completes with Rec.Failed set —
 	// at-most-(1+MaxRetries) execution attempts, never silent loss.
 	MaxRetries int
-	// AdaptiveDispatch replaces the fixed Invoke Mapper interval with the
-	// load-aware controller (internal/dispatch): lone arrivals with no
+	// AdaptiveDispatch selects the dispatch controller's load-aware
+	// policy (internal/dispatch) over its fixed one: lone arrivals with no
 	// batching opportunity dispatch immediately, an EWMA arrival-rate
 	// tracker sizes each function's window within
 	// [MinInterval, MaxInterval], and a window whose group reaches
@@ -81,7 +82,7 @@ type Config struct {
 	// remains the paper's behaviour.
 	AdaptiveDispatch bool
 	// MinInterval is the adaptive window floor (AdaptiveDispatch only).
-	// Zero selects DefaultMinInterval.
+	// Zero selects dispatch.DefaultMinInterval.
 	MinInterval time.Duration
 	// MaxInterval is the adaptive window cap (AdaptiveDispatch only).
 	// Zero selects Interval, so adaptive mode never batches more coarsely
@@ -91,11 +92,6 @@ type Config struct {
 	// this many invocations (AdaptiveDispatch only; 0 means no cap).
 	MaxGroupSize int
 }
-
-// DefaultMinInterval is the adaptive window floor when none is set: small
-// enough that sparse traffic sees near-immediate dispatch, large enough
-// that same-instant arrivals still fold into one group.
-const DefaultMinInterval = 5 * time.Millisecond
 
 // DefaultConfig returns the paper's defaults.
 func DefaultConfig() Config {
@@ -137,8 +133,8 @@ type Stats struct {
 	// EarlyCloses counts adaptive windows closed before their deadline
 	// because the group reached MaxGroupSize.
 	EarlyCloses int64
-	// WindowDispatches counts adaptive windows that closed at their
-	// deadline.
+	// WindowDispatches counts windows that closed at their deadline, under
+	// either policy (every fixed-interval group is one).
 	WindowDispatches int64
 }
 
@@ -166,19 +162,16 @@ type FaaSBatch struct {
 	// lastActive records each function's most recent arrival time
 	// (Prewarm only).
 	lastActive map[string]sim.Time
-	// ticker drives fixed-interval windows; in adaptive mode it exists
-	// only for pre-warming (nil otherwise).
+	// ticker is the pre-warming cadence (nil unless Prewarm).
 	ticker *sim.Ticker
-	// ctrl sizes per-function windows in adaptive mode (nil when fixed);
-	// windows holds each function's scheduled window-close event and
-	// windowAt its scheduled time (the controller may extend an open
-	// window's deadline as the arrival estimate densifies, which
-	// reschedules the event).
-	ctrl     *dispatch.Controller
-	windows  map[string]*sim.Event
-	windowAt map[string]sim.Time
-	stats    Stats
-	closed   bool
+	// ctrl decides when each function's window closes; windows holds the
+	// scheduled close event of every open window.
+	ctrl    *dispatch.Controller
+	windows map[string]*sim.Event
+	// due is windowDue's scratch list of closing functions.
+	due    []string
+	stats  Stats
+	closed bool
 }
 
 // attachedGroup is a window group waiting for an in-flight creation.
@@ -195,7 +188,7 @@ type pendingItem struct {
 	complete func(*fnruntime.Invocation)
 }
 
-// New creates a FaaSBatch scheduler and starts its dispatch ticker.
+// New creates a FaaSBatch scheduler.
 func New(env policy.Env, cfg Config) (*FaaSBatch, error) {
 	if env.Eng == nil || env.Node == nil || env.Runner == nil {
 		return nil, fmt.Errorf("core: env requires engine, node and runner")
@@ -215,16 +208,13 @@ func New(env policy.Env, cfg Config) (*FaaSBatch, error) {
 	if cfg.MaxRetries < 0 {
 		return nil, fmt.Errorf("core: max retries must be non-negative, got %d", cfg.MaxRetries)
 	}
-	if cfg.AdaptiveDispatch {
-		if cfg.MaxInterval == 0 {
-			cfg.MaxInterval = cfg.Interval
-		}
-		if cfg.MinInterval == 0 {
-			cfg.MinInterval = DefaultMinInterval
-			if cfg.MinInterval > cfg.MaxInterval {
-				cfg.MinInterval = cfg.MaxInterval
-			}
-		}
+	ctrl, err := dispatch.New(dispatch.ConfigFor(cfg.AdaptiveDispatch, cfg.Interval, dispatch.Config{
+		MinInterval:  cfg.MinInterval,
+		MaxInterval:  cfg.MaxInterval,
+		MaxGroupSize: cfg.MaxGroupSize,
+	}))
+	if err != nil {
+		return nil, fmt.Errorf("core: %w", err)
 	}
 	f := &FaaSBatch{
 		env:            env,
@@ -234,35 +224,18 @@ func New(env policy.Env, cfg Config) (*FaaSBatch, error) {
 		pendingCreates: make(map[string]int),
 		attached:       make(map[string][]attachedGroup),
 		lastActive:     make(map[string]sim.Time),
+		ctrl:           ctrl,
+		windows:        make(map[string]*sim.Event),
 	}
-	if cfg.AdaptiveDispatch {
-		ctrl, err := dispatch.New(dispatch.Config{
-			MinInterval:  cfg.MinInterval,
-			MaxInterval:  cfg.MaxInterval,
-			MaxGroupSize: cfg.MaxGroupSize,
-		})
+	if cfg.Prewarm {
+		// Windows close on their own events; pre-warming needs a cadence
+		// to refresh its predictions on.
+		t, err := sim.NewTicker(env.Eng, cfg.Interval, func(sim.Time) { f.prewarm() })
 		if err != nil {
 			return nil, fmt.Errorf("core: %w", err)
 		}
-		f.ctrl = ctrl
-		f.windows = make(map[string]*sim.Event)
-		f.windowAt = make(map[string]sim.Time)
-		if cfg.Prewarm {
-			// Per-function window events replace the global tick, but
-			// pre-warming still needs a cadence to refresh predictions on.
-			t, err := sim.NewTicker(env.Eng, cfg.Interval, func(sim.Time) { f.prewarm() })
-			if err != nil {
-				return nil, fmt.Errorf("core: %w", err)
-			}
-			f.ticker = t
-		}
-		return f, nil
+		f.ticker = t
 	}
-	t, err := sim.NewTicker(env.Eng, cfg.Interval, func(sim.Time) { f.dispatchWindow() })
-	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-	f.ticker = t
 	return f, nil
 }
 
@@ -273,109 +246,83 @@ func (f *FaaSBatch) Name() string { return "faasbatch" }
 func (f *FaaSBatch) Stats() Stats { return f.stats }
 
 // Submit implements policy.Scheduler: the Invoke Mapper appends the
-// invocation to its function's group for the current window. In adaptive
-// mode the dispatch controller decides whether the arrival dispatches
-// immediately (idle fast-path, early close) or waits for its function's
-// load-sized window.
+// invocation to its function's group for the current window, and the
+// dispatch controller decides whether the arrival dispatches immediately
+// (idle fast-path, early close) or waits for its function's window.
 func (f *FaaSBatch) Submit(inv *fnruntime.Invocation, complete func(*fnruntime.Invocation)) {
 	f.stats.Submitted++
 	fn := inv.Spec.Name
 	if f.cfg.Prewarm {
 		f.lastActive[fn] = f.env.Eng.Now()
 	}
-	item := &pendingItem{inv: inv, complete: complete}
-	if !f.cfg.AdaptiveDispatch {
-		f.pending[fn] = append(f.pending[fn], item)
-		return
-	}
 	// The arrival is idle (no batching opportunity) when nothing of its
 	// function waits, executes or boots: a window would hold it for
-	// nothing unless the arrival process says company is coming.
-	idle := len(f.pending[fn]) == 0 && f.busyContainer(fn) == nil && f.pendingCreates[fn] == 0
-	f.pending[fn] = append(f.pending[fn], item)
+	// nothing unless the arrival process says company is coming. The
+	// probe prunes the owned list, so it runs only when the policy reads
+	// the answer.
+	idle := f.ctrl.UsesIdle() && len(f.pending[fn]) == 0 && f.busyContainer(fn) == nil && f.pendingCreates[fn] == 0
+	f.pending[fn] = append(f.pending[fn], &pendingItem{inv: inv, complete: complete})
 	f.applyDecision(fn, f.ctrl.Arrive(fn, f.env.Eng.Now().Duration(), idle))
 }
 
-// applyDecision acts on the controller's verdict for fn's pending group.
+// applyDecision acts on the controller's verdict for fn's pending group:
+// a wait arms (or, when the controller extended the deadline, re-arms)
+// the window's close event; anything else hands the group to the
+// Inline-Parallel Producer now.
 func (f *FaaSBatch) applyDecision(fn string, d dispatch.Decision) {
+	ev, open := f.windows[fn]
+	if d.Action == dispatch.ActionWait {
+		at := sim.Time(d.Deadline)
+		if open {
+			if ev.At() == at {
+				return
+			}
+			ev.Cancel()
+		}
+		f.windows[fn] = f.env.Eng.ScheduleAt(at, func() { f.windowDue(fn) })
+		return
+	}
+	if open {
+		ev.Cancel()
+		delete(f.windows, fn)
+	}
+	group := f.pending[fn]
+	delete(f.pending, fn)
+	if len(group) == 0 {
+		return
+	}
 	switch d.Action {
 	case dispatch.ActionFastPath:
 		f.stats.FastPathDispatches++
-		f.closeNow(fn)
 	case dispatch.ActionEarlyClose:
 		f.stats.EarlyCloses++
-		f.closeNow(fn)
-	case dispatch.ActionWait:
-		at := sim.Time(d.Deadline)
-		if ev, open := f.windows[fn]; open {
-			if f.windowAt[fn] == at {
-				return
-			}
-			// The controller extended the open window's deadline.
-			ev.Cancel()
-		}
-		f.windowAt[fn] = at
-		f.windows[fn] = f.env.Eng.ScheduleAt(at, func() { f.windowDue(fn) })
+	case dispatch.ActionWindowClose:
+		f.stats.WindowDispatches++
 	}
+	f.dispatchGroup(fn, group)
 }
 
-// closeNow dispatches fn's pending group immediately (fast path or early
-// close; the controller has already reset its group state).
-func (f *FaaSBatch) closeNow(fn string) {
-	if ev, open := f.windows[fn]; open {
-		ev.Cancel()
-		delete(f.windows, fn)
-		delete(f.windowAt, fn)
-	}
-	group := f.pending[fn]
-	delete(f.pending, fn)
-	if len(group) > 0 {
-		f.dispatchGroup(fn, group)
-	}
-}
-
-// windowDue fires at fn's adaptive window deadline.
+// windowDue fires at fn's window deadline and closes the windows the
+// controller's policy ends with it.
 func (f *FaaSBatch) windowDue(fn string) {
-	delete(f.windows, fn)
-	delete(f.windowAt, fn)
 	if f.closed {
 		return
 	}
-	f.ctrl.WindowClosed(fn)
-	group := f.pending[fn]
-	delete(f.pending, fn)
-	if len(group) > 0 {
-		f.stats.WindowDispatches++
-		f.dispatchGroup(fn, group)
+	f.due = f.ctrl.AppendClosing(f.due[:0], fn)
+	for _, fn := range f.due {
+		f.applyDecision(fn, f.ctrl.WindowClosed(fn))
 	}
 }
 
-// Close stops the dispatcher after flushing pending groups.
+// Close stops the scheduler after flushing pending groups.
 func (f *FaaSBatch) Close() error {
 	if f.closed {
 		return nil
 	}
 	f.closed = true
-	f.dispatchWindow()
-	for fn, ev := range f.windows {
-		ev.Cancel()
-		delete(f.windows, fn)
-		delete(f.windowAt, fn)
-	}
-	if f.ticker != nil {
-		f.ticker.Stop()
-	}
-	return nil
-}
-
-// dispatchWindow closes the current window: every function group gathered
-// by the Invoke Mapper is handed to the Inline-Parallel Producer.
-func (f *FaaSBatch) dispatchWindow() {
 	if f.cfg.Prewarm {
+		// The flush is the last tick of the pre-warm cadence too.
 		f.prewarm()
-	}
-	if len(f.pending) == 0 {
-		return
 	}
 	// Sorted function order keeps runs deterministic.
 	fns := make([]string, 0, len(f.pending))
@@ -384,13 +331,12 @@ func (f *FaaSBatch) dispatchWindow() {
 	}
 	sort.Strings(fns)
 	for _, fn := range fns {
-		group := f.pending[fn]
-		delete(f.pending, fn)
-		if f.ctrl != nil {
-			f.ctrl.WindowClosed(fn)
-		}
-		f.dispatchGroup(fn, group)
+		f.applyDecision(fn, f.ctrl.WindowClosed(fn))
 	}
+	if f.ticker != nil {
+		f.ticker.Stop()
+	}
+	return nil
 }
 
 // dispatchGroup is the Inline-Parallel Producer (§III-C): obtain one
@@ -611,7 +557,7 @@ func (f *FaaSBatch) retryItem(item *pendingItem) {
 	// completed + failed must hold at quiescence).
 	fn := inv.Spec.Name
 	f.pending[fn] = append(f.pending[fn], item)
-	if f.cfg.AdaptiveDispatch && !f.closed {
+	if !f.closed {
 		// A retry must ride a window like any pending call, but must not
 		// skew the arrival-rate estimate: EnsureOpen arms a window-close
 		// event without observing an arrival.

@@ -1,12 +1,17 @@
-// Package dispatch implements the adaptive Invoke Mapper window
-// controller shared by the simulator (internal/core) and the live
-// platform (internal/platform).
+// Package dispatch implements the Invoke Mapper window controller shared
+// by the simulator (internal/core) and the live platform
+// (internal/platform): the one place that decides when a function's
+// window closes. All requests for one function inside one window form a
+// single batch (§III-B); the controller's policy, chosen at construction
+// (ConfigFor), sets where the windows fall.
 //
-// The paper fixes the dispatch interval at 0.2 s; its own interval sweep
-// (Fig. 11) shows the choice is workload-sensitive. The controller keeps
-// the paper's grouping semantics — all requests for one function inside
-// one window form a single batch — but sizes the window per function from
-// the observed arrival process:
+// The fixed policy is the paper's: windows end on the boundaries of a
+// tick of the dispatch interval (0.2 s), every arrival waits for the next
+// boundary, and an arrival on a boundary closes at that boundary.
+//
+// The paper's own interval sweep (Fig. 11) shows the choice of interval
+// is workload-sensitive. The adaptive policy keeps the grouping semantics
+// but sizes the window per function from the observed arrival process:
 //
 //   - Idle fast-path: a lone arrival with no batching opportunity (no
 //     busy container of that function, nothing pending, arrivals sparse)
@@ -31,6 +36,7 @@ package dispatch
 
 import (
 	"fmt"
+	"sort"
 	"time"
 
 	"faasbatch/internal/policy"
@@ -52,7 +58,13 @@ const DefaultAlpha = 0.3
 // while the stale idle gap averages down.
 const idleResetFactor = 8
 
-// Config parameterises a Controller.
+// DefaultMinInterval is the adaptive window floor when none is set: small
+// enough that sparse traffic sees near-immediate dispatch, large enough
+// that same-instant arrivals still fold into one group.
+const DefaultMinInterval = 5 * time.Millisecond
+
+// Config parameterises a Controller. The zero policy is the adaptive one;
+// ConfigFor builds the fixed policy's configuration.
 type Config struct {
 	// MinInterval is the floor of the adaptive window: the shortest a
 	// per-function window may shrink when arrivals are sparse. It must
@@ -68,6 +80,32 @@ type Config struct {
 	// Alpha is the EWMA smoothing factor in (0, 1]; zero selects
 	// DefaultAlpha.
 	Alpha float64
+
+	// fixed selects the fixed policy: windows end on the boundaries of a
+	// tick of period MaxInterval.
+	fixed bool
+}
+
+// ConfigFor resolves the Invoke Mapper settings a scheduler exposes into
+// a controller configuration. Without adaptive it is the paper's fixed
+// policy on interval and cfg is ignored. With adaptive, cfg's zero
+// MaxInterval takes interval — so the adaptive policy never batches more
+// coarsely than the fixed one it replaces — and its zero MinInterval
+// takes DefaultMinInterval, clamped to the cap.
+func ConfigFor(adaptive bool, interval time.Duration, cfg Config) Config {
+	if !adaptive {
+		return Config{MinInterval: interval, MaxInterval: interval, fixed: true}
+	}
+	if cfg.MaxInterval == 0 {
+		cfg.MaxInterval = interval
+	}
+	if cfg.MinInterval == 0 {
+		cfg.MinInterval = DefaultMinInterval
+		if cfg.MinInterval > cfg.MaxInterval {
+			cfg.MinInterval = cfg.MaxInterval
+		}
+	}
+	return cfg
 }
 
 // Validate checks the configuration.
@@ -102,6 +140,10 @@ const (
 	// ActionEarlyClose dispatches the whole pending group immediately:
 	// it reached MaxGroupSize, so holding the window open buys nothing.
 	ActionEarlyClose
+	// ActionWindowClose dispatches the whole pending group because its
+	// window ended: WindowClosed returns it, so a caller handles a close
+	// at the deadline with the code that handles the immediate closes.
+	ActionWindowClose
 )
 
 // String implements fmt.Stringer.
@@ -113,6 +155,8 @@ func (a Action) String() string {
 		return "fast-path"
 	case ActionEarlyClose:
 		return "early-close"
+	case ActionWindowClose:
+		return "window"
 	default:
 		return fmt.Sprintf("action(%d)", int(a))
 	}
@@ -132,9 +176,9 @@ type Decision struct {
 	Window time.Duration
 }
 
-// fnState is one function's adaptive window state.
+// fnState is one function's window state.
 type fnState struct {
-	// gap smooths inter-arrival gaps (in seconds).
+	// gap smooths inter-arrival gaps (in seconds; adaptive policy only).
 	gap *policy.EWMA
 	// last is the previous arrival offset; seen marks it valid.
 	last time.Duration
@@ -221,13 +265,22 @@ func (c *Controller) sparse(st *fnState) bool {
 	return st.gap.Value() > c.cfg.MaxInterval.Seconds()
 }
 
+// UsesIdle reports whether Arrive reads its idle argument. The fixed
+// policy has no fast path and does not, so its callers can skip working
+// the signal out.
+func (c *Controller) UsesIdle() bool { return !c.cfg.fixed }
+
 // Arrive reports one arrival for fn at monotonic offset now. idle is the
 // caller's batching-opportunity signal: true when no container of fn is
 // busy and nothing else of fn waits (the arrival is alone). The returned
 // Decision tells the caller to dispatch now (fast path / early close —
 // the controller has already reset the group) or to hold until Deadline.
+// The fixed policy always holds.
 func (c *Controller) Arrive(fn string, now time.Duration, idle bool) Decision {
 	st := c.state(fn)
+	if c.cfg.fixed {
+		return c.joinTick(st, now)
+	}
 	if st.seen {
 		if gap := now - st.last; gap > time.Duration(idleResetFactor)*c.cfg.MaxInterval {
 			// Idle fast-path reset: the stream restarted after a long
@@ -272,6 +325,9 @@ func (c *Controller) Arrive(fn string, now time.Duration, idle bool) Decision {
 // ActionWait.
 func (c *Controller) EnsureOpen(fn string, now time.Duration) Decision {
 	st := c.state(fn)
+	if c.cfg.fixed {
+		return c.joinTick(st, now)
+	}
 	st.pending++
 	if c.cfg.MaxGroupSize > 0 && st.pending >= c.cfg.MaxGroupSize {
 		st.reset()
@@ -286,14 +342,56 @@ func (c *Controller) EnsureOpen(fn string, now time.Duration) Decision {
 	return Decision{Action: ActionWait, Deadline: st.deadline, Window: st.window}
 }
 
+// joinTick is the fixed policy's whole decision: the arrival waits for
+// the next boundary of the interval tick. The first boundary is one
+// interval after the epoch, and an arrival on a boundary closes at it.
+func (c *Controller) joinTick(st *fnState, now time.Duration) Decision {
+	period := c.cfg.MaxInterval
+	st.pending++
+	st.window = period
+	if !st.open {
+		st.open = true
+		ticks := (now + period - 1) / period
+		if ticks < 1 {
+			ticks = 1
+		}
+		st.deadline = ticks * period
+	}
+	return Decision{Action: ActionWait, Deadline: st.deadline, Window: period}
+}
+
 // WindowClosed informs the controller that fn's pending group dispatched
 // (deadline reached, or the caller flushed — e.g. at Close). Callers must
 // pair every drain of their pending queue with exactly one WindowClosed,
-// so the controller's group count stays in step with the queue.
-func (c *Controller) WindowClosed(fn string) {
+// so the controller's group count stays in step with the queue. The
+// returned Decision is always ActionWindowClose.
+func (c *Controller) WindowClosed(fn string) Decision {
 	if st, ok := c.fns[fn]; ok {
 		st.reset()
 	}
+	return Decision{Action: ActionWindowClose, Window: c.Window(fn)}
+}
+
+// AppendClosing appends to dst the functions whose windows close when
+// fn's deadline arrives, in closing order, and returns the extended
+// slice. An adaptive window is its function's own. The fixed policy has
+// one window, the mapper's: the tick that ends it closes every function's
+// group, in name order, whichever arrival armed the deadline first — so a
+// driver that replays same-instant events in arming order (the
+// simulator) stays deterministic in the function names alone.
+func (c *Controller) AppendClosing(dst []string, fn string) []string {
+	st, ok := c.fns[fn]
+	if !c.cfg.fixed || !ok {
+		return append(dst, fn)
+	}
+	n := len(dst)
+	for name, other := range c.fns {
+		if other.open && other.deadline == st.deadline {
+			dst = append(dst, name)
+		}
+	}
+	sort.Strings(dst[n:])
+	return dst
 }
 
 // reset clears the group state after a dispatch.

@@ -2,6 +2,7 @@ package dispatch
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -176,11 +177,18 @@ func TestEnsureOpenDoesNotSkewRate(t *testing.T) {
 	}
 }
 
-// TestPropertyWindowWithinBounds: whatever the arrival sequence, the
-// chosen interval stays inside [MinInterval, MaxInterval].
+// TestPropertyWindowWithinBounds: whatever the arrival sequence and the
+// policy, the chosen interval stays inside [MinInterval, MaxInterval] and
+// a held arrival's deadline inside one MaxInterval. The fixed policy, on
+// top, holds every arrival (idle or not) for a boundary of its tick, and
+// an arrival on a boundary closes at that boundary.
 func TestPropertyWindowWithinBounds(t *testing.T) {
-	prop := func(seed int64, gapsMicros []uint32) bool {
-		cfg := Config{MinInterval: 2 * time.Millisecond, MaxInterval: 200 * time.Millisecond, MaxGroupSize: 8}
+	const interval = 200 * time.Millisecond
+	prop := func(seed int64, fixed bool, gapsMicros []uint32) bool {
+		cfg := Config{MinInterval: 2 * time.Millisecond, MaxInterval: interval, MaxGroupSize: 8}
+		if fixed {
+			cfg = ConfigFor(false, interval, cfg)
+		}
 		c, err := New(cfg)
 		if err != nil {
 			return false
@@ -189,15 +197,28 @@ func TestPropertyWindowWithinBounds(t *testing.T) {
 		now := time.Duration(0)
 		deadline := time.Duration(-1)
 		for _, g := range gapsMicros {
-			now += time.Duration(g%2_000_000) * time.Microsecond
+			// A quarter of the arrivals land exactly on a tick boundary.
+			if now += time.Duration(g%2_000_000) * time.Microsecond; g%4 == 0 {
+				now = (now/interval + 1) * interval
+			}
 			// Close a due window the way a caller's timer would.
 			if deadline >= 0 && now >= deadline {
 				c.WindowClosed("f")
 				deadline = -1
 			}
+			opens := deadline < 0
 			d := c.Arrive("f", now, rng.Intn(2) == 0)
 			if d.Window < cfg.MinInterval || d.Window > cfg.MaxInterval {
 				return false
+			}
+			if fixed {
+				onTick := d.Deadline >= interval && d.Deadline%interval == 0
+				if d.Action != ActionWait || !onTick {
+					return false
+				}
+				if opens && now%interval == 0 && now > 0 && d.Deadline != now {
+					return false
+				}
 			}
 			switch d.Action {
 			case ActionWait:
@@ -211,7 +232,7 @@ func TestPropertyWindowWithinBounds(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
+	if err := quick.Check(prop, &quick.Config{MaxCount: 400}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -296,10 +317,19 @@ func TestPropertyEarlyCloseBoundsGroups(t *testing.T) {
 // controller twice — once from discrete-event simulator callbacks on the
 // virtual clock, once from a plain loop doing duration arithmetic the way
 // the live platform's wall-clock dispatcher does — and requires identical
-// decision sequences. This is the clock-agnostic guarantee: sim and live
-// share one state machine, not two reimplementations.
+// decision sequences, window closes included, under both policies. This
+// is the clock-agnostic guarantee: sim and live share one state machine,
+// not two reimplementations. Arrivals at a deadline's own instant precede
+// the close in both drives, so a fixed-policy arrival on a tick boundary
+// leaves with the window that boundary closes; windows that share a
+// deadline (every window of a fixed tick) close in name order, which the
+// sim drive gets from AppendClosing.
 func TestSimVsManualConformance(t *testing.T) {
-	cfg := Config{MinInterval: 2 * time.Millisecond, MaxInterval: 150 * time.Millisecond, MaxGroupSize: 6}
+	adaptive := Config{MinInterval: 2 * time.Millisecond, MaxInterval: 150 * time.Millisecond, MaxGroupSize: 6}
+	policies := map[string]Config{
+		"adaptive": adaptive,
+		"fixed":    ConfigFor(false, adaptive.MaxInterval, adaptive),
+	}
 	rng := rand.New(rand.NewSource(42))
 	type arrival struct {
 		fn   string
@@ -313,43 +343,102 @@ func TestSimVsManualConformance(t *testing.T) {
 		now += time.Duration(rng.Intn(30)) * time.Millisecond
 		schedule = append(schedule, arrival{fn: fns[rng.Intn(len(fns))], at: now, idle: rng.Intn(3) == 0})
 	}
+	end := now + adaptive.MaxInterval
 
-	record := func(d Decision) string {
-		return d.Action.String() + "/" + d.Deadline.String() + "/" + d.Window.String()
+	record := func(fn string, d Decision) string {
+		return fn + "/" + d.Action.String() + "/" + d.Deadline.String() + "/" + d.Window.String()
 	}
 
-	// Manual (live-style) drive.
-	manual := newController(t, cfg)
-	var manualLog []string
-	for _, a := range schedule {
-		manualLog = append(manualLog, record(manual.Arrive(a.fn, a.at, a.idle)))
-	}
+	for name, cfg := range policies {
+		t.Run(name, func(t *testing.T) {
+			// Manual (live-style) drive: before each arrival, close the
+			// windows whose deadline has passed, earliest first.
+			manual := newController(t, cfg)
+			var manualLog []string
+			open := map[string]time.Duration{}
+			closeBefore := func(now time.Duration) {
+				for len(open) > 0 {
+					due := ""
+					for _, fn := range fns {
+						if d, ok := open[fn]; ok && d < now && (due == "" || d < open[due]) {
+							due = fn
+						}
+					}
+					if due == "" {
+						return
+					}
+					delete(open, due)
+					manualLog = append(manualLog, record(due, manual.WindowClosed(due)))
+				}
+			}
+			apply := func(log *[]string, open map[string]time.Duration, fn string, d Decision) {
+				*log = append(*log, record(fn, d))
+				if d.Action == ActionWait {
+					open[fn] = d.Deadline
+				} else {
+					delete(open, fn)
+				}
+			}
+			for _, a := range schedule {
+				closeBefore(a.at)
+				apply(&manualLog, open, a.fn, manual.Arrive(a.fn, a.at, a.idle))
+			}
+			closeBefore(end + 1)
 
-	// Sim drive: schedule each arrival as an engine event.
-	eng := sim.New(1)
-	simCtrl := newController(t, cfg)
-	var simLog []string
-	for _, a := range schedule {
-		a := a
-		eng.ScheduleAt(sim.Time(a.at), func() {
-			d := simCtrl.Arrive(a.fn, eng.Now().Duration(), a.idle)
-			simLog = append(simLog, record(d))
+			// Sim drive: arrivals and window closes are engine events.
+			eng := sim.New(1)
+			simCtrl := newController(t, cfg)
+			var simLog []string
+			simOpen := map[string]time.Duration{}
+			events := map[string]*sim.Event{}
+			for _, a := range schedule {
+				eng.ScheduleAt(sim.Time(a.at), func() {
+					apply(&simLog, simOpen, a.fn, simCtrl.Arrive(a.fn, eng.Now().Duration(), a.idle))
+					if ev := events[a.fn]; ev != nil {
+						ev.Cancel()
+					}
+					delete(events, a.fn)
+					if d, ok := simOpen[a.fn]; ok {
+						events[a.fn] = eng.ScheduleAt(sim.Time(d), func() {
+							// As the simulator's scheduler does: the policy
+							// says which windows this deadline closes, and
+							// in which order.
+							for _, fn := range simCtrl.AppendClosing(nil, a.fn) {
+								if _, ok := simOpen[fn]; !ok {
+									continue
+								}
+								delete(simOpen, fn)
+								events[fn].Cancel()
+								delete(events, fn)
+								simLog = append(simLog, record(fn, simCtrl.WindowClosed(fn)))
+							}
+						})
+					}
+				})
+			}
+			eng.Run()
+
+			if len(manualLog) != len(simLog) {
+				t.Fatalf("decision counts differ: manual %d, sim %d", len(manualLog), len(simLog))
+			}
+			closes := 0
+			for i := range manualLog {
+				if manualLog[i] != simLog[i] {
+					t.Fatalf("decision %d diverges: manual %q, sim %q", i, manualLog[i], simLog[i])
+				}
+				if strings.Contains(manualLog[i], "/"+ActionWindowClose.String()+"/") {
+					closes++
+				}
+			}
+			if closes == 0 {
+				t.Fatal("the replay closed no window")
+			}
 		})
-	}
-	eng.Run()
-
-	if len(manualLog) != len(simLog) {
-		t.Fatalf("decision counts differ: manual %d, sim %d", len(manualLog), len(simLog))
-	}
-	for i := range manualLog {
-		if manualLog[i] != simLog[i] {
-			t.Fatalf("decision %d diverges: manual %q, sim %q", i, manualLog[i], simLog[i])
-		}
 	}
 }
 
 func TestActionString(t *testing.T) {
-	if ActionWait.String() != "wait" || ActionFastPath.String() != "fast-path" || ActionEarlyClose.String() != "early-close" {
+	if ActionWait.String() != "wait" || ActionFastPath.String() != "fast-path" || ActionEarlyClose.String() != "early-close" || ActionWindowClose.String() != "window" {
 		t.Fatal("action strings wrong")
 	}
 	if Action(9).String() != "action(9)" {

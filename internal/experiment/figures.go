@@ -3,6 +3,7 @@ package experiment
 import (
 	"fmt"
 	"io"
+	"sort"
 	"time"
 
 	"faasbatch/internal/fnruntime"
@@ -295,22 +296,28 @@ func RunFig5(w io.Writer, opts Options) error {
 func RunFig9(w io.Writer, opts Options) error {
 	n := opts.scaled(1_980_951 / 10) // a tenth of the trace is ample
 	gen := workload.NewGenerator(opts.Seed)
-	hist, err := metrics.NewHistogram(workload.DurationBucketBounds)
-	if err != nil {
-		return err
-	}
+	// Count each duration into its half-open Fig. 9 bucket
+	// [bounds[i], bounds[i+1]); the last bucket is open-ended. The first
+	// bound is zero and durations are positive, so the search never
+	// returns index 0.
+	bounds := workload.DurationBucketBounds
+	counts := make([]int, len(bounds))
 	for i := 0; i < n; i++ {
 		d, err := workload.FibDuration(gen.SampleFibN())
 		if err != nil {
 			return err
 		}
-		hist.Add(d)
+		counts[sort.Search(len(bounds), func(i int) bool { return bounds[i] > d })-1]++
 	}
 	tbl := metrics.NewTable(
 		fmt.Sprintf("Fig. 9 — function duration distribution (%d generated invocations)", n),
 		"duration range", "paper", "generated")
-	for i, f := range hist.Fractions() {
-		tbl.AddRow(hist.BucketLabel(i), workload.DurationBucketWeights[i], f)
+	for i, c := range counts {
+		label := fmt.Sprintf("[%v, inf)", bounds[i])
+		if i+1 < len(bounds) {
+			label = fmt.Sprintf("[%v, %v)", bounds[i], bounds[i+1])
+		}
+		tbl.AddRow(label, workload.DurationBucketWeights[i], float64(c)/float64(n))
 	}
 	return tbl.Render(w)
 }

@@ -112,10 +112,12 @@ type StatsResponse struct {
 	FastPathDispatches int64 `json:"fastPathDispatches"`
 	// EarlyCloses counts adaptive windows closed at the group-size cap.
 	EarlyCloses int64 `json:"earlyCloses"`
-	// WindowDispatches counts adaptive windows closed by their deadline.
+	// WindowDispatches counts windows closed by their deadline or the
+	// shutdown flush, under either dispatch policy.
 	WindowDispatches int64 `json:"windowDispatches"`
-	// DispatchWindowMicros is the most recently chosen adaptive dispatch
-	// window, in microseconds (zero with adaptive dispatch off).
+	// DispatchWindowMicros is the most recently chosen dispatch window, in
+	// microseconds (the dispatch interval under the fixed policy; zero
+	// before the first batched arrival).
 	DispatchWindowMicros int64 `json:"dispatchWindowMicros"`
 	// ContainersCreated counts cold starts.
 	ContainersCreated int64 `json:"containersCreated"`

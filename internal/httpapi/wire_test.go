@@ -34,6 +34,14 @@ func TestAppendInvokeResponseMatchesStdlib(t *testing.T) {
 		if !bytes.Equal(got, want) {
 			t.Errorf("case %d:\n got  %s\n want %s", i, got, want)
 		}
+		// The gateway encodes into a reused buffer with the trace stamp
+		// on; that path must stay allocation-free for every branch.
+		buf := make([]byte, 0, 2*len(got)+32)
+		if n := testing.AllocsPerRun(100, func() {
+			buf = AppendInvokeResponse(buf[:0], &r, 0xabcdef0123456789)
+		}); n != 0 {
+			t.Errorf("case %d: encode into a reused buffer allocates %.1f objects/op, want 0", i, n)
+		}
 	}
 }
 

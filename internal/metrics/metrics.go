@@ -229,76 +229,3 @@ func (c CDF) Points(n int) []Point {
 	}
 	return pts
 }
-
-// Histogram counts durations into half-open buckets
-// [bounds[0], bounds[1]), ..., [bounds[n-1], +inf). Values below bounds[0]
-// are counted in the first bucket.
-type Histogram struct {
-	bounds []time.Duration
-	counts []int
-	total  int
-}
-
-// NewHistogram creates a histogram with the given ascending lower bounds.
-// It returns an error if bounds is empty or not strictly increasing.
-func NewHistogram(bounds []time.Duration) (*Histogram, error) {
-	if len(bounds) == 0 {
-		return nil, fmt.Errorf("metrics: histogram needs at least one bound")
-	}
-	for i := 1; i < len(bounds); i++ {
-		if bounds[i] <= bounds[i-1] {
-			return nil, fmt.Errorf("metrics: histogram bounds must be strictly increasing at index %d", i)
-		}
-	}
-	b := make([]time.Duration, len(bounds))
-	copy(b, bounds)
-	return &Histogram{bounds: b, counts: make([]int, len(bounds))}, nil
-}
-
-// Add counts one value.
-func (h *Histogram) Add(v time.Duration) {
-	idx := sort.Search(len(h.bounds), func(i int) bool { return h.bounds[i] > v })
-	if idx == 0 {
-		idx = 1 // values below the first bound fold into the first bucket
-	}
-	h.counts[idx-1]++
-	h.total++
-}
-
-// Total reports the number of values counted.
-func (h *Histogram) Total() int { return h.total }
-
-// Fractions reports the per-bucket fraction of the total (all zeros when
-// the histogram is empty).
-func (h *Histogram) Fractions() []float64 {
-	out := make([]float64, len(h.counts))
-	if h.total == 0 {
-		return out
-	}
-	for i, c := range h.counts {
-		out[i] = float64(c) / float64(h.total)
-	}
-	return out
-}
-
-// Counts returns a copy of the per-bucket counts.
-func (h *Histogram) Counts() []int {
-	out := make([]int, len(h.counts))
-	copy(out, h.counts)
-	return out
-}
-
-// BucketLabel formats bucket i as "[lo, hi)" (the last as "[lo, inf)").
-func (h *Histogram) BucketLabel(i int) string {
-	if i < 0 || i >= len(h.bounds) {
-		return ""
-	}
-	lo := h.bounds[i]
-	if i == len(h.bounds)-1 {
-		return fmt.Sprintf("[%v, inf)", lo)
-	}
-	return fmt.Sprintf("[%v, %v)", lo, h.bounds[i+1])
-}
-
-// NumBuckets reports the number of buckets.
-func (h *Histogram) NumBuckets() int { return len(h.bounds) }

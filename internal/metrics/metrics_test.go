@@ -218,110 +218,6 @@ func TestPropertyAtPInverse(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h, err := NewHistogram([]time.Duration{0, 50 * time.Millisecond, 100 * time.Millisecond})
-	if err != nil {
-		t.Fatalf("NewHistogram: %v", err)
-	}
-	h.Add(10 * time.Millisecond)  // bucket 0
-	h.Add(49 * time.Millisecond)  // bucket 0
-	h.Add(50 * time.Millisecond)  // bucket 1
-	h.Add(99 * time.Millisecond)  // bucket 1
-	h.Add(100 * time.Millisecond) // bucket 2
-	h.Add(time.Hour)              // bucket 2
-	if got := h.Counts(); got[0] != 2 || got[1] != 2 || got[2] != 2 {
-		t.Fatalf("Counts = %v, want [2 2 2]", got)
-	}
-	if h.Total() != 6 {
-		t.Fatalf("Total = %d, want 6", h.Total())
-	}
-	fr := h.Fractions()
-	for i, f := range fr {
-		if f != 1.0/3 {
-			t.Fatalf("Fractions[%d] = %v, want 1/3", i, f)
-		}
-	}
-	if got := h.BucketLabel(0); got != "[0s, 50ms)" {
-		t.Errorf("BucketLabel(0) = %q", got)
-	}
-	if got := h.BucketLabel(2); got != "[100ms, inf)" {
-		t.Errorf("BucketLabel(2) = %q", got)
-	}
-	if got := h.BucketLabel(9); got != "" {
-		t.Errorf("BucketLabel(9) = %q, want empty", got)
-	}
-	if h.NumBuckets() != 3 {
-		t.Errorf("NumBuckets = %d, want 3", h.NumBuckets())
-	}
-}
-
-func TestHistogramValidation(t *testing.T) {
-	if _, err := NewHistogram(nil); err == nil {
-		t.Error("NewHistogram(nil) succeeded, want error")
-	}
-	if _, err := NewHistogram([]time.Duration{10, 10}); err == nil {
-		t.Error("non-increasing bounds accepted, want error")
-	}
-	if _, err := NewHistogram([]time.Duration{10, 5}); err == nil {
-		t.Error("decreasing bounds accepted, want error")
-	}
-}
-
-func TestHistogramBelowFirstBoundFoldsIntoFirstBucket(t *testing.T) {
-	h, err := NewHistogram([]time.Duration{10 * time.Millisecond, 20 * time.Millisecond})
-	if err != nil {
-		t.Fatalf("NewHistogram: %v", err)
-	}
-	h.Add(time.Millisecond)
-	if got := h.Counts(); got[0] != 1 {
-		t.Fatalf("Counts = %v, want first bucket to hold the low value", got)
-	}
-}
-
-func TestHistogramEmptyFractions(t *testing.T) {
-	h, err := NewHistogram([]time.Duration{0, time.Second})
-	if err != nil {
-		t.Fatalf("NewHistogram: %v", err)
-	}
-	for _, f := range h.Fractions() {
-		if f != 0 {
-			t.Fatal("empty histogram fractions should be zero")
-		}
-	}
-}
-
-// Property: histogram conserves counts and fractions sum to 1.
-func TestPropertyHistogramConservation(t *testing.T) {
-	bounds := []time.Duration{0, 50 * time.Millisecond, 100 * time.Millisecond, 200 * time.Millisecond, 400 * time.Millisecond, 1550 * time.Millisecond}
-	f := func(raw []uint32) bool {
-		h, err := NewHistogram(bounds)
-		if err != nil {
-			return false
-		}
-		for _, r := range raw {
-			h.Add(time.Duration(r%3000) * time.Millisecond)
-		}
-		n := 0
-		for _, c := range h.Counts() {
-			n += c
-		}
-		if n != len(raw) {
-			return false
-		}
-		if len(raw) == 0 {
-			return true
-		}
-		sum := 0.0
-		for _, fr := range h.Fractions() {
-			sum += fr
-		}
-		return sum > 0.999 && sum < 1.001
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestSampler(t *testing.T) {
 	eng := sim.New(1)
 	mem := int64(0)

@@ -1,6 +1,7 @@
 package multiplex
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"sync/atomic"
@@ -73,7 +74,7 @@ func benchmarkGetOrBuild(b *testing.B, shards, goroutines int) {
 	build := func() (any, int64, error) { return "inst", 64, nil }
 	for i := range keys {
 		keys[i] = NewKey("client", fmt.Sprintf("args-%d", i))
-		if _, _, err := c.GetOrBuild(keys[i], build); err != nil {
+		if _, _, err := c.GetOrBuildContext(context.Background(), keys[i], build); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -86,8 +87,8 @@ func benchmarkGetOrBuild(b *testing.B, shards, goroutines int) {
 		for pb.Next() {
 			k := keys[i%nkeys]
 			i++
-			if _, cached, err := c.GetOrBuild(k, build); err != nil || !cached {
-				b.Fatalf("cached=%v err=%v", cached, err)
+			if _, out, err := c.GetOrBuildContext(context.Background(), k, build); err != nil || !out.Cached() {
+				b.Fatalf("outcome=%v err=%v", out, err)
 			}
 		}
 	})

@@ -1,6 +1,7 @@
 package multiplex_test
 
 import (
+	"context"
 	"fmt"
 
 	"faasbatch/internal/multiplex"
@@ -8,7 +9,7 @@ import (
 
 // The blocking face: concurrent handlers share one expensive client per
 // container, exactly like the paper's Listing 1 clients.
-func ExampleCache_GetOrBuild() {
+func ExampleCache_GetOrBuildContext() {
 	cache := multiplex.New()
 	key := multiplex.NewKey("boto3.client", "s3:ACCESS_KEY")
 
@@ -17,12 +18,12 @@ func ExampleCache_GetOrBuild() {
 		return "S3_client", 15 << 20, nil
 	}
 	for i := 0; i < 3; i++ {
-		client, cached, err := cache.GetOrBuild(key, build)
+		client, out, err := cache.GetOrBuildContext(context.Background(), key, build)
 		if err != nil {
 			fmt.Println("error:", err)
 			return
 		}
-		fmt.Println(client, cached)
+		fmt.Println(client, out.Cached())
 	}
 	st := cache.Stats()
 	fmt.Printf("misses=%d hits=%d savedMB=%d\n", st.Misses, st.Hits, st.BytesSaved>>20)

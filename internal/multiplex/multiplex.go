@@ -487,27 +487,6 @@ func (c *Cache) Invalidate(key Key) bool {
 	return c.shardFor(key).invalidate(key)
 }
 
-// GetOrBuild is the deprecated blocking face: it returns the cached
-// instance for key, or runs build exactly once per miss while concurrent
-// callers wait. The boolean reports whether the value was served from
-// cache (hit, stale hit or coalesced wait). On a closed cache it degrades
-// to building an uncached instance, preserving the seed cache's teardown
-// behaviour.
-//
-// Deprecated: use GetOrBuildContext, which reports a typed Outcome and
-// respects context cancellation.
-func (c *Cache) GetOrBuild(key Key, build func() (any, int64, error)) (any, bool, error) {
-	v, out, err := c.GetOrBuildContext(context.Background(), key, build)
-	if err != nil && errors.Is(err, ErrCacheClosed) {
-		v, _, berr := build()
-		if berr != nil {
-			return nil, false, &buildError{key: key, cause: berr}
-		}
-		return v, false, nil
-	}
-	return v, out.Cached(), err
-}
-
 // GetOrBuildContext is the non-borrowing blocking face: Acquire with the
 // instance released immediately. It offers no protection against the
 // cache closing an evicted io.Closer instance while the caller still uses

@@ -1,6 +1,7 @@
 package multiplex
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -185,13 +186,13 @@ func TestGetOrBuildBlockingFace(t *testing.T) {
 		builds++
 		return "inst", 10, nil
 	}
-	v, cached, err := c.GetOrBuild(key, build)
-	if err != nil || cached || v != "inst" {
-		t.Fatalf("first GetOrBuild = %v, %v, %v", v, cached, err)
+	v, out, err := c.GetOrBuildContext(context.Background(), key, build)
+	if err != nil || out.Cached() || v != "inst" {
+		t.Fatalf("first GetOrBuildContext = %v, %v, %v", v, out, err)
 	}
-	v, cached, err = c.GetOrBuild(key, build)
-	if err != nil || !cached || v != "inst" {
-		t.Fatalf("second GetOrBuild = %v, %v, %v", v, cached, err)
+	v, out, err = c.GetOrBuildContext(context.Background(), key, build)
+	if err != nil || !out.Cached() || v != "inst" {
+		t.Fatalf("second GetOrBuildContext = %v, %v, %v", v, out, err)
 	}
 	if builds != 1 {
 		t.Fatalf("build ran %d times, want 1", builds)
@@ -202,14 +203,14 @@ func TestGetOrBuildPropagatesError(t *testing.T) {
 	c := New()
 	key := NewKey("client", "args")
 	wantErr := errors.New("no network")
-	_, _, err := c.GetOrBuild(key, func() (any, int64, error) { return nil, 0, wantErr })
+	_, _, err := c.GetOrBuildContext(context.Background(), key, func() (any, int64, error) { return nil, 0, wantErr })
 	if err == nil || !errors.Is(err, wantErr) {
 		t.Fatalf("err = %v, want wrapped %v", err, wantErr)
 	}
 	// A later build can succeed.
-	v, cached, err := c.GetOrBuild(key, func() (any, int64, error) { return "ok", 1, nil })
-	if err != nil || cached || v != "ok" {
-		t.Fatalf("retry GetOrBuild = %v, %v, %v", v, cached, err)
+	v, out, err := c.GetOrBuildContext(context.Background(), key, func() (any, int64, error) { return "ok", 1, nil })
+	if err != nil || out.Cached() || v != "ok" {
+		t.Fatalf("retry GetOrBuildContext = %v, %v, %v", v, out, err)
 	}
 }
 
@@ -225,7 +226,7 @@ func TestGetOrBuildConcurrentSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			v, _, err := c.GetOrBuild(key, func() (any, int64, error) {
+			v, _, err := c.GetOrBuildContext(context.Background(), key, func() (any, int64, error) {
 				builds.Add(1)
 				<-release
 				return "inst", 5, nil
@@ -283,7 +284,7 @@ func TestCloseWithPendingEntryUnblocksWaiters(t *testing.T) {
 	go func() {
 		defer close(done)
 		// This waiter blocks on the pending build; Close must release it.
-		_, _, _ = c.GetOrBuild(key, func() (any, int64, error) { return "x", 1, nil })
+		_, _, _ = c.GetOrBuildContext(context.Background(), key, func() (any, int64, error) { return "x", 1, nil })
 	}()
 	// Give the goroutine a chance to register; stop once it is either
 	// waiting (pending) or already finished (hit).

@@ -365,12 +365,6 @@ func TestClosedCacheTypedError(t *testing.T) {
 	if out != OutcomeError || !errors.Is(err, ErrCacheClosed) {
 		t.Fatalf("closed get = %v, %v; want error, ErrCacheClosed", out, err)
 	}
-	// The deprecated face degrades to uncached builds (seed teardown
-	// semantics), never an error.
-	v, cached, err := c.GetOrBuild(key, func() (any, int64, error) { return "fresh", 1, nil })
-	if err != nil || cached || v != "fresh" {
-		t.Fatalf("closed GetOrBuild = %v, %v, %v; want fresh, false, nil", v, cached, err)
-	}
 }
 
 func TestCloseReleasesReadyInstancesThroughOnEvict(t *testing.T) {

@@ -7,6 +7,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"faasbatch/internal/obs"
 )
 
 // adaptiveQuickConfig returns a fast adaptive-dispatch config.
@@ -254,5 +256,96 @@ func TestAdaptiveCloseRace(t *testing.T) {
 	st := p.Stats()
 	if got := st.Submitted - st.Invocations - st.Canceled; got != 0 {
 		t.Fatalf("%d invocations unaccounted for after Close", got)
+	}
+}
+
+// TestEveryGroupCountedOnce is the regression test for the Close-time
+// flush: it used to dispatch an open window's group without counting it
+// in WindowDispatches or recording its dispatch-window spans, and the
+// fixed interval counted and recorded nothing at all. Under either
+// policy every dispatched group is one fast path, one early close or one
+// window dispatch, flushed windows included, and every call carries the
+// span of the window it left in.
+func TestEveryGroupCountedOnce(t *testing.T) {
+	for _, adaptive := range []bool{false, true} {
+		name := "fixed"
+		if adaptive {
+			name = "adaptive"
+		}
+		t.Run(name, func(t *testing.T) {
+			tracer, err := obs.NewWallTracer(1024, 1)
+			if err != nil {
+				t.Fatalf("NewWallTracer: %v", err)
+			}
+			cfg := quickConfig(ModeBatch)
+			cfg.AdaptiveDispatch = adaptive
+			// Windows far longer than the test: only the first lone
+			// adaptive arrival (fast path) and the Close flush dispatch.
+			cfg.DispatchInterval = time.Minute
+			cfg.MinInterval = time.Minute
+			cfg.Tracer = tracer
+			p, err := New(cfg)
+			if err != nil {
+				t.Fatalf("New: %v", err)
+			}
+			release := make(chan struct{})
+			gated := func(context.Context, *Invocation) (any, error) {
+				<-release
+				return nil, nil
+			}
+			fns := []string{"a", "b"}
+			for _, fn := range fns {
+				if err := p.Register(fn, gated); err != nil {
+					t.Fatalf("Register: %v", err)
+				}
+			}
+			const perFn = 6
+			var wg sync.WaitGroup
+			for _, fn := range fns {
+				for i := 0; i < perFn; i++ {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						if _, err := p.Invoke(context.Background(), fn, nil); err != nil {
+							t.Errorf("Invoke %s: %v", fn, err)
+						}
+					}()
+				}
+			}
+			total := int64(perFn * len(fns))
+			deadline := time.After(5 * time.Second)
+			for p.Stats().Submitted != total {
+				select {
+				case <-deadline:
+					t.Fatalf("Submitted = %d, want %d", p.Stats().Submitted, total)
+				case <-time.After(time.Millisecond):
+				}
+			}
+			close(release)
+			if err := p.Close(); err != nil {
+				t.Fatalf("Close: %v", err)
+			}
+			wg.Wait()
+			st := p.Stats()
+			if st.Invocations != total {
+				t.Fatalf("Invocations = %d, want %d", st.Invocations, total)
+			}
+			if st.WindowDispatches == 0 {
+				t.Fatalf("WindowDispatches = 0: the Close flush dispatched uncounted (%+v)", st)
+			}
+			if sum := st.FastPathDispatches + st.EarlyCloses + st.WindowDispatches; st.Groups != sum {
+				t.Fatalf("Groups = %d, want fast path %d + early closes %d + window dispatches %d",
+					st.Groups, st.FastPathDispatches, st.EarlyCloses, st.WindowDispatches)
+			}
+			spans := int64(0)
+			for _, sp := range tracer.Snapshot() {
+				if sp.Name == obs.SpanDispatchWindow {
+					spans++
+				}
+			}
+			if spans != total {
+				t.Fatalf("dispatch-window spans = %d, want one per invocation (%d)", spans, total)
+			}
+		})
 	}
 }

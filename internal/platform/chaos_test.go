@@ -65,7 +65,7 @@ func TestChaosStressNoInvocationLost(t *testing.T) {
 	handler := func(ctx context.Context, inv *Invocation) (any, error) {
 		// The storage path exercises the multiplexer's Fail/coalesce
 		// machinery under injected construction failures.
-		_, _, err := inv.Resources.Get("s3.client", "bkt", func() (any, int64, error) {
+		_, _, err := inv.Resources.GetContext(ctx, "s3.client", "bkt", func() (any, int64, error) {
 			return struct{}{}, 1 << 20, nil
 		})
 		if err != nil {

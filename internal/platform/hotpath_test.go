@@ -213,7 +213,7 @@ func TestRawMessagePassthroughByteEquality(t *testing.T) {
 }
 
 // BenchmarkWarmSubmit measures the sharded sim submit path (the
-// BENCH_hotpath.json sim_submit series).
+// bench ladder's platform.invoke rung).
 func BenchmarkWarmSubmit(b *testing.B) {
 	p, err := New(hotpathConfig())
 	if err != nil {
@@ -271,7 +271,7 @@ func BenchmarkWarmSubmitParallel(b *testing.B) {
 }
 
 // BenchmarkHTTPInvokeWarm measures the live gateway path end to end (the
-// BENCH_hotpath.json gateway_live series): HTTP decode, sharded submit,
+// bench gateway_warm workload): HTTP decode, sharded submit,
 // byte-oriented encode.
 func BenchmarkHTTPInvokeWarm(b *testing.B) {
 	p, err := New(hotpathConfig())

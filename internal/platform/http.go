@@ -52,8 +52,8 @@ var statExports = []statExport{
 	{"Groups", "faasbatch_groups_total", "counter", "Dispatched window batches."},
 	{"FastPathDispatches", "faasbatch_fast_path_dispatches_total", "counter", "Adaptive idle fast-path dispatches (lone arrivals sent straight to a container)."},
 	{"EarlyCloses", "faasbatch_early_closes_total", "counter", "Adaptive windows closed early at the group-size cap."},
-	{"WindowDispatches", "faasbatch_window_dispatches_total", "counter", "Adaptive windows closed by their deadline."},
-	{"DispatchWindowMicros", "faasbatch_dispatch_window_micros", "gauge", "Most recently chosen adaptive dispatch window, in microseconds."},
+	{"WindowDispatches", "faasbatch_window_dispatches_total", "counter", "Windows closed by their deadline or the shutdown flush, under either dispatch policy."},
+	{"DispatchWindowMicros", "faasbatch_dispatch_window_micros", "gauge", "Most recently chosen dispatch window, in microseconds (the dispatch interval under the fixed policy)."},
 	{"ContainersCreated", "faasbatch_containers_created_total", "counter", "Cold starts."},
 	{"WarmStarts", "faasbatch_warm_starts_total", "counter", "Warm container reuses."},
 	{"LiveContainers", "faasbatch_live_containers", "gauge", "Containers currently alive."},

@@ -9,9 +9,8 @@
 //     a dispatch interval and expands each group inside one container
 //     (a goroutine-backed worker with a simulated cold-start delay);
 //   - each container carries a Resource Multiplexer; handlers obtain
-//     shared clients through Resources.GetContext (or the deprecated
-//     Resources.Get), so duplicate constructions coalesce exactly as in
-//     §III-D.
+//     shared clients through Resources.GetContext, so duplicate
+//     constructions coalesce exactly as in §III-D.
 //
 // A per-invocation mode (Vanilla) is included for comparison, and
 // NewHTTPHandler exposes the platform over HTTP (cmd/faasgate).
@@ -220,26 +219,6 @@ func (r *Resources) getCached(ctx context.Context, callee, argsKey string, build
 	return v, out, err
 }
 
-// Get returns the shared instance for (callee, argsKey). The boolean
-// reports whether the instance came from the cache.
-//
-// Deprecated: use GetContext, which adds cancellation, an Outcome and
-// typed errors. Get remains as a compatibility wrapper: it maps the
-// Outcome to Outcome.Cached and, when the container's cache has already
-// been torn down, degrades to an uncached build instead of surfacing
-// ErrCacheClosed.
-func (r *Resources) Get(callee, argsKey string, build func() (any, int64, error)) (any, bool, error) {
-	v, out, err := r.GetContext(context.Background(), callee, argsKey, build)
-	if err != nil && errors.Is(err, ErrCacheClosed) {
-		uncached := &Resources{
-			inj: r.inj, tracer: r.tracer, trace: r.trace,
-			fn: r.fn, container: r.container,
-		}
-		v, out, err = uncached.GetContext(context.Background(), callee, argsKey, build)
-	}
-	return v, out.Cached(), err
-}
-
 // Invalidate drops the shared instance for (callee, argsKey), reporting
 // whether an instance (or a negative entry) was removed. It is the
 // handler-feedback half of the failure-aware cache: after a cached
@@ -293,8 +272,8 @@ type Config struct {
 	// With AdaptiveDispatch it becomes the default window cap (see
 	// MaxInterval).
 	DispatchInterval time.Duration
-	// AdaptiveDispatch replaces the fixed dispatch interval with a
-	// load-aware controller (internal/dispatch): a lone arrival on an
+	// AdaptiveDispatch selects the dispatch controller's load-aware
+	// policy (internal/dispatch) over its fixed one: a lone arrival on an
 	// idle function dispatches immediately instead of waiting out a
 	// window, an EWMA of inter-arrival gaps sizes each window within
 	// [MinInterval, MaxInterval], and a window whose group reaches
@@ -381,8 +360,8 @@ type Config struct {
 }
 
 // DefaultMinInterval is the adaptive window floor when Config.MinInterval
-// is zero, mirroring core.DefaultMinInterval.
-const DefaultMinInterval = 5 * time.Millisecond
+// is zero.
+const DefaultMinInterval = dispatch.DefaultMinInterval
 
 // DefaultConfig returns paper-like live defaults (cold starts scaled down
 // so examples run snappily).
@@ -434,10 +413,14 @@ type Stats struct {
 	// EarlyCloses counts adaptive windows closed early because their
 	// group reached MaxGroupSize.
 	EarlyCloses int64
-	// WindowDispatches counts adaptive windows closed by their deadline.
+	// WindowDispatches counts windows closed by their deadline or by the
+	// Close flush, under either policy: every fixed-interval group is
+	// one. With MaxConcurrency unset, Groups is the sum of these three at
+	// quiescence.
 	WindowDispatches int64
-	// DispatchWindowMicros is the most recently chosen adaptive window,
-	// in microseconds (a gauge; zero until the first adaptive arrival).
+	// DispatchWindowMicros is the most recently chosen window, in
+	// microseconds (a gauge; zero until the first batched arrival; the
+	// dispatch interval under the fixed policy).
 	DispatchWindowMicros int64
 	// ContainersCreated counts cold starts.
 	ContainersCreated int64
@@ -471,13 +454,16 @@ type function struct {
 	warm    []*container
 	pending []*pendingCall
 	all     []*container
-	// deadline is the wall-clock close of the function's open adaptive
-	// window (zero when no window is open).
+	// deadline is the wall-clock close of the function's open window
+	// (zero when no window is open). Every enqueue is followed, under the
+	// same hold of mu, by applyLocked, so it is non-zero whenever pending
+	// is non-empty — which is what lets the Close flush find every
+	// waiting call by its deadline.
 	deadline time.Time
-	// ctrl is this function's adaptive window controller (nil when
-	// AdaptiveDispatch is off). dispatch.Controller is not safe for
-	// concurrent use; mu serialises it — giving each function its own
-	// controller is what lets the shards run lock-independent.
+	// ctrl is this function's window controller (nil in ModeVanilla).
+	// dispatch.Controller is not safe for concurrent use; mu serialises
+	// it — giving each function its own controller is what lets the
+	// shards run lock-independent.
 	ctrl *dispatch.Controller
 }
 
@@ -553,14 +539,13 @@ type Platform struct {
 	seq    atomic.Int64
 	ctr    counters
 
-	// Adaptive dispatch (false/zero when AdaptiveDispatch is off). Each
-	// function gets its own controller (built from dcfg at Register);
-	// the platform feeds wall-clock offsets from epoch. kick (buffered
-	// 1) wakes adaptiveLoop when an arrival opens an earlier window.
-	adaptive bool
-	dcfg     dispatch.Config
-	epoch    time.Time
-	kick     chan struct{}
+	// The Invoke Mapper's windows (ModeBatch). Each function gets its own
+	// controller (built from dcfg at Register); the platform feeds
+	// wall-clock offsets from epoch. kick (buffered 1) wakes dispatchLoop
+	// when an arrival opens an earlier window.
+	dcfg  dispatch.Config
+	epoch time.Time
+	kick  chan struct{}
 
 	stopTicker chan struct{}
 	wg         sync.WaitGroup
@@ -585,31 +570,17 @@ func New(cfg Config) (*Platform, error) {
 	if cfg.MaxGroupSize < 0 {
 		return nil, fmt.Errorf("platform: max group size must be non-negative, got %d", cfg.MaxGroupSize)
 	}
-	var (
-		adaptive bool
-		dcfg     dispatch.Config
-	)
-	if cfg.Mode == ModeBatch && cfg.AdaptiveDispatch {
-		if cfg.MaxInterval == 0 {
-			cfg.MaxInterval = cfg.DispatchInterval
-		}
-		if cfg.MinInterval == 0 {
-			cfg.MinInterval = DefaultMinInterval
-			if cfg.MinInterval > cfg.MaxInterval {
-				cfg.MinInterval = cfg.MaxInterval
-			}
-		}
-		dcfg = dispatch.Config{
-			MinInterval:  cfg.MinInterval,
-			MaxInterval:  cfg.MaxInterval,
-			MaxGroupSize: cfg.MaxGroupSize,
-		}
+	dcfg := dispatch.ConfigFor(cfg.AdaptiveDispatch, cfg.DispatchInterval, dispatch.Config{
+		MinInterval:  cfg.MinInterval,
+		MaxInterval:  cfg.MaxInterval,
+		MaxGroupSize: cfg.MaxGroupSize,
+	})
+	if cfg.Mode == ModeBatch {
 		// Each function gets its own controller at Register; validate the
 		// shared configuration once here.
 		if err := dcfg.Validate(); err != nil {
 			return nil, fmt.Errorf("platform: %w", err)
 		}
-		adaptive = true
 	}
 	if cfg.ColdStart < 0 {
 		return nil, fmt.Errorf("platform: cold start must be non-negative, got %v", cfg.ColdStart)
@@ -657,7 +628,6 @@ func New(cfg Config) (*Platform, error) {
 		metrics:    obs.NewMetrics(),
 		slos:       slos,
 		logger:     logger,
-		adaptive:   adaptive,
 		dcfg:       dcfg,
 		epoch:      time.Now(),
 		kick:       make(chan struct{}, 1),
@@ -668,21 +638,17 @@ func New(cfg Config) (*Platform, error) {
 	p.logger.Info("platform started",
 		"mode", cfg.Mode.String(),
 		"interval", cfg.DispatchInterval,
-		"adaptive", adaptive,
+		"adaptive", cfg.AdaptiveDispatch,
 		"multiplex", cfg.Multiplex,
 		"tracing", cfg.Tracer != nil)
 	if cfg.Mode == ModeBatch {
 		p.wg.Add(1)
-		if adaptive {
-			go p.adaptiveLoop()
-		} else {
-			go p.dispatchLoop()
-		}
+		go p.dispatchLoop()
 	}
 	// Eviction runs on its own timer in every mode: Vanilla has no
 	// dispatch loop to piggyback on (the pre-fix bug — idle Vanilla
-	// containers outlived KeepAlive until Close), and adaptive windows
-	// fire irregularly.
+	// containers outlived KeepAlive until Close), and windows close
+	// irregularly.
 	p.wg.Add(1)
 	go p.evictLoop()
 	return p, nil
@@ -722,7 +688,7 @@ func (p *Platform) Register(name string, h Handler) error {
 		return fmt.Errorf("platform: register requires a name and a handler")
 	}
 	f := &function{name: name, handler: h}
-	if p.adaptive {
+	if p.cfg.Mode == ModeBatch {
 		ctrl, err := dispatch.New(p.dcfg)
 		if err != nil {
 			// Unreachable: New validated dcfg.
@@ -827,15 +793,18 @@ func (p *Platform) InvokeWithTrace(ctx context.Context, fn string, payload json.
 		p.wg.Add(1)
 		run = getGroup(1)
 		run.calls = append(run.calls, call)
-	case p.adaptive:
-		if g := p.adaptiveSubmitLocked(f, call); g != nil {
+	default:
+		// The idle probe scans the function's containers, so it runs only
+		// when the policy reads the answer.
+		idle := f.ctrl.UsesIdle() && len(f.pending) == 0 && !p.busyLocked(f)
+		p.enqueueLocked(f, call)
+		d := f.ctrl.Arrive(f.name, time.Since(p.epoch), idle)
+		p.ctr.dispatchWindowMicros.Store(d.Window.Microseconds())
+		if run = p.applyLocked(f, d); run != nil {
 			// Fast path or early close: dispatch without waiting for the
 			// window loop.
 			p.wg.Add(1)
-			run = g
 		}
-	default:
-		p.enqueueLocked(f, call)
 	}
 	f.mu.Unlock()
 	if run != nil {
@@ -866,54 +835,29 @@ func (p *Platform) InvokeWithTrace(ctx context.Context, fn string, payload json.
 func (p *Platform) enqueueLocked(f *function, call *pendingCall) {
 	if f.pending == nil {
 		n := 8
-		if f.ctrl != nil {
-			if e := f.ctrl.ExpectedGroup(f.name); e > n {
-				n = e
-			}
+		if e := f.ctrl.ExpectedGroup(f.name); e > n {
+			n = e
 		}
 		f.pending = make([]*pendingCall, 0, n)
 	}
 	f.pending = append(f.pending, call)
 }
 
-// dispatchLoop is the fixed-interval Invoke Mapper: every interval it
-// drains each function's pending calls as one group.
-func (p *Platform) dispatchLoop() {
-	defer p.wg.Done()
-	ticker := time.NewTicker(p.cfg.DispatchInterval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-ticker.C:
-			p.dispatchWindow()
-		case <-p.stopTicker:
-			p.dispatchWindow() // flush
-			return
-		}
-	}
-}
-
-// adaptiveSubmitLocked routes one arrival through the function's
-// dispatch controller. It returns a group to dispatch immediately (idle
-// fast-path or early close), or nil when the call must wait for its
-// window. Caller holds f.mu.
-func (p *Platform) adaptiveSubmitLocked(f *function, call *pendingCall) *callGroup {
-	idle := len(f.pending) == 0 && !p.busyLocked(f)
-	p.enqueueLocked(f, call)
-	d := f.ctrl.Arrive(f.name, time.Since(p.epoch), idle)
-	p.ctr.dispatchWindowMicros.Store(d.Window.Microseconds())
-	switch d.Action {
-	case dispatch.ActionFastPath:
-		p.ctr.fastPathDispatches.Add(1)
-	case dispatch.ActionEarlyClose:
-		p.ctr.earlyCloses.Add(1)
-	default:
+// applyLocked carries out one controller decision on f's pending queue —
+// the single place a window opens or closes, whoever asked: an arrival, a
+// re-batched retry, the dispatch loop at a deadline, or the Close flush.
+// A wait arms f's deadline (waking the loop when it opens the window);
+// anything else closes the window now and returns the claimed group for
+// the caller to run, nil when no call survived the wait. Caller holds
+// f.mu.
+func (p *Platform) applyLocked(f *function, d dispatch.Decision) *callGroup {
+	if d.Action == dispatch.ActionWait {
 		// The controller may extend an open window's deadline as the
 		// arrival estimate densifies; a stale-armed loop timer just
 		// re-arms when it finds the deadline still in the future.
-		wasIdle := f.deadline.IsZero()
+		opened := f.deadline.IsZero()
 		f.deadline = p.epoch.Add(d.Deadline)
-		if wasIdle {
+		if opened {
 			p.kickLoop()
 		}
 		return nil
@@ -922,6 +866,14 @@ func (p *Platform) adaptiveSubmitLocked(f *function, call *pendingCall) *callGro
 	group := p.claimPendingLocked(f)
 	if group == nil {
 		return nil
+	}
+	switch d.Action {
+	case dispatch.ActionFastPath:
+		p.ctr.fastPathDispatches.Add(1)
+	case dispatch.ActionEarlyClose:
+		p.ctr.earlyCloses.Add(1)
+	case dispatch.ActionWindowClose:
+		p.ctr.windowDispatches.Add(1)
 	}
 	p.recordWindowSpans(f, group.calls, d.Window, d.Action.String())
 	return group
@@ -939,7 +891,7 @@ func (p *Platform) busyLocked(f *function) bool {
 	return false
 }
 
-// kickLoop wakes adaptiveLoop to re-arm its timer (an arrival opened a
+// kickLoop wakes dispatchLoop to re-arm its timer (an arrival opened a
 // window that may close before the one the loop is sleeping on).
 func (p *Platform) kickLoop() {
 	select {
@@ -948,11 +900,11 @@ func (p *Platform) kickLoop() {
 	}
 }
 
-// adaptiveLoop is the Invoke Mapper in adaptive mode: instead of a fixed
-// ticker it sleeps until the earliest per-function window deadline,
-// re-armed whenever an arrival opens an earlier window. The timer is
-// created fresh each iteration (no Reset races).
-func (p *Platform) adaptiveLoop() {
+// dispatchLoop is the Invoke Mapper's clock: it sleeps until the earliest
+// open window's deadline, re-armed whenever an arrival opens an earlier
+// window, and closes every window that is due. The timer is created fresh
+// each iteration (no Reset races).
+func (p *Platform) dispatchLoop() {
 	defer p.wg.Done()
 	for {
 		var next time.Time
@@ -978,14 +930,14 @@ func (p *Platform) adaptiveLoop() {
 		}
 		select {
 		case <-timerC:
-			p.dispatchDue()
+			p.closeWindows(false)
 		case <-p.kick:
 			// Re-scan deadlines and re-arm.
 		case <-p.stopTicker:
 			if timer != nil {
 				timer.Stop()
 			}
-			p.dispatchWindow() // flush
+			p.closeWindows(true)
 			return
 		}
 		if timer != nil {
@@ -994,78 +946,29 @@ func (p *Platform) adaptiveLoop() {
 	}
 }
 
-// dispatchDue closes every adaptive window whose deadline has passed.
-func (p *Platform) dispatchDue() {
+// closeWindows closes every open window whose deadline has passed — with
+// flush (the final drain at Close), every open window — and runs each
+// surviving group in its own goroutine.
+func (p *Platform) closeWindows(flush bool) {
 	now := time.Now()
-	type job struct {
-		f  *function
-		cg *callGroup
-	}
-	var jobs []job
 	for _, f := range p.fnsAll() {
 		f.mu.Lock()
-		if f.deadline.IsZero() || f.deadline.After(now) {
-			f.mu.Unlock()
-			continue
+		var cg *callGroup
+		if !f.deadline.IsZero() && (flush || !f.deadline.After(now)) {
+			cg = p.applyLocked(f, f.ctrl.WindowClosed(f.name))
 		}
-		f.deadline = time.Time{}
-		window := f.ctrl.Window(f.name)
-		f.ctrl.WindowClosed(f.name)
-		cg := p.claimPendingLocked(f)
-		if cg == nil {
-			f.mu.Unlock()
-			continue
-		}
-		p.ctr.windowDispatches.Add(1)
-		p.recordWindowSpans(f, cg.calls, window, "window")
-		f.mu.Unlock()
-		jobs = append(jobs, job{f: f, cg: cg})
-	}
-	for _, j := range jobs {
-		j := j
-		if p.logOn(slog.LevelDebug) {
-			p.logger.Debug("dispatch window", "fn", j.f.name, "group", len(j.cg.calls))
-		}
-		p.wg.Add(1)
-		go func() {
-			defer p.wg.Done()
-			p.runGroup(j.f, j.cg.calls)
-			putGroup(j.cg)
-		}()
-	}
-}
-
-// dispatchWindow drains every function's window group: the fixed-interval
-// tick, and the final flush of both batch loops at Close.
-func (p *Platform) dispatchWindow() {
-	type job struct {
-		f  *function
-		cg *callGroup
-	}
-	var jobs []job
-	for _, f := range p.fnsAll() {
-		f.mu.Lock()
-		if f.ctrl != nil {
-			f.deadline = time.Time{}
-			f.ctrl.WindowClosed(f.name)
-		}
-		cg := p.claimPendingLocked(f)
 		f.mu.Unlock()
 		if cg == nil {
 			continue
 		}
-		jobs = append(jobs, job{f: f, cg: cg})
-	}
-	for _, j := range jobs {
-		j := j
 		if p.logOn(slog.LevelDebug) {
-			p.logger.Debug("dispatch window", "fn", j.f.name, "group", len(j.cg.calls))
+			p.logger.Debug("dispatch window", "fn", f.name, "group", len(cg.calls))
 		}
 		p.wg.Add(1)
 		go func() {
 			defer p.wg.Done()
-			p.runGroup(j.f, j.cg.calls)
-			putGroup(j.cg)
+			p.runGroup(f, cg.calls)
+			putGroup(cg)
 		}()
 	}
 }
@@ -1619,30 +1522,14 @@ func (p *Platform) retryLater(f *function, call *pendingCall) {
 		f.mu.Lock()
 		if !p.closed.Load() {
 			p.enqueueLocked(f, call)
-			if f.ctrl != nil {
-				// Ride the adaptive window machinery without skewing the
-				// arrival-rate estimate (EnsureOpen, not Arrive).
-				d := f.ctrl.EnsureOpen(f.name, time.Since(p.epoch))
-				if d.Action == dispatch.ActionEarlyClose {
-					p.ctr.earlyCloses.Add(1)
-					f.deadline = time.Time{}
-					cg := p.claimPendingLocked(f)
-					if cg != nil {
-						p.recordWindowSpans(f, cg.calls, d.Window, d.Action.String())
-					}
-					f.mu.Unlock()
-					if cg != nil {
-						p.runGroup(f, cg.calls)
-						putGroup(cg)
-					}
-					return
-				}
-				if f.deadline.IsZero() {
-					f.deadline = p.epoch.Add(d.Deadline)
-					p.kickLoop()
-				}
-			}
+			// Ride a window without skewing the arrival-rate estimate
+			// (EnsureOpen, not Arrive).
+			cg := p.applyLocked(f, f.ctrl.EnsureOpen(f.name, time.Since(p.epoch)))
 			f.mu.Unlock()
+			if cg != nil {
+				p.runGroup(f, cg.calls)
+				putGroup(cg)
+			}
 			return
 		}
 		f.mu.Unlock()

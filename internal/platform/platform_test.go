@@ -226,8 +226,8 @@ func TestWarmReuse(t *testing.T) {
 func TestResourceMultiplexerSharesClients(t *testing.T) {
 	p := newPlatform(t, quickConfig(ModeBatch))
 	var builds atomic.Int64
-	err := p.Register("io", func(_ context.Context, inv *Invocation) (any, error) {
-		client, cached, err := inv.Resources.Get("s3.client", "bucket:key", func() (any, int64, error) {
+	err := p.Register("io", func(ctx context.Context, inv *Invocation) (any, error) {
+		client, out, err := inv.Resources.GetContext(ctx, "s3.client", "bucket:key", func() (any, int64, error) {
 			builds.Add(1)
 			time.Sleep(5 * time.Millisecond) // construction cost
 			return "S3_client", 15 << 20, nil
@@ -238,7 +238,7 @@ func TestResourceMultiplexerSharesClients(t *testing.T) {
 		if client != "S3_client" {
 			return nil, errors.New("wrong client")
 		}
-		return cached, nil
+		return out.Cached(), nil
 	})
 	if err != nil {
 		t.Fatalf("Register: %v", err)
@@ -280,12 +280,12 @@ func TestMultiplexDisabledBuildsEveryTime(t *testing.T) {
 	cfg.Multiplex = false
 	p := newPlatform(t, cfg)
 	var builds atomic.Int64
-	err := p.Register("io", func(_ context.Context, inv *Invocation) (any, error) {
-		_, cached, err := inv.Resources.Get("s3.client", "k", func() (any, int64, error) {
+	err := p.Register("io", func(ctx context.Context, inv *Invocation) (any, error) {
+		_, out, err := inv.Resources.GetContext(ctx, "s3.client", "k", func() (any, int64, error) {
 			builds.Add(1)
 			return "c", 1, nil
 		})
-		if cached {
+		if out.Cached() {
 			return nil, errors.New("cache hit without multiplexer")
 		}
 		return nil, err

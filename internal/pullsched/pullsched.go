@@ -44,7 +44,10 @@ const (
 )
 
 // maxGrantLog bounds the retained grant log (conformance tests and
-// scenario reports read it; Stats keeps the lifetime totals).
+// scenario reports read it; Stats keeps the lifetime totals). The backing
+// slice is let grow to twice the bound before its newest maxGrantLog
+// entries are moved down, so trimming costs one move per maxGrantLog
+// grants rather than one per grant.
 const maxGrantLog = 4096
 
 // Config parameterises a Core. The zero value of every field but
@@ -340,8 +343,15 @@ func (c *Core) Stats() Stats {
 	return st
 }
 
-// Grants returns the retained decision log in order.
-func (c *Core) Grants() []Grant { return append([]Grant(nil), c.log...) }
+// Grants returns the retained decision log — the newest maxGrantLog
+// grants at most — in order.
+func (c *Core) Grants() []Grant {
+	log := c.log
+	if over := len(log) - maxGrantLog; over > 0 {
+		log = log[over:]
+	}
+	return append([]Grant(nil), log...)
+}
 
 // Queued reports fn's current queue depth.
 func (c *Core) Queued(fn string) int {
@@ -449,8 +459,8 @@ func (c *Core) pull(off time.Duration) []Grant {
 			c.log = append(c.log, g)
 			out = append(out, g)
 		}
-		if over := len(c.log) - maxGrantLog; over > 0 {
-			c.log = append(c.log[:0], c.log[over:]...)
+		if len(c.log) >= 2*maxGrantLog {
+			c.log = append(c.log[:0], c.log[len(c.log)-maxGrantLog:]...)
 		}
 		if len(q.items) == 0 {
 			delete(sh, fn)

@@ -265,6 +265,24 @@ func TestDeterministicReplay(t *testing.T) {
 	if st.Enqueued != st.Completed+st.Aborted {
 		t.Fatalf("conservation: enqueued %d != completed %d + aborted %d", st.Enqueued, st.Completed, st.Aborted)
 	}
+	// Past the retention bound the log keeps exactly the newest
+	// maxGrantLog grants, in order, however often it has been trimmed.
+	for id := int64(1000); id < 1000+2*maxGrantLog+100; id++ {
+		a.Enqueue(id, "hot", time.Second)
+		a.Complete(id, time.Second)
+	}
+	log := a.Grants()
+	if len(log) != maxGrantLog {
+		t.Fatalf("retained %d grants, want %d", len(log), maxGrantLog)
+	}
+	if last := a.Stats().Granted; log[len(log)-1].Seq != last {
+		t.Fatalf("newest retained grant has seq %d, want %d", log[len(log)-1].Seq, last)
+	}
+	for i := 1; i < len(log); i++ {
+		if log[i].Seq != log[i-1].Seq+1 {
+			t.Fatalf("retained log not consecutive at %d: seq %d after %d", i, log[i].Seq, log[i-1].Seq)
+		}
+	}
 }
 
 // Abort releases a lease or withdraws a queued item.

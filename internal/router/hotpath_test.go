@@ -97,7 +97,7 @@ func TestAppendReadAllGrows(t *testing.T) {
 }
 
 // BenchmarkRoutedInvoke measures the routed path end to end over the
-// loopback fleet (the BENCH_hotpath.json routed series).
+// loopback fleet (the bench routed_hash workload).
 func BenchmarkRoutedInvoke(b *testing.B) {
 	fw := &fakeWorker{id: "w1", healthStatus: httpapi.HealthOK}
 	mux := http.NewServeMux()

@@ -99,19 +99,6 @@ type RegistryConfig struct {
 	MarkUpAfter int
 }
 
-// NewRegistry builds a registry over specs.
-//
-// Deprecated: use NewRegistryWithConfig, which names the knobs. This
-// wrapper remains for callers predating the policy API redesign.
-func NewRegistry(specs []WorkerSpec, vnodes, markDownAfter, markUpAfter int) (*Registry, error) {
-	return NewRegistryWithConfig(RegistryConfig{
-		Workers:       specs,
-		VNodes:        vnodes,
-		MarkDownAfter: markDownAfter,
-		MarkUpAfter:   markUpAfter,
-	})
-}
-
 // NewRegistryWithConfig builds a registry over cfg.Workers. Workers
 // start optimistically up (the first failed probe round marks the dead
 // ones down), so a fresh router serves traffic before its first probe

@@ -13,22 +13,22 @@ func threeWorkers() []WorkerSpec {
 }
 
 func TestNewRegistryValidation(t *testing.T) {
-	if _, err := NewRegistry(nil, 0, 0, 0); err == nil {
+	if _, err := NewRegistryWithConfig(RegistryConfig{}); err == nil {
 		t.Fatal("empty fleet accepted")
 	}
-	if _, err := NewRegistry([]WorkerSpec{{ID: "", URL: "http://x"}}, 0, 0, 0); err == nil {
+	if _, err := NewRegistryWithConfig(RegistryConfig{Workers: []WorkerSpec{{ID: "", URL: "http://x"}}}); err == nil {
 		t.Fatal("empty id accepted")
 	}
-	if _, err := NewRegistry([]WorkerSpec{{ID: "w", URL: ""}}, 0, 0, 0); err == nil {
+	if _, err := NewRegistryWithConfig(RegistryConfig{Workers: []WorkerSpec{{ID: "w", URL: ""}}}); err == nil {
 		t.Fatal("empty url accepted")
 	}
-	if _, err := NewRegistry([]WorkerSpec{{ID: "w", URL: "a"}, {ID: "w", URL: "b"}}, 0, 0, 0); err == nil {
+	if _, err := NewRegistryWithConfig(RegistryConfig{Workers: []WorkerSpec{{ID: "w", URL: "a"}, {ID: "w", URL: "b"}}}); err == nil {
 		t.Fatal("duplicate id accepted")
 	}
 }
 
 func TestRegistryStartsOptimisticallyUp(t *testing.T) {
-	reg, err := NewRegistry(threeWorkers(), 16, 2, 2)
+	reg, err := NewRegistryWithConfig(RegistryConfig{Workers: threeWorkers(), VNodes: 16, MarkDownAfter: 2, MarkUpAfter: 2})
 	if err != nil {
 		t.Fatalf("NewRegistry: %v", err)
 	}
@@ -54,7 +54,7 @@ func TestRegistryStartsOptimisticallyUp(t *testing.T) {
 // consecutive successes, and a success in between resets the failure
 // streak.
 func TestRegistryMarkDownMarkUp(t *testing.T) {
-	reg, err := NewRegistry(threeWorkers(), 16, 2, 2)
+	reg, err := NewRegistryWithConfig(RegistryConfig{Workers: threeWorkers(), VNodes: 16, MarkDownAfter: 2, MarkUpAfter: 2})
 	if err != nil {
 		t.Fatalf("NewRegistry: %v", err)
 	}
@@ -103,7 +103,7 @@ func TestRegistryMarkDownMarkUp(t *testing.T) {
 // marked-down worker's functions reassign to survivors, functions owned
 // by survivors stay put, and mark-up restores the original ownership.
 func TestRegistryRingRebalance(t *testing.T) {
-	reg, err := NewRegistry(threeWorkers(), 64, 1, 1)
+	reg, err := NewRegistryWithConfig(RegistryConfig{Workers: threeWorkers(), VNodes: 64, MarkDownAfter: 1, MarkUpAfter: 1})
 	if err != nil {
 		t.Fatalf("NewRegistry: %v", err)
 	}
@@ -161,7 +161,7 @@ func TestRegistryRingRebalance(t *testing.T) {
 }
 
 func TestRegistrySnapshotAndCounters(t *testing.T) {
-	reg, err := NewRegistry(threeWorkers(), 16, 2, 2)
+	reg, err := NewRegistryWithConfig(RegistryConfig{Workers: threeWorkers(), VNodes: 16, MarkDownAfter: 2, MarkUpAfter: 2})
 	if err != nil {
 		t.Fatalf("NewRegistry: %v", err)
 	}

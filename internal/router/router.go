@@ -197,7 +197,12 @@ func New(cfg Config, opts ...Option) (*Router, error) {
 	if cfg.ScrapeTimeout <= 0 {
 		cfg.ScrapeTimeout = 2 * time.Second
 	}
-	reg, err := NewRegistry(cfg.Workers, cfg.VNodes, cfg.MarkDownAfter, cfg.MarkUpAfter)
+	reg, err := NewRegistryWithConfig(RegistryConfig{
+		Workers:       cfg.Workers,
+		VNodes:        cfg.VNodes,
+		MarkDownAfter: cfg.MarkDownAfter,
+		MarkUpAfter:   cfg.MarkUpAfter,
+	})
 	if err != nil {
 		return nil, err
 	}

@@ -86,7 +86,10 @@ type Totals struct {
 	Total     LatencySummary `json:"total_latency"`
 }
 
-// SchedStats sums the per-node FaaSBatch scheduler counters.
+// SchedStats sums the per-node FaaSBatch scheduler counters. A sim report
+// carries the three dispatch counters for adaptive runs only, which keeps
+// fixed-interval report bodies and their hashes comparable across
+// versions.
 type SchedStats struct {
 	Submitted          int64 `json:"submitted"`
 	Groups             int64 `json:"groups"`

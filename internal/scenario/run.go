@@ -676,9 +676,13 @@ func (s *simRun) report() *Body {
 		b.Scheduler.Retries += st.Retries
 		b.Scheduler.Failed += st.Failed
 		b.Scheduler.GroupRedispatches += st.GroupRedispatches
-		b.Scheduler.FastPathDispatches += st.FastPathDispatches
-		b.Scheduler.EarlyCloses += st.EarlyCloses
-		b.Scheduler.WindowDispatches += st.WindowDispatches
+		if s.sc.Dispatch.Adaptive {
+			// See SchedStats: a fixed-interval report keeps these at zero,
+			// though the scheduler counts its windows too.
+			b.Scheduler.FastPathDispatches += st.FastPathDispatches
+			b.Scheduler.EarlyCloses += st.EarlyCloses
+			b.Scheduler.WindowDispatches += st.WindowDispatches
+		}
 	}
 	schedSubmitted = b.Scheduler.Submitted
 	for _, nd := range s.cl.Nodes() {
