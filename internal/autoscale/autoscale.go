@@ -12,13 +12,12 @@
 // The controller is clock-agnostic in the internal/dispatch style: it
 // never reads wall time, only the monotonic offsets callers pass in, so
 // the exact same code drives both the simulated cluster (virtual clock)
-// and the live router (wall clock), and a sim-vs-live conformance test
-// can replay one traffic schedule through both and assert identical
-// decision sequences. To keep that guarantee, decisions depend only on
-// the configuration, the observed arrival schedule, and the tick
-// schedule — never on observed latencies or on when a driver actually
-// finishes draining a worker (drain completion is modelled by the
-// DrainBudget clock; NoteDrained feeds metrics only).
+// and the live router (wall clock), and one traffic schedule yields the
+// same decision sequence in both. To keep that guarantee, decisions
+// depend only on the configuration, the observed arrival schedule, and
+// the tick schedule — never on observed latencies or on when a driver
+// actually finishes draining a worker (drain completion is modelled by
+// the DrainBudget clock; NoteDrained feeds metrics only).
 //
 // The controller is not safe for concurrent use: the simulator is
 // single-threaded and the live router serialises calls behind a mutex.
@@ -112,7 +111,7 @@ type Decision struct {
 }
 
 // String renders a compact fingerprint ("1500ms provision w2 target=3")
-// used by the determinism corpus and the conformance test.
+// used by the determinism corpus.
 func (d Decision) String() string {
 	return fmt.Sprintf("%dms %s w%d target=%d", d.At.Milliseconds(), d.Action, d.Worker, d.Target)
 }

@@ -9,8 +9,7 @@ import (
 )
 
 // maxScaleDecisions bounds the retained decision log (scenario reports
-// and the sim-vs-live conformance test read it; the controller's
-// counters keep the lifetime totals).
+// read it; the controller's counters keep the lifetime totals).
 const maxScaleDecisions = 4096
 
 // simScaler drives the shared autoscale.Controller against the
@@ -20,8 +19,7 @@ const maxScaleDecisions = 4096
 // exactly as the live one would. The controller is clock-agnostic; this
 // driver feeds it virtual offsets from the engine's epoch, while the
 // live driver (internal/router) feeds the identical controller
-// wall-clock offsets — the sim-vs-live conformance test replays one
-// schedule through both and asserts the decision sequences match.
+// wall-clock offsets.
 type simScaler struct {
 	c         *Cluster
 	ctrl      *autoscale.Controller
@@ -124,7 +122,7 @@ func (s *simScaler) apply(ds []autoscale.Decision) {
 
 // noteDrained reports a completed drain to the controller's metrics
 // (never its decisions — real drain completion times differ between
-// sim and live, and feeding them back would break conformance).
+// sim and live, and feeding them back would make the two diverge).
 func (s *simScaler) noteDrained(w int) {
 	s.ctrl.NoteDrained(w, s.ctrl.DrainStart(w), s.c.eng.Now().Duration())
 }

@@ -123,9 +123,7 @@ type Cluster struct {
 	pull    *pullDriver
 }
 
-// picker is the dispatcher's routing state, separated from the cluster so
-// an assignment sequence can be computed standalone (AssignmentSequence)
-// and compared against the live router.
+// picker is the dispatcher's routing state.
 type picker struct {
 	balancing Balancing
 	inflight  []int
@@ -413,33 +411,6 @@ func (c *Cluster) Assignments() map[string]int {
 		out[fn] = idx
 	}
 	return out
-}
-
-// AssignmentSequence computes, standalone, the node index policy b would
-// route each function name to on an idle fleet of n nodes — the
-// dispatcher's decision sequence without running any work. The live
-// routing tier's conformance test replays the same sequence against real
-// workers named NodeMember(i) and asserts they agree.
-func AssignmentSequence(b Balancing, n int, fns []string) ([]int, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("cluster: node count must be positive, got %d", n)
-	}
-	if b == Pull {
-		// Pull assignments depend on completions (capacity frees drive
-		// grants), so they cannot be computed standalone on an idle
-		// fleet; the pull conformance test replays a recorded event log
-		// instead (PullEvents/PullGrants).
-		return nil, fmt.Errorf("cluster: pull balancing has no standalone assignment sequence")
-	}
-	if b < FnAffinity || b > ConsistentHash {
-		return nil, fmt.Errorf("cluster: unknown balancing %d", int(b))
-	}
-	p := newPicker(b, n)
-	out := make([]int, len(fns))
-	for i, fn := range fns {
-		out[i] = p.pick(fn)
-	}
-	return out, nil
 }
 
 // Close shuts every node's scheduler down and stops the autoscale

@@ -297,49 +297,6 @@ func TestConsistentHashDeterministicAndSticky(t *testing.T) {
 	}
 }
 
-func TestAssignmentSequence(t *testing.T) {
-	fns := []string{"fib", "echo", "fib", "s3upload", "echo"}
-	seq, err := AssignmentSequence(ConsistentHash, 3, fns)
-	if err != nil {
-		t.Fatalf("AssignmentSequence: %v", err)
-	}
-	if len(seq) != len(fns) {
-		t.Fatalf("len = %d, want %d", len(seq), len(fns))
-	}
-	// Repeats of a function get the same node.
-	if seq[0] != seq[2] || seq[1] != seq[4] {
-		t.Fatalf("repeat assignments differ: %v", seq)
-	}
-	// The sequence matches a live picker fed the same names.
-	again, err := AssignmentSequence(ConsistentHash, 3, fns)
-	if err != nil {
-		t.Fatalf("AssignmentSequence: %v", err)
-	}
-	for i := range seq {
-		if seq[i] != again[i] {
-			t.Fatalf("non-deterministic at %d: %v vs %v", i, seq, again)
-		}
-	}
-	// Round-robin sequences cycle.
-	rr, err := AssignmentSequence(RoundRobin, 2, fns)
-	if err != nil {
-		t.Fatalf("AssignmentSequence: %v", err)
-	}
-	want := []int{0, 1, 0, 1, 0}
-	for i := range want {
-		if rr[i] != want[i] {
-			t.Fatalf("round-robin seq = %v, want %v", rr, want)
-		}
-	}
-	// Validation.
-	if _, err := AssignmentSequence(ConsistentHash, 0, fns); err == nil {
-		t.Fatal("zero nodes accepted")
-	}
-	if _, err := AssignmentSequence(Balancing(9), 2, fns); err == nil {
-		t.Fatal("unknown balancing accepted")
-	}
-}
-
 // TestConsistentHashReplay runs a full replay under the ring policy and
 // checks it preserves locality like FnAffinity does (few containers for a
 // single hot function).

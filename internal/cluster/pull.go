@@ -1,29 +1,10 @@
 package cluster
 
 import (
-	"time"
-
 	"faasbatch/internal/fnruntime"
 	"faasbatch/internal/pullsched"
 	"faasbatch/internal/sim"
 )
-
-// PullEvent is one observable input the sim driver fed the pull
-// decision core, recorded (when enabled) so the sim-vs-live conformance
-// test can replay the identical sequence through the router's driver
-// and compare grant logs.
-type PullEvent struct {
-	// Kind is "enqueue", "complete", "down" or "up".
-	Kind string
-	// ID is the driver-assigned invocation id (enqueue/complete).
-	ID int64
-	// Fn is the invocation's function (enqueue/complete).
-	Fn string
-	// Worker is the affected node slot (down/up).
-	Worker int
-	// Off is the virtual offset the event fired at.
-	Off time.Duration
-}
 
 // pullDriver runs the shared pullsched.Core against the simulated
 // fleet: Submit enqueues instead of picking a node, grants dispatch to
@@ -38,8 +19,6 @@ type pullDriver struct {
 	pending map[int64]*pendingPull
 	nextID  int64
 	shed    uint64
-	record  bool
-	events  []PullEvent
 }
 
 // pendingPull is an admitted invocation awaiting (or holding) a lease.
@@ -80,7 +59,6 @@ func (d *pullDriver) submit(inv *fnruntime.Invocation, complete func(*fnruntime.
 	id := d.nextID
 	off := start.Duration()
 	d.pending[id] = &pendingPull{inv: inv, complete: complete, start: start}
-	d.event(PullEvent{Kind: "enqueue", ID: id, Fn: inv.Spec.Name, Worker: -1, Off: off})
 	gs, shed := d.core.Enqueue(id, inv.Spec.Name, off)
 	if shed {
 		delete(d.pending, id)
@@ -109,9 +87,7 @@ func (d *pullDriver) dispatch(gs []pullsched.Grant) {
 			if d.c.scaler != nil {
 				d.c.scaler.completed(w, d.c.eng.Now().Sub(p.start))
 			}
-			off := d.c.eng.Now().Duration()
-			d.event(PullEvent{Kind: "complete", ID: id, Fn: done.Spec.Name, Worker: w, Off: off})
-			next := d.core.Complete(id, off)
+			next := d.core.Complete(id, d.c.eng.Now().Duration())
 			delete(d.pending, id)
 			p.complete(done)
 			d.dispatch(next)
@@ -122,50 +98,12 @@ func (d *pullDriver) dispatch(gs []pullsched.Grant) {
 // membership mirrors a picker mark-down/mark-up into core eligibility;
 // a mark-up may immediately drain queued work (scale-from-zero wake).
 func (d *pullDriver) membership(i int, down bool) {
-	off := d.c.eng.Now().Duration()
-	kind := "up"
-	if down {
-		kind = "down"
-	}
-	d.event(PullEvent{Kind: kind, Worker: i, Off: off})
-	d.dispatch(d.core.SetWorker(i, !down, off))
-}
-
-// event appends to the conformance log when recording is enabled.
-func (d *pullDriver) event(e PullEvent) {
-	if d.record {
-		d.events = append(d.events, e)
-	}
+	d.dispatch(d.core.SetWorker(i, !down, d.c.eng.Now().Duration()))
 }
 
 // PullEnabled reports whether the cluster routes through the pull
 // scheduler.
 func (c *Cluster) PullEnabled() bool { return c.pull != nil }
-
-// SetPullEventRecording toggles the conformance event log (off by
-// default — fleet-scale scenario runs would otherwise retain one entry
-// per invocation). Enable it before submitting work.
-func (c *Cluster) SetPullEventRecording(on bool) {
-	if c.pull != nil {
-		c.pull.record = on
-	}
-}
-
-// PullEvents returns the recorded conformance event log in order.
-func (c *Cluster) PullEvents() []PullEvent {
-	if c.pull == nil {
-		return nil
-	}
-	return append([]PullEvent(nil), c.pull.events...)
-}
-
-// PullGrants returns the core's retained grant log in order.
-func (c *Cluster) PullGrants() []pullsched.Grant {
-	if c.pull == nil {
-		return nil
-	}
-	return c.pull.core.Grants()
-}
 
 // PullStats snapshots the pull core's counters (zero value when pull
 // balancing is off).

@@ -85,7 +85,10 @@ type InvokeResponse struct {
 	Latency Latency `json:"latency"`
 }
 
-// StatsResponse is the gateway's counters snapshot.
+// StatsResponse is the gateway's counters snapshot as clients decode it.
+// The gateway renders /stats from its series table (internal/platform's
+// statSeries), not from this struct; TestStatsWireMatchesStatsResponse
+// holds the two to the same keys in the same order.
 type StatsResponse struct {
 	// Submitted counts invocations accepted by the gateway.
 	Submitted int64 `json:"submitted"`
@@ -251,98 +254,6 @@ type WorkerStatus struct {
 	Failures int64 `json:"failures"`
 }
 
-// RouterStatsResponse is the router's counters snapshot.
-type RouterStatsResponse struct {
-	// Routed counts invocations admitted past admission control.
-	Routed int64 `json:"routed"`
-	// Completed counts invocations that returned a worker response.
-	Completed int64 `json:"completed"`
-	// Forwarded counts forward attempts that reached a worker.
-	Forwarded int64 `json:"forwarded"`
-	// Retries counts extra forward attempts after transient failures.
-	Retries int64 `json:"retries"`
-	// Failovers counts attempts that moved to a different ring replica.
-	Failovers int64 `json:"failovers"`
-	// Shed counts invocations rejected by admission control (429).
-	Shed int64 `json:"shed"`
-	// NoWorkers counts invocations rejected with no healthy worker (503).
-	NoWorkers int64 `json:"noWorkers"`
-	// Errors counts invocations that exhausted their forward attempts.
-	Errors int64 `json:"errors"`
-	// Probes counts health probes sent.
-	Probes int64 `json:"probes"`
-	// ProbeFailures counts health probes that failed.
-	ProbeFailures int64 `json:"probeFailures"`
-	// MarkDowns counts worker up→down transitions.
-	MarkDowns int64 `json:"markDowns"`
-	// MarkUps counts worker down→up transitions (recoveries, not boot).
-	MarkUps int64 `json:"markUps"`
-	// WorkersUp counts workers currently marked up.
-	WorkersUp int `json:"workersUp"`
-	// ForwardImbalance is max/mean of per-worker forwarded counts
-	// (1 = perfectly balanced, 0 = nothing forwarded).
-	ForwardImbalance float64 `json:"forwardImbalance"`
-	// Scrapes counts member scrape attempts made for the cluster view.
-	Scrapes int64 `json:"scrapes"`
-	// ScrapeFailures counts member scrapes that failed (the cluster view
-	// then served the member's last good snapshot, if any).
-	ScrapeFailures int64 `json:"scrapeFailures"`
-	// Workers is the per-worker breakdown.
-	Workers []WorkerStatus `json:"workers"`
-	// Autoscale is the autoscaling control loop's snapshot (omitted
-	// when autoscaling is disabled).
-	Autoscale *AutoscaleStatus `json:"autoscale,omitempty"`
-	// Policy is the scheduling policy's snapshot (omitted by routers
-	// predating the policy API).
-	Policy *PolicyStats `json:"policy,omitempty"`
-}
-
-// PolicyStats is the router scheduling policy's snapshot inside the
-// /stats reply. The queue/lease fields are only live under the pull
-// policy; hash reports the name with zero counters.
-type PolicyStats struct {
-	// Policy names the active policy ("hash" or "pull").
-	Policy string `json:"policy"`
-	// Queued counts invocations waiting in per-function pull queues.
-	Queued int `json:"queued"`
-	// Leases counts invocations currently leased to workers.
-	Leases int `json:"leases"`
-	// Granted counts leases handed out (including re-grants).
-	Granted uint64 `json:"granted"`
-	// Requeues counts failed or expired leases returned to their queue.
-	Requeues uint64 `json:"requeues"`
-	// Expired counts leases reclaimed by the lease-budget sweep.
-	Expired uint64 `json:"expired"`
-	// Shed counts arrivals refused at the queue-depth bound.
-	Shed uint64 `json:"shed"`
-}
-
-// AutoscaleStatus is the autoscaling control plane's snapshot inside
-// the router's /stats reply.
-type AutoscaleStatus struct {
-	// Target is the control loop's current desired ready-worker count.
-	Target int `json:"target"`
-	// Ready / Warming / Draining / Standby count workers per lifecycle
-	// state as the controller sees them.
-	Ready    int `json:"ready"`
-	Warming  int `json:"warming"`
-	Draining int `json:"draining"`
-	Standby  int `json:"standby"`
-	// Forecast is the short-horizon aggregate demand estimate
-	// (invocations/second).
-	Forecast float64 `json:"forecast"`
-	// Floor is the pre-warm floor in workers.
-	Floor int `json:"floor"`
-	// ScaleUps / ScaleDowns / Wakes count scaling decisions.
-	ScaleUps   int64 `json:"scaleUps"`
-	ScaleDowns int64 `json:"scaleDowns"`
-	Wakes      int64 `json:"wakes"`
-	// Drained counts completed graceful drains; DrainSeconds sums their
-	// durations.
-	Drained      int64   `json:"drained"`
-	DrainSeconds float64 `json:"drainSeconds"`
-}
-
 // MemberStats is one worker's stats snapshot inside the router's
 // federated /cluster/stats reply.
 type MemberStats struct {
@@ -360,8 +271,8 @@ type MemberStats struct {
 // router's own counters plus a fleet-wide roll-up of every member
 // gateway's counters.
 type ClusterStatsResponse struct {
-	// Router is the routing tier's own counters snapshot.
-	Router RouterStatsResponse `json:"router"`
+	// Router is the routing tier's own /stats document, verbatim.
+	Router json.RawMessage `json:"router"`
 	// Cluster is the field-wise sum of every member's StatsResponse.
 	Cluster StatsResponse `json:"cluster"`
 	// Members lists each member's individual snapshot.

@@ -16,11 +16,8 @@ func benchmarkHitPath(b *testing.B, shards, goroutines int) {
 	prev := runtime.GOMAXPROCS(goroutines)
 	defer runtime.GOMAXPROCS(prev)
 
-	opts := []Option{WithMaxEntries(4096)}
-	if shards > 0 {
-		opts = append(opts, WithShards(shards))
-	}
-	c := New(opts...)
+	cfg := Config{MaxEntries: 4096, Shards: shards}
+	c := NewWithConfig(cfg)
 	defer c.Close()
 
 	const nkeys = 256
@@ -62,11 +59,8 @@ func benchmarkGetOrBuild(b *testing.B, shards, goroutines int) {
 	prev := runtime.GOMAXPROCS(goroutines)
 	defer runtime.GOMAXPROCS(prev)
 
-	opts := []Option{WithMaxEntries(4096)}
-	if shards > 0 {
-		opts = append(opts, WithShards(shards))
-	}
-	c := New(opts...)
+	cfg := Config{MaxEntries: 4096, Shards: shards}
+	c := NewWithConfig(cfg)
 	defer c.Close()
 
 	const nkeys = 256

@@ -10,7 +10,7 @@ import (
 // The blocking face: concurrent handlers share one expensive client per
 // container, exactly like the paper's Listing 1 clients.
 func ExampleCache_GetOrBuildContext() {
-	cache := multiplex.New()
+	cache := multiplex.NewWithConfig(multiplex.Config{})
 	key := multiplex.NewKey("boto3.client", "s3:ACCESS_KEY")
 
 	build := func() (any, int64, error) {
@@ -38,7 +38,7 @@ func ExampleCache_GetOrBuildContext() {
 // The event-driven face used by the simulator: the first creator builds,
 // later requesters coalesce.
 func ExampleCache_Begin() {
-	cache := multiplex.New()
+	cache := multiplex.NewWithConfig(multiplex.Config{})
 	key := multiplex.NewKey("client", "args")
 
 	res, _ := cache.Begin(key)

@@ -296,67 +296,13 @@ type Config struct {
 	OnEvict func(Key, any, int64)
 }
 
-// Option configures a Cache built with New.
-type Option func(*Config)
-
-// WithShards sets the lock-stripe count (rounded up to a power of two).
-func WithShards(n int) Option {
-	return func(c *Config) { c.Shards = n }
-}
-
-// WithMaxEntries bounds the number of ready instances held; when a build
-// completes over the bound, the shard's least-recently-used ready instance
-// is evicted. Zero or negative means unbounded.
-func WithMaxEntries(n int) Option {
-	return func(c *Config) { c.MaxEntries = n }
-}
-
-// WithTTL expires ready instances by age.
-func WithTTL(d time.Duration) Option {
-	return func(c *Config) { c.TTL = d }
-}
-
-// WithRefreshWindow enables stale-while-revalidate inside the window.
-func WithRefreshWindow(d time.Duration) Option {
-	return func(c *Config) { c.RefreshWindow = d }
-}
-
-// WithNegativeBackoff enables negative caching with the given base
-// backoff.
-func WithNegativeBackoff(base, max time.Duration) Option {
-	return func(c *Config) { c.NegativeBackoff, c.NegativeBackoffMax = base, max }
-}
-
-// WithClock injects the cache's monotonic clock (virtual time in the
-// simulator).
-func WithClock(now func() time.Duration) Option {
-	return func(c *Config) { c.Now = now }
-}
-
-// WithOnEvict registers the entry-lifecycle closer hook, invoked outside
-// the shard lock whenever an instance leaves the cache, receiving its key,
-// instance and byte size — e.g. to close sockets or return memory to a
-// ledger.
-func WithOnEvict(fn func(Key, any, int64)) Option {
-	return func(c *Config) { c.OnEvict = fn }
-}
-
 // Cache is one container's Resource Multiplexer.
 //
-// The zero value is not usable; create caches with New or NewWithConfig.
+// The zero value is not usable; create caches with NewWithConfig.
 type Cache struct {
 	cfg    Config
 	shards []*shard
 	mask   uint64
-}
-
-// New creates an empty cache from options.
-func New(opts ...Option) *Cache {
-	var cfg Config
-	for _, opt := range opts {
-		opt(&cfg)
-	}
-	return NewWithConfig(cfg)
 }
 
 // nextPow2 rounds n up to the next power of two (minimum 1).

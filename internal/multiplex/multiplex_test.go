@@ -42,7 +42,7 @@ func TestBeginResultString(t *testing.T) {
 }
 
 func TestMissThenHit(t *testing.T) {
-	c := New()
+	c := NewWithConfig(Config{})
 	key := NewKey("client", "args")
 	res, inst := c.Begin(key)
 	if res != BeginMiss || inst != nil {
@@ -66,7 +66,7 @@ func TestMissThenHit(t *testing.T) {
 }
 
 func TestPendingCoalesces(t *testing.T) {
-	c := New()
+	c := NewWithConfig(Config{})
 	key := NewKey("client", "args")
 	if res, _ := c.Begin(key); res != BeginMiss {
 		t.Fatal("first Begin should miss")
@@ -92,7 +92,7 @@ func TestPendingCoalesces(t *testing.T) {
 }
 
 func TestWaitOnReadyKeyFiresImmediately(t *testing.T) {
-	c := New()
+	c := NewWithConfig(Config{})
 	key := NewKey("client", "args")
 	c.Begin(key)
 	c.Complete(key, "inst", 1)
@@ -109,7 +109,7 @@ func TestWaitOnReadyKeyFiresImmediately(t *testing.T) {
 }
 
 func TestWaitOnAbsentKeyFiresNil(t *testing.T) {
-	c := New()
+	c := NewWithConfig(Config{})
 	fired := false
 	c.Wait(NewKey("x", "y"), func(v any) {
 		fired = true
@@ -123,7 +123,7 @@ func TestWaitOnAbsentKeyFiresNil(t *testing.T) {
 }
 
 func TestFailNotifiesWaitersWithNil(t *testing.T) {
-	c := New()
+	c := NewWithConfig(Config{})
 	key := NewKey("client", "args")
 	c.Begin(key)
 	var got []any
@@ -139,7 +139,7 @@ func TestFailNotifiesWaitersWithNil(t *testing.T) {
 }
 
 func TestCompleteOnUnknownOrReadyKeyIsNoop(t *testing.T) {
-	c := New()
+	c := NewWithConfig(Config{})
 	c.Complete(NewKey("x", "y"), "v", 1) // unknown: no-op
 	key := NewKey("a", "b")
 	c.Begin(key)
@@ -156,7 +156,7 @@ func TestCompleteOnUnknownOrReadyKeyIsNoop(t *testing.T) {
 }
 
 func TestFailOnUnknownOrReadyKeyIsNoop(t *testing.T) {
-	c := New()
+	c := NewWithConfig(Config{})
 	c.Fail(NewKey("x", "y"))
 	key := NewKey("a", "b")
 	c.Begin(key)
@@ -168,7 +168,7 @@ func TestFailOnUnknownOrReadyKeyIsNoop(t *testing.T) {
 }
 
 func TestDistinctArgsAreDistinctEntries(t *testing.T) {
-	c := New()
+	c := NewWithConfig(Config{})
 	k1 := NewKey("client", "bucketA")
 	k2 := NewKey("client", "bucketB")
 	c.Begin(k1)
@@ -179,7 +179,7 @@ func TestDistinctArgsAreDistinctEntries(t *testing.T) {
 }
 
 func TestGetOrBuildBlockingFace(t *testing.T) {
-	c := New()
+	c := NewWithConfig(Config{})
 	key := NewKey("client", "args")
 	builds := 0
 	build := func() (any, int64, error) {
@@ -200,7 +200,7 @@ func TestGetOrBuildBlockingFace(t *testing.T) {
 }
 
 func TestGetOrBuildPropagatesError(t *testing.T) {
-	c := New()
+	c := NewWithConfig(Config{})
 	key := NewKey("client", "args")
 	wantErr := errors.New("no network")
 	_, _, err := c.GetOrBuildContext(context.Background(), key, func() (any, int64, error) { return nil, 0, wantErr })
@@ -215,7 +215,7 @@ func TestGetOrBuildPropagatesError(t *testing.T) {
 }
 
 func TestGetOrBuildConcurrentSingleflight(t *testing.T) {
-	c := New()
+	c := NewWithConfig(Config{})
 	key := NewKey("client", "args")
 	var builds atomic.Int64
 	release := make(chan struct{})
@@ -257,7 +257,7 @@ func TestGetOrBuildConcurrentSingleflight(t *testing.T) {
 }
 
 func TestClose(t *testing.T) {
-	c := New()
+	c := NewWithConfig(Config{})
 	for i := 0; i < 3; i++ {
 		key := NewKey("client", fmt.Sprintf("args%d", i))
 		c.Begin(key)
@@ -277,7 +277,7 @@ func TestClose(t *testing.T) {
 }
 
 func TestCloseWithPendingEntryUnblocksWaiters(t *testing.T) {
-	c := New()
+	c := NewWithConfig(Config{})
 	key := NewKey("client", "args")
 	c.Begin(key)
 	done := make(chan struct{})
@@ -304,7 +304,7 @@ func TestCloseWithPendingEntryUnblocksWaiters(t *testing.T) {
 // non-first creation is saved.
 func TestPropertyOneBuildPerDistinctKey(t *testing.T) {
 	f := func(keys []uint8) bool {
-		c := New()
+		c := NewWithConfig(Config{})
 		distinct := map[uint8]bool{}
 		for _, k := range keys {
 			key := NewKey("client", fmt.Sprintf("%d", k%8))
@@ -327,12 +327,12 @@ func TestPropertyOneBuildPerDistinctKey(t *testing.T) {
 func TestLRUEviction(t *testing.T) {
 	var evicted []Key
 	// One shard makes the LRU order globally exact for the assertion.
-	c := New(WithShards(1), WithMaxEntries(2), WithOnEvict(func(k Key, inst any, bytes int64) {
+	c := NewWithConfig(Config{Shards: 1, MaxEntries: 2, OnEvict: func(k Key, inst any, bytes int64) {
 		evicted = append(evicted, k)
 		if bytes != 10 {
 			t.Errorf("evicted bytes = %d, want 10", bytes)
 		}
-	}))
+	}})
 	k1, k2, k3 := NewKey("c", "1"), NewKey("c", "2"), NewKey("c", "3")
 	for _, k := range []Key{k1, k2} {
 		c.Begin(k)
@@ -358,7 +358,7 @@ func TestLRUEviction(t *testing.T) {
 }
 
 func TestUnboundedCacheNeverEvicts(t *testing.T) {
-	c := New()
+	c := NewWithConfig(Config{})
 	for i := 0; i < 100; i++ {
 		k := NewKey("c", fmt.Sprintf("%d", i))
 		c.Begin(k)
@@ -371,7 +371,7 @@ func TestUnboundedCacheNeverEvicts(t *testing.T) {
 }
 
 func TestEvictionNeverDropsTheJustCompletedEntry(t *testing.T) {
-	c := New(WithMaxEntries(1))
+	c := NewWithConfig(Config{MaxEntries: 1})
 	k1, k2 := NewKey("c", "1"), NewKey("c", "2")
 	c.Begin(k1)
 	c.Complete(k1, "v1", 1)
@@ -391,7 +391,7 @@ func TestEvictionNeverDropsTheJustCompletedEntry(t *testing.T) {
 func TestPropertyBoundedCacheInvariant(t *testing.T) {
 	f := func(ops []uint8, boundRaw uint8) bool {
 		bound := int(boundRaw%5) + 1
-		c := New(WithMaxEntries(bound))
+		c := NewWithConfig(Config{MaxEntries: bound})
 		begins := uint64(0)
 		for _, op := range ops {
 			k := NewKey("c", fmt.Sprintf("%d", op%16))
@@ -416,7 +416,7 @@ func TestPropertyBoundedCacheInvariant(t *testing.T) {
 }
 
 func TestCloseNotifiesPendingWaitersWithNil(t *testing.T) {
-	c := New()
+	c := NewWithConfig(Config{})
 	key := NewKey("client", "args")
 	c.Begin(key)
 	var got []any

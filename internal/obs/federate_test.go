@@ -261,16 +261,9 @@ func TestWriteRuntimeGauges(t *testing.T) {
 	var out bytes.Buffer
 	WriteRuntimeGauges(&out, "faasbatch")
 	doc := out.String()
-	for _, ex := range RuntimeExports {
-		name := "faasbatch_" + ex.Suffix
-		if !strings.Contains(doc, fmt.Sprintf("# HELP %s ", name)) {
-			t.Errorf("missing HELP for %s", name)
-		}
-		if !strings.Contains(doc, fmt.Sprintf("# TYPE %s %s\n", name, ex.Typ)) {
-			t.Errorf("missing TYPE for %s", name)
-		}
-		if !strings.Contains(doc, name+" ") {
-			t.Errorf("missing sample for %s", name)
+	for _, ex := range RuntimeSeries("faasbatch") {
+		if want := fmt.Sprintf("# HELP %s %s\n# TYPE %s %s\n%s ", ex.Name, ex.Help, ex.Name, ex.Kind, ex.Name); !strings.Contains(doc, want) {
+			t.Errorf("missing %q", want)
 		}
 	}
 	fams, err := ParsePrometheus(strings.NewReader(doc))

@@ -1,108 +1,76 @@
 // runtime.go exports Go runtime health gauges, sourced from the
 // runtime/metrics package, for every /metrics surface in the system
-// (gateway and router alike). The export set is data — RuntimeExports —
-// so the conformance tests in each package can assert the full set is
-// present without duplicating the list.
+// (gateway and router alike) as one more Series table, so the
+// conformance tests in each package walk it like any other.
 package obs
 
 import (
-	"fmt"
 	"io"
-	"math"
 	"runtime/metrics"
-	"strconv"
 )
 
-// RuntimeExport maps one exported runtime gauge onto the
-// runtime/metrics keys it is computed from (values are summed).
-type RuntimeExport struct {
-	// Suffix is appended to the component prefix to form the metric name
-	// (prefix "faasbatch" + suffix "goroutines" → "faasbatch_goroutines").
-	Suffix string
-	// Typ is "counter" or "gauge".
-	Typ string
-	// Help is the HELP line text.
-	Help string
-	// Keys are the runtime/metrics sample names summed into the value.
-	Keys []string
+// The runtime/metrics samples one scrape reads, by RuntimeSample index.
+const (
+	rtGoroutines = iota
+	rtHeapObjects
+	rtHeapUnused
+	rtHeapFree
+	rtHeapReleased
+	rtGCCycles
+	rtGCPause
+	rtSamples
+)
+
+var runtimeSampleNames = [rtSamples]string{
+	rtGoroutines:   "/sched/goroutines:goroutines",
+	rtHeapObjects:  "/memory/classes/heap/objects:bytes",
+	rtHeapUnused:   "/memory/classes/heap/unused:bytes",
+	rtHeapFree:     "/memory/classes/heap/free:bytes",
+	rtHeapReleased: "/memory/classes/heap/released:bytes",
+	rtGCCycles:     "/gc/cycles/total:gc-cycles",
+	rtGCPause:      "/cpu/classes/gc/pause:cpu-seconds",
 }
 
-// RuntimeExports is the runtime gauge set every /metrics endpoint
-// carries. Keys unavailable in the running Go version contribute zero,
-// so the exposition shape is stable across toolchains.
-var RuntimeExports = []RuntimeExport{
-	{"goroutines", "gauge", "Goroutines currently running.",
-		[]string{"/sched/goroutines:goroutines"}},
-	{"heap_alloc_bytes", "gauge", "Heap bytes occupied by live objects and unswept dead objects.",
-		[]string{"/memory/classes/heap/objects:bytes"}},
-	{"heap_sys_bytes", "gauge", "Heap bytes obtained from the OS (in use, unused, free and released).",
-		[]string{
-			"/memory/classes/heap/objects:bytes",
-			"/memory/classes/heap/unused:bytes",
-			"/memory/classes/heap/free:bytes",
-			"/memory/classes/heap/released:bytes",
-		}},
-	{"gc_cycles_total", "counter", "Completed GC cycles.",
-		[]string{"/gc/cycles/total:gc-cycles"}},
-	{"gc_pause_total_seconds", "counter", "Estimated total CPU-seconds spent in GC stop-the-world pauses.",
-		[]string{"/cpu/classes/gc/pause:cpu-seconds"}},
-}
+// RuntimeSample is one reading of the runtime/metrics samples above.
+// Samples the running toolchain does not support read as zero, so the
+// exposition shape is stable across Go versions.
+type RuntimeSample [rtSamples]float64
 
-// runtimeSampleNames flattens the export table's key set, deduplicated
-// in first-use order.
-func runtimeSampleNames() []string {
-	seen := map[string]bool{}
-	var names []string
-	for _, ex := range RuntimeExports {
-		for _, k := range ex.Keys {
-			if !seen[k] {
-				seen[k] = true
-				names = append(names, k)
-			}
-		}
+// RuntimeSeries is the runtime gauge set every /metrics endpoint carries,
+// named under the given component prefix ("faasbatch", "faasrouter").
+func RuntimeSeries(prefix string) []Series[RuntimeSample] {
+	at := func(i int) func(*RuntimeSample) int64 {
+		return func(s *RuntimeSample) int64 { return int64(s[i]) }
 	}
-	return names
-}
-
-// sampleValue converts one runtime/metrics sample to float64; samples
-// the toolchain does not support (KindBad) and histogram kinds read as
-// zero.
-func sampleValue(s metrics.Sample) float64 {
-	switch s.Value.Kind() {
-	case metrics.KindUint64:
-		return float64(s.Value.Uint64())
-	case metrics.KindFloat64:
-		return s.Value.Float64()
-	default:
-		return 0
+	return []Series[RuntimeSample]{
+		{Name: prefix + "_goroutines", Kind: Gauge, Help: "Goroutines currently running.", Int: at(rtGoroutines)},
+		{Name: prefix + "_heap_alloc_bytes", Kind: Gauge, Help: "Heap bytes occupied by live objects and unswept dead objects.", Int: at(rtHeapObjects)},
+		{Name: prefix + "_heap_sys_bytes", Kind: Gauge, Help: "Heap bytes obtained from the OS (in use, unused, free and released).",
+			Int: func(s *RuntimeSample) int64 {
+				return int64(s[rtHeapObjects] + s[rtHeapUnused] + s[rtHeapFree] + s[rtHeapReleased])
+			}},
+		{Name: prefix + "_gc_cycles_total", Kind: Counter, Help: "Completed GC cycles.", Int: at(rtGCCycles)},
+		{Name: prefix + "_gc_pause_total_seconds", Kind: Counter, Help: "Estimated total CPU-seconds spent in GC stop-the-world pauses.",
+			Float: func(s *RuntimeSample) float64 { return s[rtGCPause] }},
 	}
 }
 
-// WriteRuntimeGauges emits the RuntimeExports set in Prometheus text
-// form under the given component prefix.
+// WriteRuntimeGauges samples the runtime once and emits RuntimeSeries in
+// Prometheus text form under the given component prefix.
 func WriteRuntimeGauges(w io.Writer, prefix string) {
-	names := runtimeSampleNames()
-	samples := make([]metrics.Sample, len(names))
-	byName := make(map[string]int, len(names))
-	for i, n := range names {
-		samples[i].Name = n
-		byName[n] = i
+	var samples [rtSamples]metrics.Sample
+	for i, name := range runtimeSampleNames {
+		samples[i].Name = name
 	}
-	metrics.Read(samples)
-	for _, ex := range RuntimeExports {
-		var v float64
-		for _, k := range ex.Keys {
-			v += sampleValue(samples[byName[k]])
-		}
-		name := prefix + "_" + ex.Suffix
-		fmt.Fprintf(w, "# HELP %s %s\n", name, ex.Help)
-		fmt.Fprintf(w, "# TYPE %s %s\n", name, ex.Typ)
-		// Byte and count gauges print as plain integers (not 1.2e+06) so
-		// the exposition stays grep-friendly.
-		if v == math.Trunc(v) && math.Abs(v) < 1e15 {
-			fmt.Fprintf(w, "%s %d\n", name, int64(v))
-		} else {
-			fmt.Fprintf(w, "%s %s\n", name, strconv.FormatFloat(v, 'g', -1, 64))
+	metrics.Read(samples[:])
+	var snap RuntimeSample
+	for i, s := range samples {
+		switch s.Value.Kind() {
+		case metrics.KindUint64:
+			snap[i] = float64(s.Value.Uint64())
+		case metrics.KindFloat64:
+			snap[i] = s.Value.Float64()
 		}
 	}
+	WriteSeries(w, RuntimeSeries(prefix), &snap)
 }

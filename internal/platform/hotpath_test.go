@@ -319,3 +319,63 @@ func (w *discardResponseWriter) Write(b []byte) (int, error) {
 	}
 	return len(b), nil
 }
+
+// discardResponse is a reusable http.ResponseWriter that keeps nothing,
+// so the handler allocation count below is the handler's own.
+type discardResponse struct {
+	h      http.Header
+	status int
+}
+
+func (w *discardResponse) Header() http.Header         { return w.h }
+func (w *discardResponse) Write(b []byte) (int, error) { return len(b), nil }
+func (w *discardResponse) WriteHeader(status int)      { w.status = status }
+
+// gatewayHandlerAllocs is what one warm POST /invoke costs inside the
+// in-memory gateway handler (no net/http server around it), measured at
+// the commit before the serving edge moved onto the shared skeleton (the
+// capped reader, the body it reads, the decoded function name and the
+// Content-Type header value). The skeleton must not add to it.
+const gatewayHandlerAllocs = 4
+
+// TestGatewayHandlerAllocs pins the in-memory gateway handler's
+// per-request allocations, so the shared route/read/write skeleton
+// cannot hide a per-request closure or a boxed buffer.
+func TestGatewayHandlerAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	p, err := New(hotpathConfig())
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	defer func() { _ = p.Close() }()
+	if err := p.Register("noop", noop); err != nil {
+		t.Fatalf("Register: %v", err)
+	}
+	h := NewHTTPHandler(p)
+	body := []byte(`{"fn":"noop","payload":{"n":1}}`)
+	rd := bytes.NewReader(body)
+	req := httptest.NewRequest(http.MethodPost, "/invoke", rd)
+	req.Body = io.NopCloser(rd)
+	w := &discardResponse{h: http.Header{}}
+	serve := func() {
+		rd.Reset(body)
+		clear(w.h)
+		w.status = http.StatusOK
+		h.ServeHTTP(w, req)
+		if w.status != http.StatusOK {
+			t.Fatalf("status %d", w.status)
+		}
+	}
+	for i := 0; i < 64; i++ {
+		serve()
+	}
+	prev := debug.SetGCPercent(-1)
+	defer debug.SetGCPercent(prev)
+	if avg := testing.AllocsPerRun(200, serve); avg > gatewayHandlerAllocs {
+		t.Fatalf("gateway handler allocates %.1f objects/op, want <= %d", avg, gatewayHandlerAllocs)
+	} else {
+		t.Logf("gateway handler: %.1f allocs/op", avg)
+	}
+}

@@ -14,59 +14,69 @@ import (
 
 	"faasbatch/internal/httpapi"
 	"faasbatch/internal/obs"
+	"faasbatch/internal/obs/obstest"
 	"faasbatch/internal/slo"
 )
 
-// numericStatPaths walks a Stats value by reflection and returns the
-// dot-separated path of every numeric field, nested structs included.
-func numericStatPaths(t reflect.Type, prefix string) []string {
-	var out []string
-	for i := 0; i < t.NumField(); i++ {
-		f := t.Field(i)
-		path := f.Name
-		if prefix != "" {
-			path = prefix + "." + f.Name
-		}
-		switch f.Type.Kind() {
+// numericStatFields walks a Stats value by reflection and returns every
+// numeric field, nested structs included, as settable values keyed by
+// their dot-separated path.
+func numericStatFields(v reflect.Value, prefix string, out map[string]reflect.Value) {
+	for i := 0; i < v.NumField(); i++ {
+		path := prefix + v.Type().Field(i).Name
+		switch f := v.Field(i); f.Kind() {
 		case reflect.Struct:
-			out = append(out, numericStatPaths(f.Type, path)...)
+			numericStatFields(f, path+".", out)
 		case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
 			reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
-			out = append(out, path)
+			out[path] = f
 		}
 	}
-	return out
 }
 
 // TestMetricsConformance proves that every numeric Stats field — found by
-// reflection, so new fields cannot silently skip /metrics — is exported
-// with HELP, TYPE and a sample line in the Prometheus text output.
+// reflection, so new fields cannot silently skip /metrics — is read by a
+// /metrics row of statSeries (a snapshot with only that field set moves
+// some row off zero), and that every row is exported with HELP, TYPE and
+// a sample line in the Prometheus text output.
 func TestMetricsConformance(t *testing.T) {
-	paths := numericStatPaths(reflect.TypeOf(Stats{}), "")
-	if len(paths) == 0 {
+	var probe Stats
+	fields := map[string]reflect.Value{}
+	numericStatFields(reflect.ValueOf(&probe).Elem(), "", fields)
+	if len(fields) == 0 {
 		t.Fatal("no numeric Stats fields found")
 	}
-	exported := make(map[string]statExport, len(statExports))
-	for _, ex := range statExports {
-		if ex.typ != "counter" && ex.typ != "gauge" {
-			t.Errorf("statExports[%s]: bad type %q", ex.path, ex.typ)
+	for path, f := range fields {
+		probe = Stats{}
+		if f.CanInt() {
+			f.SetInt(7)
+		} else {
+			f.SetUint(7)
 		}
-		if ex.help == "" {
-			t.Errorf("statExports[%s]: missing help", ex.path)
+		read := false
+		for _, row := range statSeries {
+			read = read || (row.Name != "" && row.Int(&probe) == 7)
 		}
-		exported[ex.path] = ex
+		if !read {
+			t.Errorf("Stats field %s has no /metrics row in statSeries", path)
+		}
 	}
-	for _, path := range paths {
-		if _, ok := exported[path]; !ok {
-			t.Errorf("Stats field %s has no statExports entry", path)
+	for _, row := range statSeries {
+		if row.Int == nil || row.Float != nil {
+			t.Errorf("statSeries[%s%s]: want an Int row", row.Name, row.Key)
 		}
-		delete(exported, path)
-	}
-	for path := range exported {
-		t.Errorf("statExports entry %s matches no Stats field", path)
+		if row.Name == "" {
+			continue
+		}
+		if row.Kind != obs.Counter && row.Kind != obs.Gauge {
+			t.Errorf("statSeries[%s]: bad kind %q", row.Name, row.Kind)
+		}
+		if row.Help == "" {
+			t.Errorf("statSeries[%s]: missing help", row.Name)
+		}
 	}
 
-	_, srv := newHTTPServer(t)
+	p, srv := newHTTPServer(t)
 	if r, _ := postInvoke(t, srv.URL, httpapi.InvokeRequest{Fn: "double", Payload: json.RawMessage("5")}); r.StatusCode != http.StatusOK {
 		t.Fatalf("invoke status = %d", r.StatusCode)
 	}
@@ -80,15 +90,14 @@ func TestMetricsConformance(t *testing.T) {
 		t.Fatalf("read /metrics: %v", err)
 	}
 	out := string(body)
-	for _, ex := range statExports {
-		for _, want := range []string{
-			fmt.Sprintf("# HELP %s %s\n", ex.name, ex.help),
-			fmt.Sprintf("# TYPE %s %s\n", ex.name, ex.typ),
-			"\n" + ex.name + " ",
-		} {
-			if !strings.Contains(out, want) {
-				t.Errorf("/metrics missing %q", want)
-			}
+	st := p.Stats()
+	for _, row := range statSeries {
+		if row.Name == "" {
+			continue
+		}
+		want := fmt.Sprintf("# HELP %s %s\n# TYPE %s %s\n%s %d\n", row.Name, row.Help, row.Name, row.Kind, row.Name, row.Int(&st))
+		if !strings.Contains(out, want) {
+			t.Errorf("/metrics missing %q", want)
 		}
 	}
 	// Histograms: per-function latency components and the group size.
@@ -103,18 +112,11 @@ func TestMetricsConformance(t *testing.T) {
 			t.Errorf("/metrics missing %q", want)
 		}
 	}
-	// Runtime gauges: the full obs.RuntimeExports set, each with HELP,
+	// Runtime gauges: the full obs.RuntimeSeries set, each with HELP,
 	// TYPE and a sample line.
-	for _, ex := range obs.RuntimeExports {
-		name := "faasbatch_" + ex.Suffix
-		for _, want := range []string{
-			fmt.Sprintf("# HELP %s %s\n", name, ex.Help),
-			fmt.Sprintf("# TYPE %s %s\n", name, ex.Typ),
-			"\n" + name + " ",
-		} {
-			if !strings.Contains(out, want) {
-				t.Errorf("/metrics missing %q", want)
-			}
+	for _, ex := range obs.RuntimeSeries("faasbatch") {
+		if want := fmt.Sprintf("# HELP %s %s\n# TYPE %s %s\n%s ", ex.Name, ex.Help, ex.Name, ex.Kind, ex.Name); !strings.Contains(out, want) {
+			t.Errorf("/metrics missing %q", want)
 		}
 	}
 }
@@ -435,5 +437,46 @@ func BenchmarkInvoke(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// TestObservabilityDocSeries holds docs/OBSERVABILITY.md's gateway table
+// to the statSeries declarations: names, kinds, /stats keys, help texts.
+func TestObservabilityDocSeries(t *testing.T) {
+	obstest.CheckDoc(t, "../../docs/OBSERVABILITY.md", "gateway", obstest.DocTable(statSeries))
+}
+
+// TestStatsWireMatchesStatsResponse ties the series-rendered /stats reply
+// to the struct clients (and the router's federation) decode it into:
+// same keys, same order, same values, byte for byte.
+func TestStatsWireMatchesStatsResponse(t *testing.T) {
+	_, srv := newHTTPServer(t)
+	if r, _ := postInvoke(t, srv.URL, httpapi.InvokeRequest{Fn: "double", Payload: json.RawMessage("5")}); r.StatusCode != http.StatusOK {
+		t.Fatalf("invoke status = %d", r.StatusCode)
+	}
+	resp, err := http.Get(srv.URL + "/stats")
+	if err != nil {
+		t.Fatalf("GET /stats: %v", err)
+	}
+	defer func() { _ = resp.Body.Close() }()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatalf("read /stats: %v", err)
+	}
+	var st httpapi.StatsResponse
+	dec := json.NewDecoder(strings.NewReader(string(body)))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&st); err != nil {
+		t.Fatalf("/stats does not decode as StatsResponse: %v\n%s", err, body)
+	}
+	if st.Invocations != 1 || st.CacheShards == 0 {
+		t.Fatalf("decoded stats = %+v", st)
+	}
+	again, err := json.Marshal(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(again)+"\n" != string(body) {
+		t.Fatalf("/stats and StatsResponse disagree:\nwire   %sstruct %s", body, again)
 	}
 }

@@ -267,8 +267,10 @@ func (r Result) Total() time.Duration { return r.Sched + r.ColdStart + r.Queue +
 // Config parameterises the live platform.
 type Config struct {
 	// Mode selects batching (FaaSBatch) or per-invocation (Vanilla).
+	// ModeVanilla is shorthand for AdaptiveDispatch with MaxGroupSize 1
+	// and overrides the window fields below.
 	Mode Mode
-	// DispatchInterval is the Invoke Mapper window (ModeBatch only).
+	// DispatchInterval is the Invoke Mapper window.
 	// With AdaptiveDispatch it becomes the default window cap (see
 	// MaxInterval).
 	DispatchInterval time.Duration
@@ -277,8 +279,8 @@ type Config struct {
 	// idle function dispatches immediately instead of waiting out a
 	// window, an EWMA of inter-arrival gaps sizes each window within
 	// [MinInterval, MaxInterval], and a window whose group reaches
-	// MaxGroupSize closes early. ModeBatch only; off by default (the
-	// paper's fixed interval).
+	// MaxGroupSize closes early. Off by default (the paper's fixed
+	// interval).
 	AdaptiveDispatch bool
 	// MinInterval is the adaptive window floor. Zero takes
 	// DefaultMinInterval (clamped to MaxInterval).
@@ -404,7 +406,7 @@ type Stats struct {
 	Crashes int64
 	// BootFailures counts container boots that failed and were retried.
 	BootFailures int64
-	// Groups counts dispatched batches (ModeBatch).
+	// Groups counts dispatched batches.
 	Groups int64
 	// FastPathDispatches counts adaptive idle fast-path dispatches: lone
 	// arrivals sent straight to a container because no batching
@@ -460,8 +462,7 @@ type function struct {
 	// is non-empty — which is what lets the Close flush find every
 	// waiting call by its deadline.
 	deadline time.Time
-	// ctrl is this function's window controller (nil in ModeVanilla).
-	// dispatch.Controller is not safe for concurrent use; mu serialises
+	// ctrl is this function's window controller. dispatch.Controller is not safe for concurrent use; mu serialises
 	// it — giving each function its own controller is what lets the
 	// shards run lock-independent.
 	ctrl *dispatch.Controller
@@ -539,7 +540,7 @@ type Platform struct {
 	seq    atomic.Int64
 	ctr    counters
 
-	// The Invoke Mapper's windows (ModeBatch). Each function gets its own
+	// The Invoke Mapper's windows. Each function gets its own
 	// controller (built from dcfg at Register); the platform feeds
 	// wall-clock offsets from epoch. kick (buffered 1) wakes dispatchLoop
 	// when an arrival opens an earlier window.
@@ -561,10 +562,21 @@ func (p *Platform) lookup(fn string) *function { return (*p.fns.Load())[fn] }
 // The platform starts not ready: call SetReady(true) once registration
 // completes so /healthz reports ok (Invoke itself works regardless).
 func New(cfg Config) (*Platform, error) {
-	if cfg.Mode != ModeBatch && cfg.Mode != ModeVanilla {
+	switch cfg.Mode {
+	case ModeBatch:
+	case ModeVanilla:
+		// One container per invocation is the adaptive policy with groups
+		// of one: every arrival closes its own window on the spot, so no
+		// interval is ever waited out and none need be configured.
+		cfg.AdaptiveDispatch, cfg.MaxGroupSize = true, 1
+		cfg.MinInterval, cfg.MaxInterval = 0, 0
+		if cfg.DispatchInterval <= 0 {
+			cfg.DispatchInterval = DefaultConfig().DispatchInterval
+		}
+	default:
 		return nil, fmt.Errorf("platform: unknown mode %d", int(cfg.Mode))
 	}
-	if cfg.Mode == ModeBatch && cfg.DispatchInterval <= 0 {
+	if cfg.DispatchInterval <= 0 {
 		return nil, fmt.Errorf("platform: dispatch interval must be positive, got %v", cfg.DispatchInterval)
 	}
 	if cfg.MaxGroupSize < 0 {
@@ -575,12 +587,10 @@ func New(cfg Config) (*Platform, error) {
 		MaxInterval:  cfg.MaxInterval,
 		MaxGroupSize: cfg.MaxGroupSize,
 	})
-	if cfg.Mode == ModeBatch {
-		// Each function gets its own controller at Register; validate the
-		// shared configuration once here.
-		if err := dcfg.Validate(); err != nil {
-			return nil, fmt.Errorf("platform: %w", err)
-		}
+	// Each function gets its own controller at Register; validate the
+	// shared configuration once here.
+	if err := dcfg.Validate(); err != nil {
+		return nil, fmt.Errorf("platform: %w", err)
 	}
 	if cfg.ColdStart < 0 {
 		return nil, fmt.Errorf("platform: cold start must be non-negative, got %v", cfg.ColdStart)
@@ -641,15 +651,10 @@ func New(cfg Config) (*Platform, error) {
 		"adaptive", cfg.AdaptiveDispatch,
 		"multiplex", cfg.Multiplex,
 		"tracing", cfg.Tracer != nil)
-	if cfg.Mode == ModeBatch {
-		p.wg.Add(1)
-		go p.dispatchLoop()
-	}
-	// Eviction runs on its own timer in every mode: Vanilla has no
-	// dispatch loop to piggyback on (the pre-fix bug — idle Vanilla
-	// containers outlived KeepAlive until Close), and windows close
-	// irregularly.
-	p.wg.Add(1)
+	p.wg.Add(2)
+	go p.dispatchLoop()
+	// Eviction runs on its own timer: windows close irregularly, and a
+	// platform that only ever fast-paths never wakes the dispatch loop.
 	go p.evictLoop()
 	return p, nil
 }
@@ -687,15 +692,12 @@ func (p *Platform) Register(name string, h Handler) error {
 	if name == "" || h == nil {
 		return fmt.Errorf("platform: register requires a name and a handler")
 	}
-	f := &function{name: name, handler: h}
-	if p.cfg.Mode == ModeBatch {
-		ctrl, err := dispatch.New(p.dcfg)
-		if err != nil {
-			// Unreachable: New validated dcfg.
-			return fmt.Errorf("platform: %w", err)
-		}
-		f.ctrl = ctrl
+	ctrl, err := dispatch.New(p.dcfg)
+	if err != nil {
+		// Unreachable: New validated dcfg.
+		return fmt.Errorf("platform: %w", err)
 	}
+	f := &function{name: name, handler: h, ctrl: ctrl}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.closed.Load() {
@@ -788,23 +790,16 @@ func (p *Platform) InvokeWithTrace(ctx context.Context, fn string, payload json.
 		return Result{}, fmt.Errorf("platform: closed")
 	}
 	p.ctr.submitted.Add(1)
-	switch {
-	case p.cfg.Mode == ModeVanilla:
+	// The idle probe scans the function's containers, so it runs only
+	// when the policy reads the answer.
+	idle := f.ctrl.UsesIdle() && len(f.pending) == 0 && !p.busyLocked(f)
+	p.enqueueLocked(f, call)
+	d := f.ctrl.Arrive(f.name, time.Since(p.epoch), idle)
+	p.ctr.dispatchWindowMicros.Store(d.Window.Microseconds())
+	if run = p.applyLocked(f, d); run != nil {
+		// Fast path or early close: dispatch without waiting for the
+		// window loop.
 		p.wg.Add(1)
-		run = getGroup(1)
-		run.calls = append(run.calls, call)
-	default:
-		// The idle probe scans the function's containers, so it runs only
-		// when the policy reads the answer.
-		idle := f.ctrl.UsesIdle() && len(f.pending) == 0 && !p.busyLocked(f)
-		p.enqueueLocked(f, call)
-		d := f.ctrl.Arrive(f.name, time.Since(p.epoch), idle)
-		p.ctr.dispatchWindowMicros.Store(d.Window.Microseconds())
-		if run = p.applyLocked(f, d); run != nil {
-			// Fast path or early close: dispatch without waiting for the
-			// window loop.
-			p.wg.Add(1)
-		}
 	}
 	f.mu.Unlock()
 	if run != nil {
@@ -1029,9 +1024,9 @@ func (p *Platform) recordWindowSpans(f *function, group []*pendingCall, window t
 }
 
 // evictLoop retires idle warm containers past KeepAlive on its own
-// cadence, decoupled from dispatch: Vanilla mode has no dispatch loop at
-// all, and adaptive windows fire irregularly, so eviction can ride
-// neither.
+// cadence, decoupled from dispatch: adaptive windows fire irregularly and
+// fast-pathed arrivals never wake the dispatch loop, so eviction cannot
+// ride it.
 func (p *Platform) evictLoop() {
 	defer p.wg.Done()
 	period := p.cfg.KeepAlive / 4
@@ -1518,23 +1513,21 @@ func (p *Platform) retryLater(f *function, call *pendingCall) {
 		}
 		return
 	}
-	if p.cfg.Mode == ModeBatch {
-		f.mu.Lock()
-		if !p.closed.Load() {
-			p.enqueueLocked(f, call)
-			// Ride a window without skewing the arrival-rate estimate
-			// (EnsureOpen, not Arrive).
-			cg := p.applyLocked(f, f.ctrl.EnsureOpen(f.name, time.Since(p.epoch)))
-			f.mu.Unlock()
-			if cg != nil {
-				p.runGroup(f, cg.calls)
-				putGroup(cg)
-			}
-			return
-		}
+	f.mu.Lock()
+	if !p.closed.Load() {
+		p.enqueueLocked(f, call)
+		// Ride a window without skewing the arrival-rate estimate
+		// (EnsureOpen, not Arrive).
+		cg := p.applyLocked(f, f.ctrl.EnsureOpen(f.name, time.Since(p.epoch)))
 		f.mu.Unlock()
+		if cg != nil {
+			p.runGroup(f, cg.calls)
+			putGroup(cg)
+		}
+		return
 	}
-	// Vanilla mode, or the platform is draining: run the attempt now.
+	f.mu.Unlock()
+	// The platform is draining: run the attempt now.
 	cg := getGroup(1)
 	cg.calls = append(cg.calls, call)
 	p.runGroup(f, cg.calls)

@@ -13,11 +13,10 @@
 // (internal/cluster, Balancing=Pull) and the live router
 // (internal/router, Config.Policy="pull"). It never reads a clock: every
 // event carries an offset from the driver's epoch (virtual time in the
-// sim, time.Since(start) live), so the sim-vs-live conformance test can
-// replay one schedule through both drivers and assert the grant
-// sequences are identical. All tie-breaks are total orders (queue depth
-// then head admission sequence; worker load then index), so a given
-// event sequence yields exactly one grant sequence.
+// sim, time.Since(start) live). All tie-breaks are total orders (queue
+// depth then head admission sequence; worker load then index), so a given
+// event sequence yields exactly one grant sequence, whichever driver
+// feeds it.
 //
 // Lease protocol: a grant leases one invocation to one worker. The
 // driver acks with Complete, requeues with Fail (worker died mid-lease —
@@ -42,13 +41,6 @@ const (
 	DefaultBatchSize = 4
 	DefaultCapacity  = 8
 )
-
-// maxGrantLog bounds the retained grant log (conformance tests and
-// scenario reports read it; Stats keeps the lifetime totals). The backing
-// slice is let grow to twice the bound before its newest maxGrantLog
-// entries are moved down, so trimming costs one move per maxGrantLog
-// grants rather than one per grant.
-const maxGrantLog = 4096
 
 // Config parameterises a Core. The zero value of every field but
 // Workers is usable.
@@ -97,7 +89,7 @@ func (cfg Config) withDefaults() Config {
 // Grant is one scheduling decision: invocation ID leased to Worker.
 type Grant struct {
 	// Seq is the grant's position in the core's decision sequence,
-	// starting at 1. The sim-vs-live conformance test compares these.
+	// starting at 1.
 	Seq uint64
 	// ID is the invocation being leased.
 	ID int64
@@ -180,7 +172,6 @@ type Core struct {
 	queued  int
 	admSeq  uint64
 	gntSeq  uint64
-	log     []Grant
 	stats   Stats
 }
 
@@ -343,16 +334,6 @@ func (c *Core) Stats() Stats {
 	return st
 }
 
-// Grants returns the retained decision log — the newest maxGrantLog
-// grants at most — in order.
-func (c *Core) Grants() []Grant {
-	log := c.log
-	if over := len(log) - maxGrantLog; over > 0 {
-		log = log[over:]
-	}
-	return append([]Grant(nil), log...)
-}
-
 // Queued reports fn's current queue depth.
 func (c *Core) Queued(fn string) int {
 	if q := c.shard(fn)[fn]; q != nil {
@@ -456,11 +437,7 @@ func (c *Core) pull(off time.Duration) []Grant {
 			c.leases[it.id] = &lease{it: it, worker: w, granted: off, seq: c.gntSeq}
 			c.workers[w].inflight++
 			c.stats.Granted++
-			c.log = append(c.log, g)
 			out = append(out, g)
-		}
-		if len(c.log) >= 2*maxGrantLog {
-			c.log = append(c.log[:0], c.log[len(c.log)-maxGrantLog:]...)
 		}
 		if len(q.items) == 0 {
 			delete(sh, fn)

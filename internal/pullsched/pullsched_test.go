@@ -223,65 +223,53 @@ func TestDeepestQueueFirst(t *testing.T) {
 	}
 }
 
-// Replaying one event script through two cores yields byte-identical
-// grant logs — the property the sim-vs-live conformance test builds on.
+// Replaying one event script through two cores yields identical grant
+// sequences — what makes the sim's and the live router's drivers agree.
 func TestDeterministicReplay(t *testing.T) {
-	script := func(c *Core) {
+	script := func(c *Core) (log []Grant) {
 		fns := []string{"alpha", "beta", "gamma", "hot", "hot", "hot"}
 		id := int64(0)
 		for round := 0; round < 8; round++ {
 			off := time.Duration(round) * 10 * time.Millisecond
 			for _, fn := range fns {
 				id++
-				c.Enqueue(id, fn, off)
+				gs, _ := c.Enqueue(id, fn, off)
+				log = append(log, gs...)
 			}
 			if round == 2 {
-				c.SetWorker(1, false, off)
+				log = append(log, c.SetWorker(1, false, off)...)
 			}
 			if round == 5 {
-				c.SetWorker(1, true, off)
+				log = append(log, c.SetWorker(1, true, off)...)
 			}
-			c.Fail(id, off+time.Millisecond)
+			log = append(log, c.Fail(id, off+time.Millisecond)...)
 			for done := id - int64(len(fns)) + 1; done <= id; done++ {
-				c.Complete(done, off+5*time.Millisecond)
+				log = append(log, c.Complete(done, off+5*time.Millisecond)...)
 			}
 		}
+		return log
 	}
 	cfg := Config{Workers: 4, Capacity: 2, BatchSize: 2, QueueDepth: 16}
 	a, b := mustNew(t, cfg), mustNew(t, cfg)
-	script(a)
-	script(b)
-	if !reflect.DeepEqual(a.Grants(), b.Grants()) {
+	logA, logB := script(a), script(b)
+	if !reflect.DeepEqual(logA, logB) {
 		t.Fatal("two replays of one script diverged")
 	}
-	if len(a.Grants()) == 0 {
+	if len(logA) == 0 {
 		t.Fatal("script produced no grants")
 	}
+	for i, g := range logA {
+		if g.Seq != uint64(i+1) {
+			t.Fatalf("grant %d has seq %d: the returned grants are not the whole decision sequence", i, g.Seq)
+		}
+	}
 	st := a.Stats()
-	if st.Queued != 0 || st.Leases != 0 {
-		t.Fatalf("script should quiesce: %+v", st)
+	if st.Queued != 0 || st.Leases != 0 || st.Granted != uint64(len(logA)) {
+		t.Fatalf("script should quiesce with every grant returned: %+v (%d returned)", st, len(logA))
 	}
 	// Conservation: everything admitted was acked, aborted, or still held.
 	if st.Enqueued != st.Completed+st.Aborted {
 		t.Fatalf("conservation: enqueued %d != completed %d + aborted %d", st.Enqueued, st.Completed, st.Aborted)
-	}
-	// Past the retention bound the log keeps exactly the newest
-	// maxGrantLog grants, in order, however often it has been trimmed.
-	for id := int64(1000); id < 1000+2*maxGrantLog+100; id++ {
-		a.Enqueue(id, "hot", time.Second)
-		a.Complete(id, time.Second)
-	}
-	log := a.Grants()
-	if len(log) != maxGrantLog {
-		t.Fatalf("retained %d grants, want %d", len(log), maxGrantLog)
-	}
-	if last := a.Stats().Granted; log[len(log)-1].Seq != last {
-		t.Fatalf("newest retained grant has seq %d, want %d", log[len(log)-1].Seq, last)
-	}
-	for i := 1; i < len(log); i++ {
-		if log[i].Seq != log[i-1].Seq+1 {
-			t.Fatalf("retained log not consecutive at %d: seq %d after %d", i, log[i].Seq, log[i-1].Seq)
-		}
 	}
 }
 

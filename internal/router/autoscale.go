@@ -7,32 +7,24 @@ import (
 	"time"
 
 	"faasbatch/internal/autoscale"
-	"faasbatch/internal/httpapi"
 	"faasbatch/internal/obs"
 )
-
-// maxScaleDecisions bounds the retained decision log (conformance tests
-// and /stats debugging); older decisions are dropped, the counters in
-// the controller keep the totals.
-const maxScaleDecisions = 4096
 
 // liveScaler drives the shared autoscale.Controller against the live
 // worker registry: controller slot i maps to cfg.Workers[i] in
 // registration order, and decisions become registry lifecycle
 // transitions (activate / drain / retire). The controller itself is
 // clock-agnostic; this driver feeds it wall-clock offsets from the
-// router's start instant. The sim driver (internal/cluster) feeds the
-// identical controller virtual offsets, which is what the sim-vs-live
-// conformance test leans on.
+// router's start instant, the sim driver (internal/cluster) feeds the
+// identical controller virtual offsets.
 type liveScaler struct {
 	rt    *Router
 	start time.Time
 
-	mu        sync.Mutex
-	ctrl      *autoscale.Controller
-	slots     []WorkerSpec
-	index     map[string]int
-	decisions []autoscale.Decision
+	mu    sync.Mutex
+	ctrl  *autoscale.Controller
+	slots []WorkerSpec
+	index map[string]int
 }
 
 // newLiveScaler wires a controller over the router's registered pool.
@@ -85,9 +77,6 @@ func (s *liveScaler) observe(fn string, off time.Duration) {
 	s.mu.Lock()
 	s.ctrl.Observe(fn, off)
 	ds := s.ctrl.Wake(off)
-	if len(ds) > 0 {
-		s.record(ds)
-	}
 	s.mu.Unlock()
 	s.apply(ds)
 }
@@ -104,19 +93,8 @@ func (s *liveScaler) observeLatency(d time.Duration) {
 func (s *liveScaler) tick(off time.Duration) {
 	s.mu.Lock()
 	ds := s.ctrl.Tick(off)
-	if len(ds) > 0 {
-		s.record(ds)
-	}
 	s.mu.Unlock()
 	s.apply(ds)
-}
-
-// record appends decisions to the bounded log (caller holds s.mu).
-func (s *liveScaler) record(ds []autoscale.Decision) {
-	s.decisions = append(s.decisions, ds...)
-	if over := len(s.decisions) - maxScaleDecisions; over > 0 {
-		s.decisions = append(s.decisions[:0], s.decisions[over:]...)
-	}
 }
 
 // apply turns controller decisions into registry transitions, scale
@@ -162,24 +140,10 @@ func (s *liveScaler) noteDrained(id string) {
 }
 
 // status snapshots the controller for /stats and /metrics.
-func (s *liveScaler) status() httpapi.AutoscaleStatus {
+func (s *liveScaler) status() autoscale.Status {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	st := s.ctrl.Snapshot()
-	return httpapi.AutoscaleStatus{
-		Target:       st.Target,
-		Ready:        st.Ready,
-		Warming:      st.Warming,
-		Draining:     st.Draining,
-		Standby:      st.Retired,
-		Forecast:     st.Forecast,
-		Floor:        st.Floor,
-		ScaleUps:     int64(st.ScaleUps),
-		ScaleDowns:   int64(st.ScaleDowns),
-		Wakes:        int64(st.Wakes),
-		Drained:      int64(st.Drained),
-		DrainSeconds: st.DrainTime.Seconds(),
-	}
+	return s.ctrl.Snapshot()
 }
 
 // loop is the wall-clock control loop started by Router.Start.
@@ -193,48 +157,6 @@ func (s *liveScaler) loop(stop <-chan struct{}) {
 		case <-stop:
 			return
 		}
-	}
-}
-
-// AutoscaleEnabled reports whether the router runs the autoscaling
-// control loop.
-func (rt *Router) AutoscaleEnabled() bool { return rt.scaler != nil }
-
-// AutoscaleStatus snapshots the control loop (zero value when
-// autoscaling is disabled).
-func (rt *Router) AutoscaleStatus() httpapi.AutoscaleStatus {
-	if rt.scaler == nil {
-		return httpapi.AutoscaleStatus{}
-	}
-	return rt.scaler.status()
-}
-
-// AutoscaleDecisions returns the retained scaling decision log in
-// order (conformance tests and debugging).
-func (rt *Router) AutoscaleDecisions() []autoscale.Decision {
-	if rt.scaler == nil {
-		return nil
-	}
-	rt.scaler.mu.Lock()
-	defer rt.scaler.mu.Unlock()
-	return append([]autoscale.Decision(nil), rt.scaler.decisions...)
-}
-
-// AutoscaleObserve feeds one arrival at an explicit offset — the
-// deterministic entry point the sim-vs-live conformance test drives
-// instead of wall time. Production traffic goes through InvokeTraced,
-// which calls this with time-since-start.
-func (rt *Router) AutoscaleObserve(fn string, off time.Duration) {
-	if rt.scaler != nil {
-		rt.scaler.observe(fn, off)
-	}
-}
-
-// AutoscaleTick runs one control-loop evaluation at an explicit offset
-// (conformance tests; production uses the Start loop).
-func (rt *Router) AutoscaleTick(off time.Duration) {
-	if rt.scaler != nil {
-		rt.scaler.tick(off)
 	}
 }
 

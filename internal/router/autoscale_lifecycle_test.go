@@ -80,17 +80,6 @@ func TestRegistryLifecycleTransitions(t *testing.T) {
 	if reg.UpCount() != 2 {
 		t.Fatalf("reactivated fleet owns %d ring members, want 2", reg.UpCount())
 	}
-
-	// Dynamic membership: add and remove a standby worker.
-	if err := reg.AddWorker(WorkerSpec{ID: "w3", URL: "http://x.invalid"}, false); err != nil {
-		t.Fatalf("AddWorker: %v", err)
-	}
-	if err := reg.RemoveWorker("w3"); err != nil {
-		t.Fatalf("RemoveWorker: %v", err)
-	}
-	if err := reg.RemoveWorker("w1"); err == nil {
-		t.Fatal("RemoveWorker accepted an active worker")
-	}
 }
 
 // TestRingChurnZeroLost is the membership-churn regression: workers are
@@ -211,7 +200,7 @@ func TestLiveScaleCycleZeroLost(t *testing.T) {
 		time.Sleep(2 * time.Millisecond)
 	}
 	wg.Wait()
-	st := rt.AutoscaleStatus()
+	st := rt.scaler.status()
 	if st.ScaleUps < 1 {
 		t.Fatalf("burst produced no scale-ups: %+v", st)
 	}
@@ -219,7 +208,7 @@ func TestLiveScaleCycleZeroLost(t *testing.T) {
 	// Phase 2 — silence: the fleet must drain all the way to zero.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		st = rt.AutoscaleStatus()
+		st = rt.scaler.status()
 		if st.Ready == 0 && st.Warming == 0 && st.Draining == 0 {
 			break
 		}
@@ -235,7 +224,7 @@ func TestLiveScaleCycleZeroLost(t *testing.T) {
 	// Phase 3 — wake: one arrival on the empty fleet must be served,
 	// not bounced, and must count as a wake.
 	invoke("wake-fn")
-	st = rt.AutoscaleStatus()
+	st = rt.scaler.status()
 	if st.Wakes < 1 {
 		t.Fatalf("wake arrival did not wake the fleet: %+v", st)
 	}

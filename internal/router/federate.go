@@ -50,13 +50,9 @@ func (rt *Router) scrapeCluster(ctx context.Context) []memberView {
 		go func(i int, spec WorkerSpec) {
 			defer wg.Done()
 			snap, err := rt.scrapeMember(ctx, spec)
-			rt.mu.Lock()
-			rt.stats.Scrapes++
+			rt.ctr.scrapes.Add(1)
 			if err != nil {
-				rt.stats.ScrapeFailures++
-			}
-			rt.mu.Unlock()
-			if err != nil {
+				rt.ctr.scrapeFailures.Add(1)
 				rt.logger.Debug("member scrape failed", "worker", spec.ID, "err", err)
 				rt.scrapeMu.Lock()
 				last, ok := rt.lastScrape[spec.ID]
@@ -125,33 +121,46 @@ func (rt *Router) scrapeGet(ctx context.Context, url string) (io.ReadCloser, err
 	return resp.Body, nil
 }
 
-// writeClusterMetrics renders the federated Prometheus exposition:
-// synthetic faascluster_* meta-series describing the scrape itself,
-// followed by the members' series merged by obs.FederateMetrics.
+// clusterScrape is what one /cluster/metrics round learned about the
+// scrape itself.
+type clusterScrape struct {
+	members, fresh, stale int
+	scrapeFailures        int64
+}
+
+// clusterSeries are the faascluster_* meta-series describing the scrape.
+var clusterSeries = []obs.Series[clusterScrape]{
+	{Name: "faascluster_members", Kind: obs.Gauge, Help: "Workers registered with the router.", Int: func(c *clusterScrape) int64 { return int64(c.members) }},
+	{Name: "faascluster_members_scraped", Kind: obs.Gauge, Help: "Workers that answered this scrape round.", Int: func(c *clusterScrape) int64 { return int64(c.fresh) }},
+	{Name: "faascluster_members_stale", Kind: obs.Gauge, Help: "Workers served from their last good snapshot.", Int: func(c *clusterScrape) int64 { return int64(c.stale) }},
+	{Name: "faascluster_scrape_failures_total", Kind: obs.Counter, Help: "Member scrapes that failed.", Int: func(c *clusterScrape) int64 { return c.scrapeFailures }},
+}
+
+// writeClusterMetrics renders the federated Prometheus exposition: the
+// clusterSeries rows, the fleet gauges, then the members' series merged
+// by obs.FederateMetrics.
 func (rt *Router) writeClusterMetrics(ctx context.Context, w io.Writer) {
 	views := rt.scrapeCluster(ctx)
-	fresh := 0
+	scrape := clusterScrape{members: len(rt.reg.Specs())}
 	members := make([]obs.MemberMetrics, len(views))
 	for i, v := range views {
 		if v.fresh {
-			fresh++
+			scrape.fresh++
 		}
 		members[i] = obs.MemberMetrics{Worker: v.worker, Families: v.snap.families}
 	}
-	st := rt.Stats()
-	fmt.Fprintf(w, "# HELP faascluster_members Workers registered with the router.\n# TYPE faascluster_members gauge\nfaascluster_members %d\n", len(rt.reg.Specs()))
-	fmt.Fprintf(w, "# HELP faascluster_members_scraped Workers that answered this scrape round.\n# TYPE faascluster_members_scraped gauge\nfaascluster_members_scraped %d\n", fresh)
-	fmt.Fprintf(w, "# HELP faascluster_members_stale Workers served from their last good snapshot.\n# TYPE faascluster_members_stale gauge\nfaascluster_members_stale %d\n", len(views)-fresh)
-	fmt.Fprintf(w, "# HELP faascluster_scrape_failures_total Member scrapes that failed.\n# TYPE faascluster_scrape_failures_total counter\nfaascluster_scrape_failures_total %d\n", st.ScrapeFailures)
-	rt.writeFleetGauges(w)
+	snap := rt.snapshot()
+	scrape.stale, scrape.scrapeFailures = len(views)-scrape.fresh, snap.ScrapeFailures
+	obs.WriteSeries(w, clusterSeries, &scrape)
+	rt.writeFleetGauges(w, &snap)
 	obs.FederateMetrics(w, members)
 }
 
-// clusterStatsResponse assembles the /cluster/stats reply.
-func (rt *Router) clusterStatsResponse(ctx context.Context) httpapi.ClusterStatsResponse {
+// clusterStats assembles the /cluster/stats reply.
+func (rt *Router) clusterStats(ctx context.Context) httpapi.ClusterStatsResponse {
 	views := rt.scrapeCluster(ctx)
 	out := httpapi.ClusterStatsResponse{
-		Router:  rt.statsResponse(),
+		Router:  rt.appendStats(nil),
 		Members: make([]httpapi.MemberStats, 0, len(views)),
 	}
 	for _, v := range views {

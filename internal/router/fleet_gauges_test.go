@@ -1,16 +1,20 @@
 package router
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"faasbatch/internal/autoscale"
+	"faasbatch/internal/obs"
+	"faasbatch/internal/obs/obstest"
 )
 
 // scrapeText fetches one exposition document from the router handler.
@@ -45,11 +49,42 @@ func gaugeValue(doc, name string) float64 {
 	return -1
 }
 
-// TestFleetGaugeConformance walks the registryGauges table against a
-// live /metrics scrape: every enumerated lifecycle gauge must appear
-// with a HELP/TYPE header and a value matching the registry's Counts —
-// with autoscaling disabled, on both /metrics and /cluster/metrics.
-// Adding a gauge to the table makes this test cover it automatically.
+// checkSeries asserts every /metrics row of one Series table appears in
+// doc with its HELP and TYPE lines and the value the row reads from snap.
+func checkSeries[S any](t *testing.T, path, doc string, rows []obs.Series[S], snap *S) {
+	t.Helper()
+	for _, row := range rows {
+		if row.Name == "" {
+			continue
+		}
+		if (row.Int == nil) == (row.Float == nil) {
+			t.Errorf("%s: want exactly one of Int and Float", row.Name)
+			continue
+		}
+		if row.Kind != obs.Counter && row.Kind != obs.Gauge {
+			t.Errorf("%s: bad kind %q", row.Name, row.Kind)
+		}
+		head := fmt.Sprintf("# HELP %s %s\n# TYPE %s %s\n%s ", row.Name, row.Help, row.Name, row.Kind, row.Name)
+		if row.Help == "" || !strings.Contains(doc, head) {
+			t.Errorf("%s missing %q", path, head)
+		}
+		var want float64
+		if row.Int != nil {
+			want = float64(row.Int(snap))
+		} else {
+			want = row.Float(snap)
+		}
+		if got := gaugeValue(doc, row.Name); got != want {
+			t.Errorf("%s: %s = %v, want %v", path, row.Name, got, want)
+		}
+	}
+}
+
+// TestFleetGaugeConformance walks the fleetSeries table against a live
+// scrape: every lifecycle gauge must appear with its HELP/TYPE header
+// and a value matching the registry's Counts — with autoscaling
+// disabled, on both /metrics and /cluster/metrics. Adding a row to the
+// table makes this test cover it automatically.
 func TestFleetGaugeConformance(t *testing.T) {
 	workers := []*fakeWorker{newFakeWorker(t, "w1"), newFakeWorker(t, "w2"), newFakeWorker(t, "w3")}
 	rt := newTestRouter(t, workers, nil)
@@ -61,16 +96,8 @@ func TestFleetGaugeConformance(t *testing.T) {
 
 	for _, path := range []string{"/metrics", "/cluster/metrics"} {
 		doc := scrapeText(t, srv, path)
-		ready, draining, down, standby := rt.reg.Counts()
-		for _, g := range registryGauges {
-			if !strings.Contains(doc, fmt.Sprintf("# TYPE %s gauge\n", g.Name)) {
-				t.Errorf("%s missing TYPE header for %s", path, g.Name)
-			}
-			want := float64(g.Value(ready, draining, down, standby))
-			if got := gaugeValue(doc, g.Name); got != want {
-				t.Errorf("%s: %s = %v, want %v", path, g.Name, got, want)
-			}
-		}
+		snap := rt.snapshot()
+		checkSeries(t, path, doc, fleetSeries, &snap)
 		if strings.Contains(doc, "faasbatch_autoscale_") {
 			t.Errorf("%s exposes autoscale series with autoscaling disabled", path)
 		}
@@ -80,10 +107,53 @@ func TestFleetGaugeConformance(t *testing.T) {
 	}
 }
 
-// TestAutoscaleGaugeConformance walks the autoscaleExports table
-// against a scrape of an autoscaling router: every series must appear
-// with its declared TYPE and a value matching the controller snapshot,
-// on both /metrics and /cluster/metrics.
+// TestRouterSeriesConformance is the router's half of the platform's
+// TestMetricsConformance: every numeric Stats field — found by
+// reflection, so a new counter cannot silently skip the exposition —
+// reaches a /metrics row of the router's own tables, and every row of
+// those tables is on /metrics with the value the scrape's snapshot holds.
+func TestRouterSeriesConformance(t *testing.T) {
+	own := append(append(append([]obs.Series[snapshot]{}, forwardSeries...), scrapeSeries...), healthSeries...)
+	typ := reflect.TypeOf(Stats{})
+	for i := 0; i < typ.NumField(); i++ {
+		var snap snapshot
+		reflect.ValueOf(&snap.Stats).Elem().Field(i).SetInt(7)
+		found := false
+		for _, row := range own {
+			found = found || (row.Name != "" && row.Int != nil && row.Int(&snap) == 7)
+		}
+		if !found {
+			t.Errorf("Stats field %s has no /metrics row", typ.Field(i).Name)
+		}
+	}
+	workers := []*fakeWorker{newFakeWorker(t, "w1"), newFakeWorker(t, "w2")}
+	rt := newTestRouter(t, workers, nil)
+	for i := 0; i < 3; i++ {
+		if _, err := rt.Invoke(context.Background(), routedReq("fn")); err != nil {
+			t.Fatalf("Invoke: %v", err)
+		}
+	}
+	srv := httptest.NewServer(NewHTTPHandler(rt))
+	defer srv.Close()
+	doc := scrapeText(t, srv, "/metrics")
+	snap := rt.snapshot()
+	checkSeries(t, "/metrics", doc, own, &snap)
+	for _, row := range workerSeries {
+		for _, wk := range rt.reg.Snapshot() {
+			want := fmt.Sprintf("\n%s{worker=%q} %d\n", row.Name, wk.ID, row.Int(&wk))
+			if !strings.Contains(doc, want) {
+				t.Errorf("/metrics missing %q", want)
+			}
+		}
+	}
+	cdoc := scrapeText(t, srv, "/cluster/metrics")
+	checkSeries(t, "/cluster/metrics", cdoc, clusterSeries, &clusterScrape{members: 2, scrapeFailures: rt.Stats().ScrapeFailures})
+}
+
+// TestAutoscaleGaugeConformance walks the autoscaleSeries table against
+// a scrape of an autoscaling router: every series must appear with its
+// declared HELP/TYPE and a value matching the controller snapshot, on
+// both /metrics and /cluster/metrics.
 func TestAutoscaleGaugeConformance(t *testing.T) {
 	workers := []*fakeWorker{newFakeWorker(t, "w1"), newFakeWorker(t, "w2"), newFakeWorker(t, "w3")}
 	rt := newTestRouter(t, workers, func(cfg *Config) {
@@ -94,28 +164,39 @@ func TestAutoscaleGaugeConformance(t *testing.T) {
 			EvalInterval:    50 * time.Millisecond,
 		}
 	})
-	// Drive some demand and a tick through the deterministic entry
-	// points so counters move off zero.
-	for i := 0; i < 40; i++ {
-		rt.AutoscaleObserve("fn", time.Duration(i)*time.Millisecond)
+	// The fleet starts at the scale floor: one ready worker, the other two
+	// on standby, and the lifecycle gauges say so.
+	if snap := rt.snapshot(); snap.ready != 1 || snap.standby != 2 {
+		t.Fatalf("fleet starts with %d ready, %d standby; want 1 and 2", snap.ready, snap.standby)
 	}
-	rt.AutoscaleTick(50 * time.Millisecond)
+	// Drive some demand and a tick through the scaler at explicit offsets
+	// so counters move off zero.
+	for i := 0; i < 40; i++ {
+		rt.scaler.observe("fn", time.Duration(i)*time.Millisecond)
+	}
+	rt.scaler.tick(50 * time.Millisecond)
 	srv := httptest.NewServer(NewHTTPHandler(rt))
 	defer srv.Close()
 
 	for _, path := range []string{"/metrics", "/cluster/metrics"} {
 		doc := scrapeText(t, srv, path)
-		ast := rt.scaler.status()
-		for _, ex := range autoscaleExports {
-			if !strings.Contains(doc, fmt.Sprintf("# TYPE %s %s\n", ex.Name, ex.Kind)) {
-				t.Errorf("%s missing TYPE header for %s", path, ex.Name)
-			}
-			if got, want := gaugeValue(doc, ex.Name), ex.Value(ast); got != want {
-				t.Errorf("%s: %s = %v, want %v", path, ex.Name, got, want)
-			}
-		}
+		ast, snap := rt.scaler.status(), rt.snapshot()
+		checkSeries(t, path, doc, autoscaleSeries, &ast)
+		checkSeries(t, path, doc, fleetSeries, &snap)
 	}
 	if v := gaugeValue(scrapeText(t, srv, "/metrics"), "faasbatch_autoscale_target_workers"); v < 2 {
 		t.Fatalf("target gauge = %v after a 40-arrival burst, want >= 2", v)
 	}
+}
+
+// TestObservabilityDocSeries holds docs/OBSERVABILITY.md's router tables
+// to the declarations: names, kinds, /stats keys, help texts.
+func TestObservabilityDocSeries(t *testing.T) {
+	const doc = "../../docs/OBSERVABILITY.md"
+	obstest.CheckDoc(t, doc, "router", obstest.DocTable(forwardSeries)+obstest.DocTable(scrapeSeries)+obstest.DocTable(healthSeries))
+	obstest.CheckDoc(t, doc, "router-workers", obstest.DocTable(workerSeries))
+	obstest.CheckDoc(t, doc, "fleet", obstest.DocTable(fleetSeries))
+	obstest.CheckDoc(t, doc, "pull", obstest.DocTable(pullSeries))
+	obstest.CheckDoc(t, doc, "autoscale", obstest.DocTable(autoscaleSeries))
+	obstest.CheckDoc(t, doc, "cluster", obstest.DocTable(clusterSeries))
 }

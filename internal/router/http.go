@@ -7,18 +7,13 @@ import (
 	"io"
 	"net/http"
 	"strconv"
-	"sync"
 	"time"
 
+	"faasbatch/internal/autoscale"
 	"faasbatch/internal/httpapi"
 	"faasbatch/internal/obs"
+	"faasbatch/internal/pullsched"
 )
-
-// respBufPool recycles /invoke response encode buffers; each buffer is
-// fully written before being recycled, so nothing aliases it after Put.
-var respBufPool = sync.Pool{
-	New: func() any { b := make([]byte, 0, 512); return &b },
-}
 
 // NewHTTPHandler exposes a router over HTTP:
 //
@@ -26,7 +21,8 @@ var respBufPool = sync.Pool{
 //	                 httpapi.RoutedInvokeResponse; 429 + Retry-After when
 //	                 admission sheds, 503 when no worker is healthy, and a
 //	                 worker's own HTTP error passes through verbatim
-//	GET  /stats    — reply httpapi.RouterStatsResponse
+//	GET  /stats    — the router's counters, worker table, autoscale and
+//	                 policy blocks (see appendStats)
 //	GET  /workers  — reply []httpapi.WorkerStatus
 //	GET  /metrics  — Prometheus text: router counters, per-worker
 //	                 gauges/counters, forward-latency histograms
@@ -44,104 +40,70 @@ var respBufPool = sync.Pool{
 // /v1/stats, ...) with identical behaviour; the unversioned paths remain
 // as aliases for existing clients. See docs/CLUSTER.md.
 func NewHTTPHandler(rt *Router) http.Handler {
-	mux := http.NewServeMux()
-	// handle registers one route under both its legacy unversioned path
-	// and the /v1 prefix, so the two surfaces cannot drift apart.
-	handle := func(path string, h http.HandlerFunc) {
-		mux.HandleFunc(path, h)
-		mux.HandleFunc("/v1"+path, h)
+	return httpapi.NewMux([]httpapi.Route{
+		{Path: "/invoke", Method: http.MethodPost, Handler: rt.serveInvoke},
+		{Path: "/stats", Method: http.MethodGet, Handler: rt.serveStats},
+		{Path: "/workers", Method: http.MethodGet, Handler: rt.serveWorkers},
+		{Path: "/metrics", Method: http.MethodGet, Handler: rt.serveMetrics},
+		{Path: "/cluster/metrics", Method: http.MethodGet, Handler: rt.serveClusterMetrics},
+		{Path: "/cluster/stats", Method: http.MethodGet, Handler: rt.serveClusterStats},
+		{Path: "/healthz", Handler: rt.serveHealth},
+	})
+}
+
+func (rt *Router) serveInvoke(w http.ResponseWriter, r *http.Request) {
+	body, ok := httpapi.ReadBody(w, r)
+	if !ok {
+		return
 	}
-	handle("/invoke", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			http.Error(w, "POST required", http.StatusMethodNotAllowed)
-			return
-		}
-		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, httpapi.MaxInvokeBodyBytes))
-		if err != nil {
-			// Same cap and status as the worker gateway: an oversize body
-			// answers 413, not 400 (RFC 9110 §15.5.14).
-			var tooBig *http.MaxBytesError
-			if errors.As(err, &tooBig) {
-				http.Error(w, fmt.Sprintf("request body exceeds %d bytes", int64(httpapi.MaxInvokeBodyBytes)), http.StatusRequestEntityTooLarge)
-				return
-			}
-			http.Error(w, fmt.Sprintf("read body: %v", err), http.StatusBadRequest)
-			return
-		}
-		req, err := httpapi.DecodeRoutedInvokeRequest(body)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		// An inbound traceparent joins the router's route/forward spans —
-		// and, propagated onward, the worker's spans — to the caller's
-		// trace. Malformed headers are ignored per the W3C model.
-		parent, _ := obs.ParseTraceParent(r.Header.Get(obs.TraceParentHeader))
-		res, err := rt.InvokeTraced(r.Context(), req, parent)
-		if err != nil {
-			writeInvokeError(w, err)
-			return
-		}
-		if id, err := strconv.ParseUint(res.TraceID, 16, 64); err == nil && id != 0 {
-			w.Header().Set(obs.TraceParentHeader, obs.FormatTraceParent(id))
-		}
-		// Byte-oriented encode through a pooled buffer (the trailing
-		// newline matches json.Encoder.Encode).
-		bufp := respBufPool.Get().(*[]byte)
-		b := httpapi.AppendRoutedInvokeResponse((*bufp)[:0], &res)
-		b = append(b, '\n')
-		w.Header().Set("Content-Type", "application/json")
-		if _, err := w.Write(b); err != nil {
-			rt.logger.Warn("response write failed", "err", err)
-		}
-		*bufp = b
-		respBufPool.Put(bufp)
-	})
-	handle("/stats", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			http.Error(w, "GET required", http.StatusMethodNotAllowed)
-			return
-		}
-		writeJSON(rt, w, rt.statsResponse())
-	})
-	handle("/workers", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			http.Error(w, "GET required", http.StatusMethodNotAllowed)
-			return
-		}
-		writeJSON(rt, w, rt.reg.Snapshot())
-	})
-	handle("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			http.Error(w, "GET required", http.StatusMethodNotAllowed)
-			return
-		}
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-		rt.writeMetrics(w)
-	})
-	handle("/cluster/metrics", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			http.Error(w, "GET required", http.StatusMethodNotAllowed)
-			return
-		}
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-		rt.writeClusterMetrics(r.Context(), w)
-	})
-	handle("/cluster/stats", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			http.Error(w, "GET required", http.StatusMethodNotAllowed)
-			return
-		}
-		writeJSON(rt, w, rt.clusterStatsResponse(r.Context()))
-	})
-	handle("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		up := rt.reg.UpCount()
-		if up == 0 {
-			w.WriteHeader(http.StatusServiceUnavailable)
-		}
-		fmt.Fprintf(w, "{\"status\":%q,\"workersUp\":%d}\n", healthWord(up), up)
-	})
-	return mux
+	req, err := httpapi.DecodeRoutedInvokeRequest(body)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
+	// An inbound traceparent joins the router's route/forward spans —
+	// and, propagated onward, the worker's spans — to the caller's trace.
+	res, err := rt.InvokeTraced(r.Context(), req, httpapi.InboundTrace(r))
+	if err != nil {
+		writeInvokeError(w, err)
+		return
+	}
+	if id, err := strconv.ParseUint(res.TraceID, 16, 64); err == nil {
+		httpapi.EchoTrace(w, id)
+	}
+	bufp := httpapi.LineBuffer()
+	httpapi.WriteLine(w, r, rt.logger, bufp, httpapi.AppendRoutedInvokeResponse((*bufp)[:0], &res))
+}
+
+func (rt *Router) serveStats(w http.ResponseWriter, r *http.Request) {
+	bufp := httpapi.LineBuffer()
+	httpapi.WriteLine(w, r, rt.logger, bufp, rt.appendStats((*bufp)[:0]))
+}
+
+func (rt *Router) serveWorkers(w http.ResponseWriter, r *http.Request) {
+	httpapi.WriteJSON(w, r, rt.logger, http.StatusOK, rt.reg.Snapshot())
+}
+
+func (rt *Router) serveMetrics(w http.ResponseWriter, r *http.Request) {
+	w.Header().Set("Content-Type", httpapi.PromContentType)
+	rt.writeMetrics(w)
+}
+
+func (rt *Router) serveClusterMetrics(w http.ResponseWriter, r *http.Request) {
+	w.Header().Set("Content-Type", httpapi.PromContentType)
+	rt.writeClusterMetrics(r.Context(), w)
+}
+
+func (rt *Router) serveClusterStats(w http.ResponseWriter, r *http.Request) {
+	httpapi.WriteJSON(w, r, rt.logger, http.StatusOK, rt.clusterStats(r.Context()))
+}
+
+func (rt *Router) serveHealth(w http.ResponseWriter, r *http.Request) {
+	up := rt.reg.UpCount()
+	if up == 0 {
+		w.WriteHeader(http.StatusServiceUnavailable)
+	}
+	fmt.Fprintf(w, "{\"status\":%q,\"workersUp\":%d}\n", healthWord(up), up)
 }
 
 // retryAfterSeconds renders a backoff delay as a Retry-After value:
@@ -185,201 +147,150 @@ func writeInvokeError(w http.ResponseWriter, err error) {
 	http.Error(w, err.Error(), http.StatusBadGateway)
 }
 
-// registryGauges enumerates the fleet lifecycle gauges as data, so the
-// reflection conformance test can assert every entry appears on
-// /metrics (and /cluster/metrics) even with autoscaling disabled.
-var registryGauges = []struct {
-	Name, Help string
-	Value      func(ready, draining, down, standby int) int
-}{
-	{"faascluster_workers_ready", "Workers up and owning ring segments.",
-		func(r, d, dn, s int) int { return r }},
-	{"faascluster_workers_draining", "Workers finishing in-flight forwards before retiring.",
-		func(r, d, dn, s int) int { return d }},
-	{"faascluster_workers_down", "Workers marked down by health probes.",
-		func(r, d, dn, s int) int { return dn }},
-	{"faascluster_workers_standby", "Workers administratively retired from the ring.",
-		func(r, d, dn, s int) int { return s }},
+// snapshot is what one /stats or /metrics scrape reads of the router and
+// its registry, taken once so every row of a reply agrees.
+type snapshot struct {
+	Stats
+	markDowns, markUps             int64
+	workersUp                      int
+	imbalance                      float64
+	ready, draining, down, standby int
 }
 
-// autoscaleExport is one faasbatch_autoscale_* series: the mapping is
-// data so the conformance test walks it, PR 2 style.
-type autoscaleExport struct {
-	Name, Help, Kind string
-	Value            func(httpapi.AutoscaleStatus) float64
+func (rt *Router) snapshot() snapshot {
+	s := snapshot{Stats: rt.Stats(), workersUp: rt.reg.UpCount(), imbalance: rt.ForwardImbalance()}
+	s.markDowns, s.markUps = rt.reg.Transitions()
+	s.ready, s.draining, s.down, s.standby = rt.reg.Counts()
+	return s
 }
 
-// autoscaleExports enumerates the control loop's exposition: target vs
-// actual workers, forecast demand, scale events, and drain durations.
-var autoscaleExports = []autoscaleExport{
-	{"faasbatch_autoscale_target_workers", "Control loop's desired ready-worker count.", "gauge",
-		func(a httpapi.AutoscaleStatus) float64 { return float64(a.Target) }},
-	{"faasbatch_autoscale_ready_workers", "Workers ready per the controller's lifecycle view.", "gauge",
-		func(a httpapi.AutoscaleStatus) float64 { return float64(a.Ready) }},
-	{"faasbatch_autoscale_warming_workers", "Workers pre-warming ahead of predicted load.", "gauge",
-		func(a httpapi.AutoscaleStatus) float64 { return float64(a.Warming) }},
-	{"faasbatch_autoscale_draining_workers", "Workers draining toward retirement.", "gauge",
-		func(a httpapi.AutoscaleStatus) float64 { return float64(a.Draining) }},
-	{"faasbatch_autoscale_forecast_demand", "Short-horizon demand forecast (invocations/second).", "gauge",
-		func(a httpapi.AutoscaleStatus) float64 { return a.Forecast }},
-	{"faasbatch_autoscale_prewarm_floor_workers", "Pre-warm floor from the burst-rate histogram.", "gauge",
-		func(a httpapi.AutoscaleStatus) float64 { return float64(a.Floor) }},
-	{"faasbatch_autoscale_scale_ups_total", "Provision and reclaim decisions.", "counter",
-		func(a httpapi.AutoscaleStatus) float64 { return float64(a.ScaleUps) }},
-	{"faasbatch_autoscale_scale_downs_total", "Drain decisions.", "counter",
-		func(a httpapi.AutoscaleStatus) float64 { return float64(a.ScaleDowns) }},
-	{"faasbatch_autoscale_wakes_total", "Scale-from-zero wake-ups.", "counter",
-		func(a httpapi.AutoscaleStatus) float64 { return float64(a.Wakes) }},
-	{"faasbatch_autoscale_drains_completed_total", "Graceful drains completed.", "counter",
-		func(a httpapi.AutoscaleStatus) float64 { return float64(a.Drained) }},
-	{"faasbatch_autoscale_drain_seconds_total", "Summed graceful drain durations.", "counter",
-		func(a httpapi.AutoscaleStatus) float64 { return a.DrainSeconds }},
-}
-
-// policyExport is one faasrouter_pull_* series: the mapping is data so
-// the conformance test walks it, registryGauges style.
-type policyExport struct {
-	Name, Help, Kind string
-	Value            func(httpapi.PolicyStats) float64
-}
-
-// policyExports enumerates the pull policy's exposition: queue and
-// lease occupancy plus the lease-protocol counters. Emitted only when
-// the pull policy is active (hash has no queues to report).
-var policyExports = []policyExport{
-	{"faasrouter_pull_queued", "Invocations waiting in per-function pull queues.", "gauge",
-		func(p httpapi.PolicyStats) float64 { return float64(p.Queued) }},
-	{"faasrouter_pull_leases", "Invocations currently leased to workers.", "gauge",
-		func(p httpapi.PolicyStats) float64 { return float64(p.Leases) }},
-	{"faasrouter_pull_granted_total", "Leases handed out, re-grants included.", "counter",
-		func(p httpapi.PolicyStats) float64 { return float64(p.Granted) }},
-	{"faasrouter_pull_requeues_total", "Failed or expired leases returned to their queue.", "counter",
-		func(p httpapi.PolicyStats) float64 { return float64(p.Requeues) }},
-	{"faasrouter_pull_expired_total", "Leases reclaimed by the lease-budget sweep.", "counter",
-		func(p httpapi.PolicyStats) float64 { return float64(p.Expired) }},
-	{"faasrouter_pull_shed_total", "Arrivals refused at the pull queue-depth bound.", "counter",
-		func(p httpapi.PolicyStats) float64 { return float64(p.Shed) }},
-}
-
-// writeFleetGauges renders the registry lifecycle gauges and — when the
-// control loop runs — the autoscale series, plus the pull policy's
-// series under the pull policy. Shared by /metrics and /cluster/metrics
-// so scaling state is visible on both surfaces.
-func (rt *Router) writeFleetGauges(w io.Writer) {
-	ready, draining, down, standby := rt.reg.Counts()
-	for _, g := range registryGauges {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n",
-			g.Name, g.Help, g.Name, g.Name, g.Value(ready, draining, down, standby))
+// The router's own series. /metrics and /stats list the same rows in
+// different orders (the scrape counters sit before the health rows on
+// /metrics and after them on /stats), hence three tables.
+var (
+	forwardSeries = []obs.Series[snapshot]{
+		{Name: "faasrouter_routed_total", Kind: obs.Counter, Help: "Invocations admitted past admission control.", Key: "routed", Int: func(s *snapshot) int64 { return s.Routed }},
+		{Name: "faasrouter_completed_total", Kind: obs.Counter, Help: "Invocations that returned a worker response.", Key: "completed", Int: func(s *snapshot) int64 { return s.Completed }},
+		{Name: "faasrouter_forwarded_total", Kind: obs.Counter, Help: "Forward attempts that reached a worker.", Key: "forwarded", Int: func(s *snapshot) int64 { return s.Forwarded }},
+		{Name: "faasrouter_retries_total", Kind: obs.Counter, Help: "Extra forward attempts after transient failures.", Key: "retries", Int: func(s *snapshot) int64 { return s.Retries }},
+		{Name: "faasrouter_failovers_total", Kind: obs.Counter, Help: "Forward attempts moved to a different ring replica.", Key: "failovers", Int: func(s *snapshot) int64 { return s.Failovers }},
+		{Name: "faasrouter_shed_total", Kind: obs.Counter, Help: "Invocations rejected by admission control.", Key: "shed", Int: func(s *snapshot) int64 { return s.Shed }},
+		{Name: "faasrouter_no_workers_total", Kind: obs.Counter, Help: "Invocations rejected with no healthy worker.", Key: "noWorkers", Int: func(s *snapshot) int64 { return s.NoWorkers }},
+		{Name: "faasrouter_errors_total", Kind: obs.Counter, Help: "Invocations that exhausted their forward attempts.", Key: "errors", Int: func(s *snapshot) int64 { return s.Errors }},
+		{Name: "faasrouter_probes_total", Kind: obs.Counter, Help: "Health probes sent.", Key: "probes", Int: func(s *snapshot) int64 { return s.Probes }},
+		{Name: "faasrouter_probe_failures_total", Kind: obs.Counter, Help: "Health probes that failed.", Key: "probeFailures", Int: func(s *snapshot) int64 { return s.ProbeFailures }},
 	}
+	scrapeSeries = []obs.Series[snapshot]{
+		{Name: "faasrouter_scrapes_total", Kind: obs.Counter, Help: "Member scrapes attempted for the cluster view.", Key: "scrapes", Int: func(s *snapshot) int64 { return s.Scrapes }},
+		{Name: "faasrouter_scrape_failures_total", Kind: obs.Counter, Help: "Member scrapes that failed.", Key: "scrapeFailures", Int: func(s *snapshot) int64 { return s.ScrapeFailures }},
+	}
+	healthSeries = []obs.Series[snapshot]{
+		{Name: "faasrouter_mark_downs_total", Kind: obs.Counter, Help: "Worker up-to-down transitions.", Key: "markDowns", Int: func(s *snapshot) int64 { return s.markDowns }},
+		{Name: "faasrouter_mark_ups_total", Kind: obs.Counter, Help: "Worker down-to-up transitions.", Key: "markUps", Int: func(s *snapshot) int64 { return s.markUps }},
+		{Name: "faasrouter_workers_up", Kind: obs.Gauge, Help: "Workers currently marked up.", Key: "workersUp", Int: func(s *snapshot) int64 { return int64(s.workersUp) }},
+		{Name: "faasrouter_forward_imbalance", Kind: obs.Gauge, Help: "Max/mean of per-worker forwarded counts.", Key: "forwardImbalance", Float: func(s *snapshot) float64 { return s.imbalance }},
+	}
+)
+
+// workerSeries are the per-worker families of /metrics, one sample per
+// row of the worker table under a worker label.
+var workerSeries = []obs.Series[httpapi.WorkerStatus]{
+	{Name: "faasrouter_worker_forwarded_total", Kind: obs.Counter, Help: "Invocations served per worker.", Int: func(w *httpapi.WorkerStatus) int64 { return w.Forwarded }},
+	{Name: "faasrouter_worker_up", Kind: obs.Gauge, Help: "Worker liveness (1 = up).", Int: func(w *httpapi.WorkerStatus) int64 {
+		if w.State == WorkerUp.String() {
+			return 1
+		}
+		return 0
+	}},
+	{Name: "faasrouter_worker_inflight", Kind: obs.Gauge, Help: "Outstanding forwards per worker.", Int: func(w *httpapi.WorkerStatus) int64 { return w.Inflight }},
+}
+
+// fleetSeries are the registry lifecycle gauges, on /metrics and
+// /cluster/metrics whether or not the autoscaler runs.
+var fleetSeries = []obs.Series[snapshot]{
+	{Name: "faascluster_workers_ready", Kind: obs.Gauge, Help: "Workers up and owning ring segments.", Int: func(s *snapshot) int64 { return int64(s.ready) }},
+	{Name: "faascluster_workers_draining", Kind: obs.Gauge, Help: "Workers finishing in-flight forwards before retiring.", Int: func(s *snapshot) int64 { return int64(s.draining) }},
+	{Name: "faascluster_workers_down", Kind: obs.Gauge, Help: "Workers marked down by health probes.", Int: func(s *snapshot) int64 { return int64(s.down) }},
+	{Name: "faascluster_workers_standby", Kind: obs.Gauge, Help: "Workers administratively retired from the ring.", Int: func(s *snapshot) int64 { return int64(s.standby) }},
+}
+
+// autoscaleSeries is the control loop's exposition — target vs actual
+// workers, forecast demand, scale events, drain durations — and the
+// /stats autoscale block, over the controller's own snapshot.
+var autoscaleSeries = []obs.Series[autoscale.Status]{
+	{Name: "faasbatch_autoscale_target_workers", Kind: obs.Gauge, Help: "Control loop's desired ready-worker count.", Key: "target", Float: func(a *autoscale.Status) float64 { return float64(a.Target) }},
+	{Name: "faasbatch_autoscale_ready_workers", Kind: obs.Gauge, Help: "Workers ready per the controller's lifecycle view.", Key: "ready", Float: func(a *autoscale.Status) float64 { return float64(a.Ready) }},
+	{Name: "faasbatch_autoscale_warming_workers", Kind: obs.Gauge, Help: "Workers pre-warming ahead of predicted load.", Key: "warming", Float: func(a *autoscale.Status) float64 { return float64(a.Warming) }},
+	{Name: "faasbatch_autoscale_draining_workers", Kind: obs.Gauge, Help: "Workers draining toward retirement.", Key: "draining", Float: func(a *autoscale.Status) float64 { return float64(a.Draining) }},
+	{Key: "standby", Help: "Workers the controller holds retired.", Int: func(a *autoscale.Status) int64 { return int64(a.Retired) }},
+	{Name: "faasbatch_autoscale_forecast_demand", Kind: obs.Gauge, Help: "Short-horizon demand forecast (invocations/second).", Key: "forecast", Float: func(a *autoscale.Status) float64 { return a.Forecast }},
+	{Name: "faasbatch_autoscale_prewarm_floor_workers", Kind: obs.Gauge, Help: "Pre-warm floor from the burst-rate histogram.", Key: "floor", Float: func(a *autoscale.Status) float64 { return float64(a.Floor) }},
+	{Name: "faasbatch_autoscale_scale_ups_total", Kind: obs.Counter, Help: "Provision and reclaim decisions.", Key: "scaleUps", Float: func(a *autoscale.Status) float64 { return float64(a.ScaleUps) }},
+	{Name: "faasbatch_autoscale_scale_downs_total", Kind: obs.Counter, Help: "Drain decisions.", Key: "scaleDowns", Float: func(a *autoscale.Status) float64 { return float64(a.ScaleDowns) }},
+	{Name: "faasbatch_autoscale_wakes_total", Kind: obs.Counter, Help: "Scale-from-zero wake-ups.", Key: "wakes", Float: func(a *autoscale.Status) float64 { return float64(a.Wakes) }},
+	{Name: "faasbatch_autoscale_drains_completed_total", Kind: obs.Counter, Help: "Graceful drains completed.", Key: "drained", Float: func(a *autoscale.Status) float64 { return float64(a.Drained) }},
+	{Name: "faasbatch_autoscale_drain_seconds_total", Kind: obs.Counter, Help: "Summed graceful drain durations.", Key: "drainSeconds", Float: func(a *autoscale.Status) float64 { return a.DrainTime.Seconds() }},
+}
+
+// pullSeries is the pull policy's exposition — queue and lease occupancy
+// plus the lease-protocol counters — and the /stats policy block, over
+// the decision core's own snapshot. /metrics carries it only under the
+// pull policy (hash has no queues to report).
+var pullSeries = []obs.Series[pullsched.Stats]{
+	{Name: "faasrouter_pull_queued", Kind: obs.Gauge, Help: "Invocations waiting in per-function pull queues.", Key: "queued", Float: func(p *pullsched.Stats) float64 { return float64(p.Queued) }},
+	{Name: "faasrouter_pull_leases", Kind: obs.Gauge, Help: "Invocations currently leased to workers.", Key: "leases", Float: func(p *pullsched.Stats) float64 { return float64(p.Leases) }},
+	{Name: "faasrouter_pull_granted_total", Kind: obs.Counter, Help: "Leases handed out, re-grants included.", Key: "granted", Float: func(p *pullsched.Stats) float64 { return float64(p.Granted) }},
+	{Name: "faasrouter_pull_requeues_total", Kind: obs.Counter, Help: "Failed or expired leases returned to their queue.", Key: "requeues", Float: func(p *pullsched.Stats) float64 { return float64(p.Requeues) }},
+	{Name: "faasrouter_pull_expired_total", Kind: obs.Counter, Help: "Leases reclaimed by the lease-budget sweep.", Key: "expired", Float: func(p *pullsched.Stats) float64 { return float64(p.Expired) }},
+	{Name: "faasrouter_pull_shed_total", Kind: obs.Counter, Help: "Arrivals refused at the pull queue-depth bound.", Key: "shed", Float: func(p *pullsched.Stats) float64 { return float64(p.Shed) }},
+}
+
+// writeFleetGauges renders the registry lifecycle gauges, the pull
+// policy's series under the pull policy and — when the control loop runs
+// — the autoscale series. Shared by /metrics and /cluster/metrics so
+// scaling state is visible on both surfaces.
+func (rt *Router) writeFleetGauges(w io.Writer, snap *snapshot) {
+	obs.WriteSeries(w, fleetSeries, snap)
 	if rt.policy.Name() == PolicyPull {
 		pst := rt.policy.Stats()
-		for _, ex := range policyExports {
-			fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n%s %g\n",
-				ex.Name, ex.Help, ex.Name, ex.Kind, ex.Name, ex.Value(pst))
-		}
+		obs.WriteSeries(w, pullSeries, &pst)
 	}
-	if rt.scaler == nil {
-		return
-	}
-	ast := rt.scaler.status()
-	for _, ex := range autoscaleExports {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n%s %g\n",
-			ex.Name, ex.Help, ex.Name, ex.Kind, ex.Name, ex.Value(ast))
+	if rt.scaler != nil {
+		ast := rt.scaler.status()
+		obs.WriteSeries(w, autoscaleSeries, &ast)
 	}
 }
 
-// statsResponse assembles the /stats reply.
-func (rt *Router) statsResponse() httpapi.RouterStatsResponse {
-	st := rt.Stats()
-	markDowns, markUps := rt.reg.Transitions()
-	return httpapi.RouterStatsResponse{
-		Routed:           st.Routed,
-		Completed:        st.Completed,
-		Forwarded:        st.Forwarded,
-		Retries:          st.Retries,
-		Failovers:        st.Failovers,
-		Shed:             st.Shed,
-		NoWorkers:        st.NoWorkers,
-		Errors:           st.Errors,
-		Probes:           st.Probes,
-		ProbeFailures:    st.ProbeFailures,
-		Scrapes:          st.Scrapes,
-		ScrapeFailures:   st.ScrapeFailures,
-		MarkDowns:        markDowns,
-		MarkUps:          markUps,
-		WorkersUp:        rt.reg.UpCount(),
-		ForwardImbalance: rt.ForwardImbalance(),
-		Workers:          rt.reg.Snapshot(),
-		Autoscale:        rt.autoscaleStatusField(),
-		Policy:           rt.policyStatsField(),
+// appendStats appends the /stats document: the router's rows, the worker
+// table, then the autoscale block (only when the control loop runs) and
+// the policy block.
+func (rt *Router) appendStats(dst []byte) []byte {
+	snap := rt.snapshot()
+	dst = obs.AppendJSONFields(append(dst, '{'), forwardSeries, &snap)
+	dst = obs.AppendJSONFields(dst, healthSeries, &snap)
+	dst = obs.AppendJSONFields(dst, scrapeSeries, &snap)
+	workers, err := json.Marshal(rt.reg.Snapshot())
+	if err != nil {
+		workers = []byte("null") // unreachable: the rows are plain strings and integers
 	}
-}
-
-// policyStatsField returns the /stats policy block.
-func (rt *Router) policyStatsField() *httpapi.PolicyStats {
-	st := rt.policy.Stats()
-	return &st
-}
-
-// autoscaleStatusField returns the /stats autoscale block (nil when
-// the control loop is disabled, so the JSON field is omitted).
-func (rt *Router) autoscaleStatusField() *httpapi.AutoscaleStatus {
-	if rt.scaler == nil {
-		return nil
+	dst = append(append(dst, `,"workers":`...), workers...)
+	if rt.scaler != nil {
+		ast := rt.scaler.status()
+		dst = append(obs.AppendJSONFields(append(dst, `,"autoscale":{`...), autoscaleSeries, &ast), '}')
 	}
-	ast := rt.scaler.status()
-	return &ast
-}
-
-// writeJSON writes v as a JSON response.
-func writeJSON(rt *Router, w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(v); err != nil {
-		rt.logger.Warn("response encode failed", "err", err)
-	}
+	pst := rt.policy.Stats()
+	dst = strconv.AppendQuote(append(dst, `,"policy":{"policy":`...), rt.policy.Name())
+	return append(obs.AppendJSONFields(dst, pullSeries, &pst), '}', '}')
 }
 
 // writeMetrics renders the router's Prometheus exposition.
 func (rt *Router) writeMetrics(w io.Writer) {
-	st := rt.Stats()
-	markDowns, markUps := rt.reg.Transitions()
-	counter := func(name, help string, v int64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
-	counter("faasrouter_routed_total", "Invocations admitted past admission control.", st.Routed)
-	counter("faasrouter_completed_total", "Invocations that returned a worker response.", st.Completed)
-	counter("faasrouter_forwarded_total", "Forward attempts that reached a worker.", st.Forwarded)
-	counter("faasrouter_retries_total", "Extra forward attempts after transient failures.", st.Retries)
-	counter("faasrouter_failovers_total", "Forward attempts moved to a different ring replica.", st.Failovers)
-	counter("faasrouter_shed_total", "Invocations rejected by admission control.", st.Shed)
-	counter("faasrouter_no_workers_total", "Invocations rejected with no healthy worker.", st.NoWorkers)
-	counter("faasrouter_errors_total", "Invocations that exhausted their forward attempts.", st.Errors)
-	counter("faasrouter_probes_total", "Health probes sent.", st.Probes)
-	counter("faasrouter_probe_failures_total", "Health probes that failed.", st.ProbeFailures)
-	counter("faasrouter_scrapes_total", "Member scrapes attempted for the cluster view.", st.Scrapes)
-	counter("faasrouter_scrape_failures_total", "Member scrapes that failed.", st.ScrapeFailures)
-	counter("faasrouter_mark_downs_total", "Worker up-to-down transitions.", markDowns)
-	counter("faasrouter_mark_ups_total", "Worker down-to-up transitions.", markUps)
-	fmt.Fprintf(w, "# HELP faasrouter_workers_up Workers currently marked up.\n# TYPE faasrouter_workers_up gauge\nfaasrouter_workers_up %d\n", rt.reg.UpCount())
-	fmt.Fprintf(w, "# HELP faasrouter_forward_imbalance Max/mean of per-worker forwarded counts.\n# TYPE faasrouter_forward_imbalance gauge\nfaasrouter_forward_imbalance %g\n", rt.ForwardImbalance())
-	workers := rt.reg.Snapshot()
-	fmt.Fprintf(w, "# HELP faasrouter_worker_forwarded_total Invocations served per worker.\n# TYPE faasrouter_worker_forwarded_total counter\n")
-	for _, wk := range workers {
-		fmt.Fprintf(w, "faasrouter_worker_forwarded_total{worker=%q} %d\n", wk.ID, wk.Forwarded)
-	}
-	fmt.Fprintf(w, "# HELP faasrouter_worker_up Worker liveness (1 = up).\n# TYPE faasrouter_worker_up gauge\n")
-	for _, wk := range workers {
-		up := 0
-		if wk.State == WorkerUp.String() {
-			up = 1
-		}
-		fmt.Fprintf(w, "faasrouter_worker_up{worker=%q} %d\n", wk.ID, up)
-	}
-	fmt.Fprintf(w, "# HELP faasrouter_worker_inflight Outstanding forwards per worker.\n# TYPE faasrouter_worker_inflight gauge\n")
-	for _, wk := range workers {
-		fmt.Fprintf(w, "faasrouter_worker_inflight{worker=%q} %d\n", wk.ID, wk.Inflight)
-	}
-	rt.writeFleetGauges(w)
+	snap := rt.snapshot()
+	obs.WriteSeries(w, forwardSeries, &snap)
+	obs.WriteSeries(w, scrapeSeries, &snap)
+	obs.WriteSeries(w, healthSeries, &snap)
+	obs.WriteLabeledSeries(w, workerSeries, rt.reg.Snapshot(), "worker", func(wk *httpapi.WorkerStatus) string { return wk.ID })
+	rt.writeFleetGauges(w, &snap)
 	obs.WriteRuntimeGauges(w, "faasrouter")
 	rt.metrics.WritePrometheus(w)
 }

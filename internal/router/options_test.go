@@ -2,11 +2,9 @@ package router
 
 import (
 	"errors"
-	"log/slog"
 	"strings"
 	"testing"
 
-	"faasbatch/internal/autoscale"
 	"faasbatch/internal/pullsched"
 )
 
@@ -16,20 +14,13 @@ func optSpecs() []WorkerSpec {
 }
 
 func TestOptionsApply(t *testing.T) {
-	logger := slog.Default()
-	rt, err := New(Config{Workers: optSpecs()},
-		WithPolicy(PolicyPull),
-		WithLogger(logger),
-	)
+	rt, err := New(Config{Workers: optSpecs()}, WithPolicy(PolicyPull))
 	if err != nil {
 		t.Fatalf("New with options: %v", err)
 	}
 	defer func() { _ = rt.Close() }()
 	if rt.Policy().Name() != PolicyPull {
 		t.Fatalf("policy = %q, want pull", rt.Policy().Name())
-	}
-	if rt.logger != logger {
-		t.Fatal("WithLogger not applied")
 	}
 }
 
@@ -44,7 +35,7 @@ func TestWithPullConfigImpliesPull(t *testing.T) {
 	if rt.Policy().Name() != PolicyPull {
 		t.Fatalf("policy = %q, want pull", rt.Policy().Name())
 	}
-	if d := rt.pullCore().core.Config().QueueDepth; d != 3 {
+	if d := rt.policy.(*pullPolicy).core.Config().QueueDepth; d != 3 {
 		t.Fatalf("queue depth = %d, want 3", d)
 	}
 }
@@ -66,12 +57,8 @@ func TestOptionConflicts(t *testing.T) {
 			[]Option{WithPullConfig(pullsched.Config{}), WithPolicy(PolicyHash)}, "policy"},
 		{"pull config vs cfg hash policy", Config{Policy: PolicyHash},
 			[]Option{WithPullConfig(pullsched.Config{})}, "policy"},
-		{"autoscale both ways", Config{Autoscale: &autoscale.Config{}},
-			[]Option{WithAutoscale(autoscale.Config{})}, "autoscale"},
-		{"logger both ways", Config{Logger: slog.Default()},
-			[]Option{WithLogger(slog.Default())}, "logger"},
-		{"logger twice", Config{},
-			[]Option{WithLogger(slog.Default()), WithLogger(slog.Default())}, "logger"},
+		{"pull config twice", Config{},
+			[]Option{WithPullConfig(pullsched.Config{}), WithPullConfig(pullsched.Config{})}, "pull"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -4,14 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"log/slog"
-	"net/http"
 	"strings"
 
-	"faasbatch/internal/autoscale"
-	"faasbatch/internal/chaos"
-	"faasbatch/internal/httpapi"
-	"faasbatch/internal/obs"
 	"faasbatch/internal/pullsched"
 )
 
@@ -46,8 +40,9 @@ type Policy interface {
 	// The pull policy stops granting to ineligible workers and treats a
 	// newly eligible one as a wake — it immediately drains queued work.
 	OnMembershipChange(workerID string, eligible bool)
-	// Stats snapshots the policy's counters for /stats and /metrics.
-	Stats() httpapi.PolicyStats
+	// Stats snapshots the policy's decision core for /stats and /metrics:
+	// the pull core's counters, all zero under the hash policy.
+	Stats() pullsched.Stats
 	// sweep runs periodic maintenance off the probe loop (the pull
 	// policy's lease-expiry scan). Sealed: implementations live here.
 	sweep()
@@ -98,9 +93,7 @@ func (p *hashPolicy) Assign(ctx context.Context, fn string) (Binding, error) {
 func (p *hashPolicy) OnMembershipChange(string, bool) {}
 
 // Stats implements Policy.
-func (p *hashPolicy) Stats() httpapi.PolicyStats {
-	return httpapi.PolicyStats{Policy: PolicyHash}
-}
+func (p *hashPolicy) Stats() pullsched.Stats { return pullsched.Stats{} }
 
 // sweep implements Policy (no periodic work).
 func (p *hashPolicy) sweep() {}
@@ -128,30 +121,21 @@ func (b *hashBinding) detail() string {
 // same option twice). Match with errors.Is.
 var ErrConflictingOptions = errors.New("router: conflicting options")
 
-// Option customises New beyond the Config struct, mirroring the
-// facade's PlatformOption pattern. Options and config-struct
-// construction compose, but each knob may be set through only one of
-// the two — setting it through both fails with ErrConflictingOptions.
+// Option selects the scheduling policy at New, mirroring the facade's
+// PlatformOption pattern; every other knob is a Config field. Options
+// and config-struct construction compose, but the policy may be set
+// through only one of the two — setting it through both fails with
+// ErrConflictingOptions.
 type Option func(*routerOptions)
 
 // routerOptions accumulates functional-option state before it is
 // merged into the config.
 type routerOptions struct {
-	policy       string
-	policySet    bool
-	pull         *pullsched.Config
-	pullSet      bool
-	scale        *autoscale.Config
-	scaleSet     bool
-	chaos        *chaos.Injector
-	chaosSet     bool
-	tracer       *obs.Tracer
-	tracerSet    bool
-	logger       *slog.Logger
-	loggerSet    bool
-	transport    http.RoundTripper
-	transportSet bool
-	duplicates   []string
+	policy     string
+	policySet  bool
+	pull       *pullsched.Config
+	pullSet    bool
+	duplicates []string
 }
 
 func (o *routerOptions) noteDup(name string, set bool) {
@@ -180,53 +164,6 @@ func WithPullConfig(cfg pullsched.Config) Option {
 	}
 }
 
-// WithAutoscale enables the predictive autoscaling control loop
-// (equivalent to Config.Autoscale; setting both conflicts).
-func WithAutoscale(cfg autoscale.Config) Option {
-	return func(o *routerOptions) {
-		o.noteDup("autoscale", o.scaleSet)
-		c := cfg
-		o.scale, o.scaleSet = &c, true
-	}
-}
-
-// WithChaos installs a deterministic fault injector (equivalent to
-// Config.Chaos; setting both conflicts).
-func WithChaos(inj *chaos.Injector) Option {
-	return func(o *routerOptions) {
-		o.noteDup("chaos", o.chaosSet)
-		o.chaos, o.chaosSet = inj, true
-	}
-}
-
-// WithTracer installs the router's span recorder (equivalent to
-// Config.Tracer; setting both conflicts).
-func WithTracer(t *obs.Tracer) Option {
-	return func(o *routerOptions) {
-		o.noteDup("tracer", o.tracerSet)
-		o.tracer, o.tracerSet = t, true
-	}
-}
-
-// WithLogger installs the router's structured logger (equivalent to
-// Config.Logger; setting both conflicts).
-func WithLogger(l *slog.Logger) Option {
-	return func(o *routerOptions) {
-		o.noteDup("logger", o.loggerSet)
-		o.logger, o.loggerSet = l, true
-	}
-}
-
-// WithTransport overrides the forwarding HTTP transport (equivalent to
-// Config.Transport; setting both conflicts). Tests use it to route
-// forwards through in-process workers.
-func WithTransport(t http.RoundTripper) Option {
-	return func(o *routerOptions) {
-		o.noteDup("transport", o.transportSet)
-		o.transport, o.transportSet = t, true
-	}
-}
-
 // mergeOptions folds functional options into cfg, failing on knobs set
 // both ways (facade ErrConflictingOptions semantics).
 func mergeOptions(cfg Config, opts []Option) (Config, error) {
@@ -249,21 +186,6 @@ func mergeOptions(cfg Config, opts []Option) (Config, error) {
 	if o.pullSet && !o.policySet && cfg.Policy != "" && cfg.Policy != PolicyPull {
 		conflicts = append(conflicts, "policy")
 	}
-	if o.scaleSet && cfg.Autoscale != nil {
-		conflicts = append(conflicts, "autoscale")
-	}
-	if o.chaosSet && cfg.Chaos != nil {
-		conflicts = append(conflicts, "chaos")
-	}
-	if o.tracerSet && cfg.Tracer != nil {
-		conflicts = append(conflicts, "tracer")
-	}
-	if o.loggerSet && cfg.Logger != nil {
-		conflicts = append(conflicts, "logger")
-	}
-	if o.transportSet && cfg.Transport != nil {
-		conflicts = append(conflicts, "transport")
-	}
 	if len(conflicts) > 0 {
 		return cfg, fmt.Errorf("%w: %s set more than once", ErrConflictingOptions,
 			strings.Join(conflicts, ", "))
@@ -274,21 +196,6 @@ func mergeOptions(cfg Config, opts []Option) (Config, error) {
 	if o.pullSet {
 		cfg.Policy = PolicyPull
 		cfg.Pull = o.pull
-	}
-	if o.scaleSet {
-		cfg.Autoscale = o.scale
-	}
-	if o.chaosSet {
-		cfg.Chaos = o.chaos
-	}
-	if o.tracerSet {
-		cfg.Tracer = o.tracer
-	}
-	if o.loggerSet {
-		cfg.Logger = o.logger
-	}
-	if o.transportSet {
-		cfg.Transport = o.transport
 	}
 	return cfg, nil
 }

@@ -50,11 +50,11 @@ func TestPullInvokeBasic(t *testing.T) {
 			t.Fatalf("invoke %d: %v", i, err)
 		}
 	}
-	st := rt.PullStats()
+	st := rt.policy.Stats()
 	if st.Enqueued != 10 || st.Completed != 10 || st.Queued != 0 || st.Leases != 0 {
 		t.Fatalf("core stats after 10 invokes: %+v", st)
 	}
-	if ps := rt.Policy().Stats(); ps.Policy != PolicyPull || ps.Granted != 10 {
+	if ps := rt.Policy().Stats(); rt.Policy().Name() != PolicyPull || ps.Granted != 10 {
 		t.Fatalf("policy stats: %+v", ps)
 	}
 	if workers[0].servedCount() == 0 || workers[1].servedCount() == 0 {
@@ -83,7 +83,7 @@ func TestPullLeaseRequeuedOnceOnWorkerCrash(t *testing.T) {
 	if resp.ForwardAttempts != 2 {
 		t.Fatalf("ForwardAttempts = %d, want 2", resp.ForwardAttempts)
 	}
-	st := rt.PullStats()
+	st := rt.policy.Stats()
 	if st.Requeues != 1 || st.Granted != 2 || st.Failed != 1 {
 		t.Fatalf("lease should requeue exactly once: %+v", st)
 	}
@@ -145,7 +145,7 @@ func TestPullShedsAtQueueDepth(t *testing.T) {
 	if st.Shed != int64(shed) || st.Routed != int64(served) {
 		t.Fatalf("router stats: %+v (served=%d shed=%d)", st, served, shed)
 	}
-	cst := rt.PullStats()
+	cst := rt.policy.Stats()
 	if cst.Shed != uint64(shed) || cst.Enqueued != cst.Completed+cst.Aborted {
 		t.Fatalf("core stats: %+v", cst)
 	}
@@ -171,7 +171,7 @@ func TestPullWakeOnActivation(t *testing.T) {
 	}()
 	// The invocation must be queued, not failed: no eligible worker.
 	deadline := time.Now().Add(2 * time.Second)
-	for rt.PullStats().Queued == 0 {
+	for rt.policy.Stats().Queued == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("invocation never queued")
 		}
@@ -205,7 +205,7 @@ func TestPullAbortOnContextCancel(t *testing.T) {
 		errCh <- err
 	}()
 	deadline := time.Now().Add(2 * time.Second)
-	for rt.PullStats().Queued == 0 {
+	for rt.policy.Stats().Queued == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("invocation never queued")
 		}
@@ -215,7 +215,7 @@ func TestPullAbortOnContextCancel(t *testing.T) {
 	if err := <-errCh; !errors.Is(err, context.Canceled) {
 		t.Fatalf("invoke after cancel: %v", err)
 	}
-	st := rt.PullStats()
+	st := rt.policy.Stats()
 	if st.Aborted != 1 || st.Queued != 0 || st.Enqueued != st.Completed+st.Aborted {
 		t.Fatalf("core stats after cancel: %+v", st)
 	}
@@ -238,13 +238,13 @@ func TestPullLeaseExpirySweep(t *testing.T) {
 	})
 	// Take a lease directly against the core (no driver goroutine), as
 	// a died-without-settling holder would leave it.
-	gs, shed := rt.PullEnqueue(1, "hot", 0)
+	gs, shed := rt.policy.(*pullPolicy).core.Enqueue(1, "hot", 0)
 	if shed || len(gs) != 1 {
 		t.Fatalf("seed lease: gs=%+v shed=%v", gs, shed)
 	}
 	time.Sleep(20 * time.Millisecond)
 	rt.policy.sweep()
-	st := rt.PullStats()
+	st := rt.policy.Stats()
 	if st.Expired != 1 || st.Requeues != 1 || st.Granted != 2 {
 		t.Fatalf("sweep should reclaim and re-grant the orphan lease: %+v", st)
 	}
@@ -264,18 +264,17 @@ func TestPullStatsSurface(t *testing.T) {
 	for _, path := range []string{"/metrics", "/cluster/metrics"} {
 		doc := scrapeText(t, srv, path)
 		pst := rt.policy.Stats()
-		for _, ex := range policyExports {
+		for _, ex := range pullSeries {
 			if !strings.Contains(doc, fmt.Sprintf("# TYPE %s %s\n", ex.Name, ex.Kind)) {
 				t.Errorf("%s missing TYPE header for %s", path, ex.Name)
 			}
-			if got, want := gaugeValue(doc, ex.Name), ex.Value(pst); got != want {
+			if got, want := gaugeValue(doc, ex.Name), ex.Float(&pst); got != want {
 				t.Errorf("%s: %s = %v, want %v", path, ex.Name, got, want)
 			}
 		}
 	}
-	stats := rt.statsResponse()
-	if stats.Policy == nil || stats.Policy.Policy != PolicyPull || stats.Policy.Granted != 1 {
-		t.Fatalf("/stats policy block: %+v", stats.Policy)
+	if doc := string(rt.appendStats(nil)); !strings.Contains(doc, `"policy":{"policy":"pull","queued":0,"leases":0,"granted":1,`) {
+		t.Fatalf("/stats policy block: %s", doc)
 	}
 
 	hashRt := newTestRouter(t, workers, nil)
@@ -284,7 +283,7 @@ func TestPullStatsSurface(t *testing.T) {
 	if doc := scrapeText(t, hashSrv, "/metrics"); strings.Contains(doc, "faasrouter_pull_") {
 		t.Error("hash policy exposes pull series")
 	}
-	if stats := hashRt.statsResponse(); stats.Policy == nil || stats.Policy.Policy != PolicyHash {
-		t.Fatalf("hash /stats policy block: %+v", stats.Policy)
+	if doc := string(hashRt.appendStats(nil)); !strings.Contains(doc, `"policy":{"policy":"hash","queued":0,`) {
+		t.Fatalf("hash /stats policy block: %s", doc)
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"time"
 
-	"faasbatch/internal/httpapi"
 	"faasbatch/internal/pullsched"
 )
 
@@ -155,19 +154,10 @@ func (p *pullPolicy) OnMembershipChange(workerID string, eligible bool) {
 }
 
 // Stats implements Policy.
-func (p *pullPolicy) Stats() httpapi.PolicyStats {
+func (p *pullPolicy) Stats() pullsched.Stats {
 	p.mu.Lock()
-	st := p.core.Stats()
-	p.mu.Unlock()
-	return httpapi.PolicyStats{
-		Policy:   PolicyPull,
-		Queued:   st.Queued,
-		Leases:   st.Leases,
-		Granted:  st.Granted,
-		Requeues: st.Requeues,
-		Expired:  st.Expired,
-		Shed:     st.Shed,
-	}
+	defer p.mu.Unlock()
+	return p.core.Stats()
 }
 
 // sweep implements Policy: reclaim leases past the budget, riding the
@@ -235,77 +225,3 @@ func (b *pullBinding) Done(ok bool) {
 
 // detail implements Binding.
 func (b *pullBinding) detail() string { return "pull" }
-
-// The Pull* methods below are the sim-vs-live conformance surface:
-// they feed the live policy's core directly with explicit invocation
-// ids and virtual offsets, bypassing the waiter machinery and the
-// registry (whose wall-clock stamps would differ run to run), so a
-// schedule recorded from the sim driver replays here and the two grant
-// logs can be compared byte for byte.
-
-// pullCore returns the live pull core, or nil under another policy.
-func (rt *Router) pullCore() *pullPolicy {
-	p, _ := rt.policy.(*pullPolicy)
-	return p
-}
-
-// PullEnqueue replays one admission at an explicit virtual offset.
-func (rt *Router) PullEnqueue(id int64, fn string, off time.Duration) ([]pullsched.Grant, bool) {
-	p := rt.pullCore()
-	if p == nil {
-		return nil, false
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.core.Enqueue(id, fn, off)
-}
-
-// PullComplete replays one lease ack at an explicit virtual offset.
-func (rt *Router) PullComplete(id int64, off time.Duration) []pullsched.Grant {
-	p := rt.pullCore()
-	if p == nil {
-		return nil
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.core.Complete(id, off)
-}
-
-// PullSetWorker replays one membership flip at an explicit virtual
-// offset, addressing the worker by fleet ID.
-func (rt *Router) PullSetWorker(workerID string, eligible bool, off time.Duration) []pullsched.Grant {
-	p := rt.pullCore()
-	if p == nil {
-		return nil
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	i, ok := p.slots[workerID]
-	if !ok {
-		return nil
-	}
-	return p.core.SetWorker(i, eligible, off)
-}
-
-// PullGrants returns the live core's retained grant log in order.
-func (rt *Router) PullGrants() []pullsched.Grant {
-	p := rt.pullCore()
-	if p == nil {
-		return nil
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.core.Grants()
-}
-
-// PullStats snapshots the live core's counters (zero value under the
-// hash policy).
-func (rt *Router) PullStats() pullsched.Stats {
-	p := rt.pullCore()
-	if p == nil {
-		return pullsched.Stats{}
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.core.Stats()
-}

@@ -66,9 +66,9 @@ type worker struct {
 
 // Registry tracks the fleet: worker states, in-flight load, and the
 // consistent-hash ring spanning the workers currently marked up. All
-// methods are safe for concurrent use. Membership is dynamic: the
-// autoscaler activates standby workers, drains active ones, and may
-// add or remove workers outright while forwards are in flight.
+// methods are safe for concurrent use. The worker set is fixed at
+// construction; ring membership is dynamic: the autoscaler activates
+// standby workers and drains active ones while forwards are in flight.
 type Registry struct {
 	mu            sync.Mutex
 	workers       map[string]*worker
@@ -262,63 +262,6 @@ func (r *Registry) OnDrained(fn func(id string)) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.onDrained = fn
-}
-
-// AddWorker registers a new fleet member at runtime. Active workers
-// join the ring immediately (optimistically up, like NewRegistry);
-// inactive ones start on standby for the autoscaler to activate later.
-func (r *Registry) AddWorker(spec WorkerSpec, active bool) error {
-	r.mu.Lock()
-	if spec.ID == "" || spec.URL == "" {
-		r.mu.Unlock()
-		return fmt.Errorf("router: worker spec needs an id and a url, got %+v", spec)
-	}
-	if _, dup := r.workers[spec.ID]; dup {
-		r.mu.Unlock()
-		return fmt.Errorf("router: duplicate worker id %q", spec.ID)
-	}
-	w := &worker{spec: spec, state: WorkerStandby}
-	if active {
-		w.state = WorkerUp
-	}
-	r.workers[spec.ID] = w
-	r.order = append(r.order, spec.ID)
-	var hook func(string, bool)
-	if active {
-		r.ring.Add(spec.ID)
-		hook = r.onMembership
-	}
-	r.mu.Unlock()
-	if hook != nil {
-		hook(spec.ID, true)
-	}
-	return nil
-}
-
-// RemoveWorker deletes a member outright. Workers still owning ring
-// segments or in-flight forwards are refused — drain first.
-func (r *Registry) RemoveWorker(id string) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	w, ok := r.workers[id]
-	if !ok {
-		return fmt.Errorf("router: unknown worker %q", id)
-	}
-	if w.state == WorkerUp || w.state == WorkerDraining {
-		return fmt.Errorf("router: worker %q is %s; drain before removing", id, w.state)
-	}
-	if w.inflight > 0 {
-		return fmt.Errorf("router: worker %q has %d in-flight forwards", id, w.inflight)
-	}
-	r.ring.Remove(id)
-	delete(r.workers, id)
-	for i, oid := range r.order {
-		if oid == id {
-			r.order = append(r.order[:i], r.order[i+1:]...)
-			break
-		}
-	}
-	return nil
 }
 
 // Activate puts a standby, draining, or down worker back in service:

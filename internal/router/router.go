@@ -10,6 +10,7 @@ import (
 	"log/slog"
 	"net/http"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"faasbatch/internal/autoscale"
@@ -137,6 +138,15 @@ type Stats struct {
 	ScrapeFailures int64
 }
 
+// counters is the router's internal statistics block: one atomic per
+// Stats field, as in internal/platform, so the forward path — three
+// counts on every routed request — records without taking a lock.
+type counters struct {
+	routed, completed, forwarded, retries, failovers atomic.Int64
+	shed, noWorkers, errors                          atomic.Int64
+	probes, probeFailures, scrapes, scrapeFailures   atomic.Int64
+}
+
 // Router fronts a fleet of worker gateways: consistent-hash function
 // affinity with bounded load, health-checked membership, bounded
 // retries with failover, and admission control.
@@ -151,8 +161,10 @@ type Router struct {
 	metrics *obs.Metrics
 	logger  *slog.Logger
 
-	mu    sync.Mutex
-	stats Stats
+	ctr counters
+
+	// mu guards the Start/Close lifecycle flags only.
+	mu sync.Mutex
 
 	scrapeMu   sync.Mutex
 	lastScrape map[string]memberSnapshot
@@ -276,9 +288,20 @@ func (rt *Router) Metrics() *obs.Metrics { return rt.metrics }
 
 // Stats snapshots the router counters.
 func (rt *Router) Stats() Stats {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	return rt.stats
+	return Stats{
+		Routed:         rt.ctr.routed.Load(),
+		Completed:      rt.ctr.completed.Load(),
+		Forwarded:      rt.ctr.forwarded.Load(),
+		Retries:        rt.ctr.retries.Load(),
+		Failovers:      rt.ctr.failovers.Load(),
+		Shed:           rt.ctr.shed.Load(),
+		NoWorkers:      rt.ctr.noWorkers.Load(),
+		Errors:         rt.ctr.errors.Load(),
+		Probes:         rt.ctr.probes.Load(),
+		ProbeFailures:  rt.ctr.probeFailures.Load(),
+		Scrapes:        rt.ctr.scrapes.Load(),
+		ScrapeFailures: rt.ctr.scrapeFailures.Load(),
+	}
 }
 
 // ForwardImbalance reports max/mean of per-worker forwarded counts.
@@ -352,12 +375,10 @@ func (rt *Router) ProbeAll(ctx context.Context) {
 			Trace: trace, Name: obs.SpanProbe, Detail: spec.ID,
 			Start: start, End: rt.tracer.Now(),
 		})
-		rt.mu.Lock()
-		rt.stats.Probes++
+		rt.ctr.probes.Add(1)
 		if err != nil {
-			rt.stats.ProbeFailures++
+			rt.ctr.probeFailures.Add(1)
 		}
-		rt.mu.Unlock()
 		if err == nil {
 			rt.reg.SetCapacity(spec.ID, health.Capacity)
 		}
@@ -428,9 +449,7 @@ func (rt *Router) InvokeTraced(ctx context.Context, req httpapi.RoutedInvokeRequ
 		}
 		defer release()
 	}
-	rt.mu.Lock()
-	rt.stats.Routed++
-	rt.mu.Unlock()
+	rt.ctr.routed.Add(1)
 	if rt.scaler != nil {
 		// Feed the demand forecaster; on a scaled-to-zero fleet this
 		// wakes the first worker before forward looks for candidates.
@@ -442,9 +461,7 @@ func (rt *Router) InvokeTraced(ctx context.Context, req httpapi.RoutedInvokeRequ
 		// A pull-policy shed surfaces from forward, after Routed was
 		// counted; undo it so Routed keeps meaning "admitted" under
 		// both policies.
-		rt.mu.Lock()
-		rt.stats.Routed--
-		rt.mu.Unlock()
+		rt.ctr.routed.Add(-1)
 		rt.noteShed(trace, admitStart, req.Fn, err)
 	}
 	return resp, err
@@ -456,9 +473,7 @@ func (rt *Router) noteShed(trace uint64, start time.Duration, fn string, err err
 		Trace: trace, Name: obs.SpanShed, Fn: fn,
 		Start: start, End: rt.tracer.Now(),
 	})
-	rt.mu.Lock()
-	rt.stats.Shed++
-	rt.mu.Unlock()
+	rt.ctr.shed.Add(1)
 	rt.logger.Warn("invocation shed", "fn", fn, "err", err)
 }
 
@@ -478,9 +493,7 @@ func (rt *Router) forward(ctx context.Context, trace uint64, req httpapi.RoutedI
 	})
 	if assignErr != nil {
 		if errors.Is(assignErr, ErrNoWorkers) {
-			rt.mu.Lock()
-			rt.stats.NoWorkers++
-			rt.mu.Unlock()
+			rt.ctr.noWorkers.Add(1)
 		}
 		return httpapi.RoutedInvokeResponse{}, assignErr
 	}
@@ -502,9 +515,7 @@ func (rt *Router) forward(ctx context.Context, trace uint64, req httpapi.RoutedI
 			return httpapi.RoutedInvokeResponse{}, fmt.Errorf("router: invoke %s: %w", req.Fn, err)
 		}
 		if attempt > 1 {
-			rt.mu.Lock()
-			rt.stats.Retries++
-			rt.mu.Unlock()
+			rt.ctr.retries.Add(1)
 			rt.backoff(ctx, trace, req.Fn, attempt)
 		}
 		id, err := bnd.Next(ctx, attempt)
@@ -514,9 +525,7 @@ func (rt *Router) forward(ctx context.Context, trace uint64, req httpapi.RoutedI
 			return httpapi.RoutedInvokeResponse{}, fmt.Errorf("router: invoke %s: %w", req.Fn, err)
 		}
 		if attempt > 1 && id != prev {
-			rt.mu.Lock()
-			rt.stats.Failovers++
-			rt.mu.Unlock()
+			rt.ctr.failovers.Add(1)
 		}
 		prev = id
 		resp, err := rt.tryWorker(ctx, trace, attempt, id, req.Fn, body)
@@ -528,9 +537,7 @@ func (rt *Router) forward(ctx context.Context, trace uint64, req httpapi.RoutedI
 			}
 			rt.reg.NoteForwarded(id)
 			rt.reg.NoteResult(id, true)
-			rt.mu.Lock()
-			rt.stats.Completed++
-			rt.mu.Unlock()
+			rt.ctr.completed.Add(1)
 			served = true
 			return resp, nil
 		}
@@ -538,9 +545,7 @@ func (rt *Router) forward(ctx context.Context, trace uint64, req httpapi.RoutedI
 		if errors.As(err, &pass) {
 			// The worker answered: not a fleet failure, pass it through.
 			rt.reg.NoteResult(id, true)
-			rt.mu.Lock()
-			rt.stats.Completed++
-			rt.mu.Unlock()
+			rt.ctr.completed.Add(1)
 			served = true
 			return httpapi.RoutedInvokeResponse{}, err
 		}
@@ -553,9 +558,7 @@ func (rt *Router) forward(ctx context.Context, trace uint64, req httpapi.RoutedI
 		}
 		rt.logger.Info("forward failed", "fn", req.Fn, "worker", id, "attempt", attempt, "err", err)
 	}
-	rt.mu.Lock()
-	rt.stats.Errors++
-	rt.mu.Unlock()
+	rt.ctr.errors.Add(1)
 	return httpapi.RoutedInvokeResponse{}, fmt.Errorf("router: invoke %s: %d attempts exhausted: %w",
 		req.Fn, rt.cfg.MaxAttempts, lastErr)
 }
@@ -638,9 +641,7 @@ func (rt *Router) tryWorker(ctx context.Context, trace uint64, attempt int, id, 
 	if rt.scaler != nil {
 		rt.scaler.observeLatency(time.Since(start))
 	}
-	rt.mu.Lock()
-	rt.stats.Forwarded++
-	rt.mu.Unlock()
+	rt.ctr.forwarded.Add(1)
 	// Worker responses are read into a pooled buffer: every escape below
 	// copies (json.Unmarshal clones RawMessage fields, error formatting
 	// and PassThroughError stringify), so nothing aliases raw after this

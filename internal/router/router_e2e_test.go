@@ -19,9 +19,12 @@ import (
 	"time"
 
 	"faasbatch/internal/cluster"
+	"faasbatch/internal/fnruntime"
 	"faasbatch/internal/httpapi"
 	"faasbatch/internal/platform"
 	"faasbatch/internal/router"
+	"faasbatch/internal/sim"
+	"faasbatch/internal/workload"
 )
 
 // liveWorker is one real platform behind an httptest listener.
@@ -329,13 +332,21 @@ func TestSimVsLiveAssignments(t *testing.T) {
 		}
 	}
 
-	seq, err := cluster.AssignmentSequence(cluster.ConsistentHash, nodes, fns)
+	// The simulator's decisions: one submission per function through a
+	// consistent-hash cluster of the same size.
+	eng := sim.New(1)
+	cl, err := cluster.New(eng, cluster.Config{Nodes: nodes, Balancing: cluster.ConsistentHash})
 	if err != nil {
-		t.Fatalf("AssignmentSequence: %v", err)
+		t.Fatalf("cluster.New: %v", err)
 	}
-	distinct := map[int]bool{}
+	defer func() { _ = cl.Close() }()
 	for i, fn := range fns {
-		want := cluster.NodeMember(seq[i])
+		cl.Submit(fnruntime.NewInvocation(int64(i), workload.IOSpec(fn), eng.Now()), func(*fnruntime.Invocation) {})
+	}
+	assigned := cl.Assignments()
+	distinct := map[int]bool{}
+	for _, fn := range fns {
+		want := cluster.NodeMember(assigned[fn])
 		// The registry's idle-fleet pick must agree...
 		owner, ok := rt.Registry().Owner(fn)
 		if !ok || owner != want {
@@ -349,7 +360,7 @@ func TestSimVsLiveAssignments(t *testing.T) {
 		if res.Worker != want {
 			t.Fatalf("live invoke of %s served by %q, sim assigned %q", fn, res.Worker, want)
 		}
-		distinct[seq[i]] = true
+		distinct[assigned[fn]] = true
 	}
 	if len(distinct) < 2 {
 		t.Fatalf("12 functions over %d nodes used %d node(s); ring spread is broken", nodes, len(distinct))

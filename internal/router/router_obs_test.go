@@ -354,7 +354,7 @@ func TestClusterMetricsFederation(t *testing.T) {
 	if cs2.Cluster.Invocations != cs.Cluster.Invocations {
 		t.Fatalf("stale fallback changed the roll-up: %d -> %d", cs.Cluster.Invocations, cs2.Cluster.Invocations)
 	}
-	if cs2.Router.ScrapeFailures == 0 {
+	if rt.Stats().ScrapeFailures == 0 || !strings.Contains(string(cs2.Router), fmt.Sprintf(`"scrapeFailures":%d,`, rt.Stats().ScrapeFailures)) {
 		t.Fatal("scrape failure not counted")
 	}
 	doc2 := get("/cluster/metrics")
@@ -364,7 +364,7 @@ func TestClusterMetricsFederation(t *testing.T) {
 }
 
 // TestRouterRuntimeGauges checks the router's own /metrics carries the
-// full obs.RuntimeExports set under the faasrouter prefix, plus the
+// full obs.RuntimeSeries set under the faasrouter prefix, plus the
 // scrape counters.
 func TestRouterRuntimeGauges(t *testing.T) {
 	fleet := newFleet(t, 1)
@@ -378,11 +378,10 @@ func TestRouterRuntimeGauges(t *testing.T) {
 	defer func() { _ = resp.Body.Close() }()
 	raw, _ := io.ReadAll(resp.Body)
 	out := string(raw)
-	for _, ex := range obs.RuntimeExports {
-		name := "faasrouter_" + ex.Suffix
+	for _, ex := range obs.RuntimeSeries("faasrouter") {
 		for _, want := range []string{
-			fmt.Sprintf("# TYPE %s %s\n", name, ex.Typ),
-			"\n" + name + " ",
+			fmt.Sprintf("# HELP %s %s\n# TYPE %s %s\n", ex.Name, ex.Help, ex.Name, ex.Kind),
+			"\n" + ex.Name + " ",
 		} {
 			if !strings.Contains(out, want) {
 				t.Errorf("/metrics missing %q", want)

@@ -13,7 +13,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math/rand"
+	"slices"
 	"sync"
 	"time"
 
@@ -250,15 +250,14 @@ func runLive(sc *Scenario, traceSink io.Writer) (*Body, error) {
 	return &body, nil
 }
 
-// runLivePhase paces one phase's arrivals on the wall clock and blocks
-// until the phase window has elapsed (in-flight calls may drain later).
+// runLivePhase paces one phase on the wall clock from the same arrival
+// generator the simulator runs (constant, Poisson or bursty heads, the
+// ramp, the weighted mix), compressed by the time scale, and blocks until
+// the phase window has elapsed (in-flight calls may drain later).
 func runLivePhase(p *platform.Platform, sc *Scenario, pi int, ph Phase, scale float64, wg *sync.WaitGroup, agg *phaseAgg, mu *sync.Mutex, slos *slo.Tracker, start time.Time) {
-	rng := rand.New(rand.NewSource(subSeed(sc.Seed, fmt.Sprintf("arrivals-%d", pi))))
-	names := liveMixNames(ph)
-	deadline := time.Now().Add(scaled(ph.Duration, scale))
+	begin := time.Now()
 	payload := json.RawMessage(`{}`)
-	for ph.Rate > 0 && time.Now().Before(deadline) {
-		fn := names[rng.Intn(len(names))]
+	fire := func(fn string) {
 		mu.Lock()
 		agg.submitted++
 		mu.Unlock()
@@ -279,38 +278,36 @@ func runLivePhase(p *platform.Platform, sc *Scenario, pi int, ph Phase, scale fl
 			agg.totalMicros = append(agg.totalMicros, res.Total().Microseconds())
 			agg.schedMicros = append(agg.schedMicros, res.Sched.Microseconds())
 		}()
-		gap := scaled(expDuration(rng, ph.Rate), scale)
-		time.Sleep(gap)
 	}
-	if ph.Rate <= 0 {
-		time.Sleep(scaled(ph.Duration, scale))
-	}
-}
-
-// liveMixNames expands a phase mix into a weighted name list (weights
-// rounded to a small integer resolution — live smoke runs need mix
-// coverage, not exact proportions).
-func liveMixNames(ph Phase) []string {
-	var names []string
-	for _, e := range ph.Mix {
-		copies := int(e.Weight + 0.5)
-		if copies < 1 {
-			copies = 1
-		}
-		for c := 0; c < copies; c++ {
-			for i := 0; i < e.Instances; i++ {
-				name := e.Fn
-				if e.Instances > 1 {
-					name = fmt.Sprintf("%s-%d", e.Fn, i)
+	if ph.Rate > 0 {
+		a := newArrivals(sc, pi, ph)
+		// Phase time runs from zero; body holds the burst members still
+		// due, ascending, and the loop takes whichever of the next head
+		// and the earliest member comes first.
+		var body []time.Duration
+		for head := time.Duration(0); ; {
+			at, member := head, false
+			if len(body) > 0 && body[0] <= head {
+				at, member, body = body[0], true, body[1:]
+			}
+			if at >= ph.Duration {
+				break
+			}
+			time.Sleep(time.Until(begin.Add(scaled(at, scale))))
+			if !member {
+				for _, off := range a.head(at, ph.Duration-at) {
+					body = append(body, at+off)
 				}
-				names = append(names, name)
+				slices.Sort(body)
+				head = at + a.gap()
+				continue
+			}
+			if spec, ok := a.pick(); ok {
+				fire(spec.Name)
 			}
 		}
 	}
-	if len(names) == 0 {
-		names = []string{"noop"}
-	}
-	return names
+	time.Sleep(time.Until(begin.Add(scaled(ph.Duration, scale))))
 }
 
 // scaled compresses a wall-clock duration by the scenario's time scale.

@@ -1,8 +1,14 @@
 package scenario
 
 import (
+	"bytes"
+	"encoding/json"
+	"math"
+	"sort"
 	"testing"
 	"time"
+
+	"faasbatch/internal/obs"
 )
 
 // TestLiveSmoke drives a small scenario through the real platform:
@@ -130,5 +136,89 @@ func TestLiveRejections(t *testing.T) {
 	}
 	if _, err := NewRunner().RunBody(fleet); err == nil {
 		t.Error("live mode accepted a multi-worker fleet")
+	}
+}
+
+// TestLivePacesDeclaredArrivals is the regression for the live runner
+// pacing every phase as flat Poisson whatever it declared: a constant
+// phase must arrive evenly and a bursty one in bursts, as the report's
+// per-phase Arrival says. Arrival instants are read from the run's trace
+// (each invocation's scheduling span starts at its arrival); the
+// coefficient of variation of the gaps is ~0 for an even stream, 1 for
+// Poisson, and well above 1 for bursts of ten 1 ms apart every 100 ms.
+func TestLivePacesDeclaredArrivals(t *testing.T) {
+	sc, err := Parse([]byte(`
+scenario: live-arrivals
+mode: live
+seed: 3
+live-time-scale: 2
+dispatch:
+  interval: 5ms
+  adaptive: true
+sampling: 100ms
+phases:
+  - name: steady
+    duration: 1s
+    arrival: constant
+    rate: 100
+    mix:
+      - fn: steady
+  - name: bursts
+    duration: 1s
+    arrival: bursty
+    rate: 100
+    burst-size: 10
+    burst-iat: 1ms
+    mix:
+      - fn: bursts
+`))
+	if err != nil {
+		t.Fatalf("Parse: %v", err)
+	}
+	var trace bytes.Buffer
+	runner := NewRunner()
+	runner.SetTraceSink(&trace)
+	body, err := runner.RunBody(sc)
+	if err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Name string
+			Ts   float64
+			Args map[string]string
+		}
+	}
+	if err := json.Unmarshal(trace.Bytes(), &doc); err != nil {
+		t.Fatalf("decode trace: %v", err)
+	}
+	arrivals := map[string][]float64{}
+	for _, ev := range doc.TraceEvents {
+		if ev.Name == obs.SpanScheduling && ev.Args["attempt"] == "1" {
+			arrivals[ev.Args["fn"]] = append(arrivals[ev.Args["fn"]], ev.Ts)
+		}
+	}
+	cv := func(fn string) float64 {
+		ts := arrivals[fn]
+		sort.Float64s(ts)
+		if len(ts) < 30 {
+			t.Fatalf("%s: %d traced arrivals, want a phase's worth (report: %+v)", fn, len(ts), body.Phases)
+		}
+		var sum, sq float64
+		for i := 1; i < len(ts); i++ {
+			gap := ts[i] - ts[i-1]
+			sum += gap
+			sq += gap * gap
+		}
+		n := float64(len(ts) - 1)
+		mean := sum / n
+		return math.Sqrt(sq/n-mean*mean) / mean
+	}
+	t.Logf("inter-arrival CV: steady %.2f, bursts %.2f", cv("steady"), cv("bursts"))
+	if got := cv("steady"); got > 0.6 {
+		t.Errorf("constant phase: inter-arrival CV %.2f, want an even stream (< 0.6; Poisson is 1)", got)
+	}
+	if got := cv("bursts"); got < 1.5 {
+		t.Errorf("bursty phase: inter-arrival CV %.2f, want bursts (> 1.5; Poisson is 1)", got)
 	}
 }

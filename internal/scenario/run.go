@@ -382,72 +382,117 @@ func buildMix(p Phase) ([]mixEntry, float64, error) {
 	return out, cum, nil
 }
 
-// startArrivals installs a phase's lazy arrival process. Each firing
-// submits (unless thinned out by the ramp) and schedules its successor,
-// so the heap holds one pending arrival event per phase at any instant.
-func (s *simRun) startArrivals(pi int, p Phase, start, end time.Duration) {
-	rng := rand.New(rand.NewSource(subSeed(s.sc.Seed, fmt.Sprintf("arrivals-%d", pi))))
-	gen := workload.NewGenerator(subSeed(s.sc.Seed, fmt.Sprintf("fib-%d", pi)))
-	mix, totalWeight, _ := buildMix(p)
-	fibCache := map[int]workload.Spec{}
+// arrivals is one phase's seeded arrival process, the generator both
+// runners pace from: head decides what a process head submits and when,
+// gap how long until the next head, pick which function an arrival
+// invokes. The sim asks in engine-event order and the live runner in
+// wall-clock order; the draws behind each answer are the same.
+type arrivals struct {
+	p        Phase
+	rng      *rand.Rand
+	gen      *workload.Generator
+	mix      []mixEntry
+	total    float64
+	fibCache map[int]workload.Spec
+	offs     []time.Duration // head's reply, reused across calls
+}
 
+func newArrivals(sc *Scenario, pi int, p Phase) *arrivals {
+	mix, total, _ := buildMix(p)
+	return &arrivals{
+		p:        p,
+		rng:      rand.New(rand.NewSource(subSeed(sc.Seed, fmt.Sprintf("arrivals-%d", pi)))),
+		gen:      workload.NewGenerator(subSeed(sc.Seed, fmt.Sprintf("fib-%d", pi))),
+		mix:      mix,
+		total:    total,
+		fibCache: map[int]workload.Spec{},
+	}
+}
+
+// pick draws the function one arrival invokes from the phase mix, by
+// weight then instance.
+func (a *arrivals) pick() (workload.Spec, bool) {
+	u := a.rng.Float64() * a.total
+	me := &a.mix[len(a.mix)-1]
+	for i := range a.mix {
+		if u < a.mix[i].cum {
+			me = &a.mix[i]
+			break
+		}
+	}
+	if me.io {
+		return me.specs[a.rng.Intn(len(me.specs))], true
+	}
+	n := me.fibN
+	if n == 0 {
+		n = a.gen.SampleFibN()
+	}
+	spec, ok := a.fibCache[n]
+	if !ok {
+		var err error
+		if spec, err = workload.FibSpec(n); err != nil {
+			return workload.Spec{}, false // validated N ranges make this unreachable
+		}
+		a.fibCache[n] = spec
+	}
+	spec.Name = me.names[a.rng.Intn(len(me.names))]
+	return spec, true
+}
+
+// head runs one process head, into the phase by `into` with `left` of it
+// to go, and returns the offsets from now at which it submits: none when
+// the linear ramp thins the head out, one at zero for a constant or
+// Poisson head, the burst body for a bursty one (size uniform with mean
+// BurstSize, BurstIaT-mean gaps, cut at the phase end). The slice is
+// valid until the next call.
+func (a *arrivals) head(into, left time.Duration) []time.Duration {
+	a.offs = a.offs[:0]
+	if a.p.Ramp > 0 && into < a.p.Ramp && a.rng.Float64() >= float64(into)/float64(a.p.Ramp) {
+		return a.offs
+	}
+	size := 1
+	if a.p.Arrival == "bursty" {
+		size += a.rng.Intn(2*a.p.BurstSize - 1)
+	}
+	var at time.Duration
+	for i := 0; i < size; i++ {
+		if i > 0 {
+			at += expDuration(a.rng, float64(time.Second)/float64(a.p.BurstIaT))
+		}
+		if at >= left {
+			break
+		}
+		a.offs = append(a.offs, at)
+	}
+	return a.offs
+}
+
+// gap draws the time from one process head to the next. Bursty heads
+// arrive Rate/BurstSize times per second, so the phase still averages
+// Rate.
+func (a *arrivals) gap() time.Duration {
+	switch a.p.Arrival {
+	case "constant":
+		return time.Duration(float64(time.Second) / a.p.Rate)
+	case "bursty":
+		return expDuration(a.rng, a.p.Rate/float64(a.p.BurstSize))
+	default: // poisson
+		return expDuration(a.rng, a.p.Rate)
+	}
+}
+
+// startArrivals installs a phase's lazy arrival process. Each firing
+// submits what its head yields and schedules its successor, so the heap
+// holds one pending head event per phase at any instant. A burst body is
+// scheduled (its picks draw when each member fires), anything else
+// submits inside the head event (its pick draws before the next gap):
+// the draw order and event sequence every committed report hash was
+// computed under.
+func (s *simRun) startArrivals(pi int, p Phase, start, end time.Duration) {
+	a := newArrivals(s.sc, pi, p)
 	submit := func() {
-		u := rng.Float64() * totalWeight
-		var me *mixEntry
-		for i := range mix {
-			if u < mix[i].cum {
-				me = &mix[i]
-				break
-			}
-		}
-		if me == nil {
-			me = &mix[len(mix)-1]
-		}
-		var spec workload.Spec
-		if me.io {
-			spec = me.specs[rng.Intn(len(me.specs))]
-		} else {
-			n := me.fibN
-			if n == 0 {
-				n = gen.SampleFibN()
-			}
-			base, ok := fibCache[n]
-			if !ok {
-				var err error
-				base, err = workload.FibSpec(n)
-				if err != nil {
-					return // validated N ranges make this unreachable
-				}
-				fibCache[n] = base
-			}
-			spec = base
-			spec.Name = me.names[rng.Intn(len(me.names))]
-		}
-		s.submitOne(pi, spec)
-	}
-	// accept applies the linear ramp by thinning.
-	accept := func() bool {
-		if p.Ramp <= 0 {
-			return true
-		}
-		into := s.eng.Now().Duration() - start
-		if into >= p.Ramp {
-			return true
-		}
-		return rng.Float64() < float64(into)/float64(p.Ramp)
-	}
-	// gap draws the next inter-arrival time for the process head.
-	meanGap := time.Duration(float64(time.Second) / p.Rate)
-	gap := func() time.Duration {
-		switch p.Arrival {
-		case "constant":
-			return meanGap
-		case "bursty":
-			// Heads arrive rate/size times per second; the burst body is
-			// scheduled separately.
-			return expDuration(rng, p.Rate/float64(p.BurstSize))
-		default: // poisson
-			return expDuration(rng, p.Rate)
+		if spec, ok := a.pick(); ok {
+			s.submitOne(pi, spec)
 		}
 	}
 	var tick func()
@@ -456,24 +501,14 @@ func (s *simRun) startArrivals(pi int, p Phase, start, end time.Duration) {
 		if now >= end {
 			return
 		}
-		if p.Arrival == "bursty" {
-			if accept() {
-				size := 1 + rng.Intn(2*p.BurstSize-1) // mean ~= BurstSize
-				var at time.Duration
-				for i := 0; i < size; i++ {
-					if i > 0 {
-						at += expDuration(rng, float64(time.Second)/float64(p.BurstIaT))
-					}
-					if now+at >= end {
-						break
-					}
-					s.eng.Schedule(at, submit)
-				}
+		for _, at := range a.head(now-start, end-now) {
+			if p.Arrival == "bursty" {
+				s.eng.Schedule(at, submit)
+			} else {
+				submit()
 			}
-		} else if accept() {
-			submit()
 		}
-		s.eng.Schedule(gap(), tick)
+		s.eng.Schedule(a.gap(), tick)
 	}
 	s.eng.Schedule(start, tick)
 }
