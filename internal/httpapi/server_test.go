@@ -1,6 +1,7 @@
 package httpapi
 
 import (
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -8,6 +9,7 @@ import (
 	"testing"
 
 	"faasbatch/internal/obs"
+	"faasbatch/internal/obs/obstest"
 )
 
 // TestMuxServesBothPathsBehindOneGuard: every route answers identically
@@ -44,15 +46,59 @@ func TestMuxServesBothPathsBehindOneGuard(t *testing.T) {
 func TestReadBodyCapsAndAnswers(t *testing.T) {
 	rec := httptest.NewRecorder()
 	body, ok := ReadBody(rec, httptest.NewRequest(http.MethodPost, "/invoke", strings.NewReader(`{"fn":"f"}`)))
-	if !ok || string(body) != `{"fn":"f"}` {
-		t.Fatalf("ReadBody = %q, %v", body, ok)
+	if !ok || string(*body) != `{"fn":"f"}` {
+		t.Fatalf("ReadBody = %q, %v", *body, ok)
 	}
+	Recycle(body)
 	rec = httptest.NewRecorder()
 	if _, ok := ReadBody(rec, httptest.NewRequest(http.MethodPost, "/invoke", strings.NewReader(strings.Repeat("x", MaxInvokeBodyBytes+1)))); ok {
 		t.Fatal("oversize body accepted")
 	}
 	if rec.Code != http.StatusRequestEntityTooLarge || !strings.Contains(rec.Body.String(), "exceeds 1048576 bytes") {
 		t.Fatalf("oversize body answered %d %q", rec.Code, rec.Body.String())
+	}
+}
+
+// TestReadBodyReusesItsBuffer: once the pool holds a buffer the body
+// fits, reading a body allocates nothing — whether the reader reports EOF
+// with the last bytes (net/http's bodies) or on a call of its own.
+func TestReadBodyReusesItsBuffer(t *testing.T) {
+	if obstest.RaceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	payload := strings.Repeat("x", 900) // past the pool's initial 512
+	rd := strings.NewReader(payload)
+	req := httptest.NewRequest(http.MethodPost, "/invoke", rd)
+	req.Body = io.NopCloser(rd)
+	rec := httptest.NewRecorder()
+	read := func() {
+		rd.Reset(payload)
+		body, ok := ReadBody(rec, req)
+		if !ok || len(*body) != len(payload) {
+			t.Fatalf("ReadBody read %d bytes, ok %v", len(*body), ok)
+		}
+		Recycle(body)
+	}
+	read()
+	if n := testing.AllocsPerRun(100, read); n != 0 {
+		t.Errorf("ReadBody allocates %.1f objects/op with a warm pool, want 0", n)
+	}
+}
+
+// TestAppendReadGrowsAndCaps checks the pooled reader against io.ReadAll
+// across sizes that straddle its growth boundaries, and its cap.
+func TestAppendReadGrowsAndCaps(t *testing.T) {
+	for _, n := range []int{0, 1, 7, 4096, 4097, 100_000} {
+		src := strings.Repeat("a", n)
+		got, err := AppendRead(make([]byte, 0, 8), strings.NewReader(src), n)
+		if err != nil || string(got) != src {
+			t.Fatalf("AppendRead(n=%d) read %d bytes, err %v", n, len(got), err)
+		}
+		if n > 0 {
+			if _, err := AppendRead([]byte("head"), strings.NewReader(src), n-1); !errors.Is(err, ErrBodyTooLarge) {
+				t.Fatalf("AppendRead(n=%d, max=%d) err = %v, want ErrBodyTooLarge", n, n-1, err)
+			}
+		}
 	}
 }
 

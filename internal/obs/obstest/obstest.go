@@ -1,7 +1,8 @@
-// Package obstest holds test support for obs.Series tables: it ties the
-// series tables in the docs to the declarations, so the documented names,
-// kinds, /stats keys and help texts cannot drift from what a process
-// exports.
+// Package obstest holds test support shared across packages. For
+// obs.Series tables it ties the series tables in the docs to the
+// declarations, so the documented names, kinds, /stats keys and help
+// texts cannot drift from what a process exports; RaceEnabled tells
+// allocation-count tests when they mean nothing.
 package obstest
 
 import (

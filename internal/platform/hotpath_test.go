@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"faasbatch/internal/httpapi"
+	"faasbatch/internal/obs/obstest"
 )
 
 // hotpathConfig is the steady-state configuration the allocation gate
@@ -42,7 +43,7 @@ func noop(_ context.Context, _ *Invocation) (any, error) { return nil, nil }
 // collection clears sync.Pools mid-run, which would charge the refill to
 // the invoke being measured.
 func TestWarmInvokeAllocFree(t *testing.T) {
-	if raceEnabled {
+	if obstest.RaceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector (instrumented runtime allocates; sync.Pool randomly bypasses its caches)")
 	}
 	p, err := New(hotpathConfig())
@@ -332,17 +333,17 @@ func (w *discardResponse) Write(b []byte) (int, error) { return len(b), nil }
 func (w *discardResponse) WriteHeader(status int)      { w.status = status }
 
 // gatewayHandlerAllocs is what one warm POST /invoke costs inside the
-// in-memory gateway handler (no net/http server around it), measured at
-// the commit before the serving edge moved onto the shared skeleton (the
-// capped reader, the body it reads, the decoded function name and the
-// Content-Type header value). The skeleton must not add to it.
-const gatewayHandlerAllocs = 4
+// in-memory gateway handler (no net/http server around it): the decoded
+// function-name string. The body is read into a pooled buffer, the reply
+// is encoded into another and the Content-Type value is shared, so the
+// serving edge adds nothing.
+const gatewayHandlerAllocs = 1
 
 // TestGatewayHandlerAllocs pins the in-memory gateway handler's
 // per-request allocations, so the shared route/read/write skeleton
 // cannot hide a per-request closure or a boxed buffer.
 func TestGatewayHandlerAllocs(t *testing.T) {
-	if raceEnabled {
+	if obstest.RaceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
 	p, err := New(hotpathConfig())

@@ -84,7 +84,7 @@ func (p *Platform) serveInvoke(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	req, err := httpapi.DecodeInvokeRequest(body)
+	req, err := httpapi.DecodeInvokeRequest(*body)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -139,6 +139,14 @@ func (p *Platform) serveInvoke(w http.ResponseWriter, r *http.Request) {
 	// non-zero trace ID itself.
 	bufp := httpapi.LineBuffer()
 	httpapi.WriteLine(w, r, p.logger, bufp, httpapi.AppendInvokeResponse((*bufp)[:0], &out, res.TraceID))
+	if res.Attempts == 1 {
+		// The payload (and an echoed result) aliased the body until the
+		// line above was written. One attempt that returned is the only
+		// case where no handler can still be reading it: after an error,
+		// or a retry behind a timed-out attempt, an abandoned handler
+		// goroutine may be, and the body is left to the collector.
+		httpapi.Recycle(body)
+	}
 }
 
 // serveStats renders statSeries' keyed rows over one snapshot; the reply

@@ -64,7 +64,10 @@ type Handler func(ctx context.Context, inv *Invocation) (any, error)
 
 // Invocation is the handler's view of one request.
 type Invocation struct {
-	// Payload is the raw request payload.
+	// Payload is the raw request payload. It is the handler's to read
+	// until it returns: the gateway reuses the bytes for a later request
+	// once the reply is written, so a handler that keeps the payload (or
+	// returns a value that aliases it and outlives the reply) copies it.
 	Payload json.RawMessage
 	// Resources is the container's Resource Multiplexer facade.
 	Resources *Resources
@@ -897,10 +900,12 @@ func (p *Platform) kickLoop() {
 
 // dispatchLoop is the Invoke Mapper's clock: it sleeps until the earliest
 // open window's deadline, re-armed whenever an arrival opens an earlier
-// window, and closes every window that is due. The timer is created fresh
-// each iteration (no Reset races).
+// window, and closes every window that is due. One timer serves the
+// loop's whole life.
 func (p *Platform) dispatchLoop() {
 	defer p.wg.Done()
+	timer := time.NewTimer(time.Hour)
+	defer timer.Stop()
 	for {
 		var next time.Time
 		for _, f := range p.fnsAll() {
@@ -911,16 +916,12 @@ func (p *Platform) dispatchLoop() {
 				next = d
 			}
 		}
-		var (
-			timer  *time.Timer
-			timerC <-chan time.Time
-		)
+		// With no window open the loop waits for a kick alone; a tick
+		// left over from an earlier arming stays in the channel until
+		// the next rearm drains it.
+		var timerC <-chan time.Time
 		if !next.IsZero() {
-			d := time.Until(next)
-			if d < 0 {
-				d = 0
-			}
-			timer = time.NewTimer(d)
+			rearm(timer, time.Until(next))
 			timerC = timer.C
 		}
 		select {
@@ -929,16 +930,24 @@ func (p *Platform) dispatchLoop() {
 		case <-p.kick:
 			// Re-scan deadlines and re-arm.
 		case <-p.stopTicker:
-			if timer != nil {
-				timer.Stop()
-			}
 			p.closeWindows(true)
 			return
 		}
-		if timer != nil {
-			timer.Stop()
+	}
+}
+
+// rearm points t at d from now (at once, for a d already past). go.mod's
+// go 1.22 selects the pre-1.23 timer channel, which Stop does not empty:
+// a tick that fired but was never received has to be drained before
+// Reset, or it would wake the loop for a deadline that is not due.
+func rearm(t *time.Timer, d time.Duration) {
+	if !t.Stop() {
+		select {
+		case <-t.C:
+		default:
 		}
 	}
+	t.Reset(max(d, 0))
 }
 
 // closeWindows closes every open window whose deadline has passed — with

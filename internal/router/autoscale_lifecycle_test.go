@@ -47,7 +47,7 @@ func TestRegistryLifecycleTransitions(t *testing.T) {
 	}
 
 	// Drain with in-flight work defers the hook to the last completion.
-	reg.AddInflight("w2", 1)
+	reg.BeginForward("w2")
 	if !reg.Drain("w2") {
 		t.Fatal("Drain(w2) reported no transition")
 	}
@@ -56,7 +56,7 @@ func TestRegistryLifecycleTransitions(t *testing.T) {
 		t.Fatalf("drain hook fired early for a busy worker: %v", drained)
 	}
 	drainedMu.Unlock()
-	reg.AddInflight("w2", -1)
+	reg.EndForward("w2", true, true)
 	drainedMu.Lock()
 	if len(drained) != 2 || drained[1] != "w2" {
 		t.Fatalf("drain hook after last completion = %v, want [w1 w2]", drained)

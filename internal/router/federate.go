@@ -1,6 +1,7 @@
 package router
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -8,6 +9,7 @@ import (
 	"net/http"
 	"reflect"
 	"sync"
+	"time"
 
 	"faasbatch/internal/httpapi"
 	"faasbatch/internal/obs"
@@ -79,46 +81,39 @@ func (rt *Router) scrapeCluster(ctx context.Context) []memberView {
 }
 
 // scrapeMember fetches one worker's /metrics exposition and /stats
-// snapshot.
+// snapshot, both under one ScrapeTimeout.
 func (rt *Router) scrapeMember(ctx context.Context, spec WorkerSpec) (memberSnapshot, error) {
-	sctx, cancel := context.WithTimeout(ctx, rt.cfg.ScrapeTimeout)
-	defer cancel()
+	ep := rt.wire.endpoints[spec.ID]
+	deadline := attemptDeadline(ctx, rt.cfg.ScrapeTimeout)
 	var snap memberSnapshot
-	body, err := rt.scrapeGet(sctx, spec.URL+"/metrics")
+	err := scrapeGet(ctx, ep, deadline, "/metrics", func(body []byte) (err error) {
+		snap.families, err = obs.ParsePrometheus(bytes.NewReader(body))
+		return err
+	})
 	if err != nil {
 		return snap, err
 	}
-	defer func() { _ = body.Close() }()
-	snap.families, err = obs.ParsePrometheus(io.LimitReader(body, 8<<20))
-	if err != nil {
-		return snap, fmt.Errorf("parse %s/metrics: %w", spec.ID, err)
-	}
-	stats, err := rt.scrapeGet(sctx, spec.URL+"/stats")
-	if err != nil {
-		return snap, err
-	}
-	defer func() { _ = stats.Close() }()
-	if err := json.NewDecoder(io.LimitReader(stats, 1<<20)).Decode(&snap.stats); err != nil {
-		return snap, fmt.Errorf("decode %s/stats: %w", spec.ID, err)
-	}
-	return snap, nil
+	err = scrapeGet(ctx, ep, deadline, "/stats", func(body []byte) error {
+		return json.Unmarshal(body, &snap.stats)
+	})
+	return snap, err
 }
 
-// scrapeGet performs one federation GET and hands back the body on 200.
-func (rt *Router) scrapeGet(ctx context.Context, url string) (io.ReadCloser, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
+// scrapeGet performs one federation GET and hands the body of a 200 to
+// parse, which must keep no reference to it.
+func scrapeGet(ctx context.Context, ep *endpoint, deadline time.Time, path string, parse func(body []byte) error) error {
+	wc, status, err := ep.get(ctx, deadline, path)
 	if err != nil {
-		return nil, err
+		return fmt.Errorf("GET %s%s: %w", ep.id, path, err)
 	}
-	resp, err := rt.client.Do(req)
-	if err != nil {
-		return nil, err
+	defer ep.put(wc)
+	if status != http.StatusOK {
+		return fmt.Errorf("GET %s%s: status %d", ep.id, path, status)
 	}
-	if resp.StatusCode != http.StatusOK {
-		_ = resp.Body.Close()
-		return nil, fmt.Errorf("GET %s: status %d", url, resp.StatusCode)
+	if err := parse(wc.rbuf); err != nil {
+		return fmt.Errorf("parse %s%s: %w", ep.id, path, err)
 	}
-	return resp.Body, nil
+	return nil
 }
 
 // clusterScrape is what one /cluster/metrics round learned about the

@@ -81,21 +81,6 @@ func TestRouterOversizeBody413(t *testing.T) {
 	}
 }
 
-// TestAppendReadAllGrows checks the pooled response reader against
-// io.ReadAll across sizes that straddle its growth boundaries.
-func TestAppendReadAllGrows(t *testing.T) {
-	for _, n := range []int{0, 1, 7, 4096, 4097, 100_000} {
-		src := bytes.Repeat([]byte{'a'}, n)
-		got, err := appendReadAll(make([]byte, 0, 8), bytes.NewReader(src))
-		if err != nil {
-			t.Fatalf("appendReadAll(n=%d): %v", n, err)
-		}
-		if !bytes.Equal(got, src) {
-			t.Fatalf("appendReadAll(n=%d) read %d bytes", n, len(got))
-		}
-	}
-}
-
 // BenchmarkRoutedInvoke measures the routed path end to end over the
 // loopback fleet (the bench routed_hash workload).
 func BenchmarkRoutedInvoke(b *testing.B) {

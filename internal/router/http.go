@@ -56,23 +56,25 @@ func (rt *Router) serveInvoke(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	req, err := httpapi.DecodeRoutedInvokeRequest(body)
+	req, err := httpapi.DecodeRoutedInvokeRequest(*body)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
 	// An inbound traceparent joins the router's route/forward spans —
 	// and, propagated onward, the worker's spans — to the caller's trace.
-	res, err := rt.InvokeTraced(r.Context(), req, httpapi.InboundTrace(r))
+	bufp := httpapi.LineBuffer()
+	line, echo, err := rt.invokeLine(r.Context(), req, httpapi.InboundTrace(r), (*bufp)[:0])
 	if err != nil {
+		httpapi.Recycle(bufp)
 		writeInvokeError(w, err)
 		return
 	}
-	if id, err := strconv.ParseUint(res.TraceID, 16, 64); err == nil {
-		httpapi.EchoTrace(w, id)
-	}
-	bufp := httpapi.LineBuffer()
-	httpapi.WriteLine(w, r, rt.logger, bufp, httpapi.AppendRoutedInvokeResponse((*bufp)[:0], &res))
+	httpapi.EchoTrace(w, echo)
+	httpapi.WriteLine(w, r, rt.logger, bufp, line)
+	// The payload aliased the body until the forward copied it onto the
+	// wire; recycled on the normal return only (httpapi.ReadBody).
+	httpapi.Recycle(body)
 }
 
 func (rt *Router) serveStats(w http.ResponseWriter, r *http.Request) {

@@ -72,7 +72,7 @@ type worker struct {
 type Registry struct {
 	mu            sync.Mutex
 	workers       map[string]*worker
-	order         []string // registration order, for stable iteration
+	order         []*worker // registration order, for stable iteration
 	ring          *Ring
 	markDownAfter int
 	markUpAfter   int
@@ -127,8 +127,9 @@ func NewRegistryWithConfig(cfg RegistryConfig) (*Registry, error) {
 		if _, dup := r.workers[spec.ID]; dup {
 			return nil, fmt.Errorf("router: duplicate worker id %q", spec.ID)
 		}
-		r.workers[spec.ID] = &worker{spec: spec, state: WorkerUp}
-		r.order = append(r.order, spec.ID)
+		w := &worker{spec: spec, state: WorkerUp}
+		r.workers[spec.ID] = w
+		r.order = append(r.order, w)
 		r.ring.Add(spec.ID)
 	}
 	return r, nil
@@ -140,21 +141,10 @@ func (r *Registry) Specs() []WorkerSpec {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	out := make([]WorkerSpec, 0, len(r.order))
-	for _, id := range r.order {
-		out = append(out, r.workers[id].spec)
+	for _, w := range r.order {
+		out = append(out, w.spec)
 	}
 	return out
-}
-
-// URL resolves a worker id to its base URL ("" when unknown).
-func (r *Registry) URL(id string) string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	w, ok := r.workers[id]
-	if !ok {
-		return ""
-	}
-	return w.spec.URL
 }
 
 // State reports a worker's current state (0 when unknown).
@@ -182,7 +172,13 @@ func (r *Registry) UpCount() int {
 func (r *Registry) Candidates(fn string, loadBound float64) []string {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.ring.PickBounded(fn, loadBound, func(id string) int {
+	total := 0
+	for _, w := range r.order {
+		if w.state == WorkerUp { // exactly the ring's members
+			total += w.inflight
+		}
+	}
+	return r.ring.PickBounded(fn, loadBound, total, func(id string) int {
 		return r.workers[id].inflight
 	})
 }
@@ -207,42 +203,40 @@ func (r *Registry) NoteResult(id string, ok bool) (changed bool, now WorkerState
 		r.mu.Unlock()
 		return false, 0
 	}
-	var hook func(string, bool)
-	inRing := false
+	changed, now, membership := r.noteLocked(w, ok)
+	r.mu.Unlock()
+	if membership != nil {
+		membership(id, now == WorkerUp)
+	}
+	return changed, now
+}
+
+// noteLocked is NoteResult under r.mu. A transition also returns the
+// membership hook, for the caller to fire once it has unlocked.
+func (r *Registry) noteLocked(w *worker, ok bool) (changed bool, now WorkerState, membership func(string, bool)) {
 	if ok {
 		w.consecFail = 0
 		w.consecOK++
 		if w.state == WorkerDown && w.consecOK >= r.markUpAfter {
 			w.state = WorkerUp
-			r.ring.Add(id)
+			r.ring.Add(w.spec.ID)
 			r.markUps++
-			changed, now = true, WorkerUp
-			hook, inRing = r.onMembership, true
-		} else {
-			changed, now = false, w.state
+			return true, WorkerUp, r.onMembership
 		}
-	} else {
-		w.consecOK = 0
-		w.consecFail++
-		w.failures++
-		if w.state == WorkerUp && w.consecFail >= r.markDownAfter {
-			w.state = WorkerDown
-			r.ring.Remove(id)
-			r.markDowns++
-			changed, now = true, WorkerDown
-			hook, inRing = r.onMembership, false
-		} else {
-			// Draining and standby workers are administrative states:
-			// probe results keep feeding the counters but never flip them
-			// up or down.
-			changed, now = false, w.state
-		}
+		return false, w.state, nil
 	}
-	r.mu.Unlock()
-	if hook != nil {
-		hook(id, inRing)
+	w.consecOK = 0
+	w.consecFail++
+	w.failures++
+	if w.state == WorkerUp && w.consecFail >= r.markDownAfter {
+		w.state = WorkerDown
+		r.ring.Remove(w.spec.ID)
+		r.markDowns++
+		return true, WorkerDown, r.onMembership
 	}
-	return changed, now
+	// Draining and standby workers are administrative states: probe
+	// results keep feeding the counters but never flip them up or down.
+	return false, w.state, nil
 }
 
 // OnMembership registers the ring-membership hook: it fires (without
@@ -364,35 +358,50 @@ func (r *Registry) SetCapacity(id string, capacity int) {
 	}
 }
 
-// AddInflight adjusts a worker's outstanding-forward count. When a
-// draining worker's count reaches zero its graceful drain is complete
-// and the OnDrained hook fires (without the lock held).
-func (r *Registry) AddInflight(id string, delta int) {
-	r.mu.Lock()
-	var hook func(string)
-	if w, ok := r.workers[id]; ok {
-		before := w.inflight
-		w.inflight += delta
-		if w.inflight < 0 {
-			w.inflight = 0
-		}
-		if w.state == WorkerDraining && before > 0 && w.inflight == 0 {
-			hook = r.onDrained
-		}
-	}
-	r.mu.Unlock()
-	if hook != nil {
-		hook(id)
-	}
-}
-
-// NoteForwarded counts one invocation served by the worker.
-func (r *Registry) NoteForwarded(id string) {
+// BeginForward counts one forward in flight against the worker. It
+// reports false, counting nothing, for an unknown id.
+func (r *Registry) BeginForward(id string) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if w, ok := r.workers[id]; ok {
+	w, ok := r.workers[id]
+	if ok {
+		w.inflight++
+	}
+	return ok
+}
+
+// EndForward settles the forward BeginForward counted, in one critical
+// section: the in-flight count drops (a draining worker that reaches zero
+// has completed its graceful drain and the OnDrained hook fires), served
+// counts one invocation the worker answered with a result, and ok feeds
+// the health state machine exactly as NoteResult does, whose transition
+// it returns.
+func (r *Registry) EndForward(id string, served, ok bool) (changed bool, now WorkerState) {
+	r.mu.Lock()
+	w, exists := r.workers[id]
+	if !exists {
+		r.mu.Unlock()
+		return false, 0
+	}
+	var drained func(string)
+	if w.inflight > 0 {
+		w.inflight--
+		if w.state == WorkerDraining && w.inflight == 0 {
+			drained = r.onDrained
+		}
+	}
+	if served {
 		w.forwarded++
 	}
+	changed, now, membership := r.noteLocked(w, ok)
+	r.mu.Unlock()
+	if drained != nil {
+		drained(id)
+	}
+	if membership != nil {
+		membership(id, now == WorkerUp)
+	}
+	return changed, now
 }
 
 // Transitions reports the cumulative mark-down/mark-up counts.
@@ -408,8 +417,8 @@ func (r *Registry) ForwardedPerWorker() []int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	out := make([]int, 0, len(r.order))
-	for _, id := range r.order {
-		out = append(out, int(r.workers[id].forwarded))
+	for _, w := range r.order {
+		out = append(out, int(w.forwarded))
 	}
 	return out
 }
@@ -419,8 +428,7 @@ func (r *Registry) Snapshot() []httpapi.WorkerStatus {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	out := make([]httpapi.WorkerStatus, 0, len(r.order))
-	for _, id := range r.order {
-		w := r.workers[id]
+	for _, w := range r.order {
 		out = append(out, httpapi.WorkerStatus{
 			ID:        w.spec.ID,
 			URL:       w.spec.URL,

@@ -41,11 +41,8 @@ func TestRegistryStartsOptimisticallyUp(t *testing.T) {
 	if st := reg.State("nope"); st != 0 {
 		t.Fatalf("unknown worker state = %v, want 0", st)
 	}
-	if url := reg.URL("w3"); url != "http://w3" {
-		t.Fatalf("URL(w3) = %q", url)
-	}
-	if url := reg.URL("nope"); url != "" {
-		t.Fatalf("URL(nope) = %q, want empty", url)
+	if reg.BeginForward("nope") {
+		t.Fatal("BeginForward counted a forward against an unknown worker")
 	}
 }
 
@@ -167,12 +164,17 @@ func TestRegistrySnapshotAndCounters(t *testing.T) {
 	}
 	reg.SetCapacity("w1", 8)
 	reg.SetCapacity("w1", -1) // ignored
-	reg.AddInflight("w1", 2)
-	reg.AddInflight("w1", -5) // clamps at zero
-	reg.NoteForwarded("w2")
-	reg.NoteForwarded("w2")
-	reg.NoteForwarded("w3")
-	reg.NoteResult("w3", false)
+	reg.BeginForward("w1")
+	reg.EndForward("w1", false, true)
+	reg.EndForward("w1", false, true) // unmatched: clamps at zero
+	reg.BeginForward("w2")
+	reg.BeginForward("w2")
+	reg.EndForward("w2", true, true)
+	reg.EndForward("w2", true, true)
+	reg.BeginForward("w3")
+	reg.EndForward("w3", true, true)
+	reg.BeginForward("w3")
+	reg.EndForward("w3", false, false) // a failed attempt: a failure, not a served invocation
 
 	if got := reg.ForwardedPerWorker(); len(got) != 3 || got[0] != 0 || got[1] != 2 || got[2] != 1 {
 		t.Fatalf("ForwardedPerWorker = %v", got)

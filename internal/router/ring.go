@@ -23,6 +23,7 @@ package router
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 
@@ -53,6 +54,7 @@ func hash64(s string) uint64 { return hashmix.String(s) }
 type ringEntry struct {
 	hash   uint64
 	member string
+	slot   int // the member's dense index, see Ring.members
 }
 
 // Ring is a consistent-hash ring over named members with virtual nodes.
@@ -60,7 +62,12 @@ type ringEntry struct {
 type Ring struct {
 	vnodes  int
 	entries []ringEntry // sorted by hash, ties by member
-	members map[string]struct{}
+	// members maps each member to a dense slot in [0, slots): a walk
+	// around the ring tells members it has already met apart with one bit
+	// per slot instead of a map. Remove frees a slot for the next Add.
+	members map[string]int
+	free    []int
+	slots   int
 }
 
 // NewRing builds an empty ring with the given virtual-node count per
@@ -69,7 +76,7 @@ func NewRing(vnodes int) *Ring {
 	if vnodes <= 0 {
 		vnodes = DefaultVNodes
 	}
-	return &Ring{vnodes: vnodes, members: make(map[string]struct{})}
+	return &Ring{vnodes: vnodes, members: make(map[string]int)}
 }
 
 // Add inserts a member; it reports false if the member already exists.
@@ -77,11 +84,18 @@ func (r *Ring) Add(member string) bool {
 	if _, ok := r.members[member]; ok || member == "" {
 		return false
 	}
-	r.members[member] = struct{}{}
+	slot := r.slots
+	if n := len(r.free); n > 0 {
+		slot, r.free = r.free[n-1], r.free[:n-1]
+	} else {
+		r.slots++
+	}
+	r.members[member] = slot
 	for i := 0; i < r.vnodes; i++ {
 		r.entries = append(r.entries, ringEntry{
 			hash:   hash64(member + "#" + strconv.Itoa(i)),
 			member: member,
+			slot:   slot,
 		})
 	}
 	sort.Slice(r.entries, func(a, b int) bool {
@@ -98,10 +112,12 @@ func (r *Ring) Add(member string) bool {
 // owned by the removed member move — the consistent-hashing stability
 // property the rebalance tests assert.
 func (r *Ring) Remove(member string) bool {
-	if _, ok := r.members[member]; !ok {
+	slot, ok := r.members[member]
+	if !ok {
 		return false
 	}
 	delete(r.members, member)
+	r.free = append(r.free, slot)
 	kept := r.entries[:0]
 	for _, e := range r.entries {
 		if e.member != member {
@@ -131,11 +147,41 @@ func (r *Ring) Members() []string {
 // Pick returns the member owning key: the first virtual node clockwise
 // from the key's hash. It reports false on an empty ring.
 func (r *Ring) Pick(key string) (string, bool) {
-	c := r.Candidates(key, 1)
-	if len(c) == 0 {
+	if len(r.entries) == 0 {
 		return "", false
 	}
-	return c[0], true
+	return r.entries[r.start(key)%len(r.entries)].member, true
+}
+
+// start is the index of the first virtual node clockwise from key's hash
+// (len(entries) when the hash lies past the last one: wrap to zero).
+func (r *Ring) start(key string) int {
+	h := hash64(key)
+	return sort.Search(len(r.entries), func(i int) bool { return r.entries[i].hash >= h })
+}
+
+// walk calls visit once per distinct member in ring order starting
+// clockwise from key's hash, until every member was visited or visit
+// reports false.
+func (r *Ring) walk(key string, visit func(member string) bool) {
+	// One bit per slot; fleets of up to 512 slots stay off the heap.
+	var small [8]uint64
+	seen := small[:]
+	if words := (r.slots + 63) / 64; words > len(small) {
+		seen = make([]uint64, words)
+	}
+	start, left := r.start(key), len(r.members)
+	for i := 0; i < len(r.entries) && left > 0; i++ {
+		e := &r.entries[(start+i)%len(r.entries)]
+		if seen[e.slot/64]&(1<<(e.slot%64)) != 0 {
+			continue
+		}
+		seen[e.slot/64] |= 1 << (e.slot % 64)
+		left--
+		if !visit(e.member) {
+			return
+		}
+	}
 }
 
 // Candidates returns up to max distinct members in ring order starting
@@ -148,18 +194,11 @@ func (r *Ring) Candidates(key string, max int) []string {
 	if max > len(r.members) {
 		max = len(r.members)
 	}
-	h := hash64(key)
-	start := sort.Search(len(r.entries), func(i int) bool { return r.entries[i].hash >= h })
 	out := make([]string, 0, max)
-	seen := make(map[string]struct{}, max)
-	for i := 0; i < len(r.entries) && len(out) < max; i++ {
-		e := r.entries[(start+i)%len(r.entries)]
-		if _, dup := seen[e.member]; dup {
-			continue
-		}
-		seen[e.member] = struct{}{}
-		out = append(out, e.member)
-	}
+	r.walk(key, func(member string) bool {
+		out = append(out, member)
+		return len(out) < max
+	})
 	return out
 }
 
@@ -182,27 +221,30 @@ func (r *Ring) LoadBound(factor float64, totalInflight int) int {
 // ring candidates whose load (per loadOf) is below the bound first, in
 // ring order, then the remaining members by ascending load (least-loaded
 // spillover). Every member appears exactly once, so the result doubles
-// as the failover order.
-func (r *Ring) PickBounded(key string, factor float64, loadOf func(member string) int) []string {
-	members := r.Members()
-	if len(members) == 0 {
+// as the failover order. total is the members' summed load, which the
+// caller tracks; the result slice is the only allocation.
+func (r *Ring) PickBounded(key string, factor float64, total int, loadOf func(member string) int) []string {
+	n := len(r.members)
+	if n == 0 {
 		return nil
 	}
-	total := 0
-	for _, m := range members {
-		total += loadOf(m)
-	}
 	bound := r.LoadBound(factor, total)
-	ringOrder := r.Candidates(key, len(members))
-	out := make([]string, 0, len(members))
-	var spill []string
-	for _, m := range ringOrder {
-		if loadOf(m) < bound {
-			out = append(out, m)
+	// Under-bound members fill out from the front, the spill from the
+	// back (so in reverse ring order until it is turned around below).
+	out := make([]string, n)
+	front, back := 0, n
+	r.walk(key, func(member string) bool {
+		if loadOf(member) < bound {
+			out[front] = member
+			front++
 		} else {
-			spill = append(spill, m)
+			back--
+			out[back] = member
 		}
-	}
-	sort.SliceStable(spill, func(a, b int) bool { return loadOf(spill[a]) < loadOf(spill[b]) })
-	return append(out, spill...)
+		return true
+	})
+	spill := out[front:]
+	slices.Reverse(spill)
+	slices.SortStableFunc(spill, func(a, b string) int { return loadOf(a) - loadOf(b) })
+	return out
 }

@@ -2,6 +2,10 @@ package router
 
 import (
 	"fmt"
+	"math/rand"
+	"slices"
+	"sort"
+	"strconv"
 	"testing"
 )
 
@@ -165,14 +169,14 @@ func TestRingPickBoundedSpillover(t *testing.T) {
 	owner, _ := r.Pick(key)
 
 	// Unloaded: bounded pick preserves plain ring order.
-	idle := r.PickBounded(key, 1.25, func(string) int { return 0 })
+	idle := r.PickBounded(key, 1.25, 0, func(string) int { return 0 })
 	if len(idle) != 3 || idle[0] != owner {
 		t.Fatalf("idle PickBounded = %v, owner %q", idle, owner)
 	}
 
 	// Overload the owner: total 12 over 3 members, bound ceil(1.25*13/3)=6.
 	loads := map[string]int{owner: 12}
-	picked := r.PickBounded(key, 1.25, func(m string) int { return loads[m] })
+	picked := r.PickBounded(key, 1.25, 12, func(m string) int { return loads[m] })
 	if len(picked) != 3 {
 		t.Fatalf("PickBounded = %v, want 3 members", picked)
 	}
@@ -193,7 +197,7 @@ func TestRingPickBoundedSpillover(t *testing.T) {
 	// Two members over the bound: the idle one leads, the overloaded pair
 	// spills in ascending-load order. Bound = ceil(1 * 191 / 3) = 64.
 	loads = map[string]int{"w1": 100, "w2": 90, "w3": 0}
-	picked = r.PickBounded(key, 1, func(m string) int { return loads[m] })
+	picked = r.PickBounded(key, 1, 190, func(m string) int { return loads[m] })
 	if picked[0] != "w3" || picked[1] != "w2" || picked[2] != "w1" {
 		t.Fatalf("spillover order = %v, want [w3 w2 w1] (idle, then ascending load)", picked)
 	}
@@ -217,5 +221,114 @@ func TestRingDistribution(t *testing.T) {
 		if share < 0.10 || share > 0.60 {
 			t.Errorf("member %s owns %.0f%% of keys; spread is broken: %v", m, share*100, counts)
 		}
+	}
+}
+
+// referenceCandidates and referencePickBounded are the ring walk as it
+// was before entries carried a dense slot: a map of members already met,
+// and a sorted copy of the member list per pick. Kept as the oracle for
+// TestRingPicksMatchReference.
+func referenceCandidates(r *Ring, key string, max int) []string {
+	if len(r.entries) == 0 || max <= 0 {
+		return nil
+	}
+	if max > len(r.members) {
+		max = len(r.members)
+	}
+	h := hash64(key)
+	start := sort.Search(len(r.entries), func(i int) bool { return r.entries[i].hash >= h })
+	out := make([]string, 0, max)
+	seen := make(map[string]struct{}, max)
+	for i := 0; i < len(r.entries) && len(out) < max; i++ {
+		e := r.entries[(start+i)%len(r.entries)]
+		if _, dup := seen[e.member]; dup {
+			continue
+		}
+		seen[e.member] = struct{}{}
+		out = append(out, e.member)
+	}
+	return out
+}
+
+func referencePickBounded(r *Ring, key string, factor float64, loadOf func(member string) int) []string {
+	members := r.Members()
+	if len(members) == 0 {
+		return nil
+	}
+	total := 0
+	for _, m := range members {
+		total += loadOf(m)
+	}
+	bound := r.LoadBound(factor, total)
+	ringOrder := referenceCandidates(r, key, len(members))
+	out := make([]string, 0, len(members))
+	var spill []string
+	for _, m := range ringOrder {
+		if loadOf(m) < bound {
+			out = append(out, m)
+		} else {
+			spill = append(spill, m)
+		}
+	}
+	sort.SliceStable(spill, func(a, b int) bool { return loadOf(spill[a]) < loadOf(spill[b]) })
+	return append(out, spill...)
+}
+
+// TestRingPicksMatchReference: over seeded random rings — members added
+// and removed so slots are freed and reused, fleets past the 512 slots
+// the walk keeps on the stack — loads and bounds, Pick, Candidates and
+// PickBounded answer exactly what the reference walk answers.
+func TestRingPicksMatchReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for round := 0; round < 60; round++ {
+		r := NewRing(1 + rng.Intn(8))
+		pool := 1 + rng.Intn(40)
+		if round%20 == 19 {
+			pool = 600
+		}
+		loads := map[string]int{}
+		for step := 0; step < 3*pool; step++ {
+			m := "w" + strconv.Itoa(rng.Intn(pool))
+			if rng.Intn(3) == 0 {
+				r.Remove(m)
+			} else {
+				r.Add(m)
+			}
+			loads[m] = rng.Intn(4) * rng.Intn(20)
+		}
+		loadOf := func(m string) int { return loads[m] }
+		total := 0
+		for _, m := range r.Members() {
+			total += loads[m]
+		}
+		for i := 0; i < 40; i++ {
+			key := "fn-" + strconv.Itoa(rng.Intn(1000))
+			factor := []float64{0.5, 1, 1.25, 2, 10}[rng.Intn(5)]
+			got := r.PickBounded(key, factor, total, loadOf)
+			if want := referencePickBounded(r, key, factor, loadOf); !slices.Equal(got, want) {
+				t.Fatalf("round %d: PickBounded(%q, %v) = %v, reference %v", round, key, factor, got, want)
+			}
+			max := rng.Intn(r.Len() + 2)
+			if got, want := r.Candidates(key, max), referenceCandidates(r, key, max); !slices.Equal(got, want) {
+				t.Fatalf("round %d: Candidates(%q, %d) = %v, reference %v", round, key, max, got, want)
+			}
+			owner, ok := r.Pick(key)
+			if ref := referenceCandidates(r, key, 1); ok != (len(ref) == 1) || (ok && owner != ref[0]) {
+				t.Fatalf("round %d: Pick(%q) = %q, %v; reference %v", round, key, owner, ok, ref)
+			}
+		}
+	}
+}
+
+// TestRingPickBoundedAllocatesOnlyItsResult pins the per-request cost of
+// the routed path's ring lookup.
+func TestRingPickBoundedAllocatesOnlyItsResult(t *testing.T) {
+	r := NewRing(DefaultVNodes)
+	for i := 0; i < 100; i++ {
+		r.Add("w" + strconv.Itoa(i))
+	}
+	loadOf := func(m string) int { return len(m) } // some over the bound, some under
+	if n := testing.AllocsPerRun(100, func() { _ = r.PickBounded("fib", 1, 290, loadOf) }); n != 1 {
+		t.Errorf("PickBounded allocates %.1f objects/op, want 1 (the result)", n)
 	}
 }

@@ -6,8 +6,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
+	"net"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -106,8 +106,6 @@ type Config struct {
 	Tracer *obs.Tracer
 	// Logger receives the router's structured logs. Nil discards.
 	Logger *slog.Logger
-	// Transport overrides the forwarding HTTP transport (tests).
-	Transport http.RoundTripper
 }
 
 // Stats is a snapshot of router counters.
@@ -156,7 +154,7 @@ type Router struct {
 	adm     *admission
 	policy  Policy
 	scaler  *liveScaler
-	client  *http.Client
+	wire    *wireClient
 	tracer  *obs.Tracer
 	metrics *obs.Metrics
 	logger  *slog.Logger
@@ -218,6 +216,10 @@ func New(cfg Config, opts ...Option) (*Router, error) {
 	if err != nil {
 		return nil, err
 	}
+	wire, err := newWireClient(cfg.Workers, (&net.Dialer{}).DialContext)
+	if err != nil {
+		return nil, err
+	}
 	logger := cfg.Logger
 	if logger == nil {
 		logger = obs.Nop()
@@ -226,7 +228,7 @@ func New(cfg Config, opts ...Option) (*Router, error) {
 		cfg:        cfg,
 		reg:        reg,
 		adm:        newAdmission(cfg.FnConcurrency, cfg.QueueDepth, cfg.QueueWait),
-		client:     &http.Client{Transport: cfg.Transport},
+		wire:       wire,
 		tracer:     cfg.Tracer,
 		metrics:    obs.NewMetrics(),
 		logger:     logger,
@@ -256,6 +258,11 @@ func New(cfg Config, opts ...Option) (*Router, error) {
 			cfg.Policy, PolicyHash, PolicyPull)
 	}
 	reg.OnMembership(func(id string, inRing bool) {
+		if !inRing {
+			// Marked down or retired: whatever answers at that address
+			// next gets new connections.
+			rt.wire.dropIdle(id)
+		}
 		rt.policy.OnMembershipChange(id, inRing)
 	})
 	rt.logger.Info("router started",
@@ -329,8 +336,9 @@ func (rt *Router) Start() {
 	}
 }
 
-// Close stops the prober. It does not wait for in-flight forwards; the
-// HTTP server draining above the router owns that.
+// Close stops the prober and closes the idle worker connections. It does
+// not wait for in-flight forwards; the HTTP server draining above the
+// router owns that, and their connections close as they finish.
 func (rt *Router) Close() error {
 	rt.mu.Lock()
 	if rt.closed {
@@ -341,6 +349,7 @@ func (rt *Router) Close() error {
 	rt.mu.Unlock()
 	close(rt.stop)
 	rt.wg.Wait()
+	rt.wire.close()
 	return nil
 }
 
@@ -393,22 +402,17 @@ func (rt *Router) ProbeAll(ctx context.Context) {
 
 // probeOne performs one /healthz round trip.
 func (rt *Router) probeOne(ctx context.Context, spec WorkerSpec) (httpapi.HealthResponse, error) {
-	pctx, cancel := context.WithTimeout(ctx, rt.cfg.ProbeTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(pctx, http.MethodGet, spec.URL+"/healthz", nil)
+	ep := rt.wire.endpoints[spec.ID]
+	wc, status, err := ep.get(ctx, attemptDeadline(ctx, rt.cfg.ProbeTimeout), "/healthz")
 	if err != nil {
 		return httpapi.HealthResponse{}, err
 	}
-	resp, err := rt.client.Do(req)
-	if err != nil {
-		return httpapi.HealthResponse{}, err
-	}
-	defer func() { _ = resp.Body.Close() }()
 	var health httpapi.HealthResponse
 	// The body is informative even on 503 (draining/unready states).
-	_ = json.NewDecoder(io.LimitReader(resp.Body, 1<<16)).Decode(&health)
-	if resp.StatusCode != http.StatusOK {
-		return health, fmt.Errorf("healthz %d (%s)", resp.StatusCode, health.Status)
+	_ = json.Unmarshal(wc.rbuf, &health)
+	ep.put(wc)
+	if status != http.StatusOK {
+		return health, fmt.Errorf("healthz %d (%s)", status, health.Status)
 	}
 	if health.Status != "" && health.Status != httpapi.HealthOK {
 		return health, fmt.Errorf("healthz status %q", health.Status)
@@ -430,7 +434,28 @@ func (rt *Router) Invoke(ctx context.Context, req httpapi.RoutedInvokeRequest) (
 // the worker's spans stitch into one end-to-end timeline. The trace
 // identity travels to the worker as a traceparent header on the forward
 // request and comes back on the response's TraceID field.
+//
+// It is the struct view of invokeLine's result: the one forward path
+// produces the reply line, and this decodes it.
 func (rt *Router) InvokeTraced(ctx context.Context, req httpapi.RoutedInvokeRequest, parent uint64) (httpapi.RoutedInvokeResponse, error) {
+	var res httpapi.RoutedInvokeResponse
+	bufp := httpapi.LineBuffer()
+	line, _, err := rt.invokeLine(ctx, req, parent, (*bufp)[:0])
+	if err == nil {
+		if err = json.Unmarshal(line, &res); err != nil {
+			err = fmt.Errorf("router: invoke %s: decode routed reply: %w", req.Fn, err)
+		}
+	}
+	*bufp = line // Unmarshal copied everything it kept
+	httpapi.Recycle(bufp)
+	return res, err
+}
+
+// invokeLine routes one invocation and appends its reply — the
+// RoutedInvokeResponse line, spliced from the worker's own — to dst,
+// returning it with the reply's trace identity (zero when it has none).
+// Errors are Invoke's; dst comes back unextended with one.
+func (rt *Router) invokeLine(ctx context.Context, req httpapi.RoutedInvokeRequest, parent uint64, dst []byte) ([]byte, uint64, error) {
 	if req.TimeoutMillis > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, time.Duration(req.TimeoutMillis)*time.Millisecond)
@@ -445,7 +470,7 @@ func (rt *Router) InvokeTraced(ctx context.Context, req httpapi.RoutedInvokeRequ
 		release, err := rt.adm.Acquire(ctx, req.Fn)
 		if err != nil {
 			rt.noteShed(trace, admitStart, req.Fn, err)
-			return httpapi.RoutedInvokeResponse{}, err
+			return dst, 0, err
 		}
 		defer release()
 	}
@@ -455,16 +480,20 @@ func (rt *Router) InvokeTraced(ctx context.Context, req httpapi.RoutedInvokeRequ
 		// wakes the first worker before forward looks for candidates.
 		rt.scaler.observe(req.Fn, rt.scaler.now())
 	}
-	resp, err := rt.forward(ctx, trace, req)
-	var overload *OverloadError
-	if err != nil && errors.As(err, &overload) {
-		// A pull-policy shed surfaces from forward, after Routed was
-		// counted; undo it so Routed keeps meaning "admitted" under
-		// both policies.
-		rt.ctr.routed.Add(-1)
-		rt.noteShed(trace, admitStart, req.Fn, err)
+	line, echo, err := rt.forward(ctx, trace, req, dst)
+	if err != nil {
+		// Declared in here: errors.As sends its target to the heap, and
+		// the happy path should not pay for it.
+		var overload *OverloadError
+		if errors.As(err, &overload) {
+			// A pull-policy shed surfaces from forward, after Routed was
+			// counted; undo it so Routed keeps meaning "admitted" under
+			// both policies.
+			rt.ctr.routed.Add(-1)
+			rt.noteShed(trace, admitStart, req.Fn, err)
+		}
 	}
-	return resp, err
+	return line, echo, err
 }
 
 // noteShed records one shed invocation: span, counter, log line.
@@ -479,40 +508,36 @@ func (rt *Router) noteShed(trace uint64, start time.Duration, fn string, err err
 
 // forward asks the policy for a binding, then walks its per-attempt
 // worker picks with bounded retries/backoff.
-func (rt *Router) forward(ctx context.Context, trace uint64, req httpapi.RoutedInvokeRequest) (httpapi.RoutedInvokeResponse, error) {
+func (rt *Router) forward(ctx context.Context, trace uint64, req httpapi.RoutedInvokeRequest, dst []byte) ([]byte, uint64, error) {
 	routeStart := rt.tracer.Now()
 	bnd, assignErr := rt.policy.Assign(ctx, req.Fn)
-	detail := "candidates=0"
-	if assignErr == nil {
-		detail = bnd.detail()
+	if trace != 0 { // the detail string is built for a sampled trace only
+		detail := "candidates=0"
+		if assignErr == nil {
+			detail = bnd.detail()
+		}
+		rt.tracer.Record(obs.Span{
+			Trace: trace, Name: obs.SpanRoute, Fn: req.Fn,
+			Detail: detail,
+			Start:  routeStart, End: rt.tracer.Now(),
+		})
 	}
-	rt.tracer.Record(obs.Span{
-		Trace: trace, Name: obs.SpanRoute, Fn: req.Fn,
-		Detail: detail,
-		Start:  routeStart, End: rt.tracer.Now(),
-	})
 	if assignErr != nil {
 		if errors.Is(assignErr, ErrNoWorkers) {
 			rt.ctr.noWorkers.Add(1)
 		}
-		return httpapi.RoutedInvokeResponse{}, assignErr
+		return dst, 0, assignErr
 	}
 	// Settle the binding exactly once on every exit path: success and
 	// pass-through ack the lease, everything else aborts it, so the
 	// pull core's conservation (enqueued = completed + aborted) holds.
 	served := false
 	defer func() { bnd.Done(served) }()
-	// Byte-oriented encode of the forward body. The buffer is fresh, not
-	// pooled: http.Transport may keep reading the bytes.Reader after a
-	// per-attempt context cancellation, so recycling it here could hand a
-	// half-written buffer to an in-flight request.
-	body := httpapi.AppendInvokeRequest(
-		make([]byte, 0, len(req.Fn)+len(req.Payload)+32), req.Fn, req.Payload)
 	var lastErr error
 	var prev string
 	for attempt := 1; attempt <= rt.cfg.MaxAttempts; attempt++ {
 		if err := ctx.Err(); err != nil {
-			return httpapi.RoutedInvokeResponse{}, fmt.Errorf("router: invoke %s: %w", req.Fn, err)
+			return dst, 0, fmt.Errorf("router: invoke %s: %w", req.Fn, err)
 		}
 		if attempt > 1 {
 			rt.ctr.retries.Add(1)
@@ -522,59 +547,48 @@ func (rt *Router) forward(ctx context.Context, trace uint64, req httpapi.RoutedI
 		if err != nil {
 			// Context expired (or the router closed) while waiting for a
 			// pull lease; the deferred Done aborts the queued item.
-			return httpapi.RoutedInvokeResponse{}, fmt.Errorf("router: invoke %s: %w", req.Fn, err)
+			return dst, 0, fmt.Errorf("router: invoke %s: %w", req.Fn, err)
 		}
 		if attempt > 1 && id != prev {
 			rt.ctr.failovers.Add(1)
 		}
 		prev = id
-		resp, err := rt.tryWorker(ctx, trace, attempt, id, req.Fn, body)
-		if err == nil {
-			resp.ForwardAttempts = attempt
-			if resp.TraceID == "" && trace != 0 {
-				// Worker tracing off: report the router's trace identity.
-				resp.TraceID = fmt.Sprintf("%016x", trace)
-			}
-			rt.reg.NoteForwarded(id)
-			rt.reg.NoteResult(id, true)
+		line, echo, outcome, err := rt.tryWorker(ctx, trace, attempt, id, req, dst)
+		if outcome != outcomeTransient {
+			// The worker answered — with a result, or with an error that
+			// belongs to the request, which passes through: failing over
+			// would re-run a doomed invocation on a healthy worker.
 			rt.ctr.completed.Add(1)
 			served = true
-			return resp, nil
-		}
-		var pass *PassThroughError
-		if errors.As(err, &pass) {
-			// The worker answered: not a fleet failure, pass it through.
-			rt.reg.NoteResult(id, true)
-			rt.ctr.completed.Add(1)
-			served = true
-			return httpapi.RoutedInvokeResponse{}, err
+			return line, echo, err
 		}
 		// Transient: connection error, injected worker failure, or a 503
-		// from a draining worker. Counts toward mark-down, then fail over.
+		// from a draining worker. It counted toward mark-down; fail over.
 		lastErr = err
-		changed, now := rt.reg.NoteResult(id, false)
-		if changed {
-			rt.logger.Warn("worker state changed", "worker", id, "state", now.String(), "err", err)
-		}
 		rt.logger.Info("forward failed", "fn", req.Fn, "worker", id, "attempt", attempt, "err", err)
 	}
 	rt.ctr.errors.Add(1)
-	return httpapi.RoutedInvokeResponse{}, fmt.Errorf("router: invoke %s: %d attempts exhausted: %w",
+	return dst, 0, fmt.Errorf("router: invoke %s: %d attempts exhausted: %w",
 		req.Fn, rt.cfg.MaxAttempts, lastErr)
 }
 
-// attemptOutcome labels a forward attempt's result for its span detail:
-// "ok", "worker-error" (the worker answered with a non-retryable HTTP
-// error) or "transient" (connection failure, 503, injected fault).
+// A forward attempt's outcome, as its span detail spells it.
+const (
+	outcomeOK          = "ok"
+	outcomeWorkerError = "worker-error" // the worker answered with a non-retryable HTTP error
+	outcomeTransient   = "transient"    // connection failure, 503, injected fault
+)
+
+// attemptOutcome labels a forward attempt's result.
 func attemptOutcome(err error) string {
 	if err == nil {
-		return "ok"
+		return outcomeOK
 	}
 	var pass *PassThroughError
 	if errors.As(err, &pass) {
-		return "worker-error"
+		return outcomeWorkerError
 	}
-	return "transient"
+	return outcomeTransient
 }
 
 // backoff sleeps the exponential retry delay (base doubled per extra
@@ -597,104 +611,78 @@ func (rt *Router) backoff(ctx context.Context, trace uint64, fn string, attempt 
 	})
 }
 
-// tryWorker performs one forward attempt against one worker. A non-2xx,
-// non-503 worker response returns a *PassThroughError; connection
-// errors, injected worker failures and 503s return plain (retryable)
-// errors. Each attempt records one forward span carrying the worker ID
-// and the attempt's outcome, and propagates the trace to the worker as
-// a traceparent header so the worker's spans join the same trace.
-func (rt *Router) tryWorker(ctx context.Context, trace uint64, attempt int, id, fn string, body []byte) (_ httpapi.RoutedInvokeResponse, retErr error) {
+// tryWorker performs one forward attempt against one worker and settles
+// it with the registry: one BeginForward before the exchange, one
+// EndForward after, which also feeds the worker's health state. A non-2xx,
+// non-503 worker response returns a *PassThroughError; connection errors,
+// injected worker failures and 503s return plain (retryable) errors. Each
+// attempt records one forward span carrying the worker ID and the
+// attempt's outcome.
+func (rt *Router) tryWorker(ctx context.Context, trace uint64, attempt int, id string, req httpapi.RoutedInvokeRequest, dst []byte) (line []byte, echo uint64, outcome string, err error) {
 	spanStart := rt.tracer.Now()
-	defer func() {
+	line, begun := dst, false
+	switch ep := rt.wire.endpoints[id]; {
+	case rt.cfg.Chaos.Should(chaos.WorkerFailure):
+		err = fmt.Errorf("injected worker failure (%s)", id)
+	case ep == nil || !rt.reg.BeginForward(id):
+		err = fmt.Errorf("unknown worker %q", id)
+	default:
+		begun = true
+		line, echo, err = rt.exchange(ctx, ep, trace, attempt, req, dst)
+	}
+	outcome = attemptOutcome(err)
+	var changed bool
+	var now WorkerState
+	if begun {
+		changed, now = rt.reg.EndForward(id, err == nil, outcome != outcomeTransient)
+	} else {
+		changed, now = rt.reg.NoteResult(id, false)
+	}
+	if changed {
+		rt.logger.Warn("worker state changed", "worker", id, "state", now.String(), "err", err)
+	}
+	if trace != 0 { // the detail string is built for a sampled trace only
 		rt.tracer.Record(obs.Span{
-			Trace: trace, Name: obs.SpanForward, Fn: fn, Attempt: attempt,
-			Detail: id + " " + attemptOutcome(retErr),
+			Trace: trace, Name: obs.SpanForward, Fn: req.Fn, Attempt: attempt,
+			Detail: id + " " + outcome,
 			Start:  spanStart, End: rt.tracer.Now(),
 		})
-	}()
-	if rt.cfg.Chaos.Should(chaos.WorkerFailure) {
-		return httpapi.RoutedInvokeResponse{}, fmt.Errorf("injected worker failure (%s)", id)
 	}
-	url := rt.reg.URL(id)
-	if url == "" {
-		return httpapi.RoutedInvokeResponse{}, fmt.Errorf("unknown worker %q", id)
-	}
-	rt.reg.AddInflight(id, 1)
-	defer rt.reg.AddInflight(id, -1)
-	fctx, cancel := context.WithTimeout(ctx, rt.cfg.ForwardTimeout)
-	defer cancel()
-	hreq, err := http.NewRequestWithContext(fctx, http.MethodPost, url+"/invoke", bytes.NewReader(body))
-	if err != nil {
-		return httpapi.RoutedInvokeResponse{}, err
-	}
-	hreq.Header.Set("Content-Type", "application/json")
-	if trace != 0 {
-		hreq.Header.Set(obs.TraceParentHeader, obs.FormatTraceParent(trace))
-	}
+	return line, echo, outcome, err
+}
+
+// exchange is the attempt's round trip on the wire: the request goes out
+// with the trace as a traceparent header, so the worker's spans join the
+// same trace, and a 200's body is spliced into the routed reply line
+// while the connection still holds it.
+func (rt *Router) exchange(ctx context.Context, ep *endpoint, trace uint64, attempt int, req httpapi.RoutedInvokeRequest, dst []byte) ([]byte, uint64, error) {
 	start := time.Now()
-	resp, err := rt.client.Do(hreq)
+	wc, status, err := ep.invoke(ctx, attemptDeadline(ctx, rt.cfg.ForwardTimeout), trace, req.Fn, req.Payload)
 	if err != nil {
-		return httpapi.RoutedInvokeResponse{}, fmt.Errorf("forward to %s: %w", id, err)
+		return dst, 0, fmt.Errorf("forward to %s: %w", ep.id, err)
 	}
-	defer func() { _ = resp.Body.Close() }()
-	rt.metrics.ObserveForward(id, time.Since(start))
+	elapsed := time.Since(start)
+	rt.metrics.ObserveForward(ep.id, elapsed)
 	if rt.scaler != nil {
-		rt.scaler.observeLatency(time.Since(start))
+		rt.scaler.observeLatency(elapsed)
 	}
 	rt.ctr.forwarded.Add(1)
-	// Worker responses are read into a pooled buffer: every escape below
-	// copies (json.Unmarshal clones RawMessage fields, error formatting
-	// and PassThroughError stringify), so nothing aliases raw after this
-	// attempt returns.
-	bufp := workerRespBufPool.Get().(*[]byte)
-	raw, err := appendReadAll((*bufp)[:0], io.LimitReader(resp.Body, 4<<20))
-	*bufp = raw
-	defer workerRespBufPool.Put(bufp)
-	if err != nil {
-		return httpapi.RoutedInvokeResponse{}, fmt.Errorf("read response from %s: %w", id, err)
-	}
-	if resp.StatusCode == http.StatusServiceUnavailable {
-		return httpapi.RoutedInvokeResponse{}, fmt.Errorf("worker %s unavailable: %s", id, bytes.TrimSpace(raw))
-	}
-	if resp.StatusCode != http.StatusOK {
-		return httpapi.RoutedInvokeResponse{}, &PassThroughError{
-			Worker: id, Status: resp.StatusCode, Body: string(bytes.TrimSpace(raw)),
-		}
-	}
-	var inner httpapi.InvokeResponse
-	if err := json.Unmarshal(raw, &inner); err != nil {
-		return httpapi.RoutedInvokeResponse{}, fmt.Errorf("decode response from %s: %w", id, err)
-	}
-	out := httpapi.RoutedInvokeResponse{InvokeResponse: inner, Worker: id}
-	if inner.Worker != "" {
-		// Prefer the worker's self-reported identity: it survives URL
-		// remappings in front of the fleet.
-		out.Worker = inner.Worker
-	}
-	return out, nil
-}
-
-// workerRespBufPool recycles the per-attempt buffer a worker response is
-// read into (see tryWorker for the no-aliasing argument).
-var workerRespBufPool = sync.Pool{
-	New: func() any { b := make([]byte, 0, 4096); return &b },
-}
-
-// appendReadAll reads r to EOF appending into dst, growing the buffer as
-// needed; the grown buffer is returned even on error so callers can keep
-// its capacity.
-func appendReadAll(dst []byte, r io.Reader) ([]byte, error) {
-	for {
-		if len(dst) == cap(dst) {
-			dst = append(dst, 0)[:len(dst)]
-		}
-		n, err := r.Read(dst[len(dst):cap(dst)])
-		dst = dst[:len(dst)+n]
-		if err == io.EOF {
-			return dst, nil
-		}
+	// Every escape below copies out of the connection's reply buffer (the
+	// splice appends, the errors stringify), so nothing aliases it once
+	// the connection is put back.
+	defer ep.put(wc)
+	switch status {
+	case http.StatusOK:
+		line, echo, err := httpapi.SpliceRoutedInvokeResponse(dst, wc.rbuf, ep.id, attempt, trace)
 		if err != nil {
-			return dst, err
+			return dst, 0, fmt.Errorf("decode response from %s: %w", ep.id, err)
+		}
+		return line, echo, nil
+	case http.StatusServiceUnavailable:
+		return dst, 0, fmt.Errorf("worker %s unavailable: %s", ep.id, bytes.TrimSpace(wc.rbuf))
+	default:
+		return dst, 0, &PassThroughError{
+			Worker: ep.id, Status: status, Body: string(bytes.TrimSpace(wc.rbuf)),
 		}
 	}
 }
