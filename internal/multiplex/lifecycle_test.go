@@ -4,9 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"faasbatch/internal/obs/obstest"
 )
 
 // closeRecorder is a cacheable instance whose OnEvict-driven close is
@@ -248,7 +251,7 @@ func TestAcquireDefersEvictionUntilRelease(t *testing.T) {
 		}
 	}})
 	keyA, keyB := NewKey("client", "a"), NewKey("client", "b")
-	v, out, release, err := c.Acquire(context.Background(), keyA, func() (any, int64, error) {
+	v, out, loan, err := c.Acquire(context.Background(), keyA, func() (any, int64, error) {
 		return inst, 4, nil
 	})
 	if err != nil || out != OutcomeMiss || v != inst {
@@ -266,11 +269,11 @@ func TestAcquireDefersEvictionUntilRelease(t *testing.T) {
 	if n := inst.closed.Load(); n != 0 {
 		t.Fatalf("borrowed instance closed %d times before release", n)
 	}
-	release()
+	loan.Release()
 	if n := inst.closed.Load(); n != 1 {
 		t.Fatalf("released instance closed %d times, want 1", n)
 	}
-	release() // idempotent
+	loan.Release() // a second release of one loan is a no-op
 	if n := inst.closed.Load(); n != 1 {
 		t.Fatalf("double release re-closed: %d", n)
 	}
@@ -297,13 +300,97 @@ func TestAcquireSharedBorrowLastReleaseCloses(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Invalidate(key)
-	rel1()
+	rel1.Release()
 	if n := inst.closed.Load(); n != 0 {
 		t.Fatalf("closed after first of two releases: %d", n)
 	}
-	rel2()
+	rel2.Release()
 	if n := inst.closed.Load(); n != 1 {
 		t.Fatalf("closed %d times after last release, want 1", n)
+	}
+}
+
+// TestInvalidateUnderConcurrentLoansClosesOnceAfterLast: 64 goroutines
+// hold a loan on one key when Invalidate drops it. OnEvict fires exactly
+// once, only after the 64th release, and outside the shard lock.
+func TestInvalidateUnderConcurrentLoansClosesOnceAfterLast(t *testing.T) {
+	const borrowers = 64
+	inst := &closeRecorder{name: "shared"}
+	var c *Cache
+	var released, early, underLock atomic.Int64
+	c = NewWithConfig(Config{Shards: 1, OnEvict: func(_ Key, v any, _ int64) {
+		if released.Load() != borrowers {
+			early.Add(1)
+		}
+		// The hook runs outside the shard lock iff the lock can be taken.
+		if mu := &c.shards[0].mu; mu.TryLock() {
+			mu.Unlock()
+		} else {
+			underLock.Add(1)
+		}
+		v.(*closeRecorder).closed.Add(1)
+	}})
+	key := NewKey("client", "args")
+	build := func() (any, int64, error) { return inst, 4, nil }
+
+	var held, done sync.WaitGroup
+	invalidated := make(chan struct{})
+	held.Add(borrowers)
+	done.Add(borrowers)
+	for i := 0; i < borrowers; i++ {
+		go func() {
+			defer done.Done()
+			v, _, loan, err := c.Acquire(context.Background(), key, build)
+			if err != nil || v != inst {
+				t.Errorf("acquire = %v, %v", v, err)
+			}
+			held.Done()
+			<-invalidated
+			released.Add(1)
+			loan.Release()
+		}()
+	}
+	held.Wait()
+	if !c.Invalidate(key) {
+		t.Fatal("Invalidate found no entry")
+	}
+	if n := inst.closed.Load(); n != 0 {
+		t.Fatalf("instance closed %d times while %d loans were out", n, borrowers)
+	}
+	close(invalidated)
+	done.Wait()
+	if n := inst.closed.Load(); n != 1 {
+		t.Fatalf("instance closed %d times, want 1", n)
+	}
+	if early.Load() != 0 {
+		t.Fatal("OnEvict fired before the last loan was released")
+	}
+	if underLock.Load() != 0 {
+		t.Fatal("OnEvict ran under the shard lock")
+	}
+}
+
+// TestAcquireHitAllocFree: with an OnEvict hook configured — what the
+// platform always runs (containerCacheConfig) — a hit and its release
+// allocate nothing.
+func TestAcquireHitAllocFree(t *testing.T) {
+	if obstest.RaceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	c := NewWithConfig(Config{OnEvict: func(Key, any, int64) {}})
+	key := NewKey("client", "args")
+	build := func() (any, int64, error) { return &closeRecorder{}, 4, nil }
+	ctx := context.Background()
+	hit := func() {
+		_, out, loan, err := c.Acquire(ctx, key, build)
+		if err != nil || (out != OutcomeHit && out != OutcomeMiss) {
+			t.Fatalf("acquire = %v, %v", out, err)
+		}
+		loan.Release()
+	}
+	hit() // the miss that publishes the instance
+	if avg := testing.AllocsPerRun(200, hit); avg != 0 {
+		t.Fatalf("Acquire hit + release allocates %.1f objects/op, want 0", avg)
 	}
 }
 
@@ -385,15 +472,15 @@ func TestPropertyInflightRefreshNeverEvicted(t *testing.T) {
 }
 
 // TestAcquireClosedCache keeps the typed-error contract on the borrowing
-// face and proves the release func of an error outcome is safe to call.
+// face and proves the loan of an error outcome is safe to release.
 func TestAcquireClosedCache(t *testing.T) {
 	c := NewWithConfig(Config{})
 	c.Close()
-	_, out, release, err := c.Acquire(context.Background(), NewKey("c", "a"),
+	_, out, loan, err := c.Acquire(context.Background(), NewKey("c", "a"),
 		func() (any, int64, error) { return "v", 1, nil })
 	if out != OutcomeError || !errors.Is(err, ErrCacheClosed) {
 		t.Fatalf("closed acquire = %v, %v", out, err)
 	}
-	release()
-	release()
+	loan.Release()
+	loan.Release()
 }

@@ -40,7 +40,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sync"
 	"time"
 
 	"faasbatch/internal/hashmix"
@@ -404,7 +403,7 @@ func (c *Cache) Wait(key Key, fn func(any)) {
 // tracks (failed, invalidated or closed meanwhile) releases the instance
 // through OnEvict instead of storing it.
 func (c *Cache) Complete(key Key, instance any, bytes int64) {
-	c.shardFor(key).complete(key, instance, bytes)
+	c.shardFor(key).complete(key, instance, bytes, nil)
 }
 
 // Fail abandons a pending build: waiters are notified with nil. With
@@ -433,32 +432,28 @@ func (c *Cache) Invalidate(key Key) bool {
 	return c.shardFor(key).invalidate(key)
 }
 
-// GetOrBuildContext is the non-borrowing blocking face: Acquire with the
-// instance released immediately. It offers no protection against the
-// cache closing an evicted io.Closer instance while the caller still uses
-// it — callers holding instances across real work should use Acquire and
-// release when done.
+// GetOrBuildContext is the non-borrowing blocking face: Acquire without
+// the loan. It offers no protection against the cache closing an evicted
+// io.Closer instance while the caller still uses it — callers holding
+// instances across real work should use Acquire and release when done.
 func (c *Cache) GetOrBuildContext(ctx context.Context, key Key, build func() (any, int64, error)) (any, Outcome, error) {
-	v, out, release, err := c.Acquire(ctx, key, build)
-	release()
+	v, out, _, err := c.acquire(ctx, key, build, false)
 	return v, out, err
 }
 
-// ReleaseFunc returns a borrowed instance to the cache's lifecycle
-// management. It is idempotent and never nil.
-type ReleaseFunc func()
+// Loan is a caller's hold on an instance Acquire returned. The zero Loan
+// holds nothing (error outcomes, or a cache with no OnEvict hook to
+// defer), and releasing it is a no-op. A Loan has one holder: copies
+// share the hold, and Release is not safe for concurrent use.
+type Loan struct{ rec *loans }
 
-// releaseNop is the shared release for un-tracked borrows (no OnEvict
-// hook, non-comparable instance, or no instance at all).
-var releaseNop ReleaseFunc = func() {}
-
-// releaser wraps one loan of inst in an idempotent ReleaseFunc.
-func (c *Cache) releaser(sh *shard, inst any) ReleaseFunc {
-	if !sh.trackBorrows(inst) {
-		return releaseNop
+// Release ends the loan, firing the instance's OnEvict if it left the
+// cache meanwhile and this was its last loan. Releasing twice is a no-op.
+func (l *Loan) Release() {
+	if rec := l.rec; rec != nil {
+		l.rec = nil
+		rec.release()
 	}
-	var once sync.Once
-	return func() { once.Do(func() { sh.release(inst) }) }
 }
 
 // runBuild invokes a caller-supplied constructor for key. A panicking
@@ -487,22 +482,29 @@ func runBuild(sh *shard, key Key, build func() (any, int64, error)) (v any, byte
 // chain), ErrCacheClosed, or the context's error when ctx ends while
 // coalesced on another caller's build.
 //
-// The returned ReleaseFunc marks the end of the caller's use of the
-// instance: until it runs, any eviction of the instance (LRU overflow,
-// TTL expiry, refresh replacement, Invalidate, Close) defers the OnEvict
-// hook, so a cached client is never closed out from under a caller
-// mid-use. It is never nil, idempotent, and must be called exactly once
-// — a forgotten release pins an evicted instance's OnEvict forever.
-func (c *Cache) Acquire(ctx context.Context, key Key, build func() (any, int64, error)) (any, Outcome, ReleaseFunc, error) {
+// The returned Loan marks the caller's use of the instance: until it is
+// released, any eviction of the instance (LRU overflow, TTL expiry,
+// refresh replacement, Invalidate, Close) defers the OnEvict hook, so a
+// cached client is never closed out from under a caller mid-use. It must
+// be released exactly once — a forgotten release pins an evicted
+// instance's OnEvict forever. A hit allocates nothing.
+func (c *Cache) Acquire(ctx context.Context, key Key, build func() (any, int64, error)) (any, Outcome, Loan, error) {
+	v, out, loan, err := c.acquire(ctx, key, build, true)
+	return v, out, Loan{rec: loan}, err
+}
+
+// acquire is the blocking face; lend says whether the caller takes a loan
+// on the instance it is handed.
+func (c *Cache) acquire(ctx context.Context, key Key, build func() (any, int64, error), lend bool) (any, Outcome, *loans, error) {
 	sh := c.shardFor(key)
 	for {
-		res, inst, done, lastErr, closed := sh.beginBlocking(key, true)
+		found, closed := sh.beginBlocking(key, lend)
 		if closed {
-			return nil, OutcomeError, releaseNop, fmt.Errorf("multiplex: get %s: %w", key.Callee, ErrCacheClosed)
+			return nil, OutcomeError, nil, fmt.Errorf("multiplex: get %s: %w", key.Callee, ErrCacheClosed)
 		}
-		switch res {
+		switch found.res {
 		case BeginHit:
-			return inst, OutcomeHit, c.releaser(sh, inst), nil
+			return found.inst, OutcomeHit, found.loan, nil
 		case BeginStale:
 			// This caller owns the refresh; serve stale now, rebuild in the
 			// background. The goroutine must always settle the entry: a
@@ -519,32 +521,36 @@ func (c *Cache) Acquire(ctx context.Context, key Key, build func() (any, int64, 
 					sh.fail(key, err)
 					return
 				}
-				sh.complete(key, v, bytes)
+				sh.complete(key, v, bytes, nil)
 			}()
-			return inst, OutcomeStale, c.releaser(sh, inst), nil
+			return found.inst, OutcomeStale, found.loan, nil
 		case BeginNegative:
-			return nil, OutcomeNegative, releaseNop, &buildError{key: key, cause: negativeCause(lastErr)}
+			return nil, OutcomeNegative, nil, &buildError{key: key, cause: negativeCause(found.lastErr)}
 		case BeginMiss:
 			v, bytes, err := runBuild(sh, key, build)
 			if err != nil {
 				sh.fail(key, err)
-				return nil, OutcomeError, releaseNop, &buildError{key: key, cause: err}
+				return nil, OutcomeError, nil, &buildError{key: key, cause: err}
 			}
-			// Register the loan before publishing: once complete runs the
+			// Take the loan before publishing: once complete runs the
 			// instance is evictable (and the duplicate/orphan paths inside
 			// complete release through OnEvict), but this caller is about
 			// to return it.
-			sh.borrow(v)
-			sh.complete(key, v, bytes)
-			return v, OutcomeMiss, c.releaser(sh, v), nil
+			var lent *loans
+			if lend && sh.tracksLoans() {
+				lent = &loans{sh: sh}
+				lent.count.Store(1)
+			}
+			sh.complete(key, v, bytes, lent)
+			return v, OutcomeMiss, lent, nil
 		default: // BeginPending: coalesce onto the in-flight build.
 			select {
-			case <-done:
+			case <-found.done:
 			case <-ctx.Done():
-				return nil, OutcomeError, releaseNop, fmt.Errorf("multiplex: wait for %s: %w", key.Callee, ctx.Err())
+				return nil, OutcomeError, nil, fmt.Errorf("multiplex: wait for %s: %w", key.Callee, ctx.Err())
 			}
-			if v, ok := sh.readyValue(key, true); ok {
-				return v, OutcomeCoalesced, c.releaser(sh, v), nil
+			if v, loan, ok := sh.readyValue(key, lend); ok {
+				return v, OutcomeCoalesced, loan, nil
 			}
 			// The build failed; loop — the negative cache denies, or this
 			// caller becomes the builder.

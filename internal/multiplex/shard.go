@@ -1,8 +1,8 @@
 package multiplex
 
 import (
-	"reflect"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -46,6 +46,10 @@ type entry struct {
 	retryAt time.Duration
 	// lastErr is the most recent build error (negative entries serve it).
 	lastErr error
+	// loans counts the Acquire loans outstanding on instance (nil until
+	// the first one). A refresh replacement starts a new record for the
+	// new instance; the old one leaves with the old instance's eviction.
+	loans *loans
 	// prev/next link ready entries in the shard LRU (head = most recent).
 	prev, next *entry
 }
@@ -56,14 +60,43 @@ type evicted struct {
 	key      Key
 	instance any
 	bytes    int64
+	// loans is the instance's loan record (nil if it was never lent).
+	loans *loans
 }
 
-// borrowState refcounts one instance lent to blocking callers (Acquire).
-// While count > 0 any eviction record naming the instance is parked in
-// pending instead of reaching OnEvict; the last release fires them.
-type borrowState struct {
-	count   int
-	pending []evicted
+// loans refcounts one published instance lent to blocking callers
+// (Acquire). The ready entry serving the instance owns the record, so a
+// hit registers its loan with one increment under the lookup it already
+// does; an eviction carries the record out of the cache with the
+// instance. While count > 0 the instance's eviction records park in
+// pending instead of reaching OnEvict; the release that takes count to
+// zero fires them.
+type loans struct {
+	sh *shard
+	// count rises only under sh.mu (a hit on the owning entry, or the
+	// miss-path builder before it publishes) and falls without it.
+	count   atomic.Int64
+	pending []evicted // guarded by sh.mu
+}
+
+// release returns one loan. Only the release that empties the record
+// takes the shard lock: parked evictions can exist at no other moment.
+func (l *loans) release() {
+	if l.count.Add(-1) > 0 {
+		return
+	}
+	s := l.sh
+	var pending []evicted
+	s.mu.Lock()
+	// A hit may have lent the instance out again since the decrement; its
+	// own last release then finds whatever parks meanwhile.
+	if l.count.Load() == 0 {
+		pending, l.pending = l.pending, nil
+	}
+	s.mu.Unlock()
+	for _, ev := range pending {
+		s.cache.cfg.OnEvict(ev.key, ev.instance, ev.bytes)
+	}
 }
 
 // shard is one lock stripe: a map plus an intrusive LRU of ready entries.
@@ -80,10 +113,6 @@ type shard struct {
 	bytesLive  int64
 	stats      Stats // scalar counters only; gauges derive from fields above
 	closed     bool
-	// borrows tracks instances currently lent out by Acquire, keyed by
-	// instance identity. Guarded by mu; kept usable after close so late
-	// releases still fire deferred evictions.
-	borrows map[any]*borrowState
 }
 
 // --- LRU list (callers hold s.mu) ---
@@ -130,7 +159,7 @@ func (s *shard) dropReadyLocked(e *entry) evicted {
 	delete(s.entries, e.key)
 	s.ready--
 	s.bytesLive -= e.bytes
-	return evicted{key: e.key, instance: e.instance, bytes: e.bytes}
+	return evicted{key: e.key, instance: e.instance, bytes: e.bytes, loans: e.loans}
 }
 
 // evictOverflowLocked drops least-recently-used ready entries while the
@@ -169,101 +198,59 @@ func (s *shard) fire(evs []evicted) {
 		return
 	}
 	for _, ev := range evs {
-		if s.deferWhileBorrowed(ev) {
+		if ev.loans != nil && s.parkWhileLent(ev) {
 			continue
 		}
 		hook(ev.key, ev.instance, ev.bytes)
 	}
 }
 
-// hashable reports whether v can key the borrow map (non-comparable
-// instances — slices, maps, funcs — cannot be tracked and fall back to
-// immediate OnEvict on eviction).
-func hashable(v any) bool {
-	if v == nil {
-		return false
-	}
-	return reflect.TypeOf(v).Comparable()
-}
-
-// trackBorrows reports whether borrow bookkeeping buys anything: without
-// an OnEvict hook there is nothing to defer.
-func (s *shard) trackBorrows(inst any) bool {
-	return s.cache.cfg.OnEvict != nil && hashable(inst)
-}
-
-// borrowLocked registers one loan of inst. Callers hold s.mu and have
-// checked trackBorrows.
-func (s *shard) borrowLocked(inst any) {
-	if s.borrows == nil {
-		s.borrows = make(map[any]*borrowState)
-	}
-	st := s.borrows[inst]
-	if st == nil {
-		st = &borrowState{}
-		s.borrows[inst] = st
-	}
-	st.count++
-}
-
-// borrow is borrowLocked for callers not yet holding s.mu (the miss-path
-// builder registers its instance before publishing it).
-func (s *shard) borrow(inst any) {
-	if !s.trackBorrows(inst) {
-		return
-	}
-	s.mu.Lock()
-	s.borrowLocked(inst)
-	s.mu.Unlock()
-}
-
-// deferWhileBorrowed parks ev if its instance is still lent out,
-// reporting whether the OnEvict hook must wait for the last release.
-func (s *shard) deferWhileBorrowed(ev evicted) bool {
-	if !hashable(ev.instance) {
-		return false
-	}
+// parkWhileLent parks ev on its loan record if the instance is still lent
+// out, reporting whether the OnEvict hook must wait for the last release.
+// The record is out of the cache by now, so its count can only fall.
+func (s *shard) parkWhileLent(ev evicted) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	st := s.borrows[ev.instance]
-	if st == nil || st.count <= 0 {
+	if ev.loans.count.Load() <= 0 {
 		return false
 	}
-	st.pending = append(st.pending, ev)
+	ev.loans.pending = append(ev.loans.pending, ev)
 	return true
 }
 
-// release returns one loan of inst; the last release fires any eviction
-// records that were parked while the instance was lent out.
-func (s *shard) release(inst any) {
-	if !s.trackBorrows(inst) {
-		return
+// tracksLoans reports whether loan bookkeeping buys anything: without an
+// OnEvict hook there is nothing to defer.
+func (s *shard) tracksLoans() bool { return s.cache.cfg.OnEvict != nil }
+
+// lendLocked registers one loan of e's instance (nil when loans are not
+// tracked). Callers hold s.mu.
+func (s *shard) lendLocked(e *entry) *loans {
+	if !s.tracksLoans() {
+		return nil
 	}
-	s.mu.Lock()
-	st := s.borrows[inst]
-	if st == nil {
-		s.mu.Unlock()
-		return
+	if e.loans == nil {
+		e.loans = &loans{sh: s}
 	}
-	st.count--
-	if st.count > 0 {
-		s.mu.Unlock()
-		return
-	}
-	pending := st.pending
-	delete(s.borrows, inst)
-	s.mu.Unlock()
-	for _, ev := range pending {
-		s.cache.cfg.OnEvict(ev.key, ev.instance, ev.bytes)
-	}
+	e.loans.count.Add(1)
+	return e.loans
+}
+
+// lookup is what one begin found: the result, the instance and the loan
+// registered on it (hit/stale, blocking face), the done channel (pending)
+// and the last build error (negative).
+type lookup struct {
+	res     BeginResult
+	inst    any
+	loan    *loans
+	done    chan struct{}
+	lastErr error
 }
 
 // beginLocked is the shared lookup of both faces. Callers hold s.mu. It
-// returns the begin result, the instance (hit/stale), the done channel
-// (pending), the last build error (negative) and any evictions to fire.
-// borrow registers a loan on any returned instance (the blocking face's
-// Acquire; the event-driven face never borrows).
-func (s *shard) beginLocked(key Key, borrow bool) (BeginResult, any, chan struct{}, error, []evicted) {
+// returns what it found and any evictions to fire. lend registers a loan
+// on any returned instance (the blocking face's Acquire; the event-driven
+// face never borrows).
+func (s *shard) beginLocked(key Key, lend bool) (lookup, []evicted) {
 	now := s.cache.cfg.Now()
 	e, ok := s.entries[key]
 	if ok && e.state == stateReady && e.expired(now) && !e.refreshing {
@@ -275,33 +262,30 @@ func (s *shard) beginLocked(key Key, borrow bool) (BeginResult, any, chan struct
 		s.stats.Expired++
 		s.stats.Misses++
 		s.entries[key] = &entry{key: key, state: statePending, done: make(chan struct{})}
-		return BeginMiss, nil, nil, nil, []evicted{ev}
+		return lookup{res: BeginMiss}, []evicted{ev}
 	}
 	if !ok {
 		s.stats.Misses++
 		s.entries[key] = &entry{key: key, state: statePending, done: make(chan struct{})}
-		return BeginMiss, nil, nil, nil, nil
+		return lookup{res: BeginMiss}, nil
 	}
 	switch e.state {
 	case stateReady:
+		found := lookup{res: BeginHit, inst: e.instance}
 		if !e.refreshing && s.inRefreshWindow(e, now) {
 			e.refreshing = true
 			s.stats.StaleHits++
 			s.stats.Refreshes++
-			s.stats.BytesSaved += e.bytes
-			s.lruTouch(e)
-			if borrow && s.trackBorrows(e.instance) {
-				s.borrowLocked(e.instance)
-			}
-			return BeginStale, e.instance, nil, nil, nil
+			found.res = BeginStale
+		} else {
+			s.stats.Hits++
 		}
-		s.stats.Hits++
 		s.stats.BytesSaved += e.bytes
 		s.lruTouch(e)
-		if borrow && s.trackBorrows(e.instance) {
-			s.borrowLocked(e.instance)
+		if lend {
+			found.loan = s.lendLocked(e)
 		}
-		return BeginHit, e.instance, nil, nil, nil
+		return found, nil
 	case stateNegative:
 		if now >= e.retryAt {
 			// Backoff elapsed: this caller probes. The consecutive-failure
@@ -311,13 +295,13 @@ func (s *shard) beginLocked(key Key, borrow bool) (BeginResult, any, chan struct
 			e.waiters = nil
 			s.negCount--
 			s.stats.Misses++
-			return BeginMiss, nil, nil, nil, nil
+			return lookup{res: BeginMiss}, nil
 		}
 		s.stats.NegativeHits++
-		return BeginNegative, nil, nil, e.lastErr, nil
+		return lookup{res: BeginNegative, lastErr: e.lastErr}, nil
 	default: // statePending
 		s.stats.Coalesced++
-		return BeginPending, nil, e.done, nil, nil
+		return lookup{res: BeginPending, done: e.done}, nil
 	}
 }
 
@@ -328,42 +312,42 @@ func (s *shard) begin(key Key) (BeginResult, any) {
 		s.mu.Unlock()
 		return BeginMiss, nil
 	}
-	res, inst, _, _, evs := s.beginLocked(key, false)
+	found, evs := s.beginLocked(key, false)
 	s.mu.Unlock()
 	s.fire(evs)
-	return res, inst
+	return found.res, found.inst
 }
 
 // beginBlocking is the blocking face's lookup; closed reports a closed
-// cache (Acquire turns it into ErrCacheClosed). borrow registers a loan
-// on any instance returned.
-func (s *shard) beginBlocking(key Key, borrow bool) (res BeginResult, inst any, done chan struct{}, lastErr error, closed bool) {
+// cache (Acquire turns it into ErrCacheClosed). lend registers a loan on
+// any instance returned.
+func (s *shard) beginBlocking(key Key, lend bool) (found lookup, closed bool) {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		return 0, nil, nil, nil, true
+		return lookup{}, true
 	}
-	var evs []evicted
-	res, inst, done, lastErr, evs = s.beginLocked(key, borrow)
+	found, evs := s.beginLocked(key, lend)
 	s.mu.Unlock()
 	s.fire(evs)
-	return res, inst, done, lastErr, false
+	return found, false
 }
 
 // readyValue reports the instance for key if it is ready and unexpired —
-// the recheck a coalesced waiter performs after the build settles.
-// borrow registers a loan on the returned instance.
-func (s *shard) readyValue(key Key, borrow bool) (any, bool) {
+// the recheck a coalesced waiter performs after the build settles. lend
+// registers a loan on the returned instance.
+func (s *shard) readyValue(key Key, lend bool) (any, *loans, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	e, ok := s.entries[key]
 	if !ok || e.state != stateReady || (e.expired(s.cache.cfg.Now()) && !e.refreshing) {
-		return nil, false
+		return nil, nil, false
 	}
-	if borrow && s.trackBorrows(e.instance) {
-		s.borrowLocked(e.instance)
+	var loan *loans
+	if lend {
+		loan = s.lendLocked(e)
 	}
-	return e.instance, true
+	return e.instance, loan, true
 }
 
 // wait registers an event-driven waiter (see Cache.Wait).
@@ -390,8 +374,12 @@ func (s *shard) wait(key Key, fn func(any)) {
 	s.mu.Unlock()
 }
 
-// complete publishes a built instance (see Cache.Complete).
-func (s *shard) complete(key Key, instance any, bytes int64) {
+// complete publishes a built instance (see Cache.Complete). lent is the
+// loan its builder already holds on it (Acquire's miss path; nil
+// otherwise): it becomes the published entry's record, or leaves with the
+// instance when there is nowhere to store it — either way the builder's
+// release is what lets the instance's OnEvict run.
+func (s *shard) complete(key Key, instance any, bytes int64, lent *loans) {
 	now := s.cache.cfg.Now()
 	s.mu.Lock()
 	e, ok := s.entries[key]
@@ -399,7 +387,7 @@ func (s *shard) complete(key Key, instance any, bytes int64) {
 		// Nowhere to store it: release the orphaned instance so its
 		// sockets do not leak past the container teardown.
 		s.mu.Unlock()
-		s.fire([]evicted{{key: key, instance: instance, bytes: bytes}})
+		s.fire([]evicted{{key: key, instance: instance, bytes: bytes, loans: lent}})
 		return
 	}
 	var evs []evicted
@@ -409,6 +397,7 @@ func (s *shard) complete(key Key, instance any, bytes int64) {
 		e.state = stateReady
 		e.instance = instance
 		e.bytes = bytes
+		e.loans = lent
 		e.fails = 0
 		e.lastErr = nil
 		if ttl := s.cache.cfg.TTL; ttl > 0 {
@@ -428,10 +417,11 @@ func (s *shard) complete(key Key, instance any, bytes int64) {
 			// Refresh replacement: the stale instance leaves the cache. An
 			// invalidation that condemned the entry mid-refresh is satisfied
 			// too — the condemned instance is exactly what leaves.
-			evs = append(evs, evicted{key: key, instance: e.instance, bytes: e.bytes})
+			evs = append(evs, evicted{key: key, instance: e.instance, bytes: e.bytes, loans: e.loans})
 			s.bytesLive += bytes - e.bytes
 			e.instance = instance
 			e.bytes = bytes
+			e.loans = lent
 			e.refreshing = false
 			e.doomed = false
 			if ttl := s.cache.cfg.TTL; ttl > 0 {
@@ -441,10 +431,10 @@ func (s *shard) complete(key Key, instance any, bytes int64) {
 		} else {
 			// Duplicate publish: the first instance wins, the duplicate is
 			// released.
-			evs = append(evs, evicted{key: key, instance: instance, bytes: bytes})
+			evs = append(evs, evicted{key: key, instance: instance, bytes: bytes, loans: lent})
 		}
 	default: // stateNegative: a stray publish after a Fail settled the key
-		evs = append(evs, evicted{key: key, instance: instance, bytes: bytes})
+		evs = append(evs, evicted{key: key, instance: instance, bytes: bytes, loans: lent})
 	}
 	s.mu.Unlock()
 	s.fire(evs)
@@ -583,7 +573,7 @@ func (s *shard) close() int64 {
 			waiters = append(waiters, e.waiters...)
 			close(e.done)
 		case stateReady:
-			evs = append(evs, evicted{key: k, instance: e.instance, bytes: e.bytes})
+			evs = append(evs, evicted{key: k, instance: e.instance, bytes: e.bytes, loans: e.loans})
 		}
 		delete(s.entries, k)
 	}

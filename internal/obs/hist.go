@@ -22,8 +22,8 @@ var DefaultGroupSizeBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256}
 
 // Histogram is a fixed-bucket histogram in the Prometheus style: one
 // counter per upper bound plus an implicit +Inf bucket, a running sum and
-// a total count. It is not safe for concurrent use; Metrics serialises
-// access for the platform.
+// a total count. It is not safe for concurrent use; Metrics and the
+// latency handles it gives out serialise access for the platform.
 type Histogram struct {
 	bounds []float64 // ascending upper bounds; +Inf is implicit
 	counts []uint64  // len(bounds)+1, the last is the +Inf bucket
@@ -111,81 +111,138 @@ func (h *Histogram) Merge(other *Histogram) error {
 	return nil
 }
 
-// latencyKey labels one latency histogram series.
-type latencyKey struct {
-	Fn        string
-	Component string
+// latencyComponents are the component labels of one function's latency
+// histograms, in exposition (name) order; the constants index it.
+var latencyComponents = [...]string{SpanColdStart, ComponentEndToEnd, SpanExecution, SpanQueuing, SpanScheduling}
+
+const (
+	latCold = iota
+	latEndToEnd
+	latExec
+	latQueue
+	latSched
+)
+
+// FunctionLatency is one function's latency histograms — the four
+// components of §IV's decomposition and their end-to-end sum — behind the
+// function's own lock. The platform resolves it once at Register, so
+// settling an invocation takes no lock shared with another function and
+// looks nothing up. The counters come with the first observation: a
+// function that is registered and never invoked holds none. It is safe for
+// concurrent use, and nil-safe.
+type FunctionLatency struct {
+	mu sync.Mutex
+	h  [len(latencyComponents)]Histogram // indexed like latencyComponents
+}
+
+// Observe counts one settled invocation: each component and their sum.
+func (l *FunctionLatency) Observe(sched, cold, queue, exec time.Duration) {
+	if l == nil {
+		return
+	}
+	l.mu.Lock()
+	if l.h[0].counts == nil {
+		// The five histograms share one block of counters.
+		n := len(l.h[0].bounds) + 1
+		counts := make([]uint64, len(l.h)*n)
+		for i := range l.h {
+			l.h[i].counts = counts[i*n : (i+1)*n : (i+1)*n]
+		}
+	}
+	l.h[latCold].Observe(cold.Seconds())
+	l.h[latEndToEnd].Observe((sched + cold + queue + exec).Seconds())
+	l.h[latExec].Observe(exec.Seconds())
+	l.h[latQueue].Observe(queue.Seconds())
+	l.h[latSched].Observe(sched.Seconds())
+	l.mu.Unlock()
+}
+
+// ForwardLatency is one worker's routed forward latency histogram behind
+// its own lock, resolved once per worker by the router. It is safe for
+// concurrent use, and nil-safe.
+type ForwardLatency struct {
+	mu sync.Mutex
+	h  *Histogram
+}
+
+// Observe counts one forward attempt's latency.
+func (l *ForwardLatency) Observe(d time.Duration) {
+	if l == nil {
+		return
+	}
+	l.mu.Lock()
+	l.h.Observe(d.Seconds())
+	l.mu.Unlock()
 }
 
 // Metrics aggregates the platform's labeled histograms: per-function,
 // per-component latency and the batch group size. It is safe for
-// concurrent use.
+// concurrent use. Its lock guards the registry maps and the group-size
+// histogram; the latency handles it gives out lock only themselves.
 type Metrics struct {
-	mu         sync.Mutex
-	latBounds  []float64
-	lat        map[latencyKey]*Histogram
-	fwd        map[string]*Histogram // per-worker forward latency (router)
-	groupSize  *Histogram
-	histErrors int // defensive: construction failures (never with the defaults)
+	mu        sync.Mutex
+	latBounds []float64 // the latency histograms' shared, validated bounds
+	lat       map[string]*FunctionLatency
+	fwd       map[string]*ForwardLatency // per-worker forward latency (router)
+	groupSize *Histogram
+}
+
+// mustHistogram builds a histogram over bounds that are valid by
+// construction (the package defaults).
+func mustHistogram(bounds []float64) *Histogram {
+	h, err := NewHistogram(bounds)
+	if err != nil {
+		panic(err)
+	}
+	return h
 }
 
 // NewMetrics builds a registry with the default buckets.
 func NewMetrics() *Metrics {
-	gs, err := NewHistogram(DefaultGroupSizeBuckets)
-	if err != nil {
-		// The default bounds are valid by construction.
-		panic(err)
-	}
 	return &Metrics{
-		latBounds: DefaultLatencyBuckets,
-		lat:       make(map[latencyKey]*Histogram),
-		fwd:       make(map[string]*Histogram),
-		groupSize: gs,
+		latBounds: mustHistogram(DefaultLatencyBuckets).bounds,
+		lat:       make(map[string]*FunctionLatency),
+		fwd:       make(map[string]*ForwardLatency),
+		groupSize: mustHistogram(DefaultGroupSizeBuckets),
 	}
 }
 
-// ObserveLatency counts one latency observation for (fn, component).
-// Component names follow the obs span vocabulary (SpanScheduling, ...).
-func (m *Metrics) ObserveLatency(fn, component string, d time.Duration) {
+// Function returns fn's latency handle, creating it on first use. Its
+// series appear in WritePrometheus once it has an observation. Component
+// labels follow the obs span vocabulary (SpanScheduling, ...).
+func (m *Metrics) Function(fn string) *FunctionLatency {
 	if m == nil {
-		return
+		return nil
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	key := latencyKey{Fn: fn, Component: component}
-	h, ok := m.lat[key]
+	l, ok := m.lat[fn]
 	if !ok {
-		var err error
-		h, err = NewHistogram(m.latBounds)
-		if err != nil {
-			m.histErrors++
-			return
+		l = &FunctionLatency{}
+		for i := range l.h {
+			l.h[i].bounds = m.latBounds
 		}
-		m.lat[key] = h
+		m.lat[fn] = l
 	}
-	h.Observe(d.Seconds())
+	return l
 }
 
-// ObserveForward counts one routed forward attempt's latency against the
-// serving worker (internal/router). Workers appear as histogram labels in
-// WritePrometheus, so per-worker tails stay visible behind the router.
-func (m *Metrics) ObserveForward(worker string, d time.Duration) {
+// Forward returns the forward-latency handle of one worker
+// (internal/router), creating it on first use. Workers appear as
+// histogram labels in WritePrometheus once observed, so per-worker tails
+// stay visible behind the router.
+func (m *Metrics) Forward(worker string) *ForwardLatency {
 	if m == nil {
-		return
+		return nil
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	h, ok := m.fwd[worker]
+	l, ok := m.fwd[worker]
 	if !ok {
-		var err error
-		h, err = NewHistogram(m.latBounds)
-		if err != nil {
-			m.histErrors++
-			return
-		}
-		m.fwd[worker] = h
+		l = &ForwardLatency{h: mustHistogram(m.latBounds)}
+		m.fwd[worker] = l
 	}
-	h.Observe(d.Seconds())
+	return l
 }
 
 // ObserveGroupSize counts one dispatched batch group's size.
@@ -224,7 +281,8 @@ func writeHistogram(w io.Writer, name, labels string, h *Histogram) {
 }
 
 // WritePrometheus renders every histogram in the Prometheus text
-// exposition format, deterministically ordered.
+// exposition format, deterministically ordered. A series appears with its
+// first observation.
 func (m *Metrics) WritePrometheus(w io.Writer) {
 	if m == nil {
 		return
@@ -233,33 +291,42 @@ func (m *Metrics) WritePrometheus(w io.Writer) {
 	defer m.mu.Unlock()
 	fmt.Fprintf(w, "# HELP faasbatch_latency_seconds Per-function, per-component invocation latency.\n")
 	fmt.Fprintf(w, "# TYPE faasbatch_latency_seconds histogram\n")
-	keys := make([]latencyKey, 0, len(m.lat))
-	for k := range m.lat {
-		keys = append(keys, k)
+	for _, fn := range sortedKeys(m.lat) {
+		l := m.lat[fn]
+		l.mu.Lock()
+		if l.h[latEndToEnd].count > 0 {
+			for i, component := range latencyComponents {
+				labels := fmt.Sprintf("fn=%q,component=%q", fn, component)
+				writeHistogram(w, "faasbatch_latency_seconds", labels, &l.h[i])
+			}
+		}
+		l.mu.Unlock()
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].Fn != keys[j].Fn {
-			return keys[i].Fn < keys[j].Fn
+	header := false
+	for _, wk := range sortedKeys(m.fwd) {
+		l := m.fwd[wk]
+		l.mu.Lock()
+		if l.h.count > 0 {
+			if !header {
+				fmt.Fprintf(w, "# HELP faasbatch_forward_latency_seconds Per-worker routed forward latency.\n")
+				fmt.Fprintf(w, "# TYPE faasbatch_forward_latency_seconds histogram\n")
+				header = true
+			}
+			writeHistogram(w, "faasbatch_forward_latency_seconds", fmt.Sprintf("worker=%q", wk), l.h)
 		}
-		return keys[i].Component < keys[j].Component
-	})
-	for _, k := range keys {
-		labels := fmt.Sprintf("fn=%q,component=%q", k.Fn, k.Component)
-		writeHistogram(w, "faasbatch_latency_seconds", labels, m.lat[k])
-	}
-	if len(m.fwd) > 0 {
-		fmt.Fprintf(w, "# HELP faasbatch_forward_latency_seconds Per-worker routed forward latency.\n")
-		fmt.Fprintf(w, "# TYPE faasbatch_forward_latency_seconds histogram\n")
-		workers := make([]string, 0, len(m.fwd))
-		for wk := range m.fwd {
-			workers = append(workers, wk)
-		}
-		sort.Strings(workers)
-		for _, wk := range workers {
-			writeHistogram(w, "faasbatch_forward_latency_seconds", fmt.Sprintf("worker=%q", wk), m.fwd[wk])
-		}
+		l.mu.Unlock()
 	}
 	fmt.Fprintf(w, "# HELP faasbatch_group_size Invocations per dispatched batch group.\n")
 	fmt.Fprintf(w, "# TYPE faasbatch_group_size histogram\n")
 	writeHistogram(w, "faasbatch_group_size", "", m.groupSize)
+}
+
+// sortedKeys lists a registry map's keys in exposition order.
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }

@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -42,7 +43,7 @@ func TestHistogramBuckets(t *testing.T) {
 
 func TestMetricsNilSafe(t *testing.T) {
 	var m *Metrics
-	m.ObserveLatency("f", SpanExecution, time.Second)
+	m.Function("f").Observe(0, 0, 0, time.Second)
 	m.ObserveGroupSize(3)
 	var buf bytes.Buffer
 	m.WritePrometheus(&buf)
@@ -53,10 +54,14 @@ func TestMetricsNilSafe(t *testing.T) {
 
 func TestMetricsPrometheusOutput(t *testing.T) {
 	m := NewMetrics()
-	m.ObserveLatency("fib", SpanExecution, 30*time.Millisecond)
-	m.ObserveLatency("fib", SpanExecution, 70*time.Millisecond)
-	m.ObserveLatency("fib", SpanScheduling, 2*time.Millisecond)
-	m.ObserveLatency("echo", SpanExecution, time.Millisecond)
+	fib := m.Function("fib")
+	fib.Observe(2*time.Millisecond, 0, 0, 30*time.Millisecond)
+	fib.Observe(3*time.Millisecond, 200*time.Millisecond, time.Millisecond, 70*time.Millisecond)
+	m.Function("echo").Observe(0, 0, 0, time.Millisecond)
+	m.Function("idle") // resolved, never observed: no series
+	if m.Function("fib") != fib {
+		t.Fatal("Function resolved a second handle for one name")
+	}
 	m.ObserveGroupSize(1)
 	m.ObserveGroupSize(5)
 	var buf bytes.Buffer
@@ -68,7 +73,13 @@ func TestMetricsPrometheusOutput(t *testing.T) {
 		`faasbatch_latency_seconds_bucket{fn="fib",component="execution",le="0.05"} 1`,
 		`faasbatch_latency_seconds_bucket{fn="fib",component="execution",le="+Inf"} 2`,
 		`faasbatch_latency_seconds_count{fn="fib",component="execution"} 2`,
-		`faasbatch_latency_seconds_count{fn="fib",component="scheduling"} 1`,
+		`faasbatch_latency_seconds_bucket{fn="fib",component="scheduling",le="0.0025"} 1`,
+		`faasbatch_latency_seconds_count{fn="fib",component="scheduling"} 2`,
+		`faasbatch_latency_seconds_bucket{fn="fib",component="cold-start",le="0.1"} 1`,
+		`faasbatch_latency_seconds_bucket{fn="fib",component="queuing",le="0.001"} 2`,
+		`faasbatch_latency_seconds_bucket{fn="fib",component="end-to-end",le="0.05"} 1`,
+		`faasbatch_latency_seconds_bucket{fn="fib",component="end-to-end",le="0.5"} 2`,
+		`faasbatch_latency_seconds_sum{fn="fib",component="end-to-end"} 0.306`,
 		`faasbatch_latency_seconds_count{fn="echo",component="execution"} 1`,
 		"# TYPE faasbatch_group_size histogram",
 		`faasbatch_group_size_bucket{le="1"} 1`,
@@ -84,6 +95,18 @@ func TestMetricsPrometheusOutput(t *testing.T) {
 	if strings.Index(out, `fn="echo"`) > strings.Index(out, `fn="fib"`) {
 		t.Error("series not sorted by function")
 	}
+	// Components sort by name within a function.
+	order := []string{"cold-start", "end-to-end", "execution", "queuing", "scheduling"}
+	for i := 1; i < len(order); i++ {
+		a := strings.Index(out, `fn="fib",component="`+order[i-1]+`"`)
+		b := strings.Index(out, `fn="fib",component="`+order[i]+`"`)
+		if a < 0 || b < 0 || a > b {
+			t.Errorf("component %s does not precede %s", order[i-1], order[i])
+		}
+	}
+	if strings.Contains(out, `fn="idle"`) {
+		t.Error("a function with no observation has series")
+	}
 	// HELP/TYPE emitted once per family.
 	if strings.Count(out, "# TYPE faasbatch_latency_seconds histogram") != 1 {
 		t.Error("TYPE line repeated")
@@ -92,9 +115,10 @@ func TestMetricsPrometheusOutput(t *testing.T) {
 
 func TestObserveLatencySteadyStateNoAlloc(t *testing.T) {
 	m := NewMetrics()
-	m.ObserveLatency("f", SpanExecution, time.Millisecond) // create the series
+	f, w := m.Function("f"), m.Forward("w")
 	allocs := testing.AllocsPerRun(1000, func() {
-		m.ObserveLatency("f", SpanExecution, time.Millisecond)
+		f.Observe(time.Millisecond, 0, time.Microsecond, time.Millisecond)
+		w.Observe(time.Millisecond)
 		m.ObserveGroupSize(4)
 	})
 	if allocs != 0 {
@@ -104,18 +128,19 @@ func TestObserveLatencySteadyStateNoAlloc(t *testing.T) {
 
 func TestMetricsForwardHistogram(t *testing.T) {
 	var nilM *Metrics
-	nilM.ObserveForward("w1", time.Second) // nil-safe
+	nilM.Forward("w1").Observe(time.Second) // nil-safe
 
 	m := NewMetrics()
+	m.Forward("w0") // resolved, never observed: no series
 	var empty bytes.Buffer
 	m.WritePrometheus(&empty)
 	if strings.Contains(empty.String(), "faasbatch_forward_latency_seconds") {
 		t.Fatal("forward family emitted with no observations")
 	}
 
-	m.ObserveForward("w2", 30*time.Millisecond)
-	m.ObserveForward("w2", 70*time.Millisecond)
-	m.ObserveForward("w1", 2*time.Millisecond)
+	m.Forward("w2").Observe(30 * time.Millisecond)
+	m.Forward("w2").Observe(70 * time.Millisecond)
+	m.Forward("w1").Observe(2 * time.Millisecond)
 	var buf bytes.Buffer
 	m.WritePrometheus(&buf)
 	out := buf.String()
@@ -129,8 +154,71 @@ func TestMetricsForwardHistogram(t *testing.T) {
 			t.Errorf("output missing %q:\n%s", want, out)
 		}
 	}
+	if strings.Contains(out, `worker="w0"`) {
+		t.Error("a worker with no forward has series")
+	}
 	// Deterministic ordering: w1 sorts before w2.
 	if strings.Index(out, `worker="w1"`) > strings.Index(out, `worker="w2"`) {
 		t.Error("forward series not sorted by worker")
 	}
+}
+
+// TestFunctionLatencyScrapeIsConsistent: a scrape racing observers reads
+// each histogram under its handle's lock, so every series it renders has
+// _count equal to its +Inf bucket and all five components of a function
+// agree on the count.
+func TestFunctionLatencyScrapeIsConsistent(t *testing.T) {
+	m := NewMetrics()
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for _, fn := range []string{"a", "b"} {
+		l := m.Function(fn)
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+						l.Observe(time.Millisecond, 0, time.Microsecond, 3*time.Millisecond)
+					}
+				}
+			}()
+		}
+	}
+	for i := 0; i < 20; i++ {
+		var buf bytes.Buffer
+		m.WritePrometheus(&buf)
+		fams, err := ParsePrometheus(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inf, count := map[string]float64{}, map[string]float64{}
+		for _, f := range fams {
+			if f.Name != "faasbatch_latency_seconds" {
+				continue
+			}
+			for _, s := range f.Samples {
+				switch {
+				case strings.HasSuffix(s.Name, "_bucket") && strings.Contains(s.Labels, `le="+Inf"`):
+					inf[strings.TrimSuffix(s.Labels, `,le="+Inf"`)] = s.Value
+				case strings.HasSuffix(s.Name, "_count"):
+					count[s.Labels] = s.Value
+				}
+			}
+		}
+		for labels, n := range count {
+			if inf[labels] != n {
+				t.Fatalf("%s: _count %v, +Inf bucket %v", labels, n, inf[labels])
+			}
+			fn := labels[:strings.Index(labels, ",")]
+			if e2e := count[fn+`,component="end-to-end"`]; e2e != n {
+				t.Fatalf("%s: count %v, the function's end-to-end count %v", labels, n, e2e)
+			}
+		}
+	}
+	close(stop)
+	wg.Wait()
 }

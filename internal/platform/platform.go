@@ -125,27 +125,45 @@ type Resources struct {
 }
 
 // borrowSet is one invocation's outstanding resource loans. Handlers may
-// call GetContext from concurrent goroutines, so it locks.
+// call GetContext from concurrent goroutines, so it locks. The first few
+// loans live inline — a handler rarely takes more — so a pooled invState
+// records them without allocating.
 type borrowSet struct {
-	mu       sync.Mutex
-	releases []multiplex.ReleaseFunc
+	mu     sync.Mutex
+	n      int // loans held in inline
+	inline [4]multiplex.Loan
+	spill  []multiplex.Loan
 }
 
-func (b *borrowSet) add(r multiplex.ReleaseFunc) {
+func (b *borrowSet) add(l multiplex.Loan) {
 	b.mu.Lock()
-	b.releases = append(b.releases, r)
+	if b.n < len(b.inline) {
+		b.inline[b.n] = l
+		b.n++
+	} else {
+		b.spill = append(b.spill, l)
+	}
 	b.mu.Unlock()
 }
 
 // releaseAll returns every borrowed instance, firing any eviction closes
-// that were deferred while the invocation held them.
+// that were deferred while the invocation held them. It leaves the set
+// empty, which is what makes a second call a no-op. The inline slots are
+// reused by the invState's next life; that is safe only because a handler
+// abandoned to InvokeTimeout — the one party that could still add late —
+// keeps its invState for good (runCall recycles it only when the handler
+// has really returned), so a late add can never land in a set another
+// invocation is filling.
 func (b *borrowSet) releaseAll() {
 	b.mu.Lock()
-	rs := b.releases
-	b.releases = nil
+	inline, n, spill := b.inline, b.n, b.spill
+	b.inline, b.n, b.spill = [len(b.inline)]multiplex.Loan{}, 0, nil
 	b.mu.Unlock()
-	for _, r := range rs {
-		r()
+	for i := range inline[:n] {
+		inline[i].Release()
+	}
+	for i := range spill {
+		spill[i].Release()
 	}
 }
 
@@ -217,8 +235,8 @@ func (r *Resources) getCached(ctx context.Context, callee, argsKey string, build
 	// Borrow the instance for the rest of the invocation: if it is
 	// evicted while the handler still holds it, its Closer runs only
 	// after the handler returns.
-	v, out, release, err := r.cache.Acquire(ctx, key, build)
-	r.borrows.add(release)
+	v, out, loan, err := r.cache.Acquire(ctx, key, build)
+	r.borrows.add(loan)
 	return v, out, err
 }
 
@@ -453,6 +471,9 @@ type container struct {
 type function struct {
 	name    string
 	handler Handler
+	// latency is the function's histogram handle, resolved at Register so
+	// settling an invocation shares no lock with another function.
+	latency *obs.FunctionLatency
 
 	// mu guards everything below.
 	mu      sync.Mutex
@@ -471,24 +492,60 @@ type function struct {
 	ctrl *dispatch.Controller
 }
 
-// pendingCall is an invocation waiting for its window.
+// pendingCall is an invocation waiting for its window. Its caller stays
+// parked in Invoke for the call's whole life and runs every attempt
+// itself, on the ticket its group's closer hands it.
 type pendingCall struct {
 	ctx     context.Context
 	payload json.RawMessage
 	arrive  time.Time
-	done    chan outcome
 	// attempts counts execution attempts already consumed; a call retries
 	// while attempts <= Config.MaxRetries.
 	attempts int
 	// trace is the invocation's trace ID (zero when untraced). Retries
 	// keep the ID, so every attempt's spans land on one trace.
 	trace uint64
+	// state is the ownership handshake between the caller and whoever
+	// claims the call for a group, guarded by the function's mu. A claim
+	// moves waiting to claimed and owes the caller exactly one ticket; a
+	// caller whose context ends moves waiting to abandoned and walks
+	// away, leaving the call to whoever finds it. Whichever comes second
+	// yields: a call found abandoned is dropped, a caller that finds its
+	// call claimed takes the ticket and runs it.
+	state callState
+	// ticket delivers the claimed call's group, filled in and ready to
+	// run on. Buffered one: a claimed call is owed exactly one, so the
+	// send never blocks.
+	ticket chan *callGroup
 }
 
-// outcome carries a finished invocation back to its caller.
-type outcome struct {
-	res Result
-	err error
+type callState uint8
+
+const (
+	callWaiting callState = iota
+	callClaimed
+	callAbandoned
+)
+
+// callGroup is one closed window's group and, once dispatched, the ticket
+// its members run on. Whoever closed the window owns it while expand fills
+// in the container the group expands in and the instants its latency
+// components are measured from; from the last ticket sent it belongs to
+// the members, who only read it. The member that takes remaining to zero
+// settles the group and recycles it (pool.go).
+type callGroup struct {
+	calls      []*pendingCall
+	c          *container
+	cold       bool
+	dispatch   time.Time
+	ready      time.Time
+	coldDur    time.Duration
+	readyStamp time.Duration
+	// crash is the injected mid-batch crash that took the container (nil
+	// otherwise): every member settles with it instead of running.
+	crash error
+	// remaining counts the members still running.
+	remaining atomic.Int32
 }
 
 // counters is the platform's internal statistics block: one atomic per
@@ -714,6 +771,7 @@ func (p *Platform) Register(name string, h Handler) error {
 	for k, v := range old {
 		next[k] = v
 	}
+	f.latency = p.metrics.Function(name)
 	next[name] = f
 	p.fns.Store(&next)
 	return nil
@@ -757,7 +815,16 @@ func (p *Platform) Inflight() int64 {
 
 // Invoke runs one invocation and blocks until it completes. In ModeBatch
 // the call waits for its window, travels with its group, and expands
-// inside the group's container.
+// inside the group's container — on the calling goroutine: the handler
+// runs where Invoke was called.
+//
+// If ctx ends while the call still waits for its window, Invoke returns
+// at once and the call is dropped unexecuted (Stats.Canceled). Once the
+// handler runs, Invoke returns when the handler does, reporting the
+// wrapped ctx.Err() if the context ended meanwhile: a handler that
+// ignores its context holds its caller until it returns. Bound such
+// handlers with Config.InvokeTimeout, under which Invoke returns as soon
+// as the deadline passes or ctx ends.
 func (p *Platform) Invoke(ctx context.Context, fn string, payload json.RawMessage) (Result, error) {
 	return p.InvokeWithTrace(ctx, fn, payload, 0)
 }
@@ -797,7 +864,7 @@ func (p *Platform) InvokeWithTrace(ctx context.Context, fn string, payload json.
 	// when the policy reads the answer.
 	idle := f.ctrl.UsesIdle() && len(f.pending) == 0 && !p.busyLocked(f)
 	p.enqueueLocked(f, call)
-	d := f.ctrl.Arrive(f.name, time.Since(p.epoch), idle)
+	d := f.ctrl.Arrive(f.name, call.arrive.Sub(p.epoch), idle)
 	p.ctr.dispatchWindowMicros.Store(d.Window.Microseconds())
 	if run = p.applyLocked(f, d); run != nil {
 		// Fast path or early close: dispatch without waiting for the
@@ -806,24 +873,40 @@ func (p *Platform) InvokeWithTrace(ctx context.Context, fn string, payload json.
 	}
 	f.mu.Unlock()
 	if run != nil {
-		// Run the group inline in this goroutine: the caller blocks on
-		// call.done anyway, so a hand-off goroutine would add a spawn and
-		// teardown to every fast-path dispatch for nothing.
-		p.runGroup(f, run.calls)
-		putGroup(run)
+		// This arrival closed the window, so it hands the group its
+		// tickets — its own among them, waiting in the select below.
+		p.dispatchGroup(f, run)
 		p.wg.Done()
 	}
-	select {
-	case out := <-call.done:
-		res, err := out.res, out.err
-		// Happy path: the single outcome was received, so the call (and
-		// its buffered channel) is provably quiescent — recycle it. The
-		// ctx.Done path below must NOT recycle: finish may still deliver
-		// to this call's channel.
+	for {
+		var g *callGroup
+		select {
+		case g = <-call.ticket:
+		case <-ctx.Done():
+			f.mu.Lock()
+			abandon := call.state == callWaiting
+			if abandon {
+				call.state = callAbandoned
+			}
+			f.mu.Unlock()
+			if abandon {
+				// The call stays where it waits (the pending queue, a
+				// retry's backoff); whoever finds it there drops it.
+				return Result{}, fmt.Errorf("platform: invoke %s: %w", fn, ctx.Err())
+			}
+			// The claim came first and owes this call a ticket: take it
+			// and run the attempt under the done context.
+			g = <-call.ticket
+		}
+		res, err, rebatched := p.runTicket(f, call, g)
+		if rebatched {
+			continue
+		}
 		putPendingCall(call)
+		if cerr := ctx.Err(); cerr != nil {
+			return Result{}, fmt.Errorf("platform: invoke %s: %w", fn, cerr)
+		}
 		return res, err
-	case <-ctx.Done():
-		return Result{}, fmt.Errorf("platform: invoke %s: %w", fn, ctx.Err())
 	}
 }
 
@@ -951,8 +1034,8 @@ func rearm(t *time.Timer, d time.Duration) {
 }
 
 // closeWindows closes every open window whose deadline has passed — with
-// flush (the final drain at Close), every open window — and runs each
-// surviving group in its own goroutine.
+// flush (the final drain at Close), every open window — and hands each
+// surviving group its tickets.
 func (p *Platform) closeWindows(flush bool) {
 	now := time.Now()
 	for _, f := range p.fnsAll() {
@@ -968,40 +1051,35 @@ func (p *Platform) closeWindows(flush bool) {
 		if p.logOn(slog.LevelDebug) {
 			p.logger.Debug("dispatch window", "fn", f.name, "group", len(cg.calls))
 		}
+		// Its own goroutine: acquiring the group's container may sleep a
+		// cold start, and other windows are due.
 		p.wg.Add(1)
 		go func() {
 			defer p.wg.Done()
-			p.runGroup(f, cg.calls)
-			putGroup(cg)
+			p.dispatchGroup(f, cg)
 		}()
 	}
 }
 
 // claimPendingLocked takes f's pending group into a pooled callGroup,
-// dropping calls whose context ended while they waited: a canceled
-// call's caller has already returned, so executing it would burn a
-// batch slot for nobody. The pending slice itself is retained (reset to
-// length zero) so the next window appends into warm memory. Returns nil
-// when nothing survives. Caller holds f.mu.
+// claiming each call from its caller and dropping those whose caller
+// walked away while they waited: executing one would burn a batch slot
+// for nobody. The pending slice itself is retained (reset to length zero)
+// so the next window appends into warm memory. Returns nil when nothing
+// survives. Caller holds f.mu.
 func (p *Platform) claimPendingLocked(f *function) *callGroup {
 	if len(f.pending) == 0 {
 		return nil
 	}
 	group := getGroup(len(f.pending))
-	for _, call := range f.pending {
-		if call.ctx.Err() != nil {
-			// Dropped, not recycled: the caller's select may still race
-			// on call.done (see pool.go).
-			p.ctr.canceled.Add(1)
-			if p.logOn(slog.LevelDebug) {
-				p.logger.Debug("canceled call dropped", "fn", f.name, "trace", call.trace)
-			}
+	for i, call := range f.pending {
+		f.pending[i] = nil
+		if call.state == callAbandoned {
+			p.dropAbandoned(f, call)
 			continue
 		}
+		call.state = callClaimed
 		group.calls = append(group.calls, call)
-	}
-	for i := range f.pending {
-		f.pending[i] = nil
 	}
 	f.pending = f.pending[:0]
 	if len(group.calls) == 0 {
@@ -1009,6 +1087,16 @@ func (p *Platform) claimPendingLocked(f *function) *callGroup {
 		return nil
 	}
 	return group
+}
+
+// dropAbandoned retires a call whose caller's context ended before a
+// group claimed it. The caller is gone, so the finder owns the call.
+func (p *Platform) dropAbandoned(f *function, call *pendingCall) {
+	p.ctr.canceled.Add(1)
+	if p.logOn(slog.LevelDebug) {
+		p.logger.Debug("canceled call dropped", "fn", f.name, "trace", call.trace)
+	}
+	putPendingCall(call)
 }
 
 // recordWindowSpans stamps one dispatch-window span per traced group
@@ -1193,48 +1281,54 @@ func (p *Platform) release(f *function, c *container, n int) {
 	}
 }
 
-// runGroup is the Inline-Parallel Producer: one container for the whole
-// group, every invocation a goroutine inside it. Groups beyond the
-// per-container concurrency cap split across containers.
-func (p *Platform) runGroup(f *function, group []*pendingCall) {
-	p.metrics.ObserveGroupSize(len(group))
-	if max := p.cfg.MaxConcurrency; max > 0 && len(group) > max {
-		var wg sync.WaitGroup
-		for start := 0; start < len(group); start += max {
-			end := start + max
-			if end > len(group) {
-				end = len(group)
-			}
-			chunk := group[start:end]
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				p.runGroupOne(f, chunk)
-			}()
-		}
-		wg.Wait()
+// dispatchGroup is the closing half of the Inline-Parallel Producer: one
+// container for the whole claimed group, every member expanded inside it
+// on its own caller's goroutine. Groups beyond the per-container
+// concurrency cap split across containers. The caller holds a count on
+// p.wg and gives the group up: its members recycle it.
+func (p *Platform) dispatchGroup(f *function, g *callGroup) {
+	p.metrics.ObserveGroupSize(len(g.calls))
+	max := p.cfg.MaxConcurrency
+	if max <= 0 || len(g.calls) <= max {
+		p.expand(f, g)
 		return
 	}
-	p.runGroupOne(f, group)
+	// One group, and one goroutine, per chunk: each acquires its own
+	// container, and a cold start sleeps.
+	var wg sync.WaitGroup
+	for start := 0; start < len(g.calls); start += max {
+		end := min(start+max, len(g.calls))
+		chunk := getGroup(end - start)
+		chunk.calls = append(chunk.calls, g.calls[start:end]...)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			p.expand(f, chunk)
+		}()
+	}
+	wg.Wait()
+	putGroup(g)
 }
 
-// runGroupOne expands one (cap-respecting) group inside one container,
-// recording each member's lifecycle spans: scheduling (arrival to
-// dispatch), cold start, in-container queuing (container ready to handler
-// start) and one execution span per attempt. Span bounds are stamped from
-// the same wall-clock instants as the Result components, so an exported
-// trace reconstructs the §IV decomposition exactly.
-func (p *Platform) runGroupOne(f *function, group []*pendingCall) {
+// expand acquires one container for one (cap-respecting) group, fills the
+// group in and hands it to every member as the ticket to run on,
+// recording each member's scheduling (arrival to dispatch) and cold-start
+// spans; the member records queuing and execution. Span bounds are
+// stamped from the same wall-clock instants as the Result components, so
+// an exported trace reconstructs the §IV decomposition exactly. With its
+// last ticket sent the group belongs to its members: expand touches
+// neither it nor them afterwards.
+func (p *Platform) expand(f *function, g *callGroup) {
 	dispatch := time.Now()
 	c, cold := p.acquire(f)
 	ready := time.Now()
-	coldDur := time.Duration(0)
+	g.c, g.cold, g.dispatch, g.ready = c, cold, dispatch, ready
 	if cold {
-		coldDur = ready.Sub(dispatch)
+		g.coldDur = ready.Sub(dispatch)
 	}
 	dispatchStamp := p.tracer.Stamp(dispatch)
-	readyStamp := p.tracer.Stamp(ready)
-	for _, call := range group {
+	g.readyStamp = p.tracer.Stamp(ready)
+	for _, call := range g.calls {
 		if call.trace == 0 {
 			continue
 		}
@@ -1246,14 +1340,14 @@ func (p *Platform) runGroupOne(f *function, group []*pendingCall) {
 		if cold {
 			p.tracer.Record(obs.Span{
 				Trace: call.trace, Name: obs.SpanColdStart, Fn: f.name, Container: c.id,
-				Attempt: attempt, Start: dispatchStamp, End: readyStamp,
+				Attempt: attempt, Start: dispatchStamp, End: g.readyStamp,
 			})
 		}
 	}
 	p.ctr.groups.Add(1)
-	if len(group) > 1 {
+	if len(g.calls) > 1 {
 		f.mu.Lock()
-		c.active += len(group) - 1 // acquire already counted one
+		c.active += len(g.calls) - 1 // acquire already counted one
 		f.mu.Unlock()
 	}
 
@@ -1262,52 +1356,53 @@ func (p *Platform) runGroupOne(f *function, group []*pendingCall) {
 	// The container is retired (not parked warm), so the next window
 	// boots a replacement; each member retries or surfaces the crash.
 	if p.cfg.Chaos.Should(chaos.ContainerCrash) {
-		crashErr := fmt.Errorf("platform: container %s crashed", c.id)
+		g.crash = fmt.Errorf("platform: container %s crashed", c.id)
 		p.ctr.crashes.Add(1)
 		f.mu.Lock()
 		c.active = 0
 		p.retireLocked(f, c)
 		f.mu.Unlock()
-		p.logger.Warn("container crashed mid-batch", "container", c.id, "fn", f.name, "group", len(group))
-		for _, call := range group {
-			res := Result{ContainerID: c.id, Cold: cold, Sched: dispatch.Sub(call.arrive), ColdStart: coldDur, TraceID: call.trace}
-			p.finish(f, call, res, crashErr)
-		}
-		return
+		p.logger.Warn("container crashed mid-batch", "container", c.id, "fn", f.name, "group", len(g.calls))
 	}
 
-	if len(group) == 1 {
-		// The hot path: a single-call group runs in the current goroutine
-		// — no per-call spawn, no WaitGroup.
-		p.runCall(f, c, group[0], cold, dispatch, ready, coldDur, readyStamp)
-	} else {
-		p.runCallsParallel(f, c, group, cold, dispatch, ready, coldDur, readyStamp)
+	g.remaining.Store(int32(len(g.calls)))
+	// The group's count on p.wg, paid by its last member.
+	p.wg.Add(1)
+	// The range reads each member before its send, so the last member may
+	// settle and recycle the group the instant the last send lands.
+	for _, call := range g.calls {
+		call.ticket <- g
 	}
-	p.release(f, c, len(group))
 }
 
-// runCallsParallel expands a multi-call group, one goroutine per member.
-// It lives apart from runGroupOne so the goroutine closure's captures are
-// heap-moved only when a real multi-call group runs — captured in the
-// caller, they would cost the single-call hot path an allocation per
-// invoke whether or not this branch was taken.
-func (p *Platform) runCallsParallel(f *function, c *container, group []*pendingCall, cold bool, dispatch, ready time.Time, coldDur time.Duration, readyStamp time.Duration) {
-	var wg sync.WaitGroup
-	for _, call := range group {
-		call := call
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			p.runCall(f, c, call, cold, dispatch, ready, coldDur, readyStamp)
-		}()
+// runTicket is a member's half of the Inline-Parallel Producer: the
+// caller runs its own call on the group it was handed. The member that
+// finishes last parks the container, recycles the group and pays its
+// count on p.wg. It reports the call's outcome, or that the attempt failed
+// into a retry and the call is waiting for its next ticket.
+func (p *Platform) runTicket(f *function, call *pendingCall, g *callGroup) (res Result, err error, rebatched bool) {
+	if g.crash != nil {
+		res = Result{ContainerID: g.c.id, Cold: g.cold, Sched: g.dispatch.Sub(call.arrive), ColdStart: g.coldDur, TraceID: call.trace}
+		err = g.crash
+		rebatched = p.finish(f, call, &res, err)
+	} else {
+		res, err, rebatched = p.runCall(f, g, call)
 	}
-	wg.Wait()
+	if g.remaining.Add(-1) == 0 {
+		if g.crash == nil {
+			p.release(f, g.c, len(g.calls))
+		}
+		putGroup(g)
+		p.wg.Done()
+	}
+	return res, err, rebatched
 }
 
 // runCall executes one group member inside its container: pooled
 // per-invocation state, the handler attempt, borrow release, spans, and
-// settlement through finish.
-func (p *Platform) runCall(f *function, c *container, call *pendingCall, cold bool, dispatch, ready time.Time, coldDur time.Duration, readyStamp time.Duration) {
+// settlement through finish (whose rebatched result it passes on).
+func (p *Platform) runCall(f *function, g *callGroup, call *pendingCall) (Result, error, bool) {
+	c := g.c
 	start := time.Now()
 	// Every invocation gets its own multiplexer view: it scopes the
 	// resource borrows released below, and on traced calls carries the
@@ -1328,14 +1423,14 @@ func (p *Platform) runCall(f *function, c *container, call *pendingCall, cold bo
 	value, err, returned := p.runHandler(f, call.ctx, &st.inv)
 	// The handler is done with everything it borrowed; deferred
 	// eviction closes fire now, before the result is published.
-	st.res.borrows.releaseAll()
+	st.borrows.releaseAll()
 	end := time.Now()
 	if call.trace != 0 {
 		attempt := call.attempts + 1
 		startStamp := p.tracer.Stamp(start)
 		p.tracer.Record(obs.Span{
 			Trace: call.trace, Name: obs.SpanQueuing, Fn: f.name, Container: c.id,
-			Attempt: attempt, Start: readyStamp, End: startStamp,
+			Attempt: attempt, Start: g.readyStamp, End: startStamp,
 		})
 		p.tracer.Record(obs.Span{
 			Trace: call.trace, Name: obs.SpanExecution, Fn: f.name, Container: c.id,
@@ -1345,22 +1440,23 @@ func (p *Platform) runCall(f *function, c *container, call *pendingCall, cold bo
 	out := Result{
 		Value:       value,
 		ContainerID: c.id,
-		Cold:        cold,
-		Sched:       dispatch.Sub(call.arrive),
-		ColdStart:   coldDur,
-		Queue:       start.Sub(ready),
+		Cold:        g.cold,
+		Sched:       g.dispatch.Sub(call.arrive),
+		ColdStart:   g.coldDur,
+		Queue:       start.Sub(g.ready),
 		Exec:        end.Sub(start),
 		TraceID:     call.trace,
 	}
 	if err != nil {
 		err = fmt.Errorf("platform: invoke %s: %w", f.name, err)
 	}
-	p.finish(f, call, out, err)
+	rebatched := p.finish(f, call, &out, err)
 	if returned {
 		// The handler actually returned (it was not abandoned to an
 		// InvokeTimeout), so nothing can touch this state again.
 		putInvState(st)
 	}
+	return out, err, rebatched
 }
 
 // runHandler executes one handler attempt, layering on (in order) any
@@ -1446,10 +1542,12 @@ func (p *Platform) notePanic(err error) {
 	}
 }
 
-// finish settles one attempt: a failed attempt with retry budget left
-// re-enters a later dispatch window (with exponential backoff); anything
-// else completes the invocation exactly once.
-func (p *Platform) finish(f *function, call *pendingCall, res Result, err error) {
+// finish settles one attempt, on its caller's goroutine: a failed attempt
+// with retry budget left re-enters a later dispatch window (with
+// exponential backoff) and finish reports true — the call is waiting
+// again and its caller goes back to waiting for a ticket. Anything else
+// completes the invocation exactly once, stamping res.Attempts.
+func (p *Platform) finish(f *function, call *pendingCall, res *Result, err error) bool {
 	call.attempts++
 	if err != nil && call.attempts <= p.cfg.MaxRetries && call.ctx.Err() == nil {
 		retry := false
@@ -1460,6 +1558,7 @@ func (p *Platform) finish(f *function, call *pendingCall, res Result, err error)
 			// Add is ordered before that Wait.
 			p.wg.Add(1)
 			retry = true
+			call.state = callWaiting
 		}
 		f.mu.Unlock()
 		if retry {
@@ -1469,31 +1568,27 @@ func (p *Platform) finish(f *function, call *pendingCall, res Result, err error)
 					"fn", f.name, "attempt", call.attempts, "trace", call.trace, "err", err)
 			}
 			go p.retryLater(f, call)
-			return
+			return true
 		}
 	}
 	res.Attempts = call.attempts
 	p.ctr.invocations.Add(1)
 	if err != nil {
 		p.ctr.failures.Add(1)
-	}
-	if err != nil {
 		p.logger.Warn("invocation failed",
 			"fn", f.name, "attempts", call.attempts, "trace", call.trace, "err", err)
 	}
-	p.metrics.ObserveLatency(f.name, obs.SpanScheduling, res.Sched)
-	p.metrics.ObserveLatency(f.name, obs.SpanColdStart, res.ColdStart)
-	p.metrics.ObserveLatency(f.name, obs.SpanQueuing, res.Queue)
-	p.metrics.ObserveLatency(f.name, obs.SpanExecution, res.Exec)
-	p.metrics.ObserveLatency(f.name, obs.ComponentEndToEnd, res.Total())
-	p.slos.Observe(f.name, res.Total(), err != nil, time.Since(p.epoch))
-	call.done <- outcome{res: res, err: err}
+	f.latency.Observe(res.Sched, res.ColdStart, res.Queue, res.Exec)
+	if p.slos != nil {
+		p.slos.Observe(f.name, res.Total(), err != nil, time.Since(p.epoch))
+	}
+	return false
 }
 
 // retryLater re-batches a failed call into a later dispatch window after
 // an exponential backoff. Close wakes sleepers early (stopTicker) and the
-// retry then runs directly, so draining never strands a retry. The caller
-// has already done p.wg.Add(1).
+// retry is then dispatched directly, so draining never strands a retry.
+// The caller has already done p.wg.Add(1).
 func (p *Platform) retryLater(f *function, call *pendingCall) {
 	defer p.wg.Done()
 	if p.cfg.RetryBackoff > 0 {
@@ -1512,35 +1607,30 @@ func (p *Platform) retryLater(f *function, call *pendingCall) {
 			})
 		}
 	}
-	if call.ctx.Err() != nil {
-		// The caller's context ended during the backoff: drop the retry
-		// instead of re-batching a call nobody is waiting for. The call
-		// is abandoned, not recycled (see pool.go).
-		p.ctr.canceled.Add(1)
-		if p.logOn(slog.LevelDebug) {
-			p.logger.Debug("canceled retry dropped", "fn", f.name, "trace", call.trace)
-		}
-		return
-	}
+	var cg *callGroup
 	f.mu.Lock()
-	if !p.closed.Load() {
+	switch {
+	case call.state == callAbandoned:
+		// The caller's context ended during the backoff: drop the retry
+		// instead of re-batching a call nobody is waiting for.
+		f.mu.Unlock()
+		p.dropAbandoned(f, call)
+		return
+	case !p.closed.Load():
 		p.enqueueLocked(f, call)
 		// Ride a window without skewing the arrival-rate estimate
 		// (EnsureOpen, not Arrive).
-		cg := p.applyLocked(f, f.ctrl.EnsureOpen(f.name, time.Since(p.epoch)))
-		f.mu.Unlock()
-		if cg != nil {
-			p.runGroup(f, cg.calls)
-			putGroup(cg)
-		}
-		return
+		cg = p.applyLocked(f, f.ctrl.EnsureOpen(f.name, time.Since(p.epoch)))
+	default:
+		// The platform is draining: dispatch the attempt now.
+		call.state = callClaimed
+		cg = getGroup(1)
+		cg.calls = append(cg.calls, call)
 	}
 	f.mu.Unlock()
-	// The platform is draining: run the attempt now.
-	cg := getGroup(1)
-	cg.calls = append(cg.calls, call)
-	p.runGroup(f, cg.calls)
-	putGroup(cg)
+	if cg != nil {
+		p.dispatchGroup(f, cg)
+	}
 }
 
 // panicError is a recovered handler panic; its message keeps the

@@ -6,29 +6,34 @@ import (
 )
 
 // This file is the hot path's allocation recycling (DESIGN.md §14). The
-// warm steady state reuses three object classes through sync.Pools:
+// warm steady state reuses three object classes through sync.Pools, each
+// recycled by its one owner at the moment nothing else can reach it:
 //
-//   - pendingCall: one per Invoke. Recycled ONLY on the happy path,
-//     after the caller received the outcome from call.done — a call
-//     whose caller bailed out via ctx.Done (or that was dropped as
-//     canceled) is abandoned to the GC, because its caller's select may
-//     still be racing on the done channel: recycling it could deliver a
-//     later invocation's outcome to a stale receiver.
-//   - callGroup: the slice one dispatched window travels in. Released by
-//     whoever ran the group, after runGroup returns — at that point every
-//     member has either completed (outcome sent) or been handed to
-//     retryLater, so nothing aliases the slice.
+//   - pendingCall: one per Invoke. A call always has exactly one owner.
+//     It is its caller's from Invoke to return, except that a caller
+//     whose context ends before a group claimed the call hands it over
+//     (state abandoned, under the function's mu) to whoever finds it
+//     waiting — the window's claim or the retry's backoff — and never
+//     looks at it again. The owner at the end recycles it: the caller
+//     after its last ticket, the finder when it drops the call.
+//   - callGroup: one closed window's group — the slice it travels in and
+//     the shared state its members run on. It is its closer's until the
+//     last ticket is sent, then its members'; the member that takes
+//     remaining to zero recycles it, every other member being done
+//     reading it by then. (A group that never reaches a container — no
+//     call survived the wait, or it was split into per-container chunks —
+//     is recycled by whoever closed it.)
 //   - invState: one handler attempt's Resources view + borrow set +
 //     Invocation. Recycled only when runHandler reports the handler
 //     actually returned; a timeout-abandoned handler keeps its state
 //     (GC'd later) so it can never scribble on a recycled object.
 
 // pendingCallPool recycles pendingCall objects, each keeping its
-// buffered done channel across reuses (the channel is provably empty on
-// the recycling path: finish sends exactly once and the caller received
-// that one value).
+// buffered ticket channel across reuses (the channel is provably empty on
+// recycling: a claim sends exactly one ticket and the caller receives it
+// before it settles; an abandoned call was never claimed).
 var pendingCallPool = sync.Pool{
-	New: func() any { return &pendingCall{done: make(chan outcome, 1)} },
+	New: func() any { return &pendingCall{ticket: make(chan *callGroup, 1)} },
 }
 
 func getPendingCall() *pendingCall {
@@ -41,15 +46,12 @@ func putPendingCall(c *pendingCall) {
 	c.arrive = time.Time{}
 	c.attempts = 0
 	c.trace = 0
+	c.state = callWaiting
 	pendingCallPool.Put(c)
 }
 
-// callGroup boxes a window group's slice so the slice header survives
-// pool round-trips without re-allocating.
-type callGroup struct {
-	calls []*pendingCall
-}
-
+// groupPool recycles callGroups, each keeping its calls slice across
+// reuses so a steady group size appends into warm memory.
 var groupPool = sync.Pool{
 	New: func() any { return &callGroup{calls: make([]*pendingCall, 0, 8)} },
 }
@@ -63,13 +65,12 @@ func getGroup(n int) *callGroup {
 	return g
 }
 
-// putGroup clears the group's call pointers (so pooled slices never pin
-// finished invocations) and recycles it.
+// putGroup resets the group — call pointers included, so a pooled slice
+// never pins finished invocations — and recycles it (remaining is zero:
+// either the group was never dispatched or its last member is calling).
 func putGroup(g *callGroup) {
-	for i := range g.calls {
-		g.calls[i] = nil
-	}
-	g.calls = g.calls[:0]
+	clear(g.calls)
+	*g = callGroup{calls: g.calls[:0]}
 	groupPool.Put(g)
 }
 
@@ -93,9 +94,7 @@ func getInvState() *invState {
 
 // putInvState resets and recycles an attempt's state. borrowSet embeds a
 // mutex, so the struct is never copied whole: fields reset individually
-// (releaseAll already nil'd the releases slice — and deliberately does
-// not reuse its backing array, because a timeout-abandoned handler from
-// a previous life could still append to one; see borrowSet.releaseAll).
+// (releaseAll already emptied the borrow set).
 func putInvState(st *invState) {
 	st.res = Resources{}
 	st.inv = Invocation{}

@@ -235,6 +235,9 @@ func New(cfg Config, opts ...Option) (*Router, error) {
 		lastScrape: make(map[string]memberSnapshot),
 		stop:       make(chan struct{}),
 	}
+	for id, ep := range wire.endpoints {
+		ep.latency = rt.metrics.Forward(id)
+	}
 	if cfg.Autoscale != nil {
 		scaler, err := newLiveScaler(rt, *cfg.Autoscale)
 		if err != nil {
@@ -662,7 +665,7 @@ func (rt *Router) exchange(ctx context.Context, ep *endpoint, trace uint64, atte
 		return dst, 0, fmt.Errorf("forward to %s: %w", ep.id, err)
 	}
 	elapsed := time.Since(start)
-	rt.metrics.ObserveForward(ep.id, elapsed)
+	ep.latency.Observe(elapsed)
 	if rt.scaler != nil {
 		rt.scaler.observeLatency(elapsed)
 	}

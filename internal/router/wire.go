@@ -114,6 +114,9 @@ type endpoint struct {
 	invokeHead []byte // POST …/invoke request head, up to the Content-Length value
 	getTail    []byte // what follows a GET's path: protocol, Host, blank line
 	dial       dialFunc
+	// latency is the worker's forward-latency histogram, resolved once by
+	// router.New so a forward takes no registry-wide lock.
+	latency *obs.ForwardLatency
 
 	mu     sync.Mutex
 	idle   []*wireConn // most recently used last
