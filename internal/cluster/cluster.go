@@ -121,6 +121,9 @@ type Cluster struct {
 	picker  *picker
 	scaler  *simScaler
 	pull    *pullDriver
+	// sink is the completion every scheduler reports through, bound once:
+	// completed, or the pull driver's.
+	sink func(*fnruntime.Invocation)
 }
 
 // picker is the dispatcher's routing state.
@@ -304,6 +307,7 @@ func New(eng *sim.Engine, cfg Config) (*Cluster, error) {
 		cfg:    cfg,
 		picker: newPicker(cfg.Balancing, cfg.Nodes),
 	}
+	c.sink = c.completed
 	for i := 0; i < cfg.Nodes; i++ {
 		ncfg := cfg.Node
 		if len(cfg.NodeConfigs) > 0 {
@@ -373,26 +377,42 @@ func (c *Cluster) Schedulers() []*core.FaaSBatch { return c.scheds }
 // autoscaling enabled the arrival feeds the demand tracker first, so a
 // scaled-to-zero fleet wakes before the dispatcher picks a node and the
 // waking arrival routes to the woken node — zero invocations are lost
-// across a scale-to-zero cycle.
+// across a scale-to-zero cycle. The binding rides on inv.Route, where the
+// completion sink finds it again.
 func (c *Cluster) Submit(inv *fnruntime.Invocation, complete func(*fnruntime.Invocation)) {
 	start := c.eng.Now()
 	if c.scaler != nil {
 		c.scaler.observe(inv.Spec.Name, start.Duration())
 	}
+	inv.Route = fnruntime.Route{At: start, Done: complete}
 	if c.pull != nil {
-		c.pull.submit(inv, complete, start)
+		c.pull.submit(inv)
 		return
 	}
-	idx := c.picker.pick(inv.Spec.Name)
+	c.dispatch(inv, c.picker.pick(inv.Spec.Name))
+}
+
+// dispatch binds inv to node idx and hands it to that node's scheduler.
+func (c *Cluster) dispatch(inv *fnruntime.Invocation, idx int) {
+	inv.Route.Worker = idx
 	c.picker.inflight[idx]++
 	c.picker.routed[idx]++
-	c.scheds[idx].Submit(inv, func(done *fnruntime.Invocation) {
-		c.picker.inflight[idx]--
-		if c.scaler != nil {
-			c.scaler.completed(idx, c.eng.Now().Sub(start))
-		}
-		complete(done)
-	})
+	c.scheds[idx].Submit(inv, c.sink)
+}
+
+// completed is every scheduler's completion sink: it unwinds what
+// dispatch booked, then tells the submitter.
+func (c *Cluster) completed(done *fnruntime.Invocation) {
+	c.settle(done)
+	done.Route.Done(done)
+}
+
+// settle releases done's node slot and feeds the autoscaler its latency.
+func (c *Cluster) settle(done *fnruntime.Invocation) {
+	c.picker.inflight[done.Route.Worker]--
+	if c.scaler != nil {
+		c.scaler.completed(done.Route.Worker, c.eng.Now().Sub(done.Route.At))
+	}
 }
 
 // RoutedPerNode reports how many invocations each node has been

@@ -3,7 +3,6 @@ package cluster
 import (
 	"faasbatch/internal/fnruntime"
 	"faasbatch/internal/pullsched"
-	"faasbatch/internal/sim"
 )
 
 // pullDriver runs the shared pullsched.Core against the simulated
@@ -14,18 +13,13 @@ import (
 // live worker. The engine is single-threaded, so the core needs no
 // locking here (the live driver's analogue takes a mutex).
 type pullDriver struct {
-	c       *Cluster
-	core    *pullsched.Core
-	pending map[int64]*pendingPull
+	c    *Cluster
+	core *pullsched.Core
+	// pending holds admitted invocations awaiting (or holding) a lease,
+	// by lease ID (inv.Route.Lease).
+	pending map[int64]*fnruntime.Invocation
 	nextID  int64
 	shed    uint64
-}
-
-// pendingPull is an admitted invocation awaiting (or holding) a lease.
-type pendingPull struct {
-	inv      *fnruntime.Invocation
-	complete func(*fnruntime.Invocation)
-	start    sim.Time
 }
 
 // initPull wires the pull scheduler over the fleet. Called before
@@ -44,9 +38,10 @@ func (c *Cluster) initPull(pcfg *pullsched.Config) error {
 	d := &pullDriver{
 		c:       c,
 		core:    core,
-		pending: make(map[int64]*pendingPull),
+		pending: make(map[int64]*fnruntime.Invocation),
 	}
 	c.pull = d
+	c.sink = d.completed
 	c.picker.onDown = d.membership
 	return nil
 }
@@ -54,45 +49,41 @@ func (c *Cluster) initPull(pcfg *pullsched.Config) error {
 // submit admits one invocation: enqueue, then dispatch whatever grants
 // the arrival unlocked. A depth-bound shed completes the invocation
 // immediately as a failure — the sim analogue of the live router's 429.
-func (d *pullDriver) submit(inv *fnruntime.Invocation, complete func(*fnruntime.Invocation), start sim.Time) {
+func (d *pullDriver) submit(inv *fnruntime.Invocation) {
 	d.nextID++
 	id := d.nextID
-	off := start.Duration()
-	d.pending[id] = &pendingPull{inv: inv, complete: complete, start: start}
-	gs, shed := d.core.Enqueue(id, inv.Spec.Name, off)
+	inv.Route.Lease = id
+	d.pending[id] = inv
+	gs, shed := d.core.Enqueue(id, inv.Spec.Name, inv.Route.At.Duration())
 	if shed {
 		delete(d.pending, id)
 		d.shed++
 		inv.Rec.Failed = true
-		complete(inv)
+		inv.Route.Done(inv)
 		return
 	}
 	d.dispatch(gs)
 }
 
 // dispatch hands granted invocations to their leased node's scheduler.
-// The completion callback acks the lease, which may pull further queued
-// work — the dispatch loop of the worker-pull protocol.
 func (d *pullDriver) dispatch(gs []pullsched.Grant) {
 	for _, g := range gs {
-		p, ok := d.pending[g.ID]
-		if !ok {
-			continue
+		if inv, ok := d.pending[g.ID]; ok {
+			d.c.dispatch(inv, g.Worker)
 		}
-		id, w := g.ID, g.Worker
-		d.c.picker.inflight[w]++
-		d.c.picker.routed[w]++
-		d.c.scheds[w].Submit(p.inv, func(done *fnruntime.Invocation) {
-			d.c.picker.inflight[w]--
-			if d.c.scaler != nil {
-				d.c.scaler.completed(w, d.c.eng.Now().Sub(p.start))
-			}
-			next := d.core.Complete(id, d.c.eng.Now().Duration())
-			delete(d.pending, id)
-			p.complete(done)
-			d.dispatch(next)
-		})
 	}
+}
+
+// completed is the schedulers' completion sink under pull: it acks the
+// lease, which may pull further queued work — the dispatch loop of the
+// worker-pull protocol.
+func (d *pullDriver) completed(done *fnruntime.Invocation) {
+	d.c.settle(done)
+	id := done.Route.Lease
+	next := d.core.Complete(id, d.c.eng.Now().Duration())
+	delete(d.pending, id)
+	done.Route.Done(done)
+	d.dispatch(next)
 }
 
 // membership mirrors a picker mark-down/mark-up into core eligibility;

@@ -165,11 +165,12 @@ func TestOwnedListPrunesParkedContainers(t *testing.T) {
 		t.Fatalf("records = %d", len(recs))
 	}
 	// The container parked; busyContainer must prune it and return nil.
-	if c := f.busyContainer(spec.Name); c != nil {
+	st := f.state(spec.Name)
+	if c := st.busyContainer(); c != nil {
 		t.Fatalf("busyContainer returned parked container %v", c.ID())
 	}
-	if len(f.owned[spec.Name]) != 0 {
-		t.Fatalf("owned list not pruned: %d entries", len(f.owned[spec.Name]))
+	if len(st.owned) != 0 {
+		t.Fatalf("owned list not pruned: %d entries", len(st.owned))
 	}
 }
 

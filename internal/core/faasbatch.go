@@ -148,44 +148,73 @@ func (s Stats) AvgGroupSize() float64 {
 
 // FaaSBatch is the scheduler.
 type FaaSBatch struct {
-	env     policy.Env
-	cfg     Config
-	pending map[string][]*pendingItem
-	// owned tracks busy containers currently expanding groups, so later
-	// windows can join them instead of cold-starting (§III-C: a cold
-	// start occurs only when no keep-alive container exists).
-	owned map[string][]*node.Container
-	// pendingCreates counts in-flight container creations per function;
-	// attached holds groups waiting on those creations.
-	pendingCreates map[string]int
-	attached       map[string][]attachedGroup
+	env policy.Env
+	cfg Config
+	// fns holds everything the scheduler keeps per function.
+	fns map[string]*fnState
 	// lastActive records each function's most recent arrival time
 	// (Prewarm only).
 	lastActive map[string]sim.Time
 	// ticker is the pre-warming cadence (nil unless Prewarm).
 	ticker *sim.Ticker
-	// ctrl decides when each function's window closes; windows holds the
-	// scheduled close event of every open window.
-	ctrl    *dispatch.Controller
-	windows map[string]*sim.Event
+	// ctrl decides when each function's window closes.
+	ctrl *dispatch.Controller
 	// due is windowDue's scratch list of closing functions.
-	due    []string
+	due []string
+	// acquire is what every FaaSBatch container is created with.
+	acquire node.AcquireOptions
+	// free lists drained groups for the next dispatch.
+	free   *group
 	stats  Stats
 	closed bool
 }
 
-// attachedGroup is a window group waiting for an in-flight creation.
-type attachedGroup struct {
-	group      []*pendingItem
-	dispatchAt sim.Time
+// fnState is one function's share of the scheduler.
+type fnState struct {
+	f    *FaaSBatch
+	name string
+	// pending is the group the open window is collecting; its backing
+	// array changes hands with a dispatched group's and comes back empty.
+	pending []pendingItem
+	// window fires at the open window's deadline.
+	window sim.Timer
+	// owned tracks busy containers currently expanding groups, so later
+	// windows can join them instead of cold-starting (§III-C: a cold
+	// start occurs only when no keep-alive container exists).
+	owned []*node.Container
+	// pendingCreates counts in-flight container creations; attached holds
+	// the groups waiting on them.
+	pendingCreates int
+	attached       []*group
 }
 
 var _ policy.Scheduler = (*FaaSBatch)(nil)
 
-// pendingItem is one invocation waiting for its window to close.
+// pendingItem is one invocation waiting for its window to close and then,
+// as a slot of its group's members, for its body to return.
 type pendingItem struct {
 	inv      *fnruntime.Invocation
 	complete func(*fnruntime.Invocation)
+	g        *group // set once the group expands
+}
+
+// group is one dispatched window's batch on its way through a container:
+// waiting for the container (as its node.Acquirer, or attached to another
+// group's creation), crossing the batch HTTP hop, then expanded, each
+// member's slot serving as that body's fnruntime.Completer. Groups are
+// recycled: the scheduler makes as many as it ever has in flight at once.
+type group struct {
+	f          *FaaSBatch
+	st         *fnState
+	members    []pendingItem
+	dispatchAt sim.Time
+	c          *node.Container
+	// outstanding counts bodies yet to return, plus one held by run while
+	// it is still handing members to the runner: a body that returns at
+	// once must not settle the group under the loop.
+	outstanding int
+	runFn       func() // run, bound once
+	next        *group
 }
 
 // New creates a FaaSBatch scheduler.
@@ -217,15 +246,12 @@ func New(env policy.Env, cfg Config) (*FaaSBatch, error) {
 		return nil, fmt.Errorf("core: %w", err)
 	}
 	f := &FaaSBatch{
-		env:            env,
-		cfg:            cfg,
-		pending:        make(map[string][]*pendingItem),
-		owned:          make(map[string][]*node.Container),
-		pendingCreates: make(map[string]int),
-		attached:       make(map[string][]attachedGroup),
-		lastActive:     make(map[string]sim.Time),
-		ctrl:           ctrl,
-		windows:        make(map[string]*sim.Event),
+		env:        env,
+		cfg:        cfg,
+		fns:        make(map[string]*fnState),
+		lastActive: make(map[string]sim.Time),
+		ctrl:       ctrl,
+		acquire:    node.AcquireOptions{CPULimit: cfg.CPULimit, Multiplex: cfg.Multiplex, Multiplexer: cfg.Multiplexer},
 	}
 	if cfg.Prewarm {
 		// Windows close on their own events; pre-warming needs a cadence
@@ -245,6 +271,17 @@ func (f *FaaSBatch) Name() string { return "faasbatch" }
 // Stats reports batching statistics.
 func (f *FaaSBatch) Stats() Stats { return f.stats }
 
+// state returns fn's record, making it at the function's first sight.
+func (f *FaaSBatch) state(fn string) *fnState {
+	st, ok := f.fns[fn]
+	if !ok {
+		st = &fnState{f: f, name: fn}
+		st.window.Init(f.env.Eng, st.windowDue)
+		f.fns[fn] = st
+	}
+	return st
+}
+
 // Submit implements policy.Scheduler: the Invoke Mapper appends the
 // invocation to its function's group for the current window, and the
 // dispatch controller decides whether the arrival dispatches immediately
@@ -252,6 +289,7 @@ func (f *FaaSBatch) Stats() Stats { return f.stats }
 func (f *FaaSBatch) Submit(inv *fnruntime.Invocation, complete func(*fnruntime.Invocation)) {
 	f.stats.Submitted++
 	fn := inv.Spec.Name
+	st := f.state(fn)
 	if f.cfg.Prewarm {
 		f.lastActive[fn] = f.env.Eng.Now()
 	}
@@ -260,35 +298,24 @@ func (f *FaaSBatch) Submit(inv *fnruntime.Invocation, complete func(*fnruntime.I
 	// nothing unless the arrival process says company is coming. The
 	// probe prunes the owned list, so it runs only when the policy reads
 	// the answer.
-	idle := f.ctrl.UsesIdle() && len(f.pending[fn]) == 0 && f.busyContainer(fn) == nil && f.pendingCreates[fn] == 0
-	f.pending[fn] = append(f.pending[fn], &pendingItem{inv: inv, complete: complete})
-	f.applyDecision(fn, f.ctrl.Arrive(fn, f.env.Eng.Now().Duration(), idle))
+	idle := f.ctrl.UsesIdle() && len(st.pending) == 0 && st.busyContainer() == nil && st.pendingCreates == 0
+	st.pending = append(st.pending, pendingItem{inv: inv, complete: complete})
+	f.applyDecision(st, f.ctrl.Arrive(fn, f.env.Eng.Now().Duration(), idle))
 }
 
-// applyDecision acts on the controller's verdict for fn's pending group:
-// a wait arms (or, when the controller extended the deadline, re-arms)
-// the window's close event; anything else hands the group to the
+// applyDecision acts on the controller's verdict for a function's pending
+// group: a wait arms (or, when the controller extended the deadline,
+// re-arms) the window's timer; anything else hands the group to the
 // Inline-Parallel Producer now.
-func (f *FaaSBatch) applyDecision(fn string, d dispatch.Decision) {
-	ev, open := f.windows[fn]
+func (f *FaaSBatch) applyDecision(st *fnState, d dispatch.Decision) {
 	if d.Action == dispatch.ActionWait {
-		at := sim.Time(d.Deadline)
-		if open {
-			if ev.At() == at {
-				return
-			}
-			ev.Cancel()
+		if at := sim.Time(d.Deadline); !st.window.Active() || st.window.At() != at {
+			st.window.ResetAt(at)
 		}
-		f.windows[fn] = f.env.Eng.ScheduleAt(at, func() { f.windowDue(fn) })
 		return
 	}
-	if open {
-		ev.Cancel()
-		delete(f.windows, fn)
-	}
-	group := f.pending[fn]
-	delete(f.pending, fn)
-	if len(group) == 0 {
+	st.window.Stop()
+	if len(st.pending) == 0 {
 		return
 	}
 	switch d.Action {
@@ -299,18 +326,19 @@ func (f *FaaSBatch) applyDecision(fn string, d dispatch.Decision) {
 	case dispatch.ActionWindowClose:
 		f.stats.WindowDispatches++
 	}
-	f.dispatchGroup(fn, group)
+	f.dispatchGroup(st)
 }
 
-// windowDue fires at fn's window deadline and closes the windows the
-// controller's policy ends with it.
-func (f *FaaSBatch) windowDue(fn string) {
+// windowDue fires at the function's window deadline and closes the
+// windows the controller's policy ends with it.
+func (st *fnState) windowDue() {
+	f := st.f
 	if f.closed {
 		return
 	}
-	f.due = f.ctrl.AppendClosing(f.due[:0], fn)
+	f.due = f.ctrl.AppendClosing(f.due[:0], st.name)
 	for _, fn := range f.due {
-		f.applyDecision(fn, f.ctrl.WindowClosed(fn))
+		f.applyDecision(f.state(fn), f.ctrl.WindowClosed(fn))
 	}
 }
 
@@ -325,13 +353,15 @@ func (f *FaaSBatch) Close() error {
 		f.prewarm()
 	}
 	// Sorted function order keeps runs deterministic.
-	fns := make([]string, 0, len(f.pending))
-	for fn := range f.pending {
-		fns = append(fns, fn)
+	var fns []string
+	for fn, st := range f.fns {
+		if len(st.pending) > 0 {
+			fns = append(fns, fn)
+		}
 	}
 	sort.Strings(fns)
 	for _, fn := range fns {
-		f.applyDecision(fn, f.ctrl.WindowClosed(fn))
+		f.applyDecision(f.fns[fn], f.ctrl.WindowClosed(fn))
 	}
 	if f.ticker != nil {
 		f.ticker.Stop()
@@ -339,56 +369,91 @@ func (f *FaaSBatch) Close() error {
 	return nil
 }
 
+// newGroup takes a recycled group, or makes one, for st's pending window.
+func (f *FaaSBatch) newGroup(st *fnState) *group {
+	g := f.free
+	if g == nil {
+		g = &group{f: f}
+		g.runFn = g.run
+	} else {
+		f.free = g.next
+		g.next = nil
+	}
+	g.st = st
+	g.members, st.pending = st.pending, g.members
+	g.dispatchAt = f.env.Eng.Now()
+	return g
+}
+
+// recycle returns a group nobody waits on any more to the free list.
+func (f *FaaSBatch) recycle(g *group) {
+	clear(g.members)
+	g.members = g.members[:0]
+	g.st, g.c = nil, nil
+	g.next = f.free
+	f.free = g
+}
+
 // dispatchGroup is the Inline-Parallel Producer (§III-C): obtain one
 // container for the whole group — an idle keep-alive container, a busy
 // container already expanding earlier groups, or a fresh one — send the
 // batch over HTTP, expand the invocations in parallel inside, and release
 // the group's reservation when every invocation completed.
-func (f *FaaSBatch) dispatchGroup(fn string, group []*pendingItem) {
+func (f *FaaSBatch) dispatchGroup(st *fnState) {
+	g := f.newGroup(st)
 	f.stats.Groups++
-	if len(group) > f.stats.MaxGroupSize {
-		f.stats.MaxGroupSize = len(group)
+	if len(g.members) > f.stats.MaxGroupSize {
+		f.stats.MaxGroupSize = len(g.members)
 	}
-	dispatchAt := f.env.Eng.Now()
 	// An idle keep-alive container wins (warm start, via the node's warm
 	// pool); otherwise a busy FaaSBatch container of the same function
 	// accepts the group as additional threads; only when neither exists
 	// does the group pay a cold start.
-	if f.env.Node.WarmCount(fn) == 0 {
-		if c := f.busyContainer(fn); c != nil {
+	if f.env.Node.WarmCount(st.name) == 0 {
+		if c := st.busyContainer(); c != nil {
 			c.CheckoutThread() // the joined group's batch reservation
-			f.expand(c, group, dispatchAt, node.AcquireResult{Container: c})
+			g.expand(node.AcquireResult{Container: c})
 			return
 		}
-		if f.pendingCreates[fn] >= f.cfg.MaxPendingCreates {
+		if st.pendingCreates >= f.cfg.MaxPendingCreates {
 			// The per-function scale-out bound is hit: wait for one of
 			// the in-flight creations and expand on it once it boots.
-			f.attached[fn] = append(f.attached[fn], attachedGroup{group: group, dispatchAt: dispatchAt})
+			st.attached = append(st.attached, g)
 			return
 		}
-		f.pendingCreates[fn]++
+		st.pendingCreates++
 	}
-	opts := node.AcquireOptions{CPULimit: f.cfg.CPULimit, Multiplex: f.cfg.Multiplex, Multiplexer: f.cfg.Multiplexer}
-	f.env.Node.Acquire(fn, opts, func(r node.AcquireResult) {
-		if r.Cold && f.pendingCreates[fn] > 0 {
-			f.pendingCreates[fn]--
+	f.env.Node.Acquire(st.name, f.acquire, g)
+}
+
+// Acquired implements node.Acquirer: the group's container is ready.
+func (g *group) Acquired(r node.AcquireResult) {
+	st := g.st
+	if r.Cold && st.pendingCreates > 0 {
+		st.pendingCreates--
+	}
+	st.owned = append(st.owned, r.Container)
+	g.expand(r)
+	st.expandAttached(r.Container, false)
+}
+
+// expandAttached expands the groups that attached while c booted on it as
+// additional thread batches; they waited out the remaining boot, which is
+// their cold-start share. Each takes a reservation of its own, except the
+// first when the creation's own (a pre-warm's) is still unspent.
+func (st *fnState) expandAttached(c *node.Container, firstReserved bool) {
+	waiting := st.attached
+	st.attached = nil
+	for i, ag := range waiting {
+		if i > 0 || !firstReserved {
+			c.CheckoutThread()
 		}
-		f.owned[fn] = append(f.owned[fn], r.Container)
-		f.expand(r.Container, group, dispatchAt, r)
-		// Groups that attached while this container booted expand on it
-		// as additional thread batches; they waited out the remaining
-		// boot, which is their cold-start share.
-		waiting := f.attached[fn]
-		delete(f.attached, fn)
-		for _, ag := range waiting {
-			r.Container.CheckoutThread() // the attached group's reservation
-			f.expand(r.Container, ag.group, ag.dispatchAt, node.AcquireResult{
-				Container: r.Container,
-				Cold:      true,
-				BootTime:  f.env.Eng.Now().Sub(ag.dispatchAt),
-			})
-		}
-	})
+		ag.expand(node.AcquireResult{
+			Container: c,
+			Cold:      true,
+			BootTime:  st.f.env.Eng.Now().Sub(ag.dispatchAt),
+		})
+	}
 }
 
 // prewarm creates a container ahead of every recently active function
@@ -412,49 +477,38 @@ func (f *FaaSBatch) prewarm() {
 			// Keep-warm touch: a warm acquire+release resets the
 			// container's keep-alive clock, so predicted-active
 			// functions never lose their capacity to eviction.
-			f.env.Node.Acquire(fn, node.AcquireOptions{}, func(r node.AcquireResult) {
+			f.env.Node.Acquire(fn, node.AcquireOptions{}, node.AcquireFunc(func(r node.AcquireResult) {
 				r.Container.ReturnThread()
-			})
+			}))
 			f.stats.KeepWarmTouches++
 			continue
 		}
-		if f.busyContainer(fn) != nil || f.pendingCreates[fn] > 0 {
+		st := f.state(fn)
+		if st.busyContainer() != nil || st.pendingCreates > 0 {
 			continue // capacity already exists or is coming up
 		}
-		f.pendingCreates[fn]++
+		st.pendingCreates++
 		f.stats.Prewarms++
-		opts := node.AcquireOptions{CPULimit: f.cfg.CPULimit, Multiplex: f.cfg.Multiplex, Multiplexer: f.cfg.Multiplexer}
-		f.env.Node.Acquire(fn, opts, func(r node.AcquireResult) {
-			if f.pendingCreates[fn] > 0 {
-				f.pendingCreates[fn]--
+		f.env.Node.Acquire(fn, f.acquire, node.AcquireFunc(func(r node.AcquireResult) {
+			if st.pendingCreates > 0 {
+				st.pendingCreates--
 			}
 			// Serve any groups that attached while this container booted;
 			// otherwise park it warm for the next window.
-			waiting := f.attached[fn]
-			delete(f.attached, fn)
-			if len(waiting) == 0 {
+			if len(st.attached) == 0 {
 				r.Container.ReturnThread()
 				return
 			}
-			f.owned[fn] = append(f.owned[fn], r.Container)
-			for i, ag := range waiting {
-				if i > 0 {
-					r.Container.CheckoutThread()
-				}
-				f.expand(r.Container, ag.group, ag.dispatchAt, node.AcquireResult{
-					Container: r.Container,
-					Cold:      true,
-					BootTime:  f.env.Eng.Now().Sub(ag.dispatchAt),
-				})
-			}
-		})
+			st.owned = append(st.owned, r.Container)
+			st.expandAttached(r.Container, true)
+		}))
 	}
 }
 
-// busyContainer returns a ready busy container for fn, pruning handles
-// that parked or were evicted since.
-func (f *FaaSBatch) busyContainer(fn string) *node.Container {
-	list := f.owned[fn]
+// busyContainer returns a ready busy container for the function, pruning
+// handles that parked or were evicted since.
+func (st *fnState) busyContainer() *node.Container {
+	list := st.owned
 	kept := list[:0]
 	var found *node.Container
 	for _, c := range list {
@@ -469,71 +523,77 @@ func (f *FaaSBatch) busyContainer(fn string) *node.Container {
 	for i := len(kept); i < len(list); i++ {
 		list[i] = nil
 	}
-	f.owned[fn] = kept
+	st.owned = kept
 	return found
 }
 
-// expand runs one group inside its container: record the latency
+// expand runs the group inside its container: record the latency
 // decomposition, pay the batch HTTP hop, execute all invocations as
 // concurrent threads, and return the group's reservation when the last
 // one finishes.
-func (f *FaaSBatch) expand(c *node.Container, group []*pendingItem, dispatchAt sim.Time, r node.AcquireResult) {
-	for _, item := range group {
+func (g *group) expand(r node.AcquireResult) {
+	f := g.f
+	for i := range g.members {
+		m := &g.members[i]
+		m.g = g
 		// Scheduling latency: window wait + engine-queue wait + the
 		// batch HTTP hop; cold start is separated per §IV.
-		item.inv.Rec.Sched = dispatchAt.Sub(item.inv.Arrive) + r.QueueWait + f.cfg.HTTPLatency
-		item.inv.Rec.Cold = r.BootTime
+		m.inv.Rec.Sched = g.dispatchAt.Sub(m.inv.Arrive) + r.QueueWait + f.cfg.HTTPLatency
+		m.inv.Rec.Cold = r.BootTime
 	}
-	run := func() {
-		if c.State() == node.Evicted {
-			// The container crashed between dispatch and the batch HTTP
-			// request landing (a fault from a concurrent group killed it).
-			// Re-batch the whole group into the next window; it expands on
-			// a replacement container there.
-			f.stats.GroupRedispatches++
-			for _, item := range group {
-				f.retryItem(item)
-			}
-			return
-		}
-		outstanding := len(group)
-		released := false
-		release := func() {
-			if released {
-				return
-			}
-			released = true
-			// The batch HTTP request returns; once every group drained,
-			// the container parks in the warm pool for the next window.
-			c.ReturnThread()
-		}
-		for _, item := range group {
-			item := item
-			err := f.env.Runner.Execute(item.inv, c, func(done *fnruntime.Invocation) {
-				item.complete(done)
-				outstanding--
-				if outstanding == 0 {
-					release()
-				}
-			})
-			if err != nil {
-				// The container crashed under us (fault injection) or was
-				// torn down between acquisition and execution: send the
-				// invocation through the bounded retry path rather than
-				// drop it.
-				outstanding--
-				f.retryItem(item)
-			}
-		}
-		if outstanding == 0 {
-			release()
-		}
-	}
+	g.c = r.Container
 	if f.cfg.HTTPLatency > 0 {
-		f.env.Eng.Schedule(f.cfg.HTTPLatency, run)
+		f.env.Eng.Schedule(f.cfg.HTTPLatency, g.runFn)
 		return
 	}
-	run()
+	g.run()
+}
+
+// run lands the batch HTTP request: every member starts its body.
+func (g *group) run() {
+	f := g.f
+	if g.c.State() == node.Evicted {
+		// The container crashed between dispatch and the batch HTTP
+		// request landing (a fault from a concurrent group killed it).
+		// Re-batch the whole group into the next window; it expands on
+		// a replacement container there.
+		f.stats.GroupRedispatches++
+		for i := range g.members {
+			f.retryItem(g.members[i])
+		}
+		f.recycle(g)
+		return
+	}
+	g.outstanding = len(g.members) + 1
+	for i := range g.members {
+		m := &g.members[i]
+		if err := f.env.Runner.Execute(m.inv, g.c, m); err != nil {
+			// The container crashed under us (fault injection) or was
+			// torn down between acquisition and execution: send the
+			// invocation through the bounded retry path rather than
+			// drop it.
+			g.outstanding--
+			f.retryItem(*m)
+		}
+	}
+	g.settle()
+}
+
+// Completed implements fnruntime.Completer on a group's member slot.
+func (m *pendingItem) Completed(done *fnruntime.Invocation) {
+	m.complete(done)
+	m.g.settle()
+}
+
+// settle counts one body (or run itself) out. The last one returns the
+// batch HTTP request: once every group drained, the container parks in
+// the warm pool for the next window.
+func (g *group) settle() {
+	g.outstanding--
+	if g.outstanding == 0 {
+		g.c.ReturnThread()
+		g.f.recycle(g)
+	}
 }
 
 // retryItem re-batches one invocation after a container fault: it rides
@@ -541,7 +601,7 @@ func (f *FaaSBatch) expand(c *node.Container, group []*pendingItem, dispatchAt s
 // backoff) on a fresh or replacement container. An invocation that
 // already consumed its retry budget completes immediately with
 // Rec.Failed set — invocations are never silently lost.
-func (f *FaaSBatch) retryItem(item *pendingItem) {
+func (f *FaaSBatch) retryItem(item pendingItem) {
 	inv := item.inv
 	if inv.Attempts >= f.cfg.MaxRetries {
 		inv.Rec.Failed = true
@@ -555,12 +615,12 @@ func (f *FaaSBatch) retryItem(item *pendingItem) {
 	// Append directly to the window rather than re-Submit: Submitted
 	// counts unique invocations, not attempts (Stats.Submitted ==
 	// completed + failed must hold at quiescence).
-	fn := inv.Spec.Name
-	f.pending[fn] = append(f.pending[fn], item)
+	st := f.state(inv.Spec.Name)
+	st.pending = append(st.pending, item)
 	if !f.closed {
 		// A retry must ride a window like any pending call, but must not
 		// skew the arrival-rate estimate: EnsureOpen arms a window-close
 		// event without observing an arrival.
-		f.applyDecision(fn, f.ctrl.EnsureOpen(fn, f.env.Eng.Now().Duration()))
+		f.applyDecision(st, f.ctrl.EnsureOpen(st.name, f.env.Eng.Now().Duration()))
 	}
 }

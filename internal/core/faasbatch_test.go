@@ -363,3 +363,59 @@ func TestPropertyCompleteness(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestGroupsAreRecycled: a drained group goes back to the free list with
+// nothing of its members left on it, and the next window reuses it — the
+// scheduler makes as many groups as it ever has in flight at once.
+func TestGroupsAreRecycled(t *testing.T) {
+	env := testEnv(t)
+	f := newScheduler(t, env, DefaultConfig())
+	spec := fibSpec(t, 20)
+	const windows = 12
+	specs := make([]workload.Spec, windows)
+	offsets := make([]time.Duration, windows)
+	for i := range specs {
+		specs[i] = spec
+		offsets[i] = time.Duration(i) * 5 * time.Second // one window each, long drained before the next
+	}
+	runAll(t, env, f, specs, offsets)
+	if got := f.Stats().Groups; got != windows {
+		t.Fatalf("groups = %d, want %d", got, windows)
+	}
+	g := f.free
+	if g == nil || g.next != nil {
+		t.Fatalf("free list does not hold exactly one group after %d sequential windows", windows)
+	}
+	if len(g.members) != 0 || g.st != nil || g.c != nil || g.outstanding != 0 {
+		t.Fatalf("recycled group still holds state: %d members, st %v, c %v, outstanding %d", len(g.members), g.st, g.c, g.outstanding)
+	}
+	if cap(g.members) == 0 || cap(f.state(spec.Name).pending) == 0 {
+		t.Fatal("member and pending buffers should keep their capacity across dispatches")
+	}
+}
+
+// TestBodyReturningAtOnceDoesNotSettleUnderRun: a body with no I/O wait
+// and no CPU work returns inside Execute, while run is still handing the
+// group's other members to the runner. The group must settle — return its
+// reservation and be recycled — exactly once, after the last of them.
+func TestBodyReturningAtOnceDoesNotSettleUnderRun(t *testing.T) {
+	env := testEnv(t)
+	cfg := DefaultConfig()
+	cfg.HTTPLatency = 0
+	f := newScheduler(t, env, cfg)
+	instant := workload.Spec{Name: "noop"}
+	specs := []workload.Spec{instant, instant, instant, instant}
+	recs := runAll(t, env, f, specs, make([]time.Duration, len(specs)))
+	if len(recs) != len(specs) {
+		t.Fatalf("records = %d, want %d", len(recs), len(specs))
+	}
+	if got := f.Stats().Groups; got != 1 {
+		t.Fatalf("groups = %d, want one window of four", got)
+	}
+	if f.free == nil || f.free.next != nil {
+		t.Fatal("the group was not recycled exactly once")
+	}
+	if got := env.Node.WarmCount("noop"); got != 1 {
+		t.Fatalf("warm containers = %d, want the group's one, parked after a single ReturnThread", got)
+	}
+}

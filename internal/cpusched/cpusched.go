@@ -29,7 +29,10 @@ import (
 // task's remaining work has hit zero.
 const completionEpsilon = 50 // nanoseconds
 
-// Task is a single-threaded unit of CPU work submitted to a Pool.
+// Task is a single-threaded unit of CPU work submitted to a Pool. Like a
+// sim.Timer it belongs to its submitter: embed it by value in whatever
+// waits on the work and Start it again once it is done, or let Submit
+// allocate one.
 type Task struct {
 	group     *Group
 	remaining float64 // nanoseconds of CPU work left
@@ -75,18 +78,29 @@ func (g *Group) Label() string { return g.label }
 // Len reports the number of runnable tasks in the group.
 func (g *Group) Len() int { return len(g.tasks) }
 
-// Submit adds a CPU task of the given work to the group. onDone runs (in
-// virtual time, inside the pool's event) when the work completes; it may
-// submit further tasks. Work <= 0 completes immediately.
+// Submit allocates a task and starts it; see Start.
 func (g *Group) Submit(work time.Duration, onDone func()) *Task {
-	t := &Task{group: g, remaining: float64(work), onDone: onDone}
+	t := &Task{}
+	g.Start(t, work, onDone)
+	return t
+}
+
+// Start adds the caller's task to the group with the given CPU work,
+// overwriting whatever t recorded of an earlier run. onDone runs (in
+// virtual time, inside the pool's event) when the work completes; it may
+// start further tasks, t included. Work <= 0 completes immediately.
+// Starting a task that is still running is a bug and panics.
+func (g *Group) Start(t *Task, work time.Duration, onDone func()) {
+	if t.group != nil && !t.done {
+		panic(fmt.Sprintf("cpusched: task started twice (group %q)", t.group.label))
+	}
+	*t = Task{group: g, remaining: float64(work), onDone: onDone}
 	if work <= 0 {
 		t.remaining = 0
 	}
 	g.pool.advance()
 	g.tasks = append(g.tasks, t)
 	g.pool.poke()
-	return t
 }
 
 // Close removes the group from the pool. Closing a group with runnable
@@ -112,8 +126,17 @@ type Discipline interface {
 	// Allocate writes each task's rate. The sum of rates must not exceed
 	// cores, and no single task's rate may exceed 1. It returns a horizon:
 	// a duration after which the allocation must be recomputed even if no
-	// task arrives or completes (0 means no horizon).
-	Allocate(cores float64, groups []*Group) time.Duration
+	// task arrives or completes (0 means no horizon). scratch is the
+	// calling pool's, so a stateless discipline value can serve many pools
+	// and still reuse its working memory from one call to the next.
+	Allocate(cores float64, groups []*Group, scratch *Scratch) time.Duration
+}
+
+// Scratch is the working memory a Pool lends its Discipline for the length
+// of one Allocate call.
+type Scratch struct {
+	demands []demand  // FairShare: groups with runnable tasks
+	levels  [][]*Task // MLFQ: tasks by priority level
 }
 
 // Pool models the CPU cores of one worker node.
@@ -123,10 +146,12 @@ type Pool struct {
 	disc     Discipline
 	groups   []*Group
 	last     sim.Time
-	pending  *sim.Event
-	busyNsCs float64 // core-nanoseconds consumed (CPU busy integral)
+	wake     sim.Timer // the next completion or horizon; fires poke
+	busyNsCs float64   // core-nanoseconds consumed (CPU busy integral)
 	inPoke   bool
 	repoke   bool
+	scratch  Scratch
+	finished []*Task // completeFinished's scratch
 }
 
 // NewPool creates a pool with the given core count and discipline.
@@ -138,7 +163,9 @@ func NewPool(eng *sim.Engine, cores float64, disc Discipline) (*Pool, error) {
 	if disc == nil {
 		return nil, fmt.Errorf("cpusched: discipline must not be nil")
 	}
-	return &Pool{eng: eng, cores: cores, disc: disc, last: eng.Now()}, nil
+	p := &Pool{eng: eng, cores: cores, disc: disc, last: eng.Now()}
+	p.wake.Init(eng, p.poke)
+	return p, nil
 }
 
 // Cores reports the pool's core count.
@@ -220,14 +247,11 @@ func (p *Pool) poke() {
 			// reallocation into this pass.
 			continue
 		}
-		horizon := p.disc.Allocate(p.cores, p.groups)
-		next := p.nextEventDelay(horizon)
-		if p.pending != nil {
-			p.pending.Cancel()
-			p.pending = nil
-		}
-		if next >= 0 {
-			p.pending = p.eng.Schedule(next, p.poke)
+		horizon := p.disc.Allocate(p.cores, p.groups, &p.scratch)
+		if next := p.nextEventDelay(horizon); next >= 0 {
+			p.wake.Reset(next)
+		} else {
+			p.wake.Stop()
 		}
 		return
 	}
@@ -239,7 +263,7 @@ func (p *Pool) poke() {
 func (p *Pool) completeFinished() {
 	for _, g := range p.groups {
 		kept := g.tasks[:0]
-		var finished []*Task
+		finished := p.finished[:0]
 		for _, t := range g.tasks {
 			if t.remaining <= completionEpsilon {
 				t.remaining = 0
@@ -260,6 +284,10 @@ func (p *Pool) completeFinished() {
 				t.onDone()
 			}
 		}
+		// Callbacks cannot re-enter (poke's guard), so the scratch is still
+		// this pass's; drop its pointers before lending it to the next group.
+		clear(finished)
+		p.finished = finished[:0]
 	}
 }
 

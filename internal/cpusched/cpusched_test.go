@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"faasbatch/internal/obs/obstest"
 	"faasbatch/internal/sim"
 )
 
@@ -538,4 +539,71 @@ func TestPoolReallocateAfterQuantumChange(t *testing.T) {
 	// 200ms by then and runs its last 100ms alone, finishing at 400ms.
 	within(t, shortDone, sim.Time(300*time.Millisecond))
 	within(t, longDone, sim.Time(400*time.Millisecond))
+}
+
+// TestStartReusesCallerOwnedTask: a submitter that carries its Task runs
+// it again once it is done; starting one that is still running is a bug.
+func TestStartReusesCallerOwnedTask(t *testing.T) {
+	eng := sim.New(1)
+	p := newFairPool(t, eng, 1)
+	g := p.NewGroup("c1", 0)
+	var task Task
+	runs := 0
+	var again func()
+	again = func() {
+		runs++
+		if runs < 3 {
+			g.Start(&task, 10*time.Millisecond, again) // from its own completion
+		}
+	}
+	g.Start(&task, 10*time.Millisecond, again)
+	eng.Run()
+	if runs != 3 || !task.Done() || task.Consumed() != 10*time.Millisecond {
+		t.Fatalf("runs = %d, done = %v, consumed = %v; want 3 runs, the last one's 10ms", runs, task.Done(), task.Consumed())
+	}
+	within(t, eng.Now(), sim.Time(30*time.Millisecond))
+
+	g.Start(&task, time.Second, nil)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Start on a running task did not panic")
+		}
+	}()
+	g.Start(&task, time.Second, nil)
+}
+
+// TestPoolSteadyStateAllocFree: on a warm pool — groups made, scratch
+// sized — submit, poke and complete allocate nothing under either
+// discipline, for a submitter that carries its tasks.
+func TestPoolSteadyStateAllocFree(t *testing.T) {
+	if obstest.RaceEnabled {
+		t.Skip("the race runtime allocates on its own behalf")
+	}
+	for _, disc := range []Discipline{FairShare{}, NewMLFQ()} {
+		t.Run(disc.Name(), func(t *testing.T) {
+			eng := sim.New(1)
+			p, err := NewPool(eng, 4, disc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			groups := []*Group{p.NewGroup("a", 0), p.NewGroup("b", 2), p.NewGroup("c", 1)}
+			var tasks [12]Task
+			done := 0
+			onDone := func() { done++ }
+			round := func() {
+				for i := range tasks {
+					// Long enough to cross MLFQ's first boundary mid-run.
+					groups[i%len(groups)].Start(&tasks[i], time.Duration(20+10*i)*time.Millisecond, onDone)
+				}
+				eng.Run()
+			}
+			round() // sizes the heap and the pool's scratch
+			if got := testing.AllocsPerRun(20, round); got != 0 {
+				t.Errorf("allocs per %d-task round = %v, want 0", len(tasks), got)
+			}
+			if done != 22*len(tasks) {
+				t.Fatalf("completed %d tasks, want %d", done, 22*len(tasks))
+			}
+		})
+	}
 }

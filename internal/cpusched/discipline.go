@@ -1,8 +1,9 @@
 package cpusched
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 )
 
@@ -17,13 +18,15 @@ var _ Discipline = FairShare{}
 // Name implements Discipline.
 func (FairShare) Name() string { return "fair-share" }
 
+// demand is one group's claim in FairShare's water-filling.
+type demand struct {
+	g     *Group
+	limit float64
+}
+
 // Allocate implements Discipline using two-level water-filling.
-func (FairShare) Allocate(cores float64, groups []*Group) time.Duration {
-	type demand struct {
-		g     *Group
-		limit float64
-	}
-	var active []demand
+func (FairShare) Allocate(cores float64, groups []*Group, scratch *Scratch) time.Duration {
+	active := scratch.demands[:0]
 	for _, g := range groups {
 		n := len(g.tasks)
 		if n == 0 {
@@ -37,12 +40,14 @@ func (FairShare) Allocate(cores float64, groups []*Group) time.Duration {
 		}
 		active = append(active, demand{g: g, limit: limit})
 	}
+	scratch.demands = active
 	if len(active) == 0 {
 		return 0
 	}
 	// Max-min fairness: groups with small demand are satisfied first and
-	// their leftover is redistributed among the rest.
-	sort.SliceStable(active, func(i, j int) bool { return active[i].limit < active[j].limit })
+	// their leftover is redistributed among the rest. The sort is stable,
+	// so equal demands keep pool order and every rate below is reproducible.
+	slices.SortStableFunc(active, func(a, b demand) int { return cmp.Compare(a.limit, b.limit) })
 	remaining := cores
 	left := len(active)
 	for _, d := range active {
@@ -135,8 +140,14 @@ func (m *MLFQ) level(consumed float64) int {
 // first; leftover spills to the next level. The returned horizon is the
 // earliest instant a running task crosses into the next level, at which
 // point the allocation must be recomputed.
-func (m *MLFQ) Allocate(cores float64, groups []*Group) time.Duration {
-	levels := make([][]*Task, len(m.Thresholds)+1)
+func (m *MLFQ) Allocate(cores float64, groups []*Group, scratch *Scratch) time.Duration {
+	if len(scratch.levels) != len(m.Thresholds)+1 {
+		scratch.levels = make([][]*Task, len(m.Thresholds)+1)
+	}
+	levels := scratch.levels
+	for i := range levels {
+		levels[i] = levels[i][:0]
+	}
 	for _, g := range groups {
 		for _, t := range g.tasks {
 			lv := m.level(t.consumed)

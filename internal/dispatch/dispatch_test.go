@@ -390,29 +390,37 @@ func TestSimVsManualConformance(t *testing.T) {
 			simCtrl := newController(t, cfg)
 			var simLog []string
 			simOpen := map[string]time.Duration{}
-			events := map[string]*sim.Event{}
+			// One timer per function, as the simulator's scheduler keeps.
+			timers := map[string]*sim.Timer{}
+			var timerFor func(fn string) *sim.Timer
+			timerFor = func(fn string) *sim.Timer {
+				if tm := timers[fn]; tm != nil {
+					return tm
+				}
+				tm := new(sim.Timer)
+				tm.Init(eng, func() {
+					// As the simulator's scheduler does: the policy says
+					// which windows this deadline closes, and in which
+					// order.
+					for _, due := range simCtrl.AppendClosing(nil, fn) {
+						if _, ok := simOpen[due]; !ok {
+							continue
+						}
+						delete(simOpen, due)
+						timerFor(due).Stop()
+						simLog = append(simLog, record(due, simCtrl.WindowClosed(due)))
+					}
+				})
+				timers[fn] = tm
+				return tm
+			}
 			for _, a := range schedule {
 				eng.ScheduleAt(sim.Time(a.at), func() {
 					apply(&simLog, simOpen, a.fn, simCtrl.Arrive(a.fn, eng.Now().Duration(), a.idle))
-					if ev := events[a.fn]; ev != nil {
-						ev.Cancel()
-					}
-					delete(events, a.fn)
 					if d, ok := simOpen[a.fn]; ok {
-						events[a.fn] = eng.ScheduleAt(sim.Time(d), func() {
-							// As the simulator's scheduler does: the policy
-							// says which windows this deadline closes, and
-							// in which order.
-							for _, fn := range simCtrl.AppendClosing(nil, a.fn) {
-								if _, ok := simOpen[fn]; !ok {
-									continue
-								}
-								delete(simOpen, fn)
-								events[fn].Cancel()
-								delete(events, fn)
-								simLog = append(simLog, record(fn, simCtrl.WindowClosed(fn)))
-							}
-						})
+						timerFor(a.fn).ResetAt(sim.Time(d))
+					} else {
+						timerFor(a.fn).Stop()
 					}
 				})
 			}

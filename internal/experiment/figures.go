@@ -93,9 +93,9 @@ func warmNode(seed int64, containers int, fn string) (*sim.Engine, *node.Node, *
 	runner := fnruntime.NewRunner(eng)
 	warmed := make([]*node.Container, 0, containers)
 	for i := 0; i < containers; i++ {
-		nd.Acquire(fn, node.AcquireOptions{}, func(r node.AcquireResult) {
+		nd.Acquire(fn, node.AcquireOptions{}, node.AcquireFunc(func(r node.AcquireResult) {
 			warmed = append(warmed, r.Container)
-		})
+		}))
 	}
 	eng.Run()
 	if len(warmed) != containers {
@@ -150,7 +150,7 @@ func fig1Makespan(seed int64, n int, sharing bool, spec workload.Spec) (time.Dur
 			c = warmed[i]
 		}
 		inv := fnruntime.NewInvocation(int64(i), spec, start)
-		if err := runner.Execute(inv, c, func(*fnruntime.Invocation) { last = eng.Now() }); err != nil {
+		if err := runner.Execute(inv, c, fnruntime.CompleteFunc(func(*fnruntime.Invocation) { last = eng.Now() })); err != nil {
 			return 0, err
 		}
 	}
@@ -244,7 +244,7 @@ func fig45Batch(seed int64, k int) (elapsed time.Duration, clientMemPeak int64, 
 	var last sim.Time
 	for i := 0; i < k; i++ {
 		inv := fnruntime.NewInvocation(int64(i), spec, start)
-		if execErr := runner.Execute(inv, warmed[0], func(*fnruntime.Invocation) { last = eng.Now() }); execErr != nil {
+		if execErr := runner.Execute(inv, warmed[0], fnruntime.CompleteFunc(func(*fnruntime.Invocation) { last = eng.Now() })); execErr != nil {
 			return 0, 0, execErr
 		}
 	}

@@ -22,6 +22,7 @@ import (
 	"fmt"
 
 	"faasbatch/internal/chaos"
+	"faasbatch/internal/cpusched"
 	"faasbatch/internal/metrics"
 	"faasbatch/internal/multiplex"
 	"faasbatch/internal/node"
@@ -43,7 +44,58 @@ type Invocation struct {
 	// Rec accumulates the latency decomposition. The scheduler fills
 	// Sched/Cold/Queue; the runner fills Exec.
 	Rec metrics.Record
+	// Route and Tag belong to the layers above the scheduler, which keep
+	// what they must remember about an invocation here rather than in a
+	// closure around its completion: the fleet dispatcher its binding,
+	// the harness that generated the invocation a label of its own (a
+	// scenario's phase index). Nothing below reads them.
+	Route Route
+	Tag   int
+
+	// The body in flight (Runner.Execute): where it runs, since when, what
+	// to free and whom to tell at the end, and which step comes next.
+	runner    *Runner
+	container *node.Container
+	start     sim.Time
+	transient int64
+	done      Completer
+	phase     phase
+	step      func() // advance, bound once per invocation
+	task      cpusched.Task
 }
+
+// Route is a fleet dispatcher's note on an invocation it bound.
+type Route struct {
+	// Worker is the node the invocation was dispatched to.
+	Worker int
+	// At is when the dispatcher received it.
+	At sim.Time
+	// Lease identifies the pull scheduler's grant (Pull balancing only).
+	Lease int64
+	// Done is the submitter's completion callback.
+	Done func(*Invocation)
+}
+
+// phase is what an executing body is waiting on.
+type phase uint8
+
+const (
+	phaseIOWait  phase = iota + 1 // the storage round-trip timer
+	phaseCompute                  // the CPU task in the container's group
+)
+
+// Completer is told when an invocation's body returned. A scheduler that
+// executes on its hot path passes an object it already holds (a group's
+// member slot, say) rather than a fresh closure.
+type Completer interface {
+	Completed(*Invocation)
+}
+
+// CompleteFunc adapts a function to a Completer.
+type CompleteFunc func(*Invocation)
+
+// Completed implements Completer.
+func (f CompleteFunc) Completed(inv *Invocation) { f(inv) }
 
 // NewInvocation builds an invocation with its record initialised.
 func NewInvocation(id int64, spec workload.Spec, arrive sim.Time) *Invocation {
@@ -101,10 +153,15 @@ func (r *Runner) SetChaos(inj *chaos.Injector) { r.inj = inj }
 func (r *Runner) Stats() Stats { return r.stats }
 
 // Execute runs inv inside container c. The invocation occupies a thread
-// for its whole body; onDone fires when the body returns, after Rec.Exec
+// for its whole body; done is told when the body returns, after Rec.Exec
 // is set. The caller remains responsible for the container's acquisition
 // reservation (ReturnThread on the handle it got from Acquire).
-func (r *Runner) Execute(inv *Invocation, c *node.Container, onDone func(*Invocation)) error {
+//
+// The body is a short state machine kept on the invocation — client,
+// I/O wait, compute, finish — advanced by whichever timer or CPU task it
+// is waiting on. The one thing it allocates, once per invocation, is that
+// continuation; only a client that has to be built or waited for adds to it.
+func (r *Runner) Execute(inv *Invocation, c *node.Container, done Completer) error {
 	if inv == nil || c == nil {
 		return fmt.Errorf("fnruntime: execute requires an invocation and a container")
 	}
@@ -122,55 +179,77 @@ func (r *Runner) Execute(inv *Invocation, c *node.Container, onDone func(*Invoca
 		return fmt.Errorf("fnruntime: container %s crashed", c.ID())
 	}
 	c.CheckoutThread()
-	start := r.eng.Now()
+	inv.runner, inv.container, inv.done = r, c, done
+	inv.start = r.eng.Now()
 	inv.Rec.Container = c.ID()
-	finish := func(transientClientBytes int64) {
-		inv.Rec.Exec = r.eng.Now().Sub(start)
-		if transientClientBytes > 0 {
-			// A non-multiplexed client is garbage once the invocation
-			// returns.
-			c.FreeClientMem(transientClientBytes)
-		}
-		r.stats.Executed++
-		c.ReturnThread()
-		onDone(inv)
+	if inv.step == nil {
+		inv.step = inv.advance
 	}
-
 	if inv.Spec.Client == nil {
-		r.runBody(inv, c, 0, finish)
+		r.runBody(inv, 0)
 		return nil
 	}
-	r.acquireClient(inv, c, func(transientBytes int64) {
-		r.runBody(inv, c, transientBytes, finish)
-	})
+	r.acquireClient(inv)
 	return nil
 }
 
 // runBody performs the I/O wait and compute phases, then finishes.
-func (r *Runner) runBody(inv *Invocation, c *node.Container, transientBytes int64, finish func(int64)) {
-	compute := func() {
-		if inv.Spec.Work <= 0 {
-			finish(transientBytes)
-			return
-		}
-		c.Group().Submit(inv.Spec.Work, func() { finish(transientBytes) })
-	}
+// transientBytes is the private client to free at body end (zero when the
+// instance is cached or shared).
+func (r *Runner) runBody(inv *Invocation, transientBytes int64) {
+	inv.transient = transientBytes
 	if inv.Spec.IOWait > 0 {
-		r.eng.Schedule(inv.Spec.IOWait, compute)
+		inv.phase = phaseIOWait
+		r.eng.Schedule(inv.Spec.IOWait, inv.step)
 		return
 	}
-	compute()
+	r.compute(inv)
 }
 
-// acquireClient obtains the storage client: through the container's
+// compute burns the body's CPU work in the container's cpuset group.
+func (r *Runner) compute(inv *Invocation) {
+	if inv.Spec.Work <= 0 {
+		r.finish(inv)
+		return
+	}
+	inv.phase = phaseCompute
+	inv.container.Group().Start(&inv.task, inv.Spec.Work, inv.step)
+}
+
+// advance is the body's continuation: the I/O timer and the CPU task both
+// land here, and the phase says which one it was.
+func (inv *Invocation) advance() {
+	switch inv.phase {
+	case phaseIOWait:
+		inv.runner.compute(inv)
+	case phaseCompute:
+		inv.runner.finish(inv)
+	}
+}
+
+// finish returns the body: Rec.Exec, the transient client, the thread.
+func (r *Runner) finish(inv *Invocation) {
+	c := inv.container
+	inv.Rec.Exec = r.eng.Now().Sub(inv.start)
+	if inv.transient > 0 {
+		// A non-multiplexed client is garbage once the invocation
+		// returns.
+		c.FreeClientMem(inv.transient)
+	}
+	r.stats.Executed++
+	c.ReturnThread()
+	inv.done.Completed(inv)
+}
+
+// acquireClient obtains the storage client — through the container's
 // Resource Multiplexer when present, otherwise by building a private
-// instance. then receives the transient bytes to free at body end (zero
-// when the instance is cached or shared).
-func (r *Runner) acquireClient(inv *Invocation, c *node.Container, then func(transientBytes int64)) {
-	spec := inv.Spec.Client
+// instance — and runs the body once it has one. Only the branches that
+// wait on a build make a closure; a cache hit goes straight on.
+func (r *Runner) acquireClient(inv *Invocation) {
+	c, spec := inv.container, inv.Spec.Client
 	cache := c.Cache()
 	if cache == nil {
-		r.buildClient(c, spec, func(bytes int64) { then(bytes) })
+		r.buildClient(c, spec, func(bytes int64) { r.runBody(inv, bytes) })
 		return
 	}
 	key := multiplex.NewKey(spec.Callee, spec.ArgsKey)
@@ -178,10 +257,10 @@ func (r *Runner) acquireClient(inv *Invocation, c *node.Container, then func(tra
 	switch res {
 	case multiplex.BeginHit:
 		r.stats.CacheHits++
-		then(0)
+		r.runBody(inv, 0)
 	case multiplex.BeginPending:
 		r.stats.CacheCoalesced++
-		cache.Wait(key, func(any) { then(0) })
+		cache.Wait(key, func(any) { r.runBody(inv, 0) })
 	case multiplex.BeginStale:
 		// Stale-while-revalidate: the invocation proceeds on the old
 		// instance immediately while the refresh build runs alongside it,
@@ -192,21 +271,21 @@ func (r *Runner) acquireClient(inv *Invocation, c *node.Container, then func(tra
 		r.buildClient(c, spec, func(bytes int64) {
 			cache.Complete(key, struct{}{}, bytes)
 		})
-		then(0)
+		r.runBody(inv, 0)
 	case multiplex.BeginNegative:
 		// The negative cache is absorbing this key's recent build
 		// failures: fall back to a private transient client rather than
 		// hammering the shared entry, mirroring the live platform's
 		// degraded path. The instance is garbage at body end.
 		r.stats.CacheNegativeDenials++
-		r.buildClient(c, spec, func(bytes int64) { then(bytes) })
+		r.buildClient(c, spec, func(bytes int64) { r.runBody(inv, bytes) })
 	default: // BeginMiss: we are the builder
 		r.buildClient(c, spec, func(bytes int64) {
 			// The built instance lives until the cache evicts, refreshes
 			// or closes it; publish it so waiters and future creations
 			// share it.
 			cache.Complete(key, struct{}{}, bytes)
-			then(0)
+			r.runBody(inv, 0)
 		})
 	}
 }

@@ -35,7 +35,7 @@ func newEnv(t *testing.T) *env {
 func (e *env) acquire(t *testing.T, fn string, opts node.AcquireOptions) *node.Container {
 	t.Helper()
 	var c *node.Container
-	e.node.Acquire(fn, opts, func(r node.AcquireResult) { c = r.Container })
+	e.node.Acquire(fn, opts, node.AcquireFunc(func(r node.AcquireResult) { c = r.Container }))
 	e.eng.Run()
 	if c == nil {
 		t.Fatal("acquire never completed")
@@ -58,7 +58,7 @@ func TestExecuteCPUFunction(t *testing.T) {
 	spec := mustSpec(t, 30)
 	inv := NewInvocation(1, spec, e.eng.Now())
 	var done *Invocation
-	if err := e.runner.Execute(inv, c, func(i *Invocation) { done = i }); err != nil {
+	if err := e.runner.Execute(inv, c, CompleteFunc(func(i *Invocation) { done = i })); err != nil {
 		t.Fatalf("Execute: %v", err)
 	}
 	e.eng.Run()
@@ -85,11 +85,11 @@ func TestNewInvocationInitialisesRecord(t *testing.T) {
 func TestExecuteValidation(t *testing.T) {
 	e := newEnv(t)
 	c := e.acquire(t, "f", node.AcquireOptions{})
-	if err := e.runner.Execute(nil, c, func(*Invocation) {}); err == nil {
+	if err := e.runner.Execute(nil, c, CompleteFunc(func(*Invocation) {})); err == nil {
 		t.Error("nil invocation accepted")
 	}
 	inv := NewInvocation(1, mustSpec(t, 20), 0)
-	if err := e.runner.Execute(inv, nil, func(*Invocation) {}); err == nil {
+	if err := e.runner.Execute(inv, nil, CompleteFunc(func(*Invocation) {})); err == nil {
 		t.Error("nil container accepted")
 	}
 }
@@ -100,7 +100,7 @@ func TestExecuteIOFunctionWithoutMultiplexer(t *testing.T) {
 	spec := workload.IOSpec("s3func")
 	inv := NewInvocation(1, spec, e.eng.Now())
 	var done *Invocation
-	if err := e.runner.Execute(inv, c, func(i *Invocation) { done = i }); err != nil {
+	if err := e.runner.Execute(inv, c, CompleteFunc(func(i *Invocation) { done = i })); err != nil {
 		t.Fatalf("Execute: %v", err)
 	}
 	e.eng.Run()
@@ -137,7 +137,7 @@ func TestConcurrentCreationsContendSuperlinearly(t *testing.T) {
 	var lats []time.Duration
 	for i := 0; i < 9; i++ {
 		inv := NewInvocation(int64(i), spec, e.eng.Now())
-		if err := e.runner.Execute(inv, c, func(iv *Invocation) { lats = append(lats, iv.Rec.Exec) }); err != nil {
+		if err := e.runner.Execute(inv, c, CompleteFunc(func(iv *Invocation) { lats = append(lats, iv.Rec.Exec) })); err != nil {
 			t.Fatalf("Execute: %v", err)
 		}
 	}
@@ -169,7 +169,7 @@ func TestMultiplexerCollapsesCreationCost(t *testing.T) {
 	var lats []time.Duration
 	for i := 0; i < 9; i++ {
 		inv := NewInvocation(int64(i), spec, e.eng.Now())
-		if err := e.runner.Execute(inv, c, func(iv *Invocation) { lats = append(lats, iv.Rec.Exec) }); err != nil {
+		if err := e.runner.Execute(inv, c, CompleteFunc(func(iv *Invocation) { lats = append(lats, iv.Rec.Exec) })); err != nil {
 			t.Fatalf("Execute: %v", err)
 		}
 	}
@@ -198,13 +198,13 @@ func TestMultiplexerHitOnLaterWindow(t *testing.T) {
 	c := e.acquire(t, "s3func", node.AcquireOptions{Multiplex: true})
 	spec := workload.IOSpec("s3func")
 	first := NewInvocation(1, spec, e.eng.Now())
-	if err := e.runner.Execute(first, c, func(*Invocation) {}); err != nil {
+	if err := e.runner.Execute(first, c, CompleteFunc(func(*Invocation) {})); err != nil {
 		t.Fatalf("Execute: %v", err)
 	}
 	e.eng.Run()
 	var second *Invocation
 	inv := NewInvocation(2, spec, e.eng.Now())
-	if err := e.runner.Execute(inv, c, func(i *Invocation) { second = i }); err != nil {
+	if err := e.runner.Execute(inv, c, CompleteFunc(func(i *Invocation) { second = i })); err != nil {
 		t.Fatalf("Execute: %v", err)
 	}
 	e.eng.Run()
@@ -225,7 +225,7 @@ func TestExecuteOnEvictedContainerFails(t *testing.T) {
 	c.ReturnThread()
 	e.node.EvictIdle()
 	inv := NewInvocation(1, mustSpec(t, 20), e.eng.Now())
-	if err := e.runner.Execute(inv, c, func(*Invocation) {}); err == nil {
+	if err := e.runner.Execute(inv, c, CompleteFunc(func(*Invocation) {})); err == nil {
 		t.Fatal("Execute on evicted container succeeded, want error")
 	}
 }
@@ -238,7 +238,7 @@ func TestThreadAccountingAcrossBatch(t *testing.T) {
 	done := 0
 	for i := 0; i < n; i++ {
 		inv := NewInvocation(int64(i), spec, e.eng.Now())
-		if err := e.runner.Execute(inv, c, func(*Invocation) { done++ }); err != nil {
+		if err := e.runner.Execute(inv, c, CompleteFunc(func(*Invocation) { done++ })); err != nil {
 			t.Fatalf("Execute: %v", err)
 		}
 	}
@@ -274,7 +274,7 @@ func TestSharingVsMonopolyEquivalence(t *testing.T) {
 		var last sim.Time
 		for i := 0; i < n; i++ {
 			inv := NewInvocation(int64(i), spec, start)
-			if err := e.runner.Execute(inv, c, func(*Invocation) { last = e.eng.Now() }); err != nil {
+			if err := e.runner.Execute(inv, c, CompleteFunc(func(*Invocation) { last = e.eng.Now() })); err != nil {
 				t.Fatalf("Execute: %v", err)
 			}
 		}
@@ -292,7 +292,7 @@ func TestSharingVsMonopolyEquivalence(t *testing.T) {
 		var last sim.Time
 		for i := 0; i < n; i++ {
 			inv := NewInvocation(int64(i), spec, start)
-			if err := e.runner.Execute(inv, containers[i], func(*Invocation) { last = e.eng.Now() }); err != nil {
+			if err := e.runner.Execute(inv, containers[i], CompleteFunc(func(*Invocation) { last = e.eng.Now() })); err != nil {
 				t.Fatalf("Execute: %v", err)
 			}
 		}
@@ -330,7 +330,7 @@ func TestPropertyExecutionInvariants(t *testing.T) {
 		ok := true
 		completed := 0
 		var c *node.Container
-		n.Acquire("mix", node.AcquireOptions{Multiplex: true}, func(r node.AcquireResult) { c = r.Container })
+		n.Acquire("mix", node.AcquireOptions{Multiplex: true}, node.AcquireFunc(func(r node.AcquireResult) { c = r.Container }))
 		eng.Run()
 		if c == nil {
 			return false
@@ -351,7 +351,7 @@ func TestPropertyExecutionInvariants(t *testing.T) {
 			at := time.Duration(r%500) * time.Millisecond
 			eng.Schedule(at, func() {
 				inv := NewInvocation(int64(i), spec, eng.Now())
-				if err := runner.Execute(inv, c, func(done *Invocation) {
+				if err := runner.Execute(inv, c, CompleteFunc(func(done *Invocation) {
 					completed++
 					rec := done.Rec
 					if rec.Sched < 0 || rec.Cold < 0 || rec.Queue < 0 || rec.Exec <= 0 {
@@ -363,7 +363,7 @@ func TestPropertyExecutionInvariants(t *testing.T) {
 					if done.Spec.Client == nil && rec.Exec < done.Spec.Work {
 						ok = false // CPU body cannot beat one core
 					}
-				}); err != nil {
+				})); err != nil {
 					ok = false
 				}
 			})

@@ -42,11 +42,24 @@ type AcquireResult struct {
 	BootTime time.Duration
 }
 
+// Acquirer is told when the container it asked Acquire for is ready. A
+// scheduler that acquires on its hot path passes an object it already
+// holds (a pooled group, say) rather than a fresh closure.
+type Acquirer interface {
+	Acquired(AcquireResult)
+}
+
+// AcquireFunc adapts a function to an Acquirer.
+type AcquireFunc func(AcquireResult)
+
+// Acquired implements Acquirer.
+func (f AcquireFunc) Acquired(r AcquireResult) { f(r) }
+
 // createReq is a queued container creation.
 type createReq struct {
 	fn       string
 	opts     AcquireOptions
-	cb       func(AcquireResult)
+	to       Acquirer
 	enqueued sim.Time
 }
 
@@ -189,23 +202,24 @@ func (n *Node) freeMem(bytes int64) {
 
 // Acquire obtains a container for fn: a warm keep-alive container when one
 // is idle, otherwise a fresh container through the engine's creation
-// pipeline. cb runs (in virtual time) once the container is ready; the
-// container is handed over in the Busy state with one thread checked out.
-func (n *Node) Acquire(fn string, opts AcquireOptions, cb func(AcquireResult)) {
+// pipeline. to is told (in virtual time; at once on a warm hit) when the
+// container is ready; the container is handed over in the Busy state with
+// one thread checked out.
+func (n *Node) Acquire(fn string, opts AcquireOptions, to Acquirer) {
 	if list := n.warm[fn]; len(list) > 0 {
 		c := list[len(list)-1]
 		n.warm[fn] = list[:len(list)-1]
-		c.idleEpoch++ // invalidate the pending keep-alive timer
+		c.keepAlive.Stop()
 		c.CheckoutThread()
 		n.warmStarts++
-		cb(AcquireResult{Container: c})
+		to.Acquired(AcquireResult{Container: c})
 		return
 	}
 	n.coldStarts++
 	n.createQueue = append(n.createQueue, &createReq{
 		fn:       fn,
 		opts:     opts,
-		cb:       cb,
+		to:       to,
 		enqueued: n.eng.Now(),
 	})
 	n.pumpCreations()
@@ -238,6 +252,7 @@ func (n *Node) startCreation(req *createReq) {
 		fn:    req.fn,
 		state: Starting,
 	}
+	c.keepAlive.Init(n.eng, c.keepAliveExpired)
 	n.advanceLiveIntegral()
 	n.live++
 	n.totalCreated++
@@ -265,7 +280,7 @@ func (n *Node) startCreation(req *createReq) {
 			c.cacheDisabled = true
 		}
 		c.CheckoutThread()
-		req.cb(AcquireResult{
+		req.to.Acquired(AcquireResult{
 			Container: c,
 			Cold:      true,
 			QueueWait: queueWait,
@@ -320,15 +335,17 @@ func (n *Node) containerCacheConfig(c *Container, mcfg multiplex.Config) multipl
 // keep-alive eviction timer.
 func (n *Node) parkIdle(c *Container) {
 	c.state = Idle
-	c.idleSince = n.eng.Now()
-	c.idleEpoch++
-	epoch := c.idleEpoch
 	n.warm[c.fn] = append(n.warm[c.fn], c)
-	n.eng.Schedule(n.cfg.KeepAlive, func() {
-		if c.state == Idle && c.idleEpoch == epoch {
-			n.evict(c)
-		}
-	})
+	c.keepAlive.Reset(n.cfg.KeepAlive)
+}
+
+// keepAliveExpired evicts a container that sat idle for the whole
+// keep-alive: warm reuse and teardown both stop the timer, so it fires
+// only on a container still parked.
+func (c *Container) keepAliveExpired() {
+	if c.state == Idle {
+		c.node.evict(c)
+	}
 }
 
 // evict tears a container down, freeing its memory.
@@ -352,6 +369,7 @@ func (n *Node) teardown(c *Container) {
 	}
 	defer n.pumpCreations()
 	c.state = Evicted
+	c.keepAlive.Stop()
 	// All client memory — transient duplicates and multiplexer-cached
 	// instances alike — is charged through AllocClientMem and therefore
 	// lives in clientBytes, freed wholesale here. The cache is closed for

@@ -177,10 +177,9 @@ type Container struct {
 	// clientBytes tracks live non-multiplexed client memory charged to
 	// the node ledger.
 	clientBytes   int64
-	clientLive    int // live client instances (for marginal-memory pricing)
-	idleSince     sim.Time
-	idleEpoch     int // guards stale keep-alive eviction timers
-	served        int // total invocations executed (diagnostics)
+	clientLive    int       // live client instances (for marginal-memory pricing)
+	keepAlive     sim.Timer // armed while parked in the warm pool
+	served        int       // total invocations executed (diagnostics)
 	cacheDisabled bool
 }
 

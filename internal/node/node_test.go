@@ -74,10 +74,10 @@ func TestColdAcquire(t *testing.T) {
 	n := newTestNode(t, eng, testConfig())
 	var res AcquireResult
 	gotIt := false
-	n.Acquire("fib30", AcquireOptions{}, func(r AcquireResult) {
+	n.Acquire("fib30", AcquireOptions{}, AcquireFunc(func(r AcquireResult) {
 		res = r
 		gotIt = true
-	})
+	}))
 	eng.Run()
 	if !gotIt {
 		t.Fatal("Acquire callback never fired")
@@ -112,16 +112,16 @@ func TestWarmAcquireReusesContainer(t *testing.T) {
 	eng := sim.New(1)
 	n := newTestNode(t, eng, testConfig())
 	var first *Container
-	n.Acquire("f", AcquireOptions{}, func(r AcquireResult) {
+	n.Acquire("f", AcquireOptions{}, AcquireFunc(func(r AcquireResult) {
 		first = r.Container
 		r.Container.ReturnThread()
-	})
+	}))
 	eng.RunUntil(sim.Time(2 * time.Second)) // boot done, keep-alive not expired
 	if n.WarmCount("f") != 1 {
 		t.Fatalf("WarmCount = %d, want 1", n.WarmCount("f"))
 	}
 	var second AcquireResult
-	n.Acquire("f", AcquireOptions{}, func(r AcquireResult) { second = r })
+	n.Acquire("f", AcquireOptions{}, AcquireFunc(func(r AcquireResult) { second = r }))
 	if second.Container == nil {
 		t.Fatal("warm acquire should complete synchronously")
 	}
@@ -139,10 +139,10 @@ func TestWarmAcquireReusesContainer(t *testing.T) {
 func TestWarmPoolIsPerFunction(t *testing.T) {
 	eng := sim.New(1)
 	n := newTestNode(t, eng, testConfig())
-	n.Acquire("fA", AcquireOptions{}, func(r AcquireResult) { r.Container.ReturnThread() })
+	n.Acquire("fA", AcquireOptions{}, AcquireFunc(func(r AcquireResult) { r.Container.ReturnThread() }))
 	eng.Run()
 	var res AcquireResult
-	n.Acquire("fB", AcquireOptions{}, func(r AcquireResult) { res = r })
+	n.Acquire("fB", AcquireOptions{}, AcquireFunc(func(r AcquireResult) { res = r }))
 	eng.Run()
 	if !res.Cold {
 		t.Fatal("different function must not reuse another function's container")
@@ -161,9 +161,9 @@ func TestCreationPipelineQueues(t *testing.T) {
 	n := newTestNode(t, eng, testConfig())
 	var waits []time.Duration
 	for i := 0; i < 5; i++ {
-		n.Acquire("f", AcquireOptions{}, func(r AcquireResult) {
+		n.Acquire("f", AcquireOptions{}, AcquireFunc(func(r AcquireResult) {
 			waits = append(waits, r.QueueWait)
-		})
+		}))
 	}
 	if n.PendingCreations() != 5 {
 		t.Fatalf("PendingCreations = %d, want 5", n.PendingCreations())
@@ -197,7 +197,7 @@ func TestCreationPipelineQueues(t *testing.T) {
 func TestCreationBurnsNodeCPU(t *testing.T) {
 	eng := sim.New(1)
 	n := newTestNode(t, eng, testConfig())
-	n.Acquire("f", AcquireOptions{}, func(AcquireResult) {})
+	n.Acquire("f", AcquireOptions{}, AcquireFunc(func(AcquireResult) {}))
 	eng.Run()
 	// The engine's creation work must appear in the CPU busy integral.
 	if got := n.Pool().BusyCoreSeconds(); got < 0.099 || got > 0.101 {
@@ -209,10 +209,10 @@ func TestKeepAliveEviction(t *testing.T) {
 	eng := sim.New(1)
 	n := newTestNode(t, eng, testConfig())
 	var c *Container
-	n.Acquire("f", AcquireOptions{}, func(r AcquireResult) {
+	n.Acquire("f", AcquireOptions{}, AcquireFunc(func(r AcquireResult) {
 		c = r.Container
 		r.Container.ReturnThread()
-	})
+	}))
 	eng.Run()
 	if c.State() != Evicted {
 		t.Fatalf("state after keep-alive = %v, want evicted", c.State())
@@ -233,14 +233,14 @@ func TestReacquireCancelsEviction(t *testing.T) {
 	eng := sim.New(1)
 	n := newTestNode(t, eng, cfg)
 	var c *Container
-	n.Acquire("f", AcquireOptions{}, func(r AcquireResult) {
+	n.Acquire("f", AcquireOptions{}, AcquireFunc(func(r AcquireResult) {
 		c = r.Container
 		r.Container.ReturnThread()
-	})
+	}))
 	// Boot finishes at 500ms; keep-alive timer armed for 10.5s. Reacquire
 	// at 5s and hold past the original timer.
 	eng.Schedule(5*time.Second, func() {
-		n.Acquire("f", AcquireOptions{}, func(r AcquireResult) {})
+		n.Acquire("f", AcquireOptions{}, AcquireFunc(func(r AcquireResult) {}))
 	})
 	eng.RunUntil(sim.Time(12 * time.Second))
 	if c.State() != Busy {
@@ -249,14 +249,17 @@ func TestReacquireCancelsEviction(t *testing.T) {
 	if n.Evictions() != 0 {
 		t.Fatalf("Evictions = %d, want 0", n.Evictions())
 	}
+	if eng.Pending() != 0 {
+		t.Fatalf("pending = %d: a warm reuse takes its keep-alive out of the heap, it does not leave it to fire as a no-op", eng.Pending())
+	}
 }
 
 func TestMultiplexOptionEquipsCache(t *testing.T) {
 	eng := sim.New(1)
 	n := newTestNode(t, eng, testConfig())
 	var withCache, without *Container
-	n.Acquire("a", AcquireOptions{Multiplex: true}, func(r AcquireResult) { withCache = r.Container })
-	n.Acquire("b", AcquireOptions{}, func(r AcquireResult) { without = r.Container })
+	n.Acquire("a", AcquireOptions{Multiplex: true}, AcquireFunc(func(r AcquireResult) { withCache = r.Container }))
+	n.Acquire("b", AcquireOptions{}, AcquireFunc(func(r AcquireResult) { without = r.Container }))
 	eng.Run()
 	if withCache.Cache() == nil {
 		t.Error("multiplexed container has no cache")
@@ -270,7 +273,7 @@ func TestCPULimitApplied(t *testing.T) {
 	eng := sim.New(1)
 	n := newTestNode(t, eng, testConfig())
 	var c *Container
-	n.Acquire("f", AcquireOptions{CPULimit: 2}, func(r AcquireResult) { c = r.Container })
+	n.Acquire("f", AcquireOptions{CPULimit: 2}, AcquireFunc(func(r AcquireResult) { c = r.Container }))
 	eng.Run()
 	if got := c.Group().Cap(); got != 2 {
 		t.Fatalf("group cap = %v, want 2", got)
@@ -288,7 +291,7 @@ func TestClientMemAccounting(t *testing.T) {
 	eng := sim.New(1)
 	n := newTestNode(t, eng, testConfig())
 	var c *Container
-	n.Acquire("f", AcquireOptions{}, func(r AcquireResult) { c = r.Container })
+	n.Acquire("f", AcquireOptions{}, AcquireFunc(func(r AcquireResult) { c = r.Container }))
 	eng.Run()
 	base := n.MemUsed()
 	if ord := c.AllocClientMem(9 << 20); ord != 1 {
@@ -322,7 +325,7 @@ func TestFreeClientMemClampsToLive(t *testing.T) {
 	eng := sim.New(1)
 	n := newTestNode(t, eng, testConfig())
 	var c *Container
-	n.Acquire("f", AcquireOptions{}, func(r AcquireResult) { c = r.Container })
+	n.Acquire("f", AcquireOptions{}, AcquireFunc(func(r AcquireResult) { c = r.Container }))
 	eng.Run()
 	c.AllocClientMem(1 << 20)
 	c.FreeClientMem(100 << 20) // over-free must clamp
@@ -335,7 +338,7 @@ func TestEvictIdle(t *testing.T) {
 	eng := sim.New(1)
 	n := newTestNode(t, eng, testConfig())
 	for i := 0; i < 3; i++ {
-		n.Acquire("f", AcquireOptions{}, func(r AcquireResult) { r.Container.ReturnThread() })
+		n.Acquire("f", AcquireOptions{}, AcquireFunc(func(r AcquireResult) { r.Container.ReturnThread() }))
 	}
 	eng.RunUntil(sim.Time(2 * time.Second)) // boots done, keep-alive not yet
 	// Three creations for the same fn because none was warm at submit.
@@ -345,16 +348,19 @@ func TestEvictIdle(t *testing.T) {
 	if n.MemUsed() != 0 || n.LiveContainers() != 0 {
 		t.Fatalf("after EvictIdle: mem=%d live=%d", n.MemUsed(), n.LiveContainers())
 	}
+	if eng.Pending() != 0 {
+		t.Fatalf("pending = %d: teardown stops the keep-alive timers of the containers it evicts", eng.Pending())
+	}
 }
 
 func TestReturnThreadOnIdleContainerIsNoop(t *testing.T) {
 	eng := sim.New(1)
 	n := newTestNode(t, eng, testConfig())
 	var c *Container
-	n.Acquire("f", AcquireOptions{}, func(r AcquireResult) {
+	n.Acquire("f", AcquireOptions{}, AcquireFunc(func(r AcquireResult) {
 		c = r.Container
 		r.Container.ReturnThread()
-	})
+	}))
 	eng.RunUntil(sim.Time(time.Second))
 	c.ReturnThread() // extra return must not corrupt state
 	if c.Active() != 0 || c.State() != Idle {
@@ -367,10 +373,10 @@ func TestMemPeakTracksHighWater(t *testing.T) {
 	n := newTestNode(t, eng, testConfig())
 	done := 0
 	for i := 0; i < 4; i++ {
-		n.Acquire("f", AcquireOptions{}, func(r AcquireResult) {
+		n.Acquire("f", AcquireOptions{}, AcquireFunc(func(r AcquireResult) {
 			done++
 			r.Container.ReturnThread()
-		})
+		}))
 	}
 	eng.Run()
 	if done != 4 {
@@ -390,7 +396,7 @@ func TestMLFQDisciplineAccepted(t *testing.T) {
 	cfg.Discipline = cpusched.NewMLFQ()
 	n := newTestNode(t, eng, cfg)
 	fired := false
-	n.Acquire("f", AcquireOptions{}, func(AcquireResult) { fired = true })
+	n.Acquire("f", AcquireOptions{}, AcquireFunc(func(AcquireResult) { fired = true }))
 	eng.Run()
 	if !fired {
 		t.Fatal("acquire under MLFQ never completed")
@@ -414,13 +420,13 @@ func TestPropertyLedgerBalance(t *testing.T) {
 			fn := string(rune('a' + op%3))
 			at := time.Duration(i*37) * time.Millisecond
 			eng.Schedule(at, func() {
-				n.Acquire(fn, AcquireOptions{Multiplex: op%2 == 0}, func(r AcquireResult) {
+				n.Acquire(fn, AcquireOptions{Multiplex: op%2 == 0}, AcquireFunc(func(r AcquireResult) {
 					fired++
 					if op%4 == 0 {
 						r.Container.AllocClientMem(int64(op) << 16)
 					}
 					r.Container.ReturnThread()
-				})
+				}))
 			})
 		}
 		eng.Run()
@@ -435,7 +441,7 @@ func TestTerminateBypassesWarmPool(t *testing.T) {
 	eng := sim.New(1)
 	n := newTestNode(t, eng, testConfig())
 	var c *Container
-	n.Acquire("f", AcquireOptions{}, func(r AcquireResult) { c = r.Container })
+	n.Acquire("f", AcquireOptions{}, AcquireFunc(func(r AcquireResult) { c = r.Container }))
 	eng.Run()
 	c.Terminate()
 	if c.State() != Evicted {
@@ -458,7 +464,7 @@ func TestTerminateFreesClientMemory(t *testing.T) {
 	eng := sim.New(1)
 	n := newTestNode(t, eng, testConfig())
 	var c *Container
-	n.Acquire("f", AcquireOptions{Multiplex: true}, func(r AcquireResult) { c = r.Container })
+	n.Acquire("f", AcquireOptions{Multiplex: true}, AcquireFunc(func(r AcquireResult) { c = r.Container }))
 	eng.Run()
 	c.AllocClientMem(9 << 20)
 	c.Terminate()
@@ -472,7 +478,7 @@ func TestBusyCoreSecondsIncludesIdleCharge(t *testing.T) {
 	cfg := testConfig()
 	cfg.ContainerIdleCPU = 0.5
 	n := newTestNode(t, eng, cfg)
-	n.Acquire("f", AcquireOptions{}, func(r AcquireResult) {})
+	n.Acquire("f", AcquireOptions{}, AcquireFunc(func(r AcquireResult) {}))
 	eng.RunUntil(sim.Time(10 * time.Second))
 	// Boot finished at ~0.5s; the container lived since its creation at
 	// t=0 (live includes the boot), so by t=10s the idle charge is about
@@ -506,10 +512,10 @@ func TestEnforceMemLimitGatesCreation(t *testing.T) {
 	n := newTestNode(t, eng, cfg)
 	acquired := 0
 	for i := 0; i < 3; i++ {
-		n.Acquire("f", AcquireOptions{}, func(r AcquireResult) {
+		n.Acquire("f", AcquireOptions{}, AcquireFunc(func(r AcquireResult) {
 			acquired++
 			r.Container.ReturnThread()
-		})
+		}))
 	}
 	// Boots take 500ms; by 1s only two containers fit in memory.
 	eng.RunUntil(sim.Time(time.Second))
@@ -533,7 +539,7 @@ func TestEnforceMemLimitOffAllowsOvershoot(t *testing.T) {
 	n := newTestNode(t, eng, cfg)
 	done := 0
 	for i := 0; i < 3; i++ {
-		n.Acquire("f", AcquireOptions{}, func(AcquireResult) { done++ })
+		n.Acquire("f", AcquireOptions{}, AcquireFunc(func(AcquireResult) { done++ }))
 	}
 	eng.Run()
 	if done != 3 {
@@ -566,7 +572,7 @@ func TestBootFailuresRetryUntilSuccess(t *testing.T) {
 	done := 0
 	var maxBoot time.Duration
 	for i := 0; i < acquires; i++ {
-		n.Acquire("f", AcquireOptions{}, func(r AcquireResult) {
+		n.Acquire("f", AcquireOptions{}, AcquireFunc(func(r AcquireResult) {
 			done++
 			if !r.Cold {
 				return
@@ -576,7 +582,7 @@ func TestBootFailuresRetryUntilSuccess(t *testing.T) {
 				maxBoot = total
 			}
 			r.Container.ReturnThread()
-		})
+		}))
 	}
 	eng.RunUntil(sim.Time(5 * time.Minute))
 	if done != acquires {
@@ -600,7 +606,7 @@ func TestZeroFailureRateNeverFails(t *testing.T) {
 	eng := sim.New(1)
 	n := newTestNode(t, eng, testConfig())
 	for i := 0; i < 10; i++ {
-		n.Acquire("f", AcquireOptions{}, func(r AcquireResult) { r.Container.ReturnThread() })
+		n.Acquire("f", AcquireOptions{}, AcquireFunc(func(r AcquireResult) { r.Container.ReturnThread() }))
 	}
 	eng.Run()
 	if n.BootFailures() != 0 {

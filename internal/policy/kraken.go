@@ -211,7 +211,7 @@ func (k *Kraken) newContainer(fn *krakenFn) *krakenContainer {
 	k.seq++
 	kc := &krakenContainer{id: k.seq, fn: fn}
 	fn.containers = append(fn.containers, kc)
-	k.env.Node.Acquire(fn.name, node.AcquireOptions{}, func(r node.AcquireResult) {
+	k.env.Node.Acquire(fn.name, node.AcquireOptions{}, node.AcquireFunc(func(r node.AcquireResult) {
 		kc.c = r.Container
 		kc.ready = true
 		kc.readyAt = k.env.Eng.Now()
@@ -223,7 +223,7 @@ func (k *Kraken) newContainer(fn *krakenFn) *krakenContainer {
 			first.inv.Rec.Cold = r.BootTime
 		}
 		kc.drain(k)
-	})
+	}))
 	return kc
 }
 
@@ -266,7 +266,7 @@ func (kc *krakenContainer) drain(k *Kraken) {
 		queueFrom = kc.readyAt
 	}
 	item.inv.Rec.Queue = k.env.Eng.Now().Sub(queueFrom)
-	err := k.env.Runner.Execute(item.inv, kc.c, func(done *fnruntime.Invocation) {
+	err := k.env.Runner.Execute(item.inv, kc.c, fnruntime.CompleteFunc(func(done *fnruntime.Invocation) {
 		kc.fn.execEst.Observe(float64(done.Rec.Exec))
 		kc.running = false
 		item.complete(done)
@@ -277,7 +277,7 @@ func (kc *krakenContainer) drain(k *Kraken) {
 		// Batch finished: release the container to the warm pool and
 		// retire this batch handle.
 		kc.release(k)
-	})
+	}))
 	if err != nil {
 		// Execution can only fail on an evicted container; retire the
 		// handle and resubmit the queue through the scheduler.

@@ -91,15 +91,15 @@ const maxRetriesOnePerContainer = 3
 // submitOnePerContainer is the shared Vanilla/SFS dispatch path.
 func submitOnePerContainer(env Env, inv *fnruntime.Invocation, complete func(*fnruntime.Invocation)) {
 	issued := env.Eng.Now()
-	env.Node.Acquire(inv.Spec.Name, node.AcquireOptions{}, func(r node.AcquireResult) {
+	env.Node.Acquire(inv.Spec.Name, node.AcquireOptions{}, node.AcquireFunc(func(r node.AcquireResult) {
 		// Scheduling latency: decision plus engine-queue wait; the boot
 		// itself is accounted separately as cold start (§IV).
 		inv.Rec.Sched = issued.Sub(inv.Arrive) + r.QueueWait
 		inv.Rec.Cold = r.BootTime
-		err := env.Runner.Execute(inv, r.Container, func(done *fnruntime.Invocation) {
+		err := env.Runner.Execute(inv, r.Container, fnruntime.CompleteFunc(func(done *fnruntime.Invocation) {
 			r.Container.ReturnThread() // release the acquisition reservation
 			complete(done)
-		})
+		}))
 		if err != nil {
 			// The container was torn down (or crashed, under fault
 			// injection) between acquisition and execution: retry on a
@@ -115,7 +115,7 @@ func submitOnePerContainer(env Env, inv *fnruntime.Invocation, complete func(*fn
 			inv.Rec.Retries = inv.Attempts
 			submitOnePerContainer(env, inv, complete)
 		}
-	})
+	}))
 }
 
 // SFSConfig parameterises the SFS port.

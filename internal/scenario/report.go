@@ -18,7 +18,7 @@ import (
 	"fmt"
 	"html/template"
 	"io"
-	"sort"
+	"slices"
 	"time"
 )
 
@@ -43,7 +43,7 @@ func summarize(micros []int64) LatencySummary {
 	if len(micros) == 0 {
 		return LatencySummary{}
 	}
-	sort.Slice(micros, func(i, j int) bool { return micros[i] < micros[j] })
+	slices.Sort(micros)
 	var sum int64
 	for _, v := range micros {
 		sum += v

@@ -192,6 +192,8 @@ type simRun struct {
 	slos *slo.Tracker
 	// bal is the effective balancing after the routing block's override.
 	bal cluster.Balancing
+	// end is the later of the workload's end and the last control event.
+	end time.Duration
 
 	submitted    int64
 	completed    int64
@@ -199,11 +201,27 @@ type simRun struct {
 	events       []Event
 	samples      []Sample
 	workloadDone bool
+	// sink is observe, bound once: every invocation reports through it.
+	sink func(*fnruntime.Invocation)
 }
 
 func (r *Runner) runSim(sc *Scenario) (*Body, error) {
+	s, err := r.newSimRun(sc)
+	if err != nil {
+		return nil, err
+	}
+	return s.run()
+}
+
+// newSimRun resets the engine and builds one execution on it — fleet,
+// timeline, sampler — ready to run.
+func (r *Runner) newSimRun(sc *Scenario) (*simRun, error) {
 	eng := r.eng
 	eng.Reset(sc.Seed)
+	// The heap holds what is live: a timer per parked container, worker
+	// pool and open window, an event per body in its I/O wait and per
+	// burst member yet to arrive (TestHeapHoldsOnlyLiveEvents). fleet-1m
+	// peaks at a few thousand.
 	eng.Grow(8192)
 	inj := chaos.MustNew(chaos.Config{
 		Seed:            subSeed(sc.Seed, "chaos"),
@@ -242,31 +260,33 @@ func (r *Runner) runSim(sc *Scenario) (*Body, error) {
 		return nil, err
 	}
 	s := &simRun{sc: sc, eng: eng, cl: cl, inj: inj, slos: slos, bal: bal}
+	s.sink = s.observe
 	for range sc.Phases {
 		s.phases = append(s.phases, &phaseAgg{})
 	}
 
-	lastControl := s.scheduleTimeline()
+	s.end = max(sc.TotalDuration(), s.scheduleTimeline())
 	s.startSampler()
+	return s, nil
+}
 
-	end := sc.TotalDuration()
-	if lastControl > end {
-		end = lastControl
-	}
-	deadline := end + sc.MaxDrain
+// run steps the engine until the workload is over and drained, then
+// closes the fleet and assembles the report.
+func (s *simRun) run() (*Body, error) {
+	deadline := s.end + s.sc.MaxDrain
 	for {
-		if s.workloadDone && s.completed == s.submitted && eng.Now().Duration() > end {
+		if s.workloadDone && s.completed == s.submitted && s.eng.Now().Duration() > s.end {
 			break
 		}
-		if !eng.Step() {
+		if !s.eng.Step() {
 			break
 		}
-		if eng.Now().Duration() > deadline {
+		if s.eng.Now().Duration() > deadline {
 			return nil, fmt.Errorf("scenario: run did not quiesce within %v after the workload (%d/%d complete)",
-				sc.MaxDrain, s.completed, s.submitted)
+				s.sc.MaxDrain, s.completed, s.submitted)
 		}
 	}
-	if err := cl.Close(); err != nil {
+	if err := s.cl.Close(); err != nil {
 		return nil, err
 	}
 	return s.report(), nil
@@ -527,26 +547,30 @@ func expDuration(rng *rand.Rand, rate float64) time.Duration {
 	return d
 }
 
-// submitOne routes one invocation into the cluster and streams its
-// completion into the phase aggregate.
+// submitOne routes one invocation, tagged with its phase, into the
+// cluster.
 func (s *simRun) submitOne(pi int, spec workload.Spec) {
-	agg := s.phases[pi]
 	id := s.submitted
 	s.submitted++
-	agg.submitted++
+	s.phases[pi].submitted++
 	inv := fnruntime.NewInvocation(id, spec, s.eng.Now())
-	s.cl.Submit(inv, func(done *fnruntime.Invocation) {
-		s.completed++
-		agg.completed++
-		rec := done.Rec
-		s.slos.Observe(done.Spec.Name, rec.Total(), rec.Failed, s.eng.Now().Duration())
-		if rec.Failed {
-			agg.failed++
-		}
-		agg.retries += int64(rec.Retries)
-		agg.totalMicros = append(agg.totalMicros, rec.Total().Microseconds())
-		agg.schedMicros = append(agg.schedMicros, rec.Sched.Microseconds())
-	})
+	inv.Tag = pi
+	s.cl.Submit(inv, s.sink)
+}
+
+// observe streams one completion into its phase's aggregate.
+func (s *simRun) observe(done *fnruntime.Invocation) {
+	agg := s.phases[done.Tag]
+	s.completed++
+	agg.completed++
+	rec := &done.Rec
+	s.slos.Observe(done.Spec.Name, rec.Total(), rec.Failed, s.eng.Now().Duration())
+	if rec.Failed {
+		agg.failed++
+	}
+	agg.retries += int64(rec.Retries)
+	agg.totalMicros = append(agg.totalMicros, rec.Total().Microseconds())
+	agg.schedMicros = append(agg.schedMicros, rec.Sched.Microseconds())
 }
 
 // startSampler installs the self-rescheduling metrics sampler; it keeps

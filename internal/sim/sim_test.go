@@ -1,8 +1,11 @@
 package sim
 
 import (
+	"cmp"
 	"math/rand"
+	"slices"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -90,27 +93,125 @@ func TestScheduleAtPastClampsToNow(t *testing.T) {
 	e.Run()
 }
 
-func TestCancel(t *testing.T) {
+func TestTimerStop(t *testing.T) {
 	e := New(1)
 	fired := false
-	ev := e.Schedule(time.Second, func() { fired = true })
-	ev.Cancel()
+	var tm Timer
+	tm.Init(e, func() { fired = true })
+	if tm.Active() || tm.Stop() {
+		t.Fatal("a timer never armed reports active")
+	}
+	tm.Reset(time.Second)
+	if !tm.Active() || tm.At() != Time(time.Second) || e.Pending() != 1 {
+		t.Fatalf("armed timer: active %v, at %v, pending %d", tm.Active(), tm.At(), e.Pending())
+	}
+	if !tm.Stop() {
+		t.Fatal("Stop on an armed timer reported idle")
+	}
+	if e.Pending() != 0 {
+		t.Fatalf("pending = %d after Stop: a stopped timer must leave the heap", e.Pending())
+	}
 	e.Run()
 	if fired {
-		t.Fatal("cancelled event fired")
+		t.Fatal("stopped timer fired")
 	}
-	// Cancel is idempotent.
-	ev.Cancel()
+	// Stop is idempotent.
+	if tm.Stop() {
+		t.Fatal("second Stop reported an armed timer")
+	}
 }
 
-func TestCancelFromEarlierEvent(t *testing.T) {
+func TestTimerStopFromEarlierEvent(t *testing.T) {
 	e := New(1)
 	fired := false
-	ev := e.Schedule(2*time.Second, func() { fired = true })
-	e.Schedule(time.Second, func() { ev.Cancel() })
+	var tm Timer
+	tm.Init(e, func() { fired = true })
+	tm.Reset(2 * time.Second)
+	e.Schedule(time.Second, func() { tm.Stop() })
 	e.Run()
 	if fired {
-		t.Fatal("event cancelled mid-run still fired")
+		t.Fatal("timer stopped mid-run still fired")
+	}
+}
+
+// A timer is idle by the time its callback runs, so the callback can re-arm
+// it (a ticker) or stop it (harmlessly) — the three holders of the old
+// event handles all did one or the other from inside their own event.
+func TestTimerResetFromOwnCallback(t *testing.T) {
+	e := New(1)
+	var fires []Time
+	var tm Timer
+	tm.Init(e, func() {
+		if tm.Active() {
+			t.Error("timer still active inside its callback")
+		}
+		tm.Stop()
+		fires = append(fires, e.Now())
+		if len(fires) < 3 {
+			tm.Reset(time.Second)
+		}
+	})
+	tm.Reset(time.Second)
+	e.Run()
+	if len(fires) != 3 || fires[2] != Time(3*time.Second) {
+		t.Fatalf("fires = %v, want three, one second apart", fires)
+	}
+}
+
+// TestTimerResetMovesInPlace: re-arming an armed timer earlier or later
+// keeps one heap entry and fires once, at the last deadline set.
+func TestTimerResetMovesInPlace(t *testing.T) {
+	e := New(1)
+	var fires []Time
+	var tm Timer
+	tm.Init(e, func() { fires = append(fires, e.Now()) })
+	for i := 0; i < 50; i++ {
+		e.Schedule(time.Duration(i)*100*time.Millisecond, func() {})
+	}
+	tm.Reset(3 * time.Second)
+	tm.Reset(time.Second)
+	tm.Reset(2 * time.Second)
+	if e.Pending() != 51 {
+		t.Fatalf("pending = %d, want 51: Reset must move the timer, not add an entry", e.Pending())
+	}
+	e.Run()
+	if len(fires) != 1 || fires[0] != Time(2*time.Second) {
+		t.Fatalf("fires = %v, want [2s]", fires)
+	}
+}
+
+// TestTimerResetKeepsFIFOAmongEquals: a re-armed timer takes a fresh
+// sequence number, so it fires after events already queued for the same
+// instant — where "cancel, then schedule anew" put it, and the order every
+// committed report hash depends on.
+func TestTimerResetKeepsFIFOAmongEquals(t *testing.T) {
+	e := New(1)
+	var order []string
+	var tm Timer
+	tm.Init(e, func() { order = append(order, "timer") })
+	tm.Reset(time.Second) // armed first ...
+	e.Schedule(time.Second, func() { order = append(order, "a") })
+	e.Schedule(time.Second, func() { order = append(order, "b") })
+	tm.Reset(time.Second) // ... re-armed last, for the same instant
+	e.Schedule(time.Second, func() { order = append(order, "c") })
+	e.Run()
+	if got := strings.Join(order, " "); got != "a b timer c" {
+		t.Fatalf("order = %q, want %q", got, "a b timer c")
+	}
+}
+
+func TestTimerResetAtPastClampsToNow(t *testing.T) {
+	e := New(1)
+	var tm Timer
+	tm.Init(e, func() {})
+	e.RunUntil(Time(5 * time.Second))
+	tm.ResetAt(Time(time.Second))
+	if tm.At() != Time(5*time.Second) {
+		t.Fatalf("At = %v, want the clamped 5s", tm.At())
+	}
+	tm.Reset(-time.Hour)
+	if tm.At() != Time(5*time.Second) {
+		t.Fatalf("At = %v after a negative Reset, want 5s", tm.At())
 	}
 }
 
@@ -179,11 +280,13 @@ func TestFiredCounter(t *testing.T) {
 	for i := 0; i < 7; i++ {
 		e.Schedule(time.Duration(i)*time.Millisecond, func() {})
 	}
-	ev := e.Schedule(time.Second, func() {})
-	ev.Cancel()
+	var tm Timer
+	tm.Init(e, func() {})
+	tm.Reset(time.Second)
+	tm.Stop()
 	e.Run()
 	if e.Fired() != 7 {
-		t.Fatalf("fired = %d, want 7 (cancelled events don't count)", e.Fired())
+		t.Fatalf("fired = %d, want 7 (stopped timers don't count)", e.Fired())
 	}
 }
 
@@ -316,31 +419,82 @@ func TestPropertyRunUntilBoundary(t *testing.T) {
 	}
 }
 
-// Property: interleaving cancellations with scheduling preserves ordering of
-// the surviving events.
-func TestPropertyCancelSubset(t *testing.T) {
-	f := func(seed int64, n uint8) bool {
-		e := New(seed)
+// Property: any interleaving of Schedule, Reset, Stop and Step fires
+// exactly what a sorted-slice reference model fires, in the same order.
+// The model keeps every live event in a slice, sorts it by (at, seq) and
+// takes the head; the engine's indexed heap has to agree with it.
+func TestPropertyMatchesSortedSliceModel(t *testing.T) {
+	type ref struct {
+		at  Time
+		seq uint64
+		id  int
+	}
+	f := func(seed int64, steps uint16) bool {
 		r := rand.New(rand.NewSource(seed))
-		var events []*Event
-		survivors := 0
-		fired := 0
-		for i := 0; i < int(n); i++ {
-			d := time.Duration(r.Intn(1000)) * time.Millisecond
-			ev := e.Schedule(d, func() { fired++ })
-			events = append(events, ev)
+		e := New(seed)
+		const timers = 8
+		var (
+			model []ref // live events
+			seq   uint64
+			now   Time
+			got   []int
+			want  []int
+			tms   [timers]Timer
+		)
+		drop := func(id int) {
+			model = slices.DeleteFunc(model, func(m ref) bool { return m.id == id })
 		}
-		for _, ev := range events {
-			if r.Intn(2) == 0 {
-				ev.Cancel()
-			} else {
-				survivors++
+		add := func(id int, d time.Duration) {
+			seq++
+			model = append(model, ref{at: now.Add(d), seq: seq, id: id})
+		}
+		for i := range tms {
+			id := i
+			tms[i].Init(e, func() { got = append(got, id) })
+		}
+		oneShot := timers
+		for i := 0; i < int(steps)%400; i++ {
+			d := time.Duration(r.Intn(50)) * time.Millisecond
+			k := r.Intn(timers)
+			switch r.Intn(5) {
+			case 0:
+				id := oneShot
+				oneShot++
+				e.Schedule(d, func() { got = append(got, id) })
+				add(id, d)
+			case 1, 2:
+				tms[k].Reset(d)
+				drop(k)
+				add(k, d)
+			case 3:
+				active := slices.ContainsFunc(model, func(m ref) bool { return m.id == k })
+				if tms[k].Active() != active || tms[k].Stop() != active {
+					return false
+				}
+				drop(k)
+			default:
+				slices.SortFunc(model, func(a, b ref) int {
+					return cmp.Or(cmp.Compare(a.at, b.at), cmp.Compare(a.seq, b.seq))
+				})
+				if e.Step() != (len(model) > 0) {
+					return false
+				}
+				if len(model) > 0 {
+					now = model[0].at
+					want = append(want, model[0].id)
+					model = model[1:]
+				}
+				if e.Now() != now {
+					return false
+				}
+			}
+			if e.Pending() != len(model) {
+				return false
 			}
 		}
-		e.Run()
-		return fired == survivors
+		return slices.Equal(got, want)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
 }
