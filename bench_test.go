@@ -231,13 +231,15 @@ func benchCluster(b *testing.B, nodes int, bal faasbatch.Balancing) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := faasbatch.ReplayCluster(faasbatch.ClusterReplayConfig{
-			Cluster: faasbatch.ClusterConfig{Nodes: nodes, Balancing: bal},
-			Trace:   tr,
-			Seed:    1,
+		res, err := faasbatch.RunExperiment(faasbatch.ExperimentConfig{
+			Policy:    faasbatch.PolicyFaaSBatch,
+			Trace:     tr,
+			Seed:      1,
+			Nodes:     nodes,
+			Balancing: bal,
 		})
 		if err != nil {
-			b.Fatalf("ReplayCluster: %v", err)
+			b.Fatalf("RunExperiment: %v", err)
 		}
 		if len(res.Records) != tr.Len() {
 			b.Fatal("incomplete cluster run")

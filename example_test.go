@@ -70,8 +70,10 @@ func ExampleRunExperiment() {
 	// faasbatch containers=2 exec-p50=17ms
 }
 
-// ExampleReplayCluster scales FaaSBatch across a fleet of worker nodes.
-func ExampleReplayCluster() {
+// ExampleRunExperiment_cluster replays a burst on a two-node fleet:
+// function affinity keeps the trace's one function, and so its batches,
+// on one node.
+func ExampleRunExperiment_cluster() {
 	cfg := faasbatch.DefaultBurstConfig(faasbatch.CPUIntensive)
 	cfg.N = 60
 	cfg.Span = 5 * time.Second
@@ -80,15 +82,17 @@ func ExampleReplayCluster() {
 		fmt.Println("error:", err)
 		return
 	}
-	res, err := faasbatch.ReplayCluster(faasbatch.ClusterReplayConfig{
-		Cluster: faasbatch.ClusterConfig{Nodes: 2, Balancing: faasbatch.FnAffinity},
-		Trace:   tr,
-		Seed:    1,
+	res, err := faasbatch.RunExperiment(faasbatch.ExperimentConfig{
+		Policy:    faasbatch.PolicyFaaSBatch,
+		Trace:     tr,
+		Seed:      1,
+		Nodes:     2,
+		Balancing: faasbatch.FnAffinity,
 	})
 	if err != nil {
 		fmt.Println("error:", err)
 		return
 	}
-	fmt.Printf("%d invocations on %d nodes, balancing %v\n", len(res.Records), res.Nodes, res.Balancing)
-	// Output: 60 invocations on 2 nodes, balancing fn-affinity
+	fmt.Printf("%d invocations on %d nodes, containers per node %v\n", len(res.Records), len(res.ContainersPerNode), res.ContainersPerNode)
+	// Output: 60 invocations on 2 nodes, containers per node [3 0]
 }

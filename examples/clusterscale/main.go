@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"faasbatch/internal/cluster"
+	"faasbatch/internal/experiment"
 	"faasbatch/internal/metrics"
 	"faasbatch/internal/trace"
 	"faasbatch/internal/workload"
@@ -47,10 +48,8 @@ func run() error {
 		"Scale-out under fn-affinity routing",
 		"nodes", "containers", "imbalance", "total p50", "total p99", "makespan")
 	for _, nodes := range []int{1, 2, 4, 8} {
-		res, err := cluster.Replay(cluster.ReplayConfig{
-			Cluster: cluster.Config{Nodes: nodes},
-			Trace:   tr,
-			Seed:    13,
+		res, err := experiment.Run(experiment.Config{
+			Policy: experiment.PolicyFaaSBatch, Trace: tr, Seed: 13, Nodes: nodes,
 		})
 		if err != nil {
 			return err
@@ -70,10 +69,8 @@ func run() error {
 		"Routing strategies on 4 nodes (batching locality vs spreading)",
 		"balancing", "containers", "imbalance", "total p50", "total p99")
 	for _, bal := range []cluster.Balancing{cluster.FnAffinity, cluster.LeastLoaded, cluster.RoundRobin} {
-		res, err := cluster.Replay(cluster.ReplayConfig{
-			Cluster: cluster.Config{Nodes: 4, Balancing: bal},
-			Trace:   tr,
-			Seed:    13,
+		res, err := experiment.Run(experiment.Config{
+			Policy: experiment.PolicyFaaSBatch, Trace: tr, Seed: 13, Nodes: 4, Balancing: bal,
 		})
 		if err != nil {
 			return err

@@ -281,7 +281,8 @@ const (
 	IO = workload.IO
 )
 
-// RunExperiment executes one evaluation run in virtual time.
+// RunExperiment executes one evaluation run in virtual time, on one worker
+// VM or, with ExperimentConfig.Nodes, on a fleet.
 func RunExperiment(cfg ExperimentConfig) (*ExperimentResult, error) { return experiment.Run(cfg) }
 
 // Figures lists every reproducible table/figure of the paper.
@@ -297,19 +298,12 @@ func SynthesizeBurst(cfg BurstConfig) (Trace, error) { return trace.SynthesizeBu
 // workload kind.
 func DefaultBurstConfig(kind WorkloadKind) BurstConfig { return trace.DefaultBurstConfig(kind) }
 
-// Cluster scale-out API (beyond the paper's single worker VM).
-type (
-	// ClusterConfig parameterises a multi-node FaaSBatch fleet.
-	ClusterConfig = cluster.Config
-	// ClusterReplayConfig describes a cluster replay run.
-	ClusterReplayConfig = cluster.ReplayConfig
-	// ClusterResult aggregates one cluster replay.
-	ClusterResult = cluster.Result
-	// Balancing selects the cluster dispatcher's routing strategy.
-	Balancing = cluster.Balancing
-)
+// Balancing selects how a multi-node experiment (ExperimentConfig.Nodes
+// above one, beyond the paper's single worker VM) routes invocations
+// across its fleet.
+type Balancing = cluster.Balancing
 
-// Cluster routing strategies.
+// Cluster routing strategies (ExperimentConfig.Balancing).
 const (
 	// FnAffinity pins each function to one node, preserving batching
 	// locality.
@@ -326,9 +320,6 @@ const (
 	// router's pull policy).
 	PullBalancing = cluster.Pull
 )
-
-// ReplayCluster runs a trace through a multi-node FaaSBatch fleet.
-func ReplayCluster(cfg ClusterReplayConfig) (*ClusterResult, error) { return cluster.Replay(cfg) }
 
 // Routing tier API (cmd/faasrouter's programmatic surface).
 type (

@@ -131,16 +131,18 @@ func TestPublicAPICluster(t *testing.T) {
 	if err != nil {
 		t.Fatalf("SynthesizeBurst: %v", err)
 	}
-	res, err := faasbatch.ReplayCluster(faasbatch.ClusterReplayConfig{
-		Cluster: faasbatch.ClusterConfig{Nodes: 2, Balancing: faasbatch.FnAffinity},
-		Trace:   tr,
-		Seed:    1,
+	res, err := faasbatch.RunExperiment(faasbatch.ExperimentConfig{
+		Policy:    faasbatch.PolicyFaaSBatch,
+		Trace:     tr,
+		Seed:      1,
+		Nodes:     2,
+		Balancing: faasbatch.FnAffinity,
 	})
 	if err != nil {
-		t.Fatalf("ReplayCluster: %v", err)
+		t.Fatalf("RunExperiment: %v", err)
 	}
-	if len(res.Records) != tr.Len() || res.Nodes != 2 {
-		t.Fatalf("cluster result = %d records on %d nodes", len(res.Records), res.Nodes)
+	if len(res.Records) != tr.Len() || len(res.ContainersPerNode) != 2 {
+		t.Fatalf("cluster result = %d records on %d nodes", len(res.Records), len(res.ContainersPerNode))
 	}
 }
 

@@ -1,7 +1,10 @@
 // Package cluster extends FaaSBatch beyond the paper's single worker VM:
-// a fleet of simulated worker nodes, each running its own FaaSBatch
-// scheduler (Invoke Mapper + Inline-Parallel Producer + Resource
-// Multiplexer), behind a dispatcher that routes invocations to nodes.
+// a fleet of simulated worker nodes, each running its own scheduler
+// (FaaSBatch's Invoke Mapper + Inline-Parallel Producer + Resource
+// Multiplexer by default, or any of the evaluated baselines), behind a
+// dispatcher that routes invocations to nodes. Every simulated trace
+// replay runs on it: internal/experiment replays the paper's single VM as
+// a one-node fleet.
 //
 // The paper scopes its evaluation to one machine ("rather than the
 // efficiency of clustered servers", §IV); this package is the natural
@@ -14,20 +17,16 @@ package cluster
 
 import (
 	"fmt"
-	"time"
 
 	"faasbatch/internal/autoscale"
 	"faasbatch/internal/chaos"
 	"faasbatch/internal/core"
 	"faasbatch/internal/fnruntime"
-	"faasbatch/internal/metrics"
 	"faasbatch/internal/node"
 	"faasbatch/internal/policy"
 	"faasbatch/internal/pullsched"
 	"faasbatch/internal/router"
 	"faasbatch/internal/sim"
-	"faasbatch/internal/trace"
-	"faasbatch/internal/workload"
 )
 
 // Balancing selects the dispatcher's routing strategy.
@@ -82,16 +81,15 @@ func NodeMember(i int) string { return fmt.Sprintf("node-%d", i) }
 type Config struct {
 	// Nodes is the worker-node count.
 	Nodes int
-	// Node configures each worker (zero value: node.DefaultConfig).
-	Node node.Config
-	// NodeConfigs optionally configures workers individually — a
-	// heterogeneous fleet generated from weighted templates (the stress
-	// harness's fleet section). When non-empty its length must equal
-	// Nodes and it overrides Node.
+	// NodeConfigs configures the workers one by one — identical copies
+	// for an experiment, a heterogeneous fleet generated from weighted
+	// templates for the stress harness. When non-empty its length must
+	// equal Nodes; nil gives every node node.DefaultConfig.
 	NodeConfigs []node.Config
-	// Core configures each node's FaaSBatch scheduler (zero value:
-	// core.DefaultConfig).
-	Core core.Config
+	// Scheduler builds each node's scheduler over that node's engine,
+	// node and runner, in node order. Nil runs FaaSBatch under
+	// core.DefaultConfig on every node.
+	Scheduler func(policy.Env) (policy.Scheduler, error)
 	// Balancing selects the dispatcher strategy (default FnAffinity).
 	Balancing Balancing
 	// Chaos optionally injects seeded faults into every node (boot
@@ -111,16 +109,14 @@ type Config struct {
 	Pull *pullsched.Config
 }
 
-// Cluster is a fleet of FaaSBatch worker nodes behind a dispatcher.
+// Cluster is a fleet of worker nodes behind a dispatcher.
 type Cluster struct {
-	eng     *sim.Engine
-	cfg     Config
-	nodes   []*node.Node
-	runners []*fnruntime.Runner
-	scheds  []*core.FaaSBatch
-	picker  *picker
-	scaler  *simScaler
-	pull    *pullDriver
+	eng    *sim.Engine
+	nodes  []*node.Node
+	scheds []policy.Scheduler
+	picker *picker
+	scaler *simScaler
+	pull   *pullDriver
 	// sink is the completion every scheduler reports through, bound once:
 	// completed, or the pull driver's.
 	sink func(*fnruntime.Invocation)
@@ -287,14 +283,12 @@ func New(eng *sim.Engine, cfg Config) (*Cluster, error) {
 	if cfg.Nodes <= 0 {
 		return nil, fmt.Errorf("cluster: node count must be positive, got %d", cfg.Nodes)
 	}
-	if cfg.Node.Cores == 0 {
-		cfg.Node = node.DefaultConfig()
-	}
 	if len(cfg.NodeConfigs) > 0 && len(cfg.NodeConfigs) != cfg.Nodes {
 		return nil, fmt.Errorf("cluster: NodeConfigs has %d entries for %d nodes", len(cfg.NodeConfigs), cfg.Nodes)
 	}
-	if cfg.Core.Interval == 0 {
-		cfg.Core = core.DefaultConfig()
+	newSched := cfg.Scheduler
+	if newSched == nil {
+		newSched = func(env policy.Env) (policy.Scheduler, error) { return core.New(env, core.DefaultConfig()) }
 	}
 	if cfg.Balancing == 0 {
 		cfg.Balancing = FnAffinity
@@ -304,17 +298,13 @@ func New(eng *sim.Engine, cfg Config) (*Cluster, error) {
 	}
 	c := &Cluster{
 		eng:    eng,
-		cfg:    cfg,
 		picker: newPicker(cfg.Balancing, cfg.Nodes),
 	}
 	c.sink = c.completed
 	for i := 0; i < cfg.Nodes; i++ {
-		ncfg := cfg.Node
+		ncfg := node.DefaultConfig()
 		if len(cfg.NodeConfigs) > 0 {
 			ncfg = cfg.NodeConfigs[i]
-			if ncfg.Cores == 0 {
-				ncfg = node.DefaultConfig()
-			}
 		}
 		ncfg.Chaos = cfg.Chaos
 		nd, err := node.New(eng, ncfg)
@@ -323,12 +313,11 @@ func New(eng *sim.Engine, cfg Config) (*Cluster, error) {
 		}
 		runner := fnruntime.NewRunner(eng)
 		runner.SetChaos(cfg.Chaos)
-		sched, err := core.New(policy.Env{Eng: eng, Node: nd, Runner: runner}, cfg.Core)
+		sched, err := newSched(policy.Env{Eng: eng, Node: nd, Runner: runner})
 		if err != nil {
 			return nil, fmt.Errorf("cluster: scheduler %d: %w", i, err)
 		}
 		c.nodes = append(c.nodes, nd)
-		c.runners = append(c.runners, runner)
 		c.scheds = append(c.scheds, sched)
 	}
 	if cfg.Balancing == Pull {
@@ -370,10 +359,7 @@ func (c *Cluster) Down(i int) bool {
 // Nodes exposes the worker nodes (for metrics probes).
 func (c *Cluster) Nodes() []*node.Node { return c.nodes }
 
-// Schedulers exposes the per-node FaaSBatch schedulers.
-func (c *Cluster) Schedulers() []*core.FaaSBatch { return c.scheds }
-
-// Submit routes one invocation to a node's FaaSBatch scheduler. With
+// Submit routes one invocation to a node's scheduler. With
 // autoscaling enabled the arrival feeds the demand tracker first, so a
 // scaled-to-zero fleet wakes before the dispatcher picks a node and the
 // waking arrival routes to the woken node — zero invocations are lost
@@ -422,17 +408,6 @@ func (c *Cluster) RoutedPerNode() []int {
 	return append([]int(nil), c.picker.routed...)
 }
 
-// Assignments reports the function-to-node pinning the dispatcher has
-// accumulated: every function routed so far for the pinning policies
-// (FnAffinity, ConsistentHash); empty for per-invocation policies.
-func (c *Cluster) Assignments() map[string]int {
-	out := make(map[string]int, len(c.picker.affinity))
-	for fn, idx := range c.picker.affinity {
-		out[fn] = idx
-	}
-	return out
-}
-
 // Close shuts every node's scheduler down and stops the autoscale
 // control loop.
 func (c *Cluster) Close() error {
@@ -445,126 +420,4 @@ func (c *Cluster) Close() error {
 		}
 	}
 	return nil
-}
-
-// TotalContainers sums provisioned containers across nodes.
-func (c *Cluster) TotalContainers() int {
-	n := 0
-	for _, nd := range c.nodes {
-		n += nd.TotalCreated()
-	}
-	return n
-}
-
-// Result aggregates one cluster replay.
-type Result struct {
-	// Balancing echoes the routing strategy.
-	Balancing Balancing
-	// Nodes echoes the node count.
-	Nodes int
-	// Records holds every invocation's latency decomposition.
-	Records []metrics.Record
-	// TotalContainers sums containers provisioned across the fleet.
-	TotalContainers int
-	// ContainersPerNode breaks provisioning down by node.
-	ContainersPerNode []int
-	// MemPerNode is each node's peak memory.
-	MemPerNode []int64
-	// Makespan is the completion time of the last invocation.
-	Makespan time.Duration
-}
-
-// CDF extracts a latency-component CDF from the records.
-func (r *Result) CDF(comp metrics.Component) metrics.CDF {
-	return metrics.NewCDF(metrics.Extract(r.Records, comp))
-}
-
-// Imbalance reports max/mean of per-node container counts (1.0 =
-// perfectly balanced; 0 when the fleet provisioned nothing).
-func (r *Result) Imbalance() float64 {
-	return metrics.Imbalance(r.ContainersPerNode)
-}
-
-// ReplayConfig describes a cluster replay run.
-type ReplayConfig struct {
-	// Cluster configures the fleet.
-	Cluster Config
-	// Trace is the workload.
-	Trace trace.Trace
-	// Seed drives the engine.
-	Seed int64
-}
-
-// Replay runs a trace through a cluster to completion.
-func Replay(cfg ReplayConfig) (*Result, error) {
-	if cfg.Trace.Len() == 0 {
-		return nil, fmt.Errorf("cluster: trace is empty")
-	}
-	eng := sim.New(cfg.Seed)
-	cl, err := New(eng, cfg.Cluster)
-	if err != nil {
-		return nil, err
-	}
-	specs, err := specsFor(cfg.Trace)
-	if err != nil {
-		return nil, err
-	}
-	res := &Result{Balancing: cl.cfg.Balancing, Nodes: cfg.Cluster.Nodes}
-	total := cfg.Trace.Len()
-	for i, inv := range cfg.Trace.Invocations {
-		i := i
-		spec := specs[i]
-		eng.Schedule(inv.Offset, func() {
-			fi := fnruntime.NewInvocation(int64(i), spec, eng.Now())
-			cl.Submit(fi, func(done *fnruntime.Invocation) {
-				res.Records = append(res.Records, done.Rec)
-			})
-		})
-	}
-	for len(res.Records) < total {
-		if !eng.Step() {
-			return nil, fmt.Errorf("cluster: engine drained with %d/%d complete", len(res.Records), total)
-		}
-	}
-	res.Makespan = eng.Now().Duration()
-	if err := cl.Close(); err != nil {
-		return nil, err
-	}
-	for _, nd := range cl.nodes {
-		res.ContainersPerNode = append(res.ContainersPerNode, nd.TotalCreated())
-		res.MemPerNode = append(res.MemPerNode, nd.MemPeak())
-	}
-	res.TotalContainers = cl.TotalContainers()
-	return res, nil
-}
-
-// specsFor maps trace invocations to workload specs (mirrors the
-// single-node experiment harness).
-func specsFor(tr trace.Trace) ([]workload.Spec, error) {
-	specs := make([]workload.Spec, tr.Len())
-	fib := map[int]workload.Spec{}
-	io := map[string]workload.Spec{}
-	for i, inv := range tr.Invocations {
-		if inv.FibN > 0 {
-			s, ok := fib[inv.FibN]
-			if !ok {
-				var err error
-				s, err = workload.FibSpec(inv.FibN)
-				if err != nil {
-					return nil, fmt.Errorf("cluster: invocation %d: %w", i, err)
-				}
-				fib[inv.FibN] = s
-			}
-			s.Name = inv.Fn
-			specs[i] = s
-			continue
-		}
-		s, ok := io[inv.Fn]
-		if !ok {
-			s = workload.IOSpec(inv.Fn)
-			io[inv.Fn] = s
-		}
-		specs[i] = s
-	}
-	return specs, nil
 }

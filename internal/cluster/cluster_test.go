@@ -1,37 +1,27 @@
 package cluster
 
 import (
+	"errors"
 	"testing"
 	"time"
 
-	"faasbatch/internal/metrics"
 	"faasbatch/internal/node"
+	"faasbatch/internal/policy"
 	"faasbatch/internal/sim"
-	"faasbatch/internal/trace"
-	"faasbatch/internal/workload"
 )
 
-// testTrace builds a small multi-function burst.
-func testTrace(t *testing.T, n int, fns int) trace.Trace {
-	t.Helper()
-	tr := trace.Trace{Name: "cluster-test", Span: 10 * time.Second}
-	for i := 0; i < n; i++ {
-		tr.Invocations = append(tr.Invocations, trace.Invocation{
-			Offset: time.Duration(i*25) * time.Millisecond,
-			Fn:     string(rune('a' + i%fns)),
-			FibN:   22 + i%4,
-		})
-	}
-	return tr
-}
-
+// testClusterConfig is a fleet of light, never-evicting nodes.
 func testClusterConfig(nodes int, bal Balancing) Config {
 	ncfg := node.DefaultConfig()
 	ncfg.Cores = 8
 	ncfg.ContainerInitCPUWork = 0
 	ncfg.CreateCPUWork = 100 * time.Millisecond
 	ncfg.KeepAlive = time.Hour
-	return Config{Nodes: nodes, Node: ncfg, Balancing: bal}
+	ncfgs := make([]node.Config, nodes)
+	for i := range ncfgs {
+		ncfgs[i] = ncfg
+	}
+	return Config{Nodes: nodes, NodeConfigs: ncfgs, Balancing: bal}
 }
 
 func TestBalancingString(t *testing.T) {
@@ -58,33 +48,10 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(eng, cfg); err == nil {
 		t.Error("unknown balancing accepted")
 	}
-}
-
-func TestReplayCompletesEverything(t *testing.T) {
-	for _, bal := range []Balancing{FnAffinity, LeastLoaded, RoundRobin} {
-		tr := testTrace(t, 60, 4)
-		res, err := Replay(ReplayConfig{Cluster: testClusterConfig(3, bal), Trace: tr, Seed: 1})
-		if err != nil {
-			t.Fatalf("%v: %v", bal, err)
-		}
-		if len(res.Records) != tr.Len() {
-			t.Errorf("%v: %d records, want %d", bal, len(res.Records), tr.Len())
-		}
-		if res.Nodes != 3 || res.Balancing != bal {
-			t.Errorf("%v: result metadata %+v", bal, res)
-		}
-		if res.TotalContainers == 0 || res.Makespan <= 0 {
-			t.Errorf("%v: empty result %+v", bal, res)
-		}
-		if len(res.ContainersPerNode) != 3 || len(res.MemPerNode) != 3 {
-			t.Errorf("%v: per-node breakdown missing", bal)
-		}
-	}
-}
-
-func TestReplayValidation(t *testing.T) {
-	if _, err := Replay(ReplayConfig{Cluster: testClusterConfig(1, FnAffinity)}); err == nil {
-		t.Fatal("empty trace accepted")
+	cfg = testClusterConfig(2, FnAffinity)
+	cfg.Scheduler = func(policy.Env) (policy.Scheduler, error) { return nil, errors.New("no scheduler") }
+	if _, err := New(eng, cfg); err == nil {
+		t.Error("scheduler constructor error swallowed")
 	}
 }
 
@@ -138,79 +105,6 @@ func TestLeastLoadedFollowsInflight(t *testing.T) {
 	cl.picker.inflight[2] = 3
 	if got := cl.picker.pick("f"); got != 1 {
 		t.Fatalf("pick = %d, want least-loaded node 1", got)
-	}
-}
-
-func TestAffinityPreservesBatchingLocality(t *testing.T) {
-	// One hot function on a 4-node cluster: affinity keeps all its
-	// batches on one node (few containers); round-robin fragments every
-	// window across the fleet (more containers).
-	mk := func(bal Balancing) *Result {
-		tr := testTrace(t, 80, 1) // single function
-		res, err := Replay(ReplayConfig{Cluster: testClusterConfig(4, bal), Trace: tr, Seed: 1})
-		if err != nil {
-			t.Fatalf("%v: %v", bal, err)
-		}
-		return res
-	}
-	aff := mk(FnAffinity)
-	rr := mk(RoundRobin)
-	if aff.TotalContainers >= rr.TotalContainers {
-		t.Fatalf("affinity containers %d not fewer than round-robin %d",
-			aff.TotalContainers, rr.TotalContainers)
-	}
-	// Affinity: one node hosts everything -> maximum imbalance (= #nodes
-	// for a single function); round-robin spreads evenly.
-	if aff.Imbalance() <= rr.Imbalance() {
-		t.Fatalf("affinity imbalance %.2f not above round-robin %.2f (single hot function)",
-			aff.Imbalance(), rr.Imbalance())
-	}
-}
-
-func TestClusterScalingReducesContention(t *testing.T) {
-	// A heavy burst on 1 node vs 4 nodes: more nodes must not increase
-	// tail latency, and usually improve it.
-	tr := testTrace(t, 120, 8)
-	p99 := func(nodes int) time.Duration {
-		res, err := Replay(ReplayConfig{Cluster: testClusterConfig(nodes, FnAffinity), Trace: tr, Seed: 1})
-		if err != nil {
-			t.Fatalf("nodes=%d: %v", nodes, err)
-		}
-		return res.CDF(metrics.EndToEnd).P(0.99)
-	}
-	one, four := p99(1), p99(4)
-	if four > one {
-		t.Fatalf("p99 with 4 nodes (%v) worse than 1 node (%v)", four, one)
-	}
-}
-
-func TestImbalanceEdgeCases(t *testing.T) {
-	var r Result
-	if r.Imbalance() != 0 {
-		t.Error("empty result imbalance should be 0")
-	}
-	r.ContainersPerNode = []int{0, 0}
-	if r.Imbalance() != 0 {
-		t.Error("zero-container imbalance should be 0")
-	}
-	r.ContainersPerNode = []int{2, 2}
-	if r.Imbalance() != 1 {
-		t.Errorf("balanced imbalance = %v, want 1", r.Imbalance())
-	}
-}
-
-func TestSpecsForRejectsBadFib(t *testing.T) {
-	tr := trace.Trace{Invocations: []trace.Invocation{{Fn: "f", FibN: 5}}}
-	if _, err := specsFor(tr); err == nil {
-		t.Fatal("invalid fib N accepted")
-	}
-	ok := trace.Trace{Invocations: []trace.Invocation{{Fn: "s3"}}}
-	specs, err := specsFor(ok)
-	if err != nil {
-		t.Fatalf("specsFor: %v", err)
-	}
-	if specs[0].Kind != workload.IO {
-		t.Fatalf("spec kind = %v, want IO", specs[0].Kind)
 	}
 }
 
@@ -287,34 +181,5 @@ func TestConsistentHashDeterministicAndSticky(t *testing.T) {
 		if got := cl2.picker.pick(fn); got != first[fn] {
 			t.Fatalf("second cluster pick(%s) = %d, want %d", fn, got, first[fn])
 		}
-	}
-	// Assignments reflects the pinning.
-	got := cl.Assignments()
-	for _, fn := range fns {
-		if got[fn] != first[fn] {
-			t.Fatalf("Assignments[%s] = %d, want %d", fn, got[fn], first[fn])
-		}
-	}
-}
-
-// TestConsistentHashReplay runs a full replay under the ring policy and
-// checks it preserves locality like FnAffinity does (few containers for a
-// single hot function).
-func TestConsistentHashReplay(t *testing.T) {
-	tr := testTrace(t, 80, 1)
-	res, err := Replay(ReplayConfig{Cluster: testClusterConfig(4, ConsistentHash), Trace: tr, Seed: 1})
-	if err != nil {
-		t.Fatalf("Replay: %v", err)
-	}
-	rr, err := Replay(ReplayConfig{Cluster: testClusterConfig(4, RoundRobin), Trace: tr, Seed: 1})
-	if err != nil {
-		t.Fatalf("Replay: %v", err)
-	}
-	if res.TotalContainers >= rr.TotalContainers {
-		t.Fatalf("consistent-hash containers %d not fewer than round-robin %d",
-			res.TotalContainers, rr.TotalContainers)
-	}
-	if len(res.Records) != tr.Len() {
-		t.Fatalf("records = %d, want %d", len(res.Records), tr.Len())
 	}
 }

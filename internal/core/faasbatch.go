@@ -138,6 +138,22 @@ type Stats struct {
 	WindowDispatches int64
 }
 
+// Add folds another scheduler's counters into s (a fleet's total; the
+// largest group is the larger of the two).
+func (s *Stats) Add(o Stats) {
+	s.Submitted += o.Submitted
+	s.Groups += o.Groups
+	s.MaxGroupSize = max(s.MaxGroupSize, o.MaxGroupSize)
+	s.Retries += o.Retries
+	s.Failed += o.Failed
+	s.GroupRedispatches += o.GroupRedispatches
+	s.Prewarms += o.Prewarms
+	s.KeepWarmTouches += o.KeepWarmTouches
+	s.FastPathDispatches += o.FastPathDispatches
+	s.EarlyCloses += o.EarlyCloses
+	s.WindowDispatches += o.WindowDispatches
+}
+
 // AvgGroupSize reports the mean invocations per dispatched group.
 func (s Stats) AvgGroupSize() float64 {
 	if s.Groups == 0 {

@@ -411,14 +411,6 @@ func (c *Controller) Window(fn string) time.Duration {
 	return c.cfg.MinInterval
 }
 
-// Pending reports how many arrivals fn's open window currently holds.
-func (c *Controller) Pending(fn string) int {
-	if st, ok := c.fns[fn]; ok {
-		return st.pending
-	}
-	return 0
-}
-
 // expectedGroupCap bounds ExpectedGroup so one anomalous gap estimate
 // cannot demand an absurd pre-allocation.
 const expectedGroupCap = 64

@@ -43,8 +43,8 @@ func TestFirstLoneArrivalFastPaths(t *testing.T) {
 	if d.Action != ActionFastPath {
 		t.Fatalf("lone idle arrival: action = %v, want fast-path", d.Action)
 	}
-	if c.Pending("f") != 0 {
-		t.Fatalf("pending = %d after fast path, want 0", c.Pending("f"))
+	if st := c.fns["f"]; st != nil && st.pending != 0 {
+		t.Fatalf("pending = %d after fast path, want 0", st.pending)
 	}
 }
 
@@ -141,8 +141,8 @@ func TestEarlyCloseAtMaxGroupSize(t *testing.T) {
 	if d := c.Arrive("f", now, false); d.Action != ActionEarlyClose {
 		t.Fatalf("4th arrival: action = %v, want early-close", d.Action)
 	}
-	if c.Pending("f") != 0 {
-		t.Fatalf("pending = %d after early close, want 0", c.Pending("f"))
+	if st := c.fns["f"]; st != nil && st.pending != 0 {
+		t.Fatalf("pending = %d after early close, want 0", st.pending)
 	}
 }
 

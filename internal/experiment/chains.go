@@ -7,7 +7,6 @@ import (
 
 	"faasbatch/internal/fnruntime"
 	"faasbatch/internal/metrics"
-	"faasbatch/internal/sim"
 	"faasbatch/internal/trace"
 	"faasbatch/internal/workload"
 )
@@ -101,20 +100,14 @@ func RunChain(cfg ChainConfig) (*ChainResult, error) {
 		if err != nil {
 			return nil, fmt.Errorf("experiment: derive chain SLOs: %w", err)
 		}
-		perFn := map[string][]time.Duration{}
+		var stages []metrics.Record
 		for _, ch := range pre.Chains {
-			for _, st := range ch.Stages {
-				perFn[st.Fn] = append(perFn[st.Fn], st.Total())
-			}
+			stages = append(stages, ch.Stages...)
 		}
-		base.SLO = make(map[string]time.Duration, len(perFn))
-		for fn, lats := range perFn {
-			base.SLO[fn] = metrics.NewCDF(lats).P(0.98)
-		}
+		base.SLO = p98PerFn(stages)
 	}
 
-	eng := sim.New(base.Seed)
-	nd, _, sched, _, err := buildScheduler(eng, base, nil)
+	f, err := newFleet(base)
 	if err != nil {
 		return nil, err
 	}
@@ -123,44 +116,34 @@ func RunChain(cfg ChainConfig) (*ChainResult, error) {
 		return nil, err
 	}
 
-	res := &ChainResult{Policy: sched.Name(), Stages: cfg.Stages}
-	total := base.Trace.Len()
-	done := 0
+	res := &ChainResult{Policy: f.policy, Stages: cfg.Stages}
 	var nextID int64
-	for i, inv := range base.Trace.Invocations {
-		i := i
+	if err := f.replay(base.Trace, func(i int) {
 		head := specs[i]
-		eng.Schedule(inv.Offset, func() {
-			rec := ChainRecord{Head: int64(i)}
-			start := eng.Now()
-			var runStage func(k int)
-			runStage = func(k int) {
-				nextID++
-				fi := fnruntime.NewInvocation(nextID, stageSpec(head, k), eng.Now())
-				sched.Submit(fi, func(fin *fnruntime.Invocation) {
-					rec.Stages = append(rec.Stages, fin.Rec)
-					if k+1 < cfg.Stages {
-						runStage(k + 1)
-						return
-					}
-					rec.Total = eng.Now().Sub(start)
-					res.Chains = append(res.Chains, rec)
-					done++
-				})
-			}
-			runStage(0)
-		})
-	}
-	for done < total {
-		if !eng.Step() {
-			return nil, fmt.Errorf("experiment: engine drained with %d/%d chains complete", done, total)
+		rec := ChainRecord{Head: int64(i)}
+		start := f.eng.Now()
+		var runStage func(k int)
+		runStage = func(k int) {
+			nextID++
+			fi := fnruntime.NewInvocation(nextID, stageSpec(head, k), f.eng.Now())
+			f.cl.Submit(fi, func(fin *fnruntime.Invocation) {
+				rec.Stages = append(rec.Stages, fin.Rec)
+				if k+1 < cfg.Stages {
+					runStage(k + 1)
+					return
+				}
+				rec.Total = f.eng.Now().Sub(start)
+				res.Chains = append(res.Chains, rec)
+			})
 		}
+		runStage(0)
+	}, func() int { return len(res.Chains) }); err != nil {
+		return nil, err
 	}
-	res.Makespan = eng.Now().Duration()
-	if err := sched.Close(); err != nil {
-		return nil, fmt.Errorf("experiment: close scheduler: %w", err)
+	res.Makespan = f.eng.Now().Duration()
+	for _, nd := range f.cl.Nodes() {
+		res.TotalContainers += nd.TotalCreated()
 	}
-	res.TotalContainers = nd.TotalCreated()
 	return res, nil
 }
 

@@ -1,6 +1,7 @@
 // Package experiment drives complete evaluation runs: it wires a trace,
-// a worker node, a scheduler policy and the resource sampler into one
-// deterministic simulation and aggregates the metrics the paper reports —
+// a fleet of worker nodes (one by default, the paper's testbed), a
+// scheduler policy and the resource sampler into one deterministic
+// simulation and aggregates the metrics the paper reports —
 // latency CDFs per component, provisioned containers, memory usage, CPU
 // utilisation and per-client memory footprint.
 //
@@ -13,6 +14,7 @@ import (
 	"time"
 
 	"faasbatch/internal/chaos"
+	"faasbatch/internal/cluster"
 	"faasbatch/internal/core"
 	"faasbatch/internal/cpusched"
 	"faasbatch/internal/fnruntime"
@@ -61,6 +63,13 @@ type Config struct {
 	Policy PolicyKind
 	// Trace is the invocation workload.
 	Trace trace.Trace
+	// Nodes is the worker-VM count (default 1, the paper's testbed). The
+	// trace replays on a fleet of this many nodes (internal/cluster), each
+	// running its own scheduler of Policy.
+	Nodes int
+	// Balancing routes invocations across the nodes (default
+	// cluster.FnAffinity).
+	Balancing cluster.Balancing
 	// Interval is FaaSBatch's dispatch interval and Kraken's
 	// provisioning window (the paper sweeps 0.01 s – 0.5 s).
 	Interval time.Duration
@@ -78,7 +87,8 @@ type Config struct {
 	MaxGroupSize int
 	// Seed drives the simulation's random source.
 	Seed int64
-	// Node configures the worker VM; zero value means node.DefaultConfig.
+	// Node configures every worker VM; zero value means
+	// node.DefaultConfig.
 	Node node.Config
 	// DisableMultiplex turns the Resource Multiplexer off for FaaSBatch
 	// (ablation).
@@ -104,28 +114,10 @@ type Config struct {
 	// The injector seed defaults to Seed when Chaos.Seed is zero, so one
 	// experiment seed fixes both arrivals and the fault schedule.
 	Chaos *chaos.Config
-	// ChaosSchedule reconfigures the injector's rates mid-run: at each
-	// entry's virtual-time offset the rate table is swapped in place
-	// (chaos.Injector.SetRates), so a run can move through quiet and
-	// noisy phases — the scenario harness's per-phase chaos, available
-	// to single-node experiments too. Entries must be sorted by At.
-	// When Chaos is nil, a non-empty schedule starts the run with an
-	// all-zero injector seeded from Seed.
-	ChaosSchedule []ChaosPhase
 	// Tracer, when non-nil, receives the run's invocation decomposition
 	// spans on the virtual timeline (see EmitSpans). The simulation itself
 	// is unaffected: spans are derived from completed records.
 	Tracer *obs.Tracer
-}
-
-// ChaosPhase is one scheduled chaos reconfiguration: at offset At from
-// the run's start the injector's rate table becomes Rates (absent kinds
-// drop to zero).
-type ChaosPhase struct {
-	// At is the virtual-time offset the swap fires at.
-	At time.Duration
-	// Rates is the full rate table from At on.
-	Rates map[chaos.Kind]float64
 }
 
 // Result aggregates one run's measurements.
@@ -140,6 +132,8 @@ type Result struct {
 	Samples []metrics.Sample
 	// TotalContainers is the number of containers provisioned.
 	TotalContainers int
+	// ContainersPerNode breaks TotalContainers down by node.
+	ContainersPerNode []int
 	// ColdStarts and WarmStarts split container acquisitions.
 	ColdStarts, WarmStarts int
 	// Evictions counts keep-alive evictions during the run.
@@ -155,9 +149,11 @@ type Result struct {
 	// ClientMemPerInvocation is the average client memory footprint per
 	// invocation (the Fig. 14d metric).
 	ClientMemPerInvocation float64
-	// Runner carries execution counters (clients built, cache hits).
+	// Runner carries execution counters (clients built, cache hits),
+	// summed over nodes like every count and sample above.
 	Runner fnruntime.Stats
-	// Batch carries FaaSBatch batching stats (nil for baselines).
+	// Batch carries FaaSBatch batching stats summed over nodes (nil for
+	// baselines).
 	Batch *core.Stats
 	// Makespan is the completion time of the last invocation.
 	Makespan time.Duration
@@ -167,7 +163,7 @@ type Result struct {
 	// Retries counts extra scheduling attempts across all invocations.
 	Retries int
 	// Crashes, BootFailures and SlowBoots report injected-fault effects
-	// observed at the node.
+	// observed at the nodes.
 	Crashes, BootFailures, SlowBoots int
 	// FaultSummary renders the injected-fault counts ("none" when chaos
 	// was disabled or nothing fired).
@@ -179,6 +175,12 @@ func (r *Result) CDF(c metrics.Component) metrics.CDF {
 	return metrics.NewCDF(metrics.Extract(r.Records, c))
 }
 
+// Imbalance reports max/mean of per-node container counts (1.0 =
+// perfectly balanced; 0 when the fleet provisioned nothing).
+func (r *Result) Imbalance() float64 {
+	return metrics.Imbalance(r.ContainersPerNode)
+}
+
 // normalise fills config defaults.
 func (c *Config) normalise() error {
 	if c.Policy < PolicyVanilla || c.Policy > PolicyFaaSBatch {
@@ -186,6 +188,9 @@ func (c *Config) normalise() error {
 	}
 	if c.Trace.Len() == 0 {
 		return fmt.Errorf("experiment: trace is empty")
+	}
+	if c.Nodes <= 0 {
+		c.Nodes = 1
 	}
 	if c.Interval <= 0 {
 		c.Interval = 200 * time.Millisecond
@@ -195,6 +200,9 @@ func (c *Config) normalise() error {
 	}
 	if c.Node.Cores == 0 {
 		c.Node = node.DefaultConfig()
+	}
+	if c.Policy == PolicyKraken && c.KrakenMaxBatch == 0 {
+		c.KrakenMaxBatch = krakenMaxBatchFor(c.Trace)
 	}
 	return nil
 }
@@ -211,102 +219,70 @@ func Run(cfg Config) (*Result, error) {
 		}
 		cfg.SLO = slo
 	}
-
-	eng := sim.New(cfg.Seed)
-	var inj *chaos.Injector
-	if cfg.Chaos != nil || len(cfg.ChaosSchedule) > 0 {
-		ccfg := chaos.Config{Seed: cfg.Seed}
-		if cfg.Chaos != nil {
-			ccfg = *cfg.Chaos
-			if ccfg.Seed == 0 {
-				ccfg.Seed = cfg.Seed
-			}
-		}
-		var cerr error
-		inj, cerr = chaos.New(ccfg)
-		if cerr != nil {
-			return nil, fmt.Errorf("experiment: %w", cerr)
-		}
-	}
-	for i, ph := range cfg.ChaosSchedule {
-		if ph.At < 0 {
-			return nil, fmt.Errorf("experiment: chaos schedule entry %d: negative offset %v", i, ph.At)
-		}
-		if i > 0 && ph.At < cfg.ChaosSchedule[i-1].At {
-			return nil, fmt.Errorf("experiment: chaos schedule not sorted at entry %d", i)
-		}
-		// Validate the rate table up front so a bad entry fails the run
-		// before any event fires, not mid-flight.
-		if _, err := chaos.New(chaos.Config{Rates: ph.Rates}); err != nil {
-			return nil, fmt.Errorf("experiment: chaos schedule entry %d: %w", i, err)
-		}
-		rates := ph.Rates
-		eng.Schedule(ph.At, func() {
-			// Rates were validated above; SetRates cannot fail here.
-			_ = inj.SetRates(rates)
-		})
-	}
-	nd, runner, sched, batch, err := buildScheduler(eng, cfg, inj)
+	f, err := newFleet(cfg)
 	if err != nil {
 		return nil, err
 	}
+	return f.run(cfg)
+}
 
-	sampler, err := metrics.StartSampler(eng, cfg.SamplePeriod, func(t sim.Time) metrics.Sample {
-		return metrics.Sample{
-			T:               t,
-			MemBytes:        nd.MemUsed(),
-			Containers:      nd.LiveContainers(),
-			BusyCoreSeconds: nd.BusyCoreSeconds(),
+// run replays cfg's trace on the fleet built for it and aggregates the
+// result over its nodes.
+func (f *fleet) run(cfg Config) (*Result, error) {
+	nodes := f.cl.Nodes()
+	sampler, err := metrics.StartSampler(f.eng, cfg.SamplePeriod, func(t sim.Time) metrics.Sample {
+		s := metrics.Sample{T: t}
+		for _, nd := range nodes {
+			s.MemBytes += nd.MemUsed()
+			s.Containers += nd.LiveContainers()
+			s.BusyCoreSeconds += nd.BusyCoreSeconds()
 		}
+		return s
 	})
 	if err != nil {
 		return nil, fmt.Errorf("experiment: %w", err)
 	}
-
-	res := &Result{Policy: sched.Name(), Interval: cfg.Interval}
-	total := cfg.Trace.Len()
 	specs, err := SpecsFor(cfg.Trace)
 	if err != nil {
 		return nil, err
 	}
-	for i, inv := range cfg.Trace.Invocations {
-		i := i
-		spec := specs[i]
-		eng.Schedule(inv.Offset, func() {
-			fi := fnruntime.NewInvocation(int64(i), spec, eng.Now())
-			sched.Submit(fi, func(done *fnruntime.Invocation) {
-				res.Records = append(res.Records, done.Rec)
-			})
-		})
-	}
 
-	for len(res.Records) < total {
-		if !eng.Step() {
-			return nil, fmt.Errorf("experiment: engine drained with %d/%d invocations complete", len(res.Records), total)
-		}
+	res := &Result{Policy: f.policy, Interval: cfg.Interval}
+	done := func(inv *fnruntime.Invocation) { res.Records = append(res.Records, inv.Rec) }
+	if err := f.replay(cfg.Trace, func(i int) {
+		f.cl.Submit(fnruntime.NewInvocation(int64(i), specs[i], f.eng.Now()), done)
+	}, func() int { return len(res.Records) }); err != nil {
+		return nil, err
 	}
-	res.Makespan = eng.Now().Duration()
-	if err := sched.Close(); err != nil {
-		return nil, fmt.Errorf("experiment: close scheduler: %w", err)
-	}
+	res.Makespan = f.eng.Now().Duration()
 	sampler.Stop()
 
 	res.Samples = sampler.Samples()
-	res.TotalContainers = nd.TotalCreated()
-	res.ColdStarts = nd.ColdStarts()
-	res.WarmStarts = nd.WarmStarts()
-	res.Evictions = nd.Evictions()
 	res.AvgMemBytes = sampler.AvgMemBytes()
 	res.PeakMemBytes = sampler.PeakMemBytes()
-	res.CPUUtil = cpuUtil(res.Samples, nd.Config().Cores)
-	res.ClientBytesAllocated = nd.ClientBytesAllocated()
-	if total > 0 {
-		res.ClientMemPerInvocation = float64(nd.ClientBytesAllocated()) / float64(total)
+	var cores float64
+	for _, nd := range nodes {
+		res.TotalContainers += nd.TotalCreated()
+		res.ContainersPerNode = append(res.ContainersPerNode, nd.TotalCreated())
+		res.ColdStarts += nd.ColdStarts()
+		res.WarmStarts += nd.WarmStarts()
+		res.Evictions += nd.Evictions()
+		res.ClientBytesAllocated += nd.ClientBytesAllocated()
+		res.Crashes += nd.Crashes()
+		res.BootFailures += nd.BootFailures()
+		res.SlowBoots += nd.SlowBoots()
+		cores += nd.Config().Cores
 	}
-	res.Runner = runner.Stats()
-	if batch != nil {
-		st := batch.Stats()
-		res.Batch = &st
+	res.CPUUtil = cpuUtil(res.Samples, cores)
+	res.ClientMemPerInvocation = float64(res.ClientBytesAllocated) / float64(cfg.Trace.Len())
+	for _, r := range f.runners {
+		res.Runner.Add(r.Stats())
+	}
+	if len(f.batch) > 0 {
+		res.Batch = &core.Stats{}
+		for _, b := range f.batch {
+			res.Batch.Add(b.Stats())
+		}
 	}
 	for _, r := range res.Records {
 		res.Retries += r.Retries
@@ -314,67 +290,124 @@ func Run(cfg Config) (*Result, error) {
 			res.Failures++
 		}
 	}
-	res.Crashes = nd.Crashes()
-	res.BootFailures = nd.BootFailures()
-	res.SlowBoots = nd.SlowBoots()
-	res.FaultSummary = inj.Summary()
+	res.FaultSummary = f.inj.Summary()
 	if err := emitRunTrace(cfg, res); err != nil {
 		return nil, err
 	}
 	return res, nil
 }
 
-// buildScheduler wires a node, runner and the configured policy's
-// scheduler on the given engine, threading the optional fault injector
-// through the node (boot faults) and runner (execution faults).
-func buildScheduler(eng *sim.Engine, cfg Config, inj *chaos.Injector) (*node.Node, *fnruntime.Runner, policy.Scheduler, *core.FaaSBatch, error) {
-	ncfg := cfg.Node
-	if cfg.Policy == PolicySFS {
-		ncfg.Discipline = cpusched.NewMLFQ()
-	}
-	ncfg.Chaos = inj
-	nd, err := node.New(eng, ncfg)
-	if err != nil {
-		return nil, nil, nil, nil, fmt.Errorf("experiment: %w", err)
-	}
-	runner := fnruntime.NewRunner(eng)
-	runner.SetChaos(inj)
-	env := policy.Env{Eng: eng, Node: nd, Runner: runner}
+// fleet is one run's simulated testbed: cfg.Nodes worker VMs behind the
+// cluster dispatcher, each running its own scheduler of cfg.Policy.
+type fleet struct {
+	eng *sim.Engine
+	cl  *cluster.Cluster
+	inj *chaos.Injector // nil without fault injection
+	// policy names the schedulers; runners and the FaaSBatch schedulers
+	// (none under a baseline) are collected in node order for the result.
+	policy  string
+	runners []*fnruntime.Runner
+	batch   []*core.FaaSBatch
+}
 
-	var (
-		sched policy.Scheduler
-		batch *core.FaaSBatch
-	)
-	switch cfg.Policy {
-	case PolicyVanilla:
-		sched, err = policy.NewVanilla(env)
-	case PolicySFS:
-		sched, err = policy.NewSFS(env, policy.DefaultSFSConfig())
-	case PolicyKraken:
-		kcfg := policy.DefaultKrakenConfig()
-		kcfg.Window = cfg.Interval
-		kcfg.SLO = cfg.SLO
-		kcfg.MaxBatch = cfg.KrakenMaxBatch
-		if kcfg.MaxBatch == 0 {
-			kcfg.MaxBatch = krakenMaxBatchFor(cfg.Trace)
+// newFleet builds cfg's fleet on a fresh engine. The optional fault
+// injector reaches every node (boot faults) and runner (execution faults);
+// its seed defaults to the run's, so one seed fixes arrivals and faults.
+func newFleet(cfg Config) (*fleet, error) {
+	f := &fleet{eng: sim.New(cfg.Seed)}
+	if cfg.Chaos != nil {
+		ccfg := *cfg.Chaos
+		if ccfg.Seed == 0 {
+			ccfg.Seed = cfg.Seed
 		}
-		sched, err = policy.NewKraken(env, kcfg)
-	case PolicyFaaSBatch:
-		fcfg := core.DefaultConfig()
-		fcfg.Interval = cfg.Interval
-		fcfg.Multiplex = !cfg.DisableMultiplex
-		fcfg.Prewarm = cfg.Prewarm
-		fcfg.AdaptiveDispatch = cfg.AdaptiveDispatch
-		fcfg.MinInterval = cfg.MinInterval
-		fcfg.MaxInterval = cfg.MaxInterval
-		fcfg.MaxGroupSize = cfg.MaxGroupSize
-		batch, err = core.New(env, fcfg)
-		sched = batch
+		inj, err := chaos.New(ccfg)
+		if err != nil {
+			return nil, fmt.Errorf("experiment: %w", err)
+		}
+		f.inj = inj
 	}
+	ncfgs := make([]node.Config, cfg.Nodes)
+	for i := range ncfgs {
+		ncfgs[i] = cfg.Node
+		if cfg.Policy == PolicySFS {
+			// A node's SFS retunes its own MLFQ's quanta from that node's
+			// arrivals, so no two nodes share one.
+			ncfgs[i].Discipline = cpusched.NewMLFQ()
+		}
+	}
+	cl, err := cluster.New(f.eng, cluster.Config{
+		Nodes:       cfg.Nodes,
+		NodeConfigs: ncfgs,
+		Scheduler:   f.newScheduler(cfg),
+		Balancing:   cfg.Balancing,
+		Chaos:       f.inj,
+	})
 	if err != nil {
-		return nil, nil, nil, nil, fmt.Errorf("experiment: build %v scheduler: %w", cfg.Policy, err)
+		return nil, fmt.Errorf("experiment: %w", err)
 	}
-	return nd, runner, sched, batch, nil
+	f.cl = cl
+	return f, nil
+}
+
+// newScheduler returns the constructor of cfg.Policy's per-node scheduler.
+func (f *fleet) newScheduler(cfg Config) func(policy.Env) (policy.Scheduler, error) {
+	return func(env policy.Env) (policy.Scheduler, error) {
+		var (
+			sched policy.Scheduler
+			err   error
+		)
+		switch cfg.Policy {
+		case PolicyVanilla:
+			sched, err = policy.NewVanilla(env)
+		case PolicySFS:
+			sched, err = policy.NewSFS(env, policy.DefaultSFSConfig())
+		case PolicyKraken:
+			kcfg := policy.DefaultKrakenConfig()
+			kcfg.Window = cfg.Interval
+			kcfg.SLO = cfg.SLO
+			kcfg.MaxBatch = cfg.KrakenMaxBatch
+			sched, err = policy.NewKraken(env, kcfg)
+		case PolicyFaaSBatch:
+			fcfg := core.DefaultConfig()
+			fcfg.Interval = cfg.Interval
+			fcfg.Multiplex = !cfg.DisableMultiplex
+			fcfg.Prewarm = cfg.Prewarm
+			fcfg.AdaptiveDispatch = cfg.AdaptiveDispatch
+			fcfg.MinInterval = cfg.MinInterval
+			fcfg.MaxInterval = cfg.MaxInterval
+			fcfg.MaxGroupSize = cfg.MaxGroupSize
+			var batch *core.FaaSBatch
+			if batch, err = core.New(env, fcfg); err == nil {
+				f.batch = append(f.batch, batch)
+				sched = batch
+			}
+		}
+		if err != nil {
+			return nil, fmt.Errorf("build %v scheduler: %w", cfg.Policy, err)
+		}
+		f.policy = sched.Name()
+		f.runners = append(f.runners, env.Runner)
+		return sched, nil
+	}
+}
+
+// replay is the one trace replay: at each arrival's offset it calls
+// start with the arrival's index, then steps the engine until completed
+// counts every arrival done and closes the fleet. Run starts one
+// invocation per arrival, RunChain one chain.
+func (f *fleet) replay(tr trace.Trace, start func(i int), completed func() int) error {
+	for i, inv := range tr.Invocations {
+		f.eng.Schedule(inv.Offset, func() { start(i) })
+	}
+	for completed() < tr.Len() {
+		if !f.eng.Step() {
+			return fmt.Errorf("experiment: engine drained with %d/%d arrivals complete", completed(), tr.Len())
+		}
+	}
+	if err := f.cl.Close(); err != nil {
+		return fmt.Errorf("experiment: %w", err)
+	}
+	return nil
 }
 
 // krakenMaxBatchFor picks the paper-implied Kraken batch cap for a trace:
@@ -453,13 +486,18 @@ func SLOFromVanilla(cfg Config) (map[string]time.Duration, error) {
 	if err != nil {
 		return nil, err
 	}
+	return p98PerFn(res.Records), nil
+}
+
+// p98PerFn returns each function's p98 end-to-end latency over recs.
+func p98PerFn(recs []metrics.Record) map[string]time.Duration {
 	perFn := map[string][]time.Duration{}
-	for _, r := range res.Records {
+	for _, r := range recs {
 		perFn[r.Fn] = append(perFn[r.Fn], r.Total())
 	}
 	out := make(map[string]time.Duration, len(perFn))
 	for fn, lats := range perFn {
 		out[fn] = metrics.NewCDF(lats).P(0.98)
 	}
-	return out, nil
+	return out
 }

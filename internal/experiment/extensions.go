@@ -159,11 +159,7 @@ func RunExtensionCluster(w io.Writer, opts Options) error {
 		"Extension — FaaSBatch cluster scale-out (fn-affinity routing)",
 		"nodes", "containers", "imbalance", "total p50", "total p99")
 	for _, nodes := range []int{1, 2, 4, 8} {
-		res, err := cluster.Replay(cluster.ReplayConfig{
-			Cluster: cluster.Config{Nodes: nodes},
-			Trace:   tr,
-			Seed:    opts.Seed,
-		})
+		res, err := Run(Config{Policy: PolicyFaaSBatch, Trace: tr, Seed: opts.Seed, Nodes: nodes})
 		if err != nil {
 			return fmt.Errorf("cluster %d nodes: %w", nodes, err)
 		}
@@ -182,11 +178,7 @@ func RunExtensionCluster(w io.Writer, opts Options) error {
 		"Extension — routing strategies on 4 nodes",
 		"balancing", "containers", "imbalance", "total p99")
 	for _, bal := range []cluster.Balancing{cluster.FnAffinity, cluster.LeastLoaded, cluster.RoundRobin} {
-		res, err := cluster.Replay(cluster.ReplayConfig{
-			Cluster: cluster.Config{Nodes: 4, Balancing: bal},
-			Trace:   tr,
-			Seed:    opts.Seed,
-		})
+		res, err := Run(Config{Policy: PolicyFaaSBatch, Trace: tr, Seed: opts.Seed, Nodes: 4, Balancing: bal})
 		if err != nil {
 			return fmt.Errorf("cluster %v: %w", bal, err)
 		}

@@ -131,6 +131,18 @@ type Stats struct {
 	CacheNegativeDenials int64
 }
 
+// Add folds another runner's counters into s (a fleet's total).
+func (s *Stats) Add(o Stats) {
+	s.Executed += o.Executed
+	s.CrashRejects += o.CrashRejects
+	s.ClientsBuilt += o.ClientsBuilt
+	s.ClientBytesAllocated += o.ClientBytesAllocated
+	s.CacheHits += o.CacheHits
+	s.CacheCoalesced += o.CacheCoalesced
+	s.CacheStaleHits += o.CacheStaleHits
+	s.CacheNegativeDenials += o.CacheNegativeDenials
+}
+
 // Runner executes invocations inside containers.
 type Runner struct {
 	eng   *sim.Engine

@@ -103,9 +103,9 @@ func TestFederateMetrics(t *testing.T) {
 	}
 }
 
-// TestFederationMatchesMergedHistogram cross-checks the two merge
-// paths: federating N members' rendered histograms equals rendering the
-// bucket-wise Histogram.Merge of the same data.
+// TestFederationMatchesMergedHistogram checks federation through the
+// platform's registry: federating N members' rendered latency histograms
+// equals rendering one registry that observed the union of their data.
 func TestFederationMatchesMergedHistogram(t *testing.T) {
 	mk := func(values []time.Duration) *Metrics {
 		m := NewMetrics()
@@ -172,88 +172,42 @@ func TestFederationMatchesMergedHistogram(t *testing.T) {
 	}
 }
 
-// TestHistogramMergeProperty is the satellite property test: splitting
-// any sample stream across N shard histograms and merging them
-// bucket-wise is indistinguishable from observing the union in one
-// histogram — bucket counts, total count and sum all preserved.
+// TestHistogramMergeProperty: splitting any sample stream across N shard
+// histograms and federating their expositions is indistinguishable from
+// observing the union in one histogram — every bucket, the count and the
+// sum preserved.
 func TestHistogramMergeProperty(t *testing.T) {
+	const header = "# HELP x Latency.\n# TYPE x histogram\n"
+	render := func(h *Histogram) string {
+		var b bytes.Buffer
+		b.WriteString(header)
+		writeHistogram(&b, "x", `fn="f"`, h)
+		return b.String()
+	}
 	prop := func(raw []uint16, shardCount uint8) bool {
-		shards := int(shardCount%8) + 1
-		union, err := NewHistogram(DefaultLatencyBuckets)
-		if err != nil {
-			t.Fatal(err)
-		}
-		parts := make([]*Histogram, shards)
+		union := mustHistogram(DefaultLatencyBuckets)
+		parts := make([]*Histogram, int(shardCount%8)+1)
 		for i := range parts {
-			parts[i], err = NewHistogram(DefaultLatencyBuckets)
-			if err != nil {
-				t.Fatal(err)
-			}
+			parts[i] = mustHistogram(DefaultLatencyBuckets)
 		}
 		for i, r := range raw {
-			// Integer-valued floats in [0, 65535] keep float addition
-			// exact, so sum comparison is == not ≈. Scale down so values
-			// straddle the default bucket bounds.
+			// Scaled uint16 values are exact binary fractions that
+			// straddle the default bucket bounds, so every partial sum is
+			// exact and the federated _sum must match bit for bit.
 			v := float64(r) / 1024
 			union.Observe(v)
-			parts[i%shards].Observe(v)
+			parts[i%len(parts)].Observe(v)
 		}
-		merged, err := NewHistogram(DefaultLatencyBuckets)
-		if err != nil {
-			t.Fatal(err)
+		members := make([]MemberMetrics, len(parts))
+		for i, h := range parts {
+			members[i] = MemberMetrics{Worker: fmt.Sprint(i), Families: parseDoc(t, render(h))}
 		}
-		for _, p := range parts {
-			if err := merged.Merge(p); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if merged.Count() != union.Count() {
-			return false
-		}
-		wantBuckets, gotBuckets := union.Buckets(), merged.Buckets()
-		for i := range wantBuckets {
-			if gotBuckets[i] != wantBuckets[i] {
-				return false
-			}
-		}
-		wantCum, gotCum := union.Cumulative(), merged.Cumulative()
-		for i := range wantCum {
-			if gotCum[i] != wantCum[i] {
-				return false
-			}
-		}
-		// Scaled uint16 values are sums of exact binary fractions, so
-		// exact equality is the correct check here.
-		return merged.Sum() == union.Sum()
+		var fed bytes.Buffer
+		FederateMetrics(&fed, members)
+		return fed.String() == render(union)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestHistogramMergeRejectsMismatchedBounds(t *testing.T) {
-	a, err := NewHistogram([]float64{1, 2, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := NewHistogram([]float64{1, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Merge(b); err == nil {
-		t.Fatal("merging mismatched bucket counts must fail")
-	}
-	c, err := NewHistogram([]float64{1, 2, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Observe(1.5)
-	before := a.Count()
-	if err := a.Merge(c); err == nil {
-		t.Fatal("merging mismatched bounds must fail")
-	}
-	if a.Count() != before {
-		t.Fatal("failed merge must leave the receiver unchanged")
 	}
 }
 

@@ -57,9 +57,6 @@ func (h *Histogram) Observe(v float64) {
 // Count reports the number of observations.
 func (h *Histogram) Count() uint64 { return h.count }
 
-// Sum reports the sum of observed values.
-func (h *Histogram) Sum() float64 { return h.sum }
-
 // Cumulative reports the cumulative bucket counts, one per bound plus the
 // trailing +Inf bucket (which equals Count).
 func (h *Histogram) Cumulative() []uint64 {
@@ -70,45 +67,6 @@ func (h *Histogram) Cumulative() []uint64 {
 		out[i] = acc
 	}
 	return out
-}
-
-// Bounds returns a copy of the upper bounds (excluding +Inf).
-func (h *Histogram) Bounds() []float64 {
-	out := make([]float64, len(h.bounds))
-	copy(out, h.bounds)
-	return out
-}
-
-// Buckets returns a copy of the raw (non-cumulative) bucket counts, one
-// per bound plus the trailing +Inf bucket.
-func (h *Histogram) Buckets() []uint64 {
-	out := make([]uint64, len(h.counts))
-	copy(out, h.counts)
-	return out
-}
-
-// Merge folds other into h bucket-wise. Because both histograms share
-// fixed bounds the merge is exact: merged bucket counts, sum and count
-// equal those of a histogram that observed the union of both sample
-// streams. Mismatched bounds are an error and leave h unchanged.
-func (h *Histogram) Merge(other *Histogram) error {
-	if other == nil {
-		return nil
-	}
-	if len(h.bounds) != len(other.bounds) {
-		return fmt.Errorf("obs: merge histograms with %d vs %d bounds", len(h.bounds), len(other.bounds))
-	}
-	for i := range h.bounds {
-		if h.bounds[i] != other.bounds[i] {
-			return fmt.Errorf("obs: merge histograms with different bounds at index %d (%v vs %v)", i, h.bounds[i], other.bounds[i])
-		}
-	}
-	for i := range h.counts {
-		h.counts[i] += other.counts[i]
-	}
-	h.sum += other.sum
-	h.count += other.count
-	return nil
 }
 
 // latencyComponents are the component labels of one function's latency

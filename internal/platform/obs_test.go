@@ -290,9 +290,9 @@ func TestSLOGaugesOnMetrics(t *testing.T) {
 			t.Errorf("/metrics missing %q", want)
 		}
 	}
-	st := p.SLOStatuses()
+	st := p.SLOs().Evaluate(time.Since(p.epoch))
 	if len(st) != 1 || !st[0].Breached {
-		t.Fatalf("SLOStatuses = %+v, want one breached status", st)
+		t.Fatalf("SLO statuses = %+v, want one breached status", st)
 	}
 }
 

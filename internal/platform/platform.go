@@ -326,11 +326,6 @@ type Config struct {
 	// are closed automatically, after any OnEvict hook set here runs.
 	// Ignored unless Multiplex is true.
 	Multiplexer multiplex.Config
-	// MaxConcurrency caps how many invocations expand inside one
-	// container; a window group larger than the cap splits across
-	// containers (Knative-style containerConcurrency). Zero means
-	// unlimited — the paper stuffs the whole group into one container.
-	MaxConcurrency int
 	// InvokeTimeout bounds one handler execution attempt. A handler
 	// exceeding it fails with a deadline error while the rest of its
 	// batch completes normally — without it, one hung handler wedges its
@@ -438,8 +433,7 @@ type Stats struct {
 	EarlyCloses int64
 	// WindowDispatches counts windows closed by their deadline or by the
 	// Close flush, under either policy: every fixed-interval group is
-	// one. With MaxConcurrency unset, Groups is the sum of these three at
-	// quiescence.
+	// one. Groups is the sum of these three at quiescence.
 	WindowDispatches int64
 	// DispatchWindowMicros is the most recently chosen window, in
 	// microseconds (a gauge; zero until the first batched arrival; the
@@ -528,7 +522,7 @@ const (
 )
 
 // callGroup is one closed window's group and, once dispatched, the ticket
-// its members run on. Whoever closed the window owns it while expand fills
+// its members run on. Whoever closed the window owns it while dispatchGroup fills
 // in the container the group expands in and the instants its latency
 // components are measured from; from the last ticket sent it belongs to
 // the members, who only read it. The member that takes remaining to zero
@@ -658,9 +652,6 @@ func New(cfg Config) (*Platform, error) {
 	if cfg.KeepAlive <= 0 {
 		return nil, fmt.Errorf("platform: keep-alive must be positive, got %v", cfg.KeepAlive)
 	}
-	if cfg.MaxConcurrency < 0 {
-		return nil, fmt.Errorf("platform: max concurrency must be non-negative, got %d", cfg.MaxConcurrency)
-	}
 	if cfg.InvokeTimeout < 0 {
 		return nil, fmt.Errorf("platform: invoke timeout must be non-negative, got %v", cfg.InvokeTimeout)
 	}
@@ -734,12 +725,6 @@ func (p *Platform) Tracer() *obs.Tracer { return p.tracer }
 // SLOs exposes the platform's SLO tracker (nil when no objectives are
 // configured; the nil tracker is safe to use).
 func (p *Platform) SLOs() *slo.Tracker { return p.slos }
-
-// SLOStatuses evaluates the configured objectives at the current
-// platform uptime.
-func (p *Platform) SLOStatuses() []slo.Status {
-	return p.slos.Evaluate(time.Since(p.epoch))
-}
 
 // WriteSLOMetrics appends the SLO burn-rate gauges to a /metrics
 // exposition (nothing when no objectives are configured).
@@ -1281,44 +1266,19 @@ func (p *Platform) release(f *function, c *container, n int) {
 	}
 }
 
-// dispatchGroup is the closing half of the Inline-Parallel Producer: one
-// container for the whole claimed group, every member expanded inside it
-// on its own caller's goroutine. Groups beyond the per-container
-// concurrency cap split across containers. The caller holds a count on
-// p.wg and gives the group up: its members recycle it.
+// dispatchGroup is the closing half of the Inline-Parallel Producer: it
+// acquires one container for the whole claimed group, fills the group in
+// and hands it to every member as the ticket to run on — every member
+// expands inside that container on its own caller's goroutine. It records
+// each member's scheduling (arrival to dispatch) and cold-start spans; the
+// member records queuing and execution. Span bounds are stamped from the
+// same wall-clock instants as the Result components, so an exported trace
+// reconstructs the §IV decomposition exactly. The caller holds a count on
+// p.wg and gives the group up: with its last ticket sent the group belongs
+// to its members, who recycle it, and dispatchGroup touches neither it nor
+// them afterwards.
 func (p *Platform) dispatchGroup(f *function, g *callGroup) {
 	p.metrics.ObserveGroupSize(len(g.calls))
-	max := p.cfg.MaxConcurrency
-	if max <= 0 || len(g.calls) <= max {
-		p.expand(f, g)
-		return
-	}
-	// One group, and one goroutine, per chunk: each acquires its own
-	// container, and a cold start sleeps.
-	var wg sync.WaitGroup
-	for start := 0; start < len(g.calls); start += max {
-		end := min(start+max, len(g.calls))
-		chunk := getGroup(end - start)
-		chunk.calls = append(chunk.calls, g.calls[start:end]...)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			p.expand(f, chunk)
-		}()
-	}
-	wg.Wait()
-	putGroup(g)
-}
-
-// expand acquires one container for one (cap-respecting) group, fills the
-// group in and hands it to every member as the ticket to run on,
-// recording each member's scheduling (arrival to dispatch) and cold-start
-// spans; the member records queuing and execution. Span bounds are
-// stamped from the same wall-clock instants as the Result components, so
-// an exported trace reconstructs the §IV decomposition exactly. With its
-// last ticket sent the group belongs to its members: expand touches
-// neither it nor them afterwards.
-func (p *Platform) expand(f *function, g *callGroup) {
 	dispatch := time.Now()
 	c, cold := p.acquire(f)
 	ready := time.Now()

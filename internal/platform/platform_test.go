@@ -495,58 +495,6 @@ func TestPanicInsideBatchDoesNotPoisonSiblings(t *testing.T) {
 	}
 }
 
-func TestMaxConcurrencySplitsGroups(t *testing.T) {
-	cfg := quickConfig(ModeBatch)
-	cfg.MaxConcurrency = 4
-	p := newPlatform(t, cfg)
-	var mu sync.Mutex
-	perContainer := map[string]int{}
-	if err := p.Register("capped", func(_ context.Context, inv *Invocation) (any, error) {
-		mu.Lock()
-		perContainer[inv.ContainerID]++
-		mu.Unlock()
-		time.Sleep(10 * time.Millisecond)
-		return nil, nil
-	}); err != nil {
-		t.Fatalf("Register: %v", err)
-	}
-	const n = 12
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if _, err := p.Invoke(context.Background(), "capped", nil); err != nil {
-				t.Errorf("Invoke: %v", err)
-			}
-		}()
-	}
-	wg.Wait()
-	mu.Lock()
-	defer mu.Unlock()
-	total := 0
-	for id, c := range perContainer {
-		total += c
-		if c > 4 {
-			t.Errorf("container %s served %d concurrent invocations, cap is 4", id, c)
-		}
-	}
-	if total != n {
-		t.Fatalf("served %d, want %d", total, n)
-	}
-	if len(perContainer) < 3 {
-		t.Fatalf("group split over %d containers, want >= 3 under cap 4", len(perContainer))
-	}
-}
-
-func TestMaxConcurrencyValidation(t *testing.T) {
-	cfg := quickConfig(ModeBatch)
-	cfg.MaxConcurrency = -1
-	if _, err := New(cfg); err == nil {
-		t.Fatal("negative max concurrency accepted")
-	}
-}
-
 func TestFunctionsListing(t *testing.T) {
 	p := newPlatform(t, quickConfig(ModeBatch))
 	for _, name := range []string{"zeta", "alpha"} {

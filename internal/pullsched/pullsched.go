@@ -350,11 +350,6 @@ func (c *Core) Inflight(w int) int {
 	return c.workers[w].inflight
 }
 
-// Eligible reports whether slot w may pull.
-func (c *Core) Eligible(w int) bool {
-	return w >= 0 && w < len(c.workers) && c.workers[w].eligible
-}
-
 // dropLease removes l and releases its worker capacity.
 func (c *Core) dropLease(l *lease) {
 	delete(c.leases, l.it.id)

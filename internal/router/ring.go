@@ -134,16 +134,6 @@ func (r *Ring) Remove(member string) bool {
 // Len reports the member count.
 func (r *Ring) Len() int { return len(r.members) }
 
-// Members lists the members, sorted.
-func (r *Ring) Members() []string {
-	out := make([]string, 0, len(r.members))
-	for m := range r.members {
-		out = append(out, m)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Pick returns the member owning key: the first virtual node clockwise
 // from the key's hash. It reports false on an empty ring.
 func (r *Ring) Pick(key string) (string, bool) {

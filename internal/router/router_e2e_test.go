@@ -340,10 +340,12 @@ func TestSimVsLiveAssignments(t *testing.T) {
 		t.Fatalf("cluster.New: %v", err)
 	}
 	defer func() { _ = cl.Close() }()
+	assigned := make(map[string]int, len(fns))
 	for i, fn := range fns {
-		cl.Submit(fnruntime.NewInvocation(int64(i), workload.IOSpec(fn), eng.Now()), func(*fnruntime.Invocation) {})
+		inv := fnruntime.NewInvocation(int64(i), workload.IOSpec(fn), eng.Now())
+		cl.Submit(inv, func(*fnruntime.Invocation) {})
+		assigned[fn] = inv.Route.Worker
 	}
-	assigned := cl.Assignments()
 	distinct := map[int]bool{}
 	for _, fn := range fns {
 		want := cluster.NodeMember(assigned[fn])

@@ -29,6 +29,7 @@ import (
 	"faasbatch/internal/fnruntime"
 	"faasbatch/internal/hashmix"
 	"faasbatch/internal/node"
+	"faasbatch/internal/policy"
 	"faasbatch/internal/pullsched"
 	"faasbatch/internal/sim"
 	"faasbatch/internal/slo"
@@ -185,11 +186,13 @@ type phaseAgg struct {
 
 // simRun is the mutable state of one simulated execution.
 type simRun struct {
-	sc   *Scenario
-	eng  *sim.Engine
-	cl   *cluster.Cluster
-	inj  *chaos.Injector
-	slos *slo.Tracker
+	sc  *Scenario
+	eng *sim.Engine
+	cl  *cluster.Cluster
+	// scheds are the nodes' FaaSBatch schedulers, in node order.
+	scheds []*core.FaaSBatch
+	inj    *chaos.Injector
+	slos   *slo.Tracker
 	// bal is the effective balancing after the routing block's override.
 	bal cluster.Balancing
 	// end is the later of the workload's end and the last control event.
@@ -243,14 +246,23 @@ func (r *Runner) newSimRun(sc *Scenario) (*simRun, error) {
 			bal = cluster.ConsistentHash
 		}
 	}
+	ccfg := coreConfig(sc.Dispatch)
+	var scheds []*core.FaaSBatch
 	cl, err := cluster.New(eng, cluster.Config{
 		Nodes:       sc.Fleet.Workers,
 		NodeConfigs: buildFleet(sc),
-		Core:        coreConfig(sc.Dispatch),
-		Balancing:   bal,
-		Pull:        pullCfg,
-		Chaos:       inj,
-		Autoscale:   sc.Autoscale,
+		Scheduler: func(env policy.Env) (policy.Scheduler, error) {
+			sched, err := core.New(env, ccfg)
+			if err != nil {
+				return nil, err
+			}
+			scheds = append(scheds, sched)
+			return sched, nil
+		},
+		Balancing: bal,
+		Pull:      pullCfg,
+		Chaos:     inj,
+		Autoscale: sc.Autoscale,
 	})
 	if err != nil {
 		return nil, err
@@ -259,7 +271,7 @@ func (r *Runner) newSimRun(sc *Scenario) (*simRun, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &simRun{sc: sc, eng: eng, cl: cl, inj: inj, slos: slos, bal: bal}
+	s := &simRun{sc: sc, eng: eng, cl: cl, scheds: scheds, inj: inj, slos: slos, bal: bal}
 	s.sink = s.observe
 	for range sc.Phases {
 		s.phases = append(s.phases, &phaseAgg{})
@@ -724,26 +736,25 @@ func (s *simRun) report() *Body {
 		Retries:   retries,
 		Total:     summarize(allTotal),
 	}
-	var schedSubmitted int64
-	for _, sched := range s.cl.Schedulers() {
-		st := sched.Stats()
-		b.Scheduler.Submitted += st.Submitted
-		b.Scheduler.Groups += st.Groups
-		if st.MaxGroupSize > b.Scheduler.MaxGroupSize {
-			b.Scheduler.MaxGroupSize = st.MaxGroupSize
-		}
-		b.Scheduler.Retries += st.Retries
-		b.Scheduler.Failed += st.Failed
-		b.Scheduler.GroupRedispatches += st.GroupRedispatches
-		if s.sc.Dispatch.Adaptive {
-			// See SchedStats: a fixed-interval report keeps these at zero,
-			// though the scheduler counts its windows too.
-			b.Scheduler.FastPathDispatches += st.FastPathDispatches
-			b.Scheduler.EarlyCloses += st.EarlyCloses
-			b.Scheduler.WindowDispatches += st.WindowDispatches
-		}
+	var st core.Stats
+	for _, sched := range s.scheds {
+		st.Add(sched.Stats())
 	}
-	schedSubmitted = b.Scheduler.Submitted
+	b.Scheduler = SchedStats{
+		Submitted:         st.Submitted,
+		Groups:            st.Groups,
+		MaxGroupSize:      st.MaxGroupSize,
+		Retries:           st.Retries,
+		Failed:            st.Failed,
+		GroupRedispatches: st.GroupRedispatches,
+	}
+	if s.sc.Dispatch.Adaptive {
+		// See SchedStats: a fixed-interval report keeps these at zero,
+		// though the scheduler counts its windows too.
+		b.Scheduler.FastPathDispatches = st.FastPathDispatches
+		b.Scheduler.EarlyCloses = st.EarlyCloses
+		b.Scheduler.WindowDispatches = st.WindowDispatches
+	}
 	for _, nd := range s.cl.Nodes() {
 		b.Fleet.ContainersCreated += int64(nd.TotalCreated())
 		b.Fleet.ColdStarts += int64(nd.ColdStarts())
@@ -770,7 +781,7 @@ func (s *simRun) report() *Body {
 	// Under the pull policy, depth-bound sheds complete at the router
 	// without ever reaching a node scheduler, so they join the LHS of
 	// the accounting identity.
-	consLHS := schedSubmitted
+	consLHS := st.Submitted
 	consExpr := "sum(scheduler submitted) == harness submitted"
 	if s.cl.PullEnabled() {
 		consLHS += int64(s.cl.PullShed())
