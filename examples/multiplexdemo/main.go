@@ -3,16 +3,15 @@
 // Multiplexer one container builds it once and every concurrent
 // invocation shares it — without, every invocation pays.
 //
-// The second half showcases the v2 cache: GetContext outcomes,
-// handler-driven invalidation, negative caching under a flapping
-// dependency, and the bounded LRU closing evicted clients.
+// The second half showcases the sharded cache: GetContext outcomes,
+// handler-driven invalidation, and the bounded LRU closing evicted
+// clients.
 //
 //	go run ./examples/multiplexdemo
 package main
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"os"
 	"sync"
@@ -63,17 +62,16 @@ func (c *closingClient) Close() error {
 	return nil
 }
 
-// demoV2 exercises the failure-aware half of the v2 cache: outcome
-// taxonomy, invalidation, negative backoff and bounded eviction.
+// demoV2 exercises the cache's outcome taxonomy, invalidation and
+// bounded eviction.
 func demoV2() error {
-	fmt.Println("\n--- Resource Multiplexer v2 ---")
+	fmt.Println("\n--- Resource Multiplexer ---")
 	cfg := platform.DefaultConfig()
 	cfg.DispatchInterval = 20 * time.Millisecond
 	cfg.ColdStart = 5 * time.Millisecond
 	cfg.Multiplexer = multiplex.Config{
-		Shards:          1,                      // one shard -> exact global LRU for the demo
-		MaxEntries:      2,                      // bounded: third client evicts the LRU one
-		NegativeBackoff: 250 * time.Millisecond, // failed builds deny retries briefly
+		Shards:     1, // one shard -> exact global LRU for the demo
+		MaxEntries: 2, // bounded: third client evicts the LRU one
 	}
 	p, err := platform.New(cfg)
 	if err != nil {
@@ -81,8 +79,6 @@ func demoV2() error {
 	}
 	defer func() { _ = p.Close() }()
 
-	flaky := atomic.Bool{}
-	flaky.Store(true)
 	err = p.Register("v2", func(ctx context.Context, inv *platform.Invocation) (any, error) {
 		get := func(key string) platform.Outcome {
 			_, out, err := inv.Resources.GetContext(ctx, "s3.client", key, func() (any, int64, error) {
@@ -98,20 +94,6 @@ func demoV2() error {
 		inv.Resources.Invalidate("s3.client", "a")
 		fmt.Printf("  after Invalidate: get \"a\" -> %s\n", get("a"))
 
-		// A flapping dependency: the first build fails, the immediate
-		// retry is absorbed by the negative cache without building.
-		_, out, err := inv.Resources.GetContext(ctx, "s3.client", "flaky", func() (any, int64, error) {
-			if flaky.Load() {
-				return nil, 0, errors.New("connection refused")
-			}
-			return &closingClient{key: "flaky"}, clientMem, nil
-		})
-		fmt.Printf("  flaky build -> %s (%v)\n", out, errors.Is(err, platform.ErrBuildFailed))
-		_, out, _ = inv.Resources.GetContext(ctx, "s3.client", "flaky", func() (any, int64, error) {
-			return nil, 0, errors.New("unreachable: denied before building")
-		})
-		fmt.Printf("  immediate retry -> %s (constructor not run)\n", out)
-
 		// MaxEntries=2: building "b" and "c" on top of "a" evicts the
 		// least-recently-used client, which is closed on the way out.
 		get("b")
@@ -125,8 +107,8 @@ func demoV2() error {
 		return err
 	}
 	st := p.Stats().Multiplexer
-	fmt.Printf("cache stats: hits=%d misses=%d negative=%d evictions=%d invalidations=%d\n",
-		st.Hits, st.Misses, st.NegativeHits, st.Evictions, st.Invalidations)
+	fmt.Printf("cache stats: hits=%d misses=%d evictions=%d invalidations=%d\n",
+		st.Hits, st.Misses, st.Evictions, st.Invalidations)
 	return nil
 }
 

@@ -22,12 +22,9 @@
 package faasbatch
 
 import (
-	"errors"
-	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
-	"strings"
 
 	"faasbatch/internal/cluster"
 	"faasbatch/internal/experiment"
@@ -58,11 +55,10 @@ type (
 	// Result is one completed invocation with its latency decomposition.
 	Result = platform.Result
 	// Outcome classifies how a Resources.GetContext call was served
-	// (hit, miss, coalesced, stale, negative, error).
+	// (hit, miss, coalesced, error).
 	Outcome = platform.Outcome
 	// MultiplexerConfig tunes per-container Resource Multiplexer caches:
-	// shard count, capacity bound, TTL, stale-while-revalidate window and
-	// negative-caching backoff.
+	// shard count, capacity bound and an eviction hook.
 	MultiplexerConfig = multiplex.Config
 )
 
@@ -74,12 +70,6 @@ const (
 	OutcomeHit = platform.OutcomeHit
 	// OutcomeCoalesced means the caller waited on an in-flight build.
 	OutcomeCoalesced = platform.OutcomeCoalesced
-	// OutcomeStale means a stale instance was served while a background
-	// refresh ran.
-	OutcomeStale = platform.OutcomeStale
-	// OutcomeNegative means the negative cache denied the creation during
-	// failure backoff.
-	OutcomeNegative = platform.OutcomeNegative
 	// OutcomeError means the call failed (build error, closed cache or
 	// done context).
 	OutcomeError = platform.OutcomeError
@@ -101,106 +91,9 @@ const (
 	ModeVanilla = platform.ModeVanilla
 )
 
-// ErrConflictingOptions marks a NewPlatform call that sets the same knob
-// both in the config struct and through a functional option (or passes
-// the same option twice). Match with errors.Is.
-var ErrConflictingOptions = errors.New("faasbatch: conflicting platform options")
-
-// PlatformOption customises NewPlatform beyond the config struct.
-// Options and config-struct construction compose, but each knob may be
-// set through only one of the two — setting it through both fails with
-// ErrConflictingOptions.
-type PlatformOption func(*platformOptions)
-
-// platformOptions accumulates functional-option state before it is
-// merged into the config.
-type platformOptions struct {
-	tracer     *Tracer
-	tracerSet  bool
-	logger     *slog.Logger
-	loggerSet  bool
-	mcfg       MultiplexerConfig
-	mcfgSet    bool
-	duplicates []string
-}
-
-func (o *platformOptions) noteDup(name string, set bool) {
-	if set {
-		o.duplicates = append(o.duplicates, name)
-	}
-}
-
-// WithTracer installs a per-invocation lifecycle tracer (equivalent to
-// PlatformConfig.Tracer; setting both conflicts).
-func WithTracer(t *Tracer) PlatformOption {
-	return func(o *platformOptions) {
-		o.noteDup("tracer", o.tracerSet)
-		o.tracer, o.tracerSet = t, true
-	}
-}
-
-// WithLogger installs the platform's structured logger (equivalent to
-// PlatformConfig.Logger; setting both conflicts).
-func WithLogger(l *slog.Logger) PlatformOption {
-	return func(o *platformOptions) {
-		o.noteDup("logger", o.loggerSet)
-		o.logger, o.loggerSet = l, true
-	}
-}
-
-// WithMultiplexer enables resource multiplexing with the given cache
-// tuning (equivalent to PlatformConfig.Multiplex=true plus
-// PlatformConfig.Multiplexer=mcfg; a non-zero config-struct Multiplexer
-// conflicts).
-func WithMultiplexer(mcfg MultiplexerConfig) PlatformOption {
-	return func(o *platformOptions) {
-		o.noteDup("multiplexer", o.mcfgSet)
-		o.mcfg, o.mcfgSet = mcfg, true
-	}
-}
-
-// multiplexerConfigured reports whether any multiplexer knob is set.
-func multiplexerConfigured(c MultiplexerConfig) bool {
-	return c.Shards != 0 || c.MaxEntries != 0 || c.TTL != 0 ||
-		c.RefreshWindow != 0 || c.NegativeBackoff != 0 ||
-		c.NegativeBackoffMax != 0 || c.Now != nil || c.OnEvict != nil
-}
-
-// NewPlatform starts a live platform. Close it when done. Functional
-// options layer observability and multiplexer tuning over the config
-// struct; a knob set both ways (or an option passed twice) fails with
-// ErrConflictingOptions.
-func NewPlatform(cfg PlatformConfig, opts ...PlatformOption) (*Platform, error) {
-	var o platformOptions
-	for _, opt := range opts {
-		opt(&o)
-	}
-	conflicts := o.duplicates
-	if o.tracerSet && cfg.Tracer != nil {
-		conflicts = append(conflicts, "tracer")
-	}
-	if o.loggerSet && cfg.Logger != nil {
-		conflicts = append(conflicts, "logger")
-	}
-	if o.mcfgSet && multiplexerConfigured(cfg.Multiplexer) {
-		conflicts = append(conflicts, "multiplexer")
-	}
-	if len(conflicts) > 0 {
-		return nil, fmt.Errorf("%w: %s set more than once", ErrConflictingOptions,
-			strings.Join(conflicts, ", "))
-	}
-	if o.tracerSet {
-		cfg.Tracer = o.tracer
-	}
-	if o.loggerSet {
-		cfg.Logger = o.logger
-	}
-	if o.mcfgSet {
-		cfg.Multiplex = true
-		cfg.Multiplexer = o.mcfg
-	}
-	return platform.New(cfg)
-}
+// NewPlatform starts a live platform configured by cfg's fields (Tracer,
+// Logger and Multiplexer among them). Close it when done.
+func NewPlatform(cfg PlatformConfig) (*Platform, error) { return platform.New(cfg) }
 
 // DefaultPlatformConfig returns live-runtime defaults (FaaSBatch mode,
 // 200 ms window, multiplexing on).

@@ -27,7 +27,6 @@ import (
 
 	"faasbatch/internal/dispatch"
 	"faasbatch/internal/fnruntime"
-	"faasbatch/internal/multiplex"
 	"faasbatch/internal/node"
 	"faasbatch/internal/policy"
 	"faasbatch/internal/sim"
@@ -45,10 +44,6 @@ type Config struct {
 	// Disabling it isolates the Invoke Mapper + Inline-Parallel Producer
 	// contribution (the ablation in bench_test.go).
 	Multiplex bool
-	// Multiplexer tunes each container's Resource Multiplexer (shards,
-	// capacity bound, TTL, refresh window, negative backoff); the zero
-	// value takes the cache defaults. Ignored unless Multiplex is true.
-	Multiplexer multiplex.Config
 	// HTTPLatency is the cost of the batch-activating HTTP request from
 	// the producer to the container (§III-C step 3).
 	HTTPLatency time.Duration
@@ -267,7 +262,7 @@ func New(env policy.Env, cfg Config) (*FaaSBatch, error) {
 		fns:        make(map[string]*fnState),
 		lastActive: make(map[string]sim.Time),
 		ctrl:       ctrl,
-		acquire:    node.AcquireOptions{CPULimit: cfg.CPULimit, Multiplex: cfg.Multiplex, Multiplexer: cfg.Multiplexer},
+		acquire:    node.AcquireOptions{CPULimit: cfg.CPULimit, Multiplex: cfg.Multiplex},
 	}
 	if cfg.Prewarm {
 		// Windows close on their own events; pre-warming needs a cadence
@@ -313,7 +308,8 @@ func (f *FaaSBatch) Submit(inv *fnruntime.Invocation, complete func(*fnruntime.I
 	// function waits, executes or boots: a window would hold it for
 	// nothing unless the arrival process says company is coming. The
 	// probe prunes the owned list, so it runs only when the policy reads
-	// the answer.
+	// the answer: not under the fixed policy, and not with groups of one,
+	// which close before idle matters.
 	idle := f.ctrl.UsesIdle() && len(st.pending) == 0 && st.busyContainer() == nil && st.pendingCreates == 0
 	st.pending = append(st.pending, pendingItem{inv: inv, complete: complete})
 	f.applyDecision(st, f.ctrl.Arrive(fn, f.env.Eng.Now().Duration(), idle))

@@ -265,10 +265,11 @@ func (c *Controller) sparse(st *fnState) bool {
 	return st.gap.Value() > c.cfg.MaxInterval.Seconds()
 }
 
-// UsesIdle reports whether Arrive reads its idle argument. The fixed
-// policy has no fast path and does not, so its callers can skip working
-// the signal out.
-func (c *Controller) UsesIdle() bool { return !c.cfg.fixed }
+// UsesIdle reports whether Arrive reads its idle argument, so callers can
+// skip working the signal out when it does not: the fixed policy has no
+// fast path, and a MaxGroupSize of one early-closes every arrival before
+// the fast path is considered.
+func (c *Controller) UsesIdle() bool { return !c.cfg.fixed && c.cfg.MaxGroupSize != 1 }
 
 // Arrive reports one arrival for fn at monotonic offset now. idle is the
 // caller's batching-opportunity signal: true when no container of fn is

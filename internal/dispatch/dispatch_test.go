@@ -146,6 +146,42 @@ func TestEarlyCloseAtMaxGroupSize(t *testing.T) {
 	}
 }
 
+// TestUsesIdleOnlyWhenArriveReadsIt: a driver skips the idle probe when
+// UsesIdle is false, so it must be false exactly where Arrive's decision
+// cannot depend on idle — the fixed policy, and groups of one, which
+// early-close before the fast path is considered.
+func TestUsesIdleOnlyWhenArriveReadsIt(t *testing.T) {
+	adaptive := func(group int) Config {
+		return ConfigFor(true, 50*time.Millisecond, Config{MaxGroupSize: group})
+	}
+	cases := []struct {
+		name string
+		cfg  Config
+		want bool
+	}{
+		{"fixed", ConfigFor(false, 50*time.Millisecond, Config{}), false},
+		{"adaptive unbounded", adaptive(0), true},
+		{"adaptive groups of 4", adaptive(4), true},
+		{"adaptive groups of 1", adaptive(1), false},
+	}
+	for _, tc := range cases {
+		idle, busy := newController(t, tc.cfg), newController(t, tc.cfg)
+		if got := idle.UsesIdle(); got != tc.want {
+			t.Errorf("%s: UsesIdle = %v, want %v", tc.name, got, tc.want)
+		}
+		if tc.want {
+			continue
+		}
+		// Where idle is unread, it must not move a single decision.
+		for i := 0; i < 5; i++ {
+			now := time.Duration(i) * time.Second
+			if a, b := idle.Arrive("f", now, true), busy.Arrive("f", now, false); a != b {
+				t.Errorf("%s: arrival %d decides %+v when idle, %+v when busy", tc.name, i, a, b)
+			}
+		}
+	}
+}
+
 func TestWindowDeadlineAnchoredAtFirstArrival(t *testing.T) {
 	c := newController(t, Config{MinInterval: 50 * time.Millisecond, MaxInterval: 50 * time.Millisecond})
 	d1 := c.Arrive("f", 0, false)

@@ -122,13 +122,6 @@ type Stats struct {
 	CacheHits int64
 	// CacheCoalesced counts creations that waited on an in-flight build.
 	CacheCoalesced int64
-	// CacheStaleHits counts creations served a stale instance while this
-	// invocation's thread refreshed the entry in the background.
-	CacheStaleHits int64
-	// CacheNegativeDenials counts creations the negative cache refused
-	// during failure backoff; the invocation falls back to a private
-	// transient client.
-	CacheNegativeDenials int64
 }
 
 // Add folds another runner's counters into s (a fleet's total).
@@ -139,8 +132,6 @@ func (s *Stats) Add(o Stats) {
 	s.ClientBytesAllocated += o.ClientBytesAllocated
 	s.CacheHits += o.CacheHits
 	s.CacheCoalesced += o.CacheCoalesced
-	s.CacheStaleHits += o.CacheStaleHits
-	s.CacheNegativeDenials += o.CacheNegativeDenials
 }
 
 // Runner executes invocations inside containers.
@@ -273,29 +264,10 @@ func (r *Runner) acquireClient(inv *Invocation) {
 	case multiplex.BeginPending:
 		r.stats.CacheCoalesced++
 		cache.Wait(key, func(any) { r.runBody(inv, 0) })
-	case multiplex.BeginStale:
-		// Stale-while-revalidate: the invocation proceeds on the old
-		// instance immediately while the refresh build runs alongside it,
-		// paying the usual construction cost on the container's GIL group
-		// and replacing the entry (whose old instance's memory is
-		// released through the cache's eviction hook) when it lands.
-		r.stats.CacheStaleHits++
-		r.buildClient(c, spec, func(bytes int64) {
-			cache.Complete(key, struct{}{}, bytes)
-		})
-		r.runBody(inv, 0)
-	case multiplex.BeginNegative:
-		// The negative cache is absorbing this key's recent build
-		// failures: fall back to a private transient client rather than
-		// hammering the shared entry, mirroring the live platform's
-		// degraded path. The instance is garbage at body end.
-		r.stats.CacheNegativeDenials++
-		r.buildClient(c, spec, func(bytes int64) { r.runBody(inv, bytes) })
 	default: // BeginMiss: we are the builder
 		r.buildClient(c, spec, func(bytes int64) {
-			// The built instance lives until the cache evicts, refreshes
-			// or closes it; publish it so waiters and future creations
-			// share it.
+			// The built instance lives until the cache evicts or closes
+			// it; publish it so waiters and future creations share it.
 			cache.Complete(key, struct{}{}, bytes)
 			r.runBody(inv, 0)
 		})

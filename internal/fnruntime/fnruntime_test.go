@@ -253,9 +253,6 @@ func TestThreadAccountingAcrossBatch(t *testing.T) {
 	if c.Active() != 1 || c.State() != node.Busy {
 		t.Fatalf("after batch: active=%d state=%v, want reservation only", c.Active(), c.State())
 	}
-	if c.Served() != n {
-		t.Fatalf("Served = %d, want %d", c.Served(), n)
-	}
 	c.ReturnThread() // release reservation -> container parks idle
 	if c.State() != node.Idle {
 		t.Fatalf("state = %v, want idle", c.State())

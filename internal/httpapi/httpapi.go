@@ -135,14 +135,7 @@ type StatsResponse struct {
 	CacheMisses uint64 `json:"cacheMisses"`
 	// CacheBytesSaved is duplicate memory avoided by the multiplexer.
 	CacheBytesSaved int64 `json:"cacheBytesSaved"`
-	// CacheStaleHits counts creations served a stale instance while a
-	// background refresh ran.
-	CacheStaleHits uint64 `json:"cacheStaleHits"`
-	// CacheNegativeHits counts creations denied by the negative cache
-	// during failure backoff.
-	CacheNegativeHits uint64 `json:"cacheNegativeHits"`
-	// CacheEvictions counts cached instances dropped by the LRU bound or
-	// their TTL.
+	// CacheEvictions counts cached instances dropped by the LRU bound.
 	CacheEvictions uint64 `json:"cacheEvictions"`
 	// CacheShards counts lock-striped shards across live container caches.
 	CacheShards int `json:"cacheShards"`

@@ -209,23 +209,3 @@ func (c CDF) Mean() time.Duration {
 	}
 	return time.Duration(sum / float64(len(c.sorted)))
 }
-
-// Point is one (value, cumulative fraction) pair of a rendered CDF curve.
-type Point struct {
-	Value    time.Duration
-	Fraction float64
-}
-
-// Points samples the CDF at n evenly spaced cumulative fractions,
-// producing a plottable curve like the paper's figures.
-func (c CDF) Points(n int) []Point {
-	if n <= 0 || len(c.sorted) == 0 {
-		return nil
-	}
-	pts := make([]Point, 0, n)
-	for i := 1; i <= n; i++ {
-		q := float64(i) / float64(n)
-		pts = append(pts, Point{Value: c.P(q), Fraction: q})
-	}
-	return pts
-}

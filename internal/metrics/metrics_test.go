@@ -140,9 +140,6 @@ func TestCDFEmpty(t *testing.T) {
 	if c.P(0.5) != 0 || c.At(time.Second) != 0 || c.Min() != 0 || c.Max() != 0 || c.Mean() != 0 {
 		t.Fatal("empty CDF should report zeros")
 	}
-	if pts := c.Points(10); pts != nil {
-		t.Fatalf("empty CDF Points = %v, want nil", pts)
-	}
 }
 
 func TestCDFDoesNotMutateInput(t *testing.T) {
@@ -158,17 +155,19 @@ func TestCDFPointsMonotone(t *testing.T) {
 	for i := range vals {
 		vals[i] *= time.Millisecond
 	}
-	pts := NewCDF(vals).Points(10)
-	if len(pts) != 10 {
-		t.Fatalf("got %d points, want 10", len(pts))
-	}
-	for i := 1; i < len(pts); i++ {
-		if pts[i].Value < pts[i-1].Value || pts[i].Fraction <= pts[i-1].Fraction {
-			t.Fatalf("points not monotone at %d: %+v", i, pts)
+	// The plotted curve: the CDF sampled at ten evenly spaced fractions
+	// rises with the fraction and ends at the maximum.
+	c := NewCDF(vals)
+	prev := time.Duration(-1)
+	for i := 1; i <= 10; i++ {
+		v := c.P(float64(i) / 10)
+		if v < prev {
+			t.Fatalf("curve not monotone at fraction %d/10: %v after %v", i, v, prev)
 		}
+		prev = v
 	}
-	if pts[9].Fraction != 1 {
-		t.Fatalf("last fraction = %v, want 1", pts[9].Fraction)
+	if prev != c.Max() {
+		t.Fatalf("curve ends at %v, want the maximum %v", prev, c.Max())
 	}
 }
 
@@ -242,16 +241,8 @@ func TestSampler(t *testing.T) {
 	if got := s.PeakMemBytes(); got != 1000 {
 		t.Errorf("PeakMemBytes = %d, want 1000", got)
 	}
-	if got := s.PeakContainers(); got != 10 {
-		t.Errorf("PeakContainers = %d, want 10", got)
-	}
 	if got := s.AvgMemBytes(); got != 500 {
 		t.Errorf("AvgMemBytes = %v, want 500", got)
-	}
-	// busy went 0 -> 2 core-seconds over a 3s span on a 2-core node:
-	// utilisation = 2 / (3*2) = 1/3.
-	if got := s.AvgCPUUtil(2); got < 0.33 || got > 0.34 {
-		t.Errorf("AvgCPUUtil = %v, want ~0.333", got)
 	}
 }
 
@@ -272,11 +263,15 @@ func TestSamplerEdgeAggregates(t *testing.T) {
 		t.Fatalf("StartSampler: %v", err)
 	}
 	s.Stop()
-	if got := s.AvgCPUUtil(4); got != 0 {
-		t.Errorf("single-sample AvgCPUUtil = %v, want 0", got)
+	if got := s.AvgMemBytes(); got != 0 {
+		t.Errorf("single zero sample AvgMemBytes = %v, want 0", got)
 	}
-	if got := s.AvgCPUUtil(0); got != 0 {
-		t.Errorf("zero-core AvgCPUUtil = %v, want 0", got)
+	if got := s.PeakMemBytes(); got != 0 {
+		t.Errorf("single zero sample PeakMemBytes = %v, want 0", got)
+	}
+	var empty Sampler
+	if empty.AvgMemBytes() != 0 || empty.PeakMemBytes() != 0 {
+		t.Error("a sampler without samples must report zeros")
 	}
 }
 
@@ -293,9 +288,6 @@ func TestTableRender(t *testing.T) {
 	tbl := NewTable("Fig X", "policy", "latency", "ratio")
 	tbl.AddRow("vanilla", 120*time.Millisecond, 1.0)
 	tbl.AddRow("faasbatch", 10*time.Millisecond, 0.083)
-	if tbl.NumRows() != 2 {
-		t.Fatalf("NumRows = %d, want 2", tbl.NumRows())
-	}
 	var b strings.Builder
 	if err := tbl.Render(&b); err != nil {
 		t.Fatalf("Render: %v", err)

@@ -78,31 +78,6 @@ func (s *Sampler) PeakMemBytes() int64 {
 	return peak
 }
 
-// PeakContainers reports the maximum sampled live-container count.
-func (s *Sampler) PeakContainers() int {
-	peak := 0
-	for _, sm := range s.samples {
-		if sm.Containers > peak {
-			peak = sm.Containers
-		}
-	}
-	return peak
-}
-
-// AvgCPUUtil reports mean CPU utilisation (0..1) across the sampled span
-// for a node with the given core count.
-func (s *Sampler) AvgCPUUtil(cores float64) float64 {
-	if len(s.samples) < 2 || cores <= 0 {
-		return 0
-	}
-	first, last := s.samples[0], s.samples[len(s.samples)-1]
-	span := last.T.Sub(first.T).Seconds()
-	if span <= 0 {
-		return 0
-	}
-	return (last.BusyCoreSeconds - first.BusyCoreSeconds) / (span * cores)
-}
-
 // MiB expresses a byte count in mebibytes.
 func MiB(bytes int64) float64 { return float64(bytes) / (1 << 20) }
 

@@ -54,7 +54,8 @@ func BenchmarkMultiplexGlobalHit4(b *testing.B)  { benchmarkHitPath(b, 1, 4) }
 func BenchmarkMultiplexGlobalHit16(b *testing.B) { benchmarkHitPath(b, 1, 16) }
 
 // benchmarkGetOrBuild exercises the blocking handler-facing face end to
-// end (outcome classification included) on a hot working set.
+// end (outcome classification and the loan's release included) on a hot
+// working set.
 func benchmarkGetOrBuild(b *testing.B, shards, goroutines int) {
 	prev := runtime.GOMAXPROCS(goroutines)
 	defer runtime.GOMAXPROCS(prev)
@@ -68,7 +69,7 @@ func benchmarkGetOrBuild(b *testing.B, shards, goroutines int) {
 	build := func() (any, int64, error) { return "inst", 64, nil }
 	for i := range keys {
 		keys[i] = NewKey("client", fmt.Sprintf("args-%d", i))
-		if _, _, err := c.GetOrBuildContext(context.Background(), keys[i], build); err != nil {
+		if _, _, err := acquire(c, context.Background(), keys[i], build); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -81,7 +82,7 @@ func benchmarkGetOrBuild(b *testing.B, shards, goroutines int) {
 		for pb.Next() {
 			k := keys[i%nkeys]
 			i++
-			if _, out, err := c.GetOrBuildContext(context.Background(), k, build); err != nil || !out.Cached() {
+			if _, out, err := acquire(c, context.Background(), k, build); err != nil || !out.Cached() {
 				b.Fatalf("outcome=%v err=%v", out, err)
 			}
 		}

@@ -8,8 +8,10 @@ import (
 )
 
 // The blocking face: concurrent handlers share one expensive client per
-// container, exactly like the paper's Listing 1 clients.
-func ExampleCache_GetOrBuildContext() {
+// container, exactly like the paper's Listing 1 clients. Each caller
+// borrows the client and releases it when done, so an eviction never
+// closes it mid-use.
+func ExampleCache_Acquire() {
 	cache := multiplex.NewWithConfig(multiplex.Config{})
 	key := multiplex.NewKey("boto3.client", "s3:ACCESS_KEY")
 
@@ -18,20 +20,21 @@ func ExampleCache_GetOrBuildContext() {
 		return "S3_client", 15 << 20, nil
 	}
 	for i := 0; i < 3; i++ {
-		client, out, err := cache.GetOrBuildContext(context.Background(), key, build)
+		client, out, loan, err := cache.Acquire(context.Background(), key, build)
 		if err != nil {
 			fmt.Println("error:", err)
 			return
 		}
-		fmt.Println(client, out.Cached())
+		fmt.Println(client, out)
+		loan.Release()
 	}
 	st := cache.Stats()
 	fmt.Printf("misses=%d hits=%d savedMB=%d\n", st.Misses, st.Hits, st.BytesSaved>>20)
 	// Output:
 	// building S3 client
-	// S3_client false
-	// S3_client true
-	// S3_client true
+	// S3_client miss
+	// S3_client hit
+	// S3_client hit
 	// misses=1 hits=2 savedMB=30
 }
 

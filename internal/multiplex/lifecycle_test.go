@@ -3,7 +3,6 @@ package multiplex
 import (
 	"context"
 	"errors"
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -19,197 +18,6 @@ type closeRecorder struct {
 	closed atomic.Int64
 }
 
-// TestExpiredEntryWithRefreshInFlightIsNotDropped locks the fix for the
-// refresh/expiry race: hard TTL expiry must not drop an entry whose
-// background refresh is in flight. Dropping it would start a second build
-// for the same key, and the refresher's Complete would settle the wrong
-// entry — publishing into (and then evicting from) a build it does not
-// own.
-func TestExpiredEntryWithRefreshInFlightIsNotDropped(t *testing.T) {
-	clock := newTestClock(0)
-	var evictedInsts []any
-	c := NewWithConfig(Config{
-		Shards:        1,
-		TTL:           100 * time.Millisecond,
-		RefreshWindow: 30 * time.Millisecond,
-		Now:           clock.now,
-		OnEvict:       func(_ Key, inst any, _ int64) { evictedInsts = append(evictedInsts, inst) },
-	})
-	key := NewKey("client", "args")
-	c.Begin(key)
-	c.Complete(key, "v1", 5)
-
-	clock.advance(80 * time.Millisecond)
-	if res, inst := c.Begin(key); res != BeginStale || inst != "v1" {
-		t.Fatalf("Begin in window = %v, %v; want stale refresher election", res, inst)
-	}
-	// Past hard expiry while the refresh is still in flight: the entry
-	// must keep serving stale, not miss (a miss would fork a second
-	// in-flight build for the key).
-	clock.advance(40 * time.Millisecond)
-	if res, inst := c.Begin(key); res != BeginHit || inst != "v1" {
-		t.Fatalf("Begin past TTL mid-refresh = %v, %v; want hit on stale v1", res, inst)
-	}
-	// The refresher settles its own entry.
-	c.Complete(key, "v2", 6)
-	if res, inst := c.Begin(key); res != BeginHit || inst != "v2" {
-		t.Fatalf("post-refresh Begin = %v, %v; want hit on v2", res, inst)
-	}
-	if len(evictedInsts) != 1 || evictedInsts[0] != "v1" {
-		t.Fatalf("evicted = %v, want exactly [v1] (v2 must never be released)", evictedInsts)
-	}
-}
-
-// TestBlockingRefreshSurvivesHardExpiry is the blocking-face regression
-// for the same race: a caller arriving after hard expiry, while the
-// refresh goroutine is still building, is served the stale instance and
-// the refresher's replacement lands without the new instance ever being
-// closed.
-func TestBlockingRefreshSurvivesHardExpiry(t *testing.T) {
-	clock := newTestClock(0)
-	inst1 := &closeRecorder{name: "one"}
-	inst2 := &closeRecorder{name: "two"}
-	c := NewWithConfig(Config{
-		Shards:        1,
-		TTL:           100 * time.Millisecond,
-		RefreshWindow: 30 * time.Millisecond,
-		Now:           clock.now,
-		OnEvict:       func(_ Key, inst any, _ int64) { inst.(*closeRecorder).closed.Add(1) },
-	})
-	key := NewKey("client", "args")
-	if _, out, err := c.GetOrBuildContext(context.Background(), key, func() (any, int64, error) {
-		return inst1, 5, nil
-	}); err != nil || out != OutcomeMiss {
-		t.Fatalf("seed build = %v, %v", out, err)
-	}
-
-	clock.advance(80 * time.Millisecond)
-	gate := make(chan struct{})
-	v, out, err := c.GetOrBuildContext(context.Background(), key, func() (any, int64, error) {
-		<-gate
-		return inst2, 6, nil
-	})
-	if err != nil || out != OutcomeStale || v != inst1 {
-		t.Fatalf("stale get = %v, %v, %v", v, out, err)
-	}
-	// Hard expiry passes while the refresh is gated.
-	clock.advance(40 * time.Millisecond)
-	v, out, err = c.GetOrBuildContext(context.Background(), key, nil)
-	if err != nil || out != OutcomeHit || v != inst1 {
-		t.Fatalf("get past TTL mid-refresh = %v, %v, %v; want stale inst1 hit", v, out, err)
-	}
-	close(gate)
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		v, _, err = c.GetOrBuildContext(context.Background(), key, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if v == inst2 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("refresh never landed; still serving %v", v)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if n := inst1.closed.Load(); n != 1 {
-		t.Fatalf("inst1 closed %d times, want 1 (replaced by the refresh)", n)
-	}
-	if n := inst2.closed.Load(); n != 0 {
-		t.Fatalf("inst2 closed %d times while live in the cache", n)
-	}
-}
-
-// TestInvalidateDuringRefreshCondemns: invalidating an entry mid-refresh
-// must not drop it (the refresher's settle would cross-talk with a new
-// build). It is condemned instead: a completing refresh replaces the
-// instance, a failing refresh drops the entry.
-func TestInvalidateDuringRefreshCondemns(t *testing.T) {
-	clock := newTestClock(0)
-	var evictedInsts []any
-	newCache := func() *Cache {
-		evictedInsts = nil
-		clock.set(0)
-		c := NewWithConfig(Config{
-			Shards:        1,
-			TTL:           100 * time.Millisecond,
-			RefreshWindow: 30 * time.Millisecond,
-			Now:           clock.now,
-			OnEvict:       func(_ Key, inst any, _ int64) { evictedInsts = append(evictedInsts, inst) },
-		})
-		key := NewKey("client", "args")
-		c.Begin(key)
-		c.Complete(key, "v1", 5)
-		clock.advance(80 * time.Millisecond)
-		if res, _ := c.Begin(key); res != BeginStale {
-			t.Fatal("refresher not elected")
-		}
-		return c
-	}
-	key := NewKey("client", "args")
-
-	// Completing refresh: the condemned instance is replaced.
-	c := newCache()
-	if !c.Invalidate(key) {
-		t.Fatal("invalidate mid-refresh should report true (condemned)")
-	}
-	if res, inst := c.Begin(key); res != BeginHit || inst != "v1" {
-		t.Fatalf("condemned entry = %v, %v; must keep serving until the refresh settles", res, inst)
-	}
-	c.Complete(key, "v2", 6)
-	if res, inst := c.Begin(key); res != BeginHit || inst != "v2" {
-		t.Fatalf("post-refresh = %v, %v; want v2", res, inst)
-	}
-	if len(evictedInsts) != 1 || evictedInsts[0] != "v1" {
-		t.Fatalf("evicted = %v, want [v1]", evictedInsts)
-	}
-
-	// Failing refresh: the condemned entry is dropped, not pinned stale.
-	c = newCache()
-	c.Invalidate(key)
-	c.Fail(key)
-	if len(evictedInsts) != 1 || evictedInsts[0] != "v1" {
-		t.Fatalf("evicted after failed refresh = %v, want [v1]", evictedInsts)
-	}
-	if res, _ := c.Begin(key); res != BeginMiss {
-		t.Fatal("condemned entry must rebuild after a failed refresh")
-	}
-}
-
-// TestRefreshPanicIsRecoveredAndFailsEntry: a panicking constructor in
-// the background refresh goroutine must not crash the process or pin the
-// entry refreshing forever — it settles as a failed refresh and the
-// stale instance keeps serving until hard expiry.
-func TestRefreshPanicIsRecoveredAndFailsEntry(t *testing.T) {
-	clock := newTestClock(0)
-	c := NewWithConfig(Config{Shards: 1, TTL: 100 * time.Millisecond, RefreshWindow: 30 * time.Millisecond, Now: clock.now})
-	key := NewKey("client", "args")
-	if _, _, err := c.GetOrBuildContext(context.Background(), key, func() (any, int64, error) {
-		return "v1", 5, nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	clock.advance(80 * time.Millisecond)
-	v, out, err := c.GetOrBuildContext(context.Background(), key, func() (any, int64, error) {
-		panic("constructor exploded")
-	})
-	if err != nil || out != OutcomeStale || v != "v1" {
-		t.Fatalf("stale get = %v, %v, %v", v, out, err)
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for c.Stats().BuildFailures == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("panicking refresh never settled as a failure")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	// The entry survived and is refreshable again (refreshing cleared).
-	if res, inst := c.Begin(key); res != BeginStale || inst != "v1" {
-		t.Fatalf("post-panic Begin = %v, %v; want a new stale refresh attempt on v1", res, inst)
-	}
-}
-
 // TestBuildPanicFailsPendingEntry: a panicking constructor on the miss
 // path re-raises to its caller, but first settles the pending entry so
 // the key is not poisoned — coalesced waiters wake and the next caller
@@ -223,13 +31,13 @@ func TestBuildPanicFailsPendingEntry(t *testing.T) {
 				t.Error("panic did not propagate to the building caller")
 			}
 		}()
-		_, _, _ = c.GetOrBuildContext(context.Background(), key, func() (any, int64, error) {
+		_, _, _ = acquire(c, context.Background(), key, func() (any, int64, error) {
 			panic("constructor exploded")
 		})
 	}()
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
-	v, out, err := c.GetOrBuildContext(ctx, key, func() (any, int64, error) {
+	v, out, err := acquire(c, ctx, key, func() (any, int64, error) {
 		return "rebuilt", 1, nil
 	})
 	if err != nil || out != OutcomeMiss || v != "rebuilt" {
@@ -237,6 +45,71 @@ func TestBuildPanicFailsPendingEntry(t *testing.T) {
 	}
 	if st := c.Stats(); st.BuildFailures != 1 {
 		t.Fatalf("BuildFailures = %d, want 1 for the panicked build", st.BuildFailures)
+	}
+}
+
+// TestFailedBuildWakesCoalescedAcquirers: callers coalesced on a build
+// that fails wake up, and the first of them to retry builds again — a
+// failed build is not remembered.
+func TestFailedBuildWakesCoalescedAcquirers(t *testing.T) {
+	c := NewWithConfig(Config{Shards: 1})
+	key := NewKey("client", "args")
+	started, gate := make(chan struct{}), make(chan struct{})
+	cause := errors.New("endpoint down")
+	builderDone := make(chan error, 1)
+	go func() {
+		_, _, err := acquire(c, context.Background(), key, func() (any, int64, error) {
+			close(started)
+			<-gate
+			return nil, 0, cause
+		})
+		builderDone <- err
+	}()
+	<-started
+	const waiters = 3
+	var rebuilds atomic.Int64
+	type result struct {
+		v   any
+		out Outcome
+		err error
+	}
+	results := make(chan result, waiters)
+	for i := 0; i < waiters; i++ {
+		go func() {
+			v, out, err := acquire(c, context.Background(), key, func() (any, int64, error) {
+				rebuilds.Add(1)
+				return "rebuilt", 1, nil
+			})
+			results <- result{v, out, err}
+		}()
+	}
+	// The builder claimed the key and every waiter coalesced on it.
+	deadline := time.Now().Add(2 * time.Second)
+	for st := c.Stats(); st.Misses != 1 || st.Coalesced != waiters; st = c.Stats() {
+		if time.Now().After(deadline) {
+			t.Fatalf("waiters never coalesced: %+v", st)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(gate)
+	if err := <-builderDone; !errors.Is(err, ErrBuildFailed) || !errors.Is(err, cause) {
+		t.Fatalf("builder err = %v, want ErrBuildFailed and its cause", err)
+	}
+	misses := 0
+	for i := 0; i < waiters; i++ {
+		r := <-results
+		if r.err != nil || r.v != "rebuilt" {
+			t.Fatalf("woken waiter = %v, %v, %v; want the rebuilt instance", r.v, r.out, r.err)
+		}
+		if r.out == OutcomeMiss {
+			misses++
+		}
+	}
+	if misses != 1 || rebuilds.Load() != 1 {
+		t.Fatalf("%d waiters rebuilt (%d constructor runs), want exactly one", misses, rebuilds.Load())
+	}
+	if st := c.Stats(); st.BuildFailures != 1 || st.Misses != 2 {
+		t.Fatalf("stats = %+v, want one failed build and one rebuild", st)
 	}
 }
 
@@ -258,7 +131,7 @@ func TestAcquireDefersEvictionUntilRelease(t *testing.T) {
 		t.Fatalf("acquire = %v, %v, %v", v, out, err)
 	}
 	// Overflow the 1-entry cache: A is evicted while still borrowed.
-	if _, _, err := c.GetOrBuildContext(context.Background(), keyB, func() (any, int64, error) {
+	if _, _, err := acquire(c, context.Background(), keyB, func() (any, int64, error) {
 		return "other", 1, nil
 	}); err != nil {
 		t.Fatal(err)
@@ -418,56 +291,6 @@ func TestMaxEntriesSplitsExactly(t *testing.T) {
 	}
 	if n := NewWithConfig(Config{MaxEntries: 100}).Stats().Shards; n > 16 {
 		t.Errorf("auto shards with MaxEntries 100 = %d, want <= 16", n)
-	}
-}
-
-// TestPropertyInflightRefreshNeverEvicted extends the eviction property
-// to refreshes: across TTL churn, an elected refresher's Complete always
-// publishes to its own entry — the value observed after settling is the
-// refresher's, and the pre-refresh instance is released exactly once.
-func TestPropertyInflightRefreshNeverEvicted(t *testing.T) {
-	clock := newTestClock(0)
-	released := map[any]int{}
-	c := NewWithConfig(Config{
-		Shards:        1,
-		MaxEntries:    2,
-		TTL:           100 * time.Millisecond,
-		RefreshWindow: 30 * time.Millisecond,
-		Now:           clock.now,
-		OnEvict:       func(_ Key, inst any, _ int64) { released[inst]++ },
-	})
-	key := NewKey("client", "hot")
-	c.Begin(key)
-	c.Complete(key, "gen-0", 1)
-	for gen := 1; gen <= 20; gen++ {
-		clock.advance(80 * time.Millisecond) // into the refresh window
-		res, _ := c.Begin(key)
-		if res != BeginStale {
-			t.Fatalf("gen %d: Begin = %v, want stale election", gen, res)
-		}
-		// Cross-pressure while the refresh is in flight: expiry-time
-		// lookups, invalidations and capacity churn must not detach the
-		// refresher from its entry.
-		clock.advance(40 * time.Millisecond) // past hard TTL
-		if res, _ := c.Begin(key); res != BeginHit {
-			t.Fatalf("gen %d: expired mid-refresh lookup = %v, want stale hit", gen, res)
-		}
-		other := NewKey("client", fmt.Sprintf("churn-%d", gen))
-		c.Begin(other)
-		c.Complete(other, gen, 1)
-		v := fmt.Sprintf("gen-%d", gen)
-		c.Complete(key, v, 1)
-		if res, inst := c.Begin(key); res != BeginHit || inst != v {
-			t.Fatalf("gen %d: settled value = %v, %v; want %s", gen, res, inst, v)
-		}
-	}
-	for inst, n := range released {
-		if n != 1 {
-			t.Fatalf("instance %v released %d times", inst, n)
-		}
-	}
-	if n := released["gen-20"]; n != 0 {
-		t.Fatal("live generation must not have been released")
 	}
 }
 

@@ -4,35 +4,31 @@
 // a hash of the creation arguments, and serves repeated creations from the
 // cache instead of constructing duplicate instances.
 //
-// The v2 cache is production-grade concurrent state:
+// The cache is concurrent state sized for the live platform:
 //
 //   - Lock striping: entries spread over a power-of-two number of shards
 //     keyed by a finalised hash of the Key, so concurrent creations on
 //     different keys never contend on one mutex.
 //   - Bounded capacity: per-shard LRU lists bound the ready instances
-//     (Config.MaxEntries split across shards) and Config.TTL expires
-//     entries by age; every instance leaving the cache passes through the
-//     OnEvict closer hook so evicted clients can release sockets.
-//   - Failure awareness: a failed build can be remembered as a negative
-//     entry (Config.NegativeBackoff) that denies rebuild stampedes with
-//     exponential backoff, and Invalidate lets handler feedback drop an
-//     instance that started erroring.
-//   - Stale-while-revalidate: a hit inside Config.RefreshWindow of expiry
-//     serves the current instance immediately while exactly one caller
-//     refreshes it in the background.
+//     (Config.MaxEntries split across shards); every instance leaving the
+//     cache passes through the OnEvict closer hook so evicted clients can
+//     release sockets. Without a bound the container's keep-alive is what
+//     limits an entry's life, as in the paper.
+//   - Failure handling: a failed build wakes its coalesced waiters and is
+//     forgotten, so the next creation builds again; Invalidate lets handler
+//     feedback drop an instance that started erroring.
 //
 // The cache exposes two faces over one store:
 //
-//   - An event-driven face (Begin / Wait / Complete / Fail) used by the
+//   - An event-driven face (Begin / Wait / Complete) used by the
 //     discrete-event simulator, where "building" takes virtual time and
 //     concurrent requesters for the same key coalesce onto the first
 //     build.
-//   - A blocking face (Acquire, plus the non-borrowing GetOrBuild /
-//     GetOrBuildContext wrappers) used by the live platform, where the
-//     build runs real code and concurrent goroutines coalesce
-//     singleflight-style. Acquire additionally lends the instance to the
-//     caller: evictions of a lent instance defer the OnEvict hook until
-//     its release, so in-use clients are never closed mid-request.
+//   - A blocking face (Acquire) used by the live platform, where the build
+//     runs real code and concurrent goroutines coalesce singleflight-style.
+//     Acquire lends the instance to the caller: evictions of a lent
+//     instance defer the OnEvict hook until its release, so in-use clients
+//     are never closed mid-request.
 package multiplex
 
 import (
@@ -40,7 +36,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"time"
 
 	"faasbatch/internal/hashmix"
 )
@@ -74,13 +69,12 @@ func shardHash(k Key) uint64 {
 
 // Typed errors returned by the blocking face.
 var (
-	// ErrBuildFailed marks an error caused by a failed resource build —
-	// either this caller's own build or a remembered failure served from
-	// the negative cache. errors.Is(err, ErrBuildFailed) matches, and the
+	// ErrBuildFailed marks an error caused by this caller's failed
+	// resource build. errors.Is(err, ErrBuildFailed) matches, and the
 	// underlying constructor error remains reachable via errors.Is/As.
 	ErrBuildFailed = errors.New("multiplex: resource build failed")
-	// ErrCacheClosed reports a GetOrBuildContext call against a closed
-	// cache (its container was torn down).
+	// ErrCacheClosed reports an Acquire call against a closed cache (its
+	// container was torn down).
 	ErrCacheClosed = errors.New("multiplex: cache closed")
 )
 
@@ -102,7 +96,7 @@ func (e *buildError) Unwrap() []error { return []error{ErrBuildFailed, e.cause} 
 // Outcome classifies how one blocking-face creation was served.
 type Outcome int
 
-// Outcomes of GetOrBuildContext.
+// Outcomes of Acquire.
 const (
 	// OutcomeMiss means this caller built the instance.
 	OutcomeMiss Outcome = iota + 1
@@ -110,12 +104,6 @@ const (
 	OutcomeHit
 	// OutcomeCoalesced means the caller waited on another caller's build.
 	OutcomeCoalesced
-	// OutcomeStale means a near-expiry instance was served immediately
-	// while this call triggered a background refresh.
-	OutcomeStale
-	// OutcomeNegative means the creation was denied by the negative cache
-	// (a recent build failed and its backoff has not elapsed).
-	OutcomeNegative
 	// OutcomeError means the creation failed (build error, cache closed,
 	// or context cancellation).
 	OutcomeError
@@ -130,10 +118,6 @@ func (o Outcome) String() string {
 		return "hit"
 	case OutcomeCoalesced:
 		return "coalesced"
-	case OutcomeStale:
-		return "stale"
-	case OutcomeNegative:
-		return "negative"
 	case OutcomeError:
 		return "error"
 	default:
@@ -141,10 +125,10 @@ func (o Outcome) String() string {
 	}
 }
 
-// Cached reports whether the outcome avoided a synchronous build (the
-// deprecated Get face folds outcomes into this boolean).
+// Cached reports whether the outcome reused an instance another creation
+// built, rather than building one.
 func (o Outcome) Cached() bool {
-	return o == OutcomeHit || o == OutcomeCoalesced || o == OutcomeStale
+	return o == OutcomeHit || o == OutcomeCoalesced
 }
 
 // BeginResult reports the cache state encountered by Begin.
@@ -155,19 +139,11 @@ const (
 	// BeginHit means a ready instance was returned.
 	BeginHit BeginResult = iota + 1
 	// BeginMiss means the caller is now the builder and must call
-	// Complete or Fail.
+	// Complete.
 	BeginMiss
 	// BeginPending means another caller is building; register interest
 	// with Wait.
 	BeginPending
-	// BeginStale means a ready instance inside the refresh window was
-	// returned AND the caller became the refresher: it must rebuild and
-	// finish with Complete (replacing the instance) or Fail (keeping the
-	// stale one until hard expiry).
-	BeginStale
-	// BeginNegative means the key's last build failed recently and its
-	// backoff has not elapsed; the creation is denied without building.
-	BeginNegative
 )
 
 // String implements fmt.Stringer.
@@ -179,10 +155,6 @@ func (r BeginResult) String() string {
 		return "miss"
 	case BeginPending:
 		return "pending"
-	case BeginStale:
-		return "stale"
-	case BeginNegative:
-		return "negative"
 	default:
 		return fmt.Sprintf("begin(%d)", int(r))
 	}
@@ -196,13 +168,6 @@ type Stats struct {
 	Coalesced uint64
 	// Misses counts actual builds started.
 	Misses uint64
-	// StaleHits counts creations served a near-expiry instance while a
-	// refresh was triggered.
-	StaleHits uint64
-	// Refreshes counts stale-while-revalidate rebuilds started.
-	Refreshes uint64
-	// NegativeHits counts creations denied by the negative cache.
-	NegativeHits uint64
 	// BuildFailures counts builds that finished with an error.
 	BuildFailures uint64
 	// Invalidations counts entries dropped by handler feedback.
@@ -212,12 +177,10 @@ type Stats struct {
 	// BytesLive is the memory held by ready instances.
 	BytesLive int64
 	// BytesSaved is the duplicate memory avoided: the instance size for
-	// each hit, stale hit or coalesced creation.
+	// each hit or coalesced creation.
 	BytesSaved int64
 	// Evictions counts instances dropped by the LRU capacity bound.
 	Evictions uint64
-	// Expired counts instances dropped by the TTL.
-	Expired uint64
 	// Shards is the number of lock-striped shards.
 	Shards int
 	// MaxShardOccupancy is the largest ready-instance count held by any
@@ -232,16 +195,12 @@ func (s *Stats) Add(o Stats) {
 	s.Hits += o.Hits
 	s.Coalesced += o.Coalesced
 	s.Misses += o.Misses
-	s.StaleHits += o.StaleHits
-	s.Refreshes += o.Refreshes
-	s.NegativeHits += o.NegativeHits
 	s.BuildFailures += o.BuildFailures
 	s.Invalidations += o.Invalidations
 	s.LiveInstances += o.LiveInstances
 	s.BytesLive += o.BytesLive
 	s.BytesSaved += o.BytesSaved
 	s.Evictions += o.Evictions
-	s.Expired += o.Expired
 	s.Shards += o.Shards
 	if o.MaxShardOccupancy > s.MaxShardOccupancy {
 		s.MaxShardOccupancy = o.MaxShardOccupancy
@@ -249,7 +208,7 @@ func (s *Stats) Add(o Stats) {
 }
 
 // Config parameterises a Cache. The zero value is the paper's seed cache:
-// unbounded, immortal entries, no failure memory, auto-sized shards.
+// unbounded, auto-sized shards.
 type Config struct {
 	// Shards is the number of lock stripes, rounded up to a power of two.
 	// Zero picks an automatic size from GOMAXPROCS. When MaxEntries > 0
@@ -266,32 +225,10 @@ type Config struct {
 	// means unbounded (the paper's container-scoped cache, whose lifetime
 	// bounds it naturally).
 	MaxEntries int
-	// TTL expires a ready instance this long after it was (re)built.
-	// Expiry is lazy: an expired entry is dropped (through OnEvict) when
-	// next touched. Zero means immortal entries.
-	TTL time.Duration
-	// RefreshWindow enables stale-while-revalidate: a lookup landing
-	// within this window before expiry is served the current instance
-	// immediately while one caller rebuilds in the background. Zero
-	// disables background refresh. Requires TTL > 0.
-	RefreshWindow time.Duration
-	// NegativeBackoff enables negative caching: after a build fails, the
-	// key denies creations (BeginNegative / OutcomeNegative) for this long,
-	// doubling on every further consecutive failure up to
-	// NegativeBackoffMax. Zero disables failure memory — a failed build is
-	// forgotten immediately, as in the seed cache.
-	NegativeBackoff time.Duration
-	// NegativeBackoffMax caps the exponential backoff. Zero defaults to
-	// 32× NegativeBackoff.
-	NegativeBackoffMax time.Duration
-	// Now is the cache's monotonic clock, used for TTL and backoff
-	// arithmetic. Nil defaults to wall time; the simulator injects virtual
-	// time so eviction and refresh land deterministically.
-	Now func() time.Duration
 	// OnEvict is the entry-lifecycle closer hook: it runs (outside the
 	// shard lock) for every instance that leaves the cache — LRU eviction,
-	// TTL expiry, refresh replacement, Invalidate and Close — so evicted
-	// clients can release sockets or return memory to a ledger.
+	// Invalidate and Close — so evicted clients can release sockets or
+	// return memory to a ledger.
 	OnEvict func(Key, any, int64)
 }
 
@@ -344,13 +281,6 @@ func NewWithConfig(cfg Config) *Cache {
 			n >>= 1
 		}
 	}
-	if cfg.NegativeBackoff > 0 && cfg.NegativeBackoffMax <= 0 {
-		cfg.NegativeBackoffMax = 32 * cfg.NegativeBackoff
-	}
-	if cfg.Now == nil {
-		base := time.Now()
-		cfg.Now = func() time.Duration { return time.Since(base) }
-	}
 	c := &Cache{cfg: cfg, mask: uint64(n - 1)}
 	// The capacity splits across shards with the remainder distributed one
 	// slot at a time, so the shard caps sum to exactly MaxEntries.
@@ -375,11 +305,8 @@ func (c *Cache) shardFor(key Key) *shard {
 }
 
 // Begin looks up key. On BeginHit the ready instance is returned. On
-// BeginMiss the caller becomes the builder and must finish with Complete
-// or Fail. On BeginPending the caller should register a Wait callback. On
-// BeginStale the instance is returned AND the caller became the
-// background refresher (finish with Complete or Fail). On BeginNegative
-// the creation is denied by the negative cache.
+// BeginMiss the caller becomes the builder and must finish with Complete.
+// On BeginPending the caller should register a Wait callback.
 //
 // On a closed cache Begin reports BeginMiss without becoming a builder:
 // the subsequent Complete is a no-op (releasing the instance through
@@ -389,56 +316,30 @@ func (c *Cache) Begin(key Key) (BeginResult, any) {
 }
 
 // Wait registers fn to run when the pending build for key finishes. fn
-// receives the built instance, or nil if the build failed (the caller
-// should then retry Begin). If the key is already ready or absent, fn runs
-// immediately with the current instance (nil when absent).
+// receives the built instance, or nil if the build failed or the cache
+// closed (the caller should then retry Begin). If the key is already ready
+// or absent, fn runs immediately with the current instance (nil when
+// absent).
 func (c *Cache) Wait(key Key, fn func(any)) {
 	c.shardFor(key).wait(key, fn)
 }
 
 // Complete publishes the built instance for key and notifies waiters.
 // Waiters count toward BytesSaved: each avoided building a duplicate.
-// Completing a refresh (after BeginStale) replaces the stale instance,
-// releasing it through OnEvict. Completing a key the cache no longer
-// tracks (failed, invalidated or closed meanwhile) releases the instance
-// through OnEvict instead of storing it.
+// Completing a key the cache no longer tracks (closed meanwhile) or one
+// already ready releases the instance through OnEvict instead of storing
+// it.
 func (c *Cache) Complete(key Key, instance any, bytes int64) {
 	c.shardFor(key).complete(key, instance, bytes, nil)
 }
 
-// Fail abandons a pending build: waiters are notified with nil. With
-// negative caching enabled the key is remembered as failing and denies
-// creations until its backoff elapses; otherwise the entry is removed so
-// the next Begin retries. Failing a refresh keeps the stale instance until
-// hard expiry.
-func (c *Cache) Fail(key Key) { c.FailErr(key, nil) }
-
-// FailErr is Fail carrying the build error, which the negative cache
-// serves to denied callers (GetOrBuildContext wraps it with
-// ErrBuildFailed).
-func (c *Cache) FailErr(key Key, cause error) {
-	c.shardFor(key).fail(key, cause)
-}
-
-// Invalidate drops the ready or negative entry for key — handler feedback
-// for an instance that started erroring (the paper's multiplexer trusts
-// instances forever; production clients go bad). A ready instance is
-// released through OnEvict. Pending builds are untouched. An entry whose
-// background refresh is in flight is condemned rather than dropped (so
-// the refresher's Complete/Fail still find it): a completing refresh
-// replaces the condemned instance, a failing one drops the entry. It
-// reports whether an entry was dropped or condemned.
+// Invalidate drops the ready entry for key — handler feedback for an
+// instance that started erroring (the paper's multiplexer trusts instances
+// forever; production clients go bad). The instance is released through
+// OnEvict. Pending builds are untouched. It reports whether an entry was
+// dropped.
 func (c *Cache) Invalidate(key Key) bool {
 	return c.shardFor(key).invalidate(key)
-}
-
-// GetOrBuildContext is the non-borrowing blocking face: Acquire without
-// the loan. It offers no protection against the cache closing an evicted
-// io.Closer instance while the caller still uses it — callers holding
-// instances across real work should use Acquire and release when done.
-func (c *Cache) GetOrBuildContext(ctx context.Context, key Key, build func() (any, int64, error)) (any, Outcome, error) {
-	v, out, _, err := c.acquire(ctx, key, build, false)
-	return v, out, err
 }
 
 // Loan is a caller's hold on an instance Acquire returned. The zero Loan
@@ -458,13 +359,13 @@ func (l *Loan) Release() {
 
 // runBuild invokes a caller-supplied constructor for key. A panicking
 // constructor fails the in-flight build first — waking coalesced waiters
-// and arming the negative cache instead of leaving a pending entry that
-// deadlocks every later caller — and then re-raises.
+// instead of leaving a pending entry that deadlocks every later caller —
+// and then re-raises.
 func runBuild(sh *shard, key Key, build func() (any, int64, error)) (v any, bytes int64, err error) {
 	returned := false
 	defer func() {
 		if !returned {
-			sh.fail(key, fmt.Errorf("multiplex: build %s panicked", key.Callee))
+			sh.fail(key)
 		}
 	}()
 	v, bytes, err = build()
@@ -475,96 +376,58 @@ func runBuild(sh *shard, key Key, build func() (any, int64, error)) (v any, byte
 // Acquire is the blocking face used by the live platform: it returns the
 // cached instance for key, or runs build exactly once per miss while
 // concurrent callers wait (singleflight). The Outcome classifies how the
-// creation was served; on OutcomeStale the instance returns immediately
-// while build runs in the background (a panicking refresh is recovered
-// and recorded as a failed build). Errors are typed: ErrBuildFailed (own
-// build or negative-cache denial, with the constructor's error in the
-// chain), ErrCacheClosed, or the context's error when ctx ends while
-// coalesced on another caller's build.
+// creation was served. A failed build wakes the callers coalesced on it,
+// and the first of them to retry builds again. Errors are typed:
+// ErrBuildFailed (with the constructor's error in the chain),
+// ErrCacheClosed, or the context's error when ctx ends while coalesced on
+// another caller's build.
 //
 // The returned Loan marks the caller's use of the instance: until it is
-// released, any eviction of the instance (LRU overflow, TTL expiry,
-// refresh replacement, Invalidate, Close) defers the OnEvict hook, so a
-// cached client is never closed out from under a caller mid-use. It must
-// be released exactly once — a forgotten release pins an evicted
-// instance's OnEvict forever. A hit allocates nothing.
+// released, any eviction of the instance (LRU overflow, Invalidate,
+// Close) defers the OnEvict hook, so a cached client is never closed out
+// from under a caller mid-use. It must be released exactly once — a
+// forgotten release pins an evicted instance's OnEvict forever. A hit
+// allocates nothing.
 func (c *Cache) Acquire(ctx context.Context, key Key, build func() (any, int64, error)) (any, Outcome, Loan, error) {
-	v, out, loan, err := c.acquire(ctx, key, build, true)
-	return v, out, Loan{rec: loan}, err
-}
-
-// acquire is the blocking face; lend says whether the caller takes a loan
-// on the instance it is handed.
-func (c *Cache) acquire(ctx context.Context, key Key, build func() (any, int64, error), lend bool) (any, Outcome, *loans, error) {
 	sh := c.shardFor(key)
 	for {
-		found, closed := sh.beginBlocking(key, lend)
+		found, closed := sh.beginBlocking(key)
 		if closed {
-			return nil, OutcomeError, nil, fmt.Errorf("multiplex: get %s: %w", key.Callee, ErrCacheClosed)
+			return nil, OutcomeError, Loan{}, fmt.Errorf("multiplex: get %s: %w", key.Callee, ErrCacheClosed)
 		}
 		switch found.res {
 		case BeginHit:
-			return found.inst, OutcomeHit, found.loan, nil
-		case BeginStale:
-			// This caller owns the refresh; serve stale now, rebuild in the
-			// background. The goroutine must always settle the entry: a
-			// panic in the constructor is recovered into a failed refresh
-			// so the entry is not pinned refreshing forever.
-			go func() {
-				defer func() {
-					if r := recover(); r != nil {
-						sh.fail(key, fmt.Errorf("multiplex: refresh %s panicked: %v", key.Callee, r))
-					}
-				}()
-				v, bytes, err := build()
-				if err != nil {
-					sh.fail(key, err)
-					return
-				}
-				sh.complete(key, v, bytes, nil)
-			}()
-			return found.inst, OutcomeStale, found.loan, nil
-		case BeginNegative:
-			return nil, OutcomeNegative, nil, &buildError{key: key, cause: negativeCause(found.lastErr)}
+			return found.inst, OutcomeHit, Loan{rec: found.loan}, nil
 		case BeginMiss:
 			v, bytes, err := runBuild(sh, key, build)
 			if err != nil {
-				sh.fail(key, err)
-				return nil, OutcomeError, nil, &buildError{key: key, cause: err}
+				sh.fail(key)
+				return nil, OutcomeError, Loan{}, &buildError{key: key, cause: err}
 			}
 			// Take the loan before publishing: once complete runs the
 			// instance is evictable (and the duplicate/orphan paths inside
 			// complete release through OnEvict), but this caller is about
 			// to return it.
 			var lent *loans
-			if lend && sh.tracksLoans() {
+			if sh.tracksLoans() {
 				lent = &loans{sh: sh}
 				lent.count.Store(1)
 			}
 			sh.complete(key, v, bytes, lent)
-			return v, OutcomeMiss, lent, nil
+			return v, OutcomeMiss, Loan{rec: lent}, nil
 		default: // BeginPending: coalesce onto the in-flight build.
 			select {
 			case <-found.done:
 			case <-ctx.Done():
-				return nil, OutcomeError, nil, fmt.Errorf("multiplex: wait for %s: %w", key.Callee, ctx.Err())
+				return nil, OutcomeError, Loan{}, fmt.Errorf("multiplex: wait for %s: %w", key.Callee, ctx.Err())
 			}
-			if v, loan, ok := sh.readyValue(key, lend); ok {
-				return v, OutcomeCoalesced, loan, nil
+			if v, loan, ok := sh.readyValue(key); ok {
+				return v, OutcomeCoalesced, Loan{rec: loan}, nil
 			}
-			// The build failed; loop — the negative cache denies, or this
-			// caller becomes the builder.
+			// The build failed or the cache closed; loop — this caller
+			// becomes the builder or reports the closed cache.
 		}
 	}
-}
-
-// negativeCause normalises a negative entry's stored error (Fail without a
-// cause stores nil).
-func negativeCause(err error) error {
-	if err != nil {
-		return err
-	}
-	return errors.New("previous build failed")
 }
 
 // Stats returns an aggregated snapshot of the cache statistics.
@@ -575,23 +438,9 @@ func (c *Cache) Stats() Stats {
 		s := sh.stats
 		s.LiveInstances = sh.ready
 		s.BytesLive = sh.bytesLive
-		if sh.ready > st.MaxShardOccupancy {
-			st.MaxShardOccupancy = sh.ready
-		}
+		s.MaxShardOccupancy = sh.ready
 		sh.mu.Unlock()
-		st.Hits += s.Hits
-		st.Coalesced += s.Coalesced
-		st.Misses += s.Misses
-		st.StaleHits += s.StaleHits
-		st.Refreshes += s.Refreshes
-		st.NegativeHits += s.NegativeHits
-		st.BuildFailures += s.BuildFailures
-		st.Invalidations += s.Invalidations
-		st.LiveInstances += s.LiveInstances
-		st.BytesLive += s.BytesLive
-		st.BytesSaved += s.BytesSaved
-		st.Evictions += s.Evictions
-		st.Expired += s.Expired
+		st.Add(s)
 	}
 	st.Shards = len(c.shards)
 	return st
@@ -601,8 +450,8 @@ func (c *Cache) Stats() Stats {
 // waking pending waiters with nil, so coalesced invocations are never
 // stranded by a container teardown — and reports the bytes that were live
 // (so the teardown can return them to the node's memory ledger). After
-// Close, GetOrBuildContext reports ErrCacheClosed and the event-driven
-// face stops storing instances. Close is idempotent.
+// Close, Acquire reports ErrCacheClosed and the event-driven face stops
+// storing instances. Close is idempotent.
 func (c *Cache) Close() int64 {
 	var freed int64
 	for _, sh := range c.shards {

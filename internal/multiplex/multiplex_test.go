@@ -10,6 +10,10 @@ import (
 	"testing/quick"
 )
 
+// failBuild settles key's pending build as failed — what Acquire does
+// when its constructor errs.
+func failBuild(c *Cache, key Key) { c.shardFor(key).fail(key) }
+
 func TestHashArgsStableAndDistinct(t *testing.T) {
 	a := HashArgs("s3:KEY1")
 	b := HashArgs("s3:KEY1")
@@ -128,7 +132,7 @@ func TestFailNotifiesWaitersWithNil(t *testing.T) {
 	c.Begin(key)
 	var got []any
 	c.Wait(key, func(v any) { got = append(got, v) })
-	c.Fail(key)
+	failBuild(c, key)
 	if len(got) != 1 || got[0] != nil {
 		t.Fatalf("waiters got %v, want [nil]", got)
 	}
@@ -157,11 +161,11 @@ func TestCompleteOnUnknownOrReadyKeyIsNoop(t *testing.T) {
 
 func TestFailOnUnknownOrReadyKeyIsNoop(t *testing.T) {
 	c := NewWithConfig(Config{})
-	c.Fail(NewKey("x", "y"))
+	failBuild(c, NewKey("x", "y"))
 	key := NewKey("a", "b")
 	c.Begin(key)
 	c.Complete(key, "v", 1)
-	c.Fail(key)
+	failBuild(c, key)
 	if res, inst := c.Begin(key); res != BeginHit || inst != "v" {
 		t.Fatal("Fail on ready key must not evict it")
 	}
@@ -186,13 +190,13 @@ func TestGetOrBuildBlockingFace(t *testing.T) {
 		builds++
 		return "inst", 10, nil
 	}
-	v, out, err := c.GetOrBuildContext(context.Background(), key, build)
+	v, out, err := acquire(c, context.Background(), key, build)
 	if err != nil || out.Cached() || v != "inst" {
-		t.Fatalf("first GetOrBuildContext = %v, %v, %v", v, out, err)
+		t.Fatalf("first Acquire = %v, %v, %v", v, out, err)
 	}
-	v, out, err = c.GetOrBuildContext(context.Background(), key, build)
+	v, out, err = acquire(c, context.Background(), key, build)
 	if err != nil || !out.Cached() || v != "inst" {
-		t.Fatalf("second GetOrBuildContext = %v, %v, %v", v, out, err)
+		t.Fatalf("second Acquire = %v, %v, %v", v, out, err)
 	}
 	if builds != 1 {
 		t.Fatalf("build ran %d times, want 1", builds)
@@ -203,14 +207,14 @@ func TestGetOrBuildPropagatesError(t *testing.T) {
 	c := NewWithConfig(Config{})
 	key := NewKey("client", "args")
 	wantErr := errors.New("no network")
-	_, _, err := c.GetOrBuildContext(context.Background(), key, func() (any, int64, error) { return nil, 0, wantErr })
+	_, _, err := acquire(c, context.Background(), key, func() (any, int64, error) { return nil, 0, wantErr })
 	if err == nil || !errors.Is(err, wantErr) {
 		t.Fatalf("err = %v, want wrapped %v", err, wantErr)
 	}
 	// A later build can succeed.
-	v, out, err := c.GetOrBuildContext(context.Background(), key, func() (any, int64, error) { return "ok", 1, nil })
+	v, out, err := acquire(c, context.Background(), key, func() (any, int64, error) { return "ok", 1, nil })
 	if err != nil || out.Cached() || v != "ok" {
-		t.Fatalf("retry GetOrBuildContext = %v, %v, %v", v, out, err)
+		t.Fatalf("retry Acquire = %v, %v, %v", v, out, err)
 	}
 }
 
@@ -226,13 +230,13 @@ func TestGetOrBuildConcurrentSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			v, _, err := c.GetOrBuildContext(context.Background(), key, func() (any, int64, error) {
+			v, _, err := acquire(c, context.Background(), key, func() (any, int64, error) {
 				builds.Add(1)
 				<-release
 				return "inst", 5, nil
 			})
 			if err != nil {
-				t.Errorf("GetOrBuild: %v", err)
+				t.Errorf("Acquire: %v", err)
 			}
 			results[i] = v
 		}()
@@ -284,7 +288,7 @@ func TestCloseWithPendingEntryUnblocksWaiters(t *testing.T) {
 	go func() {
 		defer close(done)
 		// This waiter blocks on the pending build; Close must release it.
-		_, _, _ = c.GetOrBuildContext(context.Background(), key, func() (any, int64, error) { return "x", 1, nil })
+		_, _, _ = acquire(c, context.Background(), key, func() (any, int64, error) { return "x", 1, nil })
 	}()
 	// Give the goroutine a chance to register; stop once it is either
 	// waiting (pending) or already finished (hit).
@@ -293,7 +297,7 @@ func TestCloseWithPendingEntryUnblocksWaiters(t *testing.T) {
 		if res == BeginPending || res == BeginHit {
 			break
 		}
-		c.Fail(key) // undo our accidental miss claim and retry
+		failBuild(c, key) // undo our accidental miss claim and retry
 	}
 	c.Close()
 	<-done

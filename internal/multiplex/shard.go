@@ -3,52 +3,19 @@ package multiplex
 import (
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
-type entryState int
-
-const (
-	statePending entryState = iota + 1
-	stateReady
-	stateNegative
-)
-
-// entry is one key's cache slot, moving pending → ready (→ refreshing
-// in place) or pending → negative as builds succeed or fail. Ready
-// entries are linked into the shard's LRU list.
+// entry is one key's cache slot, moving from pending to ready when its
+// build completes. Ready entries are linked into the shard's LRU list.
 type entry struct {
 	key      Key
-	state    entryState
+	ready    bool
 	instance any
 	bytes    int64
 	waiters  []func(any)   // event-driven waiters
 	done     chan struct{} // blocking waiters
-	// refreshing marks a ready entry whose background rebuild is in
-	// flight (stale-while-revalidate); it stays servable and is never
-	// dropped — not by LRU overflow, not by TTL expiry, not by
-	// Invalidate — until the refresh settles. Dropping it would strand
-	// the refresher's Complete/Fail on a different entry for the same key
-	// (cross-talk between two concurrent builds).
-	refreshing bool
-	// doomed marks a refreshing entry that was invalidated mid-refresh:
-	// a completing refresh replaces the condemned instance as usual, a
-	// failing refresh drops the entry instead of keeping it.
-	doomed bool
-	// expireAt is the clock reading at which the instance expires
-	// (0 = immortal).
-	expireAt time.Duration
-	// fails counts consecutive build failures; the negative backoff
-	// doubles with each one.
-	fails int
-	// retryAt is the clock reading at which a negative entry allows the
-	// next build probe.
-	retryAt time.Duration
-	// lastErr is the most recent build error (negative entries serve it).
-	lastErr error
 	// loans counts the Acquire loans outstanding on instance (nil until
-	// the first one). A refresh replacement starts a new record for the
-	// new instance; the old one leaves with the old instance's eviction.
+	// the first one).
 	loans *loans
 	// prev/next link ready entries in the shard LRU (head = most recent).
 	prev, next *entry
@@ -109,7 +76,6 @@ type shard struct {
 	entries    map[Key]*entry
 	head, tail *entry
 	ready      int
-	negCount   int
 	bytesLive  int64
 	stats      Stats // scalar counters only; gauges derive from fields above
 	closed     bool
@@ -163,30 +129,14 @@ func (s *shard) dropReadyLocked(e *entry) evicted {
 }
 
 // evictOverflowLocked drops least-recently-used ready entries while the
-// shard exceeds its capacity, skipping entries with a refresh in flight
-// (they are demonstrably hot and their Complete must find them).
+// shard exceeds its capacity. The entry just published sits at the head,
+// and a shard's capacity is at least one, so it is never the victim.
 func (s *shard) evictOverflowLocked(out []evicted) []evicted {
 	for s.cap > 0 && s.ready > s.cap {
-		victim := s.tail
-		for victim != nil && victim.refreshing {
-			victim = victim.prev
-		}
-		if victim == nil {
-			return out
-		}
-		out = append(out, s.dropReadyLocked(victim))
+		out = append(out, s.dropReadyLocked(s.tail))
 		s.stats.Evictions++
 	}
 	return out
-}
-
-func (e *entry) expired(now time.Duration) bool {
-	return e.expireAt > 0 && now >= e.expireAt
-}
-
-func (s *shard) inRefreshWindow(e *entry, now time.Duration) bool {
-	w := s.cache.cfg.RefreshWindow
-	return w > 0 && e.expireAt > 0 && now >= e.expireAt-w
 }
 
 // fire invokes the OnEvict closer hook for every collected instance,
@@ -235,73 +185,24 @@ func (s *shard) lendLocked(e *entry) *loans {
 	return e.loans
 }
 
-// lookup is what one begin found: the result, the instance and the loan
-// registered on it (hit/stale, blocking face), the done channel (pending)
-// and the last build error (negative).
-type lookup struct {
-	res     BeginResult
-	inst    any
-	loan    *loans
-	done    chan struct{}
-	lastErr error
-}
-
-// beginLocked is the shared lookup of both faces. Callers hold s.mu. It
-// returns what it found and any evictions to fire. lend registers a loan
-// on any returned instance (the blocking face's Acquire; the event-driven
-// face never borrows).
-func (s *shard) beginLocked(key Key, lend bool) (lookup, []evicted) {
-	now := s.cache.cfg.Now()
+// beginLocked is the shared lookup of both faces. Callers hold s.mu. A
+// miss installs the pending entry this caller now builds.
+func (s *shard) beginLocked(key Key) (BeginResult, *entry) {
 	e, ok := s.entries[key]
-	if ok && e.state == stateReady && e.expired(now) && !e.refreshing {
-		// Lazy TTL expiry: the instance is released through OnEvict and
-		// this caller rebuilds. An expired entry whose refresh is in
-		// flight is NOT dropped — its refresher's Complete/Fail must find
-		// it — so it falls through and keeps serving stale below.
-		ev := s.dropReadyLocked(e)
-		s.stats.Expired++
+	switch {
+	case !ok:
 		s.stats.Misses++
-		s.entries[key] = &entry{key: key, state: statePending, done: make(chan struct{})}
-		return lookup{res: BeginMiss}, []evicted{ev}
-	}
-	if !ok {
-		s.stats.Misses++
-		s.entries[key] = &entry{key: key, state: statePending, done: make(chan struct{})}
-		return lookup{res: BeginMiss}, nil
-	}
-	switch e.state {
-	case stateReady:
-		found := lookup{res: BeginHit, inst: e.instance}
-		if !e.refreshing && s.inRefreshWindow(e, now) {
-			e.refreshing = true
-			s.stats.StaleHits++
-			s.stats.Refreshes++
-			found.res = BeginStale
-		} else {
-			s.stats.Hits++
-		}
+		e = &entry{key: key, done: make(chan struct{})}
+		s.entries[key] = e
+		return BeginMiss, e
+	case !e.ready:
+		s.stats.Coalesced++
+		return BeginPending, e
+	default:
+		s.stats.Hits++
 		s.stats.BytesSaved += e.bytes
 		s.lruTouch(e)
-		if lend {
-			found.loan = s.lendLocked(e)
-		}
-		return found, nil
-	case stateNegative:
-		if now >= e.retryAt {
-			// Backoff elapsed: this caller probes. The consecutive-failure
-			// count survives so another failure doubles the backoff again.
-			e.state = statePending
-			e.done = make(chan struct{})
-			e.waiters = nil
-			s.negCount--
-			s.stats.Misses++
-			return lookup{res: BeginMiss}, nil
-		}
-		s.stats.NegativeHits++
-		return lookup{res: BeginNegative, lastErr: e.lastErr}, nil
-	default: // statePending
-		s.stats.Coalesced++
-		return lookup{res: BeginPending, done: e.done}, nil
+		return BeginHit, e
 	}
 }
 
@@ -312,42 +213,54 @@ func (s *shard) begin(key Key) (BeginResult, any) {
 		s.mu.Unlock()
 		return BeginMiss, nil
 	}
-	found, evs := s.beginLocked(key, false)
+	res, e := s.beginLocked(key)
+	var inst any
+	if res == BeginHit {
+		inst = e.instance
+	}
 	s.mu.Unlock()
-	s.fire(evs)
-	return found.res, found.inst
+	return res, inst
+}
+
+// lookup is what one blocking-face begin found: the result, the instance
+// and the loan registered on it (hit), or the done channel (pending).
+type lookup struct {
+	res  BeginResult
+	inst any
+	loan *loans
+	done chan struct{}
 }
 
 // beginBlocking is the blocking face's lookup; closed reports a closed
-// cache (Acquire turns it into ErrCacheClosed). lend registers a loan on
-// any instance returned.
-func (s *shard) beginBlocking(key Key, lend bool) (found lookup, closed bool) {
+// cache (Acquire turns it into ErrCacheClosed). A hit lends the instance.
+func (s *shard) beginBlocking(key Key) (found lookup, closed bool) {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
 		return lookup{}, true
 	}
-	found, evs := s.beginLocked(key, lend)
+	res, e := s.beginLocked(key)
+	found.res = res
+	switch res {
+	case BeginHit:
+		found.inst, found.loan = e.instance, s.lendLocked(e)
+	case BeginPending:
+		found.done = e.done
+	}
 	s.mu.Unlock()
-	s.fire(evs)
 	return found, false
 }
 
-// readyValue reports the instance for key if it is ready and unexpired —
-// the recheck a coalesced waiter performs after the build settles. lend
-// registers a loan on the returned instance.
-func (s *shard) readyValue(key Key, lend bool) (any, *loans, bool) {
+// readyValue reports and lends the instance for key if it is ready — the
+// recheck a coalesced waiter performs after the build settles.
+func (s *shard) readyValue(key Key) (any, *loans, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	e, ok := s.entries[key]
-	if !ok || e.state != stateReady || (e.expired(s.cache.cfg.Now()) && !e.refreshing) {
+	if !ok || !e.ready {
 		return nil, nil, false
 	}
-	var loan *loans
-	if lend {
-		loan = s.lendLocked(e)
-	}
-	return e.instance, loan, true
+	return e.instance, s.lendLocked(e), true
 }
 
 // wait registers an event-driven waiter (see Cache.Wait).
@@ -359,12 +272,12 @@ func (s *shard) wait(key Key, fn func(any)) {
 		return
 	}
 	e, ok := s.entries[key]
-	if !ok || e.state == stateNegative {
+	if !ok {
 		s.mu.Unlock()
 		fn(nil)
 		return
 	}
-	if e.state == stateReady {
+	if e.ready {
 		inst := e.instance
 		s.mu.Unlock()
 		fn(inst)
@@ -380,62 +293,28 @@ func (s *shard) wait(key Key, fn func(any)) {
 // instance when there is nowhere to store it — either way the builder's
 // release is what lets the instance's OnEvict run.
 func (s *shard) complete(key Key, instance any, bytes int64, lent *loans) {
-	now := s.cache.cfg.Now()
 	s.mu.Lock()
 	e, ok := s.entries[key]
-	if s.closed || !ok {
-		// Nowhere to store it: release the orphaned instance so its
-		// sockets do not leak past the container teardown.
+	if s.closed || !ok || e.ready {
+		// Nowhere to store it (the cache closed), or a duplicate publish
+		// (the first instance wins): release it so its sockets do not leak.
 		s.mu.Unlock()
 		s.fire([]evicted{{key: key, instance: instance, bytes: bytes, loans: lent}})
 		return
 	}
-	var evs []evicted
-	var waiters []func(any)
-	switch e.state {
-	case statePending:
-		e.state = stateReady
-		e.instance = instance
-		e.bytes = bytes
-		e.loans = lent
-		e.fails = 0
-		e.lastErr = nil
-		if ttl := s.cache.cfg.TTL; ttl > 0 {
-			e.expireAt = now + ttl
-		}
-		waiters = e.waiters
-		e.waiters = nil
-		close(e.done)
-		e.done = nil
-		s.ready++
-		s.bytesLive += bytes
-		s.stats.BytesSaved += bytes * int64(len(waiters))
-		s.lruPushFront(e)
-		evs = s.evictOverflowLocked(evs)
-	case stateReady:
-		if e.refreshing {
-			// Refresh replacement: the stale instance leaves the cache. An
-			// invalidation that condemned the entry mid-refresh is satisfied
-			// too — the condemned instance is exactly what leaves.
-			evs = append(evs, evicted{key: key, instance: e.instance, bytes: e.bytes, loans: e.loans})
-			s.bytesLive += bytes - e.bytes
-			e.instance = instance
-			e.bytes = bytes
-			e.loans = lent
-			e.refreshing = false
-			e.doomed = false
-			if ttl := s.cache.cfg.TTL; ttl > 0 {
-				e.expireAt = now + ttl
-			}
-			s.lruTouch(e)
-		} else {
-			// Duplicate publish: the first instance wins, the duplicate is
-			// released.
-			evs = append(evs, evicted{key: key, instance: instance, bytes: bytes, loans: lent})
-		}
-	default: // stateNegative: a stray publish after a Fail settled the key
-		evs = append(evs, evicted{key: key, instance: instance, bytes: bytes, loans: lent})
-	}
+	e.ready = true
+	e.instance = instance
+	e.bytes = bytes
+	e.loans = lent
+	waiters := e.waiters
+	e.waiters = nil
+	close(e.done)
+	e.done = nil
+	s.ready++
+	s.bytesLive += bytes
+	s.stats.BytesSaved += bytes * int64(len(waiters))
+	s.lruPushFront(e)
+	evs := s.evictOverflowLocked(nil)
 	s.mu.Unlock()
 	s.fire(evs)
 	for _, w := range waiters {
@@ -443,116 +322,38 @@ func (s *shard) complete(key Key, instance any, bytes int64, lent *loans) {
 	}
 }
 
-// fail settles a failed build (see Cache.Fail / Cache.FailErr).
-func (s *shard) fail(key Key, cause error) {
-	now := s.cache.cfg.Now()
+// fail settles a failed build: the pending entry is dropped so the next
+// lookup builds again, and its waiters wake with nil. Failing a ready or
+// unknown key is a no-op.
+func (s *shard) fail(key Key) {
 	s.mu.Lock()
 	e, ok := s.entries[key]
-	if s.closed || !ok {
+	if s.closed || !ok || e.ready {
 		s.mu.Unlock()
 		return
 	}
-	var waiters []func(any)
-	var evs []evicted
-	switch e.state {
-	case statePending:
-		s.stats.BuildFailures++
-		waiters = e.waiters
-		e.waiters = nil
-		close(e.done)
-		e.done = nil
-		if base := s.cache.cfg.NegativeBackoff; base > 0 {
-			e.state = stateNegative
-			e.fails++
-			backoff := base << uint(e.fails-1)
-			if max := s.cache.cfg.NegativeBackoffMax; backoff > max || backoff <= 0 {
-				backoff = max
-			}
-			e.retryAt = now + backoff
-			e.lastErr = cause
-			s.negCount++
-			s.boundNegativesLocked(e)
-		} else {
-			delete(s.entries, key)
-		}
-	case stateReady:
-		if e.refreshing {
-			e.refreshing = false
-			s.stats.BuildFailures++
-			if e.doomed {
-				// Invalidated mid-refresh: the failed refresh cannot replace
-				// the condemned instance, so the entry leaves now instead of
-				// lingering until hard expiry.
-				evs = append(evs, s.dropReadyLocked(e))
-			}
-			// Otherwise a failed refresh keeps the stale instance until
-			// hard expiry; the next stale hit may try again.
-		}
-		// Fail on a plain ready key must not evict it (seed semantics).
-	default: // stateNegative: already settled
-	}
+	s.stats.BuildFailures++
+	delete(s.entries, key)
+	waiters := e.waiters
+	close(e.done)
 	s.mu.Unlock()
-	s.fire(evs)
 	for _, w := range waiters {
 		w(nil)
 	}
 }
 
-// boundNegativesLocked keeps the negative-entry population finite: failing
-// keys are remembered, but a workload cycling through endless distinct
-// failing keys must not grow the map without bound. The entry closest to
-// its retry time (other than keep) is dropped first.
-func (s *shard) boundNegativesLocked(keep *entry) {
-	maxNeg := 64
-	if s.cap > maxNeg {
-		maxNeg = s.cap
-	}
-	if s.negCount <= maxNeg {
-		return
-	}
-	var victim *entry
-	for _, e := range s.entries {
-		if e.state != stateNegative || e == keep {
-			continue
-		}
-		if victim == nil || e.retryAt < victim.retryAt {
-			victim = e
-		}
-	}
-	if victim != nil {
-		delete(s.entries, victim.key)
-		s.negCount--
-	}
-}
-
-// invalidate drops a ready or negative entry (see Cache.Invalidate).
+// invalidate drops a ready entry (see Cache.Invalidate).
 func (s *shard) invalidate(key Key) bool {
 	s.mu.Lock()
 	e, ok := s.entries[key]
-	if s.closed || !ok || e.state == statePending {
+	if s.closed || !ok || !e.ready {
 		s.mu.Unlock()
 		return false
 	}
-	var evs []evicted
-	switch e.state {
-	case stateReady:
-		if e.refreshing {
-			// Never drop an entry whose refresh is in flight — the
-			// refresher's Complete/Fail must find it. Condemn it instead:
-			// a completing refresh replaces the instance anyway, a failing
-			// refresh drops the entry. Until then the condemned instance
-			// keeps being served, as stale-while-revalidate already does.
-			e.doomed = true
-		} else {
-			evs = append(evs, s.dropReadyLocked(e))
-		}
-	default: // stateNegative
-		delete(s.entries, key)
-		s.negCount--
-	}
+	ev := s.dropReadyLocked(e)
 	s.stats.Invalidations++
 	s.mu.Unlock()
-	s.fire(evs)
+	s.fire([]evicted{ev})
 	return true
 }
 
@@ -568,18 +369,16 @@ func (s *shard) close() int64 {
 	var evs []evicted
 	var waiters []func(any)
 	for k, e := range s.entries {
-		switch e.state {
-		case statePending:
+		if e.ready {
+			evs = append(evs, evicted{key: k, instance: e.instance, bytes: e.bytes, loans: e.loans})
+		} else {
 			waiters = append(waiters, e.waiters...)
 			close(e.done)
-		case stateReady:
-			evs = append(evs, evicted{key: k, instance: e.instance, bytes: e.bytes, loans: e.loans})
 		}
 		delete(s.entries, k)
 	}
 	s.head, s.tail = nil, nil
 	s.ready = 0
-	s.negCount = 0
 	s.bytesLive = 0
 	s.mu.Unlock()
 	s.fire(evs)

@@ -19,12 +19,6 @@ type AcquireOptions struct {
 	// Multiplex equips a newly created container with a Resource
 	// Multiplexer cache.
 	Multiplex bool
-	// Multiplexer tunes the container's cache (shards, capacity, TTL,
-	// refresh window, negative backoff). The zero value takes the cache
-	// defaults. The node always overrides the clock with the engine's
-	// virtual time and layers instance-memory release on OnEvict, so
-	// evicted and refreshed instances return their bytes to the ledger.
-	Multiplexer multiplex.Config
 }
 
 // AcquireResult reports how a container was obtained.
@@ -160,9 +154,6 @@ func (n *Node) SlowBoots() int { return n.slowBoots }
 // (the Fig. 14d numerator).
 func (n *Node) ClientBytesAllocated() int64 { return n.clientBytesAllocated }
 
-// PendingCreations reports queued plus in-flight container creations.
-func (n *Node) PendingCreations() int { return len(n.createQueue) + n.createInflight }
-
 // advanceLiveIntegral folds the elapsed live-container time into the
 // integral before the live count changes.
 func (n *Node) advanceLiveIntegral() {
@@ -275,7 +266,7 @@ func (n *Node) startCreation(req *createReq) {
 			return
 		}
 		if req.opts.Multiplex {
-			c.cache = multiplex.NewWithConfig(n.containerCacheConfig(c, req.opts.Multiplexer))
+			c.cache = multiplex.NewWithConfig(multiplex.Config{OnEvict: c.releaseCached})
 		} else {
 			c.cacheDisabled = true
 		}
@@ -313,22 +304,11 @@ func (n *Node) startCreation(req *createReq) {
 	})
 }
 
-// containerCacheConfig adapts an acquisition's multiplexer config to the
-// simulation: TTL and backoff arithmetic run on the engine's virtual
-// clock, and every instance leaving the cache (LRU eviction, TTL expiry,
-// refresh replacement, invalidation, close) releases its charged client
-// memory — the eviction half of the cache's cost model. A user OnEvict
-// runs first.
-func (n *Node) containerCacheConfig(c *Container, mcfg multiplex.Config) multiplex.Config {
-	user := mcfg.OnEvict
-	mcfg.Now = func() time.Duration { return time.Duration(n.eng.Now()) }
-	mcfg.OnEvict = func(k multiplex.Key, inst any, bytes int64) {
-		if user != nil {
-			user(k, inst, bytes)
-		}
-		c.FreeClientMem(bytes)
-	}
-	return mcfg
+// releaseCached is the container cache's OnEvict hook: every instance
+// leaving the cache releases its charged client memory — the eviction
+// half of the cache's cost model.
+func (c *Container) releaseCached(_ multiplex.Key, _ any, bytes int64) {
+	c.FreeClientMem(bytes)
 }
 
 // parkIdle returns a drained container to the warm pool and arms its

@@ -179,15 +179,11 @@ type Container struct {
 	clientBytes   int64
 	clientLive    int       // live client instances (for marginal-memory pricing)
 	keepAlive     sim.Timer // armed while parked in the warm pool
-	served        int       // total invocations executed (diagnostics)
 	cacheDisabled bool
 }
 
 // ID reports the container's unique identifier.
 func (c *Container) ID() string { return c.id }
-
-// Fn reports the function the container serves.
-func (c *Container) Fn() string { return c.fn }
 
 // State reports the lifecycle state.
 func (c *Container) State() State { return c.state }
@@ -206,12 +202,6 @@ func (c *Container) Cache() *multiplex.Cache { return c.cache }
 // Active reports how many invocations are running inside the container.
 func (c *Container) Active() int { return c.active }
 
-// Served reports how many invocations the container has completed.
-func (c *Container) Served() int { return c.served }
-
-// SetCPULimit applies a cpuset limit (cores; <= 0 means unlimited).
-func (c *Container) SetCPULimit(cores float64) { c.group.SetCap(cores) }
-
 // CheckoutThread marks one invocation as running inside the container.
 func (c *Container) CheckoutThread() {
 	c.active++
@@ -227,7 +217,6 @@ func (c *Container) ReturnThread() {
 		return
 	}
 	c.active--
-	c.served++
 	if c.active > 0 {
 		return
 	}
@@ -262,9 +251,6 @@ func (c *Container) EndClientCreation() {
 		c.creating--
 	}
 }
-
-// CreationConcurrency reports the in-flight client constructions.
-func (c *Container) CreationConcurrency() int { return c.creating }
 
 // AllocClientMem charges client-instance memory to the node ledger and
 // reports the live instance ordinal (1-based) for marginal pricing.

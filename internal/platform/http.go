@@ -32,8 +32,8 @@ var statSeries = []obs.Series[Stats]{
 	{Name: "faasbatch_warm_starts_total", Kind: obs.Counter, Help: "Warm container reuses.", Key: "warmStarts", Int: func(s *Stats) int64 { return s.WarmStarts }},
 	{Name: "faasbatch_live_containers", Kind: obs.Gauge, Help: "Containers currently alive.", Key: "liveContainers", Int: func(s *Stats) int64 { return int64(s.LiveContainers) }},
 	// /stats folds the multiplexer's counters into cache* keys (a hit is a
-	// ready hit or a coalesced wait, an eviction is LRU or TTL); /metrics
-	// carries every counter on its own.
+	// ready hit or a coalesced wait); /metrics carries every counter on its
+	// own.
 	{Key: "cacheHits", Help: "Resource creations served by the multiplexer: ready hits plus coalesced waits.", Int: func(s *Stats) int64 { return int64(s.Multiplexer.Hits + s.Multiplexer.Coalesced) }},
 	{Name: "faasbatch_multiplexer_hits_total", Kind: obs.Counter, Help: "Resource creations served from a ready cache entry.", Int: func(s *Stats) int64 { return int64(s.Multiplexer.Hits) }},
 	{Name: "faasbatch_multiplexer_coalesced_total", Kind: obs.Counter, Help: "Resource creations that waited on an in-flight build.", Int: func(s *Stats) int64 { return int64(s.Multiplexer.Coalesced) }},
@@ -42,13 +42,9 @@ var statSeries = []obs.Series[Stats]{
 	{Name: "faasbatch_multiplexer_bytes_live", Kind: obs.Gauge, Help: "Memory held by ready cached instances.", Int: func(s *Stats) int64 { return s.Multiplexer.BytesLive }},
 	{Name: "faasbatch_multiplexer_bytes_saved_total", Kind: obs.Counter, Help: "Duplicate client memory avoided.", Key: "cacheBytesSaved", Int: func(s *Stats) int64 { return s.Multiplexer.BytesSaved }},
 	{Name: "faasbatch_multiplexer_evictions_total", Kind: obs.Counter, Help: "Cached instances dropped by the LRU bound.", Int: func(s *Stats) int64 { return int64(s.Multiplexer.Evictions) }},
-	{Name: "faasbatch_multiplexer_expired_total", Kind: obs.Counter, Help: "Cached instances dropped at lookup after their TTL lapsed.", Int: func(s *Stats) int64 { return int64(s.Multiplexer.Expired) }},
-	{Name: "faasbatch_multiplexer_stale_hits_total", Kind: obs.Counter, Help: "Lookups served a stale instance while a background refresh ran.", Key: "cacheStaleHits", Int: func(s *Stats) int64 { return int64(s.Multiplexer.StaleHits) }},
-	{Name: "faasbatch_multiplexer_refreshes_total", Kind: obs.Counter, Help: "Background stale-while-revalidate refreshes started.", Int: func(s *Stats) int64 { return int64(s.Multiplexer.Refreshes) }},
-	{Name: "faasbatch_multiplexer_negative_hits_total", Kind: obs.Counter, Help: "Creations denied by the negative cache during failure backoff.", Key: "cacheNegativeHits", Int: func(s *Stats) int64 { return int64(s.Multiplexer.NegativeHits) }},
 	{Name: "faasbatch_multiplexer_build_failures_total", Kind: obs.Counter, Help: "Resource builds that returned an error.", Int: func(s *Stats) int64 { return int64(s.Multiplexer.BuildFailures) }},
 	{Name: "faasbatch_multiplexer_invalidations_total", Kind: obs.Counter, Help: "Entries dropped by handler-feedback invalidation.", Int: func(s *Stats) int64 { return int64(s.Multiplexer.Invalidations) }},
-	{Key: "cacheEvictions", Help: "Cached instances dropped by the LRU bound or their TTL.", Int: func(s *Stats) int64 { return int64(s.Multiplexer.Evictions + s.Multiplexer.Expired) }},
+	{Key: "cacheEvictions", Help: "Cached instances dropped by the LRU bound.", Int: func(s *Stats) int64 { return int64(s.Multiplexer.Evictions) }},
 	{Name: "faasbatch_multiplexer_shards", Kind: obs.Gauge, Help: "Lock-striped shards across live container caches.", Key: "cacheShards", Int: func(s *Stats) int64 { return int64(s.Multiplexer.Shards) }},
 	{Name: "faasbatch_multiplexer_max_shard_occupancy", Kind: obs.Gauge, Help: "Ready entries in the fullest shard of any live cache.", Key: "cacheMaxShardOccupancy", Int: func(s *Stats) int64 { return int64(s.Multiplexer.MaxShardOccupancy) }},
 }

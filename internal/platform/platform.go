@@ -84,8 +84,6 @@ const (
 	OutcomeMiss      = multiplex.OutcomeMiss
 	OutcomeHit       = multiplex.OutcomeHit
 	OutcomeCoalesced = multiplex.OutcomeCoalesced
-	OutcomeStale     = multiplex.OutcomeStale
-	OutcomeNegative  = multiplex.OutcomeNegative
 	OutcomeError     = multiplex.OutcomeError
 )
 
@@ -93,7 +91,7 @@ const (
 // errors.Is through any wrapping.
 var (
 	// ErrBuildFailed marks a failed client construction (the build
-	// callback erred, or the negative cache is absorbing its failures).
+	// callback erred or panicked).
 	ErrBuildFailed = multiplex.ErrBuildFailed
 	// ErrCacheClosed marks a multiplexer that has been torn down (the
 	// hosting container is retiring).
@@ -113,8 +111,7 @@ type Resources struct {
 	// hands out. The platform gives each invocation its own view and
 	// releases after the handler returns, so an instance evicted while
 	// the handler still uses it is closed only once the handler is done.
-	// Nil on views without a release bracket (those fall back to the
-	// non-borrowing face).
+	// Nil only on a container's template view, which no handler sees.
 	borrows *borrowSet
 
 	// Trace context (zero on untraced views).
@@ -169,15 +166,13 @@ func (b *borrowSet) releaseAll() {
 
 // GetContext returns the shared instance for (callee, argsKey), building
 // it at most once per container. The Outcome reports how the call was
-// served: a miss builds, a hit or coalesced wait reuses, a stale outcome
-// serves the old instance while one background refresh runs, and a
-// negative outcome means the key's recent build failures are being
-// absorbed by backoff (the error matches ErrBuildFailed without the
-// build having run). Errors match ErrBuildFailed / ErrCacheClosed with
+// served: a miss builds, a hit or coalesced wait reuses. A failed build is
+// not remembered: the callers coalesced on it wake, and the next call
+// builds again. Errors match ErrBuildFailed / ErrCacheClosed with
 // errors.Is; a done ctx abandons a coalesced wait with ctx.Err.
 //
 // A returned instance is borrowed for the rest of the invocation: if the
-// cache evicts it (capacity, TTL, a concurrent Invalidate, container
+// cache evicts it (capacity, a concurrent Invalidate, container
 // retirement) while the handler still holds it, its io.Closer runs only
 // after the handler returns — never mid-use. Instances kept beyond the
 // invocation (e.g. captured by a goroutine the handler leaves behind)
@@ -190,8 +185,7 @@ func (r *Resources) GetContext(ctx context.Context, callee, argsKey string, buil
 		// Fault injection wraps the constructor, so an injected failure
 		// fires only when a build actually runs — cache hits are immune,
 		// and a failed build exercises the multiplexer's failure path
-		// (coalesced waiters wake and retry, repeated failures arm the
-		// negative cache).
+		// (coalesced waiters wake and retry).
 		orig := build
 		build = func() (any, int64, error) {
 			if r.inj.Should(chaos.StorageFailure) {
@@ -228,24 +222,19 @@ func (r *Resources) getCached(ctx context.Context, callee, argsKey string, build
 		}
 		return v, OutcomeMiss, nil
 	}
-	key := multiplex.NewKey(callee, argsKey)
-	if r.borrows == nil {
-		return r.cache.GetOrBuildContext(ctx, key, build)
-	}
 	// Borrow the instance for the rest of the invocation: if it is
 	// evicted while the handler still holds it, its Closer runs only
 	// after the handler returns.
-	v, out, loan, err := r.cache.Acquire(ctx, key, build)
+	v, out, loan, err := r.cache.Acquire(ctx, multiplex.NewKey(callee, argsKey), build)
 	r.borrows.add(loan)
 	return v, out, err
 }
 
 // Invalidate drops the shared instance for (callee, argsKey), reporting
-// whether an instance (or a negative entry) was removed. It is the
-// handler-feedback half of the failure-aware cache: after a cached
+// whether an instance was removed. It is handler feedback: after a cached
 // client errors at use time (stale credentials, dead connection), the
-// handler invalidates it so the next creation rebuilds instead of
-// reusing a broken instance. An in-flight build is left alone.
+// handler invalidates it so the next creation rebuilds instead of reusing
+// a broken instance. An in-flight build is left alone.
 func (r *Resources) Invalidate(callee, argsKey string) bool {
 	if r.cache == nil {
 		return false
@@ -320,8 +309,7 @@ type Config struct {
 	// Multiplex equips containers with a Resource Multiplexer.
 	Multiplex bool
 	// Multiplexer tunes each container's Resource Multiplexer: shard
-	// count, capacity bound, TTL, stale-while-revalidate window and
-	// negative-caching backoff (see multiplex.Config). The zero value
+	// count and capacity bound (see multiplex.Config). The zero value
 	// takes the cache defaults. Evicted instances implementing io.Closer
 	// are closed automatically, after any OnEvict hook set here runs.
 	// Ignored unless Multiplex is true.
@@ -846,7 +834,8 @@ func (p *Platform) InvokeWithTrace(ctx context.Context, fn string, payload json.
 	}
 	p.ctr.submitted.Add(1)
 	// The idle probe scans the function's containers, so it runs only
-	// when the policy reads the answer.
+	// when the policy reads the answer: not under the fixed policy, and
+	// not in ModeVanilla, whose group of one closes before idle matters.
 	idle := f.ctrl.UsesIdle() && len(f.pending) == 0 && !p.busyLocked(f)
 	p.enqueueLocked(f, call)
 	d := f.ctrl.Arrive(f.name, call.arrive.Sub(p.epoch), idle)
@@ -1184,11 +1173,11 @@ func (p *Platform) retireLocked(f *function, c *container) {
 // containerCacheConfig derives one container's multiplexer config from
 // Config.Multiplexer, layering the platform's instance-lifecycle hook on
 // top of any user OnEvict: every instance leaving a cache (evicted,
-// expired, replaced by a refresh, invalidated or released at container
-// retirement) that implements io.Closer is closed, so cached clients
-// release their sockets deterministically. The cache defers this hook
-// for instances a running invocation borrowed (see Resources.GetContext),
-// so the close lands after the last borrowing handler returns.
+// invalidated or released at container retirement) that implements
+// io.Closer is closed, so cached clients release their sockets
+// deterministically. The cache defers this hook for instances a running
+// invocation borrowed (see Resources.GetContext), so the close lands
+// after the last borrowing handler returns.
 func (p *Platform) containerCacheConfig() multiplex.Config {
 	mcfg := p.cfg.Multiplexer
 	user := mcfg.OnEvict

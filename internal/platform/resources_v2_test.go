@@ -8,9 +8,9 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"faasbatch/internal/chaos"
 	"faasbatch/internal/httpapi"
@@ -67,13 +67,15 @@ func TestResourcesGetContextLifecycle(t *testing.T) {
 	}
 }
 
-// TestResourcesNegativeCacheUnderChaos drives chaos-injected build
-// failures into the negative cache: the second creation inside the
-// backoff window is denied without running the constructor, with both
-// typed sentinels visible through errors.Is.
-func TestResourcesNegativeCacheUnderChaos(t *testing.T) {
-	// Rates must stay below 1; with a fixed seed the first draw is
-	// deterministic, so 0.999 reliably injects the first build failure.
+// TestResourcesStorageFailureUnderChaos drives chaos-injected
+// storage-client failures through the multiplexer: concurrent creations
+// of one key each end in ErrBuildFailed without the constructor running
+// (callers coalesced on a failing build wake and build, and fail,
+// themselves), and once the fault clears the next creation in the same
+// container runs the constructor — a failed build is not remembered.
+func TestResourcesStorageFailureUnderChaos(t *testing.T) {
+	// Rates must stay below 1; with a fixed seed the draws are
+	// deterministic, and seed 1's first draws all inject at 0.999.
 	inj, err := chaos.New(chaos.Config{
 		Seed:  1,
 		Rates: map[chaos.Kind]float64{chaos.StorageFailure: 0.999},
@@ -83,21 +85,36 @@ func TestResourcesNegativeCacheUnderChaos(t *testing.T) {
 	}
 	cfg := quickConfig(ModeBatch)
 	cfg.Chaos = inj
-	cfg.Multiplexer = multiplex.Config{NegativeBackoff: time.Minute}
 	p := newPlatform(t, cfg)
-	var denied error
+	const callers = 8
 	var calls atomic.Int64
+	build := func() (any, int64, error) { calls.Add(1); return "client", 1, nil }
 	err = p.Register("fn", func(ctx context.Context, inv *Invocation) (any, error) {
-		build := func() (any, int64, error) { calls.Add(1); return "client", 1, nil }
-		_, out, err := inv.Resources.GetContext(ctx, "s3", "bucket", build)
-		if out != OutcomeError || err == nil {
-			return nil, fmt.Errorf("first get = %v, %v; want injected failure", out, err)
+		errs := make(chan error, callers)
+		var start sync.WaitGroup
+		start.Add(1)
+		for i := 0; i < callers; i++ {
+			go func() {
+				start.Wait()
+				_, out, err := inv.Resources.GetContext(ctx, "s3", "bucket", build)
+				if out != OutcomeError {
+					err = fmt.Errorf("outcome = %v, want error", out)
+				}
+				errs <- err
+			}()
 		}
-		_, out, err = inv.Resources.GetContext(ctx, "s3", "bucket", build)
-		if out != OutcomeNegative {
-			return nil, fmt.Errorf("second get outcome = %v, want negative", out)
+		start.Done()
+		for i := 0; i < callers; i++ {
+			if err := <-errs; !errors.Is(err, ErrBuildFailed) {
+				return nil, fmt.Errorf("injected failure err = %v, want ErrBuildFailed in chain", err)
+			}
 		}
-		denied = err
+		if err := inj.SetRates(nil); err != nil {
+			return nil, err
+		}
+		if _, out, err := inv.Resources.GetContext(ctx, "s3", "bucket", build); err != nil || out != OutcomeMiss {
+			return nil, fmt.Errorf("get after the fault cleared = %v, %v; want a fresh miss", out, err)
+		}
 		return nil, nil
 	})
 	if err != nil {
@@ -106,15 +123,17 @@ func TestResourcesNegativeCacheUnderChaos(t *testing.T) {
 	if _, err := p.Invoke(context.Background(), "fn", nil); err != nil {
 		t.Fatalf("Invoke: %v", err)
 	}
-	if !errors.Is(denied, ErrBuildFailed) {
-		t.Fatalf("denial err = %v, want ErrBuildFailed in chain", denied)
+	if calls.Load() != 1 {
+		t.Fatalf("constructor ran %d times, want once (after the fault cleared)", calls.Load())
 	}
-	if calls.Load() != 0 {
-		t.Fatalf("constructor ran %d times despite 100%% injected failure", calls.Load())
+	// Every caller ends on a build of its own: waking from a failed build
+	// makes a coalesced caller the next builder.
+	st := p.Stats().Multiplexer
+	if st.BuildFailures != callers || st.Misses != callers+1 {
+		t.Fatalf("multiplexer stats = %+v, want %d failed builds and %d misses", st, callers, callers+1)
 	}
-	st := p.Stats()
-	if st.Multiplexer.NegativeHits != 1 || st.Multiplexer.BuildFailures != 1 {
-		t.Fatalf("multiplexer stats = %+v", st.Multiplexer)
+	if got := inj.Counts()[chaos.StorageFailure]; got != callers {
+		t.Fatalf("injected %d storage failures, want %d", got, callers)
 	}
 }
 

@@ -121,11 +121,10 @@ func (b *hashBinding) detail() string {
 // same option twice). Match with errors.Is.
 var ErrConflictingOptions = errors.New("router: conflicting options")
 
-// Option selects the scheduling policy at New, mirroring the facade's
-// PlatformOption pattern; every other knob is a Config field. Options
-// and config-struct construction compose, but the policy may be set
-// through only one of the two — setting it through both fails with
-// ErrConflictingOptions.
+// Option selects the scheduling policy at New; every other knob is a
+// Config field. Options and config-struct construction compose, but the
+// policy may be set through only one of the two — setting it through both
+// fails with ErrConflictingOptions.
 type Option func(*routerOptions)
 
 // routerOptions accumulates functional-option state before it is
@@ -164,8 +163,8 @@ func WithPullConfig(cfg pullsched.Config) Option {
 	}
 }
 
-// mergeOptions folds functional options into cfg, failing on knobs set
-// both ways (facade ErrConflictingOptions semantics).
+// mergeOptions folds functional options into cfg, failing with
+// ErrConflictingOptions on knobs set both ways.
 func mergeOptions(cfg Config, opts []Option) (Config, error) {
 	var o routerOptions
 	for _, opt := range opts {

@@ -151,9 +151,9 @@ func (r *Ring) start(key string) int {
 }
 
 // walk calls visit once per distinct member in ring order starting
-// clockwise from key's hash, until every member was visited or visit
-// reports false.
-func (r *Ring) walk(key string, visit func(member string) bool) {
+// clockwise from key's hash: the owner first, then the successive
+// replicas an invocation fails over to.
+func (r *Ring) walk(key string, visit func(member string)) {
 	// One bit per slot; fleets of up to 512 slots stay off the heap.
 	var small [8]uint64
 	seen := small[:]
@@ -168,28 +168,8 @@ func (r *Ring) walk(key string, visit func(member string) bool) {
 		}
 		seen[e.slot/64] |= 1 << (e.slot % 64)
 		left--
-		if !visit(e.member) {
-			return
-		}
+		visit(e.member)
 	}
-}
-
-// Candidates returns up to max distinct members in ring order starting
-// clockwise from key's hash: the owner first, then the successive
-// replicas an invocation fails over to.
-func (r *Ring) Candidates(key string, max int) []string {
-	if len(r.entries) == 0 || max <= 0 {
-		return nil
-	}
-	if max > len(r.members) {
-		max = len(r.members)
-	}
-	out := make([]string, 0, max)
-	r.walk(key, func(member string) bool {
-		out = append(out, member)
-		return len(out) < max
-	})
-	return out
 }
 
 // LoadBound converts a bounded-load factor and a total in-flight count
@@ -223,7 +203,7 @@ func (r *Ring) PickBounded(key string, factor float64, total int, loadOf func(me
 	// back (so in reverse ring order until it is turned around below).
 	out := make([]string, n)
 	front, back := 0, n
-	r.walk(key, func(member string) bool {
+	r.walk(key, func(member string) {
 		if loadOf(member) < bound {
 			out[front] = member
 			front++
@@ -231,7 +211,6 @@ func (r *Ring) PickBounded(key string, factor float64, total int, loadOf func(me
 			back--
 			out[back] = member
 		}
-		return true
 	})
 	spill := out[front:]
 	slices.Reverse(spill)

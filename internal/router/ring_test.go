@@ -105,6 +105,9 @@ func TestRingStability(t *testing.T) {
 	}
 }
 
+// TestRingCandidatesDistinct: on an idle fleet the bounded pick is the
+// plain ring walk — every member once, the owner first, then the
+// replicas an invocation fails over to.
 func TestRingCandidatesDistinct(t *testing.T) {
 	r := NewRing(32)
 	members := []string{"w1", "w2", "w3", "w4"}
@@ -112,27 +115,21 @@ func TestRingCandidatesDistinct(t *testing.T) {
 		r.Add(m)
 	}
 	for _, k := range testKeys(50) {
-		c := r.Candidates(k, 10) // max beyond member count clamps
+		c := r.PickBounded(k, DefaultLoadBound, 0, func(string) int { return 0 })
 		if len(c) != len(members) {
-			t.Fatalf("Candidates(%q) = %v, want all %d members", k, c, len(members))
+			t.Fatalf("candidates(%q) = %v, want all %d members", k, c, len(members))
 		}
 		seen := make(map[string]bool)
 		for _, m := range c {
 			if seen[m] {
-				t.Fatalf("Candidates(%q) repeats %q: %v", k, m, c)
+				t.Fatalf("candidates(%q) repeats %q: %v", k, m, c)
 			}
 			seen[m] = true
 		}
 		owner, _ := r.Pick(k)
 		if c[0] != owner {
-			t.Fatalf("Candidates(%q)[0] = %q, owner = %q", k, c[0], owner)
+			t.Fatalf("candidates(%q)[0] = %q, owner = %q", k, c[0], owner)
 		}
-	}
-	if c := r.Candidates("fn", 0); c != nil {
-		t.Fatalf("max 0 returned %v", c)
-	}
-	if c := r.Candidates("fn", 2); len(c) != 2 {
-		t.Fatalf("max 2 returned %v", c)
 	}
 }
 
@@ -286,8 +283,8 @@ func referencePickBounded(r *Ring, key string, factor float64, loadOf func(membe
 
 // TestRingPicksMatchReference: over seeded random rings — members added
 // and removed so slots are freed and reused, fleets past the 512 slots
-// the walk keeps on the stack — loads and bounds, Pick, Candidates and
-// PickBounded answer exactly what the reference walk answers.
+// the walk keeps on the stack — loads and bounds, Pick and PickBounded
+// answer exactly what the reference walk answers.
 func TestRingPicksMatchReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for round := 0; round < 60; round++ {
@@ -317,10 +314,6 @@ func TestRingPicksMatchReference(t *testing.T) {
 			got := r.PickBounded(key, factor, total, loadOf)
 			if want := referencePickBounded(r, key, factor, loadOf); !slices.Equal(got, want) {
 				t.Fatalf("round %d: PickBounded(%q, %v) = %v, reference %v", round, key, factor, got, want)
-			}
-			max := rng.Intn(r.Len() + 2)
-			if got, want := r.Candidates(key, max), referenceCandidates(r, key, max); !slices.Equal(got, want) {
-				t.Fatalf("round %d: Candidates(%q, %d) = %v, reference %v", round, key, max, got, want)
 			}
 			owner, ok := r.Pick(key)
 			if ref := referenceCandidates(r, key, 1); ok != (len(ref) == 1) || (ok && owner != ref[0]) {

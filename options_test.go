@@ -1,149 +1,15 @@
 package faasbatch_test
 
 import (
-	"context"
-	"errors"
-	"io"
 	"strings"
 	"testing"
-	"time"
 
 	faasbatch "faasbatch"
 )
 
-// TestNewPlatformFunctionalOptions builds a platform entirely through
-// options and drives the redesigned Resources API through the facade.
-func TestNewPlatformFunctionalOptions(t *testing.T) {
-	tracer, err := faasbatch.NewWallTracer(64, 1)
-	if err != nil {
-		t.Fatalf("NewWallTracer: %v", err)
-	}
-	logger, err := faasbatch.NewLogger(io.Discard, "info", "text")
-	if err != nil {
-		t.Fatalf("NewLogger: %v", err)
-	}
-	cfg := faasbatch.DefaultPlatformConfig()
-	cfg.DispatchInterval = 20 * time.Millisecond
-	cfg.ColdStart = 5 * time.Millisecond
-	cfg.Multiplex = false // WithMultiplexer re-enables it.
-	p, err := faasbatch.NewPlatform(cfg,
-		faasbatch.WithTracer(tracer),
-		faasbatch.WithLogger(logger),
-		faasbatch.WithMultiplexer(faasbatch.MultiplexerConfig{
-			MaxEntries: 64,
-			TTL:        time.Minute,
-		}),
-	)
-	if err != nil {
-		t.Fatalf("NewPlatform: %v", err)
-	}
-	defer func() {
-		if err := p.Close(); err != nil {
-			t.Errorf("Close: %v", err)
-		}
-	}()
-
-	var outcomes []faasbatch.Outcome
-	err = p.Register("fn", func(ctx context.Context, inv *faasbatch.Invocation) (any, error) {
-		for i := 0; i < 2; i++ {
-			_, out, err := inv.Resources.GetContext(ctx, "db", "primary", func() (any, int64, error) {
-				return "conn", 1 << 10, nil
-			})
-			if err != nil {
-				return nil, err
-			}
-			outcomes = append(outcomes, out)
-		}
-		return "ok", nil
-	})
-	if err != nil {
-		t.Fatalf("Register: %v", err)
-	}
-	if _, err := p.Invoke(context.Background(), "fn", nil); err != nil {
-		t.Fatalf("Invoke: %v", err)
-	}
-	if len(outcomes) != 2 || outcomes[0] != faasbatch.OutcomeMiss || outcomes[1] != faasbatch.OutcomeHit {
-		t.Fatalf("outcomes = %v, want [miss hit]", outcomes)
-	}
-}
-
-// TestNewPlatformConflictingOptions locks the option/config conflict
-// contract: every double-set knob fails with ErrConflictingOptions and
-// names the offender.
-func TestNewPlatformConflictingOptions(t *testing.T) {
-	tracer, err := faasbatch.NewWallTracer(64, 1)
-	if err != nil {
-		t.Fatalf("NewWallTracer: %v", err)
-	}
-	logger, err := faasbatch.NewLogger(io.Discard, "info", "text")
-	if err != nil {
-		t.Fatalf("NewLogger: %v", err)
-	}
-
-	cases := []struct {
-		name string
-		cfg  func() faasbatch.PlatformConfig
-		opts []faasbatch.PlatformOption
-		want string
-	}{
-		{
-			name: "tracer in config and option",
-			cfg: func() faasbatch.PlatformConfig {
-				c := faasbatch.DefaultPlatformConfig()
-				c.Tracer = tracer
-				return c
-			},
-			opts: []faasbatch.PlatformOption{faasbatch.WithTracer(tracer)},
-			want: "tracer",
-		},
-		{
-			name: "logger in config and option",
-			cfg: func() faasbatch.PlatformConfig {
-				c := faasbatch.DefaultPlatformConfig()
-				c.Logger = logger
-				return c
-			},
-			opts: []faasbatch.PlatformOption{faasbatch.WithLogger(logger)},
-			want: "logger",
-		},
-		{
-			name: "multiplexer in config and option",
-			cfg: func() faasbatch.PlatformConfig {
-				c := faasbatch.DefaultPlatformConfig()
-				c.Multiplexer = faasbatch.MultiplexerConfig{MaxEntries: 8}
-				return c
-			},
-			opts: []faasbatch.PlatformOption{faasbatch.WithMultiplexer(faasbatch.MultiplexerConfig{MaxEntries: 16})},
-			want: "multiplexer",
-		},
-		{
-			name: "option passed twice",
-			cfg:  faasbatch.DefaultPlatformConfig,
-			opts: []faasbatch.PlatformOption{faasbatch.WithLogger(logger), faasbatch.WithLogger(logger)},
-			want: "logger",
-		},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			p, err := faasbatch.NewPlatform(tc.cfg(), tc.opts...)
-			if err == nil {
-				p.Close()
-				t.Fatal("NewPlatform succeeded, want conflict error")
-			}
-			if !errors.Is(err, faasbatch.ErrConflictingOptions) {
-				t.Fatalf("err = %v, want ErrConflictingOptions", err)
-			}
-			if !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("err = %q, want mention of %q", err, tc.want)
-			}
-		})
-	}
-}
-
-// TestNewRouterFunctionalOptions drives the routing tier's redesigned
-// construction surface through the facade: options compose with the
-// config struct, and double-set knobs fail loudly — the same contract
-// NewPlatform pins for the live platform.
+// TestNewRouterFunctionalOptions drives the routing tier's construction
+// surface through the facade: options compose with the config struct,
+// and double-set knobs fail loudly.
 func TestNewRouterFunctionalOptions(t *testing.T) {
 	cfg := faasbatch.RouterConfig{
 		Workers: []faasbatch.RouterWorkerSpec{{ID: "w1", URL: "http://w1.invalid"}},
