@@ -19,7 +19,9 @@
 package cpusched
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"time"
 
 	"faasbatch/internal/sim"
@@ -42,25 +44,16 @@ type Task struct {
 	done      bool
 }
 
-// Consumed reports the CPU time the task has used so far.
-func (t *Task) Consumed() time.Duration { return time.Duration(t.consumed) }
-
-// Remaining reports the CPU work the task still needs.
-func (t *Task) Remaining() time.Duration { return time.Duration(t.remaining) }
-
-// Rate reports the cores currently allocated to the task.
-func (t *Task) Rate() float64 { return t.rate }
-
-// Done reports whether the task has completed.
-func (t *Task) Done() bool { return t.done }
-
 // Group is a container-level scheduling entity. Tasks in a group share the
 // group's core cap (the docker cpuset limit).
 type Group struct {
-	pool  *Pool
-	cap   float64 // max aggregate cores; <= 0 means unlimited
-	tasks []*Task
-	label string
+	pool     *Pool
+	cap      float64 // max aggregate cores; <= 0 means unlimited
+	tasks    []*Task
+	label    string
+	ord      uint64 // creation order within the pool: the runnable list's key
+	runnable bool   // in pool.runnable
+	closed   bool
 }
 
 // Cap reports the group's aggregate core cap (<= 0 means unlimited).
@@ -71,12 +64,6 @@ func (g *Group) SetCap(cores float64) {
 	g.cap = cores
 	g.pool.poke()
 }
-
-// Label reports the diagnostic label the group was created with.
-func (g *Group) Label() string { return g.label }
-
-// Len reports the number of runnable tasks in the group.
-func (g *Group) Len() int { return len(g.tasks) }
 
 // Submit allocates a task and starts it; see Start.
 func (g *Group) Submit(work time.Duration, onDone func()) *Task {
@@ -89,33 +76,36 @@ func (g *Group) Submit(work time.Duration, onDone func()) *Task {
 // overwriting whatever t recorded of an earlier run. onDone runs (in
 // virtual time, inside the pool's event) when the work completes; it may
 // start further tasks, t included. Work <= 0 completes immediately.
-// Starting a task that is still running is a bug and panics.
+// Starting a task that is still running, or on a closed group, is a bug
+// and panics.
 func (g *Group) Start(t *Task, work time.Duration, onDone func()) {
 	if t.group != nil && !t.done {
 		panic(fmt.Sprintf("cpusched: task started twice (group %q)", t.group.label))
+	}
+	if g.closed {
+		panic(fmt.Sprintf("cpusched: task started on closed group %q", g.label))
 	}
 	*t = Task{group: g, remaining: float64(work), onDone: onDone}
 	if work <= 0 {
 		t.remaining = 0
 	}
-	g.pool.advance()
+	p := g.pool
+	p.advance()
 	g.tasks = append(g.tasks, t)
-	g.pool.poke()
+	if !g.runnable {
+		p.enqueue(g)
+	}
+	p.poke()
 }
 
-// Close removes the group from the pool. Closing a group with runnable
-// tasks returns an error.
+// Close retires the group: no task may start in it again. Closing a
+// group with runnable tasks returns an error and leaves it open; closing
+// it again does nothing.
 func (g *Group) Close() error {
 	if len(g.tasks) > 0 {
 		return fmt.Errorf("cpusched: close group %q with %d runnable tasks", g.label, len(g.tasks))
 	}
-	p := g.pool
-	for i, other := range p.groups {
-		if other == g {
-			p.groups = append(p.groups[:i], p.groups[i+1:]...)
-			break
-		}
-	}
+	g.closed = true
 	return nil
 }
 
@@ -123,7 +113,8 @@ func (g *Group) Close() error {
 type Discipline interface {
 	// Name identifies the discipline in experiment output.
 	Name() string
-	// Allocate writes each task's rate. The sum of rates must not exceed
+	// Allocate writes the rate of each task in groups, the pool's groups
+	// with tasks in creation order. The sum of rates must not exceed
 	// cores, and no single task's rate may exceed 1. It returns a horizon:
 	// a duration after which the allocation must be recomputed even if no
 	// task arrives or completes (0 means no horizon). scratch is the
@@ -140,11 +131,18 @@ type Scratch struct {
 }
 
 // Pool models the CPU cores of one worker node.
+//
+// It tracks only the groups that have tasks: runnable, kept in creation
+// order, which is the order every pass visits them in — the order of the
+// busy integral's float sums, of FairShare's ties and of completion
+// callbacks. A node has a few groups with work among many idle ones, and
+// an idle group costs a poke nothing.
 type Pool struct {
 	eng      *sim.Engine
 	cores    float64
 	disc     Discipline
-	groups   []*Group
+	runnable []*Group // groups with tasks, by ord
+	nextOrd  uint64
 	last     sim.Time
 	wake     sim.Timer // the next completion or horizon; fires poke
 	busyNsCs float64   // core-nanoseconds consumed (CPU busy integral)
@@ -168,27 +166,27 @@ func NewPool(eng *sim.Engine, cores float64, disc Discipline) (*Pool, error) {
 	return p, nil
 }
 
-// Cores reports the pool's core count.
-func (p *Pool) Cores() float64 { return p.cores }
-
 // Discipline reports the pool's scheduling discipline.
 func (p *Pool) Discipline() Discipline { return p.disc }
 
 // NewGroup adds a scheduling group (a container) with the given core cap
 // (<= 0 means unlimited). The label is for diagnostics only.
 func (p *Pool) NewGroup(label string, cap float64) *Group {
-	g := &Group{pool: p, cap: cap, label: label}
-	p.groups = append(p.groups, g)
-	return g
+	p.nextOrd++
+	return &Group{pool: p, cap: cap, label: label, ord: p.nextOrd}
 }
 
-// Running reports the number of runnable tasks across all groups.
-func (p *Pool) Running() int {
-	n := 0
-	for _, g := range p.groups {
-		n += len(g.tasks)
-	}
-	return n
+// enqueue inserts g into the runnable list at its creation-order place.
+func (p *Pool) enqueue(g *Group) {
+	i := p.runnableIndex(g)
+	p.runnable = slices.Insert(p.runnable, i, g)
+	g.runnable = true
+}
+
+// runnableIndex reports where g sits (or belongs) in the runnable list.
+func (p *Pool) runnableIndex(g *Group) int {
+	i, _ := slices.BinarySearchFunc(p.runnable, g.ord, func(e *Group, ord uint64) int { return cmp.Compare(e.ord, ord) })
+	return i
 }
 
 // BusyCoreSeconds reports the integral of allocated core time since the
@@ -212,7 +210,7 @@ func (p *Pool) advance() {
 	if dt <= 0 {
 		return
 	}
-	for _, g := range p.groups {
+	for _, g := range p.runnable {
 		for _, t := range g.tasks {
 			if t.rate <= 0 {
 				continue
@@ -247,7 +245,7 @@ func (p *Pool) poke() {
 			// reallocation into this pass.
 			continue
 		}
-		horizon := p.disc.Allocate(p.cores, p.groups, &p.scratch)
+		horizon := p.disc.Allocate(p.cores, p.runnable, &p.scratch)
 		if next := p.nextEventDelay(horizon); next >= 0 {
 			p.wake.Reset(next)
 		} else {
@@ -258,10 +256,15 @@ func (p *Pool) poke() {
 }
 
 // completeFinished pops tasks whose remaining work reached zero and fires
-// their callbacks. Callbacks may submit new tasks; those submissions set
-// p.repoke via the inPoke guard.
+// their callbacks, group by group in creation order. Callbacks may start
+// tasks, which sets p.repoke via the inPoke guard and may queue a group
+// ahead of the one being visited, so the walk finds its place again after
+// each group's callbacks. Groups left without tasks leave the runnable list
+// in one sweep at the end: until then the indices only ever grow.
 func (p *Pool) completeFinished() {
-	for _, g := range p.groups {
+	emptied := false
+	for i := 0; i < len(p.runnable); i++ {
+		g := p.runnable[i]
 		kept := g.tasks[:0]
 		finished := p.finished[:0]
 		for _, t := range g.tasks {
@@ -274,11 +277,13 @@ func (p *Pool) completeFinished() {
 				kept = append(kept, t)
 			}
 		}
-		// Zero the trailing slots so finished tasks are not retained.
-		for i := len(kept); i < len(g.tasks); i++ {
-			g.tasks[i] = nil
+		if len(finished) == 0 {
+			continue
 		}
+		// Zero the trailing slots so finished tasks are not retained.
+		clear(g.tasks[len(kept):])
 		g.tasks = kept
+		emptied = emptied || len(kept) == 0
 		for _, t := range finished {
 			if t.onDone != nil {
 				t.onDone()
@@ -288,7 +293,25 @@ func (p *Pool) completeFinished() {
 		// this pass's; drop its pointers before lending it to the next group.
 		clear(finished)
 		p.finished = finished[:0]
+		i = p.runnableIndex(g)
 	}
+	if emptied {
+		p.dropIdle()
+	}
+}
+
+// dropIdle removes the groups without tasks from the runnable list.
+func (p *Pool) dropIdle() {
+	kept := p.runnable[:0]
+	for _, g := range p.runnable {
+		if len(g.tasks) > 0 {
+			kept = append(kept, g)
+		} else {
+			g.runnable = false
+		}
+	}
+	clear(p.runnable[len(kept):])
+	p.runnable = kept
 }
 
 // nextEventDelay computes when the pool must wake up next: the earliest
@@ -296,7 +319,7 @@ func (p *Pool) completeFinished() {
 // It returns a negative delay when no wake-up is needed.
 func (p *Pool) nextEventDelay(horizon time.Duration) time.Duration {
 	best := -1.0
-	for _, g := range p.groups {
+	for _, g := range p.runnable {
 		for _, t := range g.tasks {
 			if t.rate <= 0 {
 				continue

@@ -2,6 +2,7 @@ package cpusched
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -190,18 +191,27 @@ func TestBusyCoreSecondsEqualsSubmittedWork(t *testing.T) {
 	}
 }
 
+// running counts the pool's runnable tasks.
+func running(p *Pool) int {
+	n := 0
+	for _, g := range p.runnable {
+		n += len(g.tasks)
+	}
+	return n
+}
+
 func TestRunningCount(t *testing.T) {
 	eng := sim.New(1)
 	p := newFairPool(t, eng, 1)
 	g := p.NewGroup("c1", 0)
 	g.Submit(100*time.Millisecond, func() {})
 	g.Submit(100*time.Millisecond, func() {})
-	if p.Running() != 2 {
-		t.Fatalf("Running = %d, want 2", p.Running())
+	if n := running(p); n != 2 || len(p.runnable) != 1 {
+		t.Fatalf("running = %d in %d groups, want 2 in 1", n, len(p.runnable))
 	}
 	eng.Run()
-	if p.Running() != 0 {
-		t.Fatalf("Running after drain = %d, want 0", p.Running())
+	if n := running(p); n != 0 || len(p.runnable) != 0 {
+		t.Fatalf("running after drain = %d in %d groups, want none", n, len(p.runnable))
 	}
 }
 
@@ -217,8 +227,112 @@ func TestGroupCloseRejectsBusyGroup(t *testing.T) {
 	if err := g.Close(); err != nil {
 		t.Fatalf("Close of drained group: %v", err)
 	}
-	if len(p.groups) != 0 {
-		t.Fatalf("pool still tracks %d groups after close", len(p.groups))
+	if len(p.runnable) != 0 {
+		t.Fatalf("pool still tracks %d groups after close", len(p.runnable))
+	}
+}
+
+func TestStartOnClosedGroupPanics(t *testing.T) {
+	eng := sim.New(1)
+	p := newFairPool(t, eng, 1)
+	g := p.NewGroup("c1", 0)
+	if err := g.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Close(); err != nil {
+		t.Fatalf("second Close: %v", err)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Start on a closed group did not panic")
+		}
+	}()
+	g.Submit(time.Millisecond, nil)
+}
+
+// TestCloseInCallbackDoesNotSkipNeighbour: groups a, x and y; a and x
+// finish at the same instant, and a's callback closes a and queues a
+// zero-delay event. x's task finished in the same pass as a's, so it
+// completes before that event: closing a group must not shift the next
+// one out of the pass.
+func TestCloseInCallbackDoesNotSkipNeighbour(t *testing.T) {
+	eng := sim.New(1)
+	p := newFairPool(t, eng, 3)
+	a, x, y := p.NewGroup("a", 0), p.NewGroup("x", 0), p.NewGroup("y", 0)
+	var order []string
+	a.Submit(10*time.Millisecond, func() {
+		order = append(order, "a")
+		if err := a.Close(); err != nil {
+			t.Errorf("close a: %v", err)
+		}
+		eng.Schedule(0, func() { order = append(order, "later-event") })
+	})
+	x.Submit(10*time.Millisecond, func() { order = append(order, "x") })
+	y.Submit(50*time.Millisecond, func() { order = append(order, "y") })
+	eng.Run()
+	if want := []string{"a", "x", "later-event", "y"}; !slices.Equal(order, want) {
+		t.Fatalf("order = %v, want %v", order, want)
+	}
+}
+
+// TestCallbackQueuesGroupAhead: a callback that gives idle groups
+// created earlier their first tasks queues them ahead of the group being
+// visited. The pass goes on after the visited group, so the group behind
+// it still completes in this pass and the queued ones in the next, as
+// when every group sat in one list.
+func TestCallbackQueuesGroupAhead(t *testing.T) {
+	eng := sim.New(1)
+	p := newFairPool(t, eng, 4)
+	a1, a2 := p.NewGroup("a1", 0), p.NewGroup("a2", 0)
+	b, c := p.NewGroup("b", 0), p.NewGroup("c", 0)
+	var order []string
+	b.Submit(10*time.Millisecond, func() {
+		order = append(order, "b")
+		a1.Submit(0, func() { order = append(order, "a1") })
+		a2.Submit(0, func() { order = append(order, "a2") })
+	})
+	c.Submit(10*time.Millisecond, func() { order = append(order, "c") })
+	eng.Run()
+	if want := []string{"b", "c", "a1", "a2"}; !slices.Equal(order, want) {
+		t.Fatalf("order = %v, want %v", order, want)
+	}
+	if len(p.runnable) != 0 {
+		t.Fatalf("%d groups still runnable after the run", len(p.runnable))
+	}
+}
+
+// TestPokeVisitsOnlyRunnableGroups: a node with a thousand idle groups and
+// one busy one keeps a runnable list of one, so a poke walks one group,
+// and its steady state still allocates nothing.
+func TestPokeVisitsOnlyRunnableGroups(t *testing.T) {
+	eng := sim.New(1)
+	p := newFairPool(t, eng, 4)
+	for i := 0; i < 500; i++ {
+		p.NewGroup("idle", 0)
+	}
+	busy := p.NewGroup("busy", 0)
+	for i := 0; i < 500; i++ {
+		p.NewGroup("idle", 0)
+	}
+	var tasks [4]Task
+	maxRunnable := 0
+	probe := func() { maxRunnable = max(maxRunnable, len(p.runnable)) }
+	round := func() {
+		for i := range tasks {
+			busy.Start(&tasks[i], time.Duration(10+i)*time.Millisecond, probe)
+		}
+		probe()
+		eng.Run()
+	}
+	round()
+	if maxRunnable != 1 || len(p.runnable) != 0 {
+		t.Fatalf("runnable list held up to %d groups and %d after the run, want 1 and 0", maxRunnable, len(p.runnable))
+	}
+	if obstest.RaceEnabled {
+		return // the race runtime allocates on its own behalf
+	}
+	if got := testing.AllocsPerRun(20, round); got != 0 {
+		t.Errorf("allocs per round beside 1,000 idle groups = %v, want 0", got)
 	}
 }
 
@@ -243,22 +357,22 @@ func TestTaskAccessors(t *testing.T) {
 	p := newFairPool(t, eng, 1)
 	g := p.NewGroup("c1", 0)
 	task := g.Submit(100*time.Millisecond, func() {})
-	if task.Done() {
+	if task.done {
 		t.Fatal("task done before running")
 	}
-	if task.Rate() != 1 {
-		t.Fatalf("Rate = %v, want 1", task.Rate())
+	if task.rate != 1 {
+		t.Fatalf("rate = %v, want 1", task.rate)
 	}
 	eng.RunUntil(sim.Time(40 * time.Millisecond))
 	p.BusyCoreSeconds() // force advance
-	if got := task.Consumed(); got < 39*time.Millisecond || got > 41*time.Millisecond {
-		t.Fatalf("Consumed = %v, want ~40ms", got)
+	if got := time.Duration(task.consumed); got < 39*time.Millisecond || got > 41*time.Millisecond {
+		t.Fatalf("consumed = %v, want ~40ms", got)
 	}
-	if got := task.Remaining(); got < 59*time.Millisecond || got > 61*time.Millisecond {
-		t.Fatalf("Remaining = %v, want ~60ms", got)
+	if got := time.Duration(task.remaining); got < 59*time.Millisecond || got > 61*time.Millisecond {
+		t.Fatalf("remaining = %v, want ~60ms", got)
 	}
 	eng.Run()
-	if !task.Done() {
+	if !task.done {
 		t.Fatal("task not done after run")
 	}
 }
@@ -267,17 +381,17 @@ func TestGroupAccessors(t *testing.T) {
 	eng := sim.New(1)
 	p := newFairPool(t, eng, 1)
 	g := p.NewGroup("web", 2.5)
-	if g.Label() != "web" {
-		t.Errorf("Label = %q, want web", g.Label())
+	if g.label != "web" {
+		t.Errorf("label = %q, want web", g.label)
 	}
 	if g.Cap() != 2.5 {
 		t.Errorf("Cap = %v, want 2.5", g.Cap())
 	}
-	if g.Len() != 0 {
-		t.Errorf("Len = %d, want 0", g.Len())
+	if len(g.tasks) != 0 {
+		t.Errorf("%d tasks, want 0", len(g.tasks))
 	}
-	if p.Cores() != 1 {
-		t.Errorf("Cores = %v, want 1", p.Cores())
+	if p.cores != 1 {
+		t.Errorf("cores = %v, want 1", p.cores)
 	}
 	if p.Discipline().Name() != "fair-share" {
 		t.Errorf("Discipline = %q, want fair-share", p.Discipline().Name())
@@ -402,7 +516,7 @@ func TestPropertyWorkConservation(t *testing.T) {
 				total += w.Seconds()
 			}
 			eng.Run()
-			return math.Abs(p.BusyCoreSeconds()-total) < 1e-3 && p.Running() == 0
+			return math.Abs(p.BusyCoreSeconds()-total) < 1e-3 && len(p.runnable) == 0
 		}
 		if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 			t.Fatalf("%s: %v", disc.Name(), err)
@@ -429,10 +543,10 @@ func TestPropertyRateBounds(t *testing.T) {
 		}
 		sum := 0.0
 		for _, task := range tasks {
-			if task.Rate() > 1+1e-9 {
+			if task.rate > 1+1e-9 {
 				return false
 			}
-			sum += task.Rate()
+			sum += task.rate
 		}
 		if sum > cores+1e-9 {
 			return false
@@ -558,8 +672,8 @@ func TestStartReusesCallerOwnedTask(t *testing.T) {
 	}
 	g.Start(&task, 10*time.Millisecond, again)
 	eng.Run()
-	if runs != 3 || !task.Done() || task.Consumed() != 10*time.Millisecond {
-		t.Fatalf("runs = %d, done = %v, consumed = %v; want 3 runs, the last one's 10ms", runs, task.Done(), task.Consumed())
+	if runs != 3 || !task.done || task.consumed != float64(10*time.Millisecond) {
+		t.Fatalf("runs = %d, done = %v, consumed = %v; want 3 runs, the last one's 10ms", runs, task.done, time.Duration(task.consumed))
 	}
 	within(t, eng.Now(), sim.Time(30*time.Millisecond))
 

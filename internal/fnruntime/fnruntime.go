@@ -62,6 +62,7 @@ type Invocation struct {
 	phase     phase
 	step      func() // advance, bound once per invocation
 	task      cpusched.Task
+	freed     bool // recycled and not yet reused (checked under the race build only)
 }
 
 // Route is a fleet dispatcher's note on an invocation it bound.
@@ -99,12 +100,43 @@ func (f CompleteFunc) Completed(inv *Invocation) { f(inv) }
 
 // NewInvocation builds an invocation with its record initialised.
 func NewInvocation(id int64, spec workload.Spec, arrive sim.Time) *Invocation {
-	return &Invocation{
+	inv := &Invocation{}
+	inv.set(id, spec, arrive)
+	return inv
+}
+
+// set makes inv a fresh request, keeping only its bound continuation.
+func (inv *Invocation) set(id int64, spec workload.Spec, arrive sim.Time) {
+	*inv = Invocation{
 		ID:     id,
 		Spec:   spec,
 		Arrive: arrive,
 		Rec:    metrics.Record{ID: id, Fn: spec.Name, Arrive: arrive},
+		step:   inv.step,
 	}
+}
+
+// Recycle hands a completed invocation back to the submitter that owns it,
+// to be reused for a later request through Reuse. Under the race build a
+// recycled invocation is poisoned until then: recycling it again (a
+// second completion), executing it or advancing its body panics.
+func (inv *Invocation) Recycle() {
+	if poison {
+		if inv.freed {
+			panic(fmt.Sprintf("fnruntime: invocation %d completed twice", inv.ID))
+		}
+		inv.freed = true
+	}
+}
+
+// Reuse reinitialises a recycled invocation for a new request, as
+// NewInvocation would build it, except that it keeps the body's
+// continuation, bound at its first Execute.
+func (inv *Invocation) Reuse(id int64, spec workload.Spec, arrive sim.Time) {
+	if poison && !inv.freed {
+		panic(fmt.Sprintf("fnruntime: reusing invocation %d, which was never recycled", inv.ID))
+	}
+	inv.set(id, spec, arrive)
 }
 
 // Stats aggregates runner-level execution counters.
@@ -168,6 +200,9 @@ func (r *Runner) Execute(inv *Invocation, c *node.Container, done Completer) err
 	if inv == nil || c == nil {
 		return fmt.Errorf("fnruntime: execute requires an invocation and a container")
 	}
+	if poison && inv.freed {
+		panic(fmt.Sprintf("fnruntime: executing recycled invocation %d", inv.ID))
+	}
 	if c.State() == node.Evicted {
 		r.stats.CrashRejects++
 		return fmt.Errorf("fnruntime: container %s is evicted", c.ID())
@@ -222,6 +257,9 @@ func (r *Runner) compute(inv *Invocation) {
 // advance is the body's continuation: the I/O timer and the CPU task both
 // land here, and the phase says which one it was.
 func (inv *Invocation) advance() {
+	if poison && inv.freed {
+		panic(fmt.Sprintf("fnruntime: advancing recycled invocation %d", inv.ID))
+	}
 	switch inv.phase {
 	case phaseIOWait:
 		inv.runner.compute(inv)

@@ -1,6 +1,7 @@
 package fnruntime
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -80,6 +81,81 @@ func TestNewInvocationInitialisesRecord(t *testing.T) {
 	if inv.Rec.ID != 7 || inv.Rec.Fn != "s3func" || inv.Rec.Arrive != sim.Time(3*time.Second) {
 		t.Fatalf("record = %+v", inv.Rec)
 	}
+}
+
+// TestReuseStartsAFreshRequest: a recycled invocation reused for another
+// request reads as NewInvocation would have built it, runs its body again
+// and keeps the continuation its first Execute bound.
+func TestReuseStartsAFreshRequest(t *testing.T) {
+	e := newEnv(t)
+	c := e.acquire(t, "fib20", node.AcquireOptions{})
+	inv := NewInvocation(1, mustSpec(t, 20), e.eng.Now())
+	done := 0
+	sink := CompleteFunc(func(*Invocation) { done++ })
+	if err := e.runner.Execute(inv, c, sink); err != nil {
+		t.Fatal(err)
+	}
+	e.eng.Run()
+	inv.Attempts, inv.Tag, inv.Route.Worker = 2, 3, 4
+	inv.Recycle()
+
+	spec := mustSpec(t, 22)
+	inv.Reuse(9, spec, e.eng.Now())
+	fresh := NewInvocation(9, spec, e.eng.Now())
+	if inv.ID != 9 || inv.Rec != fresh.Rec || inv.Attempts != 0 || inv.Tag != 0 || inv.Route.Worker != 0 || inv.Spec.Work != spec.Work {
+		t.Fatalf("reused invocation = %+v, want it as NewInvocation builds it", inv)
+	}
+	if inv.step == nil {
+		t.Fatal("Reuse dropped the bound continuation")
+	}
+	if err := e.runner.Execute(inv, c, sink); err != nil {
+		t.Fatal(err)
+	}
+	e.eng.Run()
+	if done != 2 || inv.Rec.Exec <= 0 {
+		t.Fatalf("%d completions, Exec = %v; want 2 and the second body timed", done, inv.Rec.Exec)
+	}
+}
+
+// TestRecycledInvocationIsPoisoned: under the race build a recycled
+// invocation belongs to its submitter's free list, and completing it
+// again, executing it or advancing its body panics with its ID, as does
+// reusing an invocation nobody recycled.
+func TestRecycledInvocationIsPoisoned(t *testing.T) {
+	if !poison {
+		t.Skip("the one-owner check rides the race build")
+	}
+	mustPanic := func(name, want string, fn func()) {
+		t.Helper()
+		defer func() {
+			msg, _ := recover().(string)
+			if !strings.Contains(msg, want) {
+				t.Errorf("%s: recovered %q, want a panic containing %q", name, msg, want)
+			}
+		}()
+		fn()
+	}
+	e := newEnv(t)
+	c := e.acquire(t, "fib20", node.AcquireOptions{})
+	inv := NewInvocation(5, mustSpec(t, 20), e.eng.Now())
+	sink := CompleteFunc(func(*Invocation) {})
+	mustPanic("reuse of a live invocation", "invocation 5, which was never recycled", func() {
+		inv.Reuse(6, mustSpec(t, 20), e.eng.Now())
+	})
+	if err := e.runner.Execute(inv, c, sink); err != nil {
+		t.Fatal(err)
+	}
+	e.eng.Run()
+	inv.Recycle()
+	mustPanic("second completion", "invocation 5 completed twice", inv.Recycle)
+	mustPanic("execute", "executing recycled invocation 5", func() { _ = e.runner.Execute(inv, c, sink) })
+	mustPanic("advance", "advancing recycled invocation 5", inv.advance)
+
+	inv.Reuse(6, mustSpec(t, 20), e.eng.Now())
+	if err := e.runner.Execute(inv, c, sink); err != nil {
+		t.Fatalf("Execute after Reuse: %v", err)
+	}
+	e.eng.Run()
 }
 
 func TestExecuteValidation(t *testing.T) {

@@ -74,9 +74,12 @@ func TestHeapHoldsOnlyLiveEvents(t *testing.T) {
 
 // TestSimInvocationAllocBudget pins what one simulated invocation costs
 // the allocator end to end — arrival, routing, window, group, container,
-// body, completion, report — on the smoke scenario. The invocation itself
-// and its continuation are two; container creation, per-function state
-// and the report's slices spread over the run make up the rest.
+// body, completion, report — on the smoke scenario. The run recycles its
+// invocations, so an invocation and its continuation are made once per
+// invocation in flight at the peak, not per request; container creation,
+// per-function state and the report's slices, spread over a run this
+// short, make up nearly all of it (2.28 measured; fleet-1m's million
+// invocations spread the same costs to 0.43).
 func TestSimInvocationAllocBudget(t *testing.T) {
 	if obstest.RaceEnabled {
 		t.Skip("the race runtime allocates on its own behalf")
@@ -93,10 +96,10 @@ func TestSimInvocationAllocBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const budget = 6.0
+	const budget = 2.5
 	per := float64(after.Mallocs-before.Mallocs) / float64(body.Totals.Completed)
 	t.Logf("%.2f allocations per invocation over %d invocations", per, body.Totals.Completed)
 	if per > budget {
-		t.Errorf("%.2f allocations per simulated invocation, budget %.0f", per, budget)
+		t.Errorf("%.2f allocations per simulated invocation, budget %.1f", per, budget)
 	}
 }

@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"html/template"
 	"io"
+	"math/bits"
 	"slices"
 	"time"
 )
@@ -37,28 +38,83 @@ type LatencySummary struct {
 	MeanMicros int64 `json:"mean_micros"`
 }
 
-// summarize computes a LatencySummary from raw microsecond samples,
-// consuming (sorting) the slice.
+// summarize computes a LatencySummary from raw microsecond samples. It
+// reorders the slice rather than sorting it: p99 is selected in place,
+// then p90 among the samples up to it, then p50 among those up to that,
+// and the max and the mean come from one pass. Each quantile is the value
+// a sort would put at index q*(n-1).
 func summarize(micros []int64) LatencySummary {
-	if len(micros) == 0 {
+	n := len(micros)
+	if n == 0 {
 		return LatencySummary{}
 	}
-	slices.Sort(micros)
 	var sum int64
+	top := micros[0]
 	for _, v := range micros {
 		sum += v
+		top = max(top, v)
 	}
-	at := func(q float64) int64 {
-		idx := int(q * float64(len(micros)-1))
-		return micros[idx]
+	// Each selection leaves the samples up to its index the smallest ones,
+	// so the next one looks among them alone.
+	prefix := micros
+	quantile := func(q float64) int64 {
+		k := int(q * float64(n-1))
+		selectNth(prefix, k)
+		prefix = prefix[:k+1]
+		return prefix[k]
 	}
 	return LatencySummary{
-		P50Micros:  at(0.50),
-		P90Micros:  at(0.90),
-		P99Micros:  at(0.99),
-		MaxMicros:  micros[len(micros)-1],
-		MeanMicros: sum / int64(len(micros)),
+		P99Micros:  quantile(0.99),
+		P90Micros:  quantile(0.90),
+		P50Micros:  quantile(0.50),
+		MaxMicros:  top,
+		MeanMicros: sum / int64(n),
 	}
+}
+
+// selectNth reorders s so that s[k] holds the value sorting s would put
+// there, with nothing greater before it and nothing smaller after it. It
+// narrows the window holding k by three-way partitions around a
+// median-of-three pivot, so a run of equal samples settles in one pass,
+// and sorts the window once it is small or has taken more partitions than
+// a balanced descent would.
+func selectNth(s []int64, k int) {
+	lo, hi := 0, len(s)
+	for budget := 2 * bits.Len(uint(len(s))); ; budget-- {
+		if hi-lo <= 16 || budget == 0 {
+			slices.Sort(s[lo:hi])
+			return
+		}
+		pivot := median3(s[lo], s[lo+(hi-lo)/2], s[hi-1])
+		// s[lo:lt] < pivot, s[lt:i] == pivot, s[gt:hi] > pivot.
+		lt, i, gt := lo, lo, hi
+		for i < gt {
+			switch v := s[i]; {
+			case v < pivot:
+				s[lt], s[i] = v, s[lt]
+				lt++
+				i++
+			case v > pivot:
+				gt--
+				s[i], s[gt] = s[gt], v
+			default:
+				i++
+			}
+		}
+		switch {
+		case k < lt:
+			hi = lt
+		case k >= gt:
+			lo = gt
+		default:
+			return
+		}
+	}
+}
+
+// median3 returns the middle value of a, b and c.
+func median3(a, b, c int64) int64 {
+	return max(min(a, b), min(max(a, b), c))
 }
 
 // PhaseReport is one phase's outcome.

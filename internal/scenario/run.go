@@ -206,6 +206,11 @@ type simRun struct {
 	workloadDone bool
 	// sink is observe, bound once: every invocation reports through it.
 	sink func(*fnruntime.Invocation)
+	// free holds finished invocations for submitOne to reuse. The run owns
+	// every invocation it submits and is told of each exactly once (the
+	// conservation invariant), so once observe has read one nothing else
+	// holds it.
+	free []*fnruntime.Invocation
 }
 
 func (r *Runner) runSim(sc *Scenario) (*Body, error) {
@@ -560,17 +565,25 @@ func expDuration(rng *rand.Rand, rate float64) time.Duration {
 }
 
 // submitOne routes one invocation, tagged with its phase, into the
-// cluster.
+// cluster, reusing a finished one when there is one.
 func (s *simRun) submitOne(pi int, spec workload.Spec) {
 	id := s.submitted
 	s.submitted++
 	s.phases[pi].submitted++
-	inv := fnruntime.NewInvocation(id, spec, s.eng.Now())
+	var inv *fnruntime.Invocation
+	if n := len(s.free); n > 0 {
+		inv = s.free[n-1]
+		s.free = s.free[:n-1]
+		inv.Reuse(id, spec, s.eng.Now())
+	} else {
+		inv = fnruntime.NewInvocation(id, spec, s.eng.Now())
+	}
 	inv.Tag = pi
 	s.cl.Submit(inv, s.sink)
 }
 
-// observe streams one completion into its phase's aggregate.
+// observe streams one completion into its phase's aggregate and puts
+// the invocation on the free list.
 func (s *simRun) observe(done *fnruntime.Invocation) {
 	agg := s.phases[done.Tag]
 	s.completed++
@@ -583,6 +596,8 @@ func (s *simRun) observe(done *fnruntime.Invocation) {
 	agg.retries += int64(rec.Retries)
 	agg.totalMicros = append(agg.totalMicros, rec.Total().Microseconds())
 	agg.schedMicros = append(agg.schedMicros, rec.Sched.Microseconds())
+	done.Recycle()
+	s.free = append(s.free, done)
 }
 
 // startSampler installs the self-rescheduling metrics sampler; it keeps
