@@ -8,18 +8,10 @@ import (
 	"faasbatch/internal/policy"
 )
 
-// Histogram bucket bounds. Gap and latency buckets are in seconds,
-// rate buckets in invocations/second. The last bucket is implicit +Inf.
-var (
-	// gapBounds buckets inter-arrival gaps: sub-millisecond storms
-	// through multi-second trickles.
-	gapBounds = []float64{0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1, 5, 10}
-	// latencyBounds mirrors the platform's latency histogram scale.
-	latencyBounds = []float64{0.001, 0.005, 0.01, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5}
-	// rateBounds buckets per-tick aggregate arrival rates; the
-	// pre-warm floor reads a high quantile out of this histogram.
-	rateBounds = []float64{1, 2, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000, 10000}
-)
+// rateBounds buckets per-tick aggregate arrival rates, in
+// invocations/second (the last bucket is implicit +Inf); the pre-warm
+// floor reads a high quantile out of this histogram.
+var rateBounds = []float64{1, 2, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000, 10000}
 
 // histDecay is the per-tick multiplicative decay applied to the rate
 // histogram so the pre-warm floor forgets ancient bursts: counts halve
@@ -76,30 +68,21 @@ func (h *Hist) Quantile(q float64) float64 {
 	return h.bounds[len(h.bounds)-1]
 }
 
-// Snapshot copies the bucket bounds and counts (for metrics export).
-func (h *Hist) Snapshot() (bounds []float64, counts []float64, total float64) {
-	return append([]float64(nil), h.bounds...), append([]float64(nil), h.counts...), h.total
-}
-
 // fnDemand is the per-function demand state.
 type fnDemand struct {
 	rate     *policy.EWMA // smoothed arrivals/second, updated per tick
 	pending  int          // arrivals in the currently open tick bucket
 	lastRate float64      // arrivals/second over the last closed tick
-	last     time.Duration
-	seen     bool
 }
 
 // Demand tracks per-function arrival demand: an EWMA over per-tick
-// arrival rates plus inter-arrival-gap, latency, and per-tick-rate
-// histograms feeding the short-horizon forecaster. It is clock-agnostic
-// (monotonic offsets) and deterministic; callers serialise access.
+// arrival rates plus a per-tick-rate histogram feeding the short-horizon
+// forecaster. It is clock-agnostic (monotonic offsets) and deterministic;
+// callers serialise access.
 type Demand struct {
 	alpha    float64
 	fns      map[string]*fnDemand
 	order    []string // sorted fn names: deterministic float summation
-	gaps     *Hist
-	latency  *Hist
 	rates    *Hist
 	lastTick time.Duration // bucket origin; offsets start at 0 in both drivers
 	lastSeen time.Duration
@@ -109,11 +92,9 @@ type Demand struct {
 // NewDemand builds a tracker with EWMA smoothing alpha.
 func NewDemand(alpha float64) *Demand {
 	return &Demand{
-		alpha:   alpha,
-		fns:     make(map[string]*fnDemand),
-		gaps:    NewHist(gapBounds),
-		latency: NewHist(latencyBounds),
-		rates:   NewHist(rateBounds),
+		alpha: alpha,
+		fns:   make(map[string]*fnDemand),
+		rates: NewHist(rateBounds),
 	}
 }
 
@@ -136,22 +117,10 @@ func (d *Demand) fn(fn string) *fnDemand {
 
 // Observe records one arrival for fn at offset now.
 func (d *Demand) Observe(fn string, now time.Duration) {
-	st := d.fn(fn)
-	st.pending++
-	if st.seen && now > st.last {
-		d.gaps.Observe((now - st.last).Seconds())
-	}
-	st.last, st.seen = now, true
+	d.fn(fn).pending++
 	if !d.anySeen || now > d.lastSeen {
 		d.lastSeen, d.anySeen = now, true
 	}
-}
-
-// ObserveLatency records one completion latency (observability only —
-// scaling decisions never read it, so sim and live stay conformant even
-// though their latencies differ).
-func (d *Demand) ObserveLatency(lat time.Duration) {
-	d.latency.Observe(lat.Seconds())
 }
 
 // Advance closes the tick bucket [lastTick, now): per-function rates
@@ -209,11 +178,6 @@ func (d *Demand) IdleFor(now time.Duration) time.Duration {
 	}
 	return now - d.lastSeen
 }
-
-// Gaps, Latency, and Rates expose the histograms for metrics export.
-func (d *Demand) Gaps() *Hist    { return d.gaps }
-func (d *Demand) Latency() *Hist { return d.latency }
-func (d *Demand) Rates() *Hist   { return d.rates }
 
 // Functions reports the tracked function count.
 func (d *Demand) Functions() int { return len(d.fns) }

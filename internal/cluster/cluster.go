@@ -393,11 +393,11 @@ func (c *Cluster) completed(done *fnruntime.Invocation) {
 	done.Route.Done(done)
 }
 
-// settle releases done's node slot and feeds the autoscaler its latency.
+// settle releases done's node slot and tells the autoscaler.
 func (c *Cluster) settle(done *fnruntime.Invocation) {
 	c.picker.inflight[done.Route.Worker]--
 	if c.scaler != nil {
-		c.scaler.completed(done.Route.Worker, c.eng.Now().Sub(done.Route.At))
+		c.scaler.completed(done.Route.Worker)
 	}
 }
 

@@ -58,7 +58,7 @@ func (d *pullDriver) submit(inv *fnruntime.Invocation) {
 	if shed {
 		delete(d.pending, id)
 		d.shed++
-		inv.Rec.Failed = true
+		inv.Failed = true
 		inv.Route.Done(inv)
 		return
 	}

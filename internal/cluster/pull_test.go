@@ -76,7 +76,7 @@ func TestPullSimQuiescesAcrossOutage(t *testing.T) {
 			s.Name = a.fn
 			cl.Submit(fnruntime.NewInvocation(int64(i), s, eng.Now()), func(inv *fnruntime.Invocation) {
 				done++
-				if inv.Rec.Failed {
+				if inv.Failed {
 					failed++
 				}
 			})

@@ -29,7 +29,7 @@ func TestBusyContainerAcceptsLaterGroups(t *testing.T) {
 	}
 	coldFree := 0
 	for _, r := range recs {
-		if r.Cold == 0 {
+		if r.ColdStart == 0 {
 			coldFree++
 		}
 	}
@@ -64,10 +64,10 @@ func TestMaxPendingCreatesAttachesGroups(t *testing.T) {
 	var first, last time.Duration
 	for _, r := range recs {
 		if r.ID == 0 {
-			first = r.Cold
+			first = r.ColdStart
 		}
 		if r.ID == 4 {
-			last = r.Cold
+			last = r.ColdStart
 		}
 	}
 	if first == 0 || last == 0 {
@@ -119,7 +119,7 @@ func TestWarmContainerPreferredOverBusyJoin(t *testing.T) {
 	}
 	warm := 0
 	for _, r := range recs {
-		if r.Cold == 0 {
+		if r.ColdStart == 0 {
 			warm++
 		}
 	}
@@ -293,7 +293,7 @@ func TestPrewarmKeepsRecurringBurstsWarm(t *testing.T) {
 		}
 		recs := runAll(t, env, f, specs, offsets)
 		for _, r := range recs {
-			if r.Cold > 0 {
+			if r.ColdStart > 0 {
 				coldCount++
 			}
 		}

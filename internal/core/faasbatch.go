@@ -65,7 +65,7 @@ type Config struct {
 	// whose container crashed receives. Retried invocations re-batch into
 	// the next dispatch window (the window interval is the backoff), so a
 	// crashed group's members ride a replacement container together. An
-	// invocation that exhausts the budget completes with Rec.Failed set —
+	// invocation that exhausts the budget completes with Failed set —
 	// at-most-(1+MaxRetries) execution attempts, never silent loss.
 	MaxRetries int
 	// AdaptiveDispatch selects the dispatch controller's load-aware
@@ -550,8 +550,8 @@ func (g *group) expand(r node.AcquireResult) {
 		m.g = g
 		// Scheduling latency: window wait + engine-queue wait + the
 		// batch HTTP hop; cold start is separated per §IV.
-		m.inv.Rec.Sched = g.dispatchAt.Sub(m.inv.Arrive) + r.QueueWait + f.cfg.HTTPLatency
-		m.inv.Rec.Cold = r.BootTime
+		m.inv.Sched = g.dispatchAt.Sub(m.inv.Arrive) + r.QueueWait + f.cfg.HTTPLatency
+		m.inv.ColdStart = r.BootTime
 	}
 	g.c = r.Container
 	if f.cfg.HTTPLatency > 0 {
@@ -612,17 +612,17 @@ func (g *group) settle() {
 // the next dispatch window (the window interval acts as the retry
 // backoff) on a fresh or replacement container. An invocation that
 // already consumed its retry budget completes immediately with
-// Rec.Failed set — invocations are never silently lost.
+// Failed set — invocations are never silently lost.
 func (f *FaaSBatch) retryItem(item pendingItem) {
 	inv := item.inv
 	if inv.Attempts >= f.cfg.MaxRetries {
-		inv.Rec.Failed = true
+		inv.Failed = true
 		f.stats.Failed++
 		item.complete(inv)
 		return
 	}
 	inv.Attempts++
-	inv.Rec.Retries = inv.Attempts
+	inv.Retries = inv.Attempts
 	f.stats.Retries++
 	// Append directly to the window rather than re-Submit: Submitted
 	// counts unique invocations, not attempts (Stats.Submitted ==

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"faasbatch/internal/fnruntime"
-	"faasbatch/internal/metrics"
 	"faasbatch/internal/node"
 	"faasbatch/internal/policy"
 	"faasbatch/internal/sim"
@@ -49,14 +48,14 @@ func fibSpec(t *testing.T, n int) workload.Spec {
 }
 
 // runAll drives the engine until every submitted invocation completed.
-func runAll(t *testing.T, env policy.Env, f *FaaSBatch, specs []workload.Spec, offsets []time.Duration) []metrics.Record {
+func runAll(t *testing.T, env policy.Env, f *FaaSBatch, specs []workload.Spec, offsets []time.Duration) []fnruntime.Record {
 	t.Helper()
-	var recs []metrics.Record
+	var recs []fnruntime.Record
 	for i := range specs {
 		i := i
 		env.Eng.Schedule(offsets[i], func() {
 			inv := fnruntime.NewInvocation(int64(i), specs[i], env.Eng.Now())
-			f.Submit(inv, func(done *fnruntime.Invocation) { recs = append(recs, done.Rec) })
+			f.Submit(inv, func(done *fnruntime.Invocation) { recs = append(recs, done.Record) })
 		})
 	}
 	for len(recs) < len(specs) {
@@ -181,7 +180,7 @@ func TestContainerReusedAcrossWindows(t *testing.T) {
 	}
 	coldCount := 0
 	for _, r := range recs {
-		if r.Cold > 0 {
+		if r.ColdStart > 0 {
 			coldCount++
 		}
 	}
@@ -216,10 +215,13 @@ func TestCPULimitApplied(t *testing.T) {
 		specs[i] = spec
 	}
 	recs := runAll(t, env, f, specs, offsets)
-	cdf := metrics.NewCDF(metrics.Extract(recs, metrics.Execution))
+	var maxExec time.Duration
+	for _, r := range recs {
+		maxExec = max(maxExec, r.Exec)
+	}
 	wantMin := time.Duration(float64(spec.Work) * float64(n) / 2 * 0.9)
-	if cdf.Max() < wantMin {
-		t.Fatalf("max Exec = %v under 2-core cap, want >= %v", cdf.Max(), wantMin)
+	if maxExec < wantMin {
+		t.Fatalf("max Exec = %v under 2-core cap, want >= %v", maxExec, wantMin)
 	}
 }
 
@@ -295,10 +297,10 @@ func TestLatencyDecompositionAdditive(t *testing.T) {
 	}
 	recs := runAll(t, env, f, specs, offsets)
 	for _, r := range recs {
-		if r.Total() != r.Sched+r.Cold+r.Queue+r.Exec {
+		if r.Total() != r.Sched+r.ColdStart+r.Queue+r.Exec {
 			t.Fatalf("decomposition broken: %+v", r)
 		}
-		if r.Sched < 0 || r.Cold < 0 || r.Queue < 0 || r.Exec <= 0 {
+		if r.Sched < 0 || r.ColdStart < 0 || r.Queue < 0 || r.Exec <= 0 {
 			t.Fatalf("negative/zero component: %+v", r)
 		}
 	}

@@ -8,7 +8,6 @@ import (
 
 	"faasbatch/internal/chaos"
 	"faasbatch/internal/fnruntime"
-	"faasbatch/internal/metrics"
 	"faasbatch/internal/node"
 	"faasbatch/internal/policy"
 	"faasbatch/internal/sim"
@@ -51,7 +50,7 @@ func drawTrial(rng *rand.Rand) propertyTrial {
 
 // runTrial replays one trial to quiescence and returns the records plus
 // the scheduler's final stats.
-func runTrial(t *testing.T, tr propertyTrial) ([]metrics.Record, Stats) {
+func runTrial(t *testing.T, tr propertyTrial) ([]fnruntime.Record, Stats) {
 	t.Helper()
 	eng := sim.New(tr.seed)
 	inj, err := chaos.New(chaos.Config{
@@ -92,14 +91,14 @@ func runTrial(t *testing.T, tr propertyTrial) ([]metrics.Record, Stats) {
 	}
 
 	completions := make(map[int64]int)
-	var recs []metrics.Record
+	var recs []fnruntime.Record
 	for i := range specs {
 		i := i
 		eng.Schedule(offsets[i], func() {
 			inv := fnruntime.NewInvocation(int64(i), specs[i], eng.Now())
 			f.Submit(inv, func(done *fnruntime.Invocation) {
 				completions[done.ID]++
-				recs = append(recs, done.Rec)
+				recs = append(recs, done.Record)
 			})
 		})
 	}
@@ -121,7 +120,7 @@ func runTrial(t *testing.T, tr propertyTrial) ([]metrics.Record, Stats) {
 }
 
 // checkInvariants asserts the Invoke Mapper invariants over one replay.
-func checkInvariants(t *testing.T, tr propertyTrial, recs []metrics.Record, st Stats) {
+func checkInvariants(t *testing.T, tr propertyTrial, recs []fnruntime.Record, st Stats) {
 	t.Helper()
 	// (1) exactly once: one record per submitted invocation.
 	if int64(len(recs)) != st.Submitted {

@@ -56,15 +56,6 @@ type Group struct {
 	closed   bool
 }
 
-// Cap reports the group's aggregate core cap (<= 0 means unlimited).
-func (g *Group) Cap() float64 { return g.cap }
-
-// SetCap changes the group's core cap and reallocates the pool.
-func (g *Group) SetCap(cores float64) {
-	g.cap = cores
-	g.pool.poke()
-}
-
 // Submit allocates a task and starts it; see Start.
 func (g *Group) Submit(work time.Duration, onDone func()) *Task {
 	t := &Task{}

@@ -347,7 +347,7 @@ func TestSetCapMidFlight(t *testing.T) {
 	var done sim.Time
 	g.Submit(100*time.Millisecond, func() { done = eng.Now() })
 	g.Submit(100*time.Millisecond, func() { done = eng.Now() })
-	eng.Schedule(50*time.Millisecond, func() { g.SetCap(1) })
+	eng.Schedule(50*time.Millisecond, func() { g.cap = 1; p.poke() })
 	eng.Run()
 	within(t, done, sim.Time(150*time.Millisecond))
 }
@@ -384,8 +384,8 @@ func TestGroupAccessors(t *testing.T) {
 	if g.label != "web" {
 		t.Errorf("label = %q, want web", g.label)
 	}
-	if g.Cap() != 2.5 {
-		t.Errorf("Cap = %v, want 2.5", g.Cap())
+	if g.cap != 2.5 {
+		t.Errorf("cap = %v, want 2.5", g.cap)
 	}
 	if len(g.tasks) != 0 {
 		t.Errorf("%d tasks, want 0", len(g.tasks))

@@ -38,7 +38,7 @@ type ChainRecord struct {
 	// Total is the head-arrival-to-last-stage-completion latency.
 	Total time.Duration
 	// Stages holds each stage's latency decomposition.
-	Stages []metrics.Record
+	Stages []fnruntime.Record
 }
 
 // ChainResult aggregates a chain replay.
@@ -100,7 +100,7 @@ func RunChain(cfg ChainConfig) (*ChainResult, error) {
 		if err != nil {
 			return nil, fmt.Errorf("experiment: derive chain SLOs: %w", err)
 		}
-		var stages []metrics.Record
+		var stages []fnruntime.Record
 		for _, ch := range pre.Chains {
 			stages = append(stages, ch.Stages...)
 		}
@@ -127,7 +127,7 @@ func RunChain(cfg ChainConfig) (*ChainResult, error) {
 			nextID++
 			fi := fnruntime.NewInvocation(nextID, stageSpec(head, k), f.eng.Now())
 			f.cl.Submit(fi, func(fin *fnruntime.Invocation) {
-				rec.Stages = append(rec.Stages, fin.Rec)
+				rec.Stages = append(rec.Stages, fin.Record)
 				if k+1 < cfg.Stages {
 					runStage(k + 1)
 					return

@@ -127,7 +127,7 @@ type Result struct {
 	// Interval echoes the configured dispatch interval.
 	Interval time.Duration
 	// Records holds one latency decomposition per invocation.
-	Records []metrics.Record
+	Records []fnruntime.Record
 	// Samples holds the once-per-second resource observations.
 	Samples []metrics.Sample
 	// TotalContainers is the number of containers provisioned.
@@ -172,13 +172,17 @@ type Result struct {
 
 // CDF extracts a latency-component CDF from the records.
 func (r *Result) CDF(c metrics.Component) metrics.CDF {
-	return metrics.NewCDF(metrics.Extract(r.Records, c))
+	vals := make([]time.Duration, len(r.Records))
+	for i, rec := range r.Records {
+		vals[i] = c.Of(rec.Breakdown)
+	}
+	return metrics.NewCDF(vals)
 }
 
 // Imbalance reports max/mean of per-node container counts (1.0 =
 // perfectly balanced; 0 when the fleet provisioned nothing).
 func (r *Result) Imbalance() float64 {
-	return metrics.Imbalance(r.ContainersPerNode)
+	return obs.Imbalance(r.ContainersPerNode)
 }
 
 // normalise fills config defaults.
@@ -248,7 +252,7 @@ func (f *fleet) run(cfg Config) (*Result, error) {
 	}
 
 	res := &Result{Policy: f.policy, Interval: cfg.Interval}
-	done := func(inv *fnruntime.Invocation) { res.Records = append(res.Records, inv.Rec) }
+	done := func(inv *fnruntime.Invocation) { res.Records = append(res.Records, inv.Record) }
 	if err := f.replay(cfg.Trace, func(i int) {
 		f.cl.Submit(fnruntime.NewInvocation(int64(i), specs[i], f.eng.Now()), done)
 	}, func() int { return len(res.Records) }); err != nil {
@@ -490,7 +494,7 @@ func SLOFromVanilla(cfg Config) (map[string]time.Duration, error) {
 }
 
 // p98PerFn returns each function's p98 end-to-end latency over recs.
-func p98PerFn(recs []metrics.Record) map[string]time.Duration {
+func p98PerFn(recs []fnruntime.Record) map[string]time.Duration {
 	perFn := map[string][]time.Duration{}
 	for _, r := range recs {
 		perFn[r.Fn] = append(perFn[r.Fn], r.Total())

@@ -63,7 +63,7 @@ func RunExtensionPrewarm(w io.Writer, opts Options) error {
 		}
 		coldCount := 0
 		for _, r := range res.Records {
-			if r.Cold > 0 {
+			if r.ColdStart > 0 {
 				coldCount++
 			}
 		}

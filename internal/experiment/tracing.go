@@ -7,13 +7,13 @@ import (
 	"sync"
 	"time"
 
-	"faasbatch/internal/metrics"
+	"faasbatch/internal/fnruntime"
 	"faasbatch/internal/obs"
 )
 
-// Trace emission for simulated runs. A completed metrics.Record pins each
-// invocation's four latency components to exact virtual timestamps
-// (Arrive, then Sched, Cold, Queue and Exec back to back), so spans are
+// Trace emission for simulated runs. A completed fnruntime.Record pins
+// each invocation's four latency components to exact virtual timestamps
+// (Arrive, then its Breakdown's parts back to back), so spans are
 // derived from records after the run rather than collected during it —
 // the simulation stays byte-identical with tracing on or off.
 
@@ -50,33 +50,24 @@ func nextTracePath(policy string) string {
 // spans on the virtual timeline. All four component spans are emitted even
 // when zero-length, so a trace consumer can reconstruct every record's
 // full decomposition without special-casing warm starts.
-func EmitSpans(t *obs.Tracer, recs []metrics.Record) {
+func EmitSpans(t *obs.Tracer, recs []fnruntime.Record) {
 	for _, r := range recs {
 		id := t.Begin()
 		if id == 0 {
 			continue
 		}
-		attempt := r.Retries + 1
 		cursor := r.Arrive.Duration()
-		for _, part := range []struct {
-			name string
-			dur  time.Duration
-		}{
-			{obs.SpanScheduling, r.Sched},
-			{obs.SpanColdStart, r.Cold},
-			{obs.SpanQueuing, r.Queue},
-			{obs.SpanExecution, r.Exec},
-		} {
+		for i, d := range r.Parts() {
 			t.Record(obs.Span{
 				Trace:     id,
-				Name:      part.name,
+				Name:      obs.DecompositionSpans[i],
 				Fn:        r.Fn,
 				Container: r.Container,
-				Attempt:   attempt,
+				Attempt:   r.Retries + 1,
 				Start:     cursor,
-				End:       cursor + part.dur,
+				End:       cursor + d,
 			})
-			cursor += part.dur
+			cursor += d
 		}
 	}
 }

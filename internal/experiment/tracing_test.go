@@ -97,7 +97,7 @@ func TestTraceRoundTripSim(t *testing.T) {
 		}
 		for name, want := range map[string]time.Duration{
 			obs.SpanScheduling: rec.Sched,
-			obs.SpanColdStart:  rec.Cold,
+			obs.SpanColdStart:  rec.ColdStart,
 			obs.SpanQueuing:    rec.Queue,
 			obs.SpanExecution:  rec.Exec,
 		} {

@@ -23,27 +23,49 @@ import (
 
 	"faasbatch/internal/chaos"
 	"faasbatch/internal/cpusched"
-	"faasbatch/internal/metrics"
 	"faasbatch/internal/multiplex"
 	"faasbatch/internal/node"
+	"faasbatch/internal/obs"
 	"faasbatch/internal/sim"
 	"faasbatch/internal/workload"
 )
 
-// Invocation is one function request flowing through the simulation.
-type Invocation struct {
+// Record is what a run keeps of one completed invocation: who it was, its
+// latency decomposition (§IV) and how it ended.
+type Record struct {
 	// ID is unique within a run.
 	ID int64
-	// Spec is the function being invoked.
-	Spec workload.Spec
+	// Fn is the function name.
+	Fn string
 	// Arrive is when the platform received the request.
 	Arrive sim.Time
+	// Breakdown is the latency decomposition. The scheduler fills Sched,
+	// ColdStart and Queue; the runner fills Exec.
+	obs.Breakdown
+	// Container identifies the container that executed the invocation
+	// (empty when the invocation never reached a container body, e.g. a
+	// failure after its retry budget drained). Containers serve a single
+	// function for their whole life, so records sharing a Container must
+	// share Fn — the group-purity invariant the property tests check.
+	Container string
+	// Retries counts extra scheduling attempts the invocation needed
+	// (container crashes, boot failures); zero on the happy path.
+	Retries int
+	// Failed reports that the invocation exhausted its retry budget and
+	// completed as a failure. A failed record still carries the latency
+	// accumulated until the final attempt was given up.
+	Failed bool
+}
+
+// Invocation is one function request flowing through the simulation; its
+// Record is filled in as it goes.
+type Invocation struct {
+	Record
+	// Spec is the function being invoked.
+	Spec workload.Spec
 	// Attempts counts scheduling attempts consumed so far; schedulers
 	// increment it when they retry after a container fault.
 	Attempts int
-	// Rec accumulates the latency decomposition. The scheduler fills
-	// Sched/Cold/Queue; the runner fills Exec.
-	Rec metrics.Record
 	// Route and Tag belong to the layers above the scheduler, which keep
 	// what they must remember about an invocation here rather than in a
 	// closure around its completion: the fleet dispatcher its binding,
@@ -108,10 +130,8 @@ func NewInvocation(id int64, spec workload.Spec, arrive sim.Time) *Invocation {
 // set makes inv a fresh request, keeping only its bound continuation.
 func (inv *Invocation) set(id int64, spec workload.Spec, arrive sim.Time) {
 	*inv = Invocation{
-		ID:     id,
+		Record: Record{ID: id, Fn: spec.Name, Arrive: arrive},
 		Spec:   spec,
-		Arrive: arrive,
-		Rec:    metrics.Record{ID: id, Fn: spec.Name, Arrive: arrive},
 		step:   inv.step,
 	}
 }
@@ -188,7 +208,7 @@ func (r *Runner) SetChaos(inj *chaos.Injector) { r.inj = inj }
 func (r *Runner) Stats() Stats { return r.stats }
 
 // Execute runs inv inside container c. The invocation occupies a thread
-// for its whole body; done is told when the body returns, after Rec.Exec
+// for its whole body; done is told when the body returns, after Exec
 // is set. The caller remains responsible for the container's acquisition
 // reservation (ReturnThread on the handle it got from Acquire).
 //
@@ -219,7 +239,7 @@ func (r *Runner) Execute(inv *Invocation, c *node.Container, done Completer) err
 	c.CheckoutThread()
 	inv.runner, inv.container, inv.done = r, c, done
 	inv.start = r.eng.Now()
-	inv.Rec.Container = c.ID()
+	inv.Container = c.ID()
 	if inv.step == nil {
 		inv.step = inv.advance
 	}
@@ -268,10 +288,10 @@ func (inv *Invocation) advance() {
 	}
 }
 
-// finish returns the body: Rec.Exec, the transient client, the thread.
+// finish returns the body: Exec, the transient client, the thread.
 func (r *Runner) finish(inv *Invocation) {
 	c := inv.container
-	inv.Rec.Exec = r.eng.Now().Sub(inv.start)
+	inv.Exec = r.eng.Now().Sub(inv.start)
 	if inv.transient > 0 {
 		// A non-multiplexed client is garbage once the invocation
 		// returns.

@@ -67,8 +67,8 @@ func TestExecuteCPUFunction(t *testing.T) {
 		t.Fatal("onDone never fired")
 	}
 	// Alone on 8 cores the fib runs at full speed.
-	if diff := done.Rec.Exec - spec.Work; diff < -time.Millisecond || diff > time.Millisecond {
-		t.Fatalf("Exec = %v, want ~%v", done.Rec.Exec, spec.Work)
+	if diff := done.Exec - spec.Work; diff < -time.Millisecond || diff > time.Millisecond {
+		t.Fatalf("Exec = %v, want ~%v", done.Exec, spec.Work)
 	}
 	if got := e.runner.Stats().Executed; got != 1 {
 		t.Fatalf("Executed = %d, want 1", got)
@@ -78,8 +78,8 @@ func TestExecuteCPUFunction(t *testing.T) {
 func TestNewInvocationInitialisesRecord(t *testing.T) {
 	spec := workload.IOSpec("s3func")
 	inv := NewInvocation(7, spec, sim.Time(3*time.Second))
-	if inv.Rec.ID != 7 || inv.Rec.Fn != "s3func" || inv.Rec.Arrive != sim.Time(3*time.Second) {
-		t.Fatalf("record = %+v", inv.Rec)
+	if inv.ID != 7 || inv.Fn != "s3func" || inv.Arrive != sim.Time(3*time.Second) {
+		t.Fatalf("record = %+v", inv.Record)
 	}
 }
 
@@ -102,7 +102,7 @@ func TestReuseStartsAFreshRequest(t *testing.T) {
 	spec := mustSpec(t, 22)
 	inv.Reuse(9, spec, e.eng.Now())
 	fresh := NewInvocation(9, spec, e.eng.Now())
-	if inv.ID != 9 || inv.Rec != fresh.Rec || inv.Attempts != 0 || inv.Tag != 0 || inv.Route.Worker != 0 || inv.Spec.Work != spec.Work {
+	if inv.ID != 9 || inv.Record != fresh.Record || inv.Attempts != 0 || inv.Tag != 0 || inv.Route.Worker != 0 || inv.Spec.Work != spec.Work {
 		t.Fatalf("reused invocation = %+v, want it as NewInvocation builds it", inv)
 	}
 	if inv.step == nil {
@@ -112,8 +112,8 @@ func TestReuseStartsAFreshRequest(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.eng.Run()
-	if done != 2 || inv.Rec.Exec <= 0 {
-		t.Fatalf("%d completions, Exec = %v; want 2 and the second body timed", done, inv.Rec.Exec)
+	if done != 2 || inv.Exec <= 0 {
+		t.Fatalf("%d completions, Exec = %v; want 2 and the second body timed", done, inv.Exec)
 	}
 }
 
@@ -185,8 +185,8 @@ func TestExecuteIOFunctionWithoutMultiplexer(t *testing.T) {
 	}
 	// Exec = creation (66ms, alone) + IO wait (15ms) + compute (2ms).
 	want := 83 * time.Millisecond
-	if diff := done.Rec.Exec - want; diff < -2*time.Millisecond || diff > 2*time.Millisecond {
-		t.Fatalf("Exec = %v, want ~%v", done.Rec.Exec, want)
+	if diff := done.Exec - want; diff < -2*time.Millisecond || diff > 2*time.Millisecond {
+		t.Fatalf("Exec = %v, want ~%v", done.Exec, want)
 	}
 	st := e.runner.Stats()
 	if st.ClientsBuilt != 1 {
@@ -213,7 +213,7 @@ func TestConcurrentCreationsContendSuperlinearly(t *testing.T) {
 	var lats []time.Duration
 	for i := 0; i < 9; i++ {
 		inv := NewInvocation(int64(i), spec, e.eng.Now())
-		if err := e.runner.Execute(inv, c, CompleteFunc(func(iv *Invocation) { lats = append(lats, iv.Rec.Exec) })); err != nil {
+		if err := e.runner.Execute(inv, c, CompleteFunc(func(iv *Invocation) { lats = append(lats, iv.Exec) })); err != nil {
 			t.Fatalf("Execute: %v", err)
 		}
 	}
@@ -245,7 +245,7 @@ func TestMultiplexerCollapsesCreationCost(t *testing.T) {
 	var lats []time.Duration
 	for i := 0; i < 9; i++ {
 		inv := NewInvocation(int64(i), spec, e.eng.Now())
-		if err := e.runner.Execute(inv, c, CompleteFunc(func(iv *Invocation) { lats = append(lats, iv.Rec.Exec) })); err != nil {
+		if err := e.runner.Execute(inv, c, CompleteFunc(func(iv *Invocation) { lats = append(lats, iv.Exec) })); err != nil {
 			t.Fatalf("Execute: %v", err)
 		}
 	}
@@ -290,8 +290,8 @@ func TestMultiplexerHitOnLaterWindow(t *testing.T) {
 	}
 	// Hit path: IO wait + compute only = 17ms.
 	want := 17 * time.Millisecond
-	if diff := second.Rec.Exec - want; diff < -2*time.Millisecond || diff > 2*time.Millisecond {
-		t.Fatalf("hit Exec = %v, want ~%v", second.Rec.Exec, want)
+	if diff := second.Exec - want; diff < -2*time.Millisecond || diff > 2*time.Millisecond {
+		t.Fatalf("hit Exec = %v, want ~%v", second.Exec, want)
 	}
 }
 
@@ -299,7 +299,7 @@ func TestExecuteOnEvictedContainerFails(t *testing.T) {
 	e := newEnv(t)
 	c := e.acquire(t, "f", node.AcquireOptions{})
 	c.ReturnThread()
-	e.node.EvictIdle()
+	e.eng.Run() // keep-alive expiry evicts the idle container
 	inv := NewInvocation(1, mustSpec(t, 20), e.eng.Now())
 	if err := e.runner.Execute(inv, c, CompleteFunc(func(*Invocation) {})); err == nil {
 		t.Fatal("Execute on evicted container succeeded, want error")
@@ -426,11 +426,11 @@ func TestPropertyExecutionInvariants(t *testing.T) {
 				inv := NewInvocation(int64(i), spec, eng.Now())
 				if err := runner.Execute(inv, c, CompleteFunc(func(done *Invocation) {
 					completed++
-					rec := done.Rec
-					if rec.Sched < 0 || rec.Cold < 0 || rec.Queue < 0 || rec.Exec <= 0 {
+					rec := done.Record
+					if rec.Sched < 0 || rec.ColdStart < 0 || rec.Queue < 0 || rec.Exec <= 0 {
 						ok = false
 					}
-					if rec.Total() != rec.Sched+rec.Cold+rec.Queue+rec.Exec {
+					if rec.Total() != rec.Sched+rec.ColdStart+rec.Queue+rec.Exec {
 						ok = false
 					}
 					if done.Spec.Client == nil && rec.Exec < done.Spec.Work {

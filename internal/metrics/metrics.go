@@ -1,7 +1,6 @@
-// Package metrics provides the measurement vocabulary of the evaluation:
-// per-invocation latency decomposition, empirical CDFs, duration histograms,
-// periodic resource sampling, and plain-text table rendering for the
-// figure/table reproductions.
+// Package metrics is what the figure/table reproductions print: latency
+// components of a decomposition, empirical CDFs and their plots, periodic
+// resource sampling, and plain-text tables.
 package metrics
 
 import (
@@ -10,70 +9,10 @@ import (
 	"sort"
 	"time"
 
-	"faasbatch/internal/sim"
+	"faasbatch/internal/obs"
 )
 
-// Record is the latency decomposition of one function invocation, following
-// the paper's definition (§IV): scheduling latency (receipt until dispatch
-// to a container, excluding cold start), cold-start latency (booting the
-// selected container), queuing latency (waiting inside the container), and
-// execution latency (CPU/IO time of the function body).
-type Record struct {
-	// ID uniquely identifies the invocation within a run.
-	ID int64
-	// Fn is the function name.
-	Fn string
-	// Arrive is the virtual time the platform received the invocation.
-	Arrive sim.Time
-	// Sched is the scheduling latency (cold start excluded).
-	Sched time.Duration
-	// Cold is the cold-start latency (zero on a warm start).
-	Cold time.Duration
-	// Queue is the in-container queuing latency.
-	Queue time.Duration
-	// Exec is the execution latency.
-	Exec time.Duration
-	// Container identifies the container that executed the invocation
-	// (empty when the invocation never reached a container body, e.g. a
-	// failure after its retry budget drained). Containers serve a single
-	// function for their whole life, so records sharing a Container must
-	// share Fn — the group-purity invariant the property tests check.
-	Container string
-	// Retries counts extra scheduling attempts the invocation needed
-	// (container crashes, boot failures); zero on the happy path.
-	Retries int
-	// Failed reports that the invocation exhausted its retry budget and
-	// completed as a failure. Failed records still carry the latency
-	// accumulated until the final attempt was given up.
-	Failed bool
-}
-
-// Total reports the end-to-end invocation latency.
-func (r Record) Total() time.Duration { return r.Sched + r.Cold + r.Queue + r.Exec }
-
-// Imbalance reports max/mean over per-entity counts (1.0 = perfectly
-// balanced; 0 when counts are empty or sum to zero). The cluster applies
-// it to per-node container provisioning, the live router to per-worker
-// forwarded invocations — one skew definition across sim and live.
-func Imbalance(counts []int) float64 {
-	if len(counts) == 0 {
-		return 0
-	}
-	maxC, sum := 0, 0
-	for _, n := range counts {
-		sum += n
-		if n > maxC {
-			maxC = n
-		}
-	}
-	if sum == 0 {
-		return 0
-	}
-	mean := float64(sum) / float64(len(counts))
-	return float64(maxC) / mean
-}
-
-// Component selects one latency component of a Record.
+// Component selects one latency component of a decomposition.
 type Component int
 
 // Latency components, in pipeline order.
@@ -106,33 +45,24 @@ func (c Component) String() string {
 	}
 }
 
-// Of extracts the component's value from a record.
-func (c Component) Of(r Record) time.Duration {
+// Of extracts the component's value from a decomposition.
+func (c Component) Of(b obs.Breakdown) time.Duration {
 	switch c {
 	case Scheduling:
-		return r.Sched
+		return b.Sched
 	case ColdStart:
-		return r.Cold
+		return b.ColdStart
 	case Queuing:
-		return r.Queue
+		return b.Queue
 	case Execution:
-		return r.Exec
+		return b.Exec
 	case ExecPlusQueue:
-		return r.Exec + r.Queue
+		return b.Exec + b.Queue
 	case EndToEnd:
-		return r.Total()
+		return b.Total()
 	default:
 		return 0
 	}
-}
-
-// Extract pulls one latency component out of a record slice.
-func Extract(recs []Record, c Component) []time.Duration {
-	out := make([]time.Duration, len(recs))
-	for i, r := range recs {
-		out[i] = c.Of(r)
-	}
-	return out
 }
 
 // CDF is an empirical cumulative distribution over durations.

@@ -8,27 +8,16 @@ import (
 	"testing/quick"
 	"time"
 
+	"faasbatch/internal/obs"
 	"faasbatch/internal/sim"
 )
 
-func TestRecordTotalIsSumOfComponents(t *testing.T) {
-	r := Record{
-		Sched: 10 * time.Millisecond,
-		Cold:  500 * time.Millisecond,
-		Queue: 30 * time.Millisecond,
-		Exec:  200 * time.Millisecond,
-	}
-	if got, want := r.Total(), 740*time.Millisecond; got != want {
-		t.Fatalf("Total = %v, want %v", got, want)
-	}
-}
-
 func TestComponentOf(t *testing.T) {
-	r := Record{
-		Sched: 1 * time.Millisecond,
-		Cold:  2 * time.Millisecond,
-		Queue: 4 * time.Millisecond,
-		Exec:  8 * time.Millisecond,
+	r := obs.Breakdown{
+		Sched:     1 * time.Millisecond,
+		ColdStart: 2 * time.Millisecond,
+		Queue:     4 * time.Millisecond,
+		Exec:      8 * time.Millisecond,
 	}
 	cases := []struct {
 		c    Component
@@ -67,17 +56,6 @@ func TestComponentString(t *testing.T) {
 	}
 	if got := Component(42).String(); !strings.Contains(got, "42") {
 		t.Errorf("unknown component String = %q", got)
-	}
-}
-
-func TestExtract(t *testing.T) {
-	recs := []Record{
-		{Sched: 1 * time.Millisecond, Exec: 10 * time.Millisecond},
-		{Sched: 2 * time.Millisecond, Exec: 20 * time.Millisecond},
-	}
-	got := Extract(recs, Scheduling)
-	if len(got) != 2 || got[0] != time.Millisecond || got[1] != 2*time.Millisecond {
-		t.Fatalf("Extract(Scheduling) = %v", got)
 	}
 }
 
@@ -312,23 +290,5 @@ func TestCDFHandlesUnsortedDuplicates(t *testing.T) {
 	}
 	if got := c.At(5); got != 5.0/6 {
 		t.Fatalf("At(5) = %v, want 5/6", got)
-	}
-}
-
-func TestImbalance(t *testing.T) {
-	cases := []struct {
-		counts []int
-		want   float64
-	}{
-		{nil, 0},
-		{[]int{0, 0, 0}, 0},
-		{[]int{4, 4}, 1},
-		{[]int{6, 2}, 1.5},  // mean 4, max 6
-		{[]int{9, 0, 0}, 3}, // one node hogs everything
-	}
-	for _, c := range cases {
-		if got := Imbalance(c.counts); got != c.want {
-			t.Errorf("Imbalance(%v) = %v, want %v", c.counts, got, c.want)
-		}
 	}
 }

@@ -375,20 +375,5 @@ func (n *Node) teardown(c *Container) {
 	}
 }
 
-// EvictIdle immediately evicts every idle container (end-of-experiment
-// cleanup so memory-ledger invariants can be asserted).
-func (n *Node) EvictIdle() int {
-	evicted := 0
-	for fn, list := range n.warm {
-		for _, c := range list {
-			n.teardown(c)
-			evicted++
-			n.evictions++
-		}
-		delete(n.warm, fn)
-	}
-	return evicted
-}
-
 // WarmCount reports the idle containers available for fn.
 func (n *Node) WarmCount(fn string) int { return len(n.warm[fn]) }

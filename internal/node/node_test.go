@@ -274,15 +274,20 @@ func TestCPULimitApplied(t *testing.T) {
 	var c *Container
 	n.Acquire("f", AcquireOptions{CPULimit: 2}, AcquireFunc(func(r AcquireResult) { c = r.Container }))
 	eng.Run()
-	if got := c.Group().Cap(); got != 2 {
-		t.Fatalf("group cap = %v, want 2", got)
+	// On the 4-core node, four 100ms tasks take 200ms under the 2-core cap,
+	// and two take 200ms on the 1-core runtime-lock group.
+	start := eng.Now()
+	var capped, gil sim.Time
+	for i := 0; i < 4; i++ {
+		c.Group().Submit(100*time.Millisecond, func() { capped = eng.Now() })
 	}
-	c.Group().SetCap(1)
-	if got := c.Group().Cap(); got != 1 {
-		t.Fatalf("group cap after SetCap = %v, want 1", got)
+	for i := 0; i < 2; i++ {
+		c.GILGroup().Submit(100*time.Millisecond, func() { gil = eng.Now() })
 	}
-	if got := c.GILGroup().Cap(); got != 1 {
-		t.Fatalf("gil group cap = %v, want 1", got)
+	eng.Run()
+	want := start.Add(200 * time.Millisecond)
+	if capped != want || gil != want {
+		t.Fatalf("capped group done at %v, gil group at %v; want both at %v", capped, gil, want)
 	}
 }
 
@@ -333,6 +338,21 @@ func TestFreeClientMemClampsToLive(t *testing.T) {
 	}
 }
 
+// evictIdle tears down every idle container at once, as keep-alive expiry
+// would one by one, and reports how many went.
+func evictIdle(n *Node) int {
+	evicted := 0
+	for fn, list := range n.warm {
+		for _, c := range list {
+			n.teardown(c)
+			evicted++
+			n.evictions++
+		}
+		delete(n.warm, fn)
+	}
+	return evicted
+}
+
 func TestEvictIdle(t *testing.T) {
 	eng := sim.New(1)
 	n := newTestNode(t, eng, testConfig())
@@ -341,11 +361,11 @@ func TestEvictIdle(t *testing.T) {
 	}
 	eng.RunUntil(sim.Time(2 * time.Second)) // boots done, keep-alive not yet
 	// Three creations for the same fn because none was warm at submit.
-	if got := n.EvictIdle(); got != 3 {
-		t.Fatalf("EvictIdle = %d, want 3", got)
+	if got := evictIdle(n); got != 3 {
+		t.Fatalf("evictIdle = %d, want 3", got)
 	}
 	if n.MemUsed() != 0 || n.LiveContainers() != 0 {
-		t.Fatalf("after EvictIdle: mem=%d live=%d", n.MemUsed(), n.LiveContainers())
+		t.Fatalf("after evictIdle: mem=%d live=%d", n.MemUsed(), n.LiveContainers())
 	}
 	if eng.Pending() != 0 {
 		t.Fatalf("pending = %d: teardown stops the keep-alive timers of the containers it evicts", eng.Pending())

@@ -110,7 +110,7 @@ func TestFederationMatchesMergedHistogram(t *testing.T) {
 	mk := func(values []time.Duration) *Metrics {
 		m := NewMetrics()
 		for _, v := range values {
-			m.Function("echo").Observe(0, 0, 0, v)
+			m.Function("echo").Observe(Breakdown{Exec: v})
 		}
 		return m
 	}

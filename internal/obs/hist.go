@@ -94,7 +94,7 @@ type FunctionLatency struct {
 }
 
 // Observe counts one settled invocation: each component and their sum.
-func (l *FunctionLatency) Observe(sched, cold, queue, exec time.Duration) {
+func (l *FunctionLatency) Observe(b Breakdown) {
 	if l == nil {
 		return
 	}
@@ -107,11 +107,11 @@ func (l *FunctionLatency) Observe(sched, cold, queue, exec time.Duration) {
 			l.h[i].counts = counts[i*n : (i+1)*n : (i+1)*n]
 		}
 	}
-	l.h[latCold].Observe(cold.Seconds())
-	l.h[latEndToEnd].Observe((sched + cold + queue + exec).Seconds())
-	l.h[latExec].Observe(exec.Seconds())
-	l.h[latQueue].Observe(queue.Seconds())
-	l.h[latSched].Observe(sched.Seconds())
+	l.h[latCold].Observe(b.ColdStart.Seconds())
+	l.h[latEndToEnd].Observe(b.Total().Seconds())
+	l.h[latExec].Observe(b.Exec.Seconds())
+	l.h[latQueue].Observe(b.Queue.Seconds())
+	l.h[latSched].Observe(b.Sched.Seconds())
 	l.mu.Unlock()
 }
 

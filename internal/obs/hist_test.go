@@ -40,7 +40,7 @@ func TestHistogramBuckets(t *testing.T) {
 
 func TestMetricsNilSafe(t *testing.T) {
 	var m *Metrics
-	m.Function("f").Observe(0, 0, 0, time.Second)
+	m.Function("f").Observe(Breakdown{Exec: time.Second})
 	m.ObserveGroupSize(3)
 	var buf bytes.Buffer
 	m.WritePrometheus(&buf)
@@ -52,9 +52,9 @@ func TestMetricsNilSafe(t *testing.T) {
 func TestMetricsPrometheusOutput(t *testing.T) {
 	m := NewMetrics()
 	fib := m.Function("fib")
-	fib.Observe(2*time.Millisecond, 0, 0, 30*time.Millisecond)
-	fib.Observe(3*time.Millisecond, 200*time.Millisecond, time.Millisecond, 70*time.Millisecond)
-	m.Function("echo").Observe(0, 0, 0, time.Millisecond)
+	fib.Observe(Breakdown{Sched: 2 * time.Millisecond, Exec: 30 * time.Millisecond})
+	fib.Observe(Breakdown{Sched: 3 * time.Millisecond, ColdStart: 200 * time.Millisecond, Queue: time.Millisecond, Exec: 70 * time.Millisecond})
+	m.Function("echo").Observe(Breakdown{Exec: time.Millisecond})
 	m.Function("idle") // resolved, never observed: no series
 	if m.Function("fib") != fib {
 		t.Fatal("Function resolved a second handle for one name")
@@ -114,7 +114,7 @@ func TestObserveLatencySteadyStateNoAlloc(t *testing.T) {
 	m := NewMetrics()
 	f, w := m.Function("f"), m.Forward("w")
 	allocs := testing.AllocsPerRun(1000, func() {
-		f.Observe(time.Millisecond, 0, time.Microsecond, time.Millisecond)
+		f.Observe(Breakdown{Sched: time.Millisecond, Queue: time.Microsecond, Exec: time.Millisecond})
 		w.Observe(time.Millisecond)
 		m.ObserveGroupSize(4)
 	})
@@ -179,7 +179,7 @@ func TestFunctionLatencyScrapeIsConsistent(t *testing.T) {
 					case <-stop:
 						return
 					default:
-						l.Observe(time.Millisecond, 0, time.Microsecond, 3*time.Millisecond)
+						l.Observe(Breakdown{Sched: time.Millisecond, Queue: time.Microsecond, Exec: 3 * time.Millisecond})
 					}
 				}
 			}()

@@ -23,6 +23,52 @@
 // TestDisabledTracerZeroAlloc and BenchmarkTracerDisabled).
 package obs
 
+import "time"
+
+// Breakdown is one invocation's latency decomposition (§IV), the one
+// record of it: the simulator's invocations, the live platform's results
+// and the latency histograms carry it, and the wire reply is its view in
+// milliseconds. Its parts are the spans DecompositionSpans names, in that
+// order, so a traced invocation's spans reproduce it exactly.
+type Breakdown struct {
+	// Sched is the scheduling latency: receipt until dispatch to a
+	// container (the window wait plus the dispatch hop), cold start
+	// excluded.
+	Sched time.Duration
+	// ColdStart is booting the selected container (zero on a warm start).
+	ColdStart time.Duration
+	// Queue is the wait inside the container, from its being ready until
+	// the body starts.
+	Queue time.Duration
+	// Exec is the function body's execution.
+	Exec time.Duration
+}
+
+// Total reports the end-to-end latency, the sum of the four parts.
+func (b Breakdown) Total() time.Duration { return b.Sched + b.ColdStart + b.Queue + b.Exec }
+
+// Parts lists the four parts in DecompositionSpans order.
+func (b Breakdown) Parts() [4]time.Duration {
+	return [4]time.Duration{b.Sched, b.ColdStart, b.Queue, b.Exec}
+}
+
+// Imbalance reports max/mean over per-entity counts (1.0 = perfectly
+// balanced; 0 when counts are empty or sum to zero). The simulated fleet
+// applies it to per-node container provisioning, the live router to
+// per-worker forwarded invocations: one skew definition across sim and
+// live.
+func Imbalance(counts []int) float64 {
+	maxC, sum := 0, 0
+	for _, n := range counts {
+		sum += n
+		maxC = max(maxC, n)
+	}
+	if sum == 0 {
+		return 0
+	}
+	return float64(maxC) / (float64(sum) / float64(len(counts)))
+}
+
 // Span names for the paper's four-component latency decomposition (§IV),
 // shared by the live platform and the simulator so one round-trip test
 // covers both. Additional spans refine the picture without entering the

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"time"
 
 	"faasbatch/internal/httpapi"
 	"faasbatch/internal/obs"
@@ -122,13 +123,7 @@ func (p *Platform) serveInvoke(w http.ResponseWriter, r *http.Request) {
 		Worker:      p.WorkerID(),
 		Cold:        res.Cold,
 		Attempts:    res.Attempts,
-		Latency: httpapi.Latency{
-			SchedMillis: float64(res.Sched.Microseconds()) / 1000,
-			ColdMillis:  float64(res.ColdStart.Microseconds()) / 1000,
-			QueueMillis: float64(res.Queue.Microseconds()) / 1000,
-			ExecMillis:  float64(res.Exec.Microseconds()) / 1000,
-			TotalMillis: float64(res.Total().Microseconds()) / 1000,
-		},
+		Latency:     wireLatency(res.Breakdown),
 	}
 	// Byte-oriented encode through the pooled buffer: no Encoder, no
 	// reflection, no per-response allocation; the encoder stamps the
@@ -142,6 +137,20 @@ func (p *Platform) serveInvoke(w http.ResponseWriter, r *http.Request) {
 		// or a retry behind a timed-out attempt, an abandoned handler
 		// goroutine may be, and the body is left to the collector.
 		httpapi.Recycle(body)
+	}
+}
+
+// wireLatency is the decomposition's wire view: each part and the total
+// in milliseconds, converted from nanoseconds so no part rounds away and
+// TotalMillis is the sum the parts report, up to float rounding.
+func wireLatency(b obs.Breakdown) httpapi.Latency {
+	ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
+	return httpapi.Latency{
+		SchedMillis: ms(b.Sched),
+		ColdMillis:  ms(b.ColdStart),
+		QueueMillis: ms(b.Queue),
+		ExecMillis:  ms(b.Exec),
+		TotalMillis: ms(b.Total()),
 	}
 }
 

@@ -78,10 +78,10 @@ func TestHTTPInvoke(t *testing.T) {
 	if out.Latency.QueueMillis < 0 {
 		t.Errorf("QueueMillis = %v, want >= 0", out.Latency.QueueMillis)
 	}
-	// Each component is truncated to whole microseconds independently, so
-	// the reported total may drift from the sum by a few microseconds.
+	// The components and the total come from the same nanoseconds, so they
+	// agree up to float rounding.
 	sum := out.Latency.SchedMillis + out.Latency.ColdMillis + out.Latency.QueueMillis + out.Latency.ExecMillis
-	if diff := out.Latency.TotalMillis - sum; diff > 0.005 || diff < -0.005 {
+	if diff := out.Latency.TotalMillis - sum; diff > 1e-9 || diff < -1e-9 {
 		t.Errorf("TotalMillis %v != component sum %v", out.Latency.TotalMillis, sum)
 	}
 }

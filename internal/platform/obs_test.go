@@ -5,9 +5,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -188,6 +190,51 @@ func TestTraceRoundTripLive(t *testing.T) {
 		if cur.Start != prev.End {
 			t.Errorf("%s starts at %v, %s ends at %v", order[i], cur.Start, order[i-1], prev.End)
 		}
+	}
+}
+
+// TestInvokeReplyLatencyMatchesTrace checks the wire view of the
+// decomposition loses nothing: each of a traced /invoke reply's four
+// millisecond components is its span's duration to the nanosecond, and
+// the total is their sum up to float rounding.
+func TestInvokeReplyLatencyMatchesTrace(t *testing.T) {
+	p, tracer := tracedPlatform(t)
+	if err := p.Register("sleepy", func(_ context.Context, _ *Invocation) (any, error) {
+		time.Sleep(time.Millisecond)
+		return "ok", nil
+	}); err != nil {
+		t.Fatalf("Register: %v", err)
+	}
+	p.SetReady(true)
+	srv := httptest.NewServer(NewHTTPHandler(p))
+	t.Cleanup(srv.Close)
+	resp, out := postInvoke(t, srv.URL, httpapi.InvokeRequest{Fn: "sleepy"})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status = %d", resp.StatusCode)
+	}
+	trace, err := strconv.ParseUint(out.TraceID, 16, 64)
+	if err != nil || trace == 0 {
+		t.Fatalf("reply traceId %q: %v", out.TraceID, err)
+	}
+	spans := map[string]time.Duration{}
+	for _, s := range tracer.Snapshot() {
+		if s.Trace == trace {
+			spans[s.Name] = s.Dur()
+		}
+	}
+	l := out.Latency
+	for i, ms := range []float64{l.SchedMillis, l.ColdMillis, l.QueueMillis, l.ExecMillis} {
+		name := obs.DecompositionSpans[i]
+		dur, ok := spans[name]
+		if !ok {
+			t.Fatalf("trace %x has no %s span (have %v)", trace, name, spans)
+		}
+		if got := time.Duration(math.Round(ms * 1e6)); got != dur {
+			t.Errorf("%s: reply says %v ms (%v), span lasted %v", name, ms, got, dur)
+		}
+	}
+	if sum := l.SchedMillis + l.ColdMillis + l.QueueMillis + l.ExecMillis; math.Abs(l.TotalMillis-sum) > 1e-9 {
+		t.Errorf("TotalMillis %v != component sum %v", l.TotalMillis, sum)
 	}
 }
 

@@ -251,16 +251,11 @@ type Result struct {
 	ContainerID string
 	// Cold reports whether a container had to be started.
 	Cold bool
-	// Sched is the scheduling latency (window wait + dispatch).
-	Sched time.Duration
-	// ColdStart is the container boot time (zero on warm starts).
-	ColdStart time.Duration
-	// Queue is the in-container queuing latency: the gap between the
-	// container being ready and the handler starting (§IV's queuing
-	// component).
-	Queue time.Duration
-	// Exec is the handler execution time.
-	Exec time.Duration
+	// Breakdown is the decomposition: Sched is the window wait plus
+	// dispatch, ColdStart the group's container boot, Queue the gap from
+	// the container being ready to the handler starting, Exec the
+	// handler. Total is their sum.
+	obs.Breakdown
 	// Attempts is how many execution attempts the invocation consumed
 	// (1 on the happy path; retries after faults add one each, capped at
 	// 1+Config.MaxRetries).
@@ -269,10 +264,6 @@ type Result struct {
 	// with a sampling tracer (zero when tracing is off or unsampled).
 	TraceID uint64
 }
-
-// Total reports the end-to-end latency: the sum of the four reported
-// components, matching the paper's §IV decomposition.
-func (r Result) Total() time.Duration { return r.Sched + r.ColdStart + r.Queue + r.Exec }
 
 // Config parameterises the live platform.
 type Config struct {
@@ -839,7 +830,11 @@ func (p *Platform) InvokeWithTrace(ctx context.Context, fn string, payload json.
 	idle := f.ctrl.UsesIdle() && len(f.pending) == 0 && !p.busyLocked(f)
 	p.enqueueLocked(f, call)
 	d := f.ctrl.Arrive(f.name, call.arrive.Sub(p.epoch), idle)
-	p.ctr.dispatchWindowMicros.Store(d.Window.Microseconds())
+	// Every function's arrivals share this gauge's cache line: store only
+	// a change, so a steady window costs each arrival a read, not a write.
+	if w := d.Window.Microseconds(); p.ctr.dispatchWindowMicros.Load() != w {
+		p.ctr.dispatchWindowMicros.Store(w)
+	}
 	if run = p.applyLocked(f, d); run != nil {
 		// Fast path or early close: dispatch without waiting for the
 		// window loop.
@@ -1331,7 +1326,8 @@ func (p *Platform) dispatchGroup(f *function, g *callGroup) {
 // into a retry and the call is waiting for its next ticket.
 func (p *Platform) runTicket(f *function, call *pendingCall, g *callGroup) (res Result, err error, rebatched bool) {
 	if g.crash != nil {
-		res = Result{ContainerID: g.c.id, Cold: g.cold, Sched: g.dispatch.Sub(call.arrive), ColdStart: g.coldDur, TraceID: call.trace}
+		res = Result{ContainerID: g.c.id, Cold: g.cold, TraceID: call.trace}
+		res.Sched, res.ColdStart = g.dispatch.Sub(call.arrive), g.coldDur
 		err = g.crash
 		rebatched = p.finish(f, call, &res, err)
 	} else {
@@ -1390,11 +1386,13 @@ func (p *Platform) runCall(f *function, g *callGroup, call *pendingCall) (Result
 		Value:       value,
 		ContainerID: c.id,
 		Cold:        g.cold,
-		Sched:       g.dispatch.Sub(call.arrive),
-		ColdStart:   g.coldDur,
-		Queue:       start.Sub(g.ready),
-		Exec:        end.Sub(start),
-		TraceID:     call.trace,
+		Breakdown: obs.Breakdown{
+			Sched:     g.dispatch.Sub(call.arrive),
+			ColdStart: g.coldDur,
+			Queue:     start.Sub(g.ready),
+			Exec:      end.Sub(start),
+		},
+		TraceID: call.trace,
 	}
 	if err != nil {
 		err = fmt.Errorf("platform: invoke %s: %w", f.name, err)
@@ -1527,7 +1525,7 @@ func (p *Platform) finish(f *function, call *pendingCall, res *Result, err error
 		p.logger.Warn("invocation failed",
 			"fn", f.name, "attempts", call.attempts, "trace", call.trace, "err", err)
 	}
-	f.latency.Observe(res.Sched, res.ColdStart, res.Queue, res.Exec)
+	f.latency.Observe(res.Breakdown)
 	if p.slos != nil {
 		p.slos.Observe(f.name, res.Total(), err != nil, time.Since(p.epoch))
 	}

@@ -219,8 +219,8 @@ func (k *Kraken) newContainer(fn *krakenFn) *krakenContainer {
 		// invocation — the one whose arrival triggered the provisioning.
 		if len(kc.queue) > 0 {
 			first := kc.queue[0]
-			first.inv.Rec.Sched = first.issued.Sub(first.inv.Arrive) + r.QueueWait
-			first.inv.Rec.Cold = r.BootTime
+			first.inv.Sched = first.issued.Sub(first.inv.Arrive) + r.QueueWait
+			first.inv.ColdStart = r.BootTime
 		}
 		kc.drain(k)
 	}))
@@ -238,8 +238,8 @@ func (kc *krakenContainer) load() int {
 
 // enqueue adds an item and starts draining when the container is ready.
 func (kc *krakenContainer) enqueue(k *Kraken, item *krakenItem) {
-	if item.inv.Rec.Sched == 0 && kc.ready {
-		item.inv.Rec.Sched = k.env.Eng.Now().Sub(item.inv.Arrive)
+	if item.inv.Sched == 0 && kc.ready {
+		item.inv.Sched = k.env.Eng.Now().Sub(item.inv.Arrive)
 	}
 	kc.queue = append(kc.queue, item)
 	if kc.ready && !kc.running {
@@ -265,9 +265,9 @@ func (kc *krakenContainer) drain(k *Kraken) {
 	if kc.readyAt > queueFrom {
 		queueFrom = kc.readyAt
 	}
-	item.inv.Rec.Queue = k.env.Eng.Now().Sub(queueFrom)
+	item.inv.Queue = k.env.Eng.Now().Sub(queueFrom)
 	err := k.env.Runner.Execute(item.inv, kc.c, fnruntime.CompleteFunc(func(done *fnruntime.Invocation) {
-		kc.fn.execEst.Observe(float64(done.Rec.Exec))
+		kc.fn.execEst.Observe(float64(done.Exec))
 		kc.running = false
 		item.complete(done)
 		if len(kc.queue) > 0 {

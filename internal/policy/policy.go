@@ -94,8 +94,8 @@ func submitOnePerContainer(env Env, inv *fnruntime.Invocation, complete func(*fn
 	env.Node.Acquire(inv.Spec.Name, node.AcquireOptions{}, node.AcquireFunc(func(r node.AcquireResult) {
 		// Scheduling latency: decision plus engine-queue wait; the boot
 		// itself is accounted separately as cold start (§IV).
-		inv.Rec.Sched = issued.Sub(inv.Arrive) + r.QueueWait
-		inv.Rec.Cold = r.BootTime
+		inv.Sched = issued.Sub(inv.Arrive) + r.QueueWait
+		inv.ColdStart = r.BootTime
 		err := env.Runner.Execute(inv, r.Container, fnruntime.CompleteFunc(func(done *fnruntime.Invocation) {
 			r.Container.ReturnThread() // release the acquisition reservation
 			complete(done)
@@ -107,12 +107,12 @@ func submitOnePerContainer(env Env, inv *fnruntime.Invocation, complete func(*fn
 			// the invocation.
 			r.Container.ReturnThread()
 			if inv.Attempts >= maxRetriesOnePerContainer {
-				inv.Rec.Failed = true
+				inv.Failed = true
 				complete(inv)
 				return
 			}
 			inv.Attempts++
-			inv.Rec.Retries = inv.Attempts
+			inv.Retries = inv.Attempts
 			submitOnePerContainer(env, inv, complete)
 		}
 	}))
@@ -237,13 +237,4 @@ func (s *SFS) observeArrival() {
 		return // leave the previous quanta in place
 	}
 	s.env.Node.Pool().Reallocate()
-}
-
-// Quantum reports the MLFQ base quantum currently in force (0 when the
-// node does not run MLFQ).
-func (s *SFS) Quantum() time.Duration {
-	if s.mlfq == nil {
-		return 0
-	}
-	return s.mlfq.BaseQuantum()
 }

@@ -6,7 +6,6 @@ import (
 
 	"faasbatch/internal/cpusched"
 	"faasbatch/internal/fnruntime"
-	"faasbatch/internal/metrics"
 	"faasbatch/internal/node"
 	"faasbatch/internal/sim"
 	"faasbatch/internal/workload"
@@ -42,18 +41,18 @@ func fibSpec(t *testing.T, n int) workload.Spec {
 
 // runAll submits invocations at their arrival offsets and steps the engine
 // until all complete. Returns the final records.
-func runAll(t *testing.T, env Env, s Scheduler, specs []workload.Spec, offsets []time.Duration) []metrics.Record {
+func runAll(t *testing.T, env Env, s Scheduler, specs []workload.Spec, offsets []time.Duration) []fnruntime.Record {
 	t.Helper()
 	if len(specs) != len(offsets) {
 		t.Fatal("specs/offsets length mismatch")
 	}
-	var recs []metrics.Record
+	var recs []fnruntime.Record
 	for i := range specs {
 		i := i
 		env.Eng.Schedule(offsets[i], func() {
 			inv := fnruntime.NewInvocation(int64(i), specs[i], env.Eng.Now())
 			s.Submit(inv, func(done *fnruntime.Invocation) {
-				recs = append(recs, done.Rec)
+				recs = append(recs, done.Record)
 			})
 		})
 	}
@@ -96,8 +95,8 @@ func TestVanillaSingleInvocation(t *testing.T) {
 		t.Errorf("Sched = %v, want 0 (free engine slot)", r.Sched)
 	}
 	// Boot: 100ms create work + 400ms latency.
-	if r.Cold < 499*time.Millisecond || r.Cold > 501*time.Millisecond {
-		t.Errorf("Cold = %v, want ~500ms", r.Cold)
+	if r.ColdStart < 499*time.Millisecond || r.ColdStart > 501*time.Millisecond {
+		t.Errorf("ColdStart = %v, want ~500ms", r.ColdStart)
 	}
 	if r.Queue != 0 {
 		t.Errorf("Queue = %v, want 0 (vanilla never queues)", r.Queue)
@@ -117,8 +116,8 @@ func TestVanillaWarmReuseAcrossSequentialInvocations(t *testing.T) {
 	specs := []workload.Spec{spec, spec}
 	// Second arrives well after the first completed.
 	recs := runAll(t, env, v, specs, []time.Duration{0, 3 * time.Second})
-	if recs[1].Cold != 0 {
-		t.Errorf("second invocation Cold = %v, want 0 (warm reuse)", recs[1].Cold)
+	if recs[1].ColdStart != 0 {
+		t.Errorf("second invocation ColdStart = %v, want 0 (warm reuse)", recs[1].ColdStart)
 	}
 	if env.Node.TotalCreated() != 1 {
 		t.Errorf("TotalCreated = %d, want 1", env.Node.TotalCreated())
@@ -143,9 +142,12 @@ func TestVanillaSpawnsContainerPerConcurrentInvocation(t *testing.T) {
 	}
 	// With CreateConcurrency=2 the engine queue inflates scheduling
 	// latency for later invocations.
-	cdf := metrics.NewCDF(metrics.Extract(recs, metrics.Scheduling))
-	if cdf.Max() < 200*time.Millisecond {
-		t.Errorf("max Sched = %v, want creation-queue inflation", cdf.Max())
+	var maxSched time.Duration
+	for _, r := range recs {
+		maxSched = max(maxSched, r.Sched)
+	}
+	if maxSched < 200*time.Millisecond {
+		t.Errorf("max Sched = %v, want creation-queue inflation", maxSched)
 	}
 }
 
@@ -421,7 +423,7 @@ func TestKrakenBatchingAvoidsMostColdStarts(t *testing.T) {
 	recs := runAll(t, env, k, specs, offsets)
 	cold := 0
 	for _, r := range recs {
-		if r.Cold > 0 {
+		if r.ColdStart > 0 {
 			cold++
 		}
 	}
@@ -443,8 +445,8 @@ func TestKrakenCloseReleasesIdleHandles(t *testing.T) {
 		t.Fatalf("got %d records", len(recs))
 	}
 	// After Close (called by runAll), no handle should pin a container:
-	// the node can evict everything idle.
-	env.Node.EvictIdle()
+	// keep-alive expiry evicts everything.
+	env.Eng.Run()
 	if env.Node.LiveContainers() != 0 {
 		t.Fatalf("LiveContainers = %d after close+evict, want 0", env.Node.LiveContainers())
 	}
@@ -516,7 +518,7 @@ func TestSFSAdaptiveQuantumTracksIaT(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewSFS: %v", err)
 	}
-	before := s.Quantum()
+	before := s.mlfq.BaseQuantum()
 	spec := fibSpec(t, 22)
 	// A steady 120ms inter-arrival stream should pull the base quantum
 	// toward ~120ms (from the 50ms default).
@@ -528,7 +530,7 @@ func TestSFSAdaptiveQuantumTracksIaT(t *testing.T) {
 		offsets[i] = time.Duration(i) * 120 * time.Millisecond
 	}
 	runAll(t, env, s, specs, offsets)
-	after := s.Quantum()
+	after := s.mlfq.BaseQuantum()
 	if after <= before {
 		t.Fatalf("quantum %v did not grow from %v toward the 120ms IaT", after, before)
 	}
@@ -562,8 +564,8 @@ func TestSFSQuantumZeroWithoutMLFQ(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewSFS: %v", err)
 	}
-	if s.Quantum() != 0 {
-		t.Fatalf("Quantum = %v on a fair-share node, want 0", s.Quantum())
+	if s.mlfq != nil {
+		t.Fatal("SFS on a fair-share node holds an MLFQ to adapt")
 	}
 	// Arrivals must not panic or adapt anything.
 	spec := fibSpec(t, 22)

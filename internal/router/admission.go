@@ -129,13 +129,3 @@ func (a *admission) Acquire(ctx context.Context, fn string) (release func(), err
 		return nil, ctx.Err()
 	}
 }
-
-// Waiting reports how many invocations of fn are queued (tests).
-func (a *admission) Waiting(fn string) int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if g, ok := a.fns[fn]; ok {
-		return g.waiting
-	}
-	return 0
-}

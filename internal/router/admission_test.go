@@ -7,6 +7,16 @@ import (
 	"time"
 )
 
+// waiting reports how many invocations of fn are queued.
+func waiting(a *admission, fn string) int {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if g, ok := a.fns[fn]; ok {
+		return g.waiting
+	}
+	return 0
+}
+
 func TestAdmissionDisabled(t *testing.T) {
 	a := newAdmission(0, 0, 0)
 	for i := 0; i < 100; i++ {
@@ -70,8 +80,8 @@ func TestAdmissionQueueWaitTimeout(t *testing.T) {
 	if elapsed := time.Since(start); elapsed < 20*time.Millisecond {
 		t.Fatalf("shed after %v, should have queued ~30ms first", elapsed)
 	}
-	if a.Waiting("fn") != 0 {
-		t.Fatalf("Waiting = %d after shed, want 0", a.Waiting("fn"))
+	if waiting(a, "fn") != 0 {
+		t.Fatalf("waiting = %d after shed, want 0", waiting(a, "fn"))
 	}
 }
 
@@ -91,10 +101,10 @@ func TestAdmissionQueueAdmitsOnRelease(t *testing.T) {
 	}()
 	// Wait for the waiter to queue, then free the slot.
 	deadline := time.Now().Add(time.Second)
-	for a.Waiting("fn") == 0 && time.Now().Before(deadline) {
+	for waiting(a, "fn") == 0 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
-	if a.Waiting("fn") != 1 {
+	if waiting(a, "fn") != 1 {
 		t.Fatal("waiter never queued")
 	}
 	release()

@@ -81,14 +81,6 @@ func (s *liveScaler) observe(fn string, off time.Duration) {
 	s.apply(ds)
 }
 
-// observeLatency feeds a completed forward's latency to the demand
-// tracker (observability only).
-func (s *liveScaler) observeLatency(d time.Duration) {
-	s.mu.Lock()
-	s.ctrl.ObserveLatency(d)
-	s.mu.Unlock()
-}
-
 // tick runs one control-loop evaluation and applies its decisions.
 func (s *liveScaler) tick(off time.Duration) {
 	s.mu.Lock()

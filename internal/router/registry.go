@@ -412,7 +412,7 @@ func (r *Registry) Transitions() (markDowns, markUps int64) {
 }
 
 // ForwardedPerWorker returns each worker's served-invocation count in
-// registration order (feeds metrics.Imbalance).
+// registration order (feeds obs.Imbalance).
 func (r *Registry) ForwardedPerWorker() []int {
 	r.mu.Lock()
 	defer r.mu.Unlock()

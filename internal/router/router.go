@@ -16,7 +16,6 @@ import (
 	"faasbatch/internal/autoscale"
 	"faasbatch/internal/chaos"
 	"faasbatch/internal/httpapi"
-	"faasbatch/internal/metrics"
 	"faasbatch/internal/obs"
 	"faasbatch/internal/pullsched"
 )
@@ -316,7 +315,7 @@ func (rt *Router) Stats() Stats {
 
 // ForwardImbalance reports max/mean of per-worker forwarded counts.
 func (rt *Router) ForwardImbalance() float64 {
-	return metrics.Imbalance(rt.reg.ForwardedPerWorker())
+	return obs.Imbalance(rt.reg.ForwardedPerWorker())
 }
 
 // Start launches the periodic health prober and, when autoscaling is
@@ -664,11 +663,7 @@ func (rt *Router) exchange(ctx context.Context, ep *endpoint, trace uint64, atte
 	if err != nil {
 		return dst, 0, fmt.Errorf("forward to %s: %w", ep.id, err)
 	}
-	elapsed := time.Since(start)
-	ep.latency.Observe(elapsed)
-	if rt.scaler != nil {
-		rt.scaler.observeLatency(elapsed)
-	}
+	ep.latency.Observe(time.Since(start))
 	rt.ctr.forwarded.Add(1)
 	// Every escape below copies out of the connection's reply buffer (the
 	// splice appends, the errors stringify), so nothing aliases it once

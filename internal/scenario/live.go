@@ -154,7 +154,6 @@ func runLive(sc *Scenario, traceSink io.Writer) (*Body, error) {
 	}()
 
 	var wg sync.WaitGroup
-	var submitted int64
 	var aggs []*phaseAgg
 	for pi, ph := range sc.Phases {
 		agg := &phaseAgg{}
@@ -175,21 +174,7 @@ func runLive(sc *Scenario, traceSink io.Writer) (*Body, error) {
 	// All arrivals issued; wait for every in-flight invocation so the
 	// phase aggregates are complete before they are summarised.
 	wg.Wait()
-	for pi, ph := range sc.Phases {
-		agg := aggs[pi]
-		submitted += agg.submitted
-		body.Phases = append(body.Phases, PhaseReport{
-			Name:      ph.Name,
-			Arrival:   ph.Arrival,
-			Rate:      ph.Rate,
-			Submitted: agg.submitted,
-			Completed: agg.completed,
-			Failed:    agg.failed,
-			Retries:   agg.retries,
-			Total:     summarize(agg.totalMicros),
-			Sched:     summarize(agg.schedMicros),
-		})
-	}
+	body.Phases, body.Totals = summarizePhases(sc.Phases, aggs)
 	close(stopSampler)
 	<-samplerDone
 	if err := p.Close(); err != nil {
@@ -211,15 +196,6 @@ func runLive(sc *Scenario, traceSink io.Writer) (*Body, error) {
 	body.Balancing = sc.Dispatch.Balancing.String()
 	body.Events = events
 	body.Samples = samples
-	var completed, failed, retries int64
-	var allTotal []int64
-	for i := range body.Phases {
-		completed += body.Phases[i].Completed
-		failed += body.Phases[i].Failed
-		retries += body.Phases[i].Retries
-		allTotal = append(allTotal, aggs[i].totalMicros...)
-	}
-	body.Totals = Totals{Submitted: submitted, Completed: completed, Failed: failed, Retries: retries, Total: summarize(allTotal)}
 	body.Scheduler = SchedStats{
 		Submitted:          st.Submitted,
 		Groups:             st.Groups,
@@ -238,9 +214,9 @@ func runLive(sc *Scenario, traceSink io.Writer) (*Body, error) {
 	}
 	body.Chaos = chaosCounts(inj)
 	body.Invariants = evalInvariants(sc.Invariants, invariantInputs{
-		submitted:        submitted,
-		completed:        completed,
-		failed:           failed,
+		submitted:        body.Totals.Submitted,
+		completed:        body.Totals.Completed,
+		failed:           body.Totals.Failed,
 		conservationLHS:  st.Submitted,
 		conservationRHS:  st.Invocations + st.Canceled,
 		conservationExpr: "platform Submitted == Invocations + Canceled",
@@ -267,16 +243,8 @@ func runLivePhase(p *platform.Platform, sc *Scenario, pi int, ph Phase, scale fl
 			res, err := p.Invoke(context.Background(), fn, payload)
 			slos.Observe(fn, res.Total(), err != nil, time.Since(start))
 			mu.Lock()
-			defer mu.Unlock()
-			agg.completed++
-			if err != nil {
-				agg.failed++
-			}
-			if res.Attempts > 1 {
-				agg.retries += int64(res.Attempts - 1)
-			}
-			agg.totalMicros = append(agg.totalMicros, res.Total().Microseconds())
-			agg.schedMicros = append(agg.schedMicros, res.Sched.Microseconds())
+			agg.observe(res.Breakdown, err != nil, max(res.Attempts-1, 0))
+			mu.Unlock()
 		}()
 	}
 	if ph.Rate > 0 {

@@ -9,8 +9,8 @@
 // is one self-rescheduling event that draws the next inter-arrival gap
 // lazily, keeping the event heap proportional to in-flight work, not to
 // trace length; completions stream into per-phase integer-microsecond
-// slices (the only O(invocations) memory) rather than metrics.Record
-// values. Determinism: every random stream — arrivals, mix choices,
+// slices (the only O(invocations) memory) rather than records.
+// Determinism: every random stream — arrivals, mix choices,
 // fib sampling, chaos — derives from the scenario seed via hashmix, and
 // the engine's event order is total, so one (scenario, seed) pair yields
 // one report body, byte for byte.
@@ -29,6 +29,7 @@ import (
 	"faasbatch/internal/fnruntime"
 	"faasbatch/internal/hashmix"
 	"faasbatch/internal/node"
+	"faasbatch/internal/obs"
 	"faasbatch/internal/policy"
 	"faasbatch/internal/pullsched"
 	"faasbatch/internal/sim"
@@ -174,7 +175,7 @@ func coreConfig(d Dispatch) core.Config {
 	return cfg
 }
 
-// phaseAgg accumulates one phase's streaming completions.
+// phaseAgg accumulates one phase's streaming completions, sim or live.
 type phaseAgg struct {
 	submitted   int64
 	completed   int64
@@ -182,6 +183,47 @@ type phaseAgg struct {
 	retries     int64
 	totalMicros []int64
 	schedMicros []int64
+}
+
+// observe folds one settled invocation into its phase: the decomposition,
+// whether it failed and how many extra attempts it took.
+func (a *phaseAgg) observe(b obs.Breakdown, failed bool, retries int) {
+	a.completed++
+	if failed {
+		a.failed++
+	}
+	a.retries += int64(retries)
+	a.totalMicros = append(a.totalMicros, b.Total().Microseconds())
+	a.schedMicros = append(a.schedMicros, b.Sched.Microseconds())
+}
+
+// summarizePhases builds the report's per-phase rows from their
+// aggregates, and the totals over all of them.
+func summarizePhases(phases []Phase, aggs []*phaseAgg) ([]PhaseReport, Totals) {
+	var rows []PhaseReport
+	var tot Totals
+	var allTotal []int64
+	for pi, p := range phases {
+		agg := aggs[pi]
+		tot.Submitted += agg.submitted
+		tot.Completed += agg.completed
+		tot.Failed += agg.failed
+		tot.Retries += agg.retries
+		allTotal = append(allTotal, agg.totalMicros...)
+		rows = append(rows, PhaseReport{
+			Name:      p.Name,
+			Arrival:   p.Arrival,
+			Rate:      p.Rate,
+			Submitted: agg.submitted,
+			Completed: agg.completed,
+			Failed:    agg.failed,
+			Retries:   agg.retries,
+			Total:     summarize(agg.totalMicros),
+			Sched:     summarize(agg.schedMicros),
+		})
+	}
+	tot.Total = summarize(allTotal)
+	return rows, tot
 }
 
 // simRun is the mutable state of one simulated execution.
@@ -585,17 +627,9 @@ func (s *simRun) submitOne(pi int, spec workload.Spec) {
 // observe streams one completion into its phase's aggregate and puts
 // the invocation on the free list.
 func (s *simRun) observe(done *fnruntime.Invocation) {
-	agg := s.phases[done.Tag]
 	s.completed++
-	agg.completed++
-	rec := &done.Rec
-	s.slos.Observe(done.Spec.Name, rec.Total(), rec.Failed, s.eng.Now().Duration())
-	if rec.Failed {
-		agg.failed++
-	}
-	agg.retries += int64(rec.Retries)
-	agg.totalMicros = append(agg.totalMicros, rec.Total().Microseconds())
-	agg.schedMicros = append(agg.schedMicros, rec.Sched.Microseconds())
+	s.slos.Observe(done.Spec.Name, done.Total(), done.Failed, s.eng.Now().Duration())
+	s.phases[done.Tag].observe(done.Breakdown, done.Failed, done.Retries)
 	done.Recycle()
 	s.free = append(s.free, done)
 }
@@ -725,32 +759,7 @@ func (s *simRun) report() *Body {
 		Autoscale: s.autoscaleReport(),
 		Routing:   s.routingReport(),
 	}
-	var allTotal []int64
-	var failed, retries int64
-	for pi, p := range s.sc.Phases {
-		agg := s.phases[pi]
-		allTotal = append(allTotal, agg.totalMicros...)
-		failed += agg.failed
-		retries += agg.retries
-		b.Phases = append(b.Phases, PhaseReport{
-			Name:      p.Name,
-			Arrival:   p.Arrival,
-			Rate:      p.Rate,
-			Submitted: agg.submitted,
-			Completed: agg.completed,
-			Failed:    agg.failed,
-			Retries:   agg.retries,
-			Total:     summarize(agg.totalMicros),
-			Sched:     summarize(agg.schedMicros),
-		})
-	}
-	b.Totals = Totals{
-		Submitted: s.submitted,
-		Completed: s.completed,
-		Failed:    failed,
-		Retries:   retries,
-		Total:     summarize(allTotal),
-	}
+	b.Phases, b.Totals = summarizePhases(s.sc.Phases, s.phases)
 	var st core.Stats
 	for _, sched := range s.scheds {
 		st.Add(sched.Stats())
@@ -805,7 +814,7 @@ func (s *simRun) report() *Body {
 	b.Invariants = evalInvariants(s.sc.Invariants, invariantInputs{
 		submitted:        s.submitted,
 		completed:        s.completed,
-		failed:           failed,
+		failed:           b.Totals.Failed,
 		conservationLHS:  consLHS,
 		conservationRHS:  s.submitted,
 		conservationExpr: consExpr,

@@ -30,8 +30,8 @@ func TestReset(t *testing.T) {
 	if eng.Pending() != 0 {
 		t.Errorf("Pending after Reset = %d, want 0", eng.Pending())
 	}
-	if eng.Fired() != 0 {
-		t.Errorf("Fired after Reset = %d, want 0", eng.Fired())
+	if eng.fired != 0 {
+		t.Errorf("fired after Reset = %d, want 0", eng.fired)
 	}
 
 	fresh := New(7)
@@ -101,8 +101,8 @@ func TestGrowReuseAcrossReset(t *testing.T) {
 		t.Errorf("cap changed %d -> %d across Reset", before, cap(eng.queue))
 	}
 	eng.Run()
-	if eng.Fired() != 500 {
-		t.Fatalf("Fired = %d, want 500", eng.Fired())
+	if eng.fired != 500 {
+		t.Fatalf("fired = %d, want 500", eng.fired)
 	}
 }
 

@@ -115,9 +115,6 @@ func (e *Engine) Reset(seed int64) {
 // Rand exposes the engine's deterministic random source.
 func (e *Engine) Rand() *rand.Rand { return e.rng }
 
-// Fired reports how many events have been executed so far.
-func (e *Engine) Fired() uint64 { return e.fired }
-
 // Pending reports how many events are currently scheduled. A stopped or
 // re-armed timer leaves nothing behind, so every one of them will fire.
 func (e *Engine) Pending() int { return len(e.queue) }
@@ -199,10 +196,6 @@ func (e *Engine) RunUntil(t Time) {
 		e.now = t
 	}
 }
-
-// RunFor fires events for a span d of virtual time starting at the current
-// clock, then advances the clock to the end of the span.
-func (e *Engine) RunFor(d time.Duration) { e.RunUntil(e.now.Add(d)) }
 
 // place writes s at heap index i and tells its timer where it now sits.
 func (e *Engine) place(i int, s slot) {

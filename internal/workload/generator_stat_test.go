@@ -10,11 +10,7 @@ import (
 // fibBucketIndex maps a sampled N back to its Fig. 9 bucket.
 func fibBucketIndex(t *testing.T, n int) int {
 	t.Helper()
-	for i := 0; ; i++ {
-		ns := FibNsForBucket(i)
-		if ns == nil {
-			break
-		}
+	for i, ns := range bucketFibNs {
 		for _, v := range ns {
 			if v == n {
 				return i

@@ -206,17 +206,6 @@ var bucketFibNs = [][]int{
 	{34, 35},                     // [1550 ms, inf)
 }
 
-// FibNsForBucket reports the fib N values whose modelled duration falls in
-// Fig. 9 bucket i, or nil for an out-of-range index.
-func FibNsForBucket(i int) []int {
-	if i < 0 || i >= len(bucketFibNs) {
-		return nil
-	}
-	out := make([]int, len(bucketFibNs[i]))
-	copy(out, bucketFibNs[i])
-	return out
-}
-
 // Generator samples fib N values following the Fig. 9 duration
 // distribution.
 type Generator struct {

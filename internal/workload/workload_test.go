@@ -68,7 +68,7 @@ func TestBucketFibNsMatchModel(t *testing.T) {
 		if i+1 < len(DurationBucketBounds) {
 			hi = DurationBucketBounds[i+1]
 		}
-		for _, n := range FibNsForBucket(i) {
+		for _, n := range bucketFibNs[i] {
 			d, err := FibDuration(n)
 			if err != nil {
 				t.Fatalf("FibDuration(%d): %v", n, err)
@@ -83,7 +83,7 @@ func TestBucketFibNsMatchModel(t *testing.T) {
 func TestEveryFibNHasABucket(t *testing.T) {
 	seen := map[int]bool{}
 	for i := range DurationBucketBounds {
-		for _, n := range FibNsForBucket(i) {
+		for _, n := range bucketFibNs[i] {
 			if seen[n] {
 				t.Errorf("fib N %d assigned to two buckets", n)
 			}
@@ -94,20 +94,6 @@ func TestEveryFibNHasABucket(t *testing.T) {
 		if !seen[n] {
 			t.Errorf("fib N %d not in any bucket", n)
 		}
-	}
-}
-
-func TestFibNsForBucketOutOfRange(t *testing.T) {
-	if FibNsForBucket(-1) != nil || FibNsForBucket(len(DurationBucketBounds)) != nil {
-		t.Fatal("out-of-range bucket should return nil")
-	}
-}
-
-func TestFibNsForBucketReturnsCopy(t *testing.T) {
-	a := FibNsForBucket(0)
-	a[0] = 999
-	if FibNsForBucket(0)[0] == 999 {
-		t.Fatal("FibNsForBucket exposes internal slice")
 	}
 }
 
