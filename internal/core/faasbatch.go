@@ -311,8 +311,19 @@ func (f *FaaSBatch) Submit(inv *fnruntime.Invocation, complete func(*fnruntime.I
 	// the answer: not under the fixed policy, and not with groups of one,
 	// which close before idle matters.
 	idle := f.ctrl.UsesIdle() && len(st.pending) == 0 && st.busyContainer() == nil && st.pendingCreates == 0
-	st.pending = append(st.pending, pendingItem{inv: inv, complete: complete})
+	st.enqueue(pendingItem{inv: inv, complete: complete})
 	f.applyDecision(st, f.ctrl.Arrive(fn, f.env.Eng.Now().Duration(), idle))
+}
+
+// enqueue adds item to the group the open window is collecting. The
+// buffer comes back nil from a fresh group's swap, and is then sized
+// once from the dispatch estimator, as the live platform sizes its
+// queues: the window's group appends without growing.
+func (st *fnState) enqueue(item pendingItem) {
+	if st.pending == nil {
+		st.pending = make([]pendingItem, 0, max(8, st.f.ctrl.ExpectedGroup(st.name)))
+	}
+	st.pending = append(st.pending, item)
 }
 
 // applyDecision acts on the controller's verdict for a function's pending
@@ -628,7 +639,7 @@ func (f *FaaSBatch) retryItem(item pendingItem) {
 	// counts unique invocations, not attempts (Stats.Submitted ==
 	// completed + failed must hold at quiescence).
 	st := f.state(inv.Spec.Name)
-	st.pending = append(st.pending, item)
+	st.enqueue(item)
 	if !f.closed {
 		// A retry must ride a window like any pending call, but must not
 		// skew the arrival-rate estimate: EnsureOpen arms a window-close

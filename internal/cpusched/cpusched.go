@@ -50,6 +50,7 @@ type Group struct {
 	pool     *Pool
 	cap      float64 // max aggregate cores; <= 0 means unlimited
 	tasks    []*Task
+	inline   [4]*Task // tasks' first backing array: most groups never run more at once
 	label    string
 	ord      uint64 // creation order within the pool: the runnable list's key
 	runnable bool   // in pool.runnable
@@ -164,7 +165,9 @@ func (p *Pool) Discipline() Discipline { return p.disc }
 // (<= 0 means unlimited). The label is for diagnostics only.
 func (p *Pool) NewGroup(label string, cap float64) *Group {
 	p.nextOrd++
-	return &Group{pool: p, cap: cap, label: label, ord: p.nextOrd}
+	g := &Group{pool: p, cap: cap, label: label, ord: p.nextOrd}
+	g.tasks = g.inline[:0]
+	return g
 }
 
 // enqueue inserts g into the runnable list at its creation-order place.

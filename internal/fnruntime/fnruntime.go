@@ -19,6 +19,7 @@
 package fnruntime
 
 import (
+	"errors"
 	"fmt"
 
 	"faasbatch/internal/chaos"
@@ -159,6 +160,18 @@ func (inv *Invocation) Reuse(id int64, spec workload.Spec, arrive sim.Time) {
 	inv.set(id, spec, arrive)
 }
 
+// Execute's rejects: the scheduler must retry the invocation on another
+// container. They carry no container id, so a reject allocates nothing;
+// the caller holds the container if it wants to name it.
+var (
+	// ErrContainerEvicted rejects an invocation routed to a container
+	// that was torn down (evicted, terminated or crashed earlier).
+	ErrContainerEvicted = errors.New("fnruntime: container is evicted")
+	// ErrContainerCrashed rejects an invocation whose entry crashed the
+	// container (fault injection).
+	ErrContainerCrashed = errors.New("fnruntime: container crashed")
+)
+
 // Stats aggregates runner-level execution counters.
 type Stats struct {
 	// Executed counts completed invocations.
@@ -225,7 +238,7 @@ func (r *Runner) Execute(inv *Invocation, c *node.Container, done Completer) err
 	}
 	if c.State() == node.Evicted {
 		r.stats.CrashRejects++
-		return fmt.Errorf("fnruntime: container %s is evicted", c.ID())
+		return ErrContainerEvicted
 	}
 	if r.inj.Should(chaos.ContainerCrash) {
 		// The container dies as the invocation enters it: this and every
@@ -234,7 +247,7 @@ func (r *Runner) Execute(inv *Invocation, c *node.Container, done Completer) err
 		// mapping concentrates the blast radius).
 		c.Crash()
 		r.stats.CrashRejects++
-		return fmt.Errorf("fnruntime: container %s crashed", c.ID())
+		return ErrContainerCrashed
 	}
 	c.CheckoutThread()
 	inv.runner, inv.container, inv.done = r, c, done

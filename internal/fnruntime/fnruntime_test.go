@@ -1,12 +1,15 @@
 package fnruntime
 
 import (
+	"errors"
 	"strings"
 	"testing"
 	"testing/quick"
 	"time"
 
+	"faasbatch/internal/chaos"
 	"faasbatch/internal/node"
+	"faasbatch/internal/obs/obstest"
 	"faasbatch/internal/sim"
 	"faasbatch/internal/workload"
 )
@@ -303,6 +306,32 @@ func TestExecuteOnEvictedContainerFails(t *testing.T) {
 	inv := NewInvocation(1, mustSpec(t, 20), e.eng.Now())
 	if err := e.runner.Execute(inv, c, CompleteFunc(func(*Invocation) {})); err == nil {
 		t.Fatal("Execute on evicted container succeeded, want error")
+	}
+}
+
+// TestRejectsAreSentinels: a scheduler tells a reject by errors.Is, and
+// rejecting an invocation on an evicted container — every retry of a
+// crashed batch — costs the allocator nothing.
+func TestRejectsAreSentinels(t *testing.T) {
+	e := newEnv(t)
+	c := e.acquire(t, "f", node.AcquireOptions{})
+	e.runner.SetChaos(chaos.MustNew(chaos.Config{Seed: 1, Rates: map[chaos.Kind]float64{chaos.ContainerCrash: 0.999}}))
+	inv := NewInvocation(1, mustSpec(t, 20), e.eng.Now())
+	sink := CompleteFunc(func(*Invocation) {})
+	if err := e.runner.Execute(inv, c, sink); !errors.Is(err, ErrContainerCrashed) {
+		t.Fatalf("Execute as the container crashes = %v, want ErrContainerCrashed", err)
+	}
+	if err := e.runner.Execute(inv, c, sink); !errors.Is(err, ErrContainerEvicted) {
+		t.Fatalf("Execute on the crashed container = %v, want ErrContainerEvicted", err)
+	}
+	if got := e.runner.Stats().CrashRejects; got != 2 {
+		t.Fatalf("CrashRejects = %d, want 2", got)
+	}
+	if obstest.RaceEnabled {
+		return // the race runtime allocates on its own behalf
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _ = e.runner.Execute(inv, c, sink) }); allocs != 0 {
+		t.Fatalf("an evicted-container reject allocates %.1f times, want 0", allocs)
 	}
 }
 

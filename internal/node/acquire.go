@@ -2,6 +2,8 @@ package node
 
 import (
 	"fmt"
+	"slices"
+	"strconv"
 	"time"
 
 	"faasbatch/internal/chaos"
@@ -49,7 +51,8 @@ type AcquireFunc func(AcquireResult)
 // Acquired implements Acquirer.
 func (f AcquireFunc) Acquired(r AcquireResult) { f(r) }
 
-// createReq is a queued container creation.
+// createReq is a queued container creation, kept by value in the node's
+// queue and, while it is served, on its container.
 type createReq struct {
 	fn       string
 	opts     AcquireOptions
@@ -72,7 +75,19 @@ type Node struct {
 	warm map[string][]*Container
 	live int
 
-	createQueue    []*createReq
+	// keepAlive fires at the deadline of the oldest parked container.
+	// KeepAlive is one delay for the whole node, so park order is expiry
+	// order: one timer over the FIFO of parked containers does the work
+	// of a timer per container, and each container's deadline, reserved
+	// when it parked, keeps its expiry where its own timer would have put
+	// it among the events due at that instant.
+	keepAlive              sim.Timer
+	parkedHead, parkedTail *Container
+
+	// createQueue[createHead:] are the creations waiting for an engine
+	// slot, oldest first.
+	createQueue    []createReq
+	createHead     int
 	createInflight int
 
 	seq                  int
@@ -108,6 +123,7 @@ func New(eng *sim.Engine, cfg Config) (*Node, error) {
 		warm: make(map[string][]*Container),
 	}
 	n.sysGroup = pool.NewGroup("engine", 0)
+	n.keepAlive.Init(eng, n.keepAliveExpired)
 	return n, nil
 }
 
@@ -162,19 +178,14 @@ func (n *Node) advanceLiveIntegral() {
 	n.lastLiveChange = now
 }
 
-// LiveContainerSeconds reports the integral of live containers over time
-// (container-seconds). Multiplied by Config.ContainerIdleCPU it yields the
-// background CPU charge of running containers.
-func (n *Node) LiveContainerSeconds() float64 {
-	n.advanceLiveIntegral()
-	return n.liveIntegral
-}
-
 // BusyCoreSeconds reports total CPU consumption including the background
-// charge of live containers — the quantity the once-per-second resource
+// charge of live containers (their container-seconds times
+// Config.ContainerIdleCPU) — the quantity the once-per-second resource
 // sampler records.
 func (n *Node) BusyCoreSeconds() float64 {
-	return n.pool.BusyCoreSeconds() + n.LiveContainerSeconds()*n.cfg.ContainerIdleCPU
+	busy := n.pool.BusyCoreSeconds()
+	n.advanceLiveIntegral()
+	return busy + n.liveIntegral*n.cfg.ContainerIdleCPU
 }
 
 func (n *Node) allocMem(bytes int64) {
@@ -199,15 +210,16 @@ func (n *Node) freeMem(bytes int64) {
 func (n *Node) Acquire(fn string, opts AcquireOptions, to Acquirer) {
 	if list := n.warm[fn]; len(list) > 0 {
 		c := list[len(list)-1]
+		list[len(list)-1] = nil
 		n.warm[fn] = list[:len(list)-1]
-		c.keepAlive.Stop()
+		n.unpark(c)
 		c.CheckoutThread()
 		n.warmStarts++
 		to.Acquired(AcquireResult{Container: c})
 		return
 	}
 	n.coldStarts++
-	n.createQueue = append(n.createQueue, &createReq{
+	n.createQueue = append(n.createQueue, createReq{
 		fn:       fn,
 		opts:     opts,
 		to:       to,
@@ -220,66 +232,77 @@ func (n *Node) Acquire(fn string, opts AcquireOptions, to Acquirer) {
 // under EnforceMemLimit, while the node has memory headroom for the new
 // container's base footprint.
 func (n *Node) pumpCreations() {
-	for n.createInflight < n.cfg.CreateConcurrency && len(n.createQueue) > 0 {
+	for n.createInflight < n.cfg.CreateConcurrency && n.createHead < len(n.createQueue) {
 		if n.cfg.EnforceMemLimit && n.MemUsed()+n.cfg.ContainerMem > n.cfg.MemBytes {
 			return // head-of-line blocks until an eviction frees memory
 		}
-		req := n.createQueue[0]
-		n.createQueue = n.createQueue[1:]
+		req := n.createQueue[n.createHead]
+		n.createQueue[n.createHead] = createReq{}
+		n.createHead++
+		if rest := len(n.createQueue) - n.createHead; rest <= n.createHead {
+			// No more than half the buffer is still queued: slide it to
+			// the front, so the buffer is reused instead of regrown.
+			copy(n.createQueue, n.createQueue[n.createHead:])
+			clear(n.createQueue[rest:])
+			n.createQueue = n.createQueue[:rest]
+			n.createHead = 0
+		}
 		n.createInflight++
 		n.startCreation(req)
 	}
 }
 
-// startCreation runs one container creation: CPU work on the engine group
-// followed by the fixed boot latency.
-func (n *Node) startCreation(req *createReq) {
-	queueWait := n.eng.Now().Sub(req.enqueued)
-	bootStart := n.eng.Now()
+// bootPhase is what a container being created waits on.
+type bootPhase uint8
+
+const (
+	bootCreate bootPhase = iota + 1 // the engine's creation work, on the node's system group
+	bootImage                       // the fixed boot latency (image setup)
+	bootInit                        // the runtime's init work, in the container's own group
+)
+
+// startCreation runs one container creation: CPU work on the engine group,
+// the fixed boot latency, then the runtime's init work. The steps are a
+// state machine kept on the container, advanced by its one continuation.
+func (n *Node) startCreation(req createReq) {
 	n.seq++
 	c := &Container{
-		node:  n,
-		id:    fmt.Sprintf("c%04d-%s", n.seq, req.fn),
-		fn:    req.fn,
-		state: Starting,
+		node:      n,
+		id:        containerID(n.seq, req.fn),
+		fn:        req.fn,
+		state:     Starting,
+		req:       req,
+		bootStart: n.eng.Now(),
+		boot:      bootCreate,
 	}
-	c.keepAlive.Init(n.eng, c.keepAliveExpired)
+	c.step = c.advance
 	n.advanceLiveIntegral()
 	n.live++
 	n.totalCreated++
 	n.allocMem(n.cfg.ContainerMem)
+	n.sysGroup.Start(&c.task, n.cfg.CreateCPUWork, c.step)
+}
 
-	ready := func() {
-		failed := n.cfg.BootFailureRate > 0 && n.eng.Rand().Float64() < n.cfg.BootFailureRate
-		if !failed && n.cfg.Chaos.Should(chaos.BootFailure) {
-			failed = true
-		}
-		if failed {
-			// The boot failed after its init phase: tear the carcass
-			// down and retry the creation. The caller's wait so far is
-			// preserved in the request's enqueue time, so the eventual
-			// success reports the full queue delay.
-			n.bootFailures++
-			n.teardown(c)
-			n.createQueue = append(n.createQueue, req)
-			n.pumpCreations()
-			return
-		}
-		if req.opts.Multiplex {
-			c.cache = multiplex.NewWithConfig(multiplex.Config{OnEvict: c.releaseCached})
-		} else {
-			c.cacheDisabled = true
-		}
-		c.CheckoutThread()
-		req.to.Acquired(AcquireResult{
-			Container: c,
-			Cold:      true,
-			QueueWait: queueWait,
-			BootTime:  n.eng.Now().Sub(bootStart),
-		})
+// containerID formats "c%04d-<fn>" without boxing its operands.
+func containerID(seq int, fn string) string {
+	var buf [48]byte
+	b := append(buf[:0], 'c')
+	for p := 1000; p > 1 && seq < p; p /= 10 {
+		b = append(b, '0')
 	}
+	b = strconv.AppendInt(b, int64(seq), 10)
+	b = append(b, '-')
+	b = append(b, fn...)
+	return string(b)
+}
 
-	n.sysGroup.Submit(n.cfg.CreateCPUWork, func() {
+// advance is the creation's continuation: the engine's CPU work, the boot
+// latency and the init work all land here, and the phase says which one
+// it was.
+func (c *Container) advance() {
+	n := c.node
+	switch c.boot {
+	case bootCreate:
 		// The engine slot frees once the CPU-bound part completes; the
 		// remaining boot latency (image setup) overlaps with other
 		// creations.
@@ -290,17 +313,49 @@ func (n *Node) startCreation(req *createReq) {
 			bootLatency = time.Duration(float64(bootLatency) * n.cfg.Chaos.ColdStartFactor())
 			n.slowBoots++
 		}
-		n.eng.Schedule(bootLatency, func() {
-			c.group = n.pool.NewGroup(c.id, req.opts.CPULimit)
-			c.gilGroup = n.pool.NewGroup(c.id+"/gil", 1)
-			// Runtime init (interpreter, server, SDK imports) burns CPU
-			// inside the container's own group, contending node-wide.
-			if n.cfg.ContainerInitCPUWork > 0 {
-				c.group.Submit(n.cfg.ContainerInitCPUWork, ready)
-				return
-			}
-			ready()
-		})
+		c.boot = bootImage
+		n.eng.Schedule(bootLatency, c.step)
+	case bootImage:
+		// The label is for diagnostics; the container's id names both.
+		c.group = n.pool.NewGroup(c.id, c.req.opts.CPULimit)
+		c.gilGroup = n.pool.NewGroup(c.id, 1)
+		// Runtime init (interpreter, server, SDK imports) burns CPU
+		// inside the container's own group, contending node-wide.
+		if n.cfg.ContainerInitCPUWork > 0 {
+			c.boot = bootInit
+			c.group.Start(&c.task, n.cfg.ContainerInitCPUWork, c.step)
+			return
+		}
+		n.ready(c)
+	case bootInit:
+		n.ready(c)
+	}
+}
+
+// ready ends a boot: a failed one tears the container down and queues its
+// request again, a good one hands the container over.
+func (n *Node) ready(c *Container) {
+	failed := n.cfg.BootFailureRate > 0 && n.eng.Rand().Float64() < n.cfg.BootFailureRate
+	if !failed && n.cfg.Chaos.Should(chaos.BootFailure) {
+		failed = true
+	}
+	if failed {
+		// The boot failed after its init phase: tear the carcass down and
+		// retry the creation. The caller's wait so far is preserved in the
+		// request's enqueue time, so the eventual success reports the full
+		// queue delay.
+		n.bootFailures++
+		n.teardown(c)
+		n.createQueue = append(n.createQueue, c.req)
+		n.pumpCreations()
+		return
+	}
+	c.CheckoutThread()
+	c.req.to.Acquired(AcquireResult{
+		Container: c,
+		Cold:      true,
+		QueueWait: c.bootStart.Sub(c.req.enqueued),
+		BootTime:  n.eng.Now().Sub(c.bootStart),
 	})
 }
 
@@ -311,31 +366,60 @@ func (c *Container) releaseCached(_ multiplex.Key, _ any, bytes int64) {
 	c.FreeClientMem(bytes)
 }
 
-// parkIdle returns a drained container to the warm pool and arms its
-// keep-alive eviction timer.
+// parkIdle returns a drained container to the warm pool and appends it to
+// the keep-alive FIFO with the deadline a timer of its own would take.
 func (n *Node) parkIdle(c *Container) {
+	if c.parked {
+		n.unpark(c)
+	}
 	c.state = Idle
 	n.warm[c.fn] = append(n.warm[c.fn], c)
-	c.keepAlive.Reset(n.cfg.KeepAlive)
+	c.expiry = n.eng.Reserve(n.cfg.KeepAlive)
+	c.parked = true
+	c.parkPrev = n.parkedTail
+	if n.parkedTail != nil {
+		n.parkedTail.parkNext = c
+	} else {
+		n.parkedHead = c
+		n.keepAlive.ResetTo(c.expiry)
+	}
+	n.parkedTail = c
 }
 
-// keepAliveExpired evicts a container that sat idle for the whole
-// keep-alive: warm reuse and teardown both stop the timer, so it fires
-// only on a container still parked.
-func (c *Container) keepAliveExpired() {
-	if c.state == Idle {
-		c.node.evict(c)
+// unpark takes a container out of the keep-alive FIFO. When it was the
+// oldest the node's timer moves to the next-oldest's reserved deadline.
+func (n *Node) unpark(c *Container) {
+	if poison && c.state != Idle {
+		panic(fmt.Sprintf("node: container %s in the keep-alive FIFO is %v", c.id, c.state))
+	}
+	prev, next := c.parkPrev, c.parkNext
+	if next != nil {
+		next.parkPrev = prev
+	} else {
+		n.parkedTail = prev
+	}
+	c.parked, c.parkPrev, c.parkNext = false, nil, nil
+	if prev != nil {
+		prev.parkNext = next
+		return
+	}
+	n.parkedHead = next
+	if next != nil {
+		n.keepAlive.ResetTo(next.expiry)
+	} else {
+		n.keepAlive.Stop()
 	}
 }
 
-// evict tears a container down, freeing its memory.
-func (n *Node) evict(c *Container) {
-	list := n.warm[c.fn]
-	for i, other := range list {
-		if other == c {
-			n.warm[c.fn] = append(list[:i], list[i+1:]...)
-			break
-		}
+// keepAliveExpired evicts the container that sat idle longest, now that
+// it sat idle for the whole keep-alive.
+func (n *Node) keepAliveExpired() {
+	c := n.parkedHead
+	if c.state != Idle {
+		// Checked out behind the warm pool's back (the race build panics
+		// here): busy, so not evicted.
+		n.unpark(c)
+		return
 	}
 	n.teardown(c)
 	n.evictions++
@@ -348,8 +432,15 @@ func (n *Node) teardown(c *Container) {
 		return
 	}
 	defer n.pumpCreations()
+	if c.parked {
+		// Out of the keep-alive FIFO and the warm pool alike: no later
+		// Acquire may hand out a torn-down container.
+		n.unpark(c)
+		list := n.warm[c.fn]
+		i := slices.Index(list, c)
+		n.warm[c.fn] = slices.Delete(list, i, i+1)
+	}
 	c.state = Evicted
-	c.keepAlive.Stop()
 	// All client memory — transient duplicates and multiplexer-cached
 	// instances alike — is charged through AllocClientMem and therefore
 	// lives in clientBytes, freed wholesale here. The cache is closed for

@@ -169,17 +169,30 @@ type Container struct {
 	id       string
 	fn       string
 	state    State
-	group    *cpusched.Group // function execution CPU group (cpuset)
-	gilGroup *cpusched.Group // runtime-lock group: client creations serialise here
-	cache    *multiplex.Cache
-	active   int // running invocations
-	creating int // in-flight client creations (contention degree k)
+	group    *cpusched.Group  // function execution CPU group (cpuset)
+	gilGroup *cpusched.Group  // runtime-lock group: client creations serialise here
+	cache    *multiplex.Cache // built by Cache on the first lookup
+	active   int              // running invocations
+	creating int              // in-flight client creations (contention degree k)
 	// clientBytes tracks live non-multiplexed client memory charged to
 	// the node ledger.
-	clientBytes   int64
-	clientLive    int       // live client instances (for marginal-memory pricing)
-	keepAlive     sim.Timer // armed while parked in the warm pool
-	cacheDisabled bool
+	clientBytes int64
+	clientLive  int // live client instances (for marginal-memory pricing)
+
+	// Creation (startCreation): the request being served, since when,
+	// the boot phase under way, the CPU task it waits on, and the one
+	// continuation the task and the boot latency both land on.
+	req       createReq
+	bootStart sim.Time
+	boot      bootPhase
+	task      cpusched.Task
+	step      func() // advance, bound at creation
+
+	// Parked in the node's keep-alive FIFO (Idle): the deadline reserved
+	// at park time and the FIFO links.
+	parked             bool
+	expiry             sim.Deadline
+	parkPrev, parkNext *Container
 }
 
 // ID reports the container's unique identifier.
@@ -196,8 +209,21 @@ func (c *Container) Group() *cpusched.Group { return c.group }
 func (c *Container) GILGroup() *cpusched.Group { return c.gilGroup }
 
 // Cache is the container's Resource Multiplexer, or nil when the
-// container was acquired without multiplexing (the baselines).
-func (c *Container) Cache() *multiplex.Cache { return c.cache }
+// container was acquired without multiplexing (the baselines). It is
+// built on the first call, so a container that never looks a client up
+// (the fib family) never pays for one; the simulation runs on one
+// goroutine, so one shard serves it. A container torn down before its
+// first lookup hands out a closed cache, as it would have had its cache
+// been built at boot.
+func (c *Container) Cache() *multiplex.Cache {
+	if c.cache == nil && c.req.opts.Multiplex {
+		c.cache = multiplex.NewWithConfig(multiplex.Config{Shards: 1, OnEvict: c.releaseCached})
+		if c.state == Evicted {
+			c.cache.Close()
+		}
+	}
+	return c.cache
+}
 
 // Active reports how many invocations are running inside the container.
 func (c *Container) Active() int { return c.active }

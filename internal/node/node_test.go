@@ -343,12 +343,12 @@ func TestFreeClientMemClampsToLive(t *testing.T) {
 func evictIdle(n *Node) int {
 	evicted := 0
 	for fn, list := range n.warm {
-		for _, c := range list {
-			n.teardown(c)
+		for len(list) > 0 {
+			n.teardown(list[0]) // takes it out of the warm pool
+			list = n.warm[fn]
 			evicted++
 			n.evictions++
 		}
-		delete(n.warm, fn)
 	}
 	return evicted
 }

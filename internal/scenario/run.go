@@ -268,10 +268,11 @@ func (r *Runner) runSim(sc *Scenario) (*Body, error) {
 func (r *Runner) newSimRun(sc *Scenario) (*simRun, error) {
 	eng := r.eng
 	eng.Reset(sc.Seed)
-	// The heap holds what is live: a timer per parked container, worker
-	// pool and open window, an event per body in its I/O wait and per
-	// burst member yet to arrive (TestHeapHoldsOnlyLiveEvents). fleet-1m
-	// peaks at a few thousand.
+	// The heap holds what is live: a keep-alive timer and a CPU pool
+	// wake-up per worker (parked containers share their worker's one
+	// keep-alive), a timer per open window, an event per body in its I/O
+	// wait, per container booting and per burst member yet to arrive
+	// (TestHeapHoldsOnlyLiveEvents). fleet-1m peaks at about two thousand.
 	eng.Grow(8192)
 	inj := chaos.MustNew(chaos.Config{
 		Seed:            subSeed(sc.Seed, "chaos"),

@@ -41,7 +41,6 @@ type Engine struct {
 	queue []slot // 4-ary min-heap on (at, seq)
 	seq   uint64
 	rng   *rand.Rand
-	fired uint64
 	// free lists the engine's own one-shot timers (Schedule, ScheduleAt)
 	// that fired or were dropped by Reset, linked through Timer.next.
 	free *Timer
@@ -90,7 +89,7 @@ func (e *Engine) Grow(n int) {
 }
 
 // Reset returns the engine to its initial state — clock at zero, no
-// pending events, counters cleared, random source reseeded — while
+// pending events, sequence cleared, random source reseeded — while
 // retaining the event heap's backing array and the recycled one-shots.
 // Every armed Timer is detached (Active reports false afterwards), so a
 // Stop or Reset on a timer armed before the engine's Reset cannot reach
@@ -108,8 +107,25 @@ func (e *Engine) Reset(seed int64) {
 	e.queue = e.queue[:0]
 	e.now = 0
 	e.seq = 0
-	e.fired = 0
 	e.rng = rand.New(rand.NewSource(seed))
+}
+
+// Deadline is a place in the engine's event order: a virtual time, and
+// the sequence number that orders it among events due at that instant.
+type Deadline struct {
+	at  Time
+	seq uint64
+}
+
+// Reserve returns the deadline an event scheduled now to fire after d
+// (d >= 0) would take, consuming its sequence number but queuing nothing.
+// A Timer armed at it later (ResetTo) fires exactly where that event
+// would have. An owner of many would-be timers of which only the earliest
+// can be due next — entries that all wait one fixed delay, in arrival
+// order — keeps one Timer and their deadlines.
+func (e *Engine) Reserve(d time.Duration) Deadline {
+	e.seq++
+	return Deadline{at: e.now.Add(d), seq: e.seq}
 }
 
 // Rand exposes the engine's deterministic random source.
@@ -171,7 +187,6 @@ func (e *Engine) Step() bool {
 	}
 	e.remove(0)
 	e.now = t.at
-	e.fired++
 	fn := t.fn
 	if t.oneShot {
 		// Recycled before it runs: whatever fn schedules may reuse it.
@@ -315,15 +330,33 @@ func (t *Timer) Reset(d time.Duration) {
 // for the same instant.
 func (t *Timer) ResetAt(at Time) {
 	e := t.eng
-	if poison && t.freed {
-		panic(fmt.Sprintf("sim: queuing a recycled one-shot (last at %v, seq %d)", t.at, t.seq))
-	}
 	if at < e.now {
 		at = e.now
 	}
 	e.seq++
-	t.at, t.seq = at, e.seq
-	s := slot{at: at, seq: e.seq, t: t}
+	t.arm(Deadline{at: at, seq: e.seq})
+}
+
+// ResetTo arms the timer at a deadline reserved earlier (Engine.Reserve),
+// keeping the deadline's sequence number: the timer fires exactly where
+// the event scheduled at the reservation would have, ahead of whatever
+// was queued for the same instant since. A deadline the clock has already
+// passed is a bug; the race build panics on one.
+func (t *Timer) ResetTo(d Deadline) {
+	if poison && d.at < t.eng.now {
+		panic(fmt.Sprintf("sim: timer armed at %v (seq %d), behind the clock at %v", d.at, d.seq, t.eng.now))
+	}
+	t.arm(d)
+}
+
+// arm queues the timer at d, or moves it there if it was already armed.
+func (t *Timer) arm(d Deadline) {
+	e := t.eng
+	if poison && t.freed {
+		panic(fmt.Sprintf("sim: queuing a recycled one-shot (last at %v, seq %d)", t.at, t.seq))
+	}
+	t.at, t.seq = d.at, d.seq
+	s := slot{at: d.at, seq: d.seq, t: t}
 	if t.pos != 0 {
 		i := t.pos - 1
 		e.queue[i] = s

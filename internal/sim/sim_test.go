@@ -200,6 +200,30 @@ func TestTimerResetKeepsFIFOAmongEquals(t *testing.T) {
 	}
 }
 
+// TestResetToKeepsReservedPlace: a timer armed at a reserved deadline
+// fires where an event scheduled at the reservation would have — after
+// what was queued for that instant before the reservation, ahead of what
+// was queued after it — however late it is armed, moved or re-armed.
+func TestResetToKeepsReservedPlace(t *testing.T) {
+	e := New(1)
+	var order []string
+	var tm Timer
+	tm.Init(e, func() { order = append(order, "timer") })
+	e.Schedule(time.Second, func() { order = append(order, "a") })
+	d := e.Reserve(time.Second)
+	e.Schedule(time.Second, func() { order = append(order, "b") })
+	tm.Reset(2 * time.Second) // armed elsewhere first ...
+	e.Schedule(time.Second, func() { order = append(order, "c") })
+	tm.ResetTo(d) // ... then moved to the reservation
+	if !tm.Active() || tm.At() != Time(time.Second) {
+		t.Fatalf("Active = %v, At = %v, want armed at 1s", tm.Active(), tm.At())
+	}
+	e.Run()
+	if got := strings.Join(order, " "); got != "a timer b c" {
+		t.Fatalf("order = %q, want %q", got, "a timer b c")
+	}
+}
+
 func TestTimerResetAtPastClampsToNow(t *testing.T) {
 	e := New(1)
 	var tm Timer
@@ -266,18 +290,24 @@ func TestEventsScheduledDuringRunFire(t *testing.T) {
 	}
 }
 
+// TestFiredCounter counts the callbacks a run fires: every scheduled
+// event once, a stopped timer never.
 func TestFiredCounter(t *testing.T) {
 	e := New(1)
+	fired := 0
 	for i := 0; i < 7; i++ {
-		e.Schedule(time.Duration(i)*time.Millisecond, func() {})
+		e.Schedule(time.Duration(i)*time.Millisecond, func() { fired++ })
 	}
 	var tm Timer
-	tm.Init(e, func() {})
+	tm.Init(e, func() { fired++ })
 	tm.Reset(time.Second)
 	tm.Stop()
-	e.Run()
-	if e.fired != 7 {
-		t.Fatalf("fired = %d, want 7 (stopped timers don't count)", e.fired)
+	steps := 0
+	for e.Step() {
+		steps++
+	}
+	if fired != 7 || steps != 7 {
+		t.Fatalf("fired = %d in %d steps, want 7 (stopped timers don't count)", fired, steps)
 	}
 }
 
