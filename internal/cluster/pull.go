@@ -20,6 +20,14 @@ type pullDriver struct {
 	pending map[int64]*fnruntime.Invocation
 	nextID  int64
 	shed    uint64
+	// bufs holds one copy of the core's grants per nesting level of
+	// hold: the core refills its grant slice on every call, and a
+	// submitter's completion callback (which may submit the next
+	// invocation) or a scheduler's Submit (which may complete one on the
+	// spot) can call it again while an outer level still walks its
+	// grants.
+	bufs  [][]pullsched.Grant
+	depth int
 }
 
 // initPull wires the pull scheduler over the fleet. Called before
@@ -62,16 +70,30 @@ func (d *pullDriver) submit(inv *fnruntime.Invocation) {
 		inv.Route.Done(inv)
 		return
 	}
-	d.dispatch(gs)
+	d.dispatch(d.hold(gs))
 }
 
-// dispatch hands granted invocations to their leased node's scheduler.
-func (d *pullDriver) dispatch(gs []pullsched.Grant) {
-	for _, g := range gs {
+// hold copies the core's grants into the next nesting level's buffer
+// and enters that level; dispatch leaves it.
+func (d *pullDriver) hold(gs []pullsched.Grant) []pullsched.Grant {
+	if d.depth == len(d.bufs) {
+		d.bufs = append(d.bufs, nil)
+	}
+	buf := append(d.bufs[d.depth][:0], gs...)
+	d.bufs[d.depth] = buf
+	d.depth++
+	return buf
+}
+
+// dispatch hands held grants to their leased node's scheduler, in grant
+// order, each nested dispatch before the rest of its parent's.
+func (d *pullDriver) dispatch(held []pullsched.Grant) {
+	for _, g := range held {
 		if inv, ok := d.pending[g.ID]; ok {
 			d.c.dispatch(inv, g.Worker)
 		}
 	}
+	d.depth--
 }
 
 // completed is the schedulers' completion sink under pull: it acks the
@@ -80,7 +102,7 @@ func (d *pullDriver) dispatch(gs []pullsched.Grant) {
 func (d *pullDriver) completed(done *fnruntime.Invocation) {
 	d.c.settle(done)
 	id := done.Route.Lease
-	next := d.core.Complete(id, d.c.eng.Now().Duration())
+	next := d.hold(d.core.Complete(id, d.c.eng.Now().Duration()))
 	delete(d.pending, id)
 	done.Route.Done(done)
 	d.dispatch(next)
@@ -89,7 +111,7 @@ func (d *pullDriver) completed(done *fnruntime.Invocation) {
 // membership mirrors a picker mark-down/mark-up into core eligibility;
 // a mark-up may immediately drain queued work (scale-from-zero wake).
 func (d *pullDriver) membership(i int, down bool) {
-	d.dispatch(d.core.SetWorker(i, !down, d.c.eng.Now().Duration()))
+	d.dispatch(d.hold(d.core.SetWorker(i, !down, d.c.eng.Now().Duration())))
 }
 
 // PullEnabled reports whether the cluster routes through the pull

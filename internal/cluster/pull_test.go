@@ -228,3 +228,46 @@ func TestPullSpreadsSkewedLoad(t *testing.T) {
 		})
 	}
 }
+
+// TestPullCallbackReentryKeepsFreedGrants: the submitter's completion
+// callback runs after an ack and before the grants that ack freed are
+// dispatched, and whatever it does to the cluster calls the core again —
+// here it marks a node back up, which grants the queue's next item to
+// it. The grants held for the outer dispatch must survive that call:
+// every invocation runs exactly once.
+func TestPullCallbackReentryKeepsFreedGrants(t *testing.T) {
+	eng := sim.New(7)
+	cfg := testClusterConfig(2, Pull)
+	cfg.Pull = &pullsched.Config{Capacity: 1, BatchSize: 1}
+	cl, err := New(eng, cfg)
+	if err != nil {
+		t.Fatalf("cluster.New: %v", err)
+	}
+	if err := cl.SetDown(1, true); err != nil {
+		t.Fatal(err)
+	}
+	runs := map[int64]int{}
+	for id := int64(1); id <= 3; id++ { // 1 runs on node 0, 2 and 3 queue
+		cl.Submit(fnruntime.NewInvocation(id, workload.IOSpec("fn"), eng.Now()), func(inv *fnruntime.Invocation) {
+			runs[inv.ID]++
+			if inv.ID == 1 {
+				// 1's ack granted 2 to node 0; waking node 1 grants it 3.
+				if err := cl.SetDown(1, false); err != nil {
+					t.Error(err)
+				}
+			}
+		})
+	}
+	eng.RunUntil(sim.Time(time.Minute))
+	for id := int64(1); id <= 3; id++ {
+		if runs[id] != 1 {
+			t.Fatalf("invocation %d completed %d times: %v", id, runs[id], runs)
+		}
+	}
+	if st := cl.PullStats(); st.Queued != 0 || st.Leases != 0 || st.Granted != 3 {
+		t.Fatalf("core did not quiesce: %+v", st)
+	}
+	if err := cl.Close(); err != nil {
+		t.Fatalf("cluster.Close: %v", err)
+	}
+}

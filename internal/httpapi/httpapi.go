@@ -22,24 +22,35 @@ type InvokeRequest struct {
 // callers must not recycle body while the request is live; unusual
 // shapes fall back to encoding/json with identical semantics.
 func DecodeInvokeRequest(body []byte) (InvokeRequest, error) {
+	fn, payload, err := ParseInvokeRequest(body)
+	if err != nil {
+		return InvokeRequest{}, err
+	}
+	return InvokeRequest{Fn: string(fn), Payload: payload}, nil
+}
+
+// ParseInvokeRequest is DecodeInvokeRequest without building the
+// function name's string: on the fast path fn aliases body, so a caller
+// that only looks the name up (m[string(fn)] does not allocate) decodes
+// a canonical body allocation-free.
+func ParseInvokeRequest(body []byte) (fn []byte, payload json.RawMessage, err error) {
 	if w, ok := parseInvokeWire(body); ok {
 		if len(w.fn) == 0 {
-			return InvokeRequest{}, fmt.Errorf("httpapi: invoke request missing fn")
+			return nil, nil, fmt.Errorf("httpapi: invoke request missing fn")
 		}
-		req := InvokeRequest{Fn: string(w.fn)}
 		if len(w.payload) > 0 {
-			req.Payload = json.RawMessage(w.payload)
+			payload = json.RawMessage(w.payload)
 		}
-		return req, nil
+		return w.fn, payload, nil
 	}
 	var req InvokeRequest
 	if err := json.Unmarshal(body, &req); err != nil {
-		return InvokeRequest{}, fmt.Errorf("httpapi: decode invoke request: %w", err)
+		return nil, nil, fmt.Errorf("httpapi: decode invoke request: %w", err)
 	}
 	if req.Fn == "" {
-		return InvokeRequest{}, fmt.Errorf("httpapi: invoke request missing fn")
+		return nil, nil, fmt.Errorf("httpapi: invoke request missing fn")
 	}
-	return req, nil
+	return []byte(req.Fn), req.Payload, nil
 }
 
 // Latency is the wall-clock latency decomposition of one invocation,

@@ -333,11 +333,11 @@ func (w *discardResponse) Write(b []byte) (int, error) { return len(b), nil }
 func (w *discardResponse) WriteHeader(status int)      { w.status = status }
 
 // gatewayHandlerAllocs is what one warm POST /invoke costs inside the
-// in-memory gateway handler (no net/http server around it): the decoded
-// function-name string. The body is read into a pooled buffer, the reply
-// is encoded into another and the Content-Type value is shared, so the
-// serving edge adds nothing.
-const gatewayHandlerAllocs = 1
+// in-memory gateway handler (no net/http server around it): nothing. The
+// body is read into a pooled buffer, the function is looked up from its
+// bytes and the reply echoes the registered name, the reply is encoded
+// into another pooled buffer and the Content-Type value is shared.
+const gatewayHandlerAllocs = 0
 
 // TestGatewayHandlerAllocs pins the in-memory gateway handler's
 // per-request allocations, so the shared route/read/write skeleton

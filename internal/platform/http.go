@@ -81,14 +81,21 @@ func (p *Platform) serveInvoke(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	req, err := httpapi.DecodeInvokeRequest(*body)
+	fn, payload, err := httpapi.ParseInvokeRequest(*body)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
+	// The name is looked up from the body's bytes (m[string(b)] does not
+	// allocate), and the reply echoes the registered name.
+	f := p.fnsAll()[string(fn)]
+	if f == nil {
+		http.Error(w, p.unknownFunction(string(fn)).Error(), http.StatusBadGateway)
+		return
+	}
 	// An inbound traceparent joins this worker's spans to the caller's
 	// trace.
-	res, err := p.InvokeWithTrace(r.Context(), req.Fn, req.Payload, httpapi.InboundTrace(r))
+	res, err := p.invoke(r.Context(), f, payload, httpapi.InboundTrace(r))
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadGateway)
 		return
@@ -117,7 +124,7 @@ func (p *Platform) serveInvoke(w http.ResponseWriter, r *http.Request) {
 	}
 	httpapi.EchoTrace(w, res.TraceID)
 	out := httpapi.InvokeResponse{
-		Fn:          req.Fn,
+		Fn:          f.name,
 		Result:      result,
 		ContainerID: res.ContainerID,
 		Worker:      p.WorkerID(),

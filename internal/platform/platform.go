@@ -591,6 +591,15 @@ func (p *Platform) fnsAll() map[string]*function { return *p.fns.Load() }
 // lookup resolves a function name without locking.
 func (p *Platform) lookup(fn string) *function { return (*p.fns.Load())[fn] }
 
+// unknownFunction is the error for a name lookup missed: the platform
+// closed (and unregistered everything), or fn was never registered.
+func (p *Platform) unknownFunction(fn string) error {
+	if p.closed.Load() {
+		return fmt.Errorf("platform: closed")
+	}
+	return fmt.Errorf("platform: unknown function %q", fn)
+}
+
 // New starts a platform. Close must be called to release its dispatcher.
 // The platform starts not ready: call SetReady(true) once registration
 // completes so /healthz reports ok (Invoke itself works regardless).
@@ -801,11 +810,13 @@ func (p *Platform) Invoke(ctx context.Context, fn string, payload json.RawMessag
 func (p *Platform) InvokeWithTrace(ctx context.Context, fn string, payload json.RawMessage, parent uint64) (Result, error) {
 	f := p.lookup(fn)
 	if f == nil {
-		if p.closed.Load() {
-			return Result{}, fmt.Errorf("platform: closed")
-		}
-		return Result{}, fmt.Errorf("platform: unknown function %q", fn)
+		return Result{}, p.unknownFunction(fn)
 	}
+	return p.invoke(ctx, f, payload, parent)
+}
+
+// invoke is InvokeWithTrace for a function already looked up.
+func (p *Platform) invoke(ctx context.Context, f *function, payload json.RawMessage, parent uint64) (Result, error) {
 	call := getPendingCall()
 	call.ctx = ctx
 	call.payload = payload
@@ -851,21 +862,16 @@ func (p *Platform) InvokeWithTrace(ctx context.Context, fn string, payload json.
 		var g *callGroup
 		select {
 		case g = <-call.ticket:
-		case <-ctx.Done():
-			f.mu.Lock()
-			abandon := call.state == callWaiting
-			if abandon {
-				call.state = callAbandoned
-			}
-			f.mu.Unlock()
-			if abandon {
+			// Already handed over — this caller's own ticket when its
+			// arrival closed the window above — so ctx is not consulted:
+			// some contexts (net/http's) build their Done channel on
+			// first use.
+		default:
+			if g = p.awaitTicket(ctx, f, call); g == nil {
 				// The call stays where it waits (the pending queue, a
 				// retry's backoff); whoever finds it there drops it.
-				return Result{}, fmt.Errorf("platform: invoke %s: %w", fn, ctx.Err())
+				return Result{}, fmt.Errorf("platform: invoke %s: %w", f.name, ctx.Err())
 			}
-			// The claim came first and owes this call a ticket: take it
-			// and run the attempt under the done context.
-			g = <-call.ticket
 		}
 		res, err, rebatched := p.runTicket(f, call, g)
 		if rebatched {
@@ -873,9 +879,31 @@ func (p *Platform) InvokeWithTrace(ctx context.Context, fn string, payload json.
 		}
 		putPendingCall(call)
 		if cerr := ctx.Err(); cerr != nil {
-			return Result{}, fmt.Errorf("platform: invoke %s: %w", fn, cerr)
+			return Result{}, fmt.Errorf("platform: invoke %s: %w", f.name, cerr)
 		}
 		return res, err
+	}
+}
+
+// awaitTicket blocks until call's ticket arrives or ctx ends. It returns
+// nil when ctx ended first and the call was abandoned where it waits. A
+// call already claimed when ctx ends is owed a ticket: that ticket is
+// returned, and the attempt runs under the done context.
+func (p *Platform) awaitTicket(ctx context.Context, f *function, call *pendingCall) *callGroup {
+	select {
+	case g := <-call.ticket:
+		return g
+	case <-ctx.Done():
+		f.mu.Lock()
+		abandon := call.state == callWaiting
+		if abandon {
+			call.state = callAbandoned
+		}
+		f.mu.Unlock()
+		if abandon {
+			return nil
+		}
+		return <-call.ticket
 	}
 }
 

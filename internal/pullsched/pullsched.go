@@ -127,7 +127,8 @@ type Stats struct {
 	Leases int
 }
 
-// item is one queued invocation.
+// item is one queued invocation. Queues and leases hold items by
+// value, so admitting, granting and requeueing one allocates nothing.
 type item struct {
 	id int64
 	fn string
@@ -141,14 +142,55 @@ type item struct {
 	lastWorker int
 }
 
-// fnQueue is one function's FIFO.
+// fnQueue is one function's FIFO: items[head:] are queued, oldest first.
+// A queue that empties leaves its shard for the Core's free list with
+// its capacity, so the next function to queue reuses it; keeping it in
+// the shard instead would make deepest scan every function ever seen.
 type fnQueue struct {
-	items []*item
+	fn    string
+	items []item
+	head  int
+}
+
+// len reports the queue's depth.
+func (q *fnQueue) len() int { return len(q.items) - q.head }
+
+// push appends it at the back, first sliding the queue down over the
+// popped prefix when the backing array is full, so a queue that never
+// empties does not grow without bound.
+func (q *fnQueue) push(it item) {
+	if q.head > 0 && len(q.items) == cap(q.items) {
+		n := copy(q.items, q.items[q.head:])
+		clear(q.items[n:])
+		q.items, q.head = q.items[:n], 0
+	}
+	q.items = append(q.items, it)
+}
+
+// pushFront inserts it at the front: into the popped prefix when there
+// is one, otherwise by shifting the queue up one slot.
+func (q *fnQueue) pushFront(it item) {
+	if q.head > 0 {
+		q.head--
+		q.items[q.head] = it
+		return
+	}
+	q.items = append(q.items, item{})
+	copy(q.items[1:], q.items)
+	q.items[0] = it
+}
+
+// pop removes and returns the front item.
+func (q *fnQueue) pop() item {
+	it := q.items[q.head]
+	q.items[q.head] = item{}
+	q.head++
+	return it
 }
 
 // lease is one outstanding grant.
 type lease struct {
-	it      *item
+	it      item
 	worker  int
 	granted time.Duration
 	seq     uint64
@@ -164,15 +206,24 @@ type workerState struct {
 // is not internally locked: the sim driver runs on the single-threaded
 // engine and the live driver serialises calls under its own mutex, the
 // same discipline as internal/autoscale.Controller.
+//
+// Every method that returns grants returns them in one slice the Core
+// owns and refills on its next call: a driver consumes the grants (or
+// copies them) before it calls the Core again. Once its queues, lease
+// map and that slice have grown to a workload's peak, the Core allocates
+// nothing.
 type Core struct {
 	cfg     Config
 	shards  []map[string]*fnQueue
+	free    []*fnQueue // emptied queues, capacity kept
 	workers []workerState
-	leases  map[int64]*lease
+	leases  map[int64]lease
 	queued  int
 	admSeq  uint64
 	gntSeq  uint64
 	stats   Stats
+	grants  []Grant // the returned grants, reused per call
+	expired []lease // Expire's scratch
 }
 
 // New builds a core for cfg.Workers slots, all initially eligible.
@@ -191,7 +242,7 @@ func New(cfg Config) (*Core, error) {
 		cfg:     cfg,
 		shards:  make([]map[string]*fnQueue, cfg.Shards),
 		workers: make([]workerState, cfg.Workers),
-		leases:  make(map[int64]*lease),
+		leases:  make(map[int64]lease),
 	}
 	for i := range c.shards {
 		c.shards[i] = make(map[string]*fnQueue)
@@ -210,23 +261,45 @@ func (c *Core) shard(fn string) map[string]*fnQueue {
 	return c.shards[int(hashmix.String(fn)%uint64(len(c.shards)))]
 }
 
+// queue returns fn's queue in sh, taking one off the free list when fn
+// has none queued.
+func (c *Core) queue(sh map[string]*fnQueue, fn string) *fnQueue {
+	if q := sh[fn]; q != nil {
+		return q
+	}
+	var q *fnQueue
+	if n := len(c.free); n > 0 {
+		q, c.free = c.free[n-1], c.free[:n-1]
+		if poison && (len(q.items) != 0 || q.head != 0) {
+			panic(fmt.Sprintf("pullsched: free-listed queue (last %q) holds %d items", q.fn, len(q.items)-q.head))
+		}
+	} else {
+		q = &fnQueue{}
+	}
+	q.fn = fn
+	sh[fn] = q
+	return q
+}
+
+// retire moves emptied queue q from sh to the free list.
+func (c *Core) retire(sh map[string]*fnQueue, q *fnQueue) {
+	delete(sh, q.fn)
+	q.items, q.head = q.items[:0], 0
+	c.free = append(c.free, q)
+}
+
 // Enqueue admits invocation id of function fn at offset off. It returns
 // the grants the arrival unlocked (the arrival itself when a worker has
 // capacity) and shed=true when fn's queue is at its depth bound — the
 // item was refused and must be answered with an overload error.
 func (c *Core) Enqueue(id int64, fn string, off time.Duration) ([]Grant, bool) {
 	sh := c.shard(fn)
-	q := sh[fn]
-	if c.cfg.QueueDepth > 0 && q != nil && len(q.items) >= c.cfg.QueueDepth {
+	if q := sh[fn]; c.cfg.QueueDepth > 0 && q != nil && q.len() >= c.cfg.QueueDepth {
 		c.stats.Shed++
 		return nil, true
 	}
-	if q == nil {
-		q = &fnQueue{}
-		sh[fn] = q
-	}
 	c.admSeq++
-	q.items = append(q.items, &item{id: id, fn: fn, seq: c.admSeq, lastWorker: -1})
+	c.queue(sh, fn).push(item{id: id, fn: fn, seq: c.admSeq, lastWorker: -1})
 	c.queued++
 	c.stats.Enqueued++
 	return c.pull(off), false
@@ -286,12 +359,13 @@ func (c *Core) Expire(off time.Duration) []Grant {
 	if c.cfg.LeaseBudget <= 0 || len(c.leases) == 0 {
 		return nil
 	}
-	var expired []*lease
+	expired := c.expired[:0]
 	for _, l := range c.leases {
 		if off-l.granted >= c.cfg.LeaseBudget {
 			expired = append(expired, l)
 		}
 	}
+	c.expired = expired
 	if len(expired) == 0 {
 		return nil
 	}
@@ -308,6 +382,7 @@ func (c *Core) Expire(off time.Duration) []Grant {
 		c.stats.Expired++
 		c.requeue(l.it)
 	}
+	clear(expired) // drop the function names the scratch still holds
 	return c.pull(off)
 }
 
@@ -334,54 +409,35 @@ func (c *Core) Stats() Stats {
 	return st
 }
 
-// Queued reports fn's current queue depth.
-func (c *Core) Queued(fn string) int {
-	if q := c.shard(fn)[fn]; q != nil {
-		return len(q.items)
-	}
-	return 0
-}
-
-// Inflight reports slot w's outstanding lease count.
-func (c *Core) Inflight(w int) int {
-	if w < 0 || w >= len(c.workers) {
-		return 0
-	}
-	return c.workers[w].inflight
-}
-
 // dropLease removes l and releases its worker capacity.
-func (c *Core) dropLease(l *lease) {
+func (c *Core) dropLease(l lease) {
 	delete(c.leases, l.it.id)
 	c.workers[l.worker].inflight--
 }
 
 // requeue returns it to the front of its function's queue.
-func (c *Core) requeue(it *item) {
+func (c *Core) requeue(it item) {
 	it.requeues++
 	c.stats.Requeues++
-	sh := c.shard(it.fn)
-	q := sh[it.fn]
-	if q == nil {
-		q = &fnQueue{}
-		sh[it.fn] = q
-	}
-	q.items = append([]*item{it}, q.items...)
+	c.queue(c.shard(it.fn), it.fn).pushFront(it)
 	c.queued++
 }
 
 // dequeue withdraws a queued copy of id, reporting whether it existed.
 func (c *Core) dequeue(id int64) bool {
 	for _, sh := range c.shards {
-		for fn, q := range sh {
-			for i, it := range q.items {
-				if it.id != id {
+		for _, q := range sh {
+			for i := q.head; i < len(q.items); i++ {
+				if q.items[i].id != id {
 					continue
 				}
-				q.items = append(q.items[:i], q.items[i+1:]...)
+				last := len(q.items) - 1
+				copy(q.items[i:], q.items[i+1:])
+				q.items[last] = item{}
+				q.items = q.items[:last]
 				c.queued--
-				if len(q.items) == 0 {
-					delete(sh, fn)
+				if q.len() == 0 {
+					c.retire(sh, q)
 				}
 				return true
 			}
@@ -397,71 +453,64 @@ func (c *Core) dequeue(id int64) bool {
 // goes to one worker so it lands in one dispatch window, preserving the
 // batching locality the hash policy gets from function pinning.
 func (c *Core) pull(off time.Duration) []Grant {
-	var out []Grant
+	c.grants = c.grants[:0]
 	for {
-		q, sh, fn := c.deepest()
+		q, sh := c.deepest()
 		if q == nil {
-			return out
+			return c.grants
 		}
-		head := q.items[0]
-		w := c.target(head.lastWorker)
+		w := c.target(q.items[q.head].lastWorker)
 		if w < 0 {
-			return out
+			return c.grants
 		}
 		n := c.cfg.BatchSize
 		if room := c.cfg.Capacity - c.workers[w].inflight; room < n {
 			n = room
 		}
-		if len(q.items) < n {
-			n = len(q.items)
+		if q.len() < n {
+			n = q.len()
 		}
 		for i := 0; i < n; i++ {
-			it := q.items[0]
-			q.items = q.items[1:]
+			it := q.pop()
 			c.queued--
 			c.gntSeq++
-			g := Grant{
+			c.grants = append(c.grants, Grant{
 				Seq:     c.gntSeq,
 				ID:      it.id,
 				Fn:      it.fn,
 				Worker:  w,
 				At:      off,
 				Requeue: it.requeues > 0,
-			}
+			})
 			it.lastWorker = w
-			c.leases[it.id] = &lease{it: it, worker: w, granted: off, seq: c.gntSeq}
+			c.leases[it.id] = lease{it: it, worker: w, granted: off, seq: c.gntSeq}
 			c.workers[w].inflight++
 			c.stats.Granted++
-			out = append(out, g)
 		}
-		if len(q.items) == 0 {
-			delete(sh, fn)
+		if q.len() == 0 {
+			c.retire(sh, q)
 		}
 	}
 }
 
-// deepest returns the queue to pull from: maximum depth, ties broken by
-// the earliest head admission sequence (a total order — admission
-// sequences are unique — so map iteration order never shows through).
-func (c *Core) deepest() (*fnQueue, map[string]*fnQueue, string) {
+// deepest returns the queue to pull from and its shard: maximum depth,
+// ties broken by the earliest head admission sequence (a total order —
+// admission sequences are unique — so map iteration order never shows
+// through).
+func (c *Core) deepest() (*fnQueue, map[string]*fnQueue) {
 	var (
 		bestQ  *fnQueue
 		bestSh map[string]*fnQueue
-		bestFn string
 	)
 	for _, sh := range c.shards {
-		for fn, q := range sh {
-			if len(q.items) == 0 {
-				continue
-			}
-			if bestQ == nil ||
-				len(q.items) > len(bestQ.items) ||
-				(len(q.items) == len(bestQ.items) && q.items[0].seq < bestQ.items[0].seq) {
-				bestQ, bestSh, bestFn = q, sh, fn
+		for _, q := range sh {
+			if bestQ == nil || q.len() > bestQ.len() ||
+				(q.len() == bestQ.len() && q.items[q.head].seq < bestQ.items[bestQ.head].seq) {
+				bestQ, bestSh = q, sh
 			}
 		}
 	}
-	return bestQ, bestSh, bestFn
+	return bestQ, bestSh
 }
 
 // target picks the grant worker: eligible with spare capacity, minimum

@@ -4,6 +4,8 @@ import (
 	"reflect"
 	"testing"
 	"time"
+
+	"faasbatch/internal/obs/obstest"
 )
 
 func mustNew(t *testing.T, cfg Config) *Core {
@@ -44,8 +46,8 @@ func TestImmediateGrant(t *testing.T) {
 	if len(gs) != 1 || gs[0].Worker != 1 {
 		t.Fatalf("second enqueue should late-bind to the idle worker: %+v", gs)
 	}
-	if c.Inflight(0) != 1 || c.Inflight(1) != 1 {
-		t.Fatalf("inflight = %d,%d want 1,1", c.Inflight(0), c.Inflight(1))
+	if c.workers[0].inflight != 1 || c.workers[1].inflight != 1 {
+		t.Fatalf("inflight = %d,%d want 1,1", c.workers[0].inflight, c.workers[1].inflight)
 	}
 }
 
@@ -74,8 +76,8 @@ func TestBatchLocality(t *testing.T) {
 	if len(gs) != 2 || gs[0].Worker != 1 || gs[1].Worker != 1 {
 		t.Fatalf("remainder should land on the newly idle worker: %+v", gs)
 	}
-	if c.Queued("hot") != 0 {
-		t.Fatalf("queue depth %d after drain", c.Queued("hot"))
+	if q := c.shard("hot")["hot"]; q != nil {
+		t.Fatalf("queue depth %d after drain", q.len())
 	}
 }
 
@@ -288,4 +290,125 @@ func TestAbort(t *testing.T) {
 	if st.Aborted != 2 || st.Queued != 0 || st.Leases != 0 {
 		t.Fatalf("stats: %+v", st)
 	}
+}
+
+// Once its queues, lease map and grant slice have grown, the core
+// allocates nothing per invocation: not on the Enqueue→Complete cycle
+// of an idle fleet, and not on Enqueue→Fail→re-grant→Complete.
+func TestSteadyStateAllocFree(t *testing.T) {
+	if obstest.RaceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	c := mustNew(t, Config{Workers: 2, Capacity: 2})
+	id := int64(0)
+	complete := func() {
+		id++
+		if gs, shed := c.Enqueue(id, "hot", 0); shed || len(gs) != 1 || gs[0].ID != id {
+			t.Fatalf("enqueue %d: %+v shed=%v", id, gs, shed)
+		}
+		if gs := c.Complete(id, 0); len(gs) != 0 {
+			t.Fatalf("complete %d granted %+v", id, gs)
+		}
+	}
+	failover := func() {
+		id++
+		gs, _ := c.Enqueue(id, "cold", 0)
+		if len(gs) != 1 {
+			t.Fatalf("enqueue %d: %+v", id, gs)
+		}
+		first := gs[0].Worker
+		gs = c.Fail(id, 0)
+		if len(gs) != 1 || gs[0].ID != id || !gs[0].Requeue || gs[0].Worker == first {
+			t.Fatalf("fail %d re-granted %+v, first lease on %d", id, gs, first)
+		}
+		c.Complete(id, 0)
+	}
+	for i := 0; i < 16; i++ {
+		complete()
+		failover()
+	}
+	if n := testing.AllocsPerRun(200, complete); n != 0 {
+		t.Errorf("Enqueue→Complete allocates %.1f objects/op, want 0", n)
+	}
+	if n := testing.AllocsPerRun(200, failover); n != 0 {
+		t.Errorf("Enqueue→Fail→Complete allocates %.1f objects/op, want 0", n)
+	}
+	if st := c.Stats(); st.Queued != 0 || st.Leases != 0 {
+		t.Fatalf("core not quiescent: %+v", st)
+	}
+}
+
+// A queue that empties goes to the free list and serves the next
+// function; a backlog that never empties keeps its queue bounded by its
+// depth, not by how many items ever passed through it.
+func TestQueueReuse(t *testing.T) {
+	c := mustNew(t, Config{Workers: 1, Capacity: 1, BatchSize: 1})
+	c.Enqueue(1, "a", 0) // leased
+	c.Enqueue(2, "a", 0) // queued
+	q := c.shard("a")["a"]
+	c.Complete(1, 0) // grants 2: "a" empties
+	if c.shard("a")["a"] != nil || len(c.free) != 1 || c.free[0] != q {
+		t.Fatalf("emptied queue not free-listed: free=%v", c.free)
+	}
+	c.Enqueue(3, "b", 0)
+	if c.shard("b")["b"] != q || len(c.free) != 0 {
+		t.Fatal("next queue did not come off the free list")
+	}
+	// A steady backlog of one behind a busy worker: push at the back,
+	// pop at the front, forever.
+	for id := int64(4); id < 1000; id++ {
+		c.Complete(id-2, 0)
+		c.Enqueue(id, "b", 0)
+		if q.len() != 1 {
+			t.Fatalf("backlog depth %d, want 1", q.len())
+		}
+	}
+	if cap(q.items) > 8 {
+		t.Fatalf("steady backlog of one grew its queue to %d", cap(q.items))
+	}
+}
+
+// A requeue lands at the front whether or not the queue has a popped
+// prefix to reuse, and the queue keeps FIFO order behind it.
+func TestRequeueAtFront(t *testing.T) {
+	c := mustNew(t, Config{Workers: 1, Capacity: 2, BatchSize: 1})
+	for id := int64(1); id <= 5; id++ {
+		c.Enqueue(id, "hot", 0) // 1 and 2 leased, 3..5 queued
+	}
+	c.SetWorker(0, false, 0)
+	c.Fail(2, 0) // front of a queue with a popped prefix
+	c.Fail(1, 0) // front again
+	q := c.shard("hot")["hot"]
+	var got []int64
+	for i := q.head; i < len(q.items); i++ {
+		got = append(got, q.items[i].id)
+	}
+	if want := []int64{1, 2, 3, 4, 5}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("queue %v, want %v", got, want)
+	}
+	gs := c.SetWorker(0, true, 0)
+	if len(gs) != 2 || gs[0].ID != 1 || gs[1].ID != 2 {
+		t.Fatalf("re-grants %+v, want 1 then 2", gs)
+	}
+}
+
+// Under the race build, a free-listed queue that still holds items
+// panics when it is taken for the next function.
+func TestPullQueueFreeListPoisoned(t *testing.T) {
+	if !poison {
+		t.Skip("the free-list check rides the race build")
+	}
+	c := mustNew(t, Config{Workers: 1})
+	c.Enqueue(1, "a", 0)
+	c.Complete(1, 0)
+	if len(c.free) != 1 {
+		t.Fatalf("free list %d, want 1", len(c.free))
+	}
+	c.free[0].items = append(c.free[0].items, item{id: 99, fn: "a"})
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a free-listed queue holding an item was reused")
+		}
+	}()
+	c.Enqueue(2, "b", 0)
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 
 	"faasbatch/internal/pullsched"
 )
@@ -48,7 +49,11 @@ type Policy interface {
 	sweep()
 }
 
-// Binding is one invocation's assignment under a Policy.
+// Binding is one invocation's assignment under a Policy. A binding is
+// single-use: both policies recycle it for a later invocation once it
+// is settled, so Done must be called exactly once and is the last use —
+// nothing may call Next, Done or detail after it, or keep the binding.
+// Under the race build, touching a recycled binding panics.
 type Binding interface {
 	// Next names the worker for the given 1-based attempt. Hash returns
 	// ring candidates round-robin and never blocks; pull blocks until a
@@ -56,8 +61,9 @@ type Binding interface {
 	// the re-grant prefers a different worker).
 	Next(ctx context.Context, attempt int) (string, error)
 	// Done settles the binding: ok acks the lease, !ok aborts it (the
-	// invocation errored out or its context expired). Idempotent; the
-	// forwarder calls it exactly once via defer.
+	// invocation errored out or its context expired), and hands the
+	// binding back to its policy. The forwarder calls it exactly once,
+	// via defer, after the route span has read detail.
 	Done(ok bool)
 	// detail labels the route span (sealed for the same reason as sweep).
 	detail() string
@@ -73,19 +79,23 @@ type hashPolicy struct {
 // Name implements Policy.
 func (p *hashPolicy) Name() string { return PolicyHash }
 
-// Assign implements Policy.
+// Assign implements Policy. The candidates are picked into the slice a
+// recycled binding keeps, so a warm Assign allocates nothing.
 func (p *hashPolicy) Assign(ctx context.Context, fn string) (Binding, error) {
-	cands := p.rt.reg.Candidates(fn, p.rt.cfg.LoadBound)
-	if len(cands) == 0 && p.rt.scaler != nil {
+	b := hashBindings.Get().(*hashBinding)
+	b.pooled = false
+	b.cands = p.rt.reg.appendCandidates(b.cands[:0], fn, p.rt.cfg.LoadBound)
+	if len(b.cands) == 0 && p.rt.scaler != nil {
 		// Scale-from-zero: the wake decision is already in flight
 		// (observe ran before forward); hold the invocation until a
 		// worker finishes warming instead of bouncing it with 503.
-		cands = p.rt.awaitCapacity(ctx, fn)
+		b.cands = append(b.cands, p.rt.awaitCapacity(ctx, fn)...)
 	}
-	if len(cands) == 0 {
+	if len(b.cands) == 0 {
+		b.release()
 		return nil, ErrNoWorkers
 	}
-	return &hashBinding{cands: cands}, nil
+	return b, nil
 }
 
 // OnMembershipChange implements Policy: the ring inside the registry
@@ -101,18 +111,43 @@ func (p *hashPolicy) sweep() {}
 // hashBinding walks the candidate list round-robin across attempts.
 type hashBinding struct {
 	cands []string
+	// pooled marks a binding back in hashBindings (checked under the
+	// race build only).
+	pooled bool
 }
+
+// hashBindings recycles hash bindings with their candidate slices.
+var hashBindings = sync.Pool{New: func() any { return new(hashBinding) }}
 
 // Next implements Binding.
 func (b *hashBinding) Next(_ context.Context, attempt int) (string, error) {
+	b.checkOwned()
 	return b.cands[(attempt-1)%len(b.cands)], nil
 }
 
-// Done implements Binding (push holds no lease to settle).
-func (b *hashBinding) Done(bool) {}
+// Done implements Binding: push holds no lease to settle, so it only
+// recycles the binding.
+func (b *hashBinding) Done(bool) {
+	b.checkOwned()
+	b.release()
+}
+
+// release puts b back in hashBindings.
+func (b *hashBinding) release() {
+	b.pooled = poison
+	hashBindings.Put(b)
+}
+
+// checkOwned panics, under the race build, on a use after Done.
+func (b *hashBinding) checkOwned() {
+	if poison && b.pooled {
+		panic("router: hash binding used after Done")
+	}
+}
 
 // detail implements Binding.
 func (b *hashBinding) detail() string {
+	b.checkOwned()
 	return fmt.Sprintf("candidates=%d", len(b.cands))
 }
 

@@ -3,6 +3,7 @@ package router
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"time"
 
@@ -18,7 +19,8 @@ var errRouterClosed = errors.New("router: closed")
 // holder ("virtual pull"): Assign enqueues and registers a grant
 // channel, Binding.Next blocks on it until the core leases the
 // invocation to a worker, a failed attempt requeues so the re-grant
-// late-binds elsewhere, and Done acks or aborts the lease. The core is
+// late-binds elsewhere, and Done acks or aborts the lease and recycles
+// the binding, channel and all, for a later Assign. The core is
 // clock-agnostic and unlocked; this driver serialises every core call
 // under mu and stamps offsets from its own epoch — the same discipline
 // the sim driver gets for free from the single-threaded engine, which
@@ -33,6 +35,7 @@ type pullPolicy struct {
 	waiters map[int64]chan pullsched.Grant
 	slots   map[string]int // worker ID -> slot index
 	nextID  int64
+	free    []*pullBinding // settled bindings, channels drained
 }
 
 // newPullPolicy builds the pull driver over rt's worker set. Called
@@ -74,18 +77,14 @@ func (p *pullPolicy) Name() string { return PolicyPull }
 // Assign implements Policy: enqueue the invocation and hand back a
 // binding whose Next blocks on the lease grant. The queue-depth bound
 // sheds here with an *OverloadError — the pull policy's admission
-// control, replacing the per-function semaphore.
+// control, replacing the per-function semaphore. A warm Assign reuses a
+// settled binding and allocates nothing.
 func (p *pullPolicy) Assign(_ context.Context, fn string) (Binding, error) {
 	p.mu.Lock()
 	p.nextID++
 	id := p.nextID
-	// Buffered for two so a sweep re-grant racing a fail re-grant never
-	// blocks the policy lock; Next consumes at most one per attempt.
-	ch := make(chan pullsched.Grant, 2)
-	p.waiters[id] = ch
 	gs, shed := p.core.Enqueue(id, fn, p.now())
 	if shed {
-		delete(p.waiters, id)
 		depth := p.core.Config().QueueDepth
 		p.mu.Unlock()
 		return nil, &OverloadError{
@@ -94,9 +93,21 @@ func (p *pullPolicy) Assign(_ context.Context, fn string) (Binding, error) {
 			RetryAfter: pullRetryAfter(depth),
 		}
 	}
+	var b *pullBinding
+	if n := len(p.free); n > 0 {
+		b, p.free = p.free[n-1], p.free[:n-1]
+		b.pooled = false
+	} else {
+		// Buffered for two so a sweep re-grant racing a fail re-grant
+		// never blocks the policy lock; Next consumes at most one per
+		// attempt.
+		b = &pullBinding{p: p, ch: make(chan pullsched.Grant, 2)}
+	}
+	b.id = id
+	p.waiters[id] = b.ch
 	p.deliverLocked(gs)
 	p.mu.Unlock()
-	return &pullBinding{p: p, id: id, ch: ch}, nil
+	return b, nil
 }
 
 // deliverLocked routes grants to their lease holders' channels. Sends
@@ -123,23 +134,36 @@ func (p *pullPolicy) fail(id int64) {
 	p.mu.Unlock()
 }
 
-// complete acks a lease; the freed capacity pulls more queued work.
-func (p *pullPolicy) complete(id int64) {
+// settle acks (ok) or aborts b's lease — an abort also withdraws a
+// queued copy — delivers the grants the freed capacity unlocks, and
+// puts b on the free list. Its id leaves waiters first, so no grant can
+// reach its channel any more; one already there (a fail re-grant that
+// raced a sweep's) is drained, so the next invocation to take b sees
+// only its own grant.
+func (p *pullPolicy) settle(b *pullBinding, ok bool) {
 	p.mu.Lock()
-	gs := p.core.Complete(id, p.now())
-	delete(p.waiters, id)
+	var gs []pullsched.Grant
+	if ok {
+		gs = p.core.Complete(b.id, p.now())
+	} else {
+		gs = p.core.Abort(b.id, p.now())
+	}
+	delete(p.waiters, b.id)
 	p.deliverLocked(gs)
+	p.releaseLocked(b)
 	p.mu.Unlock()
 }
 
-// abort releases a lease (or withdraws the queued item) for an
-// invocation that errored out or whose caller gave up.
-func (p *pullPolicy) abort(id int64) {
-	p.mu.Lock()
-	gs := p.core.Abort(id, p.now())
-	delete(p.waiters, id)
-	p.deliverLocked(gs)
-	p.mu.Unlock()
+// releaseLocked drains b's channel and puts b on the free list.
+func (p *pullPolicy) releaseLocked(b *pullBinding) {
+	if _, waiting := p.waiters[b.id]; poison && waiting {
+		panic(fmt.Sprintf("router: pull binding %d recycled while its lease waits", b.id))
+	}
+	for len(b.ch) > 0 {
+		<-b.ch
+	}
+	b.pooled = poison
+	p.free = append(p.free, b)
 }
 
 // OnMembershipChange implements Policy: probe mark-downs and autoscale
@@ -182,22 +206,34 @@ func pullRetryAfter(depth int) time.Duration {
 	return time.Second
 }
 
-// pullBinding is one invocation's lease-holder handle.
+// pullBinding is one invocation's lease-holder handle. Settled
+// bindings wait on the policy's free list, channel included, for the
+// next Assign.
 type pullBinding struct {
-	p       *pullPolicy
-	id      int64
-	ch      chan pullsched.Grant
-	settled bool
+	p  *pullPolicy
+	id int64
+	ch chan pullsched.Grant
+	// pooled marks a binding on the free list (set under the race build
+	// only).
+	pooled bool
 }
 
 // Next implements Binding: block until the core leases this invocation
 // to a worker. Attempts after the first requeue the failed lease first,
 // so the re-grant late-binds to a different worker when one has
 // capacity. The wait is bounded by the invocation's context and the
-// router's shutdown.
+// router's shutdown; a grant already delivered — the arrival's own is
+// usually delivered inside Assign — is taken without consulting the
+// context, whose Done channel some contexts build on first use.
 func (b *pullBinding) Next(ctx context.Context, attempt int) (string, error) {
+	b.checkOwned()
 	if attempt > 1 {
 		b.p.fail(b.id)
+	}
+	select {
+	case g := <-b.ch:
+		return b.p.ids[g.Worker], nil
+	default:
 	}
 	select {
 	case g := <-b.ch:
@@ -210,18 +246,22 @@ func (b *pullBinding) Next(ctx context.Context, attempt int) (string, error) {
 }
 
 // Done implements Binding: ack on success, abort otherwise (both
-// withdraw any queued copy, so an invocation is never served twice).
+// withdraw any queued copy, so an invocation is never served twice),
+// then recycle the binding.
 func (b *pullBinding) Done(ok bool) {
-	if b.settled {
-		return
-	}
-	b.settled = true
-	if ok {
-		b.p.complete(b.id)
-	} else {
-		b.p.abort(b.id)
+	b.checkOwned()
+	b.p.settle(b, ok)
+}
+
+// checkOwned panics, under the race build, on a use after Done.
+func (b *pullBinding) checkOwned() {
+	if poison && b.pooled {
+		panic(fmt.Sprintf("router: pull binding %d used after Done", b.id))
 	}
 }
 
 // detail implements Binding.
-func (b *pullBinding) detail() string { return "pull" }
+func (b *pullBinding) detail() string {
+	b.checkOwned()
+	return "pull"
+}

@@ -170,6 +170,12 @@ func (r *Registry) UpCount() int {
 // replicas in ring order, then overloaded workers by ascending load.
 // Down workers never appear.
 func (r *Registry) Candidates(fn string, loadBound float64) []string {
+	return r.appendCandidates(nil, fn, loadBound)
+}
+
+// appendCandidates is Candidates appending to dst: the hash policy picks
+// into the slice its recycled binding keeps.
+func (r *Registry) appendCandidates(dst []string, fn string, loadBound float64) []string {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	total := 0
@@ -178,18 +184,9 @@ func (r *Registry) Candidates(fn string, loadBound float64) []string {
 			total += w.inflight
 		}
 	}
-	return r.ring.PickBounded(fn, loadBound, total, func(id string) int {
+	return r.ring.PickBounded(dst, fn, loadBound, total, func(id string) int {
 		return r.workers[id].inflight
 	})
-}
-
-// Owner reports the ring owner of fn ignoring load — the worker the
-// function's whole dispatch windows batch on when the fleet is healthy
-// and under its load bound.
-func (r *Registry) Owner(fn string) (string, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.ring.Pick(fn)
 }
 
 // NoteResult folds one observation — a health probe or a forward attempt

@@ -187,21 +187,24 @@ func (r *Ring) LoadBound(factor float64, totalInflight int) int {
 	return int(math.Ceil(factor * float64(totalInflight+1) / float64(r.Len())))
 }
 
-// PickBounded orders the ring's members for one key under bounded load:
-// ring candidates whose load (per loadOf) is below the bound first, in
-// ring order, then the remaining members by ascending load (least-loaded
-// spillover). Every member appears exactly once, so the result doubles
-// as the failover order. total is the members' summed load, which the
-// caller tracks; the result slice is the only allocation.
-func (r *Ring) PickBounded(key string, factor float64, total int, loadOf func(member string) int) []string {
+// PickBounded appends to dst the ring's members ordered for one key
+// under bounded load: ring candidates whose load (per loadOf) is below
+// the bound first, in ring order, then the remaining members by
+// ascending load (least-loaded spillover). Every member appears exactly
+// once, so the order doubles as the failover order. total is the
+// members' summed load, which the caller tracks. A dst with room for
+// every member makes the pick allocation-free.
+func (r *Ring) PickBounded(dst []string, key string, factor float64, total int, loadOf func(member string) int) []string {
 	n := len(r.members)
 	if n == 0 {
-		return nil
+		return dst
 	}
 	bound := r.LoadBound(factor, total)
+	base := len(dst)
+	dst = slices.Grow(dst, n)[:base+n]
+	out := dst[base:]
 	// Under-bound members fill out from the front, the spill from the
 	// back (so in reverse ring order until it is turned around below).
-	out := make([]string, n)
 	front, back := 0, n
 	r.walk(key, func(member string) {
 		if loadOf(member) < bound {
@@ -215,5 +218,5 @@ func (r *Ring) PickBounded(key string, factor float64, total int, loadOf func(me
 	spill := out[front:]
 	slices.Reverse(spill)
 	slices.SortStableFunc(spill, func(a, b string) int { return loadOf(a) - loadOf(b) })
-	return out
+	return dst
 }

@@ -115,7 +115,7 @@ func TestRingCandidatesDistinct(t *testing.T) {
 		r.Add(m)
 	}
 	for _, k := range testKeys(50) {
-		c := r.PickBounded(k, DefaultLoadBound, 0, func(string) int { return 0 })
+		c := r.PickBounded(nil, k, DefaultLoadBound, 0, func(string) int { return 0 })
 		if len(c) != len(members) {
 			t.Fatalf("candidates(%q) = %v, want all %d members", k, c, len(members))
 		}
@@ -166,14 +166,14 @@ func TestRingPickBoundedSpillover(t *testing.T) {
 	owner, _ := r.Pick(key)
 
 	// Unloaded: bounded pick preserves plain ring order.
-	idle := r.PickBounded(key, 1.25, 0, func(string) int { return 0 })
+	idle := r.PickBounded(nil, key, 1.25, 0, func(string) int { return 0 })
 	if len(idle) != 3 || idle[0] != owner {
 		t.Fatalf("idle PickBounded = %v, owner %q", idle, owner)
 	}
 
 	// Overload the owner: total 12 over 3 members, bound ceil(1.25*13/3)=6.
 	loads := map[string]int{owner: 12}
-	picked := r.PickBounded(key, 1.25, 12, func(m string) int { return loads[m] })
+	picked := r.PickBounded(nil, key, 1.25, 12, func(m string) int { return loads[m] })
 	if len(picked) != 3 {
 		t.Fatalf("PickBounded = %v, want 3 members", picked)
 	}
@@ -194,7 +194,7 @@ func TestRingPickBoundedSpillover(t *testing.T) {
 	// Two members over the bound: the idle one leads, the overloaded pair
 	// spills in ascending-load order. Bound = ceil(1 * 191 / 3) = 64.
 	loads = map[string]int{"w1": 100, "w2": 90, "w3": 0}
-	picked = r.PickBounded(key, 1, 190, func(m string) int { return loads[m] })
+	picked = r.PickBounded(nil, key, 1, 190, func(m string) int { return loads[m] })
 	if picked[0] != "w3" || picked[1] != "w2" || picked[2] != "w1" {
 		t.Fatalf("spillover order = %v, want [w3 w2 w1] (idle, then ascending load)", picked)
 	}
@@ -311,7 +311,7 @@ func TestRingPicksMatchReference(t *testing.T) {
 		for i := 0; i < 40; i++ {
 			key := "fn-" + strconv.Itoa(rng.Intn(1000))
 			factor := []float64{0.5, 1, 1.25, 2, 10}[rng.Intn(5)]
-			got := r.PickBounded(key, factor, total, loadOf)
+			got := r.PickBounded(nil, key, factor, total, loadOf)
 			if want := referencePickBounded(r, key, factor, loadOf); !slices.Equal(got, want) {
 				t.Fatalf("round %d: PickBounded(%q, %v) = %v, reference %v", round, key, factor, got, want)
 			}
@@ -323,15 +323,24 @@ func TestRingPicksMatchReference(t *testing.T) {
 	}
 }
 
-// TestRingPickBoundedAllocatesOnlyItsResult pins the per-request cost of
-// the routed path's ring lookup.
-func TestRingPickBoundedAllocatesOnlyItsResult(t *testing.T) {
+// TestRingPickBoundedIntoCallerSliceAllocFree pins the per-request cost
+// of the routed path's ring lookup: picking into a slice the caller
+// keeps allocates nothing, and the pick appends after what dst holds.
+func TestRingPickBoundedIntoCallerSliceAllocFree(t *testing.T) {
 	r := NewRing(DefaultVNodes)
 	for i := 0; i < 100; i++ {
 		r.Add("w" + strconv.Itoa(i))
 	}
 	loadOf := func(m string) int { return len(m) } // some over the bound, some under
-	if n := testing.AllocsPerRun(100, func() { _ = r.PickBounded("fib", 1, 290, loadOf) }); n != 1 {
-		t.Errorf("PickBounded allocates %.1f objects/op, want 1 (the result)", n)
+	want := r.PickBounded(nil, "fib", 1, 290, loadOf)
+	if got := r.PickBounded([]string{"x"}, "fib", 1, 290, loadOf); got[0] != "x" || !slices.Equal(got[1:], want) {
+		t.Fatalf("PickBounded after a prefix = %v, want x then %v", got, want)
+	}
+	dst := make([]string, 0, 100)
+	if n := testing.AllocsPerRun(100, func() { dst = r.PickBounded(dst[:0], "fib", 1, 290, loadOf) }); n != 0 {
+		t.Errorf("PickBounded into a caller-owned slice allocates %.1f objects/op, want 0", n)
+	}
+	if !slices.Equal(dst, want) {
+		t.Fatalf("PickBounded into dst = %v, want %v", dst, want)
 	}
 }

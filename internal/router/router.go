@@ -292,9 +292,6 @@ func ringVNodes(v int) int {
 // Registry exposes the worker registry (for /workers and tests).
 func (rt *Router) Registry() *Registry { return rt.reg }
 
-// Metrics exposes the router's histogram registry (never nil).
-func (rt *Router) Metrics() *obs.Metrics { return rt.metrics }
-
 // Stats snapshots the router counters.
 func (rt *Router) Stats() Stats {
 	return Stats{

@@ -82,9 +82,9 @@ func TestEndToEndStitchedTrace(t *testing.T) {
 
 	// Kill the ring owner of "echo" so the first forward attempt hits a
 	// dead socket and the router fails over to the next candidate.
-	victimID, ok := rt.Registry().Owner("echo")
+	victimID, ok := ringOwner(rt.Registry(), "echo")
 	if !ok {
-		t.Fatal("Owner(echo) failed")
+		t.Fatal("no owner for echo")
 	}
 	for _, w := range fleet {
 		if w.id == victimID {

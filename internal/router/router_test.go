@@ -131,7 +131,7 @@ func TestRouterForwardSuccess(t *testing.T) {
 	w2 := newFakeWorker(t, "w2")
 	rt := newTestRouter(t, []*fakeWorker{w1, w2}, nil)
 
-	owner, _ := rt.Registry().Owner("fib")
+	owner, _ := ringOwner(rt.Registry(), "fib")
 	res, err := rt.Invoke(context.Background(), routedReq("fib"))
 	if err != nil {
 		t.Fatalf("Invoke: %v", err)
@@ -195,7 +195,7 @@ func TestRouterFailover(t *testing.T) {
 		cfg.MaxAttempts = 3
 		cfg.MarkDownAfter = 1
 	})
-	owner, _ := rt.Registry().Owner("fib")
+	owner, _ := ringOwner(rt.Registry(), "fib")
 	victim, survivor := w1, w2
 	if owner == "w2" {
 		victim, survivor = w2, w1

@@ -314,7 +314,7 @@ func TestWireForwardTimeoutFailsOver(t *testing.T) {
 	fast := newCountedWorker(t, echoInvoke("fast"))
 	urls := []string{slow.srv.URL, fast.srv.URL}
 	probe := wireRouter(t, time.Second, nil, urls...)
-	if owner, _ := probe.Registry().Owner("echo"); owner == "w2" {
+	if owner, _ := ringOwner(probe.Registry(), "echo"); owner == "w2" {
 		urls[0], urls[1] = urls[1], urls[0] // the slow worker owns the function
 	}
 	rt := wireRouter(t, 50*time.Millisecond, nil, urls...)
@@ -532,15 +532,44 @@ func TestWireDialSeam(t *testing.T) {
 
 // routedForwardAllocs is what one warm routed invocation costs inside the
 // router — admission, ring pick, binding, the exchange on a pooled
-// connection, the splice — measured at the commit that introduced the
-// wire client, plus two. The worker's side (net/http's server and the
-// gateway handler behind it) runs on other goroutines and is counted too:
-// AllocsPerRun reads the process's malloc count.
-const routedForwardAllocs = 33
+// connection, the splice — plus two. The worker's side (net/http's server
+// and the gateway handler behind it) runs on other goroutines and is
+// counted too: AllocsPerRun reads the process's malloc count. 27 measured
+// once both bindings were recycled, the ring picked into the binding's
+// slice, the gateway looked the function up from the body's bytes and the
+// worker took its ready ticket without the request context's channel.
+const routedForwardAllocs = 29
+
+// pullForwardAllocs is the same forward under the pull policy: its lease
+// grant and ack, on a recycled binding and channel, cost what the hash
+// policy's ring pick into a recycled binding does — nothing.
+const pullForwardAllocs = routedForwardAllocs
 
 // TestRoutedForwardAllocBudget pins the byte path of Router.Invoke
 // against a loopback worker whose handler is the real gateway handler.
 func TestRoutedForwardAllocBudget(t *testing.T) {
+	if avg := measureRoutedForward(t); avg > routedForwardAllocs {
+		t.Fatalf("routed forward allocates %.1f objects/op, want <= %d", avg, routedForwardAllocs)
+	} else {
+		t.Logf("routed forward: %.1f allocs/op", avg)
+	}
+}
+
+// TestPullForwardAllocBudget is TestRoutedForwardAllocBudget under the
+// pull policy: binding by lease costs what binding by ring does.
+func TestPullForwardAllocBudget(t *testing.T) {
+	if avg := measureRoutedForward(t, WithPolicy(PolicyPull)); avg > pullForwardAllocs {
+		t.Fatalf("pull forward allocates %.1f objects/op, want <= %d", avg, pullForwardAllocs)
+	} else {
+		t.Logf("pull forward: %.1f allocs/op", avg)
+	}
+}
+
+// measureRoutedForward returns the allocations of one warm
+// Router.invokeLine, through a router built with opts, to a loopback
+// worker serving the real gateway handler.
+func measureRoutedForward(t *testing.T, opts ...Option) float64 {
+	t.Helper()
 	if obstest.RaceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
@@ -559,7 +588,14 @@ func TestRoutedForwardAllocBudget(t *testing.T) {
 	p.SetReady(true)
 	srv := httptest.NewServer(platform.NewHTTPHandler(p))
 	defer srv.Close()
-	rt := wireRouter(t, 5*time.Second, nil, srv.URL)
+	rt, err := New(Config{
+		Workers:      []WorkerSpec{{ID: "w1", URL: srv.URL}},
+		RetryBackoff: -1, ForwardTimeout: 5 * time.Second, ProbeTimeout: time.Second,
+	}, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = rt.Close() }()
 	req := httpapi.RoutedInvokeRequest{Fn: "echo", Payload: json.RawMessage(`{"n":1}`)}
 	buf := make([]byte, 0, 1024)
 	// A cancellable context, as the serving edge's is: the cancellation
@@ -577,11 +613,7 @@ func TestRoutedForwardAllocBudget(t *testing.T) {
 	}
 	prev := debug.SetGCPercent(-1)
 	defer debug.SetGCPercent(prev)
-	if avg := testing.AllocsPerRun(200, forward); avg > routedForwardAllocs {
-		t.Fatalf("routed forward allocates %.1f objects/op, want <= %d", avg, routedForwardAllocs)
-	} else {
-		t.Logf("routed forward: %.1f allocs/op", avg)
-	}
+	return testing.AllocsPerRun(200, forward)
 }
 
 // TestWireStressWithWorkerRestart drives 32 clients through the router's
