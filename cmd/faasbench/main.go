@@ -35,8 +35,9 @@ func run(args []string) error {
 	fs := flag.NewFlagSet("faasbench", flag.ContinueOnError)
 	list := fs.Bool("list", false, "list reproducible figures")
 	id := fs.String("run", "", "figure id to reproduce, or \"all\"")
-	scale := fs.Float64("scale", 1.0, "workload scale factor (1.0 = paper scale)")
-	seed := fs.Int64("seed", 13, "deterministic seed")
+	def := experiment.DefaultOptions()
+	scale := fs.Float64("scale", def.Scale, "workload scale factor (1.0 = paper scale)")
+	seed := fs.Int64("seed", def.Seed, "deterministic seed")
 	outPath := fs.String("o", "", "also write the output to this file")
 	summary := fs.String("summary", "", "emit a JSON per-policy summary for a workload (cpu or io) instead of tables")
 	traceDir := fs.String("trace-dir", "", "write one Chrome trace-event JSON file per experiment run into this directory")

@@ -349,33 +349,3 @@ func TestEveryGroupCountedOnce(t *testing.T) {
 		})
 	}
 }
-
-// TestRearmDropsStaleTick is the dispatch loop's kick-after-fire case: the
-// loop's timer fired, but the select took a kick that landed in the same
-// instant, so the tick is still in the channel when the loop re-arms for
-// the window the kick announced. Under go.mod's pre-1.23 timer channels
-// Stop does not empty it; rearm must, or the loop would wake at once for
-// a deadline that is not due.
-func TestRearmDropsStaleTick(t *testing.T) {
-	timer := time.NewTimer(time.Millisecond)
-	defer timer.Stop()
-	time.Sleep(20 * time.Millisecond) // fired, not received
-	rearm(timer, time.Hour)
-	select {
-	case <-timer.C:
-		t.Fatal("a tick from the previous arming survived rearm")
-	default:
-	}
-	rearm(timer, -time.Second) // a deadline already past fires at once
-	select {
-	case <-timer.C:
-	case <-time.After(2 * time.Second):
-		t.Fatal("rearm with a past deadline never fired")
-	}
-	rearm(timer, time.Millisecond) // received tick: nothing to drain
-	select {
-	case <-timer.C:
-	case <-time.After(2 * time.Second):
-		t.Fatal("rearm after a received tick never fired")
-	}
-}

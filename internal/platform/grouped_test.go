@@ -257,8 +257,8 @@ func TestNoGoroutinePerGroupMember(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	// The slack covers a window closed by its deadline, whose closer is a
-	// short-lived goroutine of the dispatch loop.
+	// The slack covers a window closed by its deadline, whose closer is
+	// the short-lived goroutine of that function's window timer.
 	if during := settleGoroutines(t, base+callers, time.Second); during > base+callers {
 		t.Errorf("%d goroutines with %d callers in their handlers (baseline %d): want callers + baseline", during, callers, base)
 	}

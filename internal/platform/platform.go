@@ -463,6 +463,14 @@ type function struct {
 	// it — giving each function its own controller is what lets the
 	// shards run lock-independent.
 	ctrl *dispatch.Controller
+	// window wakes the shard when its open window is due (windowDue);
+	// expire wakes it when warm[0] has been parked KeepAlive (expireIdle).
+	// Each shard is its own clock: no loop scans the others.
+	window, expire *time.Timer
+	// expiring is set while expire is armed or its firing is pending.
+	// Only a firing that empties warm clears it, so a clear expiring
+	// means warm is empty.
+	expiring bool
 }
 
 // pendingCall is an invocation waiting for its window. Its caller stays
@@ -575,14 +583,13 @@ type Platform struct {
 
 	// The Invoke Mapper's windows. Each function gets its own
 	// controller (built from dcfg at Register); the platform feeds
-	// wall-clock offsets from epoch. kick (buffered 1) wakes dispatchLoop
-	// when an arrival opens an earlier window.
+	// wall-clock offsets from epoch.
 	dcfg  dispatch.Config
 	epoch time.Time
-	kick  chan struct{}
 
-	stopTicker chan struct{}
-	wg         sync.WaitGroup
+	// closing is closed by Close to wake retry backoff sleepers.
+	closing chan struct{}
+	wg      sync.WaitGroup
 }
 
 // fnsAll returns the current registry snapshot (immutable).
@@ -600,8 +607,9 @@ func (p *Platform) unknownFunction(fn string) error {
 	return fmt.Errorf("platform: unknown function %q", fn)
 }
 
-// New starts a platform. Close must be called to release its dispatcher.
-// The platform starts not ready: call SetReady(true) once registration
+// New starts a platform. It runs no goroutine of its own: each function
+// shard arms its own window and keep-alive timers. Close drains it. The
+// platform starts not ready: call SetReady(true) once registration
 // completes so /healthz reports ok (Invoke itself works regardless).
 func New(cfg Config) (*Platform, error) {
 	switch cfg.Mode {
@@ -672,15 +680,14 @@ func New(cfg Config) (*Platform, error) {
 		}
 	}
 	p := &Platform{
-		cfg:        cfg,
-		tracer:     cfg.Tracer,
-		metrics:    obs.NewMetrics(),
-		slos:       slos,
-		logger:     logger,
-		dcfg:       dcfg,
-		epoch:      time.Now(),
-		kick:       make(chan struct{}, 1),
-		stopTicker: make(chan struct{}),
+		cfg:     cfg,
+		tracer:  cfg.Tracer,
+		metrics: obs.NewMetrics(),
+		slos:    slos,
+		logger:  logger,
+		dcfg:    dcfg,
+		epoch:   time.Now(),
+		closing: make(chan struct{}),
 	}
 	empty := make(map[string]*function)
 	p.fns.Store(&empty)
@@ -690,11 +697,6 @@ func New(cfg Config) (*Platform, error) {
 		"adaptive", cfg.AdaptiveDispatch,
 		"multiplex", cfg.Multiplex,
 		"tracing", cfg.Tracer != nil)
-	p.wg.Add(2)
-	go p.dispatchLoop()
-	// Eviction runs on its own timer: windows close irregularly, and a
-	// platform that only ever fast-paths never wakes the dispatch loop.
-	go p.evictLoop()
 	return p, nil
 }
 
@@ -731,6 +733,12 @@ func (p *Platform) Register(name string, h Handler) error {
 		return fmt.Errorf("platform: %w", err)
 	}
 	f := &function{name: name, handler: h, ctrl: ctrl}
+	// Both timers start disarmed: an AfterFunc timer stopped before it
+	// fires never runs its callback.
+	f.window = time.AfterFunc(time.Hour, func() { p.windowDue(f) })
+	f.window.Stop()
+	f.expire = time.AfterFunc(time.Hour, func() { p.expireIdle(f) })
+	f.expire.Stop()
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.closed.Load() {
@@ -923,24 +931,27 @@ func (p *Platform) enqueueLocked(f *function, call *pendingCall) {
 
 // applyLocked carries out one controller decision on f's pending queue —
 // the single place a window opens or closes, whoever asked: an arrival, a
-// re-batched retry, the dispatch loop at a deadline, or the Close flush.
-// A wait arms f's deadline (waking the loop when it opens the window);
-// anything else closes the window now and returns the claimed group for
-// the caller to run, nil when no call survived the wait. Caller holds
-// f.mu.
+// re-batched retry, the window timer at a deadline, or the Close flush.
+// A wait sets f's deadline (arming the window timer when it opens the
+// window); anything else closes the window now and returns the claimed
+// group for the caller to run, nil when no call survived the wait. Caller
+// holds f.mu.
 func (p *Platform) applyLocked(f *function, d dispatch.Decision) *callGroup {
 	if d.Action == dispatch.ActionWait {
 		// The controller may extend an open window's deadline as the
-		// arrival estimate densifies; a stale-armed loop timer just
-		// re-arms when it finds the deadline still in the future.
+		// arrival estimate densifies; the timer armed for the first
+		// deadline re-arms when it finds the deadline still in the future.
 		opened := f.deadline.IsZero()
 		f.deadline = p.epoch.Add(d.Deadline)
 		if opened {
-			p.kickLoop()
+			f.window.Reset(time.Until(f.deadline))
 		}
 		return nil
 	}
-	f.deadline = time.Time{}
+	if !f.deadline.IsZero() {
+		f.window.Stop()
+		f.deadline = time.Time{}
+	}
 	group := p.claimPendingLocked(f)
 	if group == nil {
 		return nil
@@ -969,93 +980,40 @@ func (p *Platform) busyLocked(f *function) bool {
 	return false
 }
 
-// kickLoop wakes dispatchLoop to re-arm its timer (an arrival opened a
-// window that may close before the one the loop is sleeping on).
-func (p *Platform) kickLoop() {
-	select {
-	case p.kick <- struct{}{}:
-	default:
-	}
-}
-
-// dispatchLoop is the Invoke Mapper's clock: it sleeps until the earliest
-// open window's deadline, re-armed whenever an arrival opens an earlier
-// window, and closes every window that is due. One timer serves the
-// loop's whole life.
-func (p *Platform) dispatchLoop() {
-	defer p.wg.Done()
-	timer := time.NewTimer(time.Hour)
-	defer timer.Stop()
-	for {
-		var next time.Time
-		for _, f := range p.fnsAll() {
-			f.mu.Lock()
-			d := f.deadline
-			f.mu.Unlock()
-			if !d.IsZero() && (next.IsZero() || d.Before(next)) {
-				next = d
-			}
-		}
-		// With no window open the loop waits for a kick alone; a tick
-		// left over from an earlier arming stays in the channel until
-		// the next rearm drains it.
-		var timerC <-chan time.Time
-		if !next.IsZero() {
-			rearm(timer, time.Until(next))
-			timerC = timer.C
-		}
-		select {
-		case <-timerC:
-			p.closeWindows(false)
-		case <-p.kick:
-			// Re-scan deadlines and re-arm.
-		case <-p.stopTicker:
-			p.closeWindows(true)
-			return
-		}
-	}
-}
-
-// rearm points t at d from now (at once, for a d already past). go.mod's
-// go 1.22 selects the pre-1.23 timer channel, which Stop does not empty:
-// a tick that fired but was never received has to be drained before
-// Reset, or it would wake the loop for a deadline that is not due.
-func rearm(t *time.Timer, d time.Duration) {
-	if !t.Stop() {
-		select {
-		case <-t.C:
-		default:
-		}
-	}
-	t.Reset(max(d, 0))
-}
-
-// closeWindows closes every open window whose deadline has passed — with
-// flush (the final drain at Close), every open window — and hands each
-// surviving group its tickets.
-func (p *Platform) closeWindows(flush bool) {
-	now := time.Now()
-	for _, f := range p.fnsAll() {
-		f.mu.Lock()
-		var cg *callGroup
-		if !f.deadline.IsZero() && (flush || !f.deadline.After(now)) {
-			cg = p.applyLocked(f, f.ctrl.WindowClosed(f.name))
-		}
+// windowDue is f's window timer firing: it closes the open window if
+// its deadline has passed, re-arms if the controller extended it, and
+// does nothing if the window already closed or Close flushes it. The
+// group is dispatched on the timer's own goroutine; its count on p.wg is
+// taken under f.mu, the fence invoke uses.
+func (p *Platform) windowDue(f *function) {
+	f.mu.Lock()
+	if p.closed.Load() || f.deadline.IsZero() {
 		f.mu.Unlock()
-		if cg == nil {
-			continue
-		}
-		if p.logOn(slog.LevelDebug) {
-			p.logger.Debug("dispatch window", "fn", f.name, "group", len(cg.calls))
-		}
-		// Its own goroutine: acquiring the group's container may sleep a
-		// cold start, and other windows are due.
-		p.wg.Add(1)
-		go func() {
-			defer p.wg.Done()
-			p.dispatchGroup(f, cg)
-		}()
+		return
 	}
+	if wait := time.Until(f.deadline); wait > 0 {
+		f.window.Reset(wait)
+		f.mu.Unlock()
+		return
+	}
+	cg := p.applyLocked(f, f.ctrl.WindowClosed(f.name))
+	if cg != nil {
+		p.wg.Add(1)
+	}
+	f.mu.Unlock()
+	if cg != nil {
+		p.dispatchWindow(f, cg)
+	}
+}
+
+// dispatchWindow runs a group whose window closed at its deadline or in
+// the Close flush, then pays the count on p.wg its closer took for it.
+func (p *Platform) dispatchWindow(f *function, cg *callGroup) {
+	defer p.wg.Done()
+	if p.logOn(slog.LevelDebug) {
+		p.logger.Debug("dispatch window", "fn", f.name, "group", len(cg.calls))
+	}
+	p.dispatchGroup(f, cg)
 }
 
 // claimPendingLocked takes f's pending group into a pooled callGroup,
@@ -1117,80 +1075,76 @@ func (p *Platform) recordWindowSpans(f *function, group []*pendingCall, window t
 	}
 }
 
-// evictLoop retires idle warm containers past KeepAlive on its own
-// cadence, decoupled from dispatch: adaptive windows fire irregularly and
-// fast-pathed arrivals never wake the dispatch loop, so eviction cannot
-// ride it.
-func (p *Platform) evictLoop() {
-	defer p.wg.Done()
-	period := p.cfg.KeepAlive / 4
-	if period < time.Millisecond {
-		period = time.Millisecond
-	}
-	if period > time.Second {
-		period = time.Second
-	}
-	ticker := time.NewTicker(period)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-ticker.C:
-			p.evictIdle()
-		case <-p.stopTicker:
-			return
-		}
-	}
-}
-
-// evictIdle drops warm containers idle past the keep-alive, one shard at
-// a time.
-func (p *Platform) evictIdle() {
-	cutoff := time.Now().Add(-p.cfg.KeepAlive)
-	for _, f := range p.fnsAll() {
-		f.mu.Lock()
-		kept := f.warm[:0]
-		for _, c := range f.warm {
-			if c.lastIdle.Before(cutoff) {
-				if p.logOn(slog.LevelDebug) {
-					p.logger.Debug("container evicted", "container", c.id, "fn", f.name, "idle", time.Since(c.lastIdle))
-				}
-				p.retireLocked(f, c)
-				continue
-			}
-			kept = append(kept, c)
-		}
-		for i := len(kept); i < len(f.warm); i++ {
-			f.warm[i] = nil
-		}
-		f.warm = kept
+// expireIdle is f's keep-alive timer firing. The warm stack is in park
+// order, so the containers idle past KeepAlive are its prefix: it retires
+// them, then re-arms for the new warm[0] or, with warm empty, disarms.
+// Their caches close after f.mu is released, because closing runs the
+// user's io.Closers and a slow one must not stall the shard; a count on
+// p.wg, taken under f.mu, makes Close wait for them.
+func (p *Platform) expireIdle(f *function) {
+	var caches []*multiplex.Cache
+	f.mu.Lock()
+	if p.closed.Load() {
 		f.mu.Unlock()
+		return
+	}
+	now := time.Now()
+	n := 0
+	for ; n < len(f.warm); n++ {
+		c := f.warm[n]
+		if c.lastIdle.Add(p.cfg.KeepAlive).After(now) {
+			break
+		}
+		if p.logOn(slog.LevelDebug) {
+			p.logger.Debug("container evicted", "container", c.id, "fn", f.name, "idle", now.Sub(c.lastIdle))
+		}
+		if cache := p.retireLocked(f, c); cache != nil {
+			caches = append(caches, cache)
+		}
+	}
+	kept := copy(f.warm, f.warm[n:])
+	clear(f.warm[kept:])
+	f.warm = f.warm[:kept]
+	if kept > 0 {
+		f.expire.Reset(f.warm[0].lastIdle.Add(p.cfg.KeepAlive).Sub(now))
+	} else {
+		f.expiring = false
+	}
+	p.wg.Add(1)
+	f.mu.Unlock()
+	defer p.wg.Done()
+	for _, cache := range caches {
+		cache.Close()
 	}
 }
 
-// retireLocked removes a container from the function's records. Caller
-// holds f.mu; the retired-stats fold nests p.mu inside it (the only
-// nesting order in the platform — nothing acquires a shard while holding
-// p.mu).
-func (p *Platform) retireLocked(f *function, c *container) {
+// retireLocked removes a container from the function's records and folds
+// its multiplexer's counters into the platform totals. It returns the
+// container's cache (nil without one) for the caller to close once it has
+// released f.mu. Caller holds f.mu; the retired-stats fold nests p.mu
+// inside it (the only nesting order in the platform — nothing acquires a
+// shard while holding p.mu).
+func (p *Platform) retireLocked(f *function, c *container) *multiplex.Cache {
 	for i, other := range f.all {
 		if other == c {
 			f.all = append(f.all[:i], f.all[i+1:]...)
 			break
 		}
 	}
-	if c.resources != nil && c.resources.cache != nil {
-		st := c.resources.cache.Stats()
-		// Fold the retired cache's counters into the platform totals, but
-		// not its gauges — its live instances and shards are about to be
-		// released by Close (which fires the Closer hook per instance).
-		st.LiveInstances, st.BytesLive = 0, 0
-		st.Shards, st.MaxShardOccupancy = 0, 0
-		p.mu.Lock()
-		p.retired.Add(st)
-		p.mu.Unlock()
-		c.resources.cache.Close()
-	}
 	p.ctr.liveContainers.Add(-1)
+	if c.resources == nil || c.resources.cache == nil {
+		return nil
+	}
+	st := c.resources.cache.Stats()
+	// Fold the retired cache's counters into the platform totals, but not
+	// its gauges — its live instances and shards are about to be released
+	// by Close (which fires the Closer hook per instance).
+	st.LiveInstances, st.BytesLive = 0, 0
+	st.Shards, st.MaxShardOccupancy = 0, 0
+	p.mu.Lock()
+	p.retired.Add(st)
+	p.mu.Unlock()
+	return c.resources.cache
 }
 
 // containerCacheConfig derives one container's multiplexer config from
@@ -1267,6 +1221,9 @@ func (p *Platform) acquire(f *function) (*container, bool) {
 }
 
 // release parks the container back into the warm pool once it drains.
+// A disarmed keep-alive timer means warm was empty, so the container just
+// parked is warm[0] and expires exactly KeepAlive from now; an armed one
+// already waits for an older container. A closed platform arms nothing.
 func (p *Platform) release(f *function, c *container, n int) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -1275,6 +1232,10 @@ func (p *Platform) release(f *function, c *container, n int) {
 		c.active = 0
 		c.lastIdle = time.Now()
 		f.warm = append(f.warm, c)
+		if !f.expiring && !p.closed.Load() {
+			f.expiring = true
+			f.expire.Reset(p.cfg.KeepAlive)
+		}
 	}
 }
 
@@ -1332,8 +1293,11 @@ func (p *Platform) dispatchGroup(f *function, g *callGroup) {
 		p.ctr.crashes.Add(1)
 		f.mu.Lock()
 		c.active = 0
-		p.retireLocked(f, c)
+		cache := p.retireLocked(f, c)
 		f.mu.Unlock()
+		if cache != nil {
+			cache.Close()
+		}
 		p.logger.Warn("container crashed mid-batch", "container", c.id, "fn", f.name, "group", len(g.calls))
 	}
 
@@ -1561,7 +1525,7 @@ func (p *Platform) finish(f *function, call *pendingCall, res *Result, err error
 }
 
 // retryLater re-batches a failed call into a later dispatch window after
-// an exponential backoff. Close wakes sleepers early (stopTicker) and the
+// an exponential backoff. Close wakes sleepers early (closing) and the
 // retry is then dispatched directly, so draining never strands a retry.
 // The caller has already done p.wg.Add(1).
 func (p *Platform) retryLater(f *function, call *pendingCall) {
@@ -1572,7 +1536,7 @@ func (p *Platform) retryLater(f *function, call *pendingCall) {
 		timer := time.NewTimer(backoff)
 		select {
 		case <-timer.C:
-		case <-p.stopTicker:
+		case <-p.closing:
 			timer.Stop()
 		}
 		if call.trace != 0 {
@@ -1677,8 +1641,8 @@ func (p *Platform) Stats() Stats {
 	return st
 }
 
-// Close flushes pending windows, waits for in-flight groups and retries
-// to drain, and stops the dispatcher. Invocations submitted after Close
+// Close flushes pending windows, stops every shard's timers and waits for
+// in-flight groups and retries to drain. Invocations submitted after Close
 // fail. With DrainTimeout set, Close gives up once the deadline passes
 // and reports an error (work may still be in flight).
 func (p *Platform) Close() error {
@@ -1704,22 +1668,32 @@ func (p *Platform) CloseContext(ctx context.Context) error {
 	}
 	p.closed.Store(true)
 	p.mu.Unlock()
-	// Shard handshake: acquire and release every function's mutex once.
-	// Any Invoke or retry settlement that observed closed==false did its
-	// wg.Add inside a shard critical section that strictly precedes this
-	// handshake, so the Add is ordered before the Wait below; anything
-	// acquiring a shard after its handshake sees closed==true and
-	// rejects. Registration after the closed store is rejected under
-	// p.mu, so this snapshot covers every shard.
+	// Shard handshake and flush: hold every function's mutex once. Any
+	// Invoke, retry settlement or timer firing that observed
+	// closed==false did its wg.Add inside a shard critical section that
+	// strictly precedes this one, so the Add is ordered before the Wait
+	// below; anything acquiring a shard after it sees closed==true and
+	// rejects, or (a timer firing) returns. Registration after the closed
+	// store is rejected under p.mu, so this snapshot covers every shard.
 	for _, f := range p.fnsAll() {
 		f.mu.Lock()
-		//lint:ignore SA2001 the empty critical section is the point: it
-		// fences in-flight submissions on this shard.
+		f.expire.Stop()
+		var cg *callGroup
+		if !f.deadline.IsZero() {
+			cg = p.applyLocked(f, f.ctrl.WindowClosed(f.name))
+		}
+		if cg != nil {
+			p.wg.Add(1)
+		}
 		f.mu.Unlock()
+		if cg != nil {
+			// Its own goroutine: acquiring the group's container may sleep
+			// a cold start, and other shards wait to be flushed.
+			go p.dispatchWindow(f, cg)
+		}
 	}
-	// Wakes the dispatcher for its final flush and any backoff sleepers,
-	// in every mode.
-	close(p.stopTicker)
+	// Wakes any backoff sleepers, whose retries then dispatch at once.
+	close(p.closing)
 	if ctx.Done() == nil {
 		p.wg.Wait()
 		return nil

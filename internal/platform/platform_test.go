@@ -381,25 +381,79 @@ func TestCloseFlushesPendingWindow(t *testing.T) {
 	}
 }
 
+// TestKeepAliveEviction pins exact keep-alive: each function's container
+// is retired within a small tolerance after its own park instant plus
+// KeepAlive, whatever the phase between the functions' parks. Five
+// functions parked across 40 ms leave no room for a shared eviction
+// cadence to be on time for all of them.
 func TestKeepAliveEviction(t *testing.T) {
+	const (
+		keepAlive = 200 * time.Millisecond
+		fns       = 5
+		tolerance = 20 * time.Millisecond
+	)
 	cfg := quickConfig(ModeBatch)
-	cfg.KeepAlive = 30 * time.Millisecond
+	cfg.KeepAlive = keepAlive
 	p := newPlatform(t, cfg)
-	if err := p.Register("echo", echo); err != nil {
-		t.Fatalf("Register: %v", err)
-	}
-	if _, err := p.Invoke(context.Background(), "echo", nil); err != nil {
-		t.Fatalf("Invoke: %v", err)
-	}
-	// Wait past the keep-alive plus a few window ticks (eviction runs on
-	// window boundaries).
-	deadline := time.After(5 * time.Second)
-	for p.Stats().LiveContainers != 0 {
-		select {
-		case <-deadline:
-			t.Fatalf("LiveContainers = %d, want 0 after keep-alive", p.Stats().LiveContainers)
-		case <-time.After(10 * time.Millisecond):
+	shards := make([]*function, fns)
+	for i := range shards {
+		name := "f" + strconv.Itoa(i)
+		if err := p.Register(name, echo); err != nil {
+			t.Fatalf("Register: %v", err)
 		}
+		shards[i] = p.lookup(name)
+	}
+	var wg sync.WaitGroup
+	for _, f := range shards {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := p.Invoke(context.Background(), f.name, nil); err != nil {
+				t.Errorf("Invoke %s: %v", f.name, err)
+			}
+		}()
+		time.Sleep(10 * time.Millisecond)
+	}
+	wg.Wait()
+	due := make([]time.Time, fns)
+	for i, f := range shards {
+		f.mu.Lock()
+		if len(f.warm) != 1 {
+			f.mu.Unlock()
+			t.Fatalf("%s has %d parked containers, want 1", f.name, len(f.warm))
+		}
+		due[i] = f.warm[0].lastIdle.Add(keepAlive)
+		f.mu.Unlock()
+	}
+	retired := make([]time.Time, fns)
+	giveUp := time.Now().Add(5 * time.Second)
+	for left := fns; left > 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(giveUp) {
+			t.Fatalf("%d of %d containers still alive 5 s after parking", left, fns)
+		}
+		for i, f := range shards {
+			if !retired[i].IsZero() {
+				continue
+			}
+			f.mu.Lock()
+			gone := len(f.all) == 0
+			f.mu.Unlock()
+			if gone {
+				retired[i] = time.Now()
+				left--
+			}
+		}
+	}
+	for i, f := range shards {
+		switch late := retired[i].Sub(due[i]); {
+		case late < 0:
+			t.Errorf("%s retired %v before its keep-alive ran out", f.name, -late)
+		case late > tolerance:
+			t.Errorf("%s retired %v after its keep-alive ran out, want within %v", f.name, late, tolerance)
+		}
+	}
+	if live := p.Stats().LiveContainers; live != 0 {
+		t.Fatalf("LiveContainers = %d, want 0 after keep-alive", live)
 	}
 }
 
