@@ -15,7 +15,6 @@ import (
 	faasbatch "faasbatch"
 	"faasbatch/internal/cpusched"
 	"faasbatch/internal/experiment"
-	"faasbatch/internal/metrics"
 	"faasbatch/internal/multiplex"
 	"faasbatch/internal/sim"
 	"faasbatch/internal/trace"
@@ -205,7 +204,7 @@ func BenchmarkCDFQuantiles(b *testing.B) {
 	for i := range vals {
 		vals[i] = time.Duration(i*7919%100_000) * time.Microsecond
 	}
-	cdf := metrics.NewCDF(vals)
+	cdf := experiment.NewCDF(vals)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

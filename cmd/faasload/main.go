@@ -15,13 +15,15 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"net/http"
 	"os"
+	"slices"
 	"sync"
+	"text/tabwriter"
 	"time"
 
 	"faasbatch/internal/httpapi"
-	"faasbatch/internal/metrics"
 	"faasbatch/internal/trace"
 )
 
@@ -132,39 +134,38 @@ func invokeOnce(client *http.Client, baseURL string, inv trace.Invocation, maxFi
 }
 
 // summarise prints the latency percentile table and error count.
+// Quantiles are nearest-rank over the sorted samples.
 func summarise(out *os.File, results []loadResult, elapsed time.Duration) error {
-	var totals, scheds, colds, execs []time.Duration
+	names := []string{"scheduling", "cold-start", "execution", "total"}
+	samples := make([][]time.Duration, len(names))
 	errors := 0
 	for _, r := range results {
 		if r.err != nil {
 			errors++
 			continue
 		}
-		ms := func(v float64) time.Duration { return time.Duration(v * float64(time.Millisecond)) }
-		totals = append(totals, ms(r.latency.TotalMillis))
-		scheds = append(scheds, ms(r.latency.SchedMillis))
-		colds = append(colds, ms(r.latency.ColdMillis))
-		execs = append(execs, ms(r.latency.ExecMillis))
+		l := r.latency
+		for i, ms := range [...]float64{l.SchedMillis, l.ColdMillis, l.ExecMillis, l.TotalMillis} {
+			samples[i] = append(samples[i], time.Duration(ms*float64(time.Millisecond)))
+		}
 	}
-	fmt.Fprintf(out, "completed %d ok, %d errors in %v\n\n", len(totals), errors, elapsed.Round(time.Millisecond))
-	if len(totals) == 0 {
+	ok := len(samples[0])
+	fmt.Fprintf(out, "completed %d ok, %d errors in %v\n\n", ok, errors, elapsed.Round(time.Millisecond))
+	if ok == 0 {
 		return fmt.Errorf("no successful invocations (%d errors)", errors)
 	}
-	tbl := metrics.NewTable("gateway latency decomposition",
-		"component", "p50", "p90", "p99", "max")
-	for _, row := range []struct {
-		name string
-		vals []time.Duration
-	}{
-		{"scheduling", scheds},
-		{"cold-start", colds},
-		{"execution", execs},
-		{"total", totals},
-	} {
-		cdf := metrics.NewCDF(row.vals)
-		tbl.AddRow(row.name,
-			cdf.P(0.5).Round(time.Millisecond), cdf.P(0.9).Round(time.Millisecond),
-			cdf.P(0.99).Round(time.Millisecond), cdf.Max().Round(time.Millisecond))
+	fmt.Fprintln(out, "gateway latency decomposition")
+	tw := tabwriter.NewWriter(out, 0, 0, 2, ' ', 0)
+	fmt.Fprintln(tw, "component\tp50\tp90\tp99\tmax")
+	for i, name := range names {
+		vals := samples[i]
+		slices.Sort(vals)
+		fmt.Fprint(tw, name)
+		for _, q := range []float64{0.5, 0.9, 0.99, 1} {
+			rank := max(int(math.Ceil(q*float64(ok))), 1)
+			fmt.Fprintf(tw, "\t%v", vals[rank-1].Round(time.Millisecond))
+		}
+		fmt.Fprintln(tw)
 	}
-	return tbl.Render(out)
+	return tw.Flush()
 }

@@ -9,13 +9,16 @@
 //
 //   - The live platform (Platform, NewPlatform): a wall-clock runtime
 //     that executes registered Go handlers with FaaSBatch scheduling and
-//     serves them over HTTP (NewHTTPHandler). See examples/quickstart.
+//     serves them over HTTP (NewHTTPHandler). See Example (batching),
+//     ExampleResources (the Resource Multiplexer) and
+//     ExampleMultiplexerConfig (a bounded cache).
 //
 //   - The evaluation harness (RunExperiment, Figures): a deterministic
 //     discrete-event reproduction of the paper's testbed — worker node,
 //     container lifecycle, CPU contention, Azure-derived workloads —
 //     that regenerates every table and figure of the paper in seconds.
-//     See cmd/faasbench and examples/azurereplay.
+//     See ExampleRunExperiment and cmd/faasbench (faasbench -run <id>
+//     prints one figure).
 //
 // DESIGN.md maps the paper's systems to packages; EXPERIMENTS.md records
 // paper-reported versus measured results.
@@ -152,6 +155,25 @@ type (
 	BurstConfig = trace.BurstConfig
 	// WorkloadKind distinguishes CPU-intensive and I/O functions.
 	WorkloadKind = workload.Kind
+	// LatencyComponent selects one component of the §IV latency
+	// decomposition, as ExperimentResult.CDF takes it.
+	LatencyComponent = experiment.Component
+)
+
+// Latency components, in pipeline order.
+const (
+	// Scheduling is arrival to dispatch (the Invoke Mapper's window).
+	Scheduling = experiment.Scheduling
+	// ColdStart is the container boot, zero on a warm start.
+	ColdStart = experiment.ColdStart
+	// Queuing is the wait inside the container before execution.
+	Queuing = experiment.Queuing
+	// Execution is the handler's own run time.
+	Execution = experiment.Execution
+	// ExecPlusQueue is Execution plus Queuing (Kraken's curve).
+	ExecPlusQueue = experiment.ExecPlusQueue
+	// EndToEnd is the whole decomposition.
+	EndToEnd = experiment.EndToEnd
 )
 
 // Evaluated policies.
@@ -255,11 +277,6 @@ func NewRouterHandler(rt *Router) http.Handler { return router.NewHTTPHandler(rt
 // WithRouterPolicy selects the router's scheduling policy by name
 // (equivalent to RouterConfig.Policy; setting both conflicts).
 func WithRouterPolicy(name string) RouterOption { return router.WithPolicy(name) }
-
-// WithRouterPullConfig selects the pull policy with explicit queue
-// tuning (equivalent to RouterConfig.Policy=RouterPolicyPull plus
-// RouterConfig.Pull; setting both conflicts).
-func WithRouterPullConfig(cfg PullConfig) RouterOption { return router.WithPullConfig(cfg) }
 
 // Function-chain workloads (sequential workflows).
 type (

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	faasbatch "faasbatch"
-	"faasbatch/internal/metrics"
 )
 
 // TestPublicAPILivePlatform drives the live runtime end to end through
@@ -98,7 +97,7 @@ func TestPublicAPIExperimentHarness(t *testing.T) {
 	if len(res.Records) != tr.Len() {
 		t.Fatalf("records = %d, want %d", len(res.Records), tr.Len())
 	}
-	if res.CDF(metrics.Execution).P(0.5) > 100*time.Millisecond {
+	if res.CDF(faasbatch.Execution).P(0.5) > 100*time.Millisecond {
 		t.Fatal("multiplexed exec median above the 10-100ms band")
 	}
 }

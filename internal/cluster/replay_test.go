@@ -6,7 +6,6 @@ import (
 
 	"faasbatch/internal/cluster"
 	"faasbatch/internal/experiment"
-	"faasbatch/internal/metrics"
 	"faasbatch/internal/node"
 	"faasbatch/internal/trace"
 )
@@ -99,8 +98,8 @@ func TestClusterScalingReducesContention(t *testing.T) {
 	// A heavy burst on 1 node vs 4 nodes: more nodes must not increase
 	// tail latency, and usually improve it.
 	tr := testTrace(120, 8)
-	one := replay(t, tr, 1, cluster.FnAffinity).CDF(metrics.EndToEnd).P(0.99)
-	four := replay(t, tr, 4, cluster.FnAffinity).CDF(metrics.EndToEnd).P(0.99)
+	one := replay(t, tr, 1, cluster.FnAffinity).CDF(experiment.EndToEnd).P(0.99)
+	four := replay(t, tr, 4, cluster.FnAffinity).CDF(experiment.EndToEnd).P(0.99)
 	if four > one {
 		t.Fatalf("p99 with 4 nodes (%v) worse than 1 node (%v)", four, one)
 	}

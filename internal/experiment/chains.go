@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"faasbatch/internal/fnruntime"
-	"faasbatch/internal/metrics"
 	"faasbatch/internal/trace"
 	"faasbatch/internal/workload"
 )
@@ -56,12 +55,12 @@ type ChainResult struct {
 }
 
 // TotalCDF returns the distribution of end-to-end chain latencies.
-func (r *ChainResult) TotalCDF() metrics.CDF {
+func (r *ChainResult) TotalCDF() CDF {
 	vals := make([]time.Duration, len(r.Chains))
 	for i, c := range r.Chains {
 		vals[i] = c.Total
 	}
-	return metrics.NewCDF(vals)
+	return NewCDF(vals)
 }
 
 // stageSpec derives stage k's function spec from the head spec: the same
@@ -158,7 +157,7 @@ func RunExtensionChains(w io.Writer, opts Options) error {
 		return err
 	}
 	for _, stages := range []int{1, 3, 5} {
-		tbl := metrics.NewTable(
+		tbl := NewTable(
 			fmt.Sprintf("Extension — %d-stage function chains (%d chains)", stages, tr.Len()),
 			"policy", "containers", "chain p50", "chain p99")
 		for _, p := range AllPolicies {

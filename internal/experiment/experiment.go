@@ -18,7 +18,6 @@ import (
 	"faasbatch/internal/core"
 	"faasbatch/internal/cpusched"
 	"faasbatch/internal/fnruntime"
-	"faasbatch/internal/metrics"
 	"faasbatch/internal/node"
 	"faasbatch/internal/obs"
 	"faasbatch/internal/policy"
@@ -129,7 +128,7 @@ type Result struct {
 	// Records holds one latency decomposition per invocation.
 	Records []fnruntime.Record
 	// Samples holds the once-per-second resource observations.
-	Samples []metrics.Sample
+	Samples []Sample
 	// TotalContainers is the number of containers provisioned.
 	TotalContainers int
 	// ContainersPerNode breaks TotalContainers down by node.
@@ -171,12 +170,12 @@ type Result struct {
 }
 
 // CDF extracts a latency-component CDF from the records.
-func (r *Result) CDF(c metrics.Component) metrics.CDF {
+func (r *Result) CDF(c Component) CDF {
 	vals := make([]time.Duration, len(r.Records))
 	for i, rec := range r.Records {
 		vals[i] = c.Of(rec.Breakdown)
 	}
-	return metrics.NewCDF(vals)
+	return NewCDF(vals)
 }
 
 // Imbalance reports max/mean of per-node container counts (1.0 =
@@ -234,8 +233,8 @@ func Run(cfg Config) (*Result, error) {
 // result over its nodes.
 func (f *fleet) run(cfg Config) (*Result, error) {
 	nodes := f.cl.Nodes()
-	sampler, err := metrics.StartSampler(f.eng, cfg.SamplePeriod, func(t sim.Time) metrics.Sample {
-		s := metrics.Sample{T: t}
+	sampler, err := StartSampler(f.eng, cfg.SamplePeriod, func(t sim.Time) Sample {
+		s := Sample{T: t}
 		for _, nd := range nodes {
 			s.MemBytes += nd.MemUsed()
 			s.Containers += nd.LiveContainers()
@@ -432,7 +431,7 @@ func krakenMaxBatchFor(tr trace.Trace) int {
 }
 
 // cpuUtil computes mean utilisation from the sampled busy integral.
-func cpuUtil(samples []metrics.Sample, cores float64) float64 {
+func cpuUtil(samples []Sample, cores float64) float64 {
 	if len(samples) < 2 || cores <= 0 {
 		return 0
 	}
@@ -501,7 +500,7 @@ func p98PerFn(recs []fnruntime.Record) map[string]time.Duration {
 	}
 	out := make(map[string]time.Duration, len(perFn))
 	for fn, lats := range perFn {
-		out[fn] = metrics.NewCDF(lats).P(0.98)
+		out[fn] = NewCDF(lats).P(0.98)
 	}
 	return out
 }

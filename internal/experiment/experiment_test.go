@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"faasbatch/internal/metrics"
 	"faasbatch/internal/node"
 	"faasbatch/internal/trace"
 	"faasbatch/internal/workload"
@@ -150,7 +149,7 @@ func TestMultiplexerCollapsesIOExecution(t *testing.T) {
 		t.Fatalf("vanilla: %v", err)
 	}
 	// FaaSBatch execution latency must sit in the paper's 10–100 ms band.
-	fbExec := fb.CDF(metrics.Execution)
+	fbExec := fb.CDF(Execution)
 	if fbExec.P(0.95) > 100*time.Millisecond {
 		t.Errorf("faasbatch exec p95 = %v, want <= 100ms", fbExec.P(0.95))
 	}
@@ -180,8 +179,8 @@ func TestMultiplexAblation(t *testing.T) {
 	if off.Runner.ClientsBuilt <= on.Runner.ClientsBuilt {
 		t.Errorf("clients built: off %d <= on %d", off.Runner.ClientsBuilt, on.Runner.ClientsBuilt)
 	}
-	onExec := on.CDF(metrics.Execution)
-	offExec := off.CDF(metrics.Execution)
+	onExec := on.CDF(Execution)
+	offExec := off.CDF(Execution)
 	if offExec.P(0.9) <= onExec.P(0.9) {
 		t.Errorf("exec p90 without multiplexer %v not worse than with %v", offExec.P(0.9), onExec.P(0.9))
 	}
@@ -201,13 +200,13 @@ func TestKrakenHasQueuingOthersDoNot(t *testing.T) {
 	if err != nil {
 		t.Fatalf("faasbatch: %v", err)
 	}
-	if kr.CDF(metrics.Queuing).Max() == 0 {
+	if kr.CDF(Queuing).P(1) == 0 {
 		t.Error("kraken shows no queuing latency")
 	}
-	if va.CDF(metrics.Queuing).Max() != 0 {
+	if va.CDF(Queuing).P(1) != 0 {
 		t.Error("vanilla shows queuing latency")
 	}
-	if fb.CDF(metrics.Queuing).Max() != 0 {
+	if fb.CDF(Queuing).P(1) != 0 {
 		t.Error("faasbatch shows queuing latency (inline parallel must not queue)")
 	}
 }
@@ -219,7 +218,7 @@ func TestFaaSBatchSchedulingBoundedByWindow(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	sched := res.CDF(metrics.Scheduling)
+	sched := res.CDF(Scheduling)
 	// Without engine-queue congestion FaaSBatch scheduling latency is
 	// bounded by window + http hop (plus rare creation-queue waits).
 	if sched.P(0.9) > interval+50*time.Millisecond {

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"faasbatch/internal/chaos"
-	"faasbatch/internal/metrics"
 	"faasbatch/internal/workload"
 )
 
@@ -30,7 +29,7 @@ func RunFaultSweep(w io.Writer, opts Options) error {
 		return err
 	}
 	rates := []float64{0, 0.02, 0.05, 0.10}
-	tbl := metrics.NewTable(
+	tbl := NewTable(
 		"Fault sweep — degradation under injected container faults (I/O workload)",
 		"policy", "fault rate", "completed", "failed", "retries", "crashes", "boot fails",
 		"total p50", "total p90", "containers")
@@ -54,7 +53,7 @@ func RunFaultSweep(w io.Writer, opts Options) error {
 				return fmt.Errorf("fault sweep %v @ %.0f%%: %d/%d invocations accounted for",
 					p, rate*100, len(res.Records), tr.Len())
 			}
-			tot := res.CDF(metrics.EndToEnd)
+			tot := res.CDF(EndToEnd)
 			tbl.AddRow(p.String(), fmt.Sprintf("%.0f%%", rate*100),
 				len(res.Records)-res.Failures, res.Failures, res.Retries,
 				res.Crashes, res.BootFailures,

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"faasbatch/internal/fnruntime"
-	"faasbatch/internal/metrics"
 	"faasbatch/internal/node"
 	"faasbatch/internal/sim"
 	"faasbatch/internal/trace"
@@ -68,6 +67,7 @@ func Figures() []Figure {
 		{ID: "ext-cluster", Title: "Extension — FaaSBatch cluster scale-out and routing strategies", Run: RunExtensionCluster},
 		{ID: "ext-prewarm", Title: "Extension — predictive pre-warming for FaaSBatch", Run: RunExtensionPrewarm},
 		{ID: "ext-chains", Title: "Extension — sequential function chains across policies", Run: RunExtensionChains},
+		{ID: "ext-adaptive", Title: "Extension — adaptive vs fixed dispatch windows (bursty and sparse traffic)", Run: RunExtensionAdaptive},
 	}
 }
 
@@ -112,7 +112,7 @@ func RunFig1(w io.Writer, opts Options) error {
 	if err != nil {
 		return err
 	}
-	tbl := metrics.NewTable(
+	tbl := NewTable(
 		"Fig. 1 — execution time of N concurrent fib(30) invocations (warm containers)",
 		"concurrency", "sharing (1 container)", "monopoly (N containers)", "sharing/monopoly")
 	for _, conc := range []int{10, 20, 40, 80, 160, 320, 640} {
@@ -168,7 +168,7 @@ func RunFig2(w io.Writer, opts Options) error {
 	if err != nil {
 		return err
 	}
-	tbl := metrics.NewTable(
+	tbl := NewTable(
 		"Fig. 2 — invocations per hour over one day (bursty, time-localised)",
 		"function", "total", "peak/min", "active-min", "hourly profile")
 	for _, fn := range tr.Functions() {
@@ -203,12 +203,12 @@ func RunFig3(w io.Writer, opts Options) error {
 	if err != nil {
 		return err
 	}
-	merged := metrics.NewCDF(trace.MergeBlobDays(days))
-	daily := make([]metrics.CDF, len(days))
+	merged := NewCDF(trace.MergeBlobDays(days))
+	daily := make([]CDF, len(days))
 	for i, d := range days {
-		daily[i] = metrics.NewCDF(d.IaTs)
+		daily[i] = NewCDF(d.IaTs)
 	}
-	tbl := metrics.NewTable(
+	tbl := NewTable(
 		"Fig. 3 — CDF of blob re-access inter-arrival time (14 days, merged + per-day spread)",
 		"IaT <=", "merged CDF", "per-day min", "per-day max")
 	for _, th := range []time.Duration{
@@ -258,7 +258,7 @@ func fig45Batch(seed int64, k int) (elapsed time.Duration, clientMemPeak int64, 
 // RunFig4 reproduces the client-creation blow-up under in-container
 // concurrency (66 ms at k=1 to ~3.2 s at k=9).
 func RunFig4(w io.Writer, opts Options) error {
-	tbl := metrics.NewTable(
+	tbl := NewTable(
 		"Fig. 4 — time to create S3 clients vs in-container concurrency (no multiplexer)",
 		"concurrency", "creation elapsed", "vs k=1")
 	base := time.Duration(0)
@@ -278,7 +278,7 @@ func RunFig4(w io.Writer, opts Options) error {
 // RunFig5 reproduces the memory growth of duplicate client instances
 // (9 MB at k=1 to ~60 MB at k=9).
 func RunFig5(w io.Writer, opts Options) error {
-	tbl := metrics.NewTable(
+	tbl := NewTable(
 		"Fig. 5 — container client memory vs concurrent creations (no multiplexer)",
 		"concurrency", "client memory (MB)")
 	for k := 1; k <= 10; k++ {
@@ -286,7 +286,7 @@ func RunFig5(w io.Writer, opts Options) error {
 		if err != nil {
 			return err
 		}
-		tbl.AddRow(k, metrics.MiB(mem))
+		tbl.AddRow(k, MiB(mem))
 	}
 	return tbl.Render(w)
 }
@@ -309,7 +309,7 @@ func RunFig9(w io.Writer, opts Options) error {
 		}
 		counts[sort.Search(len(bounds), func(i int) bool { return bounds[i] > d })-1]++
 	}
-	tbl := metrics.NewTable(
+	tbl := NewTable(
 		fmt.Sprintf("Fig. 9 — function duration distribution (%d generated invocations)", n),
 		"duration range", "paper", "generated")
 	for i, c := range counts {
@@ -339,7 +339,7 @@ func RunFig10(w io.Writer, opts Options) error {
 			peak = c
 		}
 	}
-	tbl := metrics.NewTable(
+	tbl := NewTable(
 		fmt.Sprintf("Fig. 10 — invocations per second (%d invocations / %v; peak %d, mean %.1f)",
 			total, tr.Span, peak, float64(total)/float64(len(counts))),
 		"second", "arrivals")

@@ -5,7 +5,6 @@ import (
 	"io"
 	"time"
 
-	"faasbatch/internal/metrics"
 	"faasbatch/internal/trace"
 	"faasbatch/internal/workload"
 )
@@ -64,17 +63,17 @@ func runPolicies(tr trace.Trace, interval time.Duration, seed int64, slo map[str
 func latencyTables(w io.Writer, caption string, results map[PolicyKind]*Result) error {
 	components := []struct {
 		label string
-		comp  metrics.Component
+		comp  Component
 	}{
-		{"(a) scheduling latency", metrics.Scheduling},
-		{"(b) cold-start latency", metrics.ColdStart},
-		{"(c) execution latency", metrics.Execution},
+		{"(a) scheduling latency", Scheduling},
+		{"(b) cold-start latency", ColdStart},
+		{"(c) execution latency", Execution},
 	}
 	for _, c := range components {
-		tbl := metrics.NewTable(
+		tbl := NewTable(
 			fmt.Sprintf("%s %s", caption, c.label),
 			"percentile", "vanilla", "sfs", "kraken", "faasbatch")
-		cdfs := map[PolicyKind]metrics.CDF{}
+		cdfs := map[PolicyKind]CDF{}
 		for _, p := range AllPolicies {
 			cdfs[p] = results[p].CDF(c.comp)
 		}
@@ -101,12 +100,12 @@ func latencyTables(w io.Writer, caption string, results map[PolicyKind]*Result) 
 		}
 	}
 	// Kraken's distinguishing curve: execution + queuing.
-	tbl := metrics.NewTable(
+	tbl := NewTable(
 		fmt.Sprintf("%s (c') Kraken: Exec+Queue vs others' execution", caption),
 		"percentile", "kraken exec+queue", "vanilla exec", "faasbatch exec")
-	kq := results[PolicyKraken].CDF(metrics.ExecPlusQueue)
-	ve := results[PolicyVanilla].CDF(metrics.Execution)
-	fe := results[PolicyFaaSBatch].CDF(metrics.Execution)
+	kq := results[PolicyKraken].CDF(ExecPlusQueue)
+	ve := results[PolicyVanilla].CDF(Execution)
+	fe := results[PolicyFaaSBatch].CDF(Execution)
 	for _, q := range latencyPercentiles {
 		tbl.AddRow(fmt.Sprintf("p%02.0f", q*100),
 			kq.P(q).Round(time.Millisecond), ve.P(q).Round(time.Millisecond), fe.P(q).Round(time.Millisecond))
@@ -115,14 +114,14 @@ func latencyTables(w io.Writer, caption string, results map[PolicyKind]*Result) 
 }
 
 // plotPolicies renders the four policies' curves as an ASCII CDF chart.
-func plotPolicies(w io.Writer, title string, cdfs map[PolicyKind]metrics.CDF) error {
-	named := map[string]metrics.CDF{}
+func plotPolicies(w io.Writer, title string, cdfs map[PolicyKind]CDF) error {
+	named := map[string]CDF{}
 	order := make([]string, 0, len(AllPolicies))
 	for _, p := range AllPolicies {
 		named[p.String()] = cdfs[p]
 		order = append(order, p.String())
 	}
-	return metrics.PlotCDFs(w, title, order, named)
+	return PlotCDFs(w, title, order, named)
 }
 
 // RunFig11 reproduces the CPU-intensive latency CDFs.
@@ -180,18 +179,18 @@ func sweepTables(w io.Writer, caption string, results map[time.Duration]map[Poli
 		label string
 		value func(*Result) any
 	}{
-		{"(a) average system memory (GB)", func(r *Result) any { return metrics.GiB(int64(r.AvgMemBytes)) }},
+		{"(a) average system memory (GB)", func(r *Result) any { return GiB(int64(r.AvgMemBytes)) }},
 		{"(b) provisioned containers", func(r *Result) any { return r.TotalContainers }},
 		{"(c) CPU utilisation (%)", func(r *Result) any { return r.CPUUtil * 100 }},
 	}
 	if withClients {
 		tables = append(tables, column{
 			"(d) client memory per invocation (MB)",
-			func(r *Result) any { return metrics.MiB(int64(r.ClientMemPerInvocation)) },
+			func(r *Result) any { return MiB(int64(r.ClientMemPerInvocation)) },
 		})
 	}
 	for _, tspec := range tables {
-		tbl := metrics.NewTable(
+		tbl := NewTable(
 			fmt.Sprintf("%s %s", caption, tspec.label),
 			"interval", "vanilla", "sfs", "kraken", "faasbatch")
 		for _, interval := range SweepIntervals {
@@ -253,8 +252,8 @@ func RunHeadline(w io.Writer, opts Options) error {
 	// Latency reductions: the paper's "up to" is the largest cut across
 	// the CDF, so take the max reduction over the printed percentiles.
 	maxCut := func(base PolicyKind) float64 {
-		bc := def[base].CDF(metrics.EndToEnd)
-		fc := def[PolicyFaaSBatch].CDF(metrics.EndToEnd)
+		bc := def[base].CDF(EndToEnd)
+		fc := def[PolicyFaaSBatch].CDF(EndToEnd)
 		best := 0.0
 		for _, q := range latencyPercentiles {
 			cut := reduction(float64(bc.P(q)), float64(fc.P(q)))
@@ -299,7 +298,7 @@ func RunHeadline(w io.Writer, opts Options) error {
 	cpuOf := func(r *Result) float64 { return r.CPUUtil }
 	memOf := func(r *Result) float64 { return r.AvgMemBytes }
 
-	tbl := metrics.NewTable(
+	tbl := NewTable(
 		"§V headline — paper-reported vs measured (I/O workload)",
 		"metric", "paper", "measured")
 	tbl.AddRow("latency cut vs Vanilla", "up to 92.18%", fmt.Sprintf("up to %.2f%%", maxCut(PolicyVanilla)))

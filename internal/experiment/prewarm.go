@@ -5,7 +5,6 @@ import (
 	"io"
 	"time"
 
-	"faasbatch/internal/metrics"
 	"faasbatch/internal/node"
 	"faasbatch/internal/trace"
 )
@@ -38,7 +37,7 @@ func RunExtensionPrewarm(w io.Writer, opts Options) error {
 	tr := recurringBurstTrace(opts)
 	ncfg := node.DefaultConfig()
 	ncfg.KeepAlive = 2 * time.Second // shorter than the burst gap
-	tbl := metrics.NewTable(
+	tbl := NewTable(
 		fmt.Sprintf("Extension — predictive pre-warming (recurring bursts, keep-alive %v)", ncfg.KeepAlive),
 		"variant", "containers", "prewarms", "touches", "cold invocations", "cold p99", "total p99")
 	for _, prewarm := range []bool{false, true} {
@@ -67,8 +66,8 @@ func RunExtensionPrewarm(w io.Writer, opts Options) error {
 				coldCount++
 			}
 		}
-		cold := res.CDF(metrics.ColdStart)
-		tot := res.CDF(metrics.EndToEnd)
+		cold := res.CDF(ColdStart)
+		tot := res.CDF(EndToEnd)
 		tbl.AddRow(label, res.TotalContainers, prewarms, touches,
 			fmt.Sprintf("%d/%d", coldCount, len(res.Records)),
 			cold.P(0.99).Round(time.Millisecond),

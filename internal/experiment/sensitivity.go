@@ -5,7 +5,6 @@ import (
 	"io"
 	"time"
 
-	"faasbatch/internal/metrics"
 	"faasbatch/internal/node"
 	"faasbatch/internal/workload"
 )
@@ -46,7 +45,7 @@ func RunSensitivity(w io.Writer, opts Options) error {
 	if err != nil {
 		return err
 	}
-	tbl := metrics.NewTable(
+	tbl := NewTable(
 		"Sensitivity — headline orderings under 0.5x / 2x calibration perturbations (I/O workload)",
 		"knob", "factor", "containers FB/V", "p90 FB/V", "cpu FB/V", "orderings hold")
 	for _, knob := range sensitivityKnobs {
@@ -62,8 +61,8 @@ func RunSensitivity(w io.Writer, opts Options) error {
 				results[i] = res
 			}
 			fb, va := results[0], results[1]
-			fbP90 := fb.CDF(metrics.EndToEnd).P(0.90)
-			vaP90 := va.CDF(metrics.EndToEnd).P(0.90)
+			fbP90 := fb.CDF(EndToEnd).P(0.90)
+			vaP90 := va.CDF(EndToEnd).P(0.90)
 			holds := fb.TotalContainers < va.TotalContainers &&
 				fbP90 < vaP90 &&
 				fb.CPUUtil < va.CPUUtil

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"faasbatch/internal/metrics"
 	"faasbatch/internal/workload"
 )
 
@@ -43,10 +42,10 @@ type Summary struct {
 // Summarize digests a Result.
 func Summarize(res *Result, workloadName string) Summary {
 	ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
-	sched := res.CDF(metrics.Scheduling)
-	cold := res.CDF(metrics.ColdStart)
-	exec := res.CDF(metrics.Execution)
-	tot := res.CDF(metrics.EndToEnd)
+	sched := res.CDF(Scheduling)
+	cold := res.CDF(ColdStart)
+	exec := res.CDF(Execution)
+	tot := res.CDF(EndToEnd)
 	return Summary{
 		Policy:                   res.Policy,
 		Workload:                 workloadName,

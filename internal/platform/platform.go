@@ -1223,7 +1223,8 @@ func (p *Platform) acquire(f *function) (*container, bool) {
 // release parks the container back into the warm pool once it drains.
 // A disarmed keep-alive timer means warm was empty, so the container just
 // parked is warm[0] and expires exactly KeepAlive from now; an armed one
-// already waits for an older container. A closed platform arms nothing.
+// already waits for an older container. A closed platform arms nothing:
+// Close's drain retires what parks.
 func (p *Platform) release(f *function, c *container, n int) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -1641,10 +1642,12 @@ func (p *Platform) Stats() Stats {
 	return st
 }
 
-// Close flushes pending windows, stops every shard's timers and waits for
-// in-flight groups and retries to drain. Invocations submitted after Close
-// fail. With DrainTimeout set, Close gives up once the deadline passes
-// and reports an error (work may still be in flight).
+// Close flushes pending windows, stops every shard's timers, waits for
+// in-flight groups and retries to drain, then retires every warm
+// container, closing its multiplexer and so its cached clients'
+// io.Closers. Invocations submitted after Close fail. With DrainTimeout
+// set, Close gives up once the deadline passes and reports an error
+// (work may still be in flight).
 func (p *Platform) Close() error {
 	ctx := context.Background()
 	if p.cfg.DrainTimeout > 0 {
@@ -1695,12 +1698,12 @@ func (p *Platform) CloseContext(ctx context.Context) error {
 	// Wakes any backoff sleepers, whose retries then dispatch at once.
 	close(p.closing)
 	if ctx.Done() == nil {
-		p.wg.Wait()
+		p.drain()
 		return nil
 	}
 	done := make(chan struct{})
 	go func() {
-		p.wg.Wait()
+		p.drain()
 		close(done)
 	}()
 	select {
@@ -1708,5 +1711,32 @@ func (p *Platform) CloseContext(ctx context.Context) error {
 		return nil
 	case <-ctx.Done():
 		return fmt.Errorf("platform: close: drain exceeded its deadline: %w", ctx.Err())
+	}
+}
+
+// drain waits out the work Close let finish, then retires every container
+// left parked in the warm stacks, so each multiplexer closes and its
+// cached clients' io.Closers run. Retiring only after the wait lets the
+// flushed groups and the retries Close woke take a parked container
+// rather than boot one. Nothing parks afterwards: every path to release
+// holds a count on p.wg, and a closed platform admits no new work. Each
+// shard's caches close after its f.mu is released.
+func (p *Platform) drain() {
+	p.wg.Wait()
+	var caches []*multiplex.Cache
+	for _, f := range p.fnsAll() {
+		f.mu.Lock()
+		for _, c := range f.warm {
+			if cache := p.retireLocked(f, c); cache != nil {
+				caches = append(caches, cache)
+			}
+		}
+		clear(f.warm)
+		f.warm = f.warm[:0]
+		f.mu.Unlock()
+		for _, cache := range caches {
+			cache.Close()
+		}
+		caches = caches[:0]
 	}
 }

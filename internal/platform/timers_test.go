@@ -49,8 +49,8 @@ func TestShardTimersIndependent(t *testing.T) {
 
 // TestIdlePlatformHoldsNoGoroutine pins that the platform runs no
 // goroutine of its own: New and Register start none, and Close disarms
-// every timer, so a container parked before Close outlives its keep-alive
-// and nothing is left running after it.
+// every timer and retires the parked container, so nothing is left
+// running after it.
 func TestIdlePlatformHoldsNoGoroutine(t *testing.T) {
 	base := runtime.NumGoroutine()
 	cfg := quickConfig(ModeBatch)
@@ -75,11 +75,79 @@ func TestIdlePlatformHoldsNoGoroutine(t *testing.T) {
 		t.Fatalf("Close: %v", err)
 	}
 	time.Sleep(3 * cfg.KeepAlive)
-	if live := p.Stats().LiveContainers; live != 1 {
-		t.Errorf("LiveContainers = %d three keep-alives after Close, want the parked container (1): a timer acted after Close", live)
+	if live := p.Stats().LiveContainers; live != 0 {
+		t.Errorf("LiveContainers = %d three keep-alives after Close, want 0: Close retires the parked container", live)
 	}
 	if n := settleGoroutines(t, base, time.Second); n > base {
 		t.Errorf("%d goroutines after Close, baseline %d", n, base)
+	}
+}
+
+// countingClient is a cached client whose io.Closer counts its calls.
+type countingClient struct{ closed *atomic.Int64 }
+
+func (c countingClient) Close() error {
+	c.closed.Add(1)
+	return nil
+}
+
+// TestCloseRetiresParkedContainers is the regression test for Close
+// leaving the warm stacks alone: a container parked before Close, and
+// one still running a handler when Close starts, are both retired by the
+// time Close returns, and each one's cached client is closed.
+func TestCloseRetiresParkedContainers(t *testing.T) {
+	cfg := quickConfig(ModeBatch)
+	cfg.ColdStart = 0
+	p, err := New(cfg)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	var closed atomic.Int64
+	entered, unblock := make(chan struct{}, 1), make(chan struct{})
+	handler := func(block bool) Handler {
+		return func(ctx context.Context, inv *Invocation) (any, error) {
+			_, _, err := inv.Resources.GetContext(ctx, "store", "", func() (any, int64, error) {
+				return countingClient{&closed}, 1, nil
+			})
+			if block {
+				entered <- struct{}{}
+				<-unblock
+			}
+			return nil, err
+		}
+	}
+	if err := p.Register("parked", handler(false)); err != nil {
+		t.Fatalf("Register: %v", err)
+	}
+	if err := p.Register("busy", handler(true)); err != nil {
+		t.Fatalf("Register: %v", err)
+	}
+	if _, err := p.Invoke(context.Background(), "parked", nil); err != nil {
+		t.Fatalf("Invoke: %v", err)
+	}
+	busy := make(chan error, 1)
+	go func() {
+		_, err := p.Invoke(context.Background(), "busy", nil)
+		busy <- err
+	}()
+	<-entered
+	closeDone := make(chan error, 1)
+	go func() { closeDone <- p.Close() }()
+	for !p.Draining() {
+		time.Sleep(time.Millisecond)
+	}
+	close(unblock)
+	if err := <-closeDone; err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	if err := <-busy; err != nil {
+		t.Fatalf("Invoke busy: %v", err)
+	}
+	if n := closed.Load(); n != 2 {
+		t.Errorf("%d cached clients closed when Close returned, want 2 (parked and busy)", n)
+	}
+	if live := p.Stats().LiveContainers; live != 0 {
+		t.Errorf("LiveContainers = %d when Close returned, want 0", live)
 	}
 }
 

@@ -24,22 +24,6 @@ func TestOptionsApply(t *testing.T) {
 	}
 }
 
-// WithPullConfig implies the pull policy without naming it.
-func TestWithPullConfigImpliesPull(t *testing.T) {
-	rt, err := New(Config{Workers: optSpecs()},
-		WithPullConfig(pullsched.Config{QueueDepth: 3}))
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	defer func() { _ = rt.Close() }()
-	if rt.Policy().Name() != PolicyPull {
-		t.Fatalf("policy = %q, want pull", rt.Policy().Name())
-	}
-	if d := rt.policy.(*pullPolicy).core.Config().QueueDepth; d != 3 {
-		t.Fatalf("queue depth = %d, want 3", d)
-	}
-}
-
 func TestOptionConflicts(t *testing.T) {
 	cases := []struct {
 		name string
@@ -51,14 +35,8 @@ func TestOptionConflicts(t *testing.T) {
 			[]Option{WithPolicy(PolicyPull), WithPolicy(PolicyHash)}, "policy"},
 		{"policy both ways", Config{Policy: PolicyHash},
 			[]Option{WithPolicy(PolicyPull)}, "policy"},
-		{"pull config both ways", Config{Pull: &pullsched.Config{}},
-			[]Option{WithPullConfig(pullsched.Config{})}, "pull"},
-		{"pull config vs hash policy", Config{},
-			[]Option{WithPullConfig(pullsched.Config{}), WithPolicy(PolicyHash)}, "policy"},
-		{"pull config vs cfg hash policy", Config{Policy: PolicyHash},
-			[]Option{WithPullConfig(pullsched.Config{})}, "policy"},
-		{"pull config twice", Config{},
-			[]Option{WithPullConfig(pullsched.Config{}), WithPullConfig(pullsched.Config{})}, "pull"},
+		{"policy both ways, same name", Config{Policy: PolicyPull},
+			[]Option{WithPolicy(PolicyPull)}, "policy"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -74,15 +52,21 @@ func TestOptionConflicts(t *testing.T) {
 	}
 }
 
-// Config.Policy=PolicyPull plus WithPullConfig tuning is consistent,
-// not a conflict — the option only adds the tuning struct.
+// WithPolicy(PolicyPull) plus Config.Pull tuning is consistent, not a
+// conflict: the option names the policy, the struct tunes it.
 func TestPullConfigWithMatchingPolicy(t *testing.T) {
-	rt, err := New(Config{Workers: optSpecs(), Policy: PolicyPull},
-		WithPullConfig(pullsched.Config{QueueDepth: 2}))
+	rt, err := New(Config{Workers: optSpecs(), Pull: &pullsched.Config{QueueDepth: 2}},
+		WithPolicy(PolicyPull))
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	_ = rt.Close()
+	defer func() { _ = rt.Close() }()
+	if rt.Policy().Name() != PolicyPull {
+		t.Fatalf("policy = %q, want pull", rt.Policy().Name())
+	}
+	if d := rt.policy.(*pullPolicy).core.Config().QueueDepth; d != 2 {
+		t.Fatalf("queue depth = %d, want 2", d)
+	}
 }
 
 func TestUnknownPolicyRejected(t *testing.T) {

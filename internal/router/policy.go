@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strings"
 	"sync"
 
 	"faasbatch/internal/pullsched"
@@ -165,71 +164,33 @@ type Option func(*routerOptions)
 // routerOptions accumulates functional-option state before it is
 // merged into the config.
 type routerOptions struct {
-	policy     string
-	policySet  bool
-	pull       *pullsched.Config
-	pullSet    bool
-	duplicates []string
-}
-
-func (o *routerOptions) noteDup(name string, set bool) {
-	if set {
-		o.duplicates = append(o.duplicates, name)
-	}
+	policy string
+	set    int // WithPolicy calls
 }
 
 // WithPolicy selects the scheduling policy by name (equivalent to
-// Config.Policy; setting both conflicts).
+// Config.Policy; setting both conflicts). Tune the pull policy with
+// Config.Pull.
 func WithPolicy(name string) Option {
 	return func(o *routerOptions) {
-		o.noteDup("policy", o.policySet)
-		o.policy, o.policySet = name, true
-	}
-}
-
-// WithPullConfig selects the pull policy with explicit queue tuning
-// (equivalent to Config.Policy=PolicyPull plus Config.Pull; a non-nil
-// config-struct Pull or explicit Policy conflicts).
-func WithPullConfig(cfg pullsched.Config) Option {
-	return func(o *routerOptions) {
-		o.noteDup("pull", o.pullSet)
-		c := cfg
-		o.pull, o.pullSet = &c, true
+		o.policy = name
+		o.set++
 	}
 }
 
 // mergeOptions folds functional options into cfg, failing with
-// ErrConflictingOptions on knobs set both ways.
+// ErrConflictingOptions on a policy set twice or both ways.
 func mergeOptions(cfg Config, opts []Option) (Config, error) {
 	var o routerOptions
 	for _, opt := range opts {
 		opt(&o)
 	}
-	conflicts := o.duplicates
-	if o.policySet && cfg.Policy != "" {
-		conflicts = append(conflicts, "policy")
+	if o.set == 0 {
+		return cfg, nil
 	}
-	if o.pullSet && cfg.Pull != nil {
-		conflicts = append(conflicts, "pull")
+	if o.set > 1 || cfg.Policy != "" {
+		return cfg, fmt.Errorf("%w: policy set more than once", ErrConflictingOptions)
 	}
-	if o.pullSet && o.policySet && o.policy != PolicyPull {
-		// WithPullConfig implies the pull policy; naming another one is
-		// a contradiction, not a tie to break silently.
-		conflicts = append(conflicts, "policy")
-	}
-	if o.pullSet && !o.policySet && cfg.Policy != "" && cfg.Policy != PolicyPull {
-		conflicts = append(conflicts, "policy")
-	}
-	if len(conflicts) > 0 {
-		return cfg, fmt.Errorf("%w: %s set more than once", ErrConflictingOptions,
-			strings.Join(conflicts, ", "))
-	}
-	if o.policySet {
-		cfg.Policy = o.policy
-	}
-	if o.pullSet {
-		cfg.Policy = PolicyPull
-		cfg.Pull = o.pull
-	}
+	cfg.Policy = o.policy
 	return cfg, nil
 }

@@ -8,14 +8,15 @@ import (
 )
 
 // TestNewRouterFunctionalOptions drives the routing tier's construction
-// surface through the facade: options compose with the config struct,
-// and double-set knobs fail loudly.
+// surface through the facade: the policy option composes with the
+// config struct's pull tuning, and a policy set both ways fails loudly.
 func TestNewRouterFunctionalOptions(t *testing.T) {
 	cfg := faasbatch.RouterConfig{
 		Workers: []faasbatch.RouterWorkerSpec{{ID: "w1", URL: "http://w1.invalid"}},
+		Pull:    &faasbatch.PullConfig{QueueDepth: 8},
 	}
 	rt, err := faasbatch.NewRouter(cfg,
-		faasbatch.WithRouterPullConfig(faasbatch.PullConfig{QueueDepth: 8}),
+		faasbatch.WithRouterPolicy(faasbatch.RouterPolicyPull),
 	)
 	if err != nil {
 		t.Fatalf("NewRouter: %v", err)
@@ -27,11 +28,11 @@ func TestNewRouterFunctionalOptions(t *testing.T) {
 		t.Fatalf("Close: %v", err)
 	}
 
+	cfg.Policy = faasbatch.RouterPolicyPull
 	_, err = faasbatch.NewRouter(cfg,
 		faasbatch.WithRouterPolicy(faasbatch.RouterPolicyHash),
-		faasbatch.WithRouterPullConfig(faasbatch.PullConfig{}),
 	)
 	if err == nil || !strings.Contains(err.Error(), "policy") {
-		t.Fatalf("contradictory policy options: err = %v, want a policy conflict", err)
+		t.Fatalf("policy set both ways: err = %v, want a policy conflict", err)
 	}
 }
