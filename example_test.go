@@ -150,7 +150,6 @@ func ExampleMultiplexerConfig() {
 	cfg.DispatchInterval = 20 * time.Millisecond
 	cfg.ColdStart = 0
 	cfg.Multiplexer = faasbatch.MultiplexerConfig{
-		Shards:     1, // one shard: an exact LRU over the whole cache
 		MaxEntries: 2, // the third client evicts the least recently used
 	}
 	p, err := faasbatch.NewPlatform(cfg)

@@ -61,7 +61,7 @@ type (
 	// (hit, miss, coalesced, error).
 	Outcome = platform.Outcome
 	// MultiplexerConfig tunes per-container Resource Multiplexer caches:
-	// shard count, capacity bound and an eviction hook.
+	// capacity bound and an eviction hook.
 	MultiplexerConfig = multiplex.Config
 )
 
@@ -251,8 +251,8 @@ type (
 	RouterPolicy = router.Policy
 	// RouterWorkerSpec names one worker gateway behind the router.
 	RouterWorkerSpec = router.WorkerSpec
-	// PullConfig tunes the pull policy's decision core (shards, batch
-	// size, per-worker capacity, queue depth, lease budget).
+	// PullConfig tunes the pull policy's decision core (batch size,
+	// per-worker capacity, queue depth, lease budget).
 	PullConfig = pullsched.Config
 )
 

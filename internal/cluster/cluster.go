@@ -46,7 +46,7 @@ const (
 	// consistent-hash ring (the same ring the live routing tier runs, so
 	// simulated and live assignments agree function by function).
 	ConsistentHash
-	// Pull inverts the binding: invocations park in sharded per-function
+	// Pull inverts the binding: invocations park in per-function
 	// queues (internal/pullsched) and nodes with free lease capacity
 	// pull batches, so hot functions late-bind to the least-loaded node
 	// instead of queueing behind a hash slot. Runs the same decision

@@ -17,7 +17,6 @@ import (
 // plus a bound that never sheds it.
 func pullConformanceConfig() pullsched.Config {
 	return pullsched.Config{
-		Shards:     4,
 		BatchSize:  2,
 		Capacity:   2,
 		QueueDepth: 256,

@@ -1,17 +1,17 @@
 // Package hashmix provides the splitmix64-finalised FNV-1a hashing
-// shared by the consistent-hash ring (internal/router) and the resource
-// multiplexer's shard selection (internal/multiplex).
+// shared by the consistent-hash ring (internal/router), trace-ID salts
+// and scenario seeds; the resource multiplexer (internal/multiplex)
+// hashes creation arguments with its plain FNV-1a.
 //
 // Raw FNV-1a avalanches poorly on trailing-byte differences: adjacent
 // strings like "w1#0".."w1#63" (virtual nodes) or "fn-0".."fn-99" land on
 // one tight arc of the 64-bit space. Passing the digest through a
-// splitmix64 finaliser fixes the avalanche, so ownership arcs and shard
-// assignments spread evenly. The pipeline is deterministic across
-// processes and platforms — the simulator's cluster dispatcher, the live
-// router and every multiplexer shard map agree on all assignments (the
-// sim-vs-live conformance and distribution tests depend on it), which is
-// why both packages must share one implementation instead of drifting
-// copies.
+// splitmix64 finaliser fixes the avalanche, so ownership arcs spread
+// evenly. The pipeline is deterministic across processes and platforms —
+// the simulator's cluster dispatcher and the live router agree on all
+// assignments (the sim-vs-live conformance and distribution tests depend
+// on it), which is why they must share one implementation instead of
+// drifting copies.
 package hashmix
 
 import "hash/fnv"
@@ -37,7 +37,7 @@ func FNV64a(s string) uint64 {
 }
 
 // String hashes s with FNV-1a and finalises with Mix64: the well-spread
-// 64-bit hash both consumers place on rings and shard maps.
+// 64-bit hash the router places on its ring.
 func String(s string) uint64 {
 	return Mix64(FNV64a(s))
 }

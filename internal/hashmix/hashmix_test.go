@@ -7,9 +7,8 @@ import (
 )
 
 // TestStringMatchesManualPipeline pins String to FNV-1a + splitmix64: the
-// router ring's vnode placement and the multiplexer's shard assignment
-// were built on this exact pipeline, so changing it would silently remap
-// both.
+// router ring's vnode placement was built on this exact pipeline, so
+// changing it would silently remap it.
 func TestStringMatchesManualPipeline(t *testing.T) {
 	prop := func(s string) bool {
 		h := fnv.New64a()
@@ -28,7 +27,7 @@ func TestStringMatchesManualPipeline(t *testing.T) {
 }
 
 // TestKnownVectors pins concrete digests so a refactor that changes the
-// constants (and with them every ring and shard assignment) fails loudly.
+// constants (and with them every ring assignment) fails loudly.
 func TestKnownVectors(t *testing.T) {
 	cases := map[string]uint64{
 		"":     Mix64(14695981039346656037),

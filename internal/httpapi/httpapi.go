@@ -148,11 +148,6 @@ type StatsResponse struct {
 	CacheBytesSaved int64 `json:"cacheBytesSaved"`
 	// CacheEvictions counts cached instances dropped by the LRU bound.
 	CacheEvictions uint64 `json:"cacheEvictions"`
-	// CacheShards counts lock-striped shards across live container caches.
-	CacheShards int `json:"cacheShards"`
-	// CacheMaxShardOccupancy is the ready-entry count of the fullest
-	// shard in any live cache (skew diagnostic).
-	CacheMaxShardOccupancy int `json:"cacheMaxShardOccupancy"`
 }
 
 // RoutedInvokeRequest asks the routing tier to invoke a function on

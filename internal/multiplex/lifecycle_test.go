@@ -23,7 +23,7 @@ type closeRecorder struct {
 // the key is not poisoned — coalesced waiters wake and the next caller
 // rebuilds instead of blocking forever.
 func TestBuildPanicFailsPendingEntry(t *testing.T) {
-	c := NewWithConfig(Config{Shards: 1})
+	c := NewWithConfig(Config{})
 	key := NewKey("client", "args")
 	func() {
 		defer func() {
@@ -52,7 +52,7 @@ func TestBuildPanicFailsPendingEntry(t *testing.T) {
 // that fails wake up, and the first of them to retry builds again — a
 // failed build is not remembered.
 func TestFailedBuildWakesCoalescedAcquirers(t *testing.T) {
-	c := NewWithConfig(Config{Shards: 1})
+	c := NewWithConfig(Config{})
 	key := NewKey("client", "args")
 	started, gate := make(chan struct{}), make(chan struct{})
 	cause := errors.New("endpoint down")
@@ -118,7 +118,7 @@ func TestFailedBuildWakesCoalescedAcquirers(t *testing.T) {
 // must wait for the borrower's release.
 func TestAcquireDefersEvictionUntilRelease(t *testing.T) {
 	inst := &closeRecorder{name: "borrowed"}
-	c := NewWithConfig(Config{Shards: 1, MaxEntries: 1, OnEvict: func(_ Key, v any, _ int64) {
+	c := NewWithConfig(Config{MaxEntries: 1, OnEvict: func(_ Key, v any, _ int64) {
 		if r, ok := v.(*closeRecorder); ok {
 			r.closed.Add(1)
 		}
@@ -157,7 +157,7 @@ func TestAcquireDefersEvictionUntilRelease(t *testing.T) {
 // releases.
 func TestAcquireSharedBorrowLastReleaseCloses(t *testing.T) {
 	inst := &closeRecorder{name: "shared"}
-	c := NewWithConfig(Config{Shards: 1, OnEvict: func(_ Key, v any, _ int64) {
+	c := NewWithConfig(Config{OnEvict: func(_ Key, v any, _ int64) {
 		if r, ok := v.(*closeRecorder); ok {
 			r.closed.Add(1)
 		}
@@ -185,18 +185,18 @@ func TestAcquireSharedBorrowLastReleaseCloses(t *testing.T) {
 
 // TestInvalidateUnderConcurrentLoansClosesOnceAfterLast: 64 goroutines
 // hold a loan on one key when Invalidate drops it. OnEvict fires exactly
-// once, only after the 64th release, and outside the shard lock.
+// once, only after the 64th release, and outside the cache lock.
 func TestInvalidateUnderConcurrentLoansClosesOnceAfterLast(t *testing.T) {
 	const borrowers = 64
 	inst := &closeRecorder{name: "shared"}
 	var c *Cache
 	var released, early, underLock atomic.Int64
-	c = NewWithConfig(Config{Shards: 1, OnEvict: func(_ Key, v any, _ int64) {
+	c = NewWithConfig(Config{OnEvict: func(_ Key, v any, _ int64) {
 		if released.Load() != borrowers {
 			early.Add(1)
 		}
-		// The hook runs outside the shard lock iff the lock can be taken.
-		if mu := &c.shards[0].mu; mu.TryLock() {
+		// The hook runs outside the cache lock iff the lock can be taken.
+		if mu := &c.mu; mu.TryLock() {
 			mu.Unlock()
 		} else {
 			underLock.Add(1)
@@ -239,7 +239,7 @@ func TestInvalidateUnderConcurrentLoansClosesOnceAfterLast(t *testing.T) {
 		t.Fatal("OnEvict fired before the last loan was released")
 	}
 	if underLock.Load() != 0 {
-		t.Fatal("OnEvict ran under the shard lock")
+		t.Fatal("OnEvict ran under the cache lock")
 	}
 }
 
@@ -264,33 +264,6 @@ func TestAcquireHitAllocFree(t *testing.T) {
 	hit() // the miss that publishes the instance
 	if avg := testing.AllocsPerRun(200, hit); avg != 0 {
 		t.Fatalf("Acquire hit + release allocates %.1f objects/op, want 0", avg)
-	}
-}
-
-// TestMaxEntriesSplitsExactly: the per-shard capacity split must not
-// silently drop the MaxEntries % Shards remainder.
-func TestMaxEntriesSplitsExactly(t *testing.T) {
-	cases := []struct{ shards, max int }{
-		{4, 10}, {8, 100}, {2, 3}, {16, 17}, {1, 7},
-	}
-	for _, tc := range cases {
-		c := NewWithConfig(Config{Shards: tc.shards, MaxEntries: tc.max})
-		sum := 0
-		for _, sh := range c.shards {
-			sum += sh.cap
-		}
-		if sum != tc.max {
-			t.Errorf("shards=%d max=%d: caps sum to %d, want %d", tc.shards, tc.max, sum, tc.max)
-		}
-	}
-	// Auto-sized shard counts shrink when the capacity cannot feed every
-	// shard a few slots, instead of spreading 1-slot shards that thrash
-	// under skew.
-	if n := NewWithConfig(Config{MaxEntries: 8}).Stats().Shards; n != 2 {
-		t.Errorf("auto shards with MaxEntries 8 = %d, want 2", n)
-	}
-	if n := NewWithConfig(Config{MaxEntries: 100}).Stats().Shards; n > 16 {
-		t.Errorf("auto shards with MaxEntries 100 = %d, want <= 16", n)
 	}
 }
 

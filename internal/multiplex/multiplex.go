@@ -6,14 +6,16 @@
 //
 // The cache is concurrent state sized for the live platform:
 //
-//   - Lock striping: entries spread over a power-of-two number of shards
-//     keyed by a finalised hash of the Key, so concurrent creations on
-//     different keys never contend on one mutex.
-//   - Bounded capacity: per-shard LRU lists bound the ready instances
-//     (Config.MaxEntries split across shards); every instance leaving the
-//     cache passes through the OnEvict closer hook so evicted clients can
-//     release sockets. Without a bound the container's keep-alive is what
-//     limits an entry's life, as in the paper.
+//   - One mutex: a container's cache is one map and one LRU list under a
+//     single lock, as in the paper. Builds run outside it, so the lock is
+//     held only for a lookup or a publish; a container's invocations hit a
+//     handful of keys, so striping would buy nothing.
+//   - Bounded capacity: the LRU list bounds the ready instances
+//     (Config.MaxEntries), evicting the least recently used one exactly;
+//     every instance leaving the cache passes through the OnEvict closer
+//     hook so evicted clients can release sockets. Without a bound the
+//     container's keep-alive is what limits an entry's life, as in the
+//     paper.
 //   - Failure handling: a failed build wakes its coalesced waiters and is
 //     forgotten, so the next creation builds again; Invalidate lets handler
 //     feedback drop an instance that started erroring.
@@ -35,7 +37,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 
 	"faasbatch/internal/hashmix"
 )
@@ -57,14 +58,6 @@ func HashArgs(args string) uint64 { return hashmix.FNV64a(args) }
 // NewKey builds a Key from a callee and raw argument string.
 func NewKey(callee, args string) Key {
 	return Key{Callee: callee, ArgsHash: HashArgs(args)}
-}
-
-// shardHash mixes a Key into a well-distributed 64-bit value for shard
-// selection: FNV-1a over the callee, xor the args hash, then the shared
-// splitmix64 finalisation (internal/hashmix) so map-adjacent keys land on
-// distant shards.
-func shardHash(k Key) uint64 {
-	return hashmix.Mix64(hashmix.FNV64a(k.Callee) ^ k.ArgsHash)
 }
 
 // Typed errors returned by the blocking face.
@@ -181,16 +174,10 @@ type Stats struct {
 	BytesSaved int64
 	// Evictions counts instances dropped by the LRU capacity bound.
 	Evictions uint64
-	// Shards is the number of lock-striped shards.
-	Shards int
-	// MaxShardOccupancy is the largest ready-instance count held by any
-	// one shard (a skew indicator: compare against LiveInstances/Shards).
-	MaxShardOccupancy int
 }
 
-// Add folds another snapshot into s: counters and live gauges sum, shard
-// gauges aggregate (Shards sums across caches, MaxShardOccupancy takes the
-// max), so a platform can aggregate per-container caches into one view.
+// Add folds another snapshot into s: counters and live gauges sum, so a
+// platform can aggregate per-container caches into one view.
 func (s *Stats) Add(o Stats) {
 	s.Hits += o.Hits
 	s.Coalesced += o.Coalesced
@@ -201,145 +188,21 @@ func (s *Stats) Add(o Stats) {
 	s.BytesLive += o.BytesLive
 	s.BytesSaved += o.BytesSaved
 	s.Evictions += o.Evictions
-	s.Shards += o.Shards
-	if o.MaxShardOccupancy > s.MaxShardOccupancy {
-		s.MaxShardOccupancy = o.MaxShardOccupancy
-	}
 }
 
 // Config parameterises a Cache. The zero value is the paper's seed cache:
-// unbounded, auto-sized shards.
+// unbounded.
 type Config struct {
-	// Shards is the number of lock stripes, rounded up to a power of two.
-	// Zero picks an automatic size from GOMAXPROCS. When MaxEntries > 0
-	// the count is clamped so every shard owns at least one slot.
-	Shards int
-	// MaxEntries bounds the ready instances held across all shards. The
-	// capacity splits per shard (remainder slots distributed so the shard
-	// caps sum to exactly MaxEntries) and each shard evicts its least-
-	// recently-used ready instance on overflow. Because the bound is
-	// enforced per shard, a heavily skewed key population can see
-	// evictions while total occupancy is still below MaxEntries; with
-	// auto-sized Shards the shard count shrinks until every shard owns at
-	// least a few slots to keep that skew effect small. Zero or negative
-	// means unbounded (the paper's container-scoped cache, whose lifetime
-	// bounds it naturally).
+	// MaxEntries bounds the ready instances the cache holds: a publish
+	// that takes the count past it evicts the least-recently-used ready
+	// instance. Zero or negative means unbounded (the paper's
+	// container-scoped cache, whose lifetime bounds it naturally).
 	MaxEntries int
 	// OnEvict is the entry-lifecycle closer hook: it runs (outside the
-	// shard lock) for every instance that leaves the cache — LRU eviction,
+	// cache lock) for every instance that leaves the cache — LRU eviction,
 	// Invalidate and Close — so evicted clients can release sockets or
 	// return memory to a ledger.
 	OnEvict func(Key, any, int64)
-}
-
-// Cache is one container's Resource Multiplexer.
-//
-// The zero value is not usable; create caches with NewWithConfig.
-type Cache struct {
-	cfg    Config
-	shards []*shard
-	mask   uint64
-}
-
-// nextPow2 rounds n up to the next power of two (minimum 1).
-func nextPow2(n int) int {
-	p := 1
-	for p < n {
-		p <<= 1
-	}
-	return p
-}
-
-// NewWithConfig creates an empty cache from cfg.
-func NewWithConfig(cfg Config) *Cache {
-	n := cfg.Shards
-	auto := n <= 0
-	if auto {
-		// Auto: enough stripes that GOMAXPROCS goroutines rarely collide.
-		n = 2 * runtime.GOMAXPROCS(0)
-		if n < 8 {
-			n = 8
-		}
-		if n > 256 {
-			n = 256
-		}
-	}
-	n = nextPow2(n)
-	if cfg.MaxEntries > 0 {
-		if auto {
-			// Auto sizing also respects the capacity: fewer, deeper shards
-			// beat many 1-slot shards, which thrash under key skew (two hot
-			// keys colliding in a 1-slot shard evict each other forever).
-			for n > 1 && cfg.MaxEntries/n < 4 {
-				n >>= 1
-			}
-		}
-		// Every shard must own at least one slot, or the capacity split
-		// would round a shard's bound to zero and evict everything it
-		// completes.
-		for n > 1 && cfg.MaxEntries/n < 1 {
-			n >>= 1
-		}
-	}
-	c := &Cache{cfg: cfg, mask: uint64(n - 1)}
-	// The capacity splits across shards with the remainder distributed one
-	// slot at a time, so the shard caps sum to exactly MaxEntries.
-	base, rem := 0, 0
-	if cfg.MaxEntries > 0 {
-		base, rem = cfg.MaxEntries/n, cfg.MaxEntries%n
-	}
-	c.shards = make([]*shard, n)
-	for i := range c.shards {
-		capacity := base
-		if i < rem {
-			capacity++
-		}
-		c.shards[i] = &shard{cache: c, cap: capacity, entries: make(map[Key]*entry)}
-	}
-	return c
-}
-
-// shardFor picks the shard owning key.
-func (c *Cache) shardFor(key Key) *shard {
-	return c.shards[shardHash(key)&c.mask]
-}
-
-// Begin looks up key. On BeginHit the ready instance is returned. On
-// BeginMiss the caller becomes the builder and must finish with Complete.
-// On BeginPending the caller should register a Wait callback.
-//
-// On a closed cache Begin reports BeginMiss without becoming a builder:
-// the subsequent Complete is a no-op (releasing the instance through
-// OnEvict), so sim callers terminate cleanly during teardown.
-func (c *Cache) Begin(key Key) (BeginResult, any) {
-	return c.shardFor(key).begin(key)
-}
-
-// Wait registers fn to run when the pending build for key finishes. fn
-// receives the built instance, or nil if the build failed or the cache
-// closed (the caller should then retry Begin). If the key is already ready
-// or absent, fn runs immediately with the current instance (nil when
-// absent).
-func (c *Cache) Wait(key Key, fn func(any)) {
-	c.shardFor(key).wait(key, fn)
-}
-
-// Complete publishes the built instance for key and notifies waiters.
-// Waiters count toward BytesSaved: each avoided building a duplicate.
-// Completing a key the cache no longer tracks (closed meanwhile) or one
-// already ready releases the instance through OnEvict instead of storing
-// it.
-func (c *Cache) Complete(key Key, instance any, bytes int64) {
-	c.shardFor(key).complete(key, instance, bytes, nil)
-}
-
-// Invalidate drops the ready entry for key — handler feedback for an
-// instance that started erroring (the paper's multiplexer trusts instances
-// forever; production clients go bad). The instance is released through
-// OnEvict. Pending builds are untouched. It reports whether an entry was
-// dropped.
-func (c *Cache) Invalidate(key Key) bool {
-	return c.shardFor(key).invalidate(key)
 }
 
 // Loan is a caller's hold on an instance Acquire returned. The zero Loan
@@ -361,11 +224,11 @@ func (l *Loan) Release() {
 // constructor fails the in-flight build first — waking coalesced waiters
 // instead of leaving a pending entry that deadlocks every later caller —
 // and then re-raises.
-func runBuild(sh *shard, key Key, build func() (any, int64, error)) (v any, bytes int64, err error) {
+func runBuild(c *Cache, key Key, build func() (any, int64, error)) (v any, bytes int64, err error) {
 	returned := false
 	defer func() {
 		if !returned {
-			sh.fail(key)
+			c.fail(key)
 		}
 	}()
 	v, bytes, err = build()
@@ -389,9 +252,8 @@ func runBuild(sh *shard, key Key, build func() (any, int64, error)) (v any, byte
 // forgotten release pins an evicted instance's OnEvict forever. A hit
 // allocates nothing.
 func (c *Cache) Acquire(ctx context.Context, key Key, build func() (any, int64, error)) (any, Outcome, Loan, error) {
-	sh := c.shardFor(key)
 	for {
-		found, closed := sh.beginBlocking(key)
+		found, closed := c.beginBlocking(key)
 		if closed {
 			return nil, OutcomeError, Loan{}, fmt.Errorf("multiplex: get %s: %w", key.Callee, ErrCacheClosed)
 		}
@@ -399,9 +261,9 @@ func (c *Cache) Acquire(ctx context.Context, key Key, build func() (any, int64, 
 		case BeginHit:
 			return found.inst, OutcomeHit, Loan{rec: found.loan}, nil
 		case BeginMiss:
-			v, bytes, err := runBuild(sh, key, build)
+			v, bytes, err := runBuild(c, key, build)
 			if err != nil {
-				sh.fail(key)
+				c.fail(key)
 				return nil, OutcomeError, Loan{}, &buildError{key: key, cause: err}
 			}
 			// Take the loan before publishing: once complete runs the
@@ -409,11 +271,11 @@ func (c *Cache) Acquire(ctx context.Context, key Key, build func() (any, int64, 
 			// complete release through OnEvict), but this caller is about
 			// to return it.
 			var lent *loans
-			if sh.tracksLoans() {
-				lent = &loans{sh: sh}
+			if c.tracksLoans() {
+				lent = &loans{c: c}
 				lent.count.Store(1)
 			}
-			sh.complete(key, v, bytes, lent)
+			c.complete(key, v, bytes, lent)
 			return v, OutcomeMiss, Loan{rec: lent}, nil
 		default: // BeginPending: coalesce onto the in-flight build.
 			select {
@@ -421,41 +283,11 @@ func (c *Cache) Acquire(ctx context.Context, key Key, build func() (any, int64, 
 			case <-ctx.Done():
 				return nil, OutcomeError, Loan{}, fmt.Errorf("multiplex: wait for %s: %w", key.Callee, ctx.Err())
 			}
-			if v, loan, ok := sh.readyValue(key); ok {
+			if v, loan, ok := c.readyValue(key); ok {
 				return v, OutcomeCoalesced, Loan{rec: loan}, nil
 			}
 			// The build failed or the cache closed; loop — this caller
 			// becomes the builder or reports the closed cache.
 		}
 	}
-}
-
-// Stats returns an aggregated snapshot of the cache statistics.
-func (c *Cache) Stats() Stats {
-	var st Stats
-	for _, sh := range c.shards {
-		sh.mu.Lock()
-		s := sh.stats
-		s.LiveInstances = sh.ready
-		s.BytesLive = sh.bytesLive
-		s.MaxShardOccupancy = sh.ready
-		sh.mu.Unlock()
-		st.Add(s)
-	}
-	st.Shards = len(c.shards)
-	return st
-}
-
-// Close drops every entry — releasing ready instances through OnEvict and
-// waking pending waiters with nil, so coalesced invocations are never
-// stranded by a container teardown — and reports the bytes that were live
-// (so the teardown can return them to the node's memory ledger). After
-// Close, Acquire reports ErrCacheClosed and the event-driven face stops
-// storing instances. Close is idempotent.
-func (c *Cache) Close() int64 {
-	var freed int64
-	for _, sh := range c.shards {
-		freed += sh.close()
-	}
-	return freed
 }

@@ -12,7 +12,7 @@ import (
 
 // failBuild settles key's pending build as failed — what Acquire does
 // when its constructor errs.
-func failBuild(c *Cache, key Key) { c.shardFor(key).fail(key) }
+func failBuild(c *Cache, key Key) { c.fail(key) }
 
 func TestHashArgsStableAndDistinct(t *testing.T) {
 	a := HashArgs("s3:KEY1")
@@ -330,8 +330,7 @@ func TestPropertyOneBuildPerDistinctKey(t *testing.T) {
 
 func TestLRUEviction(t *testing.T) {
 	var evicted []Key
-	// One shard makes the LRU order globally exact for the assertion.
-	c := NewWithConfig(Config{Shards: 1, MaxEntries: 2, OnEvict: func(k Key, inst any, bytes int64) {
+	c := NewWithConfig(Config{MaxEntries: 2, OnEvict: func(k Key, inst any, bytes int64) {
 		evicted = append(evicted, k)
 		if bytes != 10 {
 			t.Errorf("evicted bytes = %d, want 10", bytes)

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -78,7 +79,7 @@ func TestGetOrBuildContextTypedBuildError(t *testing.T) {
 
 func TestInvalidate(t *testing.T) {
 	var released []Key
-	c := NewWithConfig(Config{Shards: 1, OnEvict: func(k Key, _ any, _ int64) { released = append(released, k) }})
+	c := NewWithConfig(Config{OnEvict: func(k Key, _ any, _ int64) { released = append(released, k) }})
 	key := NewKey("client", "args")
 	if c.Invalidate(key) {
 		t.Fatal("invalidate on absent key should report false")
@@ -170,44 +171,12 @@ func TestGetOrBuildContextCancellationWhileCoalesced(t *testing.T) {
 	close(release)
 }
 
-func TestShardsRoundedAndClamped(t *testing.T) {
-	if n := NewWithConfig(Config{Shards: 5}).Stats().Shards; n != 8 {
-		t.Fatalf("Shards(5) rounded to %d, want 8", n)
-	}
-	// Capacity 2 cannot feed 8 shards a slot each: clamp to 2.
-	if n := NewWithConfig(Config{Shards: 8, MaxEntries: 2}).Stats().Shards; n != 2 {
-		t.Fatalf("shards with MaxEntries 2 = %d, want 2", n)
-	}
-	if n := NewWithConfig(Config{}).Stats().Shards; n < 8 {
-		t.Fatalf("auto shards = %d, want >= 8", n)
-	}
-}
-
-func TestShardedKeysDistribute(t *testing.T) {
-	c := NewWithConfig(Config{Shards: 16})
-	for i := 0; i < 256; i++ {
-		k := NewKey("client", fmt.Sprintf("args-%d", i))
-		c.Begin(k)
-		c.Complete(k, i, 1)
-	}
-	st := c.Stats()
-	if st.LiveInstances != 256 {
-		t.Fatalf("LiveInstances = %d", st.LiveInstances)
-	}
-	// With 256 keys over 16 shards a catastrophic hash would pile most
-	// keys on one shard; allow generous slack over the ideal 16.
-	if st.MaxShardOccupancy > 48 {
-		t.Fatalf("MaxShardOccupancy = %d over 16 shards for 256 keys: hash is skewed", st.MaxShardOccupancy)
-	}
-}
-
 func TestStatsAdd(t *testing.T) {
-	a := Stats{Hits: 1, Misses: 2, LiveInstances: 3, BytesLive: 10, Shards: 4, MaxShardOccupancy: 2, Evictions: 1}
-	b := Stats{Hits: 10, Coalesced: 5, LiveInstances: 1, BytesLive: 5, Shards: 8, MaxShardOccupancy: 7, Evictions: 2}
+	a := Stats{Hits: 1, Misses: 2, LiveInstances: 3, BytesLive: 10, Evictions: 1}
+	b := Stats{Hits: 10, Coalesced: 5, LiveInstances: 1, BytesLive: 5, Evictions: 2}
 	a.Add(b)
 	if a.Hits != 11 || a.Coalesced != 5 || a.Misses != 2 || a.LiveInstances != 4 ||
-		a.BytesLive != 15 || a.Shards != 12 || a.MaxShardOccupancy != 7 ||
-		a.Evictions != 3 {
+		a.BytesLive != 15 || a.Evictions != 3 {
 		t.Fatalf("Add result = %+v", a)
 	}
 }
@@ -218,7 +187,6 @@ func TestStatsAdd(t *testing.T) {
 // evictions and invalidations.
 func TestConcurrentMixedStress(t *testing.T) {
 	c := NewWithConfig(Config{
-		Shards:     8,
 		MaxEntries: 32,
 		OnEvict:    func(Key, any, int64) {},
 	})
@@ -287,14 +255,75 @@ func TestConcurrentMixedStress(t *testing.T) {
 	}
 }
 
-// Property: under any op sequence, (a) ready instances never exceed the
-// configured capacity, and (b) an in-flight build is never evicted — its
-// Complete always lands, so an immediate Begin hits.
+// lruModel is the sequential reference for the cache's capacity bound: the
+// ready keys, most recently used first.
+type lruModel []Key
+
+// touch moves k to the front.
+func (m *lruModel) touch(k Key) {
+	for i, x := range *m {
+		if x == k {
+			copy((*m)[1:i+1], (*m)[:i])
+			(*m)[0] = k
+			return
+		}
+	}
+}
+
+// publish puts k at the front and returns the victims a bound of n evicts,
+// least recently used first.
+func (m *lruModel) publish(k Key, n int) []Key {
+	*m = append(lruModel{k}, *m...)
+	var out []Key
+	for len(*m) > n {
+		out = append(out, (*m)[len(*m)-1])
+		*m = (*m)[:len(*m)-1]
+	}
+	return out
+}
+
+// Property: under any op sequence, (a) the bound evicts exactly the
+// globally least-recently-used ready instance, checked against lruModel,
+// so ready instances never exceed it and nothing is evicted below it, and
+// (b) an in-flight build is never evicted — its Complete always lands, so
+// an immediate Begin hits.
 func TestPropertyBoundNeverExceededAndInflightNeverEvicted(t *testing.T) {
-	f := func(ops []uint16, boundRaw, shardsRaw uint8) bool {
-		bound := int(boundRaw%8) + 1
-		shards := 1 << (shardsRaw % 3) // 1, 2 or 4
-		c := NewWithConfig(Config{Shards: shards, MaxEntries: bound})
+	bounds := []int{1, 2, 16}
+	// Fill to the bound, touch the oldest key, then publish one more: only
+	// the least recently used key may go.
+	for _, n := range bounds {
+		var evicted []Key
+		c := NewWithConfig(Config{MaxEntries: n, OnEvict: func(k Key, _ any, _ int64) { evicted = append(evicted, k) }})
+		var model lruModel
+		for i := 0; i < n; i++ {
+			k := NewKey("c", fmt.Sprintf("%d", i))
+			c.Begin(k)
+			c.Complete(k, i, 1)
+			model.publish(k, n)
+		}
+		if st := c.Stats(); st.Evictions != 0 || st.LiveInstances != n || len(evicted) != 0 {
+			t.Fatalf("bound %d: filling to the bound evicted %v (stats %+v)", n, evicted, st)
+		}
+		first := NewKey("c", "0")
+		if res, _ := c.Begin(first); res != BeginHit {
+			t.Fatalf("bound %d: first key missed", n)
+		}
+		model.touch(first)
+		extra := NewKey("c", "extra")
+		c.Begin(extra)
+		c.Complete(extra, "v", 1)
+		want := model.publish(extra, n)
+		if st := c.Stats(); st.Evictions != 1 || len(evicted) != 1 || evicted[0] != want[0] {
+			t.Fatalf("bound %d: evicted %v (stats %+v), want %v", n, evicted, st, want)
+		}
+	}
+
+	f := func(ops []uint16, boundRaw uint8) bool {
+		bound := bounds[int(boundRaw)%len(bounds)]
+		var evicted []Key
+		c := NewWithConfig(Config{MaxEntries: bound, OnEvict: func(k Key, _ any, _ int64) { evicted = append(evicted, k) }})
+		var model lruModel
+		var want []Key
 		pending := map[Key]bool{}
 		for _, op := range ops {
 			key := NewKey("c", fmt.Sprintf("%d", op%32))
@@ -303,21 +332,25 @@ func TestPropertyBoundNeverExceededAndInflightNeverEvicted(t *testing.T) {
 				// Settle the in-flight build; it must never have been
 				// evicted, so the publish must be observable immediately.
 				c.Complete(key, "v", 1)
+				want = append(want, model.publish(key, bound)...)
 				delete(pending, key)
 				if res, _ := c.Begin(key); res != BeginHit {
 					return false
 				}
+				model.touch(key)
 			default:
 				res, _ := c.Begin(key)
-				if res == BeginMiss {
-					if op%3 == 0 {
-						pending[key] = true // leave in flight
-					} else {
-						c.Complete(key, "v", 1)
-					}
+				switch {
+				case res == BeginHit:
+					model.touch(key)
+				case op%3 == 0:
+					pending[key] = true // leave in flight
+				default:
+					c.Complete(key, "v", 1)
+					want = append(want, model.publish(key, bound)...)
 				}
 			}
-			if st := c.Stats(); st.LiveInstances > bound {
+			if st := c.Stats(); st.LiveInstances != len(model) || !reflect.DeepEqual(evicted, want) {
 				return false
 			}
 		}

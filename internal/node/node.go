@@ -211,13 +211,12 @@ func (c *Container) GILGroup() *cpusched.Group { return c.gilGroup }
 // Cache is the container's Resource Multiplexer, or nil when the
 // container was acquired without multiplexing (the baselines). It is
 // built on the first call, so a container that never looks a client up
-// (the fib family) never pays for one; the simulation runs on one
-// goroutine, so one shard serves it. A container torn down before its
+// (the fib family) never pays for one. A container torn down before its
 // first lookup hands out a closed cache, as it would have had its cache
 // been built at boot.
 func (c *Container) Cache() *multiplex.Cache {
 	if c.cache == nil && c.req.opts.Multiplex {
-		c.cache = multiplex.NewWithConfig(multiplex.Config{Shards: 1, OnEvict: c.releaseCached})
+		c.cache = multiplex.NewWithConfig(multiplex.Config{OnEvict: c.releaseCached})
 		if c.state == Evicted {
 			c.cache.Close()
 		}

@@ -46,8 +46,6 @@ var statSeries = []obs.Series[Stats]{
 	{Name: "faasbatch_multiplexer_build_failures_total", Kind: obs.Counter, Help: "Resource builds that returned an error.", Int: func(s *Stats) int64 { return int64(s.Multiplexer.BuildFailures) }},
 	{Name: "faasbatch_multiplexer_invalidations_total", Kind: obs.Counter, Help: "Entries dropped by handler-feedback invalidation.", Int: func(s *Stats) int64 { return int64(s.Multiplexer.Invalidations) }},
 	{Key: "cacheEvictions", Help: "Cached instances dropped by the LRU bound.", Int: func(s *Stats) int64 { return int64(s.Multiplexer.Evictions) }},
-	{Name: "faasbatch_multiplexer_shards", Kind: obs.Gauge, Help: "Lock-striped shards across live container caches.", Key: "cacheShards", Int: func(s *Stats) int64 { return int64(s.Multiplexer.Shards) }},
-	{Name: "faasbatch_multiplexer_max_shard_occupancy", Kind: obs.Gauge, Help: "Ready entries in the fullest shard of any live cache.", Key: "cacheMaxShardOccupancy", Int: func(s *Stats) int64 { return int64(s.Multiplexer.MaxShardOccupancy) }},
 }
 
 // NewHTTPHandler exposes a platform over HTTP:

@@ -304,7 +304,6 @@ func TestInvokeAcceptsTraceparent(t *testing.T) {
 func TestSLOGaugesOnMetrics(t *testing.T) {
 	cfg := quickConfig(ModeBatch)
 	cfg.SLOs = []slo.Objective{{Function: "slow", Quantile: 0.99, Target: time.Millisecond, MaxBurn: 2}}
-	cfg.SLOWindows = slo.ScaledWindows(2 * time.Second)
 	p := newPlatform(t, cfg)
 	if err := p.Register("slow", func(_ context.Context, _ *Invocation) (any, error) {
 		time.Sleep(5 * time.Millisecond)
@@ -497,8 +496,9 @@ func TestObservabilityDocSeries(t *testing.T) {
 // to the struct clients (and the router's federation) decode it into:
 // same keys, same order, same values, byte for byte.
 func TestStatsWireMatchesStatsResponse(t *testing.T) {
-	_, srv := newHTTPServer(t)
-	if r, _ := postInvoke(t, srv.URL, httpapi.InvokeRequest{Fn: "double", Payload: json.RawMessage("5")}); r.StatusCode != http.StatusOK {
+	p, srv := newHTTPServer(t)
+	registerClientBuilder(t, p)
+	if r, _ := postInvoke(t, srv.URL, httpapi.InvokeRequest{Fn: "s3"}); r.StatusCode != http.StatusOK {
 		t.Fatalf("invoke status = %d", r.StatusCode)
 	}
 	resp, err := http.Get(srv.URL + "/stats")
@@ -516,7 +516,7 @@ func TestStatsWireMatchesStatsResponse(t *testing.T) {
 	if err := dec.Decode(&st); err != nil {
 		t.Fatalf("/stats does not decode as StatsResponse: %v\n%s", err, body)
 	}
-	if st.Invocations != 1 || st.CacheShards == 0 {
+	if st.Invocations != 1 || st.CacheMisses != 1 {
 		t.Fatalf("decoded stats = %+v", st)
 	}
 	again, err := json.Marshal(st)

@@ -299,9 +299,9 @@ type Config struct {
 	KeepAlive time.Duration
 	// Multiplex equips containers with a Resource Multiplexer.
 	Multiplex bool
-	// Multiplexer tunes each container's Resource Multiplexer: shard
-	// count and capacity bound (see multiplex.Config). The zero value
-	// takes the cache defaults. Evicted instances implementing io.Closer
+	// Multiplexer tunes each container's Resource Multiplexer: its
+	// capacity bound (see multiplex.Config). The zero value is an
+	// unbounded cache. Evicted instances implementing io.Closer
 	// are closed automatically, after any OnEvict hook set here runs.
 	// Ignored unless Multiplex is true.
 	Multiplexer multiplex.Config
@@ -346,10 +346,6 @@ type Config struct {
 	// multi-window burn rates (internal/slo) and exported on /metrics.
 	// Empty disables SLO tracking.
 	SLOs []slo.Objective
-	// SLOWindows overrides the burn-rate window ladder (production-scale
-	// defaults when zero). Scenario runs pass slo.ScaledWindows so a
-	// compressed run is judged with the same geometry.
-	SLOWindows slo.Windows
 	// Logger receives the platform's structured logs (dispatch decisions,
 	// container lifecycle, fault and retry events), correlated by trace
 	// ID. Nil discards everything.
@@ -669,12 +665,8 @@ func New(cfg Config) (*Platform, error) {
 	}
 	var slos *slo.Tracker
 	if len(cfg.SLOs) > 0 {
-		win := cfg.SLOWindows
-		if win == (slo.Windows{}) {
-			win = slo.DefaultWindows()
-		}
 		var err error
-		slos, err = slo.NewTracker(win, cfg.SLOs)
+		slos, err = slo.NewTracker(slo.DefaultWindows(), cfg.SLOs)
 		if err != nil {
 			return nil, err
 		}
@@ -1137,10 +1129,9 @@ func (p *Platform) retireLocked(f *function, c *container) *multiplex.Cache {
 	}
 	st := c.resources.cache.Stats()
 	// Fold the retired cache's counters into the platform totals, but not
-	// its gauges — its live instances and shards are about to be released
-	// by Close (which fires the Closer hook per instance).
+	// its gauges — its live instances are about to be released by Close
+	// (which fires the Closer hook per instance).
 	st.LiveInstances, st.BytesLive = 0, 0
-	st.Shards, st.MaxShardOccupancy = 0, 0
 	p.mu.Lock()
 	p.retired.Add(st)
 	p.mu.Unlock()

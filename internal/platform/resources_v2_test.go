@@ -292,11 +292,25 @@ func TestHTTPV1RouteParity(t *testing.T) {
 	}
 }
 
+// registerClientBuilder registers "s3", a handler that builds one cached
+// client through its container's multiplexer.
+func registerClientBuilder(t *testing.T, p *Platform) {
+	t.Helper()
+	err := p.Register("s3", func(ctx context.Context, inv *Invocation) (any, error) {
+		_, _, err := inv.Resources.GetContext(ctx, "s3", "bucket", func() (any, int64, error) { return "client", 8, nil })
+		return "ok", err
+	})
+	if err != nil {
+		t.Fatalf("Register: %v", err)
+	}
+}
+
 // TestStatsResponseCarriesCacheTelemetry exercises the extended /stats
 // cache fields end to end.
 func TestStatsResponseCarriesCacheTelemetry(t *testing.T) {
-	_, srv := newHTTPServer(t)
-	resp, _ := postInvoke(t, srv.URL, httpapi.InvokeRequest{Fn: "double", Payload: json.RawMessage("1")})
+	p, srv := newHTTPServer(t)
+	registerClientBuilder(t, p)
+	resp, _ := postInvoke(t, srv.URL, httpapi.InvokeRequest{Fn: "s3"})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("invoke status = %d", resp.StatusCode)
 	}
@@ -309,7 +323,7 @@ func TestStatsResponseCarriesCacheTelemetry(t *testing.T) {
 	if err := json.NewDecoder(r.Body).Decode(&st); err != nil {
 		t.Fatalf("decode: %v", err)
 	}
-	if st.CacheShards <= 0 {
-		t.Fatalf("CacheShards = %d, want > 0 while a container cache is live", st.CacheShards)
+	if st.CacheMisses != 1 {
+		t.Fatalf("CacheMisses = %d, want 1 after one client build", st.CacheMisses)
 	}
 }

@@ -4,7 +4,7 @@
 // The push consistent-hash policy binds a function to a worker at
 // arrival time, so a hot function queues behind its hash slot even when
 // the rest of the fleet sits idle. Pull scheduling inverts the binding:
-// arrivals park in sharded per-function queues, and a worker with free
+// arrivals park in per-function FIFO queues, and a worker with free
 // lease capacity pulls a batch from the deepest queue — hot functions
 // late-bind to the least-loaded worker at the moment capacity frees,
 // exactly the Hiku/Archipelago shape.
@@ -31,13 +31,10 @@ package pullsched
 import (
 	"fmt"
 	"time"
-
-	"faasbatch/internal/hashmix"
 )
 
 // Defaults for Config's zero values.
 const (
-	DefaultShards    = 8
 	DefaultBatchSize = 4
 	DefaultCapacity  = 8
 )
@@ -48,11 +45,6 @@ type Config struct {
 	// Workers is the fleet slot count; slot i is worker i in the
 	// driver's ordering (node i in the sim, Config.Workers[i] live).
 	Workers int
-	// Shards is the queue shard count; functions hash to a shard
-	// (default DefaultShards). Sharding bounds the scan cost of queue
-	// bookkeeping; decisions are serialised by the driver regardless, as
-	// determinism requires a total decision order.
-	Shards int
 	// QueueDepth bounds each function's queue; an arrival past the
 	// bound is shed (the pull policy's admission control — depth-based,
 	// not per-slot). 0 means unbounded.
@@ -74,9 +66,6 @@ type Config struct {
 
 // withDefaults resolves zero values.
 func (cfg Config) withDefaults() Config {
-	if cfg.Shards <= 0 {
-		cfg.Shards = DefaultShards
-	}
 	if cfg.BatchSize <= 0 {
 		cfg.BatchSize = DefaultBatchSize
 	}
@@ -143,9 +132,9 @@ type item struct {
 }
 
 // fnQueue is one function's FIFO: items[head:] are queued, oldest first.
-// A queue that empties leaves its shard for the Core's free list with
+// A queue that empties leaves the Core's queue map for its free list with
 // its capacity, so the next function to queue reuses it; keeping it in
-// the shard instead would make deepest scan every function ever seen.
+// the map instead would make deepest scan every function ever seen.
 type fnQueue struct {
 	fn    string
 	items []item
@@ -214,8 +203,8 @@ type workerState struct {
 // nothing.
 type Core struct {
 	cfg     Config
-	shards  []map[string]*fnQueue
-	free    []*fnQueue // emptied queues, capacity kept
+	queues  map[string]*fnQueue // non-empty queues by function
+	free    []*fnQueue          // emptied queues, capacity kept
 	workers []workerState
 	leases  map[int64]lease
 	queued  int
@@ -240,12 +229,9 @@ func New(cfg Config) (*Core, error) {
 	cfg = cfg.withDefaults()
 	c := &Core{
 		cfg:     cfg,
-		shards:  make([]map[string]*fnQueue, cfg.Shards),
+		queues:  make(map[string]*fnQueue),
 		workers: make([]workerState, cfg.Workers),
 		leases:  make(map[int64]lease),
-	}
-	for i := range c.shards {
-		c.shards[i] = make(map[string]*fnQueue)
 	}
 	for i := range c.workers {
 		c.workers[i].eligible = true
@@ -256,15 +242,10 @@ func New(cfg Config) (*Core, error) {
 // Config returns the resolved configuration (defaults applied).
 func (c *Core) Config() Config { return c.cfg }
 
-// shard returns fn's queue shard.
-func (c *Core) shard(fn string) map[string]*fnQueue {
-	return c.shards[int(hashmix.String(fn)%uint64(len(c.shards)))]
-}
-
-// queue returns fn's queue in sh, taking one off the free list when fn
-// has none queued.
-func (c *Core) queue(sh map[string]*fnQueue, fn string) *fnQueue {
-	if q := sh[fn]; q != nil {
+// queue returns fn's queue, taking one off the free list when fn has
+// none queued.
+func (c *Core) queue(fn string) *fnQueue {
+	if q := c.queues[fn]; q != nil {
 		return q
 	}
 	var q *fnQueue
@@ -277,13 +258,13 @@ func (c *Core) queue(sh map[string]*fnQueue, fn string) *fnQueue {
 		q = &fnQueue{}
 	}
 	q.fn = fn
-	sh[fn] = q
+	c.queues[fn] = q
 	return q
 }
 
-// retire moves emptied queue q from sh to the free list.
-func (c *Core) retire(sh map[string]*fnQueue, q *fnQueue) {
-	delete(sh, q.fn)
+// retire moves emptied queue q to the free list.
+func (c *Core) retire(q *fnQueue) {
+	delete(c.queues, q.fn)
 	q.items, q.head = q.items[:0], 0
 	c.free = append(c.free, q)
 }
@@ -293,13 +274,12 @@ func (c *Core) retire(sh map[string]*fnQueue, q *fnQueue) {
 // capacity) and shed=true when fn's queue is at its depth bound — the
 // item was refused and must be answered with an overload error.
 func (c *Core) Enqueue(id int64, fn string, off time.Duration) ([]Grant, bool) {
-	sh := c.shard(fn)
-	if q := sh[fn]; c.cfg.QueueDepth > 0 && q != nil && q.len() >= c.cfg.QueueDepth {
+	if q := c.queues[fn]; c.cfg.QueueDepth > 0 && q != nil && q.len() >= c.cfg.QueueDepth {
 		c.stats.Shed++
 		return nil, true
 	}
 	c.admSeq++
-	c.queue(sh, fn).push(item{id: id, fn: fn, seq: c.admSeq, lastWorker: -1})
+	c.queue(fn).push(item{id: id, fn: fn, seq: c.admSeq, lastWorker: -1})
 	c.queued++
 	c.stats.Enqueued++
 	return c.pull(off), false
@@ -419,28 +399,26 @@ func (c *Core) dropLease(l lease) {
 func (c *Core) requeue(it item) {
 	it.requeues++
 	c.stats.Requeues++
-	c.queue(c.shard(it.fn), it.fn).pushFront(it)
+	c.queue(it.fn).pushFront(it)
 	c.queued++
 }
 
 // dequeue withdraws a queued copy of id, reporting whether it existed.
 func (c *Core) dequeue(id int64) bool {
-	for _, sh := range c.shards {
-		for _, q := range sh {
-			for i := q.head; i < len(q.items); i++ {
-				if q.items[i].id != id {
-					continue
-				}
-				last := len(q.items) - 1
-				copy(q.items[i:], q.items[i+1:])
-				q.items[last] = item{}
-				q.items = q.items[:last]
-				c.queued--
-				if q.len() == 0 {
-					c.retire(sh, q)
-				}
-				return true
+	for _, q := range c.queues {
+		for i := q.head; i < len(q.items); i++ {
+			if q.items[i].id != id {
+				continue
 			}
+			last := len(q.items) - 1
+			copy(q.items[i:], q.items[i+1:])
+			q.items[last] = item{}
+			q.items = q.items[:last]
+			c.queued--
+			if q.len() == 0 {
+				c.retire(q)
+			}
+			return true
 		}
 	}
 	return false
@@ -455,7 +433,7 @@ func (c *Core) dequeue(id int64) bool {
 func (c *Core) pull(off time.Duration) []Grant {
 	c.grants = c.grants[:0]
 	for {
-		q, sh := c.deepest()
+		q := c.deepest()
 		if q == nil {
 			return c.grants
 		}
@@ -488,29 +466,23 @@ func (c *Core) pull(off time.Duration) []Grant {
 			c.stats.Granted++
 		}
 		if q.len() == 0 {
-			c.retire(sh, q)
+			c.retire(q)
 		}
 	}
 }
 
-// deepest returns the queue to pull from and its shard: maximum depth,
-// ties broken by the earliest head admission sequence (a total order —
-// admission sequences are unique — so map iteration order never shows
-// through).
-func (c *Core) deepest() (*fnQueue, map[string]*fnQueue) {
-	var (
-		bestQ  *fnQueue
-		bestSh map[string]*fnQueue
-	)
-	for _, sh := range c.shards {
-		for _, q := range sh {
-			if bestQ == nil || q.len() > bestQ.len() ||
-				(q.len() == bestQ.len() && q.items[q.head].seq < bestQ.items[bestQ.head].seq) {
-				bestQ, bestSh = q, sh
-			}
+// deepest returns the queue to pull from: maximum depth, ties broken by
+// the earliest head admission sequence (a total order — admission
+// sequences are unique — so map iteration order never shows through).
+func (c *Core) deepest() *fnQueue {
+	var best *fnQueue
+	for _, q := range c.queues {
+		if best == nil || q.len() > best.len() ||
+			(q.len() == best.len() && q.items[q.head].seq < best.items[best.head].seq) {
+			best = q
 		}
 	}
-	return bestQ, bestSh
+	return best
 }
 
 // target picks the grant worker: eligible with spare capacity, minimum

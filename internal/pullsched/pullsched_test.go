@@ -1,6 +1,7 @@
 package pullsched
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
@@ -29,7 +30,7 @@ func TestValidation(t *testing.T) {
 	}
 	c := mustNew(t, Config{Workers: 2})
 	cfg := c.Config()
-	if cfg.Shards != DefaultShards || cfg.BatchSize != DefaultBatchSize || cfg.Capacity != DefaultCapacity {
+	if cfg.BatchSize != DefaultBatchSize || cfg.Capacity != DefaultCapacity {
 		t.Fatalf("defaults not applied: %+v", cfg)
 	}
 }
@@ -76,7 +77,7 @@ func TestBatchLocality(t *testing.T) {
 	if len(gs) != 2 || gs[0].Worker != 1 || gs[1].Worker != 1 {
 		t.Fatalf("remainder should land on the newly idle worker: %+v", gs)
 	}
-	if q := c.shard("hot")["hot"]; q != nil {
+	if q := c.queues["hot"]; q != nil {
 		t.Fatalf("queue depth %d after drain", q.len())
 	}
 }
@@ -345,13 +346,13 @@ func TestQueueReuse(t *testing.T) {
 	c := mustNew(t, Config{Workers: 1, Capacity: 1, BatchSize: 1})
 	c.Enqueue(1, "a", 0) // leased
 	c.Enqueue(2, "a", 0) // queued
-	q := c.shard("a")["a"]
+	q := c.queues["a"]
 	c.Complete(1, 0) // grants 2: "a" empties
-	if c.shard("a")["a"] != nil || len(c.free) != 1 || c.free[0] != q {
+	if c.queues["a"] != nil || len(c.free) != 1 || c.free[0] != q {
 		t.Fatalf("emptied queue not free-listed: free=%v", c.free)
 	}
 	c.Enqueue(3, "b", 0)
-	if c.shard("b")["b"] != q || len(c.free) != 0 {
+	if c.queues["b"] != q || len(c.free) != 0 {
 		t.Fatal("next queue did not come off the free list")
 	}
 	// A steady backlog of one behind a busy worker: push at the back,
@@ -378,7 +379,7 @@ func TestRequeueAtFront(t *testing.T) {
 	c.SetWorker(0, false, 0)
 	c.Fail(2, 0) // front of a queue with a popped prefix
 	c.Fail(1, 0) // front again
-	q := c.shard("hot")["hot"]
+	q := c.queues["hot"]
 	var got []int64
 	for i := q.head; i < len(q.items); i++ {
 		got = append(got, q.items[i].id)
@@ -411,4 +412,37 @@ func TestPullQueueFreeListPoisoned(t *testing.T) {
 		}
 	}()
 	c.Enqueue(2, "b", 0)
+}
+
+// BenchmarkCoreGrantDeep measures a grant's queue scan at scale: 1,000
+// functions each hold one queued invocation behind a single busy lease
+// slot, and every op completes the lease (which grants the oldest head)
+// and refills the granted function's queue.
+func BenchmarkCoreGrantDeep(b *testing.B) {
+	const fns = 1000
+	c, err := New(Config{Workers: 1, Capacity: 1, BatchSize: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	names := make([]string, fns)
+	for i := range names {
+		names[i] = fmt.Sprintf("fn-%d", i)
+	}
+	c.Enqueue(0, names[0], 0) // takes the only lease
+	leased := int64(0)
+	for i := 1; i <= fns; i++ {
+		c.Enqueue(int64(i), names[i-1], 0)
+	}
+	next := int64(fns + 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		gs := c.Complete(leased, 0)
+		if len(gs) != 1 {
+			b.Fatalf("complete granted %d, want 1", len(gs))
+		}
+		leased = gs[0].ID
+		c.Enqueue(next, gs[0].Fn, 0)
+		next++
+	}
 }

@@ -82,8 +82,8 @@ type Config struct {
 	// push, the default) or PolicyPull (per-function queues with
 	// worker-pull late binding). See docs/CLUSTER.md "Choosing a policy".
 	Policy string
-	// Pull tunes the pull policy's decision core (shards, batch size,
-	// per-worker capacity, queue depth, lease budget). Nil uses the
+	// Pull tunes the pull policy's decision core (batch size, per-worker
+	// capacity, queue depth, lease budget). Nil uses the
 	// pullsched defaults; ignored under PolicyHash.
 	Pull *pullsched.Config
 	// ScrapeTimeout bounds one member scrape (both its /metrics and
