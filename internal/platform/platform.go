@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -111,7 +112,6 @@ type Resources struct {
 	// hands out. The platform gives each invocation its own view and
 	// releases after the handler returns, so an instance evicted while
 	// the handler still uses it is closed only once the handler is done.
-	// Nil only on a container's template view, which no handler sees.
 	borrows *borrowSet
 
 	// Trace context (zero on untraced views).
@@ -424,49 +424,25 @@ type Stats struct {
 	Multiplexer multiplex.Stats
 }
 
-// container is a live worker: a logical container backed by goroutines.
-type container struct {
-	id        string
-	fn        string
-	resources *Resources
-	active    int
-	lastIdle  time.Time
-}
-
-// function is one registered function's state. Its mutex is the
-// platform's sharding unit: it guards this function's batching and
-// container state, so concurrent Invokes on different functions never
-// contend on a lock (DESIGN.md §14).
+// function is one registered function: its handler, and its shard core
+// (shard.go) with the plumbing that carries the core's decisions out. Its
+// mutex is the platform's sharding unit: it guards the shard, so
+// concurrent Invokes on different functions never contend on a lock
+// (DESIGN.md §14).
 type function struct {
-	name    string
 	handler Handler
 	// latency is the function's histogram handle, resolved at Register so
 	// settling an invocation shares no lock with another function.
 	latency *obs.FunctionLatency
 
-	// mu guards everything below.
-	mu      sync.Mutex
-	warm    []*container
-	pending []*pendingCall
-	all     []*container
-	// deadline is the wall-clock close of the function's open window
-	// (zero when no window is open). Every enqueue is followed, under the
-	// same hold of mu, by applyLocked, so it is non-zero whenever pending
-	// is non-empty — which is what lets the Close flush find every
-	// waiting call by its deadline.
-	deadline time.Time
-	// ctrl is this function's window controller. dispatch.Controller is not safe for concurrent use; mu serialises
-	// it — giving each function its own controller is what lets the
-	// shards run lock-independent.
-	ctrl *dispatch.Controller
+	// mu guards the shard and the call states of its calls.
+	mu sync.Mutex
+	shard
 	// window wakes the shard when its open window is due (windowDue);
 	// expire wakes it when warm[0] has been parked KeepAlive (expireIdle).
-	// Each shard is its own clock: no loop scans the others.
+	// Each is armed at a deadline the shard returns: no loop scans the
+	// other functions.
 	window, expire *time.Timer
-	// expiring is set while expire is armed or its firing is pending.
-	// Only a firing that empties warm clears it, so a clear expiring
-	// means warm is empty.
-	expiring bool
 }
 
 // pendingCall is an invocation waiting for its window. Its caller stays
@@ -495,14 +471,6 @@ type pendingCall struct {
 	// send never blocks.
 	ticket chan *callGroup
 }
-
-type callState uint8
-
-const (
-	callWaiting callState = iota
-	callClaimed
-	callAbandoned
-)
 
 // callGroup is one closed window's group and, once dispatched, the ticket
 // its members run on. Whoever closed the window owns it while dispatchGroup fills
@@ -711,7 +679,7 @@ func (p *Platform) SLOs() *slo.Tracker { return p.slos }
 // WriteSLOMetrics appends the SLO burn-rate gauges to a /metrics
 // exposition (nothing when no objectives are configured).
 func (p *Platform) WriteSLOMetrics(w io.Writer) {
-	p.slos.WriteMetrics(w, "faasbatch", time.Since(p.epoch))
+	p.slos.WriteMetrics(w, "faasbatch", p.now())
 }
 
 // Register adds a function. Registering a duplicate or empty name fails.
@@ -724,7 +692,7 @@ func (p *Platform) Register(name string, h Handler) error {
 		// Unreachable: New validated dcfg.
 		return fmt.Errorf("platform: %w", err)
 	}
-	f := &function{name: name, handler: h, ctrl: ctrl}
+	f := &function{handler: h, shard: shard{name: name, keepAlive: p.cfg.KeepAlive, ctrl: ctrl}}
 	// Both timers start disarmed: an AfterFunc timer stopped before it
 	// fires never runs its callback.
 	f.window = time.AfterFunc(time.Hour, func() { p.windowDue(f) })
@@ -791,8 +759,9 @@ func (p *Platform) Inflight() int64 {
 // inside the group's container — on the calling goroutine: the handler
 // runs where Invoke was called.
 //
-// If ctx ends while the call still waits for its window, Invoke returns
-// at once and the call is dropped unexecuted (Stats.Canceled). Once the
+// If ctx ends while the call still waits for its window or a retry's
+// backoff, Invoke returns at once and the call is dropped unexecuted
+// (Stats.Canceled). Once the
 // handler runs, Invoke returns when the handler does, reporting the
 // wrapped ctx.Err() if the context ended meanwhile: a handler that
 // ignores its context holds its caller until it returns. Bound such
@@ -827,7 +796,6 @@ func (p *Platform) invoke(ctx context.Context, f *function, payload json.RawMess
 	// different functions never contend. The closed check under f.mu
 	// pairs with CloseContext's handshake over every shard — a call that
 	// saw closed==false here has its wg.Add ordered before Close's Wait.
-	var run *callGroup
 	f.mu.Lock()
 	if p.closed.Load() {
 		f.mu.Unlock()
@@ -835,28 +803,20 @@ func (p *Platform) invoke(ctx context.Context, f *function, payload json.RawMess
 		return Result{}, fmt.Errorf("platform: closed")
 	}
 	p.ctr.submitted.Add(1)
-	// The idle probe scans the function's containers, so it runs only
-	// when the policy reads the answer: not under the fixed policy, and
-	// not in ModeVanilla, whose group of one closes before idle matters.
-	idle := f.ctrl.UsesIdle() && len(f.pending) == 0 && !p.busyLocked(f)
-	p.enqueueLocked(f, call)
-	d := f.ctrl.Arrive(f.name, call.arrive.Sub(p.epoch), idle)
+	now := call.arrive.Sub(p.epoch)
+	o := f.step(evArrive, call, now)
 	// Every function's arrivals share this gauge's cache line: store only
 	// a change, so a steady window costs each arrival a read, not a write.
-	if w := d.Window.Microseconds(); p.ctr.dispatchWindowMicros.Load() != w {
+	if w := o.window.Microseconds(); p.ctr.dispatchWindowMicros.Load() != w {
 		p.ctr.dispatchWindowMicros.Store(w)
 	}
-	if run = p.applyLocked(f, d); run != nil {
-		// Fast path or early close: dispatch without waiting for the
-		// window loop.
-		p.wg.Add(1)
-	}
+	run := p.applyLocked(f, o, now)
 	f.mu.Unlock()
 	if run != nil {
-		// This arrival closed the window, so it hands the group its
-		// tickets — its own among them, waiting in the select below.
-		p.dispatchGroup(f, run)
-		p.wg.Done()
+		// This arrival closed the window (fast path or early close), so it
+		// hands the group its tickets — its own among them, waiting in the
+		// select below.
+		p.dispatchWindow(f, run)
 	}
 	for {
 		var g *callGroup
@@ -868,20 +828,22 @@ func (p *Platform) invoke(ctx context.Context, f *function, payload json.RawMess
 			// first use.
 		default:
 			if g = p.awaitTicket(ctx, f, call); g == nil {
-				// The call stays where it waits (the pending queue, a
-				// retry's backoff); whoever finds it there drops it.
+				// The call stays in the pending queue; the claim that
+				// finds it there drops it.
 				return Result{}, fmt.Errorf("platform: invoke %s: %w", f.name, ctx.Err())
 			}
 		}
 		res, err, rebatched := p.runTicket(f, call, g)
-		if rebatched {
-			continue
+		if !rebatched {
+			putPendingCall(call)
+			if cerr := ctx.Err(); cerr != nil {
+				return Result{}, fmt.Errorf("platform: invoke %s: %w", f.name, cerr)
+			}
+			return res, err
 		}
-		putPendingCall(call)
-		if cerr := ctx.Err(); cerr != nil {
-			return Result{}, fmt.Errorf("platform: invoke %s: %w", f.name, cerr)
+		if !p.retry(ctx, f, call) {
+			return Result{}, fmt.Errorf("platform: invoke %s: %w", f.name, ctx.Err())
 		}
-		return res, err
 	}
 }
 
@@ -907,48 +869,27 @@ func (p *Platform) awaitTicket(ctx context.Context, f *function, call *pendingCa
 	}
 }
 
-// enqueueLocked appends a call to f's pending queue, sizing the backing
-// array from the dispatch estimator on first use so the steady state
-// appends without growing. Caller holds f.mu.
-func (p *Platform) enqueueLocked(f *function, call *pendingCall) {
-	if f.pending == nil {
-		n := 8
-		if e := f.ctrl.ExpectedGroup(f.name); e > n {
-			n = e
-		}
-		f.pending = make([]*pendingCall, 0, n)
+// applyLocked carries out one shard step's outcome at offset now: it
+// arms or stops the window timer and drops the abandoned calls, and when
+// the window closed on calls to run it counts the close and returns them
+// as a pooled group holding a count on p.wg, which dispatchWindow pays.
+// The four callers — an arrival, the window timer, a retry's re-entry and
+// the Close flush — differ only in the goroutine that runs the group.
+// Caller holds f.mu.
+func (p *Platform) applyLocked(f *function, o outcome, now time.Duration) *callGroup {
+	if o.arm > 0 {
+		f.window.Reset(o.arm - now)
 	}
-	f.pending = append(f.pending, call)
-}
-
-// applyLocked carries out one controller decision on f's pending queue —
-// the single place a window opens or closes, whoever asked: an arrival, a
-// re-batched retry, the window timer at a deadline, or the Close flush.
-// A wait sets f's deadline (arming the window timer when it opens the
-// window); anything else closes the window now and returns the claimed
-// group for the caller to run, nil when no call survived the wait. Caller
-// holds f.mu.
-func (p *Platform) applyLocked(f *function, d dispatch.Decision) *callGroup {
-	if d.Action == dispatch.ActionWait {
-		// The controller may extend an open window's deadline as the
-		// arrival estimate densifies; the timer armed for the first
-		// deadline re-arms when it finds the deadline still in the future.
-		opened := f.deadline.IsZero()
-		f.deadline = p.epoch.Add(d.Deadline)
-		if opened {
-			f.window.Reset(time.Until(f.deadline))
-		}
-		return nil
-	}
-	if !f.deadline.IsZero() {
+	if o.disarm {
 		f.window.Stop()
-		f.deadline = time.Time{}
 	}
-	group := p.claimPendingLocked(f)
-	if group == nil {
+	for _, call := range o.dropped {
+		p.dropAbandoned(f, call)
+	}
+	if len(o.group) == 0 {
 		return nil
 	}
-	switch d.Action {
+	switch o.action {
 	case dispatch.ActionFastPath:
 		p.ctr.fastPathDispatches.Add(1)
 	case dispatch.ActionEarlyClose:
@@ -956,84 +897,33 @@ func (p *Platform) applyLocked(f *function, d dispatch.Decision) *callGroup {
 	case dispatch.ActionWindowClose:
 		p.ctr.windowDispatches.Add(1)
 	}
-	p.recordWindowSpans(f, group.calls, d.Window, d.Action.String())
-	return group
+	p.recordWindowSpans(f, o.group, o.window, o.action.String())
+	g := getGroup(len(o.group))
+	g.calls = append(g.calls, o.group...)
+	p.wg.Add(1)
+	return g
 }
 
-// busyLocked reports whether any container of f is currently executing —
-// a batching opportunity an arrival could wait to share. Caller holds
-// f.mu.
-func (p *Platform) busyLocked(f *function) bool {
-	for _, c := range f.all {
-		if c.active > 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// windowDue is f's window timer firing: it closes the open window if
-// its deadline has passed, re-arms if the controller extended it, and
-// does nothing if the window already closed or Close flushes it. The
-// group is dispatched on the timer's own goroutine; its count on p.wg is
-// taken under f.mu, the fence invoke uses.
+// windowDue is f's window timer firing. The group of a window it closes
+// is dispatched on the timer's own goroutine.
 func (p *Platform) windowDue(f *function) {
 	f.mu.Lock()
-	if p.closed.Load() || f.deadline.IsZero() {
-		f.mu.Unlock()
-		return
-	}
-	if wait := time.Until(f.deadline); wait > 0 {
-		f.window.Reset(wait)
-		f.mu.Unlock()
-		return
-	}
-	cg := p.applyLocked(f, f.ctrl.WindowClosed(f.name))
-	if cg != nil {
-		p.wg.Add(1)
-	}
+	now := p.now()
+	g := p.applyLocked(f, f.step(evDue, nil, now), now)
 	f.mu.Unlock()
-	if cg != nil {
-		p.dispatchWindow(f, cg)
+	if g != nil {
+		p.dispatchWindow(f, g)
 	}
 }
 
-// dispatchWindow runs a group whose window closed at its deadline or in
-// the Close flush, then pays the count on p.wg its closer took for it.
-func (p *Platform) dispatchWindow(f *function, cg *callGroup) {
+// dispatchWindow runs a closed window's group, then pays the count on
+// p.wg that applyLocked took for it.
+func (p *Platform) dispatchWindow(f *function, g *callGroup) {
 	defer p.wg.Done()
 	if p.logOn(slog.LevelDebug) {
-		p.logger.Debug("dispatch window", "fn", f.name, "group", len(cg.calls))
+		p.logger.Debug("dispatch window", "fn", f.name, "group", len(g.calls))
 	}
-	p.dispatchGroup(f, cg)
-}
-
-// claimPendingLocked takes f's pending group into a pooled callGroup,
-// claiming each call from its caller and dropping those whose caller
-// walked away while they waited: executing one would burn a batch slot
-// for nobody. The pending slice itself is retained (reset to length zero)
-// so the next window appends into warm memory. Returns nil when nothing
-// survives. Caller holds f.mu.
-func (p *Platform) claimPendingLocked(f *function) *callGroup {
-	if len(f.pending) == 0 {
-		return nil
-	}
-	group := getGroup(len(f.pending))
-	for i, call := range f.pending {
-		f.pending[i] = nil
-		if call.state == callAbandoned {
-			p.dropAbandoned(f, call)
-			continue
-		}
-		call.state = callClaimed
-		group.calls = append(group.calls, call)
-	}
-	f.pending = f.pending[:0]
-	if len(group.calls) == 0 {
-		putGroup(group)
-		return nil
-	}
-	return group
+	p.dispatchGroup(f, g)
 }
 
 // dropAbandoned retires a call whose caller's context ended before a
@@ -1067,75 +957,57 @@ func (p *Platform) recordWindowSpans(f *function, group []*pendingCall, window t
 	}
 }
 
-// expireIdle is f's keep-alive timer firing. The warm stack is in park
-// order, so the containers idle past KeepAlive are its prefix: it retires
-// them, then re-arms for the new warm[0] or, with warm empty, disarms.
-// Their caches close after f.mu is released, because closing runs the
-// user's io.Closers and a slow one must not stall the shard; a count on
-// p.wg, taken under f.mu, makes Close wait for them.
+// expireIdle is f's keep-alive timer firing: it retires the containers
+// parked KeepAlive or longer and re-arms for the oldest one left. Their
+// caches close after f.mu is released, because closing runs the user's
+// io.Closers and a slow one must not stall the shard; a count on p.wg,
+// taken under f.mu, makes Close wait for them.
 func (p *Platform) expireIdle(f *function) {
-	var caches []*multiplex.Cache
 	f.mu.Lock()
 	if p.closed.Load() {
 		f.mu.Unlock()
 		return
 	}
-	now := time.Now()
-	n := 0
-	for ; n < len(f.warm); n++ {
-		c := f.warm[n]
-		if c.lastIdle.Add(p.cfg.KeepAlive).After(now) {
-			break
-		}
+	now := p.now()
+	retired, next := f.evict(now)
+	for _, c := range retired {
 		if p.logOn(slog.LevelDebug) {
-			p.logger.Debug("container evicted", "container", c.id, "fn", f.name, "idle", now.Sub(c.lastIdle))
+			p.logger.Debug("container evicted", "container", c.id, "fn", f.name, "idle", now-c.idleAt)
 		}
-		if cache := p.retireLocked(f, c); cache != nil {
+	}
+	if next > 0 {
+		f.expire.Reset(next - now)
+	}
+	p.wg.Add(1)
+	defer p.wg.Done()
+	p.retireUnlock(f, retired...)
+}
+
+// retireUnlock accounts for containers the shard retired, folding each
+// multiplexer's counters into the platform totals, then releases f.mu and
+// closes their caches: closing runs the user's io.Closers, and a slow one
+// must not stall the shard. Caller holds f.mu; the fold nests p.mu inside
+// it (the only nesting order in the platform — nothing acquires a shard
+// while holding p.mu).
+func (p *Platform) retireUnlock(f *function, retired ...*container) {
+	var caches []*multiplex.Cache
+	for _, c := range retired {
+		p.ctr.liveContainers.Add(-1)
+		if cache := c.cache; cache != nil {
+			st := cache.Stats()
+			// Fold the counters, but not the gauges: its live instances
+			// are released by the Close below.
+			st.LiveInstances, st.BytesLive = 0, 0
+			p.mu.Lock()
+			p.retired.Add(st)
+			p.mu.Unlock()
 			caches = append(caches, cache)
 		}
 	}
-	kept := copy(f.warm, f.warm[n:])
-	clear(f.warm[kept:])
-	f.warm = f.warm[:kept]
-	if kept > 0 {
-		f.expire.Reset(f.warm[0].lastIdle.Add(p.cfg.KeepAlive).Sub(now))
-	} else {
-		f.expiring = false
-	}
-	p.wg.Add(1)
 	f.mu.Unlock()
-	defer p.wg.Done()
 	for _, cache := range caches {
 		cache.Close()
 	}
-}
-
-// retireLocked removes a container from the function's records and folds
-// its multiplexer's counters into the platform totals. It returns the
-// container's cache (nil without one) for the caller to close once it has
-// released f.mu. Caller holds f.mu; the retired-stats fold nests p.mu
-// inside it (the only nesting order in the platform — nothing acquires a
-// shard while holding p.mu).
-func (p *Platform) retireLocked(f *function, c *container) *multiplex.Cache {
-	for i, other := range f.all {
-		if other == c {
-			f.all = append(f.all[:i], f.all[i+1:]...)
-			break
-		}
-	}
-	p.ctr.liveContainers.Add(-1)
-	if c.resources == nil || c.resources.cache == nil {
-		return nil
-	}
-	st := c.resources.cache.Stats()
-	// Fold the retired cache's counters into the platform totals, but not
-	// its gauges — its live instances are about to be released by Close
-	// (which fires the Closer hook per instance).
-	st.LiveInstances, st.BytesLive = 0, 0
-	p.mu.Lock()
-	p.retired.Add(st)
-	p.mu.Unlock()
-	return c.resources.cache
 }
 
 // containerCacheConfig derives one container's multiplexer config from
@@ -1162,73 +1034,54 @@ func (p *Platform) containerCacheConfig() multiplex.Config {
 	return mcfg
 }
 
-// acquire obtains a container for f: warm if available, else cold. The
-// warm path is allocation-free: a pop from the shard's warm stack plus
-// one atomic counter.
-func (p *Platform) acquire(f *function) (*container, bool) {
+// acquire obtains a container for f's group of n: warm if available,
+// else cold. The warm path is allocation-free: a pop from the shard's
+// warm stack plus one atomic counter.
+func (p *Platform) acquire(f *function, n int) (*container, bool) {
 	f.mu.Lock()
-	if n := len(f.warm); n > 0 {
-		c := f.warm[n-1]
-		f.warm[n-1] = nil
-		f.warm = f.warm[:n-1]
-		c.active++
+	if c := f.reuse(n); c != nil {
 		f.mu.Unlock()
 		p.ctr.warmStarts.Add(1)
 		return c, false
 	}
-	c := &container{id: fmt.Sprintf("live-%04d-%s", p.seq.Add(1), f.name), fn: f.name}
-	res := &Resources{inj: p.cfg.Chaos}
+	c := &container{id: fmt.Sprintf("live-%04d-%s", p.seq.Add(1), f.name)}
 	if p.cfg.Multiplex {
-		res.cache = multiplex.NewWithConfig(p.containerCacheConfig())
+		c.cache = multiplex.NewWithConfig(p.containerCacheConfig())
 	}
-	c.resources = res
-	c.active++
-	f.all = append(f.all, c)
+	f.add(c, n)
 	f.mu.Unlock()
 	p.ctr.containersCreated.Add(1)
 	p.ctr.liveContainers.Add(1)
 	// Simulated boot outside the lock. Injected boot failures cost one
 	// boot latency each and restart the boot; an injected slow cold start
 	// inflates the final boot.
-	boot := p.cfg.ColdStart
+	boot, failed := p.cfg.ColdStart, time.Duration(0)
 	for p.cfg.Chaos.Should(chaos.BootFailure) {
 		p.ctr.bootFailures.Add(1)
 		p.logger.Warn("container boot failed, retrying", "container", c.id, "fn", f.name)
-		if boot > 0 {
-			time.Sleep(boot)
-		}
+		failed += boot
 	}
 	if p.cfg.Chaos.Should(chaos.SlowColdStart) {
 		boot = time.Duration(float64(boot) * p.cfg.Chaos.ColdStartFactor())
 		p.logger.Warn("slow cold start injected", "container", c.id, "fn", f.name, "boot", boot)
 	}
-	if boot > 0 {
-		time.Sleep(boot)
-	}
+	time.Sleep(failed + boot)
 	if p.logOn(slog.LevelDebug) {
 		p.logger.Debug("container created", "container", c.id, "fn", f.name, "boot", boot)
 	}
 	return c, true
 }
 
-// release parks the container back into the warm pool once it drains.
-// A disarmed keep-alive timer means warm was empty, so the container just
-// parked is warm[0] and expires exactly KeepAlive from now; an armed one
-// already waits for an older container. A closed platform arms nothing:
-// Close's drain retires what parks.
+// release returns a group's n members to their container, which parks
+// warm once it drains, arming the keep-alive timer when the shard asks. A
+// closed platform arms nothing: Close's drain retires what parks.
 func (p *Platform) release(f *function, c *container, n int) {
 	f.mu.Lock()
-	defer f.mu.Unlock()
-	c.active -= n
-	if c.active <= 0 {
-		c.active = 0
-		c.lastIdle = time.Now()
-		f.warm = append(f.warm, c)
-		if !f.expiring && !p.closed.Load() {
-			f.expiring = true
-			f.expire.Reset(p.cfg.KeepAlive)
-		}
+	now := p.now()
+	if at := f.park(c, n, now); at > 0 && !p.closed.Load() {
+		f.expire.Reset(at - now)
 	}
+	f.mu.Unlock()
 }
 
 // dispatchGroup is the closing half of the Inline-Parallel Producer: it
@@ -1245,7 +1098,7 @@ func (p *Platform) release(f *function, c *container, n int) {
 func (p *Platform) dispatchGroup(f *function, g *callGroup) {
 	p.metrics.ObserveGroupSize(len(g.calls))
 	dispatch := time.Now()
-	c, cold := p.acquire(f)
+	c, cold := p.acquire(f, len(g.calls))
 	ready := time.Now()
 	g.c, g.cold, g.dispatch, g.ready = c, cold, dispatch, ready
 	if cold {
@@ -1270,11 +1123,6 @@ func (p *Platform) dispatchGroup(f *function, g *callGroup) {
 		}
 	}
 	p.ctr.groups.Add(1)
-	if len(g.calls) > 1 {
-		f.mu.Lock()
-		c.active += len(g.calls) - 1 // acquire already counted one
-		f.mu.Unlock()
-	}
 
 	// Injected mid-batch container crash: the whole group fails at once —
 	// the blast radius of the paper's one-container-per-group mapping.
@@ -1284,12 +1132,8 @@ func (p *Platform) dispatchGroup(f *function, g *callGroup) {
 		g.crash = fmt.Errorf("platform: container %s crashed", c.id)
 		p.ctr.crashes.Add(1)
 		f.mu.Lock()
-		c.active = 0
-		cache := p.retireLocked(f, c)
-		f.mu.Unlock()
-		if cache != nil {
-			cache.Close()
-		}
+		f.remove(c)
+		p.retireUnlock(f, c)
 		p.logger.Warn("container crashed mid-batch", "container", c.id, "fn", f.name, "group", len(g.calls))
 	}
 
@@ -1339,8 +1183,7 @@ func (p *Platform) runCall(f *function, g *callGroup, call *pendingCall) (Result
 	// The view, its borrow set and the Invocation come from a pool;
 	// see pool.go for the recycling contract.
 	st := getInvState()
-	st.res.cache = c.resources.cache
-	st.res.inj = c.resources.inj
+	st.res.cache, st.res.inj = c.cache, p.cfg.Chaos
 	st.res.borrows = &st.borrows
 	if call.trace != 0 {
 		st.res.tracer, st.res.trace = p.tracer, call.trace
@@ -1474,22 +1317,19 @@ func (p *Platform) notePanic(err error) {
 }
 
 // finish settles one attempt, on its caller's goroutine: a failed attempt
-// with retry budget left re-enters a later dispatch window (with
-// exponential backoff) and finish reports true — the call is waiting
-// again and its caller goes back to waiting for a ticket. Anything else
-// completes the invocation exactly once, stamping res.Attempts.
+// with retry budget left reports true, and its caller re-enters a later
+// dispatch window (retry). Anything else completes the invocation exactly
+// once, stamping res.Attempts.
 func (p *Platform) finish(f *function, call *pendingCall, res *Result, err error) bool {
 	call.attempts++
 	if err != nil && call.attempts <= p.cfg.MaxRetries && call.ctx.Err() == nil {
-		retry := false
 		f.mu.Lock()
-		if !p.closed.Load() {
-			// Add under the shard lock while open: CloseContext sets
-			// closed and then handshakes every shard before Wait, so this
-			// Add is ordered before that Wait.
+		// Add under the shard lock while open: CloseContext sets closed
+		// and then handshakes every shard before Wait, so this Add is
+		// ordered before that Wait.
+		retry := !p.closed.Load()
+		if retry {
 			p.wg.Add(1)
-			retry = true
-			call.state = callWaiting
 		}
 		f.mu.Unlock()
 		if retry {
@@ -1498,7 +1338,6 @@ func (p *Platform) finish(f *function, call *pendingCall, res *Result, err error
 				p.logger.Info("retrying invocation",
 					"fn", f.name, "attempt", call.attempts, "trace", call.trace, "err", err)
 			}
-			go p.retryLater(f, call)
 			return true
 		}
 	}
@@ -1511,16 +1350,18 @@ func (p *Platform) finish(f *function, call *pendingCall, res *Result, err error
 	}
 	f.latency.Observe(res.Breakdown)
 	if p.slos != nil {
-		p.slos.Observe(f.name, res.Total(), err != nil, time.Since(p.epoch))
+		p.slos.Observe(f.name, res.Total(), err != nil, p.now())
 	}
 	return false
 }
 
-// retryLater re-batches a failed call into a later dispatch window after
-// an exponential backoff. Close wakes sleepers early (closing) and the
-// retry is then dispatched directly, so draining never strands a retry.
-// The caller has already done p.wg.Add(1).
-func (p *Platform) retryLater(f *function, call *pendingCall) {
+// retry re-batches a failed call into a later dispatch window after an
+// exponential backoff, on its caller's goroutine, and pays the count on
+// p.wg that finish took. Close wakes the backoff early (closing), and a
+// retry re-entering a closing platform flushes at once, so draining never
+// strands a retry. It reports false when ctx ended during the backoff: the
+// call is then dropped, not re-batched.
+func (p *Platform) retry(ctx context.Context, f *function, call *pendingCall) bool {
 	defer p.wg.Done()
 	if p.cfg.RetryBackoff > 0 {
 		backoff := p.cfg.RetryBackoff << uint(call.attempts-1)
@@ -1530,6 +1371,10 @@ func (p *Platform) retryLater(f *function, call *pendingCall) {
 		case <-timer.C:
 		case <-p.closing:
 			timer.Stop()
+		case <-ctx.Done():
+			timer.Stop()
+			p.dropAbandoned(f, call)
+			return false
 		}
 		if call.trace != 0 {
 			p.tracer.Record(obs.Span{
@@ -1538,31 +1383,23 @@ func (p *Platform) retryLater(f *function, call *pendingCall) {
 			})
 		}
 	}
-	var cg *callGroup
+	ev := evRetry
 	f.mu.Lock()
-	switch {
-	case call.state == callAbandoned:
-		// The caller's context ended during the backoff: drop the retry
-		// instead of re-batching a call nobody is waiting for.
-		f.mu.Unlock()
-		p.dropAbandoned(f, call)
-		return
-	case !p.closed.Load():
-		p.enqueueLocked(f, call)
-		// Ride a window without skewing the arrival-rate estimate
-		// (EnsureOpen, not Arrive).
-		cg = p.applyLocked(f, f.ctrl.EnsureOpen(f.name, time.Since(p.epoch)))
-	default:
-		// The platform is draining: dispatch the attempt now.
-		call.state = callClaimed
-		cg = getGroup(1)
-		cg.calls = append(cg.calls, call)
+	if p.closed.Load() {
+		ev = evFlush
 	}
+	now := p.now()
+	g := p.applyLocked(f, f.step(ev, call, now), now)
 	f.mu.Unlock()
-	if cg != nil {
-		p.dispatchGroup(f, cg)
+	if g != nil {
+		p.dispatchWindow(f, g)
 	}
+	return true
 }
+
+// now is the platform's clock: the wall-clock offset from its epoch that
+// the shard's timer firings, parks and retries are decided at.
+func (p *Platform) now() time.Duration { return time.Since(p.epoch) }
 
 // panicError is a recovered handler panic; its message keeps the
 // "handler panicked" shape handlers' callers rely on while letting the
@@ -1624,8 +1461,8 @@ func (p *Platform) Stats() Stats {
 	for _, f := range p.fnsAll() {
 		f.mu.Lock()
 		for _, c := range f.all {
-			if c.resources != nil && c.resources.cache != nil {
-				st.Multiplexer.Add(c.resources.cache.Stats())
+			if c.cache != nil {
+				st.Multiplexer.Add(c.cache.Stats())
 			}
 		}
 		f.mu.Unlock()
@@ -1672,18 +1509,13 @@ func (p *Platform) CloseContext(ctx context.Context) error {
 	for _, f := range p.fnsAll() {
 		f.mu.Lock()
 		f.expire.Stop()
-		var cg *callGroup
-		if !f.deadline.IsZero() {
-			cg = p.applyLocked(f, f.ctrl.WindowClosed(f.name))
-		}
-		if cg != nil {
-			p.wg.Add(1)
-		}
+		now := p.now()
+		g := p.applyLocked(f, f.step(evFlush, nil, now), now)
 		f.mu.Unlock()
-		if cg != nil {
+		if g != nil {
 			// Its own goroutine: acquiring the group's container may sleep
 			// a cold start, and other shards wait to be flushed.
-			go p.dispatchWindow(f, cg)
+			go p.dispatchWindow(f, g)
 		}
 	}
 	// Wakes any backoff sleepers, whose retries then dispatch at once.
@@ -1714,20 +1546,10 @@ func (p *Platform) CloseContext(ctx context.Context) error {
 // shard's caches close after its f.mu is released.
 func (p *Platform) drain() {
 	p.wg.Wait()
-	var caches []*multiplex.Cache
 	for _, f := range p.fnsAll() {
 		f.mu.Lock()
-		for _, c := range f.warm {
-			if cache := p.retireLocked(f, c); cache != nil {
-				caches = append(caches, cache)
-			}
-		}
-		clear(f.warm)
-		f.warm = f.warm[:0]
-		f.mu.Unlock()
-		for _, cache := range caches {
-			cache.Close()
-		}
-		caches = caches[:0]
+		// Expiring at the end of time retires every parked container.
+		retired, _ := f.evict(math.MaxInt64)
+		p.retireUnlock(f, retired...)
 	}
 }

@@ -422,7 +422,7 @@ func TestKeepAliveEviction(t *testing.T) {
 			f.mu.Unlock()
 			t.Fatalf("%s has %d parked containers, want 1", f.name, len(f.warm))
 		}
-		due[i] = f.warm[0].lastIdle.Add(keepAlive)
+		due[i] = p.epoch.Add(f.warm[0].idleAt + keepAlive)
 		f.mu.Unlock()
 	}
 	retired := make([]time.Time, fns)

@@ -12,17 +12,15 @@ import (
 //   - pendingCall: one per Invoke. A call always has exactly one owner.
 //     It is its caller's from Invoke to return, except that a caller
 //     whose context ends before a group claimed the call hands it over
-//     (state abandoned, under the function's mu) to whoever finds it
-//     waiting — the window's claim or the retry's backoff — and never
-//     looks at it again. The owner at the end recycles it: the caller
-//     after its last ticket, the finder when it drops the call.
+//     (state abandoned, under the function's mu) to the window's claim
+//     and never looks at it again. The owner at the end recycles it: the
+//     caller after its last ticket or when its context ends in a retry's
+//     backoff, the claim when it drops the call.
 //   - callGroup: one closed window's group — the slice it travels in and
 //     the shared state its members run on. It is its closer's until the
 //     last ticket is sent, then its members'; the member that takes
 //     remaining to zero recycles it, every other member being done
-//     reading it by then. (A group that never reaches a container — no
-//     call survived the wait, or it was split into per-container chunks —
-//     is recycled by whoever closed it.)
+//     reading it by then.
 //   - invState: one handler attempt's Resources view + borrow set +
 //     Invocation. Recycled only when runHandler reports the handler
 //     actually returned; a timeout-abandoned handler keeps its state

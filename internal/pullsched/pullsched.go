@@ -29,7 +29,9 @@
 package pullsched
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"time"
 )
 
@@ -352,11 +354,7 @@ func (c *Core) Expire(off time.Duration) []Grant {
 	// Requeue in descending grant order so prepends leave each queue
 	// front ascending by admission sequence (map iteration order must
 	// not leak into the decision sequence).
-	for i := 1; i < len(expired); i++ {
-		for j := i; j > 0 && expired[j-1].seq < expired[j].seq; j-- {
-			expired[j-1], expired[j] = expired[j], expired[j-1]
-		}
-	}
+	slices.SortFunc(expired, func(a, b lease) int { return cmp.Compare(b.seq, a.seq) })
 	for _, l := range expired {
 		c.dropLease(l)
 		c.stats.Expired++
@@ -433,6 +431,10 @@ func (c *Core) dequeue(id int64) bool {
 func (c *Core) pull(off time.Duration) []Grant {
 	c.grants = c.grants[:0]
 	for {
+		if c.target(-1) < 0 {
+			// No worker has lease capacity: no scan can grant anything.
+			return c.grants
+		}
 		q := c.deepest()
 		if q == nil {
 			return c.grants

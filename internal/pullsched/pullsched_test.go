@@ -186,6 +186,16 @@ func TestExpireRegrants(t *testing.T) {
 	if gs = c.Expire(160 * time.Millisecond); len(gs) != 0 {
 		t.Fatalf("fresh lease expired immediately: %+v", gs)
 	}
+
+	// Two leases of one function expiring in one sweep come back in
+	// admission order: FIFO per function survives the requeue.
+	c = mustNew(t, Config{Workers: 1, Capacity: 2, BatchSize: 2, LeaseBudget: time.Second})
+	c.Enqueue(1, "f", 0)
+	c.Enqueue(2, "f", 0)
+	gs = c.Expire(2 * time.Second)
+	if len(gs) != 2 || gs[0].ID != 1 || gs[1].ID != 2 {
+		t.Fatalf("expiry re-grant = %+v, want ids [1 2]", gs)
+	}
 }
 
 // Queued work wakes a worker that turns eligible — scale-from-zero.
