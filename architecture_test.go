@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"io/fs"
 	"path/filepath"
 	"strconv"
 	"strings"
@@ -112,4 +113,47 @@ func clockViolations(t *testing.T, path string) []violation {
 		return true
 	})
 	return out
+}
+
+// wallClockBudget is the ratchet on the live drivers: uses of the
+// wallClock functions per non-test file under internal/. A count may fall
+// but never rise, and a file missing here has a budget of zero, so new
+// clock reads land in a decision core's caller only by raising a number
+// in review. Lower a count when a change removes a use.
+var wallClockBudget = map[string]int{
+	"internal/obs/tracer.go":        2,
+	"internal/platform/platform.go": 12,
+	"internal/router/admission.go":  2,
+	"internal/router/autoscale.go":  5,
+	"internal/router/pullpolicy.go": 2,
+	"internal/router/router.go":     4,
+	"internal/router/wire.go":       4,
+	"internal/scenario/live.go":     12,
+	"internal/scenario/run.go":      1,
+}
+
+// TestWallClockRatchet counts, with go/ast, the uses (a call or the
+// function taken as a value) of time.Now, Since, Until, After, AfterFunc,
+// NewTimer, NewTicker, Sleep and Tick in every non-test file under
+// internal/, and fails any file above its wallClockBudget.
+func TestWallClockRatchet(t *testing.T) {
+	err := filepath.WalkDir("internal", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		var uses []string
+		for _, v := range clockViolations(t, path) {
+			if strings.HasPrefix(v.what, "uses time.") {
+				uses = append(uses, v.pos.String())
+			}
+		}
+		key := filepath.ToSlash(path)
+		if budget := wallClockBudget[key]; len(uses) > budget {
+			t.Errorf("%s: %d wall-clock uses, budget %d:\n\t%s", key, len(uses), budget, strings.Join(uses, "\n\t"))
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 }

@@ -71,7 +71,6 @@ func run(args []string) error {
 	invokeTimeout := fs.Duration("invoke-timeout", 0, "per-attempt handler deadline (0 = none)")
 	maxRetries := fs.Int("max-retries", 0, "extra attempts for failed invocations, re-batched into later windows")
 	retryBackoff := fs.Duration("retry-backoff", 0, "base retry delay, doubled per attempt (0 = next window)")
-	drainTimeout := fs.Duration("drain-timeout", 0, "bound on Close draining in-flight work (0 = wait forever)")
 	workerID := fs.String("worker-id", "", "fleet identity advertised in /healthz and invoke responses (worker mode, behind faasrouter)")
 	capacity := fs.Int("capacity", 0, "concurrency capacity advertised in /healthz (0 = unbounded)")
 	shutdownTimeout := fs.Duration("shutdown-timeout", 10*time.Second, "one deadline covering HTTP drain and platform drain on SIGINT/SIGTERM")
@@ -112,7 +111,6 @@ func run(args []string) error {
 	cfg.InvokeTimeout = *invokeTimeout
 	cfg.MaxRetries = *maxRetries
 	cfg.RetryBackoff = *retryBackoff
-	cfg.DrainTimeout = *drainTimeout
 	cfg.WorkerID = *workerID
 	cfg.Capacity = *capacity
 	cfg.SLOs = slos
@@ -158,7 +156,11 @@ func run(args []string) error {
 		return err
 	}
 	defer func() {
-		if cerr := p.Close(); cerr != nil {
+		// A no-op after serveUntilSignal drained the platform; otherwise
+		// the drain gets the same deadline a signal would have.
+		ctx, cancel := context.WithTimeout(context.Background(), *shutdownTimeout)
+		defer cancel()
+		if cerr := p.CloseContext(ctx); cerr != nil {
 			fmt.Fprintln(os.Stderr, "faasgate: close:", cerr)
 		}
 		if tracer != nil {

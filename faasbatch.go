@@ -243,8 +243,8 @@ type (
 	// RouterConfig parameterises the router: fleet, probing, retries,
 	// admission, autoscale, and the scheduling policy.
 	RouterConfig = router.Config
-	// RouterOption customises NewRouter beyond the config struct; a
-	// knob set both ways fails with router.ErrConflictingOptions.
+	// RouterOption adjusts the RouterConfig passed to NewRouter; an
+	// option overrides the field it sets.
 	RouterOption = router.Option
 	// RouterPolicy is the router's scheduling strategy interface,
 	// implemented by the hash and pull policies.
@@ -274,8 +274,8 @@ func NewRouter(cfg RouterConfig, opts ...RouterOption) (*Router, error) {
 // /metrics, /cluster/*, /healthz — see docs/CLUSTER.md).
 func NewRouterHandler(rt *Router) http.Handler { return router.NewHTTPHandler(rt) }
 
-// WithRouterPolicy selects the router's scheduling policy by name
-// (equivalent to RouterConfig.Policy; setting both conflicts).
+// WithRouterPolicy selects the router's scheduling policy by name: it
+// sets RouterConfig.Policy, overriding the struct's value.
 func WithRouterPolicy(name string) RouterOption { return router.WithPolicy(name) }
 
 // Function-chain workloads (sequential workflows).

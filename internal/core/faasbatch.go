@@ -72,17 +72,15 @@ type Config struct {
 	// policy (internal/dispatch) over its fixed one: lone arrivals with no
 	// batching opportunity dispatch immediately, an EWMA arrival-rate
 	// tracker sizes each function's window within
-	// [MinInterval, MaxInterval], and a window whose group reaches
-	// MaxGroupSize closes early. Off by default — the fixed Interval
-	// remains the paper's behaviour.
+	// [MinInterval, Interval] — capped at Interval, so adaptive mode
+	// never batches more coarsely than the fixed configuration it
+	// replaces — and a window whose group reaches MaxGroupSize closes
+	// early. Off by default — the fixed Interval remains the paper's
+	// behaviour.
 	AdaptiveDispatch bool
 	// MinInterval is the adaptive window floor (AdaptiveDispatch only).
 	// Zero selects dispatch.DefaultMinInterval.
 	MinInterval time.Duration
-	// MaxInterval is the adaptive window cap (AdaptiveDispatch only).
-	// Zero selects Interval, so adaptive mode never batches more coarsely
-	// than the fixed configuration it replaces.
-	MaxInterval time.Duration
 	// MaxGroupSize early-closes an adaptive window whose group reached
 	// this many invocations (AdaptiveDispatch only; 0 means no cap).
 	MaxGroupSize int
@@ -250,7 +248,6 @@ func New(env policy.Env, cfg Config) (*FaaSBatch, error) {
 	}
 	ctrl, err := dispatch.New(dispatch.ConfigFor(cfg.AdaptiveDispatch, cfg.Interval, dispatch.Config{
 		MinInterval:  cfg.MinInterval,
-		MaxInterval:  cfg.MaxInterval,
 		MaxGroupSize: cfg.MaxGroupSize,
 	}))
 	if err != nil {

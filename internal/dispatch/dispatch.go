@@ -77,9 +77,6 @@ type Config struct {
 	// MaxGroupSize early-closes a window whose group reached this many
 	// invocations (<= 0 means no cap).
 	MaxGroupSize int
-	// Alpha is the EWMA smoothing factor in (0, 1]; zero selects
-	// DefaultAlpha.
-	Alpha float64
 
 	// fixed selects the fixed policy: windows end on the boundaries of a
 	// tick of period MaxInterval.
@@ -88,17 +85,15 @@ type Config struct {
 
 // ConfigFor resolves the Invoke Mapper settings a scheduler exposes into
 // a controller configuration. Without adaptive it is the paper's fixed
-// policy on interval and cfg is ignored. With adaptive, cfg's zero
-// MaxInterval takes interval — so the adaptive policy never batches more
-// coarsely than the fixed one it replaces — and its zero MinInterval
-// takes DefaultMinInterval, clamped to the cap.
+// policy on interval and cfg is ignored. With adaptive, the cap is
+// interval — so the adaptive policy never batches more coarsely than the
+// fixed one it replaces — and cfg's zero MinInterval takes
+// DefaultMinInterval, clamped to the cap.
 func ConfigFor(adaptive bool, interval time.Duration, cfg Config) Config {
 	if !adaptive {
 		return Config{MinInterval: interval, MaxInterval: interval, fixed: true}
 	}
-	if cfg.MaxInterval == 0 {
-		cfg.MaxInterval = interval
-	}
+	cfg.MaxInterval = interval
 	if cfg.MinInterval == 0 {
 		cfg.MinInterval = DefaultMinInterval
 		if cfg.MinInterval > cfg.MaxInterval {
@@ -118,9 +113,6 @@ func (c Config) Validate() error {
 	}
 	if c.MaxInterval < c.MinInterval {
 		return fmt.Errorf("dispatch: max interval %v below min interval %v", c.MaxInterval, c.MinInterval)
-	}
-	if c.Alpha < 0 || c.Alpha > 1 {
-		return fmt.Errorf("dispatch: alpha must be in (0, 1] or zero for the default, got %v", c.Alpha)
 	}
 	return nil
 }
@@ -206,9 +198,6 @@ func New(cfg Config) (*Controller, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.Alpha == 0 {
-		cfg.Alpha = DefaultAlpha
-	}
 	return &Controller{cfg: cfg, fns: make(map[string]*fnState)}, nil
 }
 
@@ -216,9 +205,9 @@ func New(cfg Config) (*Controller, error) {
 func (c *Controller) state(fn string) *fnState {
 	st, ok := c.fns[fn]
 	if !ok {
-		ewma, err := policy.NewEWMA(c.cfg.Alpha)
+		ewma, err := policy.NewEWMA(DefaultAlpha)
 		if err != nil {
-			// Unreachable: New validated alpha.
+			// Unreachable: DefaultAlpha is in (0, 1].
 			panic(err)
 		}
 		st = &fnState{gap: ewma}

@@ -24,8 +24,6 @@ func TestConfigValidation(t *testing.T) {
 		{MinInterval: -1, MaxInterval: time.Second},
 		{MinInterval: 0, MaxInterval: 0},
 		{MinInterval: time.Second, MaxInterval: time.Millisecond},
-		{MinInterval: 0, MaxInterval: time.Second, Alpha: 1.5},
-		{MinInterval: 0, MaxInterval: time.Second, Alpha: -0.1},
 	}
 	for i, cfg := range cases {
 		if _, err := New(cfg); err == nil {

@@ -73,17 +73,9 @@ type Config struct {
 	// provisioning window (the paper sweeps 0.01 s – 0.5 s).
 	Interval time.Duration
 	// AdaptiveDispatch replaces FaaSBatch's fixed interval with the
-	// load-aware controller (core.Config.AdaptiveDispatch): idle
-	// fast-path, EWMA-sized windows in [MinInterval, MaxInterval], early
-	// close at MaxGroupSize.
+	// load-aware controller (core.Config.AdaptiveDispatch) at core's
+	// defaults: idle fast-path and EWMA-sized windows capped at Interval.
 	AdaptiveDispatch bool
-	// MinInterval is the adaptive window floor (zero: core's default).
-	MinInterval time.Duration
-	// MaxInterval is the adaptive window cap (zero: Interval).
-	MaxInterval time.Duration
-	// MaxGroupSize early-closes adaptive windows at this group size
-	// (zero: unbounded).
-	MaxGroupSize int
 	// Seed drives the simulation's random source.
 	Seed int64
 	// Node configures every worker VM; zero value means
@@ -97,17 +89,6 @@ type Config struct {
 	// SLO supplies Kraken's per-function objectives. When nil, the run
 	// derives them from a Vanilla pre-run (p98 per function, §IV).
 	SLO map[string]time.Duration
-	// KrakenMaxBatch caps Kraken's batch size. Zero selects the
-	// paper-implied value per workload family: ~5 for I/O functions
-	// (400 invocations / 76 containers, §V-B2) and ~30 for CPU-intensive
-	// functions (where Kraken provisioned close to FaaSBatch, Fig. 13b).
-	// The difference reflects Kraken's profiled execution times on the
-	// authors' congested testbed, which our cleaner substrate cannot
-	// derive from first principles (see DESIGN.md §7).
-	KrakenMaxBatch int
-	// SamplePeriod is the resource sampling period (default 1 s, as in
-	// the paper).
-	SamplePeriod time.Duration
 	// Chaos enables seeded fault injection for the run (nil means no
 	// faults — the default, leaving every existing figure bit-identical).
 	// The injector seed defaults to Seed when Chaos.Seed is zero, so one
@@ -198,17 +179,15 @@ func (c *Config) normalise() error {
 	if c.Interval <= 0 {
 		c.Interval = 200 * time.Millisecond
 	}
-	if c.SamplePeriod <= 0 {
-		c.SamplePeriod = time.Second
-	}
 	if c.Node.Cores == 0 {
 		c.Node = node.DefaultConfig()
 	}
-	if c.Policy == PolicyKraken && c.KrakenMaxBatch == 0 {
-		c.KrakenMaxBatch = krakenMaxBatchFor(c.Trace)
-	}
 	return nil
 }
+
+// samplePeriod is the resource sampling period, once per second as in the
+// paper.
+const samplePeriod = time.Second
 
 // Run executes one evaluation run to completion.
 func Run(cfg Config) (*Result, error) {
@@ -233,7 +212,7 @@ func Run(cfg Config) (*Result, error) {
 // result over its nodes.
 func (f *fleet) run(cfg Config) (*Result, error) {
 	nodes := f.cl.Nodes()
-	sampler, err := StartSampler(f.eng, cfg.SamplePeriod, func(t sim.Time) Sample {
+	sampler, err := StartSampler(f.eng, samplePeriod, func(t sim.Time) Sample {
 		s := Sample{T: t}
 		for _, nd := range nodes {
 			s.MemBytes += nd.MemUsed()
@@ -354,6 +333,10 @@ func newFleet(cfg Config) (*fleet, error) {
 
 // newScheduler returns the constructor of cfg.Policy's per-node scheduler.
 func (f *fleet) newScheduler(cfg Config) func(policy.Env) (policy.Scheduler, error) {
+	var krakenMaxBatch int
+	if cfg.Policy == PolicyKraken {
+		krakenMaxBatch = krakenMaxBatchFor(cfg.Trace)
+	}
 	return func(env policy.Env) (policy.Scheduler, error) {
 		var (
 			sched policy.Scheduler
@@ -368,7 +351,7 @@ func (f *fleet) newScheduler(cfg Config) func(policy.Env) (policy.Scheduler, err
 			kcfg := policy.DefaultKrakenConfig()
 			kcfg.Window = cfg.Interval
 			kcfg.SLO = cfg.SLO
-			kcfg.MaxBatch = cfg.KrakenMaxBatch
+			kcfg.MaxBatch = krakenMaxBatch
 			sched, err = policy.NewKraken(env, kcfg)
 		case PolicyFaaSBatch:
 			fcfg := core.DefaultConfig()
@@ -376,9 +359,6 @@ func (f *fleet) newScheduler(cfg Config) func(policy.Env) (policy.Scheduler, err
 			fcfg.Multiplex = !cfg.DisableMultiplex
 			fcfg.Prewarm = cfg.Prewarm
 			fcfg.AdaptiveDispatch = cfg.AdaptiveDispatch
-			fcfg.MinInterval = cfg.MinInterval
-			fcfg.MaxInterval = cfg.MaxInterval
-			fcfg.MaxGroupSize = cfg.MaxGroupSize
 			var batch *core.FaaSBatch
 			if batch, err = core.New(env, fcfg); err == nil {
 				f.batch = append(f.batch, batch)
@@ -415,8 +395,11 @@ func (f *fleet) replay(tr trace.Trace, start func(i int), completed func() int) 
 
 // krakenMaxBatchFor picks the paper-implied Kraken batch cap for a trace:
 // I/O-dominated traces use ~5 (the paper's 5.26 invocations per Kraken
-// container), CPU-intensive traces ~30 (Kraken provisioned close to
-// FaaSBatch there, Fig. 13b).
+// container, 400 invocations / 76 containers, §V-B2), CPU-intensive
+// traces ~30 (Kraken provisioned close to FaaSBatch there, Fig. 13b).
+// The difference reflects Kraken's profiled execution times on the
+// authors' congested testbed, which our cleaner substrate cannot derive
+// from first principles (see DESIGN.md §7).
 func krakenMaxBatchFor(tr trace.Trace) int {
 	io := 0
 	for _, inv := range tr.Invocations {

@@ -4,7 +4,7 @@ import (
 	"testing"
 	"time"
 
-	"faasbatch/internal/node"
+	"faasbatch/internal/chaos"
 	"faasbatch/internal/trace"
 	"faasbatch/internal/workload"
 )
@@ -298,9 +298,9 @@ func TestRunSurvivesBootFailures(t *testing.T) {
 	// policy must still complete every invocation, with failures visible
 	// as longer cold starts rather than lost work.
 	tr := smallCPUTrace(t, 60)
-	ncfg := nodeDefaultWithFailures(0.3)
+	faults := &chaos.Config{Rates: map[chaos.Kind]float64{chaos.BootFailure: 0.3}}
 	for _, p := range AllPolicies {
-		res, err := Run(Config{Policy: p, Trace: tr, Seed: 3, Node: ncfg})
+		res, err := Run(Config{Policy: p, Trace: tr, Seed: 3, Chaos: faults})
 		if err != nil {
 			t.Fatalf("%v: %v", p, err)
 		}
@@ -308,12 +308,4 @@ func TestRunSurvivesBootFailures(t *testing.T) {
 			t.Errorf("%v: %d/%d records under boot failures", p, len(res.Records), tr.Len())
 		}
 	}
-}
-
-// nodeDefaultWithFailures returns the default node config with the given
-// boot failure rate.
-func nodeDefaultWithFailures(rate float64) node.Config {
-	cfg := node.DefaultConfig()
-	cfg.BootFailureRate = rate
-	return cfg
 }

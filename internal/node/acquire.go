@@ -335,11 +335,7 @@ func (c *Container) advance() {
 // ready ends a boot: a failed one tears the container down and queues its
 // request again, a good one hands the container over.
 func (n *Node) ready(c *Container) {
-	failed := n.cfg.BootFailureRate > 0 && n.eng.Rand().Float64() < n.cfg.BootFailureRate
-	if !failed && n.cfg.Chaos.Should(chaos.BootFailure) {
-		failed = true
-	}
-	if failed {
+	if n.cfg.Chaos.Should(chaos.BootFailure) {
 		// The boot failed after its init phase: tear the carcass down and
 		// retry the creation. The caller's wait so far is preserved in the
 		// request's enqueue time, so the eventual success reports the full

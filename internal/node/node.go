@@ -73,16 +73,13 @@ type Config struct {
 	// work. It models the paper's observation that running containers
 	// themselves contribute to CPU utilisation (§V-B3).
 	ContainerIdleCPU float64
-	// BootFailureRate is the probability (0..1) that a container boot
-	// fails after its init phase (image pull errors, OOM-killed runtimes).
-	// Failed boots tear the container down and re-enqueue the creation;
-	// the acquisition eventually succeeds and the extra wait lands in the
-	// caller's cold-start latency. Zero by default.
-	BootFailureRate float64
 	// Chaos optionally injects seeded faults into the node: BootFailure
-	// fails boots (on top of BootFailureRate), SlowColdStart inflates a
-	// boot's latency by the injector's cold-start factor. Nil disables
-	// injection entirely.
+	// fails a boot after its init phase (image pull errors, OOM-killed
+	// runtimes) — the container is torn down and its creation
+	// re-enqueued, so the acquisition eventually succeeds and the extra
+	// wait lands in the caller's cold-start latency — and SlowColdStart
+	// inflates a boot's latency by the injector's cold-start factor. Nil
+	// disables injection entirely.
 	Chaos *chaos.Injector
 }
 
@@ -122,9 +119,6 @@ func (c *Config) validate() error {
 	}
 	if c.ContainerIdleCPU < 0 {
 		return fmt.Errorf("node: container idle CPU must be non-negative, got %v", c.ContainerIdleCPU)
-	}
-	if c.BootFailureRate < 0 || c.BootFailureRate >= 1 {
-		return fmt.Errorf("node: boot failure rate must be in [0, 1), got %v", c.BootFailureRate)
 	}
 	if c.Discipline == nil {
 		c.Discipline = cpusched.FairShare{}

@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"faasbatch/internal/chaos"
 	"faasbatch/internal/cpusched"
 	"faasbatch/internal/sim"
 )
@@ -569,23 +570,10 @@ func TestEnforceMemLimitOffAllowsOvershoot(t *testing.T) {
 	}
 }
 
-func TestBootFailureRateValidation(t *testing.T) {
-	eng := sim.New(1)
-	cfg := testConfig()
-	cfg.BootFailureRate = -0.1
-	if _, err := New(eng, cfg); err == nil {
-		t.Error("negative failure rate accepted")
-	}
-	cfg.BootFailureRate = 1.0
-	if _, err := New(eng, cfg); err == nil {
-		t.Error("failure rate 1.0 accepted (would never boot)")
-	}
-}
-
 func TestBootFailuresRetryUntilSuccess(t *testing.T) {
 	eng := sim.New(7)
 	cfg := testConfig()
-	cfg.BootFailureRate = 0.5
+	cfg.Chaos = chaos.MustNew(chaos.Config{Seed: 7, Rates: map[chaos.Kind]float64{chaos.BootFailure: 0.5}})
 	n := newTestNode(t, eng, cfg)
 	const acquires = 20
 	done := 0

@@ -202,8 +202,8 @@ func TestAdaptiveConcurrentBurstBatches(t *testing.T) {
 // TestAdaptiveConfigValidation: bad adaptive knobs are rejected.
 func TestAdaptiveConfigValidation(t *testing.T) {
 	cfg := adaptiveQuickConfig()
-	cfg.MinInterval = 300 * time.Millisecond // above the 200ms default cap
-	cfg.MaxInterval = 200 * time.Millisecond
+	cfg.DispatchInterval = 200 * time.Millisecond
+	cfg.MinInterval = 300 * time.Millisecond // above the 200ms cap
 	if _, err := New(cfg); err == nil {
 		t.Error("min interval above max accepted")
 	}
@@ -225,8 +225,8 @@ func TestAdaptiveConfigValidation(t *testing.T) {
 func TestAdaptiveCloseRace(t *testing.T) {
 	cfg := adaptiveQuickConfig()
 	cfg.ColdStart = time.Millisecond
+	cfg.DispatchInterval = 5 * time.Millisecond
 	cfg.MinInterval = time.Millisecond
-	cfg.MaxInterval = 5 * time.Millisecond
 	p, err := New(cfg)
 	if err != nil {
 		t.Fatalf("New: %v", err)

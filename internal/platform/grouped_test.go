@@ -52,7 +52,6 @@ func TestCancelStorm(t *testing.T) {
 	)
 	cfg := groupedConfig(32)
 	cfg.DispatchInterval = window
-	cfg.DrainTimeout = 10 * time.Second
 	p, err := New(cfg)
 	if err != nil {
 		t.Fatalf("New: %v", err)

@@ -271,25 +271,22 @@ type Config struct {
 	// ModeVanilla is shorthand for AdaptiveDispatch with MaxGroupSize 1
 	// and overrides the window fields below.
 	Mode Mode
-	// DispatchInterval is the Invoke Mapper window.
-	// With AdaptiveDispatch it becomes the default window cap (see
-	// MaxInterval).
+	// DispatchInterval is the Invoke Mapper window. With
+	// AdaptiveDispatch it is the window cap, so switching
+	// AdaptiveDispatch on never batches longer than the fixed
+	// configuration it replaces.
 	DispatchInterval time.Duration
 	// AdaptiveDispatch selects the dispatch controller's load-aware
 	// policy (internal/dispatch) over its fixed one: a lone arrival on an
 	// idle function dispatches immediately instead of waiting out a
 	// window, an EWMA of inter-arrival gaps sizes each window within
-	// [MinInterval, MaxInterval], and a window whose group reaches
+	// [MinInterval, DispatchInterval], and a window whose group reaches
 	// MaxGroupSize closes early. Off by default (the paper's fixed
 	// interval).
 	AdaptiveDispatch bool
 	// MinInterval is the adaptive window floor. Zero takes
-	// DefaultMinInterval (clamped to MaxInterval).
+	// DefaultMinInterval (clamped to DispatchInterval).
 	MinInterval time.Duration
-	// MaxInterval is the adaptive window cap. Zero takes
-	// DispatchInterval, so switching AdaptiveDispatch on never batches
-	// longer than the fixed configuration it replaces.
-	MaxInterval time.Duration
 	// MaxGroupSize closes an adaptive window early once its group
 	// reaches this size. Zero means unbounded groups.
 	MaxGroupSize int
@@ -320,10 +317,6 @@ type Config struct {
 	// window, doubled on every further attempt (exponential backoff).
 	// Zero re-batches immediately into the next window.
 	RetryBackoff time.Duration
-	// DrainTimeout bounds Close: in-flight windows and retries must
-	// drain within it, else Close reports an error. Zero waits forever.
-	// CloseContext ignores it — the caller's context is the one deadline.
-	DrainTimeout time.Duration
 	// WorkerID is this platform's identity in a multi-worker fleet
 	// (internal/router): echoed in invoke responses and the /healthz
 	// capacity report, so the router can attribute work truthfully.
@@ -583,7 +576,7 @@ func New(cfg Config) (*Platform, error) {
 		// of one: every arrival closes its own window on the spot, so no
 		// interval is ever waited out and none need be configured.
 		cfg.AdaptiveDispatch, cfg.MaxGroupSize = true, 1
-		cfg.MinInterval, cfg.MaxInterval = 0, 0
+		cfg.MinInterval = 0
 		if cfg.DispatchInterval <= 0 {
 			cfg.DispatchInterval = DefaultConfig().DispatchInterval
 		}
@@ -598,7 +591,6 @@ func New(cfg Config) (*Platform, error) {
 	}
 	dcfg := dispatch.ConfigFor(cfg.AdaptiveDispatch, cfg.DispatchInterval, dispatch.Config{
 		MinInterval:  cfg.MinInterval,
-		MaxInterval:  cfg.MaxInterval,
 		MaxGroupSize: cfg.MaxGroupSize,
 	})
 	// Each function gets its own controller at Register; validate the
@@ -620,9 +612,6 @@ func New(cfg Config) (*Platform, error) {
 	}
 	if cfg.RetryBackoff < 0 {
 		return nil, fmt.Errorf("platform: retry backoff must be non-negative, got %v", cfg.RetryBackoff)
-	}
-	if cfg.DrainTimeout < 0 {
-		return nil, fmt.Errorf("platform: drain timeout must be non-negative, got %v", cfg.DrainTimeout)
 	}
 	if cfg.Capacity < 0 {
 		return nil, fmt.Errorf("platform: capacity must be non-negative, got %d", cfg.Capacity)
@@ -1473,21 +1462,12 @@ func (p *Platform) Stats() Stats {
 // Close flushes pending windows, stops every shard's timers, waits for
 // in-flight groups and retries to drain, then retires every warm
 // container, closing its multiplexer and so its cached clients'
-// io.Closers. Invocations submitted after Close fail. With DrainTimeout
-// set, Close gives up once the deadline passes and reports an error
-// (work may still be in flight).
-func (p *Platform) Close() error {
-	ctx := context.Background()
-	if p.cfg.DrainTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, p.cfg.DrainTimeout)
-		defer cancel()
-	}
-	return p.CloseContext(ctx)
-}
+// io.Closers. Invocations submitted after Close fail. Close waits
+// without a deadline; CloseContext bounds the wait.
+func (p *Platform) Close() error { return p.CloseContext(context.Background()) }
 
-// CloseContext is Close bounded by the caller's context instead of
-// DrainTimeout, so a server shutdown can share one deadline between
+// CloseContext is Close bounded by the caller's context, so a server
+// shutdown can share one deadline between
 // http.Server.Shutdown and the platform drain (cmd/faasgate) rather than
 // racing two independent timeouts. A done context gives up the wait and
 // reports an error; in-flight work may still be draining behind it.

@@ -2,8 +2,9 @@ package policy
 
 import "fmt"
 
-// EWMA is an exponentially weighted moving average, the workload
-// predictor Kraken provisions containers with.
+// EWMA is an exponentially weighted moving average. Kraken's execution
+// estimate, SFS's and the dispatch controller's inter-arrival gaps and
+// the autoscaler's demand forecast all smooth with it.
 type EWMA struct {
 	alpha  float64
 	value  float64

@@ -2,7 +2,6 @@ package policy
 
 import (
 	"fmt"
-	"math"
 	"time"
 
 	"faasbatch/internal/fnruntime"
@@ -18,15 +17,11 @@ type KrakenConfig struct {
 	SLO map[string]time.Duration
 	// DefaultSLO applies to functions missing from SLO.
 	DefaultSLO time.Duration
-	// Window is the provisioning interval at which the EWMA predictor
-	// runs.
+	// Window is the provisioning interval. Each window pre-warms for as
+	// many arrivals as the last one saw: the paper sets Kraken's
+	// prediction accuracy to 100%, and this persistence forecast stands
+	// in for it (see DESIGN.md §7).
 	Window time.Duration
-	// EWMAAlpha is the predictor's smoothing factor.
-	EWMAAlpha float64
-	// Oracle, when set, replaces the EWMA prediction with the last
-	// window's actual arrival count (the paper sets prediction accuracy
-	// to 100%; see DESIGN.md for the persistence-forecast deviation).
-	Oracle bool
 	// InitialExecEstimate seeds the per-function execution-time estimate
 	// before the first completion is observed.
 	InitialExecEstimate time.Duration
@@ -35,11 +30,6 @@ type KrakenConfig struct {
 	// profiled container throughput; the default reproduces the paper's
 	// observed ~5 invocations per Kraken container (§V-B2).
 	MaxBatch int
-	// ReuseWarm parks drained batch containers in the node's keep-alive
-	// pool instead of terminating them. The paper's Kraken provisions a
-	// fresh container per batch (400 I/O invocations / 76 containers),
-	// so termination is the default.
-	ReuseWarm bool
 }
 
 // DefaultKrakenConfig returns the port defaults.
@@ -47,8 +37,6 @@ func DefaultKrakenConfig() KrakenConfig {
 	return KrakenConfig{
 		DefaultSLO:          time.Second,
 		Window:              200 * time.Millisecond,
-		EWMAAlpha:           0.5,
-		Oracle:              true,
 		InitialExecEstimate: 100 * time.Millisecond,
 		MaxBatch:            5,
 	}
@@ -57,8 +45,10 @@ func DefaultKrakenConfig() KrakenConfig {
 // Kraken batches invocations into a bounded number of containers using
 // SLO slack: a container accepts up to floor(SLO / execEstimate) queued
 // invocations, which then execute sequentially (hence Kraken's
-// characteristic queuing latency, Fig. 11c/12c). An EWMA-driven
-// provisioner pre-warms containers each window.
+// characteristic queuing latency, Fig. 11c/12c). A provisioner pre-warms
+// containers each window for the last window's arrivals. A drained batch
+// container terminates: the paper's Kraken provisions a fresh container
+// per batch (400 I/O invocations / 76 containers).
 type Kraken struct {
 	env    Env
 	cfg    KrakenConfig
@@ -75,7 +65,6 @@ type krakenFn struct {
 	name       string
 	slo        time.Duration
 	execEst    *EWMA
-	predictor  *EWMA
 	arrivals   int // arrivals in the current window
 	containers []*krakenContainer
 }
@@ -111,9 +100,6 @@ func NewKraken(env Env, cfg KrakenConfig) (*Kraken, error) {
 	}
 	if cfg.InitialExecEstimate <= 0 {
 		return nil, fmt.Errorf("policy: kraken initial exec estimate must be positive, got %v", cfg.InitialExecEstimate)
-	}
-	if cfg.EWMAAlpha <= 0 || cfg.EWMAAlpha > 1 {
-		return nil, fmt.Errorf("policy: kraken ewma alpha must be in (0, 1], got %v", cfg.EWMAAlpha)
 	}
 	if cfg.MaxBatch < 1 {
 		return nil, fmt.Errorf("policy: kraken max batch must be at least 1, got %d", cfg.MaxBatch)
@@ -159,9 +145,8 @@ func (k *Kraken) fnState(name string) *krakenFn {
 	if s, ok := k.cfg.SLO[name]; ok && s > 0 {
 		slo = s
 	}
-	exec, _ := NewEWMA(0.3)             // validated range; cannot fail
-	pred, _ := NewEWMA(k.cfg.EWMAAlpha) // alpha validated in NewKraken
-	fn := &krakenFn{name: name, slo: slo, execEst: exec, predictor: pred}
+	exec, _ := NewEWMA(0.3) // validated range; cannot fail
+	fn := &krakenFn{name: name, slo: slo, execEst: exec}
 	k.fns[name] = fn
 	k.order = append(k.order, name)
 	return fn
@@ -274,8 +259,8 @@ func (kc *krakenContainer) drain(k *Kraken) {
 			kc.drain(k)
 			return
 		}
-		// Batch finished: release the container to the warm pool and
-		// retire this batch handle.
+		// Batch finished: terminate the container and retire this batch
+		// handle.
 		kc.release(k)
 	}))
 	if err != nil {
@@ -291,14 +276,9 @@ func (kc *krakenContainer) drain(k *Kraken) {
 	}
 }
 
-// release retires the handle, terminating the container (scale-in) or
-// parking it warm per configuration.
+// release retires the handle and terminates its container (scale-in).
 func (kc *krakenContainer) release(k *Kraken) {
-	if k.cfg.ReuseWarm {
-		kc.c.ReturnThread()
-	} else {
-		kc.c.Terminate()
-	}
+	kc.c.Terminate()
 	kc.retire(k)
 }
 
@@ -313,35 +293,28 @@ func (kc *krakenContainer) retire(k *Kraken) {
 	}
 }
 
-// provision runs once per window: fold the window's arrivals into the
-// predictor and pre-warm containers for the predicted load.
+// provision runs once per window: pre-warm containers for as many
+// arrivals as the window just ended saw.
 func (k *Kraken) provision() {
 	for _, name := range k.order {
 		fn := k.fns[name]
-		// Release pre-warmed handles that went unused this window; the
-		// containers return to the node's keep-alive pool, so reacquiring
-		// them is a warm start.
+		// Terminate pre-warmed containers that went unused this window.
 		for _, kc := range append([]*krakenContainer(nil), fn.containers...) {
 			if kc.ready && !kc.running && len(kc.queue) == 0 {
 				kc.release(k)
 			}
 		}
-		arrived := fn.arrivals
+		predicted := fn.arrivals
 		fn.arrivals = 0
-		fn.predictor.Observe(float64(arrived))
-		predicted := fn.predictor.Value()
-		if k.cfg.Oracle {
-			predicted = float64(arrived)
-		}
 		if predicted <= 0 {
 			continue
 		}
 		b := k.batchCapacity(fn)
-		want := int(math.Ceil(predicted / float64(b)))
-		// Warm keep-alive containers satisfy demand instantly; only the
-		// shortfall is pre-provisioned.
-		have := len(fn.containers) + k.env.Node.WarmCount(fn.name)
-		for i := have; i < want; i++ {
+		want := (predicted + b - 1) / b
+		// Only the shortfall is pre-provisioned. Kraken parks containers
+		// in the node's keep-alive pool only at Close, so while windows
+		// tick its handles are every container it has.
+		for i := len(fn.containers); i < want; i++ {
 			k.newContainer(fn)
 		}
 	}

@@ -269,8 +269,6 @@ func TestKrakenConfigValidation(t *testing.T) {
 		func(c *KrakenConfig) { c.DefaultSLO = 0 },
 		func(c *KrakenConfig) { c.Window = 0 },
 		func(c *KrakenConfig) { c.InitialExecEstimate = 0 },
-		func(c *KrakenConfig) { c.EWMAAlpha = 0 },
-		func(c *KrakenConfig) { c.EWMAAlpha = 2 },
 	}
 	for i, mutate := range bad {
 		cfg := DefaultKrakenConfig()
@@ -467,21 +465,6 @@ func TestKrakenTerminatesBatchContainersByDefault(t *testing.T) {
 	}
 	if env.Node.LiveContainers() != 0 {
 		t.Fatalf("LiveContainers = %d, want 0 after terminations", env.Node.LiveContainers())
-	}
-}
-
-func TestKrakenReuseWarmKeepsContainers(t *testing.T) {
-	env := testEnv(t, nil)
-	cfg := DefaultKrakenConfig()
-	cfg.ReuseWarm = true
-	k, err := NewKraken(env, cfg)
-	if err != nil {
-		t.Fatalf("NewKraken: %v", err)
-	}
-	spec := fibSpec(t, 25)
-	runAll(t, env, k, []workload.Spec{spec, spec}, []time.Duration{0, 3 * time.Second})
-	if got := env.Node.TotalCreated(); got != 1 {
-		t.Fatalf("TotalCreated = %d, want 1 with warm reuse", got)
 	}
 }
 

@@ -1,8 +1,6 @@
 package router
 
 import (
-	"errors"
-	"strings"
 	"testing"
 
 	"faasbatch/internal/pullsched"
@@ -14,46 +12,30 @@ func optSpecs() []WorkerSpec {
 }
 
 func TestOptionsApply(t *testing.T) {
-	rt, err := New(Config{Workers: optSpecs()}, WithPolicy(PolicyPull))
-	if err != nil {
-		t.Fatalf("New with options: %v", err)
-	}
-	defer func() { _ = rt.Close() }()
-	if rt.Policy().Name() != PolicyPull {
-		t.Fatalf("policy = %q, want pull", rt.Policy().Name())
-	}
-}
-
-func TestOptionConflicts(t *testing.T) {
 	cases := []struct {
 		name string
 		cfg  Config
-		opts []Option
-		knob string
 	}{
-		{"policy twice", Config{},
-			[]Option{WithPolicy(PolicyPull), WithPolicy(PolicyHash)}, "policy"},
-		{"policy both ways", Config{Policy: PolicyHash},
-			[]Option{WithPolicy(PolicyPull)}, "policy"},
-		{"policy both ways, same name", Config{Policy: PolicyPull},
-			[]Option{WithPolicy(PolicyPull)}, "policy"},
+		{"option alone", Config{}},
+		{"option over Config.Policy", Config{Policy: PolicyHash}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			tc.cfg.Workers = optSpecs()
-			_, err := New(tc.cfg, tc.opts...)
-			if !errors.Is(err, ErrConflictingOptions) {
-				t.Fatalf("err = %v, want ErrConflictingOptions", err)
+			rt, err := New(tc.cfg, WithPolicy(PolicyPull))
+			if err != nil {
+				t.Fatalf("New with options: %v", err)
 			}
-			if !strings.Contains(err.Error(), tc.knob) {
-				t.Fatalf("error %q does not name knob %q", err, tc.knob)
+			defer func() { _ = rt.Close() }()
+			if rt.Policy().Name() != PolicyPull {
+				t.Fatalf("policy = %q, want pull", rt.Policy().Name())
 			}
 		})
 	}
 }
 
-// WithPolicy(PolicyPull) plus Config.Pull tuning is consistent, not a
-// conflict: the option names the policy, the struct tunes it.
+// WithPolicy(PolicyPull) plus Config.Pull tuning compose: the option
+// names the policy, the struct tunes it.
 func TestPullConfigWithMatchingPolicy(t *testing.T) {
 	rt, err := New(Config{Workers: optSpecs(), Pull: &pullsched.Config{QueueDepth: 2}},
 		WithPolicy(PolicyPull))

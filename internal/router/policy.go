@@ -2,7 +2,6 @@ package router
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync"
 
@@ -150,47 +149,13 @@ func (b *hashBinding) detail() string {
 	return fmt.Sprintf("candidates=%d", len(b.cands))
 }
 
-// ErrConflictingOptions marks a New call that sets the same knob both
-// in the Config struct and through a functional option (or passes the
-// same option twice). Match with errors.Is.
-var ErrConflictingOptions = errors.New("router: conflicting options")
+// Option adjusts the Config passed to New. Options apply in order after
+// the struct, so an option overrides the field it sets.
+type Option func(*Config)
 
-// Option selects the scheduling policy at New; every other knob is a
-// Config field. Options and config-struct construction compose, but the
-// policy may be set through only one of the two — setting it through both
-// fails with ErrConflictingOptions.
-type Option func(*routerOptions)
-
-// routerOptions accumulates functional-option state before it is
-// merged into the config.
-type routerOptions struct {
-	policy string
-	set    int // WithPolicy calls
-}
-
-// WithPolicy selects the scheduling policy by name (equivalent to
-// Config.Policy; setting both conflicts). Tune the pull policy with
+// WithPolicy selects the scheduling policy by name: it sets
+// Config.Policy, overriding the struct's value. Tune the pull policy with
 // Config.Pull.
 func WithPolicy(name string) Option {
-	return func(o *routerOptions) {
-		o.policy = name
-		o.set++
-	}
-}
-
-// mergeOptions folds functional options into cfg, failing with
-// ErrConflictingOptions on a policy set twice or both ways.
-func mergeOptions(cfg Config, opts []Option) (Config, error) {
-	var o routerOptions
-	for _, opt := range opts {
-		opt(&o)
-	}
-	if o.set == 0 {
-		return cfg, nil
-	}
-	if o.set > 1 || cfg.Policy != "" {
-		return cfg, fmt.Errorf("%w: policy set more than once", ErrConflictingOptions)
-	}
-	cfg.Policy = o.policy
-	return cfg, nil
+	return func(c *Config) { c.Policy = name }
 }

@@ -172,15 +172,12 @@ type Router struct {
 	closed  bool
 }
 
-// New builds a router over cfg.Workers. Functional options layer
-// policy, autoscale, and observability knobs over the config struct; a
-// knob set both ways (or an option passed twice) fails with
-// ErrConflictingOptions. Start launches the prober; a router without
-// Start still routes (tests drive ProbeAll directly).
+// New builds a router over cfg.Workers, with opts applied to cfg in
+// order. Start launches the prober; a router without Start still routes
+// (tests drive ProbeAll directly).
 func New(cfg Config, opts ...Option) (*Router, error) {
-	cfg, err := mergeOptions(cfg, opts)
-	if err != nil {
-		return nil, err
+	for _, opt := range opts {
+		opt(&cfg)
 	}
 	if cfg.ProbeInterval <= 0 {
 		cfg.ProbeInterval = time.Second

@@ -58,7 +58,10 @@ type Template struct {
 	Weight float64
 	// Cores is the worker's CPU cores.
 	Cores float64
-	// MemBytes is the worker's memory capacity.
+	// MemBytes becomes node.Config.MemBytes, the worker's memory
+	// capacity. The node reads it only under EnforceMemLimit, which no
+	// scenario key sets, so it changes no run: memory is tracked and
+	// reported, never limited.
 	MemBytes int64
 	// KeepAlive is the idle-container retention window.
 	KeepAlive time.Duration

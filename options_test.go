@@ -1,7 +1,6 @@
 package faasbatch_test
 
 import (
-	"strings"
 	"testing"
 
 	faasbatch "faasbatch"
@@ -9,7 +8,7 @@ import (
 
 // TestNewRouterFunctionalOptions drives the routing tier's construction
 // surface through the facade: the policy option composes with the
-// config struct's pull tuning, and a policy set both ways fails loudly.
+// config struct's pull tuning, and overrides a policy the struct names.
 func TestNewRouterFunctionalOptions(t *testing.T) {
 	cfg := faasbatch.RouterConfig{
 		Workers: []faasbatch.RouterWorkerSpec{{ID: "w1", URL: "http://w1.invalid"}},
@@ -29,10 +28,16 @@ func TestNewRouterFunctionalOptions(t *testing.T) {
 	}
 
 	cfg.Policy = faasbatch.RouterPolicyPull
-	_, err = faasbatch.NewRouter(cfg,
+	rt, err = faasbatch.NewRouter(cfg,
 		faasbatch.WithRouterPolicy(faasbatch.RouterPolicyHash),
 	)
-	if err == nil || !strings.Contains(err.Error(), "policy") {
-		t.Fatalf("policy set both ways: err = %v, want a policy conflict", err)
+	if err != nil {
+		t.Fatalf("NewRouter: %v", err)
+	}
+	if got := rt.Policy().Name(); got != faasbatch.RouterPolicyHash {
+		t.Fatalf("policy set both ways = %q, want the option's %q", got, faasbatch.RouterPolicyHash)
+	}
+	if err := rt.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
 	}
 }
