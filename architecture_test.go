@@ -122,7 +122,7 @@ func clockViolations(t *testing.T, path string) []violation {
 // in review. Lower a count when a change removes a use.
 var wallClockBudget = map[string]int{
 	"internal/obs/tracer.go":        2,
-	"internal/platform/platform.go": 12,
+	"internal/platform/platform.go": 7,
 	"internal/router/admission.go":  2,
 	"internal/router/autoscale.go":  5,
 	"internal/router/pullpolicy.go": 2,

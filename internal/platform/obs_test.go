@@ -193,6 +193,120 @@ func TestTraceRoundTripLive(t *testing.T) {
 	}
 }
 
+// TestTraceRoundTripGrouped is TestTraceRoundTripLive for a cold group
+// of eight: each member's four spans are its Result components to the
+// nanosecond, tile without gaps and sum to its Total, and every member
+// shares the group's dispatch and ready instants.
+func TestTraceRoundTripGrouped(t *testing.T) {
+	const members = 8
+	tracer, err := obs.NewWallTracer(1024, 1)
+	if err != nil {
+		t.Fatalf("NewWallTracer: %v", err)
+	}
+	cfg := groupedConfig(members)
+	cfg.Tracer = tracer
+	// Only the early close at eight members ends the group's window.
+	cfg.DispatchInterval = 5 * time.Second
+	cfg.ColdStart = 5 * time.Millisecond
+	p := newPlatform(t, cfg)
+	release := make(chan struct{})
+	if err := p.Register("fn", func(_ context.Context, inv *Invocation) (any, error) {
+		if string(inv.Payload) == `"block"` {
+			<-release
+			return nil, nil
+		}
+		time.Sleep(time.Millisecond)
+		return nil, nil
+	}); err != nil {
+		t.Fatalf("Register: %v", err)
+	}
+	// A lone first arrival takes the fast path into its own container and
+	// keeps it busy, so the group's arrivals are never idle and wait for
+	// the eighth, and the group boots a container of its own.
+	blocked := make(chan error, 1)
+	go func() {
+		_, err := p.Invoke(context.Background(), "fn", json.RawMessage(`"block"`))
+		blocked <- err
+	}()
+	for p.Stats().LiveContainers != 1 {
+		time.Sleep(time.Millisecond)
+	}
+	results := make(chan Result, members)
+	for i := 0; i < members; i++ {
+		go func() {
+			res, err := p.Invoke(context.Background(), "fn", nil)
+			if err != nil {
+				t.Errorf("Invoke: %v", err)
+			}
+			results <- res
+		}()
+	}
+	byTrace := map[uint64]Result{}
+	for i := 0; i < members; i++ {
+		res := <-results
+		byTrace[res.TraceID] = res
+	}
+	close(release)
+	if err := <-blocked; err != nil {
+		t.Fatalf("blocking Invoke: %v", err)
+	}
+	if len(byTrace) != members {
+		t.Fatalf("%d distinct trace IDs for %d members", len(byTrace), members)
+	}
+
+	spans := map[uint64]map[string]obs.Span{}
+	for _, s := range tracer.Snapshot() {
+		if _, ok := byTrace[s.Trace]; ok {
+			if spans[s.Trace] == nil {
+				spans[s.Trace] = map[string]obs.Span{}
+			}
+			spans[s.Trace][s.Name] = s
+		}
+	}
+	var first map[string]obs.Span
+	for trace, res := range byTrace {
+		if !res.Cold || res.ColdStart <= 0 {
+			t.Fatalf("trace %d: Cold %v, ColdStart %v; want the group cold", trace, res.Cold, res.ColdStart)
+		}
+		byName := spans[trace]
+		want := []time.Duration{res.Sched, res.ColdStart, res.Queue, res.Exec}
+		var sum time.Duration
+		for i, name := range obs.DecompositionSpans {
+			s, ok := byName[name]
+			if !ok {
+				t.Fatalf("trace %d missing %s span (have %v)", trace, name, byName)
+			}
+			if s.Dur() != want[i] {
+				t.Errorf("trace %d: %s span = %v, Result reports %v", trace, name, s.Dur(), want[i])
+			}
+			if s.Container != res.ContainerID {
+				t.Errorf("trace %d: %s span on container %q, Result on %q", trace, name, s.Container, res.ContainerID)
+			}
+			if i > 0 {
+				if prev := byName[obs.DecompositionSpans[i-1]]; s.Start != prev.End {
+					t.Errorf("trace %d: %s starts at %v, %s ends at %v", trace, name, s.Start, prev.Name, prev.End)
+				}
+			}
+			sum += s.Dur()
+		}
+		if sum != res.Total() {
+			t.Errorf("trace %d: span sum %v != Total %v", trace, sum, res.Total())
+		}
+		if first == nil {
+			first = byName
+			continue
+		}
+		// Dispatch ends scheduling and opens the cold start; ready ends
+		// the cold start and opens queuing. Both are the group's.
+		if got, want := byName[obs.SpanScheduling].End, first[obs.SpanScheduling].End; got != want {
+			t.Errorf("trace %d: dispatched at %v, another member at %v", trace, got, want)
+		}
+		if got, want := byName[obs.SpanColdStart].End, first[obs.SpanColdStart].End; got != want {
+			t.Errorf("trace %d: ready at %v, another member at %v", trace, got, want)
+		}
+	}
+}
+
 // TestInvokeReplyLatencyMatchesTrace checks the wire view of the
 // decomposition loses nothing: each of a traced /invoke reply's four
 // millisecond components is its span's duration to the nanosecond, and

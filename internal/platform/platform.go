@@ -444,7 +444,8 @@ type function struct {
 type pendingCall struct {
 	ctx     context.Context
 	payload json.RawMessage
-	arrive  time.Time
+	// arrive is the arrival instant on the platform's clock (Platform.now).
+	arrive time.Duration
 	// attempts counts execution attempts already consumed; a call retries
 	// while attempts <= Config.MaxRetries.
 	attempts int
@@ -468,17 +469,16 @@ type pendingCall struct {
 // callGroup is one closed window's group and, once dispatched, the ticket
 // its members run on. Whoever closed the window owns it while dispatchGroup fills
 // in the container the group expands in and the instants its latency
-// components are measured from; from the last ticket sent it belongs to
-// the members, who only read it. The member that takes remaining to zero
-// settles the group and recycles it (pool.go).
+// components are measured from (offsets on the platform's clock); from the
+// last ticket sent it belongs to the members, who only read it. The member
+// that takes remaining to zero settles the group and recycles it (pool.go).
 type callGroup struct {
-	calls      []*pendingCall
-	c          *container
-	cold       bool
-	dispatch   time.Time
-	ready      time.Time
-	coldDur    time.Duration
-	readyStamp time.Duration
+	calls    []*pendingCall
+	c        *container
+	cold     bool
+	dispatch time.Duration
+	ready    time.Duration
+	coldDur  time.Duration
 	// crash is the injected mid-batch crash that took the container (nil
 	// otherwise): every member settles with it instead of running.
 	crash error
@@ -540,12 +540,17 @@ type Platform struct {
 
 	// The Invoke Mapper's windows. Each function gets its own
 	// controller (built from dcfg at Register); the platform feeds
-	// wall-clock offsets from epoch.
+	// it offsets from epoch (now).
 	dcfg  dispatch.Config
 	epoch time.Time
+	// traceShift is epoch's offset on the tracer's clock, the constant
+	// that stamp adds to carry a platform instant onto a span.
+	traceShift time.Duration
 
-	// closing is closed by Close to wake retry backoff sleepers.
+	// closing is closed by Close to wake retry backoff sleepers; drained
+	// is closed by the one drain Close starts, when it has finished.
 	closing chan struct{}
+	drained chan struct{}
 	wg      sync.WaitGroup
 }
 
@@ -637,7 +642,9 @@ func New(cfg Config) (*Platform, error) {
 		dcfg:    dcfg,
 		epoch:   time.Now(),
 		closing: make(chan struct{}),
+		drained: make(chan struct{}),
 	}
+	p.traceShift = p.tracer.Stamp(p.epoch)
 	empty := make(map[string]*function)
 	p.fns.Store(&empty)
 	p.logger.Info("platform started",
@@ -773,12 +780,13 @@ func (p *Platform) InvokeWithTrace(ctx context.Context, fn string, payload json.
 	return p.invoke(ctx, f, payload, parent)
 }
 
-// invoke is InvokeWithTrace for a function already looked up.
-func (p *Platform) invoke(ctx context.Context, f *function, payload json.RawMessage, parent uint64) (Result, error) {
+// invoke is InvokeWithTrace for a function already looked up. Its res is
+// the one Result of the invocation: every attempt fills it in place.
+func (p *Platform) invoke(ctx context.Context, f *function, payload json.RawMessage, parent uint64) (res Result, err error) {
 	call := getPendingCall()
 	call.ctx = ctx
 	call.payload = payload
-	call.arrive = time.Now()
+	call.arrive = p.now()
 	call.trace = p.tracer.BeginWith(parent)
 
 	// Submission holds only this function's shard lock: Invokes on
@@ -792,7 +800,7 @@ func (p *Platform) invoke(ctx context.Context, f *function, payload json.RawMess
 		return Result{}, fmt.Errorf("platform: closed")
 	}
 	p.ctr.submitted.Add(1)
-	now := call.arrive.Sub(p.epoch)
+	now := call.arrive
 	o := f.step(evArrive, call, now)
 	// Every function's arrivals share this gauge's cache line: store only
 	// a change, so a steady window costs each arrival a read, not a write.
@@ -822,7 +830,8 @@ func (p *Platform) invoke(ctx context.Context, f *function, payload json.RawMess
 				return Result{}, fmt.Errorf("platform: invoke %s: %w", f.name, ctx.Err())
 			}
 		}
-		res, err, rebatched := p.runTicket(f, call, g)
+		var rebatched bool
+		err, rebatched = p.runTicket(f, call, g, &res)
 		if !rebatched {
 			putPendingCall(call)
 			if cerr := ctx.Err(); cerr != nil {
@@ -839,12 +848,17 @@ func (p *Platform) invoke(ctx context.Context, f *function, payload json.RawMess
 // awaitTicket blocks until call's ticket arrives or ctx ends. It returns
 // nil when ctx ended first and the call was abandoned where it waits. A
 // call already claimed when ctx ends is owed a ticket: that ticket is
-// returned, and the attempt runs under the done context.
+// returned, and the attempt runs under the done context. A context that
+// can never end (no Done channel) waits on a plain receive.
 func (p *Platform) awaitTicket(ctx context.Context, f *function, call *pendingCall) *callGroup {
+	done := ctx.Done()
+	if done == nil {
+		return <-call.ticket
+	}
 	select {
 	case g := <-call.ticket:
 		return g
-	case <-ctx.Done():
+	case <-done:
 		f.mu.Lock()
 		abandon := call.state == callWaiting
 		if abandon {
@@ -941,7 +955,7 @@ func (p *Platform) recordWindowSpans(f *function, group []*pendingCall, window t
 		p.tracer.Record(obs.Span{
 			Trace: call.trace, Name: obs.SpanDispatchWindow, Fn: f.name,
 			Attempt: call.attempts + 1, Detail: detail,
-			Start: p.tracer.Stamp(call.arrive), End: end,
+			Start: p.stamp(call.arrive), End: end,
 		})
 	}
 }
@@ -1079,22 +1093,20 @@ func (p *Platform) release(f *function, c *container, n int) {
 // expands inside that container on its own caller's goroutine. It records
 // each member's scheduling (arrival to dispatch) and cold-start spans; the
 // member records queuing and execution. Span bounds are stamped from the
-// same wall-clock instants as the Result components, so an exported trace
+// same instants as the Result components, so an exported trace
 // reconstructs the §IV decomposition exactly. The caller holds a count on
 // p.wg and gives the group up: with its last ticket sent the group belongs
 // to its members, who recycle it, and dispatchGroup touches neither it nor
 // them afterwards.
 func (p *Platform) dispatchGroup(f *function, g *callGroup) {
 	p.metrics.ObserveGroupSize(len(g.calls))
-	dispatch := time.Now()
+	dispatch := p.now()
 	c, cold := p.acquire(f, len(g.calls))
-	ready := time.Now()
+	ready := p.now()
 	g.c, g.cold, g.dispatch, g.ready = c, cold, dispatch, ready
 	if cold {
-		g.coldDur = ready.Sub(dispatch)
+		g.coldDur = ready - dispatch
 	}
-	dispatchStamp := p.tracer.Stamp(dispatch)
-	g.readyStamp = p.tracer.Stamp(ready)
 	for _, call := range g.calls {
 		if call.trace == 0 {
 			continue
@@ -1102,12 +1114,12 @@ func (p *Platform) dispatchGroup(f *function, g *callGroup) {
 		attempt := call.attempts + 1
 		p.tracer.Record(obs.Span{
 			Trace: call.trace, Name: obs.SpanScheduling, Fn: f.name, Container: c.id,
-			Attempt: attempt, Start: p.tracer.Stamp(call.arrive), End: dispatchStamp,
+			Attempt: attempt, Start: p.stamp(call.arrive), End: p.stamp(dispatch),
 		})
 		if cold {
 			p.tracer.Record(obs.Span{
 				Trace: call.trace, Name: obs.SpanColdStart, Fn: f.name, Container: c.id,
-				Attempt: attempt, Start: dispatchStamp, End: g.readyStamp,
+				Attempt: attempt, Start: p.stamp(dispatch), End: p.stamp(ready),
 			})
 		}
 	}
@@ -1137,18 +1149,18 @@ func (p *Platform) dispatchGroup(f *function, g *callGroup) {
 }
 
 // runTicket is a member's half of the Inline-Parallel Producer: the
-// caller runs its own call on the group it was handed. The member that
-// finishes last parks the container, recycles the group and pays its
-// count on p.wg. It reports the call's outcome, or that the attempt failed
-// into a retry and the call is waiting for its next ticket.
-func (p *Platform) runTicket(f *function, call *pendingCall, g *callGroup) (res Result, err error, rebatched bool) {
+// caller runs its own call on the group it was handed, filling in res.
+// The member that finishes last parks the container, recycles the group
+// and pays its count on p.wg. It reports the call's error, or that the
+// attempt failed into a retry and the call is waiting for its next ticket.
+func (p *Platform) runTicket(f *function, call *pendingCall, g *callGroup, res *Result) (err error, rebatched bool) {
 	if g.crash != nil {
-		res = Result{ContainerID: g.c.id, Cold: g.cold, TraceID: call.trace}
-		res.Sched, res.ColdStart = g.dispatch.Sub(call.arrive), g.coldDur
+		*res = Result{ContainerID: g.c.id, Cold: g.cold, TraceID: call.trace}
+		res.Sched, res.ColdStart = g.dispatch-call.arrive, g.coldDur
 		err = g.crash
-		rebatched = p.finish(f, call, &res, err)
+		rebatched = p.finish(f, call, res, err)
 	} else {
-		res, err, rebatched = p.runCall(f, g, call)
+		err, rebatched = p.runCall(f, g, call, res)
 	}
 	if g.remaining.Add(-1) == 0 {
 		if g.crash == nil {
@@ -1157,15 +1169,15 @@ func (p *Platform) runTicket(f *function, call *pendingCall, g *callGroup) (res 
 		putGroup(g)
 		p.wg.Done()
 	}
-	return res, err, rebatched
+	return err, rebatched
 }
 
-// runCall executes one group member inside its container: pooled
-// per-invocation state, the handler attempt, borrow release, spans, and
-// settlement through finish (whose rebatched result it passes on).
-func (p *Platform) runCall(f *function, g *callGroup, call *pendingCall) (Result, error, bool) {
+// runCall executes one group member inside its container, filling in res:
+// pooled per-invocation state, the handler attempt, borrow release, spans,
+// and settlement through finish (whose rebatched result it passes on).
+func (p *Platform) runCall(f *function, g *callGroup, call *pendingCall, res *Result) (error, bool) {
 	c := g.c
-	start := time.Now()
+	start := p.now()
 	// Every invocation gets its own multiplexer view: it scopes the
 	// resource borrows released below, and on traced calls carries the
 	// trace so client builds span on the invocation that paid for them.
@@ -1185,41 +1197,38 @@ func (p *Platform) runCall(f *function, g *callGroup, call *pendingCall) (Result
 	// The handler is done with everything it borrowed; deferred
 	// eviction closes fire now, before the result is published.
 	st.borrows.releaseAll()
-	end := time.Now()
+	end := p.now()
 	if call.trace != 0 {
 		attempt := call.attempts + 1
-		startStamp := p.tracer.Stamp(start)
 		p.tracer.Record(obs.Span{
 			Trace: call.trace, Name: obs.SpanQueuing, Fn: f.name, Container: c.id,
-			Attempt: attempt, Start: g.readyStamp, End: startStamp,
+			Attempt: attempt, Start: p.stamp(g.ready), End: p.stamp(start),
 		})
 		p.tracer.Record(obs.Span{
 			Trace: call.trace, Name: obs.SpanExecution, Fn: f.name, Container: c.id,
-			Attempt: attempt, Start: startStamp, End: p.tracer.Stamp(end),
+			Attempt: attempt, Start: p.stamp(start), End: p.stamp(end),
 		})
 	}
-	out := Result{
-		Value:       value,
-		ContainerID: c.id,
-		Cold:        g.cold,
-		Breakdown: obs.Breakdown{
-			Sched:     g.dispatch.Sub(call.arrive),
-			ColdStart: g.coldDur,
-			Queue:     start.Sub(g.ready),
-			Exec:      end.Sub(start),
-		},
-		TraceID: call.trace,
+	res.Value = value
+	res.ContainerID = c.id
+	res.Cold = g.cold
+	res.Breakdown = obs.Breakdown{
+		Sched:     g.dispatch - call.arrive,
+		ColdStart: g.coldDur,
+		Queue:     start - g.ready,
+		Exec:      end - start,
 	}
+	res.TraceID = call.trace
 	if err != nil {
 		err = fmt.Errorf("platform: invoke %s: %w", f.name, err)
 	}
-	rebatched := p.finish(f, call, &out, err)
+	rebatched := p.finish(f, call, res, err)
 	if returned {
 		// The handler actually returned (it was not abandoned to an
 		// InvokeTimeout), so nothing can touch this state again.
 		putInvState(st)
 	}
-	return out, err, rebatched
+	return err, rebatched
 }
 
 // runHandler executes one handler attempt, layering on (in order) any
@@ -1386,9 +1395,15 @@ func (p *Platform) retry(ctx context.Context, f *function, call *pendingCall) bo
 	return true
 }
 
-// now is the platform's clock: the wall-clock offset from its epoch that
-// the shard's timer firings, parks and retries are decided at.
+// now is the platform's clock: the offset from its epoch, one monotonic
+// read. Every instant of the invoke path and every shard decision (timer
+// firings, parks, retries) is read through it.
 func (p *Platform) now() time.Duration { return time.Since(p.epoch) }
+
+// stamp carries an instant of the platform's clock onto the tracer's by
+// the constant traceShift, so span bounds are the very readings the
+// Result components are differences of.
+func (p *Platform) stamp(at time.Duration) time.Duration { return at + p.traceShift }
 
 // panicError is a recovered handler panic; its message keeps the
 // "handler panicked" shape handlers' callers rely on while letting the
@@ -1469,23 +1484,43 @@ func (p *Platform) Close() error { return p.CloseContext(context.Background()) }
 // CloseContext is Close bounded by the caller's context, so a server
 // shutdown can share one deadline between
 // http.Server.Shutdown and the platform drain (cmd/faasgate) rather than
-// racing two independent timeouts. A done context gives up the wait and
-// reports an error; in-flight work may still be draining behind it.
+// racing two independent timeouts. The first call starts the one drain;
+// every call, first or later, returns when that drain has finished, or
+// reports an error when its own context ends first, leaving the drain to
+// run on behind it.
 func (p *Platform) CloseContext(ctx context.Context) error {
 	p.mu.Lock()
-	if p.closed.Load() {
-		p.mu.Unlock()
-		return nil
-	}
+	first := !p.closed.Load()
 	p.closed.Store(true)
 	p.mu.Unlock()
-	// Shard handshake and flush: hold every function's mutex once. Any
-	// Invoke, retry settlement or timer firing that observed
-	// closed==false did its wg.Add inside a shard critical section that
-	// strictly precedes this one, so the Add is ordered before the Wait
-	// below; anything acquiring a shard after it sees closed==true and
-	// rejects, or (a timer firing) returns. Registration after the closed
-	// store is rejected under p.mu, so this snapshot covers every shard.
+	if first {
+		p.flush()
+		go p.drain()
+	}
+	select {
+	case <-p.drained:
+		return nil
+	case <-ctx.Done():
+		// A select picks at random among ready cases: a drain that is
+		// over wins over a context that ended too.
+		select {
+		case <-p.drained:
+			return nil
+		default:
+		}
+		return fmt.Errorf("platform: close: drain exceeded its deadline: %w", ctx.Err())
+	}
+}
+
+// flush is Close's shard handshake and flush: it holds every function's
+// mutex once. Any Invoke, retry settlement or timer firing that observed
+// closed==false did its wg.Add inside a shard critical section that
+// strictly precedes this one, so the Add is ordered before drain's Wait;
+// anything acquiring a shard after it sees closed==true and rejects, or (a
+// timer firing) returns. Registration after the closed store is rejected
+// under p.mu, so this snapshot covers every shard. It then wakes any
+// backoff sleepers, whose retries dispatch at once.
+func (p *Platform) flush() {
 	for _, f := range p.fnsAll() {
 		f.mu.Lock()
 		f.expire.Stop()
@@ -1498,23 +1533,7 @@ func (p *Platform) CloseContext(ctx context.Context) error {
 			go p.dispatchWindow(f, g)
 		}
 	}
-	// Wakes any backoff sleepers, whose retries then dispatch at once.
 	close(p.closing)
-	if ctx.Done() == nil {
-		p.drain()
-		return nil
-	}
-	done := make(chan struct{})
-	go func() {
-		p.drain()
-		close(done)
-	}()
-	select {
-	case <-done:
-		return nil
-	case <-ctx.Done():
-		return fmt.Errorf("platform: close: drain exceeded its deadline: %w", ctx.Err())
-	}
 }
 
 // drain waits out the work Close let finish, then retires every container
@@ -1523,7 +1542,8 @@ func (p *Platform) CloseContext(ctx context.Context) error {
 // flushed groups and the retries Close woke take a parked container
 // rather than boot one. Nothing parks afterwards: every path to release
 // holds a count on p.wg, and a closed platform admits no new work. Each
-// shard's caches close after its f.mu is released.
+// shard's caches close after its f.mu is released. Then it closes drained,
+// which every CloseContext call waits on.
 func (p *Platform) drain() {
 	p.wg.Wait()
 	for _, f := range p.fnsAll() {
@@ -1532,4 +1552,5 @@ func (p *Platform) drain() {
 		retired, _ := f.evict(math.MaxInt64)
 		p.retireUnlock(f, retired...)
 	}
+	close(p.drained)
 }

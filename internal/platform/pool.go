@@ -1,9 +1,6 @@
 package platform
 
-import (
-	"sync"
-	"time"
-)
+import "sync"
 
 // This file is the hot path's allocation recycling (DESIGN.md §14). The
 // warm steady state reuses three object classes through sync.Pools, each
@@ -41,7 +38,7 @@ func getPendingCall() *pendingCall {
 func putPendingCall(c *pendingCall) {
 	c.ctx = nil
 	c.payload = nil
-	c.arrive = time.Time{}
+	c.arrive = 0
 	c.attempts = 0
 	c.trace = 0
 	c.state = callWaiting

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -129,6 +130,47 @@ func TestCloseContextHonoursDeadline(t *testing.T) {
 	if err := p.CloseContext(context.Background()); err != nil {
 		t.Fatalf("second CloseContext: %v", err)
 	}
+}
+
+// TestCloseContextSecondCallWaitsForDrain checks that Close is one
+// contract however many times it is called: after a first call gives up
+// on its deadline, a second call without one returns only once the
+// drain the first started has finished — the handler has returned and
+// no container is left live.
+func TestCloseContextSecondCallWaitsForDrain(t *testing.T) {
+	p, err := New(quickConfig(ModeBatch))
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	var returned atomic.Bool
+	if err := p.Register("slow", func(context.Context, *Invocation) (any, error) {
+		time.Sleep(300 * time.Millisecond)
+		returned.Store(true)
+		return nil, nil
+	}); err != nil {
+		t.Fatalf("Register: %v", err)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		_, _ = p.Invoke(context.Background(), "slow", nil)
+	}()
+	time.Sleep(30 * time.Millisecond)
+	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
+	defer cancel()
+	if err := p.CloseContext(ctx); err == nil {
+		t.Fatal("first CloseContext beat a 300ms handler with a 1ms deadline")
+	}
+	if err := p.CloseContext(context.Background()); err != nil {
+		t.Fatalf("second CloseContext: %v", err)
+	}
+	if !returned.Load() {
+		t.Error("second CloseContext returned while the handler was still running")
+	}
+	if live := p.Stats().LiveContainers; live != 0 {
+		t.Errorf("LiveContainers = %d after the second CloseContext, want 0", live)
+	}
+	<-done
 }
 
 func TestCloseContextWaitsWithoutDeadline(t *testing.T) {
