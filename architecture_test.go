@@ -125,7 +125,6 @@ var wallClockBudget = map[string]int{
 	"internal/platform/platform.go": 7,
 	"internal/router/admission.go":  2,
 	"internal/router/autoscale.go":  5,
-	"internal/router/pullpolicy.go": 2,
 	"internal/router/router.go":     4,
 	"internal/router/wire.go":       4,
 	"internal/scenario/live.go":     12,

@@ -13,7 +13,7 @@
 //	faasgate -pprof                # serve /debug/pprof/
 //	faasgate -log-level debug      # structured logs on stderr
 //	faasgate -worker-id w1         # fleet worker behind cmd/faasrouter:
-//	                               # /healthz advertises identity+capacity
+//	                               # /healthz advertises its identity
 //
 // Built-in demo functions:
 //
@@ -72,7 +72,6 @@ func run(args []string) error {
 	maxRetries := fs.Int("max-retries", 0, "extra attempts for failed invocations, re-batched into later windows")
 	retryBackoff := fs.Duration("retry-backoff", 0, "base retry delay, doubled per attempt (0 = next window)")
 	workerID := fs.String("worker-id", "", "fleet identity advertised in /healthz and invoke responses (worker mode, behind faasrouter)")
-	capacity := fs.Int("capacity", 0, "concurrency capacity advertised in /healthz (0 = unbounded)")
 	shutdownTimeout := fs.Duration("shutdown-timeout", 10*time.Second, "one deadline covering HTTP drain and platform drain on SIGINT/SIGTERM")
 	chaosRate := fs.Float64("chaos-rate", 0, "inject every fault kind at this rate in [0,1) (0 = off)")
 	chaosSeed := fs.Int64("chaos-seed", 1, "seed for the fault schedule (same seed, same faults)")
@@ -112,7 +111,6 @@ func run(args []string) error {
 	cfg.MaxRetries = *maxRetries
 	cfg.RetryBackoff = *retryBackoff
 	cfg.WorkerID = *workerID
-	cfg.Capacity = *capacity
 	cfg.SLOs = slos
 	if *chaosRate < 0 {
 		return fmt.Errorf("-chaos-rate must be in [0, 1), got %v", *chaosRate)

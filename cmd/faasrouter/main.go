@@ -72,7 +72,6 @@ func run(args []string) error {
 	pullQueueDepth := fs.Int("pull-queue-depth", 0, "pull: bounded per-function queue depth before shedding (0 = unbounded)")
 	pullBatch := fs.Int("pull-batch", 0, "pull: max grants handed to one worker per pull (0 = default)")
 	pullCapacity := fs.Int("pull-capacity", 0, "pull: concurrent leases one worker absorbs (0 = default)")
-	pullLeaseBudget := fs.Duration("pull-lease-budget", 0, "pull: lease age reclaimed by the probe-tick sweep (0 = off; forward timeouts already bound live leases)")
 	scrapeTimeout := fs.Duration("scrape-timeout", 2*time.Second, "per-worker deadline when federating /cluster/metrics and /cluster/stats")
 	autoscaleOn := fs.Bool("autoscale", false, "enable the predictive autoscaling control loop over the registered fleet")
 	asMin := fs.Int("min-workers", 0, "autoscale: ready-worker floor (0 enables scale-to-zero)")
@@ -119,17 +118,15 @@ func run(args []string) error {
 		Policy:         *policy,
 		Logger:         logger,
 	}
-	pullTuned := *pullQueueDepth != 0 || *pullBatch != 0 || *pullCapacity != 0 ||
-		*pullLeaseBudget != 0
+	pullTuned := *pullQueueDepth != 0 || *pullBatch != 0 || *pullCapacity != 0
 	if pullTuned && *policy != router.PolicyPull {
 		return fmt.Errorf("-pull-* flags require -policy=%s (got -policy=%s)", router.PolicyPull, *policy)
 	}
 	if *policy == router.PolicyPull {
 		cfg.Pull = &pullsched.Config{
-			BatchSize:   *pullBatch,
-			Capacity:    *pullCapacity,
-			QueueDepth:  *pullQueueDepth,
-			LeaseBudget: *pullLeaseBudget,
+			BatchSize:  *pullBatch,
+			Capacity:   *pullCapacity,
+			QueueDepth: *pullQueueDepth,
 		}
 	}
 	if *autoscaleOn {

@@ -252,7 +252,7 @@ type (
 	// RouterWorkerSpec names one worker gateway behind the router.
 	RouterWorkerSpec = router.WorkerSpec
 	// PullConfig tunes the pull policy's decision core (batch size,
-	// per-worker capacity, queue depth, lease budget).
+	// per-worker capacity, queue depth).
 	PullConfig = pullsched.Config
 )
 

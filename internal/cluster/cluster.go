@@ -366,11 +366,10 @@ func (c *Cluster) Nodes() []*node.Node { return c.nodes }
 // across a scale-to-zero cycle. The binding rides on inv.Route, where the
 // completion sink finds it again.
 func (c *Cluster) Submit(inv *fnruntime.Invocation, complete func(*fnruntime.Invocation)) {
-	start := c.eng.Now()
 	if c.scaler != nil {
-		c.scaler.observe(inv.Spec.Name, start.Duration())
+		c.scaler.observe(inv.Spec.Name, c.eng.Now().Duration())
 	}
-	inv.Route = fnruntime.Route{At: start, Done: complete}
+	inv.Route = fnruntime.Route{Done: complete}
 	if c.pull != nil {
 		c.pull.submit(inv)
 		return

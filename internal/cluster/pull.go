@@ -62,7 +62,7 @@ func (d *pullDriver) submit(inv *fnruntime.Invocation) {
 	id := d.nextID
 	inv.Route.Lease = id
 	d.pending[id] = inv
-	gs, shed := d.core.Enqueue(id, inv.Spec.Name, inv.Route.At.Duration())
+	gs, shed := d.core.Enqueue(id, inv.Spec.Name, 0)
 	if shed {
 		delete(d.pending, id)
 		d.shed++
@@ -102,7 +102,7 @@ func (d *pullDriver) dispatch(held []pullsched.Grant) {
 func (d *pullDriver) completed(done *fnruntime.Invocation) {
 	d.c.settle(done)
 	id := done.Route.Lease
-	next := d.hold(d.core.Complete(id, d.c.eng.Now().Duration()))
+	next := d.hold(d.core.Complete(id, 0))
 	delete(d.pending, id)
 	done.Route.Done(done)
 	d.dispatch(next)
@@ -111,7 +111,7 @@ func (d *pullDriver) completed(done *fnruntime.Invocation) {
 // membership mirrors a picker mark-down/mark-up into core eligibility;
 // a mark-up may immediately drain queued work (scale-from-zero wake).
 func (d *pullDriver) membership(i int, down bool) {
-	d.dispatch(d.hold(d.core.SetWorker(i, !down, d.c.eng.Now().Duration())))
+	d.dispatch(d.hold(d.core.SetWorker(i, !down, 0)))
 }
 
 // PullEnabled reports whether the cluster routes through the pull

@@ -92,8 +92,6 @@ type Invocation struct {
 type Route struct {
 	// Worker is the node the invocation was dispatched to.
 	Worker int
-	// At is when the dispatcher received it.
-	At sim.Time
 	// Lease identifies the pull scheduler's grant (Pull balancing only).
 	Lease int64
 	// Done is the submitter's completion callback.

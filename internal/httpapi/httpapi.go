@@ -221,16 +221,13 @@ const (
 )
 
 // HealthResponse is the /healthz body of a worker gateway: a truthful
-// readiness signal plus the worker-initiated capacity report the router's
-// prober consumes (Hiku-style pull signals instead of blind push).
+// readiness signal the router's prober turns into worker membership.
 type HealthResponse struct {
 	// Status is one of the Health* states above. Only HealthOK travels
 	// with a 200; the other states ride a 503.
 	Status string `json:"status"`
 	// Worker is the gateway's fleet identity (empty when standalone).
 	Worker string `json:"worker,omitempty"`
-	// Capacity is the advertised concurrency capacity (0 = unbounded).
-	Capacity int `json:"capacity,omitempty"`
 	// Inflight counts invocations accepted but not yet completed.
 	Inflight int64 `json:"inflight"`
 }
@@ -245,8 +242,6 @@ type WorkerStatus struct {
 	State string `json:"state"`
 	// Inflight counts forwards currently outstanding against the worker.
 	Inflight int64 `json:"inflight"`
-	// Capacity is the worker's last advertised concurrency capacity.
-	Capacity int `json:"capacity"`
 	// Forwarded counts invocations this worker served through the router.
 	Forwarded int64 `json:"forwarded"`
 	// Failures counts forward attempts and probes that failed against it.

@@ -228,14 +228,11 @@ func (n *Node) Acquire(fn string, opts AcquireOptions, to Acquirer) {
 	n.pumpCreations()
 }
 
-// pumpCreations starts queued creations while engine slots are free and,
-// under EnforceMemLimit, while the node has memory headroom for the new
-// container's base footprint.
+// pumpCreations starts queued creations while engine slots are free.
+// Every change to createInflight or createQueue is followed by a call,
+// so nothing else can unblock a creation.
 func (n *Node) pumpCreations() {
 	for n.createInflight < n.cfg.CreateConcurrency && n.createHead < len(n.createQueue) {
-		if n.cfg.EnforceMemLimit && n.MemUsed()+n.cfg.ContainerMem > n.cfg.MemBytes {
-			return // head-of-line blocks until an eviction frees memory
-		}
 		req := n.createQueue[n.createHead]
 		n.createQueue[n.createHead] = createReq{}
 		n.createHead++
@@ -421,13 +418,12 @@ func (n *Node) keepAliveExpired() {
 	n.evictions++
 }
 
-// teardown releases a container's resources. Freed memory may unblock
-// admission-controlled creations.
+// teardown releases a container's resources. Memory is tracked, never
+// bounded, so freeing it starts no queued creation.
 func (n *Node) teardown(c *Container) {
 	if c.state == Evicted {
 		return
 	}
-	defer n.pumpCreations()
 	if c.parked {
 		// Out of the keep-alive FIFO and the warm pool alike: no later
 		// Acquire may hand out a torn-down container.

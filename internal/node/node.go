@@ -30,15 +30,6 @@ import (
 type Config struct {
 	// Cores is the number of CPU cores (the paper's worker VM has 32).
 	Cores float64
-	// MemBytes is the node memory capacity (64 GB in the paper). The
-	// ledger tracks usage against it; with EnforceMemLimit set, container
-	// creation additionally waits for headroom.
-	MemBytes int64
-	// EnforceMemLimit gates container creation on memory headroom: a
-	// creation whose base footprint would exceed MemBytes waits in the
-	// engine queue until evictions free space (admission control). Off by
-	// default — the paper's 64 GB worker VM hits CPU collapse first.
-	EnforceMemLimit bool
 	// Discipline is the CPU scheduling model (FairShare unless the SFS
 	// policy installs MLFQ).
 	Discipline cpusched.Discipline
@@ -87,7 +78,6 @@ type Config struct {
 func DefaultConfig() Config {
 	return Config{
 		Cores:                32,
-		MemBytes:             64 << 30,
 		Discipline:           cpusched.FairShare{},
 		ColdStartLatency:     400 * time.Millisecond,
 		CreateCPUWork:        350 * time.Millisecond,

@@ -523,53 +523,6 @@ func TestBaseMemIncludedInUsage(t *testing.T) {
 	}
 }
 
-func TestEnforceMemLimitGatesCreation(t *testing.T) {
-	eng := sim.New(1)
-	cfg := testConfig()
-	cfg.EnforceMemLimit = true
-	cfg.MemBytes = 100 << 20 // room for two 40 MB containers
-	cfg.KeepAlive = 2 * time.Second
-	n := newTestNode(t, eng, cfg)
-	acquired := 0
-	for i := 0; i < 3; i++ {
-		n.Acquire("f", AcquireOptions{}, AcquireFunc(func(r AcquireResult) {
-			acquired++
-			r.Container.ReturnThread()
-		}))
-	}
-	// Boots take 500ms; by 1s only two containers fit in memory.
-	eng.RunUntil(sim.Time(time.Second))
-	if acquired != 2 {
-		t.Fatalf("acquired = %d before evictions, want 2 (admission control)", acquired)
-	}
-	if n.MemUsed() > cfg.MemBytes {
-		t.Fatalf("MemUsed %d exceeded the limit %d", n.MemUsed(), cfg.MemBytes)
-	}
-	// Keep-alive evictions free memory and unblock the third creation.
-	eng.Run()
-	if acquired != 3 {
-		t.Fatalf("acquired = %d after evictions, want 3", acquired)
-	}
-}
-
-func TestEnforceMemLimitOffAllowsOvershoot(t *testing.T) {
-	eng := sim.New(1)
-	cfg := testConfig()
-	cfg.MemBytes = 50 << 20
-	n := newTestNode(t, eng, cfg)
-	done := 0
-	for i := 0; i < 3; i++ {
-		n.Acquire("f", AcquireOptions{}, AcquireFunc(func(AcquireResult) { done++ }))
-	}
-	eng.Run()
-	if done != 3 {
-		t.Fatalf("done = %d, want 3 (no enforcement by default)", done)
-	}
-	if n.MemUsed() <= cfg.MemBytes {
-		t.Fatalf("expected overshoot without enforcement: used %d", n.MemUsed())
-	}
-}
-
 func TestBootFailuresRetryUntilSuccess(t *testing.T) {
 	eng := sim.New(7)
 	cfg := testConfig()

@@ -55,8 +55,8 @@ var statSeries = []obs.Series[Stats]{
 //	GET  /metrics       — Prometheus text: counters, gauges and histograms
 //	GET  /functions     — registered function names
 //	GET  /debug/traces  — Chrome trace-event JSON of the span ring buffer
-//	GET  /healthz       — httpapi.HealthResponse readiness + capacity
-//	                      report: 200 "ok" when ready, 503 "unready"
+//	GET  /healthz       — httpapi.HealthResponse readiness report:
+//	                      200 "ok" when ready, 503 "unready"
 //	                      before SetReady(true), 503 "draining" once
 //	                      Close begins
 //
@@ -194,7 +194,6 @@ func (p *Platform) serveHealth(w http.ResponseWriter, r *http.Request) {
 	health := httpapi.HealthResponse{
 		Status:   httpapi.HealthOK,
 		Worker:   p.WorkerID(),
-		Capacity: p.Capacity(),
 		Inflight: p.Inflight(),
 	}
 	status := http.StatusOK

@@ -318,15 +318,9 @@ type Config struct {
 	// Zero re-batches immediately into the next window.
 	RetryBackoff time.Duration
 	// WorkerID is this platform's identity in a multi-worker fleet
-	// (internal/router): echoed in invoke responses and the /healthz
-	// capacity report, so the router can attribute work truthfully.
-	// Empty means standalone.
+	// (internal/router): echoed in invoke responses and /healthz, so the
+	// router can attribute work truthfully. Empty means standalone.
 	WorkerID string
-	// Capacity is the concurrency capacity advertised to the routing
-	// tier via /healthz (worker-initiated signals, Hiku-style). Zero
-	// means unbounded/unknown. It is advisory: the platform itself does
-	// not enforce it.
-	Capacity int
 	// Chaos optionally injects seeded faults (boot failures, container
 	// crashes, handler error/panic/hang, slow cold starts, storage
 	// construction failures). Nil — the default — injects nothing.
@@ -618,9 +612,6 @@ func New(cfg Config) (*Platform, error) {
 	if cfg.RetryBackoff < 0 {
 		return nil, fmt.Errorf("platform: retry backoff must be non-negative, got %v", cfg.RetryBackoff)
 	}
-	if cfg.Capacity < 0 {
-		return nil, fmt.Errorf("platform: capacity must be non-negative, got %d", cfg.Capacity)
-	}
 	logger := cfg.Logger
 	if logger == nil {
 		logger = obs.Nop()
@@ -740,9 +731,6 @@ func (p *Platform) Draining() bool {
 
 // WorkerID reports the platform's fleet identity ("" when standalone).
 func (p *Platform) WorkerID() string { return p.cfg.WorkerID }
-
-// Capacity reports the advertised concurrency capacity (0 = unbounded).
-func (p *Platform) Capacity() int { return p.cfg.Capacity }
 
 // Inflight counts invocations accepted but not yet completed (canceled
 // calls dropped before execution no longer count).

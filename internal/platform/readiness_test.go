@@ -35,7 +35,6 @@ func getHealth(t *testing.T, url string) (int, httpapi.HealthResponse) {
 func TestHealthzReadinessLifecycle(t *testing.T) {
 	cfg := quickConfig(ModeBatch)
 	cfg.WorkerID = "w-test"
-	cfg.Capacity = 4
 	p, err := New(cfg)
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -51,7 +50,7 @@ func TestHealthzReadinessLifecycle(t *testing.T) {
 	if code != http.StatusServiceUnavailable || body.Status != httpapi.HealthUnready {
 		t.Fatalf("pre-registration: %d %q, want 503 unready", code, body.Status)
 	}
-	if body.Worker != "w-test" || body.Capacity != 4 {
+	if body.Worker != "w-test" {
 		t.Fatalf("identity lost: %+v", body)
 	}
 
@@ -210,13 +209,5 @@ func TestInflightGauge(t *testing.T) {
 	}
 	if got := p.Inflight(); got != 0 {
 		t.Fatalf("post-completion Inflight = %d", got)
-	}
-}
-
-func TestConfigRejectsNegativeCapacity(t *testing.T) {
-	cfg := quickConfig(ModeBatch)
-	cfg.Capacity = -1
-	if _, err := New(cfg); err == nil {
-		t.Fatal("negative capacity accepted")
 	}
 }

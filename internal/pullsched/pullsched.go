@@ -11,27 +11,29 @@
 //
 // The core is shared verbatim by the cluster simulator
 // (internal/cluster, Balancing=Pull) and the live router
-// (internal/router, Config.Policy="pull"). It never reads a clock: every
-// event carries an offset from the driver's epoch (virtual time in the
-// sim, time.Since(start) live). All tie-breaks are total orders (queue
-// depth then head admission sequence; worker load then index), so a given
-// event sequence yields exactly one grant sequence, whichever driver
-// feeds it.
+// (internal/router, Config.Policy="pull"). It reads no time at all: its
+// decisions depend only on the order of events. All tie-breaks are total
+// orders (queue depth then head admission sequence; worker load then
+// index), so a given event sequence yields exactly one grant sequence,
+// whichever driver feeds it.
 //
-// Lease protocol: a grant leases one invocation to one worker. The
-// driver acks with Complete, requeues with Fail (worker died mid-lease —
-// the item returns to the front of its queue and prefers a different
-// worker on re-grant), or drops with Abort (the caller gave up). Expire
-// requeues leases older than LeaseBudget, the backstop for drivers whose
-// lease holders can vanish without an ack. Each requeue produces exactly
-// one replacement grant, so the zero-lost-invocations guarantee survives
-// worker death mid-lease.
+// Lease protocol: a grant leases one invocation to one worker, and the
+// worker's holder settles it — the Hiku shape. The driver acks with
+// Complete, requeues with Fail (worker died mid-lease — the item returns
+// to the front of its queue and prefers a different worker on
+// re-grant), or drops with Abort (the caller gave up). Every lease
+// holder settles: the live router's forwarding goroutine in its deferred
+// Done, bounded by the forward timeout, and the simulator on completion.
+// So a lease never expires, and an invocation holds at most one grant at
+// a time. Each requeue produces exactly one replacement grant, so the
+// zero-lost-invocations guarantee survives worker death mid-lease.
+//
+// The off parameter of Enqueue, Complete, Fail, Abort and SetWorker is
+// ignored; it stays only for callers that still pass one.
 package pullsched
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 	"time"
 )
 
@@ -59,11 +61,6 @@ type Config struct {
 	// Capacity is the concurrent-lease cap per worker (default
 	// DefaultCapacity).
 	Capacity int
-	// LeaseBudget expires leases not acked within this span; expired
-	// leases requeue at the front of their function's queue. 0 disables
-	// expiry (live drivers whose lease holders always ack — every router
-	// forward is bounded by its ForwardTimeout — don't need it).
-	LeaseBudget time.Duration
 }
 
 // withDefaults resolves zero values.
@@ -88,9 +85,7 @@ type Grant struct {
 	Fn string
 	// Worker is the leased worker slot.
 	Worker int
-	// At is the driver offset the grant was issued at.
-	At time.Duration
-	// Requeue marks a re-dispatch of a failed or expired lease.
+	// Requeue marks a re-dispatch of a failed lease.
 	Requeue bool
 }
 
@@ -100,16 +95,12 @@ type Stats struct {
 	Enqueued uint64
 	// Granted counts leases issued (including re-dispatches).
 	Granted uint64
-	// Requeues counts failed/expired leases returned to their queue.
+	// Requeues counts failed leases returned to their queue.
 	Requeues uint64
-	// Expired counts leases the LeaseBudget sweep reclaimed.
-	Expired uint64
 	// Shed counts arrivals refused at the QueueDepth bound.
 	Shed uint64
 	// Completed counts acked leases.
 	Completed uint64
-	// Failed counts leases the driver reported failed.
-	Failed uint64
 	// Aborted counts invocations the caller dropped.
 	Aborted uint64
 	// Queued is the current total queue depth across functions.
@@ -181,10 +172,8 @@ func (q *fnQueue) pop() item {
 
 // lease is one outstanding grant.
 type lease struct {
-	it      item
-	worker  int
-	granted time.Duration
-	seq     uint64
+	it     item
+	worker int
 }
 
 // workerState tracks one slot.
@@ -214,7 +203,6 @@ type Core struct {
 	gntSeq  uint64
 	stats   Stats
 	grants  []Grant // the returned grants, reused per call
-	expired []lease // Expire's scratch
 }
 
 // New builds a core for cfg.Workers slots, all initially eligible.
@@ -224,9 +212,6 @@ func New(cfg Config) (*Core, error) {
 	}
 	if cfg.QueueDepth < 0 {
 		return nil, fmt.Errorf("pullsched: queue depth must be >= 0, got %d", cfg.QueueDepth)
-	}
-	if cfg.LeaseBudget < 0 {
-		return nil, fmt.Errorf("pullsched: lease budget must be >= 0, got %v", cfg.LeaseBudget)
 	}
 	cfg = cfg.withDefaults()
 	c := &Core{
@@ -271,11 +256,11 @@ func (c *Core) retire(q *fnQueue) {
 	c.free = append(c.free, q)
 }
 
-// Enqueue admits invocation id of function fn at offset off. It returns
-// the grants the arrival unlocked (the arrival itself when a worker has
-// capacity) and shed=true when fn's queue is at its depth bound — the
-// item was refused and must be answered with an overload error.
-func (c *Core) Enqueue(id int64, fn string, off time.Duration) ([]Grant, bool) {
+// Enqueue admits invocation id of function fn. It returns the grants
+// the arrival unlocked (the arrival itself when a worker has capacity)
+// and shed=true when fn's queue is at its depth bound — the item was
+// refused and must be answered with an overload error.
+func (c *Core) Enqueue(id int64, fn string, _ time.Duration) ([]Grant, bool) {
 	if q := c.queues[fn]; c.cfg.QueueDepth > 0 && q != nil && q.len() >= c.cfg.QueueDepth {
 		c.stats.Shed++
 		return nil, true
@@ -284,50 +269,44 @@ func (c *Core) Enqueue(id int64, fn string, off time.Duration) ([]Grant, bool) {
 	c.queue(fn).push(item{id: id, fn: fn, seq: c.admSeq, lastWorker: -1})
 	c.queued++
 	c.stats.Enqueued++
-	return c.pull(off), false
+	return c.pull(), false
 }
 
-// Complete acks invocation id's lease: the worker finished it. When the
-// id is queued rather than leased (an expiry requeued it while the
-// original forward was still completing), the queued copy is withdrawn
-// instead, so one invocation is never served twice. Freed capacity
-// pulls more work.
-func (c *Core) Complete(id int64, off time.Duration) []Grant {
-	if l, ok := c.leases[id]; ok {
-		c.dropLease(l)
-		c.stats.Completed++
-		return c.pull(off)
+// Complete acks invocation id's lease: the worker finished it. Freed
+// capacity pulls more work. An id that holds no lease is ignored.
+func (c *Core) Complete(id int64, _ time.Duration) []Grant {
+	l, ok := c.leases[id]
+	if !ok {
+		return nil
 	}
-	if c.dequeue(id) {
-		c.stats.Completed++
-	}
-	return nil
+	c.dropLease(l)
+	c.stats.Completed++
+	return c.pull()
 }
 
 // Fail requeues invocation id after its worker failed mid-lease: the
 // item returns to the front of its function's queue keeping its
 // admission sequence, and its re-grant prefers a different worker. The
 // freed capacity (and the requeued item itself) may grant immediately.
-// Unknown ids are ignored — the lease may already have expired and
-// requeued.
-func (c *Core) Fail(id int64, off time.Duration) []Grant {
+// An id that holds no lease is ignored.
+func (c *Core) Fail(id int64, _ time.Duration) []Grant {
 	l, ok := c.leases[id]
 	if !ok {
 		return nil
 	}
 	c.dropLease(l)
-	c.stats.Failed++
 	c.requeue(l.it)
-	return c.pull(off)
+	return c.pull()
 }
 
-// Abort withdraws invocation id entirely — the caller gave up (context
-// cancelled, attempts exhausted). Freed capacity pulls more work.
-func (c *Core) Abort(id int64, off time.Duration) []Grant {
+// Abort withdraws invocation id entirely, leased or still queued — the
+// caller gave up (context cancelled, attempts exhausted). Freed capacity
+// pulls more work.
+func (c *Core) Abort(id int64, _ time.Duration) []Grant {
 	if l, ok := c.leases[id]; ok {
 		c.dropLease(l)
 		c.stats.Aborted++
-		return c.pull(off)
+		return c.pull()
 	}
 	if c.dequeue(id) {
 		c.stats.Aborted++
@@ -335,40 +314,11 @@ func (c *Core) Abort(id int64, off time.Duration) []Grant {
 	return nil
 }
 
-// Expire requeues every lease older than LeaseBudget at offset off and
-// returns the re-grants. A no-op when LeaseBudget is 0.
-func (c *Core) Expire(off time.Duration) []Grant {
-	if c.cfg.LeaseBudget <= 0 || len(c.leases) == 0 {
-		return nil
-	}
-	expired := c.expired[:0]
-	for _, l := range c.leases {
-		if off-l.granted >= c.cfg.LeaseBudget {
-			expired = append(expired, l)
-		}
-	}
-	c.expired = expired
-	if len(expired) == 0 {
-		return nil
-	}
-	// Requeue in descending grant order so prepends leave each queue
-	// front ascending by admission sequence (map iteration order must
-	// not leak into the decision sequence).
-	slices.SortFunc(expired, func(a, b lease) int { return cmp.Compare(b.seq, a.seq) })
-	for _, l := range expired {
-		c.dropLease(l)
-		c.stats.Expired++
-		c.requeue(l.it)
-	}
-	clear(expired) // drop the function names the scratch still holds
-	return c.pull(off)
-}
-
 // SetWorker flips slot w's routing eligibility: draining or down
 // workers stop pulling (their outstanding leases keep running until the
 // driver acks or fails them); a newly eligible worker immediately
 // drains queued work — the scale-from-zero wake path.
-func (c *Core) SetWorker(w int, eligible bool, off time.Duration) []Grant {
+func (c *Core) SetWorker(w int, eligible bool, _ time.Duration) []Grant {
 	if w < 0 || w >= len(c.workers) || c.workers[w].eligible == eligible {
 		return nil
 	}
@@ -376,7 +326,7 @@ func (c *Core) SetWorker(w int, eligible bool, off time.Duration) []Grant {
 	if !eligible {
 		return nil
 	}
-	return c.pull(off)
+	return c.pull()
 }
 
 // Stats snapshots the counters.
@@ -428,7 +378,7 @@ func (c *Core) dequeue(id int64) bool {
 // least-loaded eligible worker (tie: lowest index). The whole batch
 // goes to one worker so it lands in one dispatch window, preserving the
 // batching locality the hash policy gets from function pinning.
-func (c *Core) pull(off time.Duration) []Grant {
+func (c *Core) pull() []Grant {
 	c.grants = c.grants[:0]
 	for {
 		if c.target(-1) < 0 {
@@ -459,11 +409,10 @@ func (c *Core) pull(off time.Duration) []Grant {
 				ID:      it.id,
 				Fn:      it.fn,
 				Worker:  w,
-				At:      off,
 				Requeue: it.requeues > 0,
 			})
 			it.lastWorker = w
-			c.leases[it.id] = lease{it: it, worker: w, granted: off, seq: c.gntSeq}
+			c.leases[it.id] = lease{it: it, worker: w}
 			c.workers[w].inflight++
 			c.stats.Granted++
 		}

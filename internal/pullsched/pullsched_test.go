@@ -25,9 +25,6 @@ func TestValidation(t *testing.T) {
 	if _, err := New(Config{Workers: 2, QueueDepth: -1}); err == nil {
 		t.Fatal("New accepted negative queue depth")
 	}
-	if _, err := New(Config{Workers: 2, LeaseBudget: -time.Second}); err == nil {
-		t.Fatal("New accepted negative lease budget")
-	}
 	c := mustNew(t, Config{Workers: 2})
 	cfg := c.Config()
 	if cfg.BatchSize != DefaultBatchSize || cfg.Capacity != DefaultCapacity {
@@ -114,7 +111,7 @@ func TestFailRequeuesToDifferentWorker(t *testing.T) {
 		t.Fatalf("unknown id produced grants: %+v", again)
 	}
 	st := c.Stats()
-	if st.Failed != 1 || st.Requeues != 1 || st.Granted != 2 {
+	if st.Requeues != 1 || st.Granted != 2 {
 		t.Fatalf("stats: %+v", st)
 	}
 }
@@ -143,58 +140,6 @@ func TestRequeueKeepsQueuePosition(t *testing.T) {
 	gs = c.Complete(1, 2*time.Millisecond)
 	if len(gs) != 1 || gs[0].ID != 2 {
 		t.Fatalf("completion should pull the waiting arrival: %+v", gs)
-	}
-}
-
-// Expire reclaims leases past the budget, requeues them exactly once,
-// and a late Complete withdraws the queued copy so one invocation is
-// never served twice.
-func TestExpireAndLateCompletion(t *testing.T) {
-	c := mustNew(t, Config{Workers: 1, LeaseBudget: 100 * time.Millisecond})
-	c.Enqueue(1, "hot", 0)
-	if gs := c.Expire(50 * time.Millisecond); len(gs) != 0 {
-		t.Fatalf("early expiry: %+v", gs)
-	}
-	// Take the worker out so the expired item stays queued.
-	c.SetWorker(0, false, 60*time.Millisecond)
-	if gs := c.Expire(100 * time.Millisecond); len(gs) != 0 {
-		t.Fatalf("no eligible worker, yet expiry granted: %+v", gs)
-	}
-	st := c.Stats()
-	if st.Expired != 1 || st.Requeues != 1 || st.Queued != 1 || st.Leases != 0 {
-		t.Fatalf("stats after expiry: %+v", st)
-	}
-	// The original forward turns out to have succeeded after all.
-	c.Complete(1, 110*time.Millisecond)
-	if gs := c.SetWorker(0, true, 120*time.Millisecond); len(gs) != 0 {
-		t.Fatalf("withdrawn item re-granted: %+v", gs)
-	}
-	st = c.Stats()
-	if st.Completed != 1 || st.Queued != 0 || st.Leases != 0 {
-		t.Fatalf("stats after late completion: %+v", st)
-	}
-}
-
-// Expiry with capacity available re-grants immediately, exactly once.
-func TestExpireRegrants(t *testing.T) {
-	c := mustNew(t, Config{Workers: 2, LeaseBudget: 100 * time.Millisecond})
-	c.Enqueue(1, "hot", 0)
-	gs := c.Expire(150 * time.Millisecond)
-	if len(gs) != 1 || !gs[0].Requeue || gs[0].ID != 1 || gs[0].Worker != 1 {
-		t.Fatalf("expiry re-grant = %+v, want id 1 on worker 1", gs)
-	}
-	if gs = c.Expire(160 * time.Millisecond); len(gs) != 0 {
-		t.Fatalf("fresh lease expired immediately: %+v", gs)
-	}
-
-	// Two leases of one function expiring in one sweep come back in
-	// admission order: FIFO per function survives the requeue.
-	c = mustNew(t, Config{Workers: 1, Capacity: 2, BatchSize: 2, LeaseBudget: time.Second})
-	c.Enqueue(1, "f", 0)
-	c.Enqueue(2, "f", 0)
-	gs = c.Expire(2 * time.Second)
-	if len(gs) != 2 || gs[0].ID != 1 || gs[1].ID != 2 {
-		t.Fatalf("expiry re-grant = %+v, want ids [1 2]", gs)
 	}
 }
 

@@ -2,6 +2,10 @@ package router
 
 import (
 	"context"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -235,5 +239,66 @@ func TestLiveScaleCycleZeroLost(t *testing.T) {
 	rst := rt.Stats()
 	if rst.NoWorkers != 0 {
 		t.Fatalf("router bounced %d invocations with an empty ring", rst.NoWorkers)
+	}
+}
+
+// TestHashWakeFromZeroHoldsArrival: under the hash policy, the first
+// arrival on a fleet scaled to zero finds an empty ring, and
+// awaitCapacity holds it through the woken worker's warm-up instead of
+// answering 503. It is served with 200 no sooner than Warmup after it
+// arrived, and the router counts no empty-ring bounce.
+func TestHashWakeFromZeroHoldsArrival(t *testing.T) {
+	const warmup = 30 * time.Millisecond
+	rt := newTestRouter(t, []*fakeWorker{newFakeWorker(t, "w1"), newFakeWorker(t, "w2")}, func(cfg *Config) {
+		cfg.Autoscale = &autoscale.Config{
+			MinWorkers:      0,
+			MaxWorkers:      2,
+			TargetPerWorker: 2,
+			EvalInterval:    5 * time.Millisecond,
+			Warmup:          warmup,
+			DrainBudget:     10 * time.Millisecond,
+			ScaleDownAfter:  1,
+			// Longer than Warmup: idleness counts from the last arrival,
+			// so a shorter span would retire the woken worker while it
+			// warms and leave the held arrival nothing to reach.
+			ScaleToZeroAfter: 100 * time.Millisecond,
+		}
+	})
+	srv := httptest.NewServer(NewHTTPHandler(rt))
+	defer srv.Close()
+	rt.Start()
+
+	// The fleet starts with one worker; idleness drains it to zero.
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		st := rt.scaler.status()
+		if st.Ready == 0 && st.Warming == 0 && st.Draining == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("fleet never reached zero: %+v", st)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+
+	start := time.Now()
+	resp, err := http.Post(srv.URL+"/invoke", "application/json", strings.NewReader(`{"fn":"cold","payload":{"n":1}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := time.Since(start)
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("wake arrival: %d %s, want 200", resp.StatusCode, body)
+	}
+	if held < warmup {
+		t.Fatalf("wake arrival served after %v, before the %v warm-up: it was never held", held, warmup)
+	}
+	if st := rt.scaler.status(); st.Wakes != 1 {
+		t.Fatalf("wakes = %d, want 1: %+v", st.Wakes, st)
+	}
+	if st := rt.Stats(); st.NoWorkers != 0 {
+		t.Fatalf("router bounced %d invocations with an empty ring", st.NoWorkers)
 	}
 }

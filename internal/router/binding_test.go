@@ -2,44 +2,52 @@ package router
 
 import (
 	"context"
+	"errors"
+	"fmt"
+	"math/rand/v2"
+	"net/http"
+	"sync"
 	"testing"
 	"time"
 
 	"faasbatch/internal/pullsched"
 )
 
-// TestPullBindingReuseAfterRacingRegrants: a lease the sweep re-grants
-// while its holder's failed attempt re-grants it too leaves a second
-// grant in the binding's channel. Once the binding is settled and
-// recycled, the next invocation to take it receives only its own grant.
+// TestPullBindingReuseAfterRacingRegrants: Next returns on its
+// cancelled context while the grant is being delivered, so the grant
+// lands in the binding's channel after the waiter gave up. Done aborts
+// the lease and recycles the binding; the next invocation to take it
+// holds only its own grant.
 func TestPullBindingReuseAfterRacingRegrants(t *testing.T) {
-	workers := []*fakeWorker{newFakeWorker(t, "w1"), newFakeWorker(t, "w2")}
-	rt := newPullRouter(t, workers, &pullsched.Config{LeaseBudget: time.Nanosecond})
+	workers := []*fakeWorker{newFakeWorker(t, "w1")}
+	rt := newPullRouter(t, workers, &pullsched.Config{Capacity: 1, BatchSize: 1})
 	pp := rt.policy.(*pullPolicy)
 	ctx := context.Background()
 
-	bnd, err := pp.Assign(ctx, "hot")
+	holder, err := pp.Assign(ctx, "hot")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w, err := holder.Next(ctx, 1); err != nil || w != "w1" {
+		t.Fatalf("holder: %q, %v", w, err)
+	}
+	bnd, err := pp.Assign(ctx, "hot") // queued behind the only lease
 	if err != nil {
 		t.Fatal(err)
 	}
 	b := bnd.(*pullBinding)
-	if w, err := b.Next(ctx, 1); err != nil || w != "w1" {
-		t.Fatalf("first attempt: %q, %v", w, err)
+	cancelled, cancel := context.WithCancel(ctx)
+	cancel()
+	if _, err := b.Next(cancelled, 1); !errors.Is(err, context.Canceled) {
+		t.Fatalf("queued Next on a cancelled context: %v", err)
 	}
-	time.Sleep(time.Millisecond)
-	pp.sweep() // the lease expires and re-grants to w2
+	// The holder's ack frees the lease and grants b before b's forward
+	// settles: the grant sits unread in b's channel.
+	holder.Done(true)
 	if len(b.ch) != 1 {
-		t.Fatalf("sweep delivered %d grants, want 1", len(b.ch))
+		t.Fatalf("b's channel holds %d grants, want the late one", len(b.ch))
 	}
-	// The holder's attempt fails: Fail requeues the sweep's lease and
-	// re-grants it to w1, so two grants now sit in the channel.
-	if w, err := b.Next(ctx, 2); err != nil || w != "w2" {
-		t.Fatalf("second attempt: %q, %v", w, err)
-	}
-	if len(b.ch) != 1 {
-		t.Fatalf("%d grants left behind, want the fail re-grant", len(b.ch))
-	}
-	b.Done(true)
+	b.Done(false)
 
 	bnd, err = pp.Assign(ctx, "hot")
 	if err != nil {
@@ -62,8 +70,66 @@ func TestPullBindingReuseAfterRacingRegrants(t *testing.T) {
 	}
 	next.Done(true)
 	st := pp.Stats()
-	if st.Enqueued != 2 || st.Completed != 2 || st.Queued != 0 || st.Leases != 0 {
+	if st.Enqueued != 3 || st.Completed != 2 || st.Aborted != 1 || st.Queued != 0 || st.Leases != 0 {
 		t.Fatalf("core stats: %+v", st)
+	}
+}
+
+// TestPullBindingStress runs concurrent callers through the pull policy
+// against two workers, one of which fails every forward, with random
+// cancellations: failed forwards requeue, cancelled ones abort queued
+// and leased invocations alike, and bindings recycle under all of it.
+// Under the race build a second grant for one invocation panics in
+// deliverLocked, so a clean run shows it never happens. At quiescence
+// the core holds nothing and every admitted invocation was acked or
+// aborted; a lost lease strands callers, which the watchdog reports.
+func TestPullBindingStress(t *testing.T) {
+	good, bad := newFakeWorker(t, "good"), newFakeWorker(t, "bad")
+	good.set(func(w *fakeWorker) { w.invokeDelay = 200 * time.Microsecond })
+	bad.set(func(w *fakeWorker) { w.invokeStatus = http.StatusServiceUnavailable })
+	rt := newTestRouter(t, []*fakeWorker{good, bad}, func(cfg *Config) {
+		cfg.Policy = PolicyPull
+		cfg.Pull = &pullsched.Config{Capacity: 2, BatchSize: 1}
+		cfg.MarkDownAfter = 1 << 30 // keep the failing worker pulling
+	})
+	const callers, calls = 6, 60
+	timeouts := []time.Duration{0, -1, 100 * time.Microsecond, time.Millisecond}
+	var wg sync.WaitGroup
+	for c := 0; c < callers; c++ {
+		rng := rand.New(rand.NewPCG(uint64(c), 1))
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < calls; i++ {
+				ctx, cancel := context.Background(), context.CancelFunc(func() {})
+				switch d := timeouts[rng.IntN(len(timeouts))]; {
+				case d < 0:
+					ctx, cancel = context.WithCancel(ctx)
+					cancel() // gone before it is admitted
+				case d > 0:
+					ctx, cancel = context.WithTimeout(ctx, d)
+				}
+				_, _ = rt.Invoke(ctx, routedReq(fmt.Sprintf("fn-%d", rng.IntN(3))))
+				cancel()
+			}
+		}()
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		// A lost lease strands every uncancelled caller; the router's
+		// Close in cleanup releases them. No Stats here: a stuck policy
+		// lock would hang the report too.
+		t.Fatal("callers stuck for 30s")
+	}
+	st := rt.policy.Stats()
+	if st.Queued != 0 || st.Leases != 0 || st.Enqueued != st.Completed+st.Aborted {
+		t.Fatalf("core not quiescent or not conserved: %+v", st)
+	}
+	if st.Enqueued != callers*calls || st.Requeues == 0 || st.Aborted == 0 || st.Completed == 0 {
+		t.Fatalf("stress did not reach every path: %+v", st)
 	}
 }
 

@@ -243,7 +243,6 @@ var pullSeries = []obs.Series[pullsched.Stats]{
 	{Name: "faasrouter_pull_leases", Kind: obs.Gauge, Help: "Invocations currently leased to workers.", Key: "leases", Float: func(p *pullsched.Stats) float64 { return float64(p.Leases) }},
 	{Name: "faasrouter_pull_granted_total", Kind: obs.Counter, Help: "Leases handed out, re-grants included.", Key: "granted", Float: func(p *pullsched.Stats) float64 { return float64(p.Granted) }},
 	{Name: "faasrouter_pull_requeues_total", Kind: obs.Counter, Help: "Failed or expired leases returned to their queue.", Key: "requeues", Float: func(p *pullsched.Stats) float64 { return float64(p.Requeues) }},
-	{Name: "faasrouter_pull_expired_total", Kind: obs.Counter, Help: "Leases reclaimed by the lease-budget sweep.", Key: "expired", Float: func(p *pullsched.Stats) float64 { return float64(p.Expired) }},
 	{Name: "faasrouter_pull_shed_total", Kind: obs.Counter, Help: "Arrivals refused at the pull queue-depth bound.", Key: "shed", Float: func(p *pullsched.Stats) float64 { return float64(p.Shed) }},
 }
 

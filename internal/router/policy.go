@@ -22,9 +22,8 @@ const (
 // Policy is the router's scheduling strategy: it turns an admitted
 // invocation into a Binding that names the worker for each forward
 // attempt. Implementations are the consistent-hash push policy
-// (PolicyHash) and the late-binding pull policy (PolicyPull). The
-// interface is sealed — the unexported sweep method keeps outside
-// packages from implementing it, so its surface can still move.
+// (PolicyHash) and the late-binding pull policy (PolicyPull); New builds
+// one of them from Config.Policy.
 type Policy interface {
 	// Name reports the policy's registered name.
 	Name() string
@@ -42,9 +41,6 @@ type Policy interface {
 	// Stats snapshots the policy's decision core for /stats and /metrics:
 	// the pull core's counters, all zero under the hash policy.
 	Stats() pullsched.Stats
-	// sweep runs periodic maintenance off the probe loop (the pull
-	// policy's lease-expiry scan). Sealed: implementations live here.
-	sweep()
 }
 
 // Binding is one invocation's assignment under a Policy. A binding is
@@ -63,7 +59,8 @@ type Binding interface {
 	// binding back to its policy. The forwarder calls it exactly once,
 	// via defer, after the route span has read detail.
 	Done(ok bool)
-	// detail labels the route span (sealed for the same reason as sweep).
+	// detail labels the route span. Unexported, so only this package
+	// implements Binding.
 	detail() string
 }
 
@@ -102,9 +99,6 @@ func (p *hashPolicy) OnMembershipChange(string, bool) {}
 
 // Stats implements Policy.
 func (p *hashPolicy) Stats() pullsched.Stats { return pullsched.Stats{} }
-
-// sweep implements Policy (no periodic work).
-func (p *hashPolicy) sweep() {}
 
 // hashBinding walks the candidate list round-robin across attempts.
 type hashBinding struct {

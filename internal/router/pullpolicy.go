@@ -20,15 +20,14 @@ var errRouterClosed = errors.New("router: closed")
 // channel, Binding.Next blocks on it until the core leases the
 // invocation to a worker, a failed attempt requeues so the re-grant
 // late-binds elsewhere, and Done acks or aborts the lease and recycles
-// the binding, channel and all, for a later Assign. The core is
-// clock-agnostic and unlocked; this driver serialises every core call
-// under mu and stamps offsets from its own epoch — the same discipline
-// the sim driver gets for free from the single-threaded engine, which
-// is what makes the two drivers' grant logs comparable.
+// the binding, channel and all, for a later Assign. The core reads no
+// clock and is unlocked; this driver serialises every core call under mu
+// — the same discipline the sim driver gets for free from the
+// single-threaded engine, which is what makes the two drivers' grant
+// logs comparable.
 type pullPolicy struct {
-	rt    *Router
-	start time.Time // epoch for the core's virtual offsets
-	ids   []string  // slot index -> worker ID (Config.Workers order)
+	rt  *Router
+	ids []string // slot index -> worker ID (Config.Workers order)
 
 	mu      sync.Mutex
 	core    *pullsched.Core
@@ -53,7 +52,6 @@ func newPullPolicy(rt *Router, pcfg *pullsched.Config) (*pullPolicy, error) {
 	}
 	p := &pullPolicy{
 		rt:      rt,
-		start:   time.Now(),
 		core:    core,
 		waiters: make(map[int64]chan pullsched.Grant),
 		slots:   make(map[string]int, len(rt.cfg.Workers)),
@@ -68,9 +66,6 @@ func newPullPolicy(rt *Router, pcfg *pullsched.Config) (*pullPolicy, error) {
 	return p, nil
 }
 
-// now is the core-facing virtual offset of the current instant.
-func (p *pullPolicy) now() time.Duration { return time.Since(p.start) }
-
 // Name implements Policy.
 func (p *pullPolicy) Name() string { return PolicyPull }
 
@@ -83,7 +78,7 @@ func (p *pullPolicy) Assign(_ context.Context, fn string) (Binding, error) {
 	p.mu.Lock()
 	p.nextID++
 	id := p.nextID
-	gs, shed := p.core.Enqueue(id, fn, p.now())
+	gs, shed := p.core.Enqueue(id, fn, 0)
 	if shed {
 		depth := p.core.Config().QueueDepth
 		p.mu.Unlock()
@@ -98,10 +93,10 @@ func (p *pullPolicy) Assign(_ context.Context, fn string) (Binding, error) {
 		b, p.free = p.free[n-1], p.free[:n-1]
 		b.pooled = false
 	} else {
-		// Buffered for two so a sweep re-grant racing a fail re-grant
-		// never blocks the policy lock; Next consumes at most one per
-		// attempt.
-		b = &pullBinding{p: p, ch: make(chan pullsched.Grant, 2)}
+		// An invocation holds at most one grant at a time (a re-grant
+		// needs Fail, which Next calls only after it consumed the last
+		// one), so one slot keeps delivery from blocking the policy lock.
+		b = &pullBinding{p: p, ch: make(chan pullsched.Grant, 1)}
 	}
 	b.id = id
 	p.waiters[id] = b.ch
@@ -111,8 +106,10 @@ func (p *pullPolicy) Assign(_ context.Context, fn string) (Binding, error) {
 }
 
 // deliverLocked routes grants to their lease holders' channels. Sends
-// never block (the channels are buffered and drained once per attempt),
-// so grant delivery cannot deadlock against the policy lock.
+// never block (each channel has room for the one grant its invocation
+// can hold), so grant delivery cannot deadlock against the policy lock.
+// A full channel would mean a second grant for one invocation; the race
+// build panics on it rather than drop the grant.
 func (p *pullPolicy) deliverLocked(gs []pullsched.Grant) {
 	for _, g := range gs {
 		ch, ok := p.waiters[g.ID]
@@ -122,31 +119,36 @@ func (p *pullPolicy) deliverLocked(gs []pullsched.Grant) {
 		select {
 		case ch <- g:
 		default:
+			if poison {
+				panic(fmt.Sprintf("router: pull lease %d granted while its last grant is unread", g.ID))
+			}
 		}
 	}
 }
 
 // fail requeues a lease after a failed forward attempt; the freed
-// capacity may grant other queued invocations.
+// capacity may grant other queued invocations. The unlock is deferred
+// because the caller's deferred Done takes mu too: a race-build panic
+// in deliverLocked must release it on the way out, not deadlock.
 func (p *pullPolicy) fail(id int64) {
 	p.mu.Lock()
-	p.deliverLocked(p.core.Fail(id, p.now()))
-	p.mu.Unlock()
+	defer p.mu.Unlock()
+	p.deliverLocked(p.core.Fail(id, 0))
 }
 
 // settle acks (ok) or aborts b's lease — an abort also withdraws a
 // queued copy — delivers the grants the freed capacity unlocks, and
 // puts b on the free list. Its id leaves waiters first, so no grant can
-// reach its channel any more; one already there (a fail re-grant that
-// raced a sweep's) is drained, so the next invocation to take b sees
-// only its own grant.
+// reach its channel any more; one already there (delivered while Next
+// returned on its cancelled context) is drained, so the next invocation
+// to take b sees only its own grant.
 func (p *pullPolicy) settle(b *pullBinding, ok bool) {
 	p.mu.Lock()
 	var gs []pullsched.Grant
 	if ok {
-		gs = p.core.Complete(b.id, p.now())
+		gs = p.core.Complete(b.id, 0)
 	} else {
-		gs = p.core.Abort(b.id, p.now())
+		gs = p.core.Abort(b.id, 0)
 	}
 	delete(p.waiters, b.id)
 	p.deliverLocked(gs)
@@ -172,7 +174,7 @@ func (p *pullPolicy) releaseLocked(b *pullBinding) {
 func (p *pullPolicy) OnMembershipChange(workerID string, eligible bool) {
 	p.mu.Lock()
 	if i, ok := p.slots[workerID]; ok {
-		p.deliverLocked(p.core.SetWorker(i, eligible, p.now()))
+		p.deliverLocked(p.core.SetWorker(i, eligible, 0))
 	}
 	p.mu.Unlock()
 }
@@ -182,20 +184,6 @@ func (p *pullPolicy) Stats() pullsched.Stats {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.core.Stats()
-}
-
-// sweep implements Policy: reclaim leases past the budget, riding the
-// probe loop's tick. Live leases are already bounded by ForwardTimeout
-// plus the binding's deferred Done, so the sweep is a backstop for
-// leases whose holder died without settling; it only runs when a
-// LeaseBudget is configured (the live default leaves it off).
-func (p *pullPolicy) sweep() {
-	if p.core.Config().LeaseBudget <= 0 {
-		return
-	}
-	p.mu.Lock()
-	p.deliverLocked(p.core.Expire(p.now()))
-	p.mu.Unlock()
 }
 
 // pullRetryAfter sizes the 429 Retry-After hint from the queue depth.
@@ -245,9 +233,9 @@ func (b *pullBinding) Next(ctx context.Context, attempt int) (string, error) {
 	}
 }
 
-// Done implements Binding: ack on success, abort otherwise (both
-// withdraw any queued copy, so an invocation is never served twice),
-// then recycle the binding.
+// Done implements Binding: ack on success, abort otherwise (an abort
+// also withdraws a queued copy, so an invocation is never served
+// twice), then recycle the binding.
 func (b *pullBinding) Done(ok bool) {
 	b.checkOwned()
 	b.p.settle(b, ok)

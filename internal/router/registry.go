@@ -58,7 +58,6 @@ type worker struct {
 	state      WorkerState
 	consecFail int
 	consecOK   int
-	capacity   int
 	inflight   int
 	forwarded  int64
 	failures   int64
@@ -345,16 +344,6 @@ func (r *Registry) Counts() (ready, draining, down, standby int) {
 	return ready, draining, down, standby
 }
 
-// SetCapacity records a worker's advertised capacity from its health
-// report.
-func (r *Registry) SetCapacity(id string, capacity int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if w, ok := r.workers[id]; ok && capacity >= 0 {
-		w.capacity = capacity
-	}
-}
-
 // BeginForward counts one forward in flight against the worker. It
 // reports false, counting nothing, for an unknown id.
 func (r *Registry) BeginForward(id string) bool {
@@ -431,7 +420,6 @@ func (r *Registry) Snapshot() []httpapi.WorkerStatus {
 			URL:       w.spec.URL,
 			State:     w.state.String(),
 			Inflight:  int64(w.inflight),
-			Capacity:  w.capacity,
 			Forwarded: w.forwarded,
 			Failures:  w.failures,
 		})

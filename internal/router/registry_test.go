@@ -162,8 +162,6 @@ func TestRegistrySnapshotAndCounters(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewRegistry: %v", err)
 	}
-	reg.SetCapacity("w1", 8)
-	reg.SetCapacity("w1", -1) // ignored
 	reg.BeginForward("w1")
 	reg.EndForward("w1", false, true)
 	reg.EndForward("w1", false, true) // unmatched: clamps at zero
@@ -188,7 +186,7 @@ func TestRegistrySnapshotAndCounters(t *testing.T) {
 			t.Fatalf("Snapshot not sorted: %v", snap)
 		}
 	}
-	if snap[0].Capacity != 8 || snap[0].Inflight != 0 {
+	if snap[0].Inflight != 0 {
 		t.Fatalf("w1 row = %+v", snap[0])
 	}
 	if snap[1].Forwarded != 2 || snap[2].Failures != 1 {

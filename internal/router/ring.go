@@ -11,7 +11,7 @@
 //     whole dispatch windows batch together, with least-loaded spillover
 //     when a worker exceeds its load bound;
 //   - a worker registry with periodic health probes against each
-//     worker's /healthz capacity report, and mark-down/mark-up state
+//     worker's /healthz readiness report, and mark-down/mark-up state
 //     transitions that shrink and regrow the ring;
 //   - a forwarding proxy with bounded retries/backoff and failover to
 //     the next ring replica on connection errors, wired into

@@ -83,8 +83,8 @@ type Config struct {
 	// worker-pull late binding). See docs/CLUSTER.md "Choosing a policy".
 	Policy string
 	// Pull tunes the pull policy's decision core (batch size, per-worker
-	// capacity, queue depth, lease budget). Nil uses the
-	// pullsched defaults; ignored under PolicyHash.
+	// capacity, queue depth). Nil uses the pullsched defaults; ignored
+	// under PolicyHash.
 	Pull *pullsched.Config
 	// ScrapeTimeout bounds one member scrape (both its /metrics and
 	// /stats round trips) when serving /cluster/metrics and
@@ -358,9 +358,6 @@ func (rt *Router) probeLoop() {
 		select {
 		case <-ticker.C:
 			rt.ProbeAll(context.Background())
-			// The lease-expiry sweep (pull policy, when a LeaseBudget is
-			// configured) rides the probe tick rather than its own timer.
-			rt.policy.sweep()
 		case <-rt.stop:
 			return
 		}
@@ -369,13 +366,13 @@ func (rt *Router) probeLoop() {
 
 // ProbeAll runs one synchronous health-probe round over every worker —
 // up and down alike, so recoveries are noticed. Each probe reads the
-// worker's /healthz capacity report; anything but a 200 "ok" counts as
+// worker's /healthz readiness report; anything but a 200 "ok" counts as
 // a failure toward mark-down.
 func (rt *Router) ProbeAll(ctx context.Context) {
 	trace := rt.tracer.Begin() // one trace per probe round
 	for _, spec := range rt.reg.Specs() {
 		start := rt.tracer.Now()
-		health, err := rt.probeOne(ctx, spec)
+		err := rt.probeOne(ctx, spec)
 		rt.tracer.Record(obs.Span{
 			Trace: trace, Name: obs.SpanProbe, Detail: spec.ID,
 			Start: start, End: rt.tracer.Now(),
@@ -383,9 +380,6 @@ func (rt *Router) ProbeAll(ctx context.Context) {
 		rt.ctr.probes.Add(1)
 		if err != nil {
 			rt.ctr.probeFailures.Add(1)
-		}
-		if err == nil {
-			rt.reg.SetCapacity(spec.ID, health.Capacity)
 		}
 		changed, now := rt.reg.NoteResult(spec.ID, err == nil)
 		if changed {
@@ -397,23 +391,23 @@ func (rt *Router) ProbeAll(ctx context.Context) {
 }
 
 // probeOne performs one /healthz round trip.
-func (rt *Router) probeOne(ctx context.Context, spec WorkerSpec) (httpapi.HealthResponse, error) {
+func (rt *Router) probeOne(ctx context.Context, spec WorkerSpec) error {
 	ep := rt.wire.endpoints[spec.ID]
 	wc, status, err := ep.get(ctx, attemptDeadline(ctx, rt.cfg.ProbeTimeout), "/healthz")
 	if err != nil {
-		return httpapi.HealthResponse{}, err
+		return err
 	}
 	var health httpapi.HealthResponse
 	// The body is informative even on 503 (draining/unready states).
 	_ = json.Unmarshal(wc.rbuf, &health)
 	ep.put(wc)
 	if status != http.StatusOK {
-		return health, fmt.Errorf("healthz %d (%s)", status, health.Status)
+		return fmt.Errorf("healthz %d (%s)", status, health.Status)
 	}
 	if health.Status != "" && health.Status != httpapi.HealthOK {
-		return health, fmt.Errorf("healthz status %q", health.Status)
+		return fmt.Errorf("healthz status %q", health.Status)
 	}
-	return health, nil
+	return nil
 }
 
 // Invoke routes one invocation: admission, ring pick, forward with

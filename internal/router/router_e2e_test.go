@@ -42,7 +42,6 @@ func newLiveWorker(t *testing.T, id string) *liveWorker {
 	cfg.DispatchInterval = 10 * time.Millisecond
 	cfg.ColdStart = 0
 	cfg.WorkerID = id
-	cfg.Capacity = 8
 	p, err := platform.New(cfg)
 	if err != nil {
 		t.Fatalf("platform.New(%s): %v", id, err)

@@ -39,7 +39,6 @@ func tracedFleet(t *testing.T, n int) ([]*liveWorker, []*obs.Tracer) {
 		cfg.DispatchInterval = 10 * time.Millisecond
 		cfg.ColdStart = 0
 		cfg.WorkerID = id
-		cfg.Capacity = 8
 		cfg.Tracer = tracer
 		p, err := platform.New(cfg)
 		if err != nil {

@@ -24,7 +24,6 @@ type fakeWorker struct {
 
 	mu           sync.Mutex
 	healthStatus string        // httpapi.Health* word for /healthz
-	capacity     int           // advertised in /healthz
 	invokeDelay  time.Duration // handler latency
 	invokeStatus int           // 0 = 200 with a real body
 	served       int
@@ -58,7 +57,7 @@ func newFakeWorker(t *testing.T, id string) *fakeWorker {
 	})
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		fw.mu.Lock()
-		status, capacity := fw.healthStatus, fw.capacity
+		status := fw.healthStatus
 		fw.mu.Unlock()
 		code := http.StatusOK
 		if status != httpapi.HealthOK {
@@ -67,7 +66,7 @@ func newFakeWorker(t *testing.T, id string) *fakeWorker {
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(code)
 		_ = json.NewEncoder(w).Encode(httpapi.HealthResponse{
-			Status: status, Worker: fw.id, Capacity: capacity,
+			Status: status, Worker: fw.id,
 		})
 	})
 	fw.srv = httptest.NewServer(mux)
@@ -276,12 +275,11 @@ func TestRouterNoWorkers(t *testing.T) {
 }
 
 // TestRouterProbeTransitions drives the prober against a worker that
-// turns unhealthy and recovers: mark-down shrinks the ring, mark-up
-// regrows it, and the capacity report lands in the worker table.
+// turns unhealthy and recovers: mark-down shrinks the ring and mark-up
+// regrows it.
 func TestRouterProbeTransitions(t *testing.T) {
 	w1 := newFakeWorker(t, "w1")
 	w2 := newFakeWorker(t, "w2")
-	w1.set(func(fw *fakeWorker) { fw.capacity = 7 })
 	rt := newTestRouter(t, []*fakeWorker{w1, w2}, func(cfg *Config) {
 		cfg.MarkDownAfter = 2
 		cfg.MarkUpAfter = 2
@@ -291,11 +289,6 @@ func TestRouterProbeTransitions(t *testing.T) {
 	rt.ProbeAll(ctx)
 	if st := rt.Stats(); st.Probes != 2 || st.ProbeFailures != 0 {
 		t.Fatalf("stats after healthy round = %+v", st)
-	}
-	for _, row := range rt.Registry().Snapshot() {
-		if row.ID == "w1" && row.Capacity != 7 {
-			t.Fatalf("capacity report lost: %+v", row)
-		}
 	}
 
 	// w2 starts draining: two failed rounds mark it down.

@@ -227,11 +227,10 @@ type AutoscaleReport struct {
 type RoutingReport struct {
 	Policy     string `json:"policy"`
 	QueueDepth int    `json:"queue_depth"`
-	// Granted, Requeues, Expired and Shed snapshot the pull core's
-	// counters (all zero under the hash policy).
+	// Granted, Requeues and Shed snapshot the pull core's counters (all
+	// zero under the hash policy).
 	Granted  int64 `json:"granted"`
 	Requeues int64 `json:"requeues"`
-	Expired  int64 `json:"expired"`
 	Shed     int64 `json:"shed"`
 	// LoadCVMilli is round(1000 x stddev/mean) over per-worker routed
 	// invocation counts — the load-spread figure of merit.
@@ -364,7 +363,7 @@ Generated {{.GeneratedAt}}; body sha256 <code>{{.BodySHA256}}</code>.</p>
 <tr><td>policy</td><td>{{.Policy}}</td></tr>
 <tr><td>queue depth</td><td>{{.QueueDepth}}</td></tr>
 <tr><td>granted / requeues</td><td>{{.Granted}} / {{.Requeues}}</td></tr>
-<tr><td>expired / shed</td><td>{{.Expired}} / {{.Shed}}</td></tr>
+<tr><td>shed</td><td>{{.Shed}}</td></tr>
 <tr><td>load spread CV</td><td>{{.LoadCVMilli}} / 1000</td></tr>
 </table>{{end}}
 

@@ -140,9 +140,6 @@ func nodeConfig(t Template) node.Config {
 	if t.Cores > 0 {
 		cfg.Cores = t.Cores
 	}
-	if t.MemBytes > 0 {
-		cfg.MemBytes = t.MemBytes
-	}
 	if t.KeepAlive > 0 {
 		cfg.KeepAlive = t.KeepAlive
 	}
@@ -739,7 +736,6 @@ func (s *simRun) routingReport() *RoutingReport {
 		st := s.cl.PullStats()
 		rep.Granted = int64(st.Granted)
 		rep.Requeues = int64(st.Requeues)
-		rep.Expired = int64(st.Expired)
 		rep.Shed = int64(st.Shed)
 	}
 	return rep

@@ -58,11 +58,6 @@ type Template struct {
 	Weight float64
 	// Cores is the worker's CPU cores.
 	Cores float64
-	// MemBytes becomes node.Config.MemBytes, the worker's memory
-	// capacity. The node reads it only under EnforceMemLimit, which no
-	// scenario key sets, so it changes no run: memory is tracked and
-	// reported, never limited.
-	MemBytes int64
 	// KeepAlive is the idle-container retention window.
 	KeepAlive time.Duration
 	// ColdStart is the non-CPU part of a container boot.
@@ -778,11 +773,13 @@ func (d *decoder) fleet(m map[string]any) Fleet {
 			continue
 		}
 		d.known(tm, path, "name", "weight", "cores", "mem", "keepalive", "coldstart", "create-concurrency")
+		// mem is checked and then ignored: node memory is tracked and
+		// reported, never bounded.
+		d.bytes(tm, path, "mem", 0)
 		f.Templates = append(f.Templates, Template{
 			Name:              d.str(tm, path, "name", fmt.Sprintf("template-%d", i)),
 			Weight:            d.float(tm, path, "weight", 1),
 			Cores:             d.float(tm, path, "cores", 0),
-			MemBytes:          d.bytes(tm, path, "mem", 0),
 			KeepAlive:         d.duration(tm, path, "keepalive", 0),
 			ColdStart:         d.duration(tm, path, "coldstart", 0),
 			CreateConcurrency: int(d.integer(tm, path, "create-concurrency", 0)),
